@@ -20,9 +20,9 @@
 //     platform power, so that concurrent ready tasks of one level can all
 //     run inside the PTG's share.
 //
-// Concurrency: the package is stateless — Compute keeps all mutable state
-// in per-call values — but it drives the cached analyses of the dag.Graph
-// it is given, so concurrent calls are safe only on distinct graphs.
+// Concurrency: the package is stateless, but Compute works in the level
+// tracker and cached analyses of the dag.Graph it is given, so concurrent
+// calls are safe only on distinct graphs.
 package alloc
 
 import (
@@ -64,11 +64,6 @@ type Allocation struct {
 	Ref   platform.Reference
 	Beta  float64
 	Procs []int
-
-	// powers is the reusable buffer behind violates' per-level power
-	// test: the growth loop runs it once per tentative step, so the
-	// buffer amortizes to zero allocations across an entire Compute.
-	powers []float64
 }
 
 // TimeOf returns the estimated execution time of t on its reference
@@ -105,20 +100,19 @@ func (a *Allocation) TotalArea() float64 {
 func (a *Allocation) LevelPowers() []float64 {
 	sets := a.Graph.LevelSets()
 	powers := make([]float64, len(sets))
-	a.levelPowersInto(powers, sets)
+	for l, set := range sets {
+		powers[l] = a.levelPower(set)
+	}
 	return powers
 }
 
-// levelPowersInto computes LevelPowers into powers, which must have
-// length len(sets).
-func (a *Allocation) levelPowersInto(powers []float64, sets [][]*dag.Task) {
-	for l, set := range sets {
-		sum := 0.0
-		for _, t := range set {
-			sum += a.PowerOf(t)
-		}
-		powers[l] = sum
+// levelPower sums the power of the allocations of one precedence level.
+func (a *Allocation) levelPower(set []*dag.Task) float64 {
+	sum := 0.0
+	for _, t := range set {
+		sum += a.PowerOf(t)
 	}
+	return sum
 }
 
 // violates reports whether the allocation breaks the β constraint under the
@@ -145,12 +139,7 @@ func (a *Allocation) violates(proc Procedure) bool {
 		}
 		return a.TotalArea()/cp > budget*(1+tol)
 	case SCRAPMAX:
-		sets := a.Graph.LevelSets()
-		if len(a.powers) != len(sets) {
-			a.powers = make([]float64, len(sets))
-		}
-		a.levelPowersInto(a.powers, sets)
-		for _, p := range a.powers {
+		for _, p := range a.LevelPowers() {
 			if p > budget*(1+tol) {
 				return true
 			}
@@ -168,35 +157,77 @@ func (a *Allocation) Respected(proc Procedure) bool { return !a.violates(proc) }
 
 // Compute runs the constrained allocation procedure on g for a platform
 // described by ref, under resource constraint beta ∈ (0, 1].
+//
+// Both procedures share one incremental growth loop. A step widens one
+// task, so exactly one task time changes: each task's time at its current
+// width lives in g's level tracker, its time at the next width and the gain
+// between the two in a tracker-owned buffer, and the tracker brings bottom
+// and top levels up to date only where the change reaches (dag.Levels).
+// SCRAP-MAX tests a step by re-summing the grown task's precedence level —
+// no other level moved, and none is over budget once the minimal allocation
+// has been checked — so a rejected step touches no level value at all;
+// SCRAP tests it on the tentatively updated bottom levels and withdraws
+// them on rejection. Every quantity compared is produced by the expression
+// the full recomputation would use, in the same summation order, so the
+// result is bit-identical to recomputing everything at every step (the
+// oracle in oracle_test.go).
 func Compute(g *dag.Graph, ref platform.Reference, beta float64, proc Procedure) *Allocation {
 	if beta <= 0 || beta > 1 {
 		panic(fmt.Sprintf("alloc: beta %g outside (0,1]", beta))
 	}
+	if proc != SCRAP && proc != SCRAPMAX {
+		panic(fmt.Sprintf("alloc: unknown procedure %d", int(proc)))
+	}
 	if err := g.Validate(false); err != nil {
 		panic(fmt.Sprintf("alloc: invalid graph: %v", err))
 	}
-	a := &Allocation{Graph: g, Ref: ref, Beta: beta, Procs: make([]int, len(g.Tasks))}
+	n := len(g.Tasks)
+	a := &Allocation{Graph: g, Ref: ref, Beta: beta, Procs: make([]int, n)}
 	for i := range a.Procs {
 		a.Procs[i] = 1
 	}
+	const tol = 1e-9
+	limit := beta * ref.Power() * (1 + tol)
 
-	// saturated marks tasks that can no longer grow: either at the
-	// platform size or whose last tentative growth violated the
-	// constraint.
-	saturated := make([]bool, len(g.Tasks))
+	var sets [][]*dag.Task
+	var levelOf []int
+	if proc == SCRAPMAX {
+		sets, levelOf = g.LevelSets(), g.PrecedenceLevels()
+		for _, set := range sets {
+			if a.levelPower(set) > limit {
+				// A level is over budget at one processor per task, and
+				// growing never lowers a level's power: every step would
+				// be rejected.
+				return a
+			}
+		}
+	}
+
+	lv := g.Levels(func(t *dag.Task) float64 { return cost.TaskTime(t, ref.Speed, 1) })
+	// next[id] is task id's time with one more processor, gain[id] the
+	// time that processor saves; a task that may not grow any more — at
+	// the platform size, or its last tentative growth broke the constraint
+	// — has gain 0, which the selection below never picks.
+	aux := lv.Aux(2 * n)
+	next, gain := aux[:n], aux[n:]
+	widen := func(id int) {
+		gain[id] = 0
+		if p := a.Procs[id]; p < ref.Procs {
+			next[id] = cost.TaskTime(g.Tasks[id], ref.Speed, p+1)
+			gain[id] = lv.Time(id) - next[id]
+		}
+	}
+	for id := range gain {
+		widen(id)
+	}
 
 	for {
-		marks := g.OnCriticalPath(a.TimeOf, dag.ZeroComm)
-		best := -1
-		bestGain := 0.0
-		for _, t := range g.Tasks {
-			if !marks[t.ID] || saturated[t.ID] || a.Procs[t.ID] >= ref.Procs {
-				continue
-			}
-			gain := cost.MarginalGain(t, ref.Speed, a.Procs[t.ID])
-			if gain > bestGain {
-				bestGain = gain
-				best = t.ID
+		// The critical-path task that benefits most from one more
+		// processor; the lowest ID wins ties.
+		best, bestGain := -1, 0.0
+		for id, gn := range gain {
+			if gn > bestGain && lv.Critical(id) {
+				best, bestGain = id, gn
 			}
 		}
 		if best < 0 {
@@ -205,11 +236,35 @@ func Compute(g *dag.Graph, ref platform.Reference, beta float64, proc Procedure)
 			return a
 		}
 		a.Procs[best]++
-		if a.violates(proc) {
+		var violates bool
+		switch proc {
+		case SCRAPMAX:
+			// Only the grown task's level moved.
+			violates = a.levelPower(sets[levelOf[best]]) > limit
+			if !violates {
+				lv.Set(best, next[best])
+			}
+		case SCRAP:
+			// Total area over critical path length, both with the grown
+			// task's new time.
+			if cp := lv.Set(best, next[best]); cp > 0 {
+				area := 0.0
+				for id, p := range a.Procs {
+					area += lv.Time(id) * (float64(p) * ref.Speed)
+				}
+				violates = area/cp > limit
+			}
+			if violates {
+				lv.Revert()
+			}
+		}
+		if violates {
 			a.Procs[best]--
-			saturated[best] = true
+			gain[best] = 0
 			continue
 		}
+		lv.Commit()
+		widen(best)
 	}
 }
 

@@ -65,23 +65,7 @@ func (r *Result) GlobalMakespan() float64 { return r.Exec.Makespan }
 // Schedule runs the full pipeline on a batch of concurrently-submitted
 // PTGs under the given constraint-determination strategy.
 func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Result {
-	if len(graphs) == 0 {
-		panic("core: empty batch")
-	}
-	ref := s.Platform.ReferenceCluster()
-	betas := strat.Betas(graphs, ref)
-	apps := make([]*alloc.Allocation, len(graphs))
-	for i, g := range graphs {
-		apps[i] = alloc.Compute(g, ref, betas[i], s.Procedure)
-	}
-	sched := mapping.Map(s.Platform, apps, s.MapOptions)
-	return &Result{
-		Strategy:    strat,
-		Betas:       betas,
-		Allocations: apps,
-		Schedule:    sched,
-		Exec:        simexec.Execute(sched),
-	}
+	return s.ScheduleWith(NewScratch(), graphs, strat)
 }
 
 // Scratch amortizes a scheduler's per-call state — most importantly the
@@ -90,17 +74,57 @@ func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Resu
 // goroutine; the Result ScheduleWith returns (and the Evaluation slices
 // EvaluateWith fills) are scratch-owned and overwritten by the next call
 // on the same Scratch, so callers consume them before scheduling again.
+//
+// A Scratch also remembers the allocations it computed, so that one batch
+// of graphs scheduled several times — alone for M_own, then under each
+// strategy — computes each distinct (graph, reference cluster, β,
+// procedure) once: the β = 1 dedicated run is the selfish strategy's
+// allocation, and strategies often resolve a graph to the same β. Callers
+// moving on to other graphs call ForgetAllocations; graphs' task costs
+// must not be edited while their allocations are remembered (appending
+// tasks or edges is detected).
 type Scratch struct {
 	exec  *simexec.Scratch
 	apps  []*alloc.Allocation
 	alone [1]*dag.Graph
 	slow  []float64
 	res   Result
+	memo  []remembered
+}
+
+// remembered is one allocation with what identifies its computation beyond
+// the Graph, Ref and Beta it records itself: the procedure, and the graph's
+// edge count (with len(Procs), the size the graph had).
+type remembered struct {
+	a     *alloc.Allocation
+	proc  alloc.Procedure
+	edges int
 }
 
 // NewScratch returns an empty scratch ready for ScheduleWith.
 func NewScratch() *Scratch {
 	return &Scratch{exec: simexec.NewScratch()}
+}
+
+// ForgetAllocations drops the remembered allocations, releasing their
+// graphs. Call it between batches of different graphs.
+func (sc *Scratch) ForgetAllocations() {
+	clear(sc.memo)
+	sc.memo = sc.memo[:0]
+}
+
+// allocation returns alloc.Compute(g, ref, beta, proc), computed at most
+// once per remembered (graph, reference, β, procedure).
+func (sc *Scratch) allocation(g *dag.Graph, ref platform.Reference, beta float64, proc alloc.Procedure) *alloc.Allocation {
+	for _, m := range sc.memo {
+		if a := m.a; a.Graph == g && a.Beta == beta && a.Ref == ref && m.proc == proc &&
+			len(a.Procs) == len(g.Tasks) && m.edges == len(g.Edges) {
+			return a
+		}
+	}
+	a := alloc.Compute(g, ref, beta, proc)
+	sc.memo = append(sc.memo, remembered{a, proc, len(g.Edges)})
+	return a
 }
 
 // ScheduleWith is Schedule on a reusable worker-owned scratch. The
@@ -118,7 +142,7 @@ func (s *Scheduler) ScheduleWith(sc *Scratch, graphs []*dag.Graph, strat strateg
 	}
 	apps := sc.apps[:len(graphs)]
 	for i, g := range graphs {
-		apps[i] = alloc.Compute(g, ref, betas[i], s.Procedure)
+		apps[i] = sc.allocation(g, ref, betas[i], s.Procedure)
 	}
 	sched := mapping.Map(s.Platform, apps, s.MapOptions)
 	sc.res = Result{

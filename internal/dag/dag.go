@@ -51,12 +51,12 @@ type Edge struct {
 //
 // Structural analyses (TopoOrder, PrecedenceLevels, LevelSets, Entries,
 // Exits) are cached on the graph and invalidated by AddTask/AddEdge, and
-// the level analyses share internal scratch buffers: the constrained
-// allocation procedure re-runs them on an unchanged graph thousands of
-// times. Returned slices are therefore shared — callers must treat them as
-// read-only — and a Graph must not be analyzed from multiple goroutines
-// concurrently (scheduling pipelines own their graphs, so this matches how
-// every caller in this module behaves).
+// the level analyses share graph-owned buffers (the Levels tracker the
+// constrained allocation procedure drives through thousands of growth
+// steps, a bottom-level scratch). Returned slices are therefore shared —
+// callers must treat them as read-only — and a Graph must not be analyzed
+// from multiple goroutines concurrently (scheduling pipelines own their
+// graphs, so this matches how every caller in this module behaves).
 type Graph struct {
 	Name  string
 	Tasks []*Task
@@ -69,15 +69,12 @@ type Graph struct {
 	levelSets [][]*Task
 	entries   []*Task
 	exits     []*Task
-	// Scratch for level computations whose results are not returned to
-	// callers (OnCriticalPath, CriticalPathLength internals).
+	// tracker is the incremental level tracker handed out by Levels; it
+	// caches the graph's structure, so a mutation drops it.
+	tracker *Levels
+	// Scratch for bottom levels whose values are not returned to callers
+	// (CriticalPathLength, CriticalPath).
 	scratchBL []float64
-	scratchTL []float64
-	// Scratch behind OnCriticalPath's returned marks: the allocator calls
-	// it once per growth step, so the marks are graph-owned and
-	// overwritten by the next call (read-only for callers, like every
-	// other cached analysis).
-	scratchMarks []bool
 }
 
 // invalidate drops the structural caches after a mutation.
@@ -87,6 +84,7 @@ func (g *Graph) invalidate() {
 	g.levelSets = nil
 	g.entries = nil
 	g.exits = nil
+	g.tracker = nil
 }
 
 // New returns an empty graph with the given name.

@@ -211,11 +211,11 @@ func TestCriticalPathDiamond(t *testing.T) {
 func TestOnCriticalPathMarksChain(t *testing.T) {
 	g, a, b, c, d := diamond(t, 8)
 	timeOf := func(t *Task) float64 { return t.SeqGFlop }
-	marks := g.OnCriticalPath(timeOf, ZeroComm)
-	if !marks[a.ID] || !marks[c.ID] || !marks[d.ID] {
+	lv := g.Levels(timeOf)
+	if !lv.Critical(a.ID) || !lv.Critical(c.ID) || !lv.Critical(d.ID) {
 		t.Error("critical chain a-c-d not fully marked")
 	}
-	if marks[b.ID] {
+	if lv.Critical(b.ID) {
 		t.Error("non-critical task b marked")
 	}
 }

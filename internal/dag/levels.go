@@ -84,8 +84,8 @@ func ZeroComm(*Edge) float64 { return 0 }
 
 // bottomLevelsInto computes bottom levels into bl, which must have length
 // len(g.Tasks). It backs both the exported BottomLevels (fresh slice, the
-// caller keeps it) and the scratch-buffer paths of OnCriticalPath and
-// CriticalPathLength, which the allocator re-runs on every growth step.
+// caller keeps it) and the scratch-buffer paths of CriticalPathLength and
+// CriticalPath.
 func (g *Graph) bottomLevelsInto(bl []float64, timeOf TimeFunc, commOf CommFunc) {
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -104,33 +104,13 @@ func (g *Graph) bottomLevelsInto(bl []float64, timeOf TimeFunc, commOf CommFunc)
 	}
 }
 
-// topLevelsInto computes top levels into tl, which must have length
-// len(g.Tasks).
-func (g *Graph) topLevelsInto(tl []float64, timeOf TimeFunc, commOf CommFunc) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	for _, t := range order {
-		best := 0.0
-		for _, e := range t.in {
-			v := tl[e.From.ID] + timeOf(e.From) + commOf(e)
-			if v > best {
-				best = v
-			}
-		}
-		tl[t.ID] = best
-	}
-}
-
-// scratchLevels returns the graph-owned bottom- and top-level scratch
-// buffers, allocating them on first use.
-func (g *Graph) scratchLevels() (bl, tl []float64) {
+// scratchLevels returns the graph-owned bottom-level scratch buffer,
+// allocating it on first use.
+func (g *Graph) scratchLevels() []float64 {
 	if len(g.scratchBL) != len(g.Tasks) {
 		g.scratchBL = make([]float64, len(g.Tasks))
-		g.scratchTL = make([]float64, len(g.Tasks))
 	}
-	return g.scratchBL, g.scratchTL
+	return g.scratchBL
 }
 
 // BottomLevels returns, indexed by task ID, each task's bottom level: its
@@ -146,8 +126,21 @@ func (g *Graph) BottomLevels(timeOf TimeFunc, commOf CommFunc) []float64 {
 // TopLevels returns, indexed by task ID, the length of the longest path
 // from an entry task to the task, excluding the task's own time.
 func (g *Graph) TopLevels(timeOf TimeFunc, commOf CommFunc) []float64 {
+	order, err := g.TopoOrder()
+	if err != nil {
+		panic(err)
+	}
 	tl := make([]float64, len(g.Tasks))
-	g.topLevelsInto(tl, timeOf, commOf)
+	for _, t := range order {
+		best := 0.0
+		for _, e := range t.in {
+			v := tl[e.From.ID] + timeOf(e.From) + commOf(e)
+			if v > best {
+				best = v
+			}
+		}
+		tl[t.ID] = best
+	}
 	return tl
 }
 
@@ -167,7 +160,7 @@ func (g *Graph) maxEntryLevel(bl []float64) float64 {
 // bottom level over entry tasks. This is the "critical path" characteristic
 // used by the PS-cp and WPS-cp strategies (§6).
 func (g *Graph) CriticalPathLength(timeOf TimeFunc, commOf CommFunc) float64 {
-	bl, _ := g.scratchLevels()
+	bl := g.scratchLevels()
 	g.bottomLevelsInto(bl, timeOf, commOf)
 	return g.maxEntryLevel(bl)
 }
@@ -176,7 +169,7 @@ func (g *Graph) CriticalPathLength(timeOf TimeFunc, commOf CommFunc) float64 {
 // an exit under the given time and communication estimates. Ties are broken
 // by task ID for determinism.
 func (g *Graph) CriticalPath(timeOf TimeFunc, commOf CommFunc) []*Task {
-	bl, _ := g.scratchLevels()
+	bl := g.scratchLevels()
 	g.bottomLevelsInto(bl, timeOf, commOf)
 	var cur *Task
 	for _, t := range g.Entries() {
@@ -208,28 +201,4 @@ func (g *Graph) CriticalPath(timeOf TimeFunc, commOf CommFunc) []*Task {
 		cur = next
 	}
 	return path
-}
-
-// OnCriticalPath returns a boolean per task ID marking tasks whose top
-// level + time + bottom level equals the critical path length (within
-// tolerance): the set of critical tasks the allocator may widen. Bottom
-// levels are computed once and shared between the mark test and the
-// critical path length (the seed recomputed them three times per call).
-// The returned slice is graph-owned scratch, overwritten by the next
-// call: the allocator re-runs the analysis on every growth step and
-// consumes the marks before the next one.
-func (g *Graph) OnCriticalPath(timeOf TimeFunc, commOf CommFunc) []bool {
-	bl, tl := g.scratchLevels()
-	g.bottomLevelsInto(bl, timeOf, commOf)
-	g.topLevelsInto(tl, timeOf, commOf)
-	cp := g.maxEntryLevel(bl)
-	const relTol = 1e-9
-	if len(g.scratchMarks) != len(g.Tasks) {
-		g.scratchMarks = make([]bool, len(g.Tasks))
-	}
-	marks := g.scratchMarks
-	for _, t := range g.Tasks {
-		marks[t.ID] = tl[t.ID]+bl[t.ID] >= cp*(1-relTol)
-	}
-	return marks
 }

@@ -326,6 +326,9 @@ func RunOneWith(cfg Config, point, rep, pfIdx int, sc *Scratch) Measurement {
 	}
 	pf := cfg.Platforms[pfIdx]
 	sched := sc.schedulerFor(pf, pfIdx)
+	// The run's graphs are new: the allocations the scratch remembers from
+	// the slot's previous run serve nothing here and would pin its graphs.
+	sc.core.ForgetAllocations()
 
 	sc.own = growSlice(sc.own, n)
 	own := sc.own

@@ -5,7 +5,10 @@
 // strategy, the allocations of their not-yet-started tasks are rebuilt
 // under the new constraints, and committed-but-not-started placements are
 // revoked and remapped ("the schedules of the already running applications
-// may have to be reconsidered").
+// may have to be reconsidered"). An application whose reference cluster and
+// β came out of a rebalance unchanged keeps its allocation: the allocation
+// is a function of (graph, reference, β, procedure) alone. Allocations use
+// the procedure in Options, whose zero value is SCRAP — see Options.
 //
 // The driver is an event-driven scheduler over the mapper's cost model:
 // decision instants are application arrivals and task completions; at each
@@ -44,14 +47,20 @@ type Arrival struct {
 	At float64
 }
 
-// Options tunes the online scheduler. The zero value uses the paper's
-// offline defaults: SCRAP-MAX allocation, packing on, rebalancing on both
-// arrivals and completions.
+// Options tunes the online scheduler. The zero value selects the selfish
+// strategy, SCRAP allocation, packing on, and rebalancing on both arrivals
+// and completions. That is not the offline configuration: core.New
+// allocates with SCRAP-MAX, the only procedure the paper evaluates, while
+// the zero Procedure here is alloc.SCRAP and no caller in this module
+// (scenario sweeps, the service's /v1/online, ptgsim) sets it — every
+// online and dynamic result is a SCRAP result. Switching the default moves
+// every online golden and is tracked in ROADMAP item 1.
 type Options struct {
 	// Strategy determines β over the set of *active* applications at each
 	// rebalance point. The zero value is the selfish strategy.
 	Strategy strategy.Strategy
-	// Procedure is the allocation procedure (default SCRAP-MAX).
+	// Procedure is the allocation procedure. The zero value is alloc.SCRAP
+	// (the global area test), not the SCRAP-MAX of the offline scheduler.
 	Procedure alloc.Procedure
 	// NoPacking disables allocation packing during mapping.
 	NoPacking bool
@@ -156,10 +165,24 @@ type scheduler struct {
 
 	events eventHeap
 	now    float64
+
+	// recompute makes every rebalance recompute every active application's
+	// allocation even when its (reference, β) is unchanged. Tests set it to
+	// check that keeping allocations changes nothing.
+	recompute bool
 }
 
 // Schedule runs the online scheduler over the given arrivals.
 func Schedule(pf *platform.Platform, arrivals []Arrival, opts Options) *Result {
+	s := newScheduler(pf, arrivals, opts)
+	s.run()
+	s.finish()
+	return s.result
+}
+
+// newScheduler validates the arrivals and builds the driver's initial
+// state: every arrival (and timeline event) queued, nothing handled yet.
+func newScheduler(pf *platform.Platform, arrivals []Arrival, opts Options) *scheduler {
 	if len(arrivals) == 0 {
 		panic("online: no arrivals")
 	}
@@ -205,10 +228,7 @@ func Schedule(pf *platform.Platform, arrivals []Arrival, opts Options) *Result {
 		s.result.Cancelled = make([]bool, len(arrivals))
 		s.pushTimeline(opts.Timeline)
 	}
-
-	s.run()
-	s.finish()
-	return s.result
+	return s
 }
 
 // finish checks the run drained completely and normalizes the records of
@@ -352,8 +372,14 @@ func (s *scheduler) rebalance() {
 	betas := s.opts.Strategy.Betas(graphs, s.ref)
 
 	for i, app := range active {
-		s.allocs[app] = alloc.Compute(graphs[i], s.ref, betas[i], s.opts.Procedure)
-		s.bl[app] = graphs[i].BottomLevels(s.allocs[app].TimeOf, dag.ZeroComm)
+		// An application's allocation, and the bottom levels derived from
+		// it, depend on its (reference, β) only: most rebalances of a
+		// selfish run, and every one that leaves an application's share
+		// where it was, keep what the last one computed.
+		if a := s.allocs[app]; s.recompute || a == nil || a.Ref != s.ref || a.Beta != betas[i] {
+			s.allocs[app] = alloc.Compute(graphs[i], s.ref, betas[i], s.opts.Procedure)
+			s.bl[app] = graphs[i].BottomLevels(s.allocs[app].TimeOf, dag.ZeroComm)
+		}
 		for _, ot := range s.tasks[app] {
 			if ot.state == taskCommitted && ot.placement.Start > s.now {
 				ot.state = taskReady
