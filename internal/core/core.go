@@ -82,7 +82,8 @@ func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Resu
 // allocation, and strategies often resolve a graph to the same β. Callers
 // moving on to other graphs call ForgetAllocations; graphs' task costs
 // must not be edited while their allocations are remembered (appending
-// tasks or edges is detected).
+// tasks or edges is detected). Release ends a scratch's use for one piece
+// of work altogether.
 type Scratch struct {
 	exec  *simexec.Scratch
 	apps  []*alloc.Allocation
@@ -111,6 +112,19 @@ func NewScratch() *Scratch {
 func (sc *Scratch) ForgetAllocations() {
 	clear(sc.memo)
 	sc.memo = sc.memo[:0]
+}
+
+// Release drops everything the scratch still references of the batches it
+// scheduled — the last Result, the allocation memo, the executor's
+// schedule — keeping only buffers, so a scratch parked between unrelated
+// pieces of work (a service worker between requests) pins none of the
+// previous one's graphs. Results the scratch returned are invalid after it.
+func (sc *Scratch) Release() {
+	sc.ForgetAllocations()
+	clear(sc.apps[:cap(sc.apps)])
+	sc.alone[0] = nil
+	sc.res = Result{}
+	sc.exec.Release()
 }
 
 // allocation returns alloc.Compute(g, ref, beta, proc), computed at most

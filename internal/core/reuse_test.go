@@ -110,3 +110,20 @@ func TestScratchNeverServesMutatedGraph(t *testing.T) {
 		sameResult(t, "after AddEdge, "+strat.Name(), sched.ScheduleWith(sc, gs, strat), sched.Schedule(gs, strat))
 	}
 }
+
+// Release ends a scratch's use for one batch altogether: nothing computed
+// before it is served after it, and scheduling on the released scratch
+// equals scheduling from nothing.
+func TestScratchReleaseForgetsTheBatch(t *testing.T) {
+	sched := core.New(platform.Rennes())
+	gs := batch(4, 21)
+	sc := core.NewScratch()
+	sched.ScheduleAloneWith(sc, gs[0])
+	before := sched.ScheduleWith(sc, gs, strategy.S()).Allocations[0]
+	sc.Release()
+	after := sched.ScheduleWith(sc, gs, strategy.S())
+	if after.Allocations[0] == before {
+		t.Error("allocation survived Release")
+	}
+	sameResult(t, "after Release", after, sched.Schedule(gs, strategy.S()))
+}

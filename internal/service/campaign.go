@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"ptgsched/internal/core"
 	"ptgsched/internal/experiment"
 	"ptgsched/internal/scenario"
 )
@@ -270,7 +271,7 @@ func (s *Service) Campaign(ctx context.Context, req CampaignRequest) (*CampaignR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	resp, err := s.submit(ctx, "campaign", func() (any, error) {
+	resp, err := s.submit(ctx, "campaign", func(*core.Scratch) (any, error) {
 		started := time.Now()
 		out := &CampaignResponse{
 			Name:      cs.expansion.Spec.Name,

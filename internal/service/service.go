@@ -11,12 +11,17 @@
 // Concurrency: the Service is safe for use by any number of goroutines.
 // The safety argument mirrors how the rest of the module is built: a
 // platform.Platform and its sim.Links are immutable after construction, the
-// strategy/alloc/mapping/simexec pipeline keeps all mutable state in
-// per-call values, and the only caching mutable structure — dag.Graph's
-// analysis caches — is confined to graphs generated privately per request.
-// Nothing is shared between two in-flight requests except immutable
-// platforms, so requests never contend on scheduling state, only on the
-// queue and the stats counters.
+// strategy/alloc/mapping pipeline keeps all mutable state in per-call
+// values, and the only caching mutable structure — dag.Graph's analysis
+// caches — is confined to graphs generated privately per request. The
+// simulated executor's reusable state lives in one core.Scratch per
+// worker: the worker goroutine creates it, hands it to each request it
+// runs (one at a time, so the scratch never leaves that goroutine) and
+// calls Release when the request ends, so a parked scratch pins nothing of
+// the last request; everything a response carries is copied out of
+// scratch-owned results before then. Nothing is shared between two
+// in-flight requests except immutable platforms, so requests never contend
+// on scheduling state, only on the queue and the stats counters.
 package service
 
 import (
@@ -26,6 +31,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,8 +142,10 @@ type job struct {
 	ctx      context.Context
 	kind     string
 	enqueued time.Time
-	run      func() (any, error)
-	done     chan outcome
+	// run executes the request on the worker's scratch, which is the
+	// request's alone until run returns.
+	run  func(sc *core.Scratch) (any, error)
+	done chan outcome
 	// settled arbitrates the accounting between the worker and the
 	// submitter: whoever swaps it first counts the job's fate, so
 	// Completed + Failed + Expired partitions Accepted exactly even when a
@@ -229,9 +237,11 @@ func (s *Service) CloseGrace(grace time.Duration) int {
 	return 0
 }
 
-// worker executes queued jobs until the queue closes.
+// worker executes queued jobs until the queue closes, all on the one
+// scratch it owns.
 func (s *Service) worker() {
 	defer s.wg.Done()
+	sc := core.NewScratch()
 	for j := range s.queue {
 		if err := j.ctx.Err(); err != nil {
 			// The client gave up while the job was queued; don't burn a
@@ -244,7 +254,8 @@ func (s *Service) worker() {
 		}
 		s.stats.inFlight.Add(1)
 		started := time.Now()
-		resp, err := runSafely(j.run)
+		resp, err := runSafely(j.run, sc)
+		sc.Release()
 		elapsed := time.Since(started)
 		s.stats.inFlight.Add(-1)
 		s.stats.busyNanos.Add(elapsed.Nanoseconds())
@@ -269,19 +280,21 @@ func (s *Service) worker() {
 
 // runSafely converts a panic in the pipeline (e.g. a degenerate generated
 // scenario) into an error, so one bad request cannot take down a worker.
-func runSafely(run func() (any, error)) (resp any, err error) {
+// The scratch stays usable: every call on it rebuilds its state from the
+// call's inputs.
+func runSafely(run func(*core.Scratch) (any, error), sc *core.Scratch) (resp any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("service: request panicked: %v", r)
 		}
 	}()
-	return run()
+	return run(sc)
 }
 
 // submit enqueues a validated request and waits for its outcome or the
 // context. Requests abandoned at a timeout keep their queue slot until a
 // worker pops and discards them.
-func (s *Service) submit(ctx context.Context, kind string, run func() (any, error)) (any, error) {
+func (s *Service) submit(ctx context.Context, kind string, run func(*core.Scratch) (any, error)) (any, error) {
 	if !s.opts.NoTimeout {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
@@ -447,7 +460,7 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	resp, err := s.submit(ctx, "schedule", func() (any, error) {
+	resp, err := s.submit(ctx, "schedule", func(scratch *core.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		graphs := make([]*dag.Graph, sc.count)
@@ -461,16 +474,18 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 		if req.ComputeOwn {
 			own = make([]float64, len(graphs))
 			for i, g := range graphs {
-				own[i] = sched.ScheduleAlone(g)
+				own[i] = sched.ScheduleAloneWith(scratch, g)
 			}
 		}
-		res := sched.Schedule(graphs, sc.strat)
+		// res is scratch-owned. Betas is the strategy's fresh slice; the
+		// makespans live in the executor's buffers and are copied out.
+		res := sched.ScheduleWith(scratch, graphs, sc.strat)
 		out := &ScheduleResponse{
 			Platform:     sc.pf.Name,
 			Strategy:     sc.strat.Name(),
 			Count:        sc.count,
 			Betas:        res.Betas,
-			AppMakespans: res.Exec.AppMakespans,
+			AppMakespans: slices.Clone(res.Exec.AppMakespans),
 			Makespan:     res.GlobalMakespan(),
 			Summary:      trace.Summarize(res.Schedule),
 			Utilization:  trace.Utilization(res.Schedule),
@@ -532,7 +547,7 @@ func (s *Service) Online(ctx context.Context, req OnlineRequest) (*OnlineRespons
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	resp, err := s.submit(ctx, "online", func() (any, error) {
+	resp, err := s.submit(ctx, "online", func(*core.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		arrivals := workload.Generate(spec, r)
@@ -664,7 +679,7 @@ func (s *Service) Workload(ctx context.Context, req WorkloadRequest) (*WorkloadR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	resp, err := s.submit(ctx, "workload", func() (any, error) {
+	resp, err := s.submit(ctx, "workload", func(*core.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		arrivals := workload.Generate(spec, r)

@@ -113,6 +113,27 @@ func (e *Engine) After(delay float64, label string, fn func()) *Event {
 	return e.At(e.now+delay, label, fn)
 }
 
+// Reschedule moves the pending event ev to absolute virtual time t, in
+// place: ev takes the next sequence number and its heap position is fixed,
+// so it fires in exactly the order that cancelling it and scheduling a new
+// event at t would give — including ties at equal times, which it now
+// loses to every event scheduled before this call — while no cancelled
+// event is left behind in the queue or the arena. ev must still be
+// pending: rescheduling an event that has fired (its own callback window
+// included: Run removes an event before invoking it) or was cancelled
+// panics, as does a time in the past or NaN.
+func (e *Engine) Reschedule(ev *Event, t float64) {
+	if ev.cancelled || ev.index < 0 {
+		panic(fmt.Sprintf("sim: rescheduling event %q that is no longer pending", ev.label))
+	}
+	if t < e.now || math.IsNaN(t) {
+		panic(fmt.Sprintf("sim: rescheduling event %q to %g at now %g", ev.label, t, e.now))
+	}
+	ev.time, ev.seq = t, e.seq
+	e.seq++
+	heap.Fix(&e.queue, ev.index)
+}
+
 // Run processes events until the queue is empty or Stop is called. It
 // returns the final virtual time.
 func (e *Engine) Run() float64 {
@@ -153,7 +174,7 @@ type Event struct {
 	label     string
 	fn        func()
 	cancelled bool
-	index     int
+	index     int // position in the queue; -1 once popped
 }
 
 // Time returns the virtual time at which the event fires.
@@ -196,5 +217,6 @@ func (q *eventQueue) Pop() any {
 	ev := old[n-1]
 	old[n-1] = nil
 	*q = old[:n-1]
+	ev.index = -1
 	return ev
 }

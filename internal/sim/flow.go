@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Link is a network resource with a fixed capacity in bytes per second and a
@@ -30,9 +31,9 @@ func NewLink(name string, capacity, latency float64) *Link {
 type Flow struct {
 	Label     string
 	route     []*Link
-	routeIDs  []int   // dense link IDs within the owning FlowNet's solver
+	class     int     // route class within the owning FlowNet's solver
 	remaining float64 // bytes still to transfer once started
-	rate      float64 // current bytes/s, set by the fair-share solver
+	rate      float64 // current bytes/s: the class's rate at the last reshare
 	started   bool    // latency elapsed, transferring
 	done      bool
 	onDone    func(endTime float64)
@@ -53,7 +54,10 @@ func NewTestFlow(route []*Link, remaining float64) *Flow {
 // Remaining returns the bytes still to be transferred (excluding latency).
 func (f *Flow) Remaining() float64 { return f.remaining }
 
-// Rate returns the current fair-share transfer rate in bytes/s.
+// Rate returns the flow's current transfer rate in bytes/s: while the flow
+// is transferring, the bounded max-min fair rate its route class was given
+// at the last reshare (every flow on the same route has the same rate); 0
+// before the route latency has elapsed and after completion.
 func (f *Flow) Rate() float64 { return f.rate }
 
 // Done reports whether the flow has completed.
@@ -62,26 +66,29 @@ func (f *Flow) Done() bool { return f.done }
 // FlowNet manages the set of active flows on a network and drives their
 // progress on an Engine using a bounded max-min fair-share bandwidth model:
 // whenever the set of active flows changes, all rates are recomputed by
-// progressive filling and the next completion event is (re)scheduled.
+// progressive filling over the live route classes and the single pending
+// completion event is re-keyed to the next completion.
 type FlowNet struct {
 	eng        *Engine
 	active     []*Flow
 	lastUpdate float64
-	completion *Event
+	// completion is the one pending flow-completion event, nil when no
+	// flow is active; completionFn is its callback, bound once.
+	completion   *Event
+	completionFn func()
 	// nextDone is the flow the pending completion event was scheduled
 	// for. It is force-retired when the event fires: floating-point
 	// residue (remaining ≈ rate·ulp(now)) could otherwise leave a flow
 	// whose completion time underflows against the clock, stalling the
 	// simulation in a zero-dt event loop.
 	nextDone *Flow
-	// solver holds the persistent link registry and the scratch state of
-	// the fair-share computation, reused across reshares.
+	// solver holds the run's link and route-class registries and the
+	// scratch state of the fair-share computation, reused across reshares.
 	solver fairShareSolver
 
 	// Flow arena: Start hands flows out of fixed-size blocks and Reset
-	// recycles them wholesale (keeping each flow's routeIDs capacity), so
-	// replaying many schedules on one net allocates flows only while the
-	// high-water mark grows.
+	// recycles them wholesale, so replaying many schedules on one net
+	// allocates flows only while the high-water mark grows.
 	flBlocks [][]Flow
 	flBlock  int
 	flUsed   int
@@ -93,30 +100,40 @@ type FlowNet struct {
 
 // NewFlowNet returns a flow manager bound to eng.
 func NewFlowNet(eng *Engine) *FlowNet {
-	return &FlowNet{eng: eng}
+	n := &FlowNet{eng: eng}
+	n.completionFn = n.onCompletion
+	return n
 }
 
 // Reset detaches all flows and returns the net to its initial state,
-// keeping the solver's link registry (links are immutable and shared
-// across simulations) and the flow arena for reuse. The engine must be
-// Reset alongside; flows handed out before the Reset are invalidated.
+// keeping the flow arena and the solver's buffers for reuse but emptying
+// the link and route-class registries: they are keyed by *Link, and a net
+// that outlives one simulation is handed different platforms — often a
+// fresh copy of the same one — so a registry kept across runs would grow
+// with, and pin, every platform the net has ever seen. Re-registering a
+// platform's few links and routes per run is noise next to the run's
+// solves. The engine must be Reset alongside; flows handed out before the
+// Reset are invalidated.
 func (n *FlowNet) Reset() {
-	for i := range n.active {
-		n.active[i] = nil
-	}
+	clear(n.active)
 	n.active = n.active[:0]
 	n.lastUpdate = 0
 	n.completion = nil
 	n.nextDone = nil
 	n.flBlock = 0
 	n.flUsed = 0
+	n.solver.reset()
 }
+
+// RegisteredLinks returns the number of distinct links the flows started
+// since the last Reset have crossed.
+func (n *FlowNet) RegisteredLinks() int { return len(n.solver.links) }
 
 // flowBlockSize is the arena block granularity.
 const flowBlockSize = 256
 
 // newFlow returns a zeroed flow from the arena, preserving the recycled
-// flow's routeIDs capacity.
+// slot's start callback.
 func (n *FlowNet) newFlow() *Flow {
 	if n.flBlock == len(n.flBlocks) {
 		n.flBlocks = append(n.flBlocks, make([]Flow, flowBlockSize))
@@ -128,9 +145,7 @@ func (n *FlowNet) newFlow() *Flow {
 		n.flBlock++
 		n.flUsed = 0
 	}
-	ids := f.routeIDs[:0]
-	fn := f.startFn
-	*f = Flow{routeIDs: ids, startFn: fn}
+	*f = Flow{startFn: f.startFn}
 	return f
 }
 
@@ -151,7 +166,7 @@ func (n *FlowNet) Start(label string, route []*Link, bytes float64, onDone func(
 		n.finish(f)
 		return f
 	}
-	f.routeIDs = n.solver.register(route, f.routeIDs)
+	f.class = n.solver.classify(route)
 	lat := 0.0
 	for _, l := range route {
 		lat += l.Latency
@@ -179,6 +194,7 @@ func (n *FlowNet) flowStarted(f *Flow) {
 	}
 	n.advance()
 	n.active = append(n.active, f)
+	n.solver.enter(f.class)
 	n.reshare()
 }
 
@@ -202,23 +218,21 @@ func (n *FlowNet) advance() {
 	n.lastUpdate = n.eng.Now()
 }
 
-// reshare recomputes all fair-share rates and schedules the next flow
-// completion. Must be called with remaining amounts already advanced.
+// reshare recomputes all fair-share rates and moves the completion event
+// to the next flow completion. Must be called with remaining amounts
+// already advanced. With no active flow left there is nothing to schedule:
+// only onCompletion can empty the active set, and its event has fired.
 func (n *FlowNet) reshare() {
-	if n.completion != nil {
-		n.completion.Cancel()
-		n.completion = nil
-		n.nextDone = nil
-	}
 	if len(n.active) == 0 {
 		return
 	}
-	n.solver.solve(n.active, nil)
+	n.solver.solve()
 
 	// Find the earliest completion among active flows.
 	next := math.Inf(1)
 	var first *Flow
 	for _, f := range n.active {
+		f.rate = n.solver.classes[f.class].rate
 		if f.rate <= 0 {
 			continue
 		}
@@ -231,7 +245,11 @@ func (n *FlowNet) reshare() {
 		panic("sim: active flows with no progress possible")
 	}
 	n.nextDone = first
-	n.completion = n.eng.After(next, "flow-completion", n.onCompletion)
+	if n.completion == nil {
+		n.completion = n.eng.After(next, "flow-completion", n.completionFn)
+	} else {
+		n.eng.Reschedule(n.completion, n.eng.Now()+next)
+	}
 }
 
 // onCompletion retires every flow that has finished and reshapes the rest.
@@ -239,7 +257,11 @@ func (n *FlowNet) reshare() {
 // progress even when floating-point residue keeps its remaining amount
 // marginally positive.
 func (n *FlowNet) onCompletion() {
+	// The event has fired and left the queue: it can no longer be re-keyed,
+	// so reshare below must schedule a new one.
+	n.completion = nil
 	target := n.nextDone
+	n.nextDone = nil
 	n.advance()
 	if target != nil {
 		target.remaining = 0
@@ -249,6 +271,7 @@ func (n *FlowNet) onCompletion() {
 	for _, f := range n.active {
 		if f.remaining <= 0 {
 			finished = append(finished, f)
+			n.solver.leave(f.class)
 		} else {
 			kept = append(kept, f)
 		}
@@ -258,9 +281,7 @@ func (n *FlowNet) onCompletion() {
 	for _, f := range finished {
 		n.finish(f)
 	}
-	for i := range finished {
-		finished[i] = nil
-	}
+	clear(finished)
 	n.finished = finished[:0]
 }
 
@@ -278,43 +299,77 @@ func (n *FlowNet) finish(f *Flow) {
 // FairShareRates computes bounded max-min fair rates for the given flows by
 // progressive filling and stores them in each flow's rate field. It is
 // exported (within the package tree) for direct property testing; the
-// simulation's own reshare path reuses a persistent per-FlowNet solver
-// instead, so link registration happens once per flow rather than once per
+// simulation's own reshare path reuses a per-FlowNet solver instead, so
+// link and route registration happens once per flow rather than once per
 // call.
 func FairShareRates(flows []*Flow) {
-	var s fairShareSolver
 	total := 0
 	for _, f := range flows {
 		total += len(f.route)
 	}
-	flat := make([]int, 0, total)
-	routes := make([][]int, len(flows))
-	for i, f := range flows {
-		start := len(flat)
-		flat = s.register(f.route, flat)
-		routes[i] = flat[start:]
+	// Sized for the worst case, every flow on a route of its own.
+	s := fairShareSolver{
+		classOf:  make(map[uint64]int, len(flows)),
+		classes:  make([]routeClass, 0, len(flows)),
+		routeIDs: make([]int, 0, total),
+		live:     make([]int, 0, len(flows)),
+		unsat:    make([]int, 0, len(flows)),
 	}
-	s.solve(flows, routes)
+	for _, f := range flows {
+		f.class = s.classify(f.route)
+		s.enter(f.class)
+	}
+	s.solve()
+	for _, f := range flows {
+		f.rate = s.classes[f.class].rate
+	}
 }
 
 // fairShareSolver is the index-based progressive-filling engine behind
-// FairShareRates. Each distinct link is assigned a dense integer ID at
-// registration; all per-round state (remaining capacity, unsaturated-flow
-// counts, the unsaturated set itself) lives in slices indexed by those IDs,
-// so the solve loop performs no map iteration and no sorting.
+// FairShareRates and FlowNet. Each distinct link is assigned a dense
+// integer ID at registration; all per-round state (remaining capacity,
+// unsaturated-flow counts, the unsaturated set itself) lives in slices
+// indexed by those IDs, so the solve loop performs no map iteration and no
+// sorting.
+//
+// Route classes: a flow's bounded max-min rate is a function of its route
+// alone, and a platform has few routes (at most K² of ≤ 3 links for K
+// clusters) whatever the number of flows, so the solver fills over classes
+// of flows sharing one route, each with its count of active flows, instead
+// of over flows: O(C·R·r + F) per reshare for C live classes, R filling
+// rounds and routes of r links, against O(F·R·r) per flow.
+//
+// Bit-identity with per-flow filling: inside one round every saturated
+// flow applies the same operation — subtract the round's share, clamp at
+// 0 — to the remaining capacity of each link on its route. Identical
+// operations commute, so a link's capacity after the round depends only on
+// how many saturated flows crossed it, not on the order they were visited
+// in, and a class of k flows is k repetitions of that operation (never one
+// subtraction of k·share, which rounds differently). The state the next
+// round's bottleneck is chosen from is therefore the same, round by round.
+// The one capacity not kept up is that of a link whose last unsaturated
+// flow has just been saturated: no later round reads or writes it.
 //
 // Determinism: the seed implementation broke bottleneck-share ties by
 // iterating candidate links in name order. The solver precomputes each
 // link's rank in that same name order (ties by registration order) and
 // breaks share ties by rank, selecting the identical bottleneck without
-// re-sorting every round. Flows are saturated in ascending flow-slice
-// order, which also fixes the arithmetic order of the capacity decrements
-// — the seed left it to map iteration order.
+// re-sorting every round.
 type fairShareSolver struct {
 	ids    map[*Link]int // link → dense ID
 	links  []*Link       // dense ID → link
 	rank   []int         // dense ID → position in name order
+	order  []int         // ensureRanks' scratch
 	rankOK bool
+
+	// Route-class registry. A class's route is a run of dense link IDs in
+	// the one flat routeIDs slice; classes are found by route hash, with
+	// classes of equal hash chained through routeClass.next. live lists the
+	// classes with active flows, in no meaningful order.
+	classOf  map[uint64]int // route hash → most recent class with it
+	classes  []routeClass
+	routeIDs []int
+	live     []int
 
 	// Scratch reused across solves, indexed by dense ID. stamp marks the
 	// IDs touched by the current solve (== epoch), so nothing needs
@@ -324,28 +379,104 @@ type fairShareSolver struct {
 	capLeft []float64
 	nUnsat  []int
 	used    []int // IDs touched by the current solve
-	unsat   []int // flow indices not yet saturated, in slice order
+	unsat   []int // live classes not yet saturated
+	sat     []int // classes saturated by the current round
 }
 
-// register assigns dense IDs to the links of route, appending them to dst.
-func (s *fairShareSolver) register(route []*Link, dst []int) []int {
-	for _, l := range route {
-		id, ok := s.ids[l]
-		if !ok {
-			if s.ids == nil {
-				s.ids = make(map[*Link]int)
-			}
-			id = len(s.links)
-			s.ids[l] = id
-			s.links = append(s.links, l)
-			s.stamp = append(s.stamp, 0)
-			s.capLeft = append(s.capLeft, 0)
-			s.nUnsat = append(s.nUnsat, 0)
-			s.rankOK = false
+// routeClass is the set of flows that share one route.
+type routeClass struct {
+	lo, hi int     // the route is routeIDs[lo:hi]
+	next   int     // next class with the same route hash, -1 at the end
+	count  int     // active flows
+	pos    int     // index in live while count > 0
+	rate   float64 // every member's rate, as of the last solve
+}
+
+// reset empties the link and class registries, keeping every buffer.
+func (s *fairShareSolver) reset() {
+	clear(s.ids)
+	clear(s.links)
+	s.links = s.links[:0]
+	s.stamp = s.stamp[:0]
+	s.capLeft = s.capLeft[:0]
+	s.nUnsat = s.nUnsat[:0]
+	s.rankOK = false
+	clear(s.classOf)
+	s.classes = s.classes[:0]
+	s.routeIDs = s.routeIDs[:0]
+	s.live = s.live[:0]
+}
+
+// linkID returns l's dense ID, registering l on first sight.
+func (s *fairShareSolver) linkID(l *Link) int {
+	id, ok := s.ids[l]
+	if !ok {
+		if s.ids == nil {
+			s.ids = make(map[*Link]int)
 		}
-		dst = append(dst, id)
+		id = len(s.links)
+		s.ids[l] = id
+		s.links = append(s.links, l)
+		s.stamp = append(s.stamp, 0)
+		s.capLeft = append(s.capLeft, 0)
+		s.nUnsat = append(s.nUnsat, 0)
+		s.rankOK = false
 	}
-	return dst
+	return id
+}
+
+// classify returns the class of route, registering its links and the class
+// itself on first sight.
+func (s *fairShareSolver) classify(route []*Link) int {
+	// Append the route's IDs where a new class would keep them; a known
+	// route gives the space back.
+	lo := len(s.routeIDs)
+	h := uint64(len(route))
+	for _, l := range route {
+		id := s.linkID(l)
+		s.routeIDs = append(s.routeIDs, id)
+		h = (h ^ uint64(id)) * 1099511628211 // FNV-1a's prime, over IDs
+	}
+	ids := s.routeIDs[lo:]
+	head, ok := s.classOf[h]
+	if !ok {
+		head = -1
+	}
+	for c := head; c >= 0; c = s.classes[c].next {
+		if cl := &s.classes[c]; slices.Equal(s.routeIDs[cl.lo:cl.hi], ids) {
+			s.routeIDs = s.routeIDs[:lo]
+			return c
+		}
+	}
+	if s.classOf == nil {
+		s.classOf = make(map[uint64]int)
+	}
+	c := len(s.classes)
+	s.classes = append(s.classes, routeClass{lo: lo, hi: len(s.routeIDs), next: head})
+	s.classOf[h] = c
+	return c
+}
+
+// enter counts one more active flow in class c.
+func (s *fairShareSolver) enter(c int) {
+	cl := &s.classes[c]
+	if cl.count == 0 {
+		cl.pos = len(s.live)
+		s.live = append(s.live, c)
+	}
+	cl.count++
+}
+
+// leave counts one active flow less in class c.
+func (s *fairShareSolver) leave(c int) {
+	cl := &s.classes[c]
+	cl.count--
+	if cl.count == 0 {
+		last := s.live[len(s.live)-1]
+		s.live[cl.pos] = last
+		s.classes[last].pos = cl.pos
+		s.live = s.live[:len(s.live)-1]
+	}
 }
 
 // ensureRanks recomputes the name-order ranks after new registrations.
@@ -353,9 +484,9 @@ func (s *fairShareSolver) ensureRanks() {
 	if s.rankOK {
 		return
 	}
-	order := make([]int, len(s.links))
-	for i := range order {
-		order[i] = i
+	order := slices.Grow(s.order[:0], len(s.links))
+	for i := range s.links {
+		order = append(order, i)
 	}
 	// Insertion sort by (name, ID): links are few and registrations rare.
 	for i := 1; i < len(order); i++ {
@@ -368,44 +499,33 @@ func (s *fairShareSolver) ensureRanks() {
 			order[j-1], order[j] = order[j], order[j-1]
 		}
 	}
-	s.rank = make([]int, len(s.links))
+	s.rank = append(s.rank[:0], order...)
 	for pos, id := range order {
 		s.rank[id] = pos
 	}
+	s.order = order
 	s.rankOK = true
 }
 
-// solve computes bounded max-min fair rates for flows by progressive
-// filling. routes[i] gives flow i's route as dense IDs; a nil routes uses
-// each flow's own registered routeIDs.
-func (s *fairShareSolver) solve(flows []*Flow, routes [][]int) {
-	if len(flows) == 0 {
-		return
-	}
-	routeOf := func(i int) []int {
-		if routes != nil {
-			return routes[i]
-		}
-		return flows[i].routeIDs
-	}
+// solve computes the bounded max-min fair rate of every live class by
+// progressive filling over classes with multiplicities.
+func (s *fairShareSolver) solve() {
 	s.ensureRanks()
 	s.epoch++
 	used := s.used[:0]
-	for i, f := range flows {
-		f.rate = 0
-		for _, id := range routeOf(i) {
+	unsat := append(s.unsat[:0], s.live...)
+	for _, c := range unsat {
+		cl := &s.classes[c]
+		cl.rate = 0
+		for _, id := range s.routeIDs[cl.lo:cl.hi] {
 			if s.stamp[id] != s.epoch {
 				s.stamp[id] = s.epoch
 				s.capLeft[id] = s.links[id].Capacity
 				s.nUnsat[id] = 0
 				used = append(used, id)
 			}
-			s.nUnsat[id]++
+			s.nUnsat[id] += cl.count
 		}
-	}
-	unsat := s.unsat[:0]
-	for i := range flows {
-		unsat = append(unsat, i)
 	}
 
 	for len(unsat) > 0 {
@@ -432,31 +552,44 @@ func (s *fairShareSolver) solve(flows []*Flow, routes [][]int) {
 		if share < 0 {
 			share = 0
 		}
-		// Saturate every unsaturated flow crossing the bottleneck, in
-		// flow order; compact the rest in place, preserving order.
-		kept := unsat[:0]
-		for _, fi := range unsat {
-			crosses := false
-			for _, id := range routeOf(fi) {
-				if id == bott {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
-				kept = append(kept, fi)
+		// Saturate every unsaturated class crossing the bottleneck; compact
+		// the rest in place.
+		kept, sat := unsat[:0], s.sat[:0]
+		for _, c := range unsat {
+			cl := &s.classes[c]
+			route := s.routeIDs[cl.lo:cl.hi]
+			if !slices.Contains(route, bott) {
+				kept = append(kept, c)
 				continue
 			}
-			flows[fi].rate = share
-			for _, id := range routeOf(fi) {
-				s.capLeft[id] -= share
-				if s.capLeft[id] < 0 {
-					s.capLeft[id] = 0
-				}
-				s.nUnsat[id]--
+			cl.rate = share
+			sat = append(sat, c)
+			for _, id := range route {
+				s.nUnsat[id] -= cl.count
 			}
 		}
-		unsat = kept
+		// Take the saturated flows' share out of the links they cross: one
+		// subtract-and-clamp per member flow (a link that reads 0 stays at
+		// 0 under further ones). A link left without unsaturated flows is
+		// never read again — no later round can pick it, or touch it —
+		// so it is skipped; after the last round that is every link.
+		for _, c := range sat {
+			cl := &s.classes[c]
+			for _, id := range s.routeIDs[cl.lo:cl.hi] {
+				if s.nUnsat[id] == 0 {
+					continue
+				}
+				left := s.capLeft[id]
+				for k := cl.count; k > 0 && left != 0; k-- {
+					left -= share
+					if left < 0 {
+						left = 0
+					}
+				}
+				s.capLeft[id] = left
+			}
+		}
+		unsat, s.sat = kept, sat
 	}
 	s.used = used
 	s.unsat = unsat

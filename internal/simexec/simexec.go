@@ -98,6 +98,18 @@ func NewScratch() *Scratch {
 	return &Scratch{eng: eng, net: sim.NewFlowNet(eng)}
 }
 
+// Release drops the scratch's references to the last executed schedule —
+// its placements, and through them the batch's graphs — so a scratch
+// parked between uses does not keep that batch alive. Buffers are kept,
+// and so are the values of the last Result.
+func (sc *Scratch) Release() {
+	sc.sched = nil
+	tasks := sc.tasks[:cap(sc.tasks)]
+	for i := range tasks {
+		tasks[i].p = nil
+	}
+}
+
 // Execute replays the schedule and returns the simulated times. It panics
 // if the schedule deadlocks, which only an inconsistent hand-built schedule
 // (circular per-processor orders) can cause.
