@@ -1,14 +1,10 @@
-// Benchmarks: one per table/figure of the paper's evaluation plus the
-// mapping/ordering/packing ablations. Each figure bench runs a reduced-size
-// campaign (1 combination per point on one platform — the full 25×4
-// campaign is regenerated by `ptgbench -experiment fig2..fig5`, see the
-// cmd/ptgbench doc comment); the bench measures the cost of the complete
-// pipeline that produces the figure.
-//
-// The figure and scale benchmarks delegate to internal/benchsuite, the
-// same suite `ptgbench -experiment bench -json` runs to regenerate
-// BENCH_mapping.json; PERFORMANCE.md documents the methodology and the
-// frozen seed baseline these numbers are compared against.
+// Micro-benchmarks over the exported API, for profile work: Table 1 and
+// the Fig. 1 illustration, the mapping/ordering/packing ablations, the
+// related-work baselines, the online scheduler and the store's append.
+// The figure campaigns, MapLarge and FairShare1000Flows live next to
+// their packages (internal/experiment, internal/mapping, internal/sim).
+// None of these is a performance record: claims are made with the
+// repository's benchmark, bench/run.sh (see bench/README.md).
 package ptgsched_test
 
 import (
@@ -18,14 +14,7 @@ import (
 	"testing"
 
 	"ptgsched"
-	"ptgsched/internal/benchsuite"
 )
-
-// benchCampaign shrinks a figure config to benchmark size.
-func benchCampaign(b *testing.B, cfg ptgsched.ExperimentConfig) {
-	b.Helper()
-	benchsuite.Campaign(b, cfg)
-}
 
 // BenchmarkTable1Platforms regenerates Table 1: the four Grid'5000 subsets
 // and their derived properties (§2).
@@ -74,33 +63,6 @@ func BenchmarkFig1Ordering(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkFig2MuSweepWPSWork regenerates the µ sweep of Figure 2.
-func BenchmarkFig2MuSweepWPSWork(b *testing.B) {
-	benchCampaign(b, ptgsched.Fig2Config(42, 1))
-}
-
-// BenchmarkFig3RandomPTGs regenerates the 8-strategy comparison on random
-// PTGs of Figure 3.
-func BenchmarkFig3RandomPTGs(b *testing.B) {
-	benchCampaign(b, ptgsched.Fig3Config(42, 1))
-}
-
-// BenchmarkFig4FFTPTGs regenerates the FFT comparison of Figure 4.
-func BenchmarkFig4FFTPTGs(b *testing.B) {
-	benchCampaign(b, ptgsched.Fig4Config(42, 1))
-}
-
-// BenchmarkFig5StrassenPTGs regenerates the Strassen comparison of Figure 5.
-func BenchmarkFig5StrassenPTGs(b *testing.B) {
-	benchCampaign(b, ptgsched.Fig5Config(42, 1))
-}
-
-// BenchmarkMuCalibration regenerates the per-variant µ calibration sweeps
-// described in the text of §7.
-func BenchmarkMuCalibration(b *testing.B) {
-	benchCampaign(b, ptgsched.MuCalibrationConfig(ptgsched.Width, ptgsched.FamilyFFT, 42, 1))
 }
 
 // batchOn builds a deterministic batch of allocated-and-mapped PTGs for the
@@ -242,20 +204,6 @@ func BenchmarkOnlineDynamicSubmissions(b *testing.B) {
 	}
 }
 
-// BenchmarkMapLarge measures the mapping stage alone at production scale:
-// 20 PTGs of 500 tasks each, mapped on all four Grid'5000 sites per
-// iteration (allocation happens outside the timed loop). This is the
-// headline number of the benchmark-regression harness (see PERFORMANCE.md).
-func BenchmarkMapLarge(b *testing.B) {
-	benchsuite.MapLarge(b)
-}
-
-// BenchmarkFairShare1000Flows measures one progressive-filling solve over
-// 1000 flows crossing a 4-site-like topology of 24 links.
-func BenchmarkFairShare1000Flows(b *testing.B) {
-	benchsuite.FairShare1000Flows(b)
-}
-
 // BenchmarkPipelineStages isolates the cost of each stage of the paper's
 // pipeline on one 10-PTG batch.
 func BenchmarkPipelineStages(b *testing.B) {
@@ -270,77 +218,6 @@ func BenchmarkPipelineStages(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkFig3Campaign1Worker and BenchmarkFig3Campaign8Workers are the
-// concurrent-throughput pair of the regression harness: the same Fig. 3
-// campaign run sequentially and fanned out over 8 workers. Their ratio is
-// the parallel speedup recorded in BENCH_mapping.json's concurrency
-// section; it tracks min(8, GOMAXPROCS) on an idle machine.
-func BenchmarkFig3Campaign1Worker(b *testing.B) {
-	benchsuite.CampaignThroughput(b, 1)
-}
-
-func BenchmarkFig3Campaign8Workers(b *testing.B) {
-	benchsuite.CampaignThroughput(b, 8)
-}
-
-// BenchmarkServiceSchedule8Clients measures the scheduling service end to
-// end with 8 concurrent clients per iteration.
-func BenchmarkServiceSchedule8Clients(b *testing.B) {
-	benchsuite.ServiceSchedule(b, 8)
-}
-
-// BenchmarkCampaignExpand1M measures the lazy expansion of a
-// one-million-point campaign spec plus O(1) random point access — the
-// streaming pipeline's property that expansion cost is per-cell, not
-// per-point (see PERFORMANCE.md).
-func BenchmarkCampaignExpand1M(b *testing.B) {
-	benchsuite.CampaignExpand1M(b)
-}
-
-// BenchmarkCampaignAggregate40kStreaming and ...Materialized contrast the
-// incremental slot-based aggregation against the pre-refactor
-// materialize-then-aggregate shape over 40k synthetic results; the
-// "live-heap-bytes" metric is the resident-memory comparison recorded in
-// BENCH_mapping.json.
-func BenchmarkCampaignAggregate40kStreaming(b *testing.B) {
-	benchsuite.CampaignAggregate40k(b, true)
-}
-
-func BenchmarkCampaignAggregate40kMaterialized(b *testing.B) {
-	benchsuite.CampaignAggregate40k(b, false)
-}
-
-// BenchmarkFleetCoordinate3Workers measures a coordinated campaign over
-// three in-process workers with a scripted mid-campaign worker death;
-// the fleet-* metrics are the coordinator's robustness counters
-// (retries, reassignments, worker deaths, deduplicated points) recorded
-// in BENCH_mapping.json.
-func BenchmarkFleetCoordinate3Workers(b *testing.B) {
-	benchsuite.FleetCoordinate(b)
-}
-
-// BenchmarkStoreQueryPushdown and ...FullScan contrast the indexed
-// result-query path (segment sidecars prune to matching byte runs)
-// against decoding the whole store for the same selective predicate; the
-// query-bytes-read / query-decoded-lines / query-bytes-total metrics are
-// the pushdown evidence recorded in BENCH_mapping.json.
-func BenchmarkStoreQueryPushdown(b *testing.B) {
-	benchsuite.StoreQuery(b, false)
-}
-
-func BenchmarkStoreQueryFullScan(b *testing.B) {
-	benchsuite.StoreQuery(b, true)
-}
-
-// BenchmarkCampaignCachedSweep measures the content-addressed result
-// cache on its warm path: every iteration reopens a populated cache
-// directory (re-verifying each segment's hash chain) and sweeps a whole
-// campaign through it. The cache-hit-rate and cache-verify-ns/point
-// metrics are recorded in BENCH_mapping.json.
-func BenchmarkCampaignCachedSweep(b *testing.B) {
-	benchsuite.CampaignCachedSweep(b)
 }
 
 // BenchmarkCampaignStoreAppend measures the durable store's per-point

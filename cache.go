@@ -12,15 +12,16 @@ import (
 // read and recomputed instead of served.
 type (
 	// CampaignCache is an open cache directory. Bind it to an expansion
-	// to obtain a CampaignMemo for RunMemo/RunEachMemo/Store.UseMemo.
+	// to obtain a CampaignMemo for CampaignSweepOptions.Memo or
+	// CampaignStore.UseMemo.
 	CampaignCache = cache.Cache
 	// CampaignCacheStats is the cache counter snapshot (hits, misses,
 	// verify failures, entries, segments).
 	CampaignCacheStats = cache.Stats
 	// CampaignCacheVerifyError diagnoses one detected cache corruption.
 	CampaignCacheVerifyError = cache.VerifyError
-	// CampaignMemo is the per-point memoization interface every sweep
-	// engine consults (scenario.Memo).
+	// CampaignMemo is the per-point memoization interface sweeps consult
+	// (scenario.Memo).
 	CampaignMemo = scenario.Memo
 )
 

@@ -34,6 +34,10 @@ type (
 	// CampaignIndexSet selects a subset of a sweep's point indices by
 	// predicate (limit/offset/stride) instead of a materialized slice.
 	CampaignIndexSet = scenario.IndexSet
+	// CampaignSweepOptions shapes a sweep over an expansion — workers,
+	// memo, panic isolation, skip predicate, cancellation — for its Sweep
+	// method and the Each (streaming) and Run (ordered slice) shapes.
+	CampaignSweepOptions = scenario.SweepOptions
 	// CampaignAggregator is the incremental, order-insensitive reduction:
 	// feed it results one at a time (Add) from any shard, stream or store
 	// and its Tables are bit-identical to a materialized aggregation.

@@ -51,12 +51,6 @@
 //	ptgbench -campaign examples/campaign.json \
 //	         -coordinate host1:8080,host2:8080,host3:8080 \
 //	         -fleet-shards 6 -stats-addr :9090
-//
-// The bench experiment runs the benchmark-regression suite (the same one
-// behind `go test -bench`, see internal/benchsuite) and compares it with
-// the frozen seed baseline; -json regenerates BENCH_mapping.json:
-//
-//	ptgbench -experiment bench -json BENCH_mapping.json
 package main
 
 import (
@@ -102,7 +96,7 @@ func main() {
 func run(argv []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ptgbench", flag.ContinueOnError)
 	var (
-		name         = fs.String("experiment", "table1", "table1, fig1, fig2, fig3, fig4, fig5, mu-calibration, ablation, dynamic or bench")
+		name         = fs.String("experiment", "table1", "table1, fig1, fig2, fig3, fig4, fig5, mu-calibration, ablation or dynamic")
 		campaignPath = fs.String("campaign", "", "run the declarative campaign spec at this path instead of a named experiment")
 		shard        = fs.String("shard", "", "campaign: run only shard i/n and stream per-point JSONL results")
 		jsonl        = fs.String("jsonl", "", "campaign: write the shard's JSONL results to this file (default stdout)")
@@ -126,7 +120,6 @@ func run(argv []string, w io.Writer) error {
 		seed         = fs.Int64("seed", 42, "base random seed")
 		workers      = fs.Int("workers", 0, "concurrent runs (default: GOMAXPROCS)")
 		csvPath      = fs.String("csv", "", "also write the aggregated results to this CSV file")
-		jsonPath     = fs.String("json", "", "bench: write the regression report to this JSON file (e.g. BENCH_mapping.json)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile   = fs.String("memprofile", "", "write a pprof allocation profile (after a final GC) to this file on exit")
 	)
@@ -232,8 +225,6 @@ func run(argv []string, w io.Writer) error {
 		return ablation(w, *seed, *reps, *workers)
 	case "dynamic":
 		return dynamic(w, *seed, *reps)
-	case "bench":
-		return bench(w, *jsonPath)
 	default:
 		return fmt.Errorf("unknown experiment %q", *name)
 	}
@@ -266,12 +257,6 @@ func startProgress(snapshot func() string) (stop func()) {
 	return func() { close(done); wg.Wait() }
 }
 
-// campaignMode drives the declarative scenario engine: sweep a spec
-// (optionally into a durable store), run one shard of it, or merge shard
-// outputs. The whole path is streaming — points are generated lazily,
-// completed results feed the incremental aggregator (or the JSONL sink)
-// as they arrive, and nothing proportional to the sweep is materialized
-// except where the user asked for an in-memory shard result file.
 // openCache opens the shared result cache, returning it with a finish
 // function that seals the writer segment and prints the cache counters as
 // one stderr stats line (stdout stays byte-identical with or without a
@@ -295,6 +280,49 @@ func openCache(dir string) (*ptgsched.CampaignCache, func(), error) {
 	return ch, finish, nil
 }
 
+// jsonlFile is a -jsonl result file: records go through a buffered writer
+// and one line buffer reused across them (writes are serialized). The
+// file is the run's deliverable, so close reports the flush's error and
+// then the close's — a filesystem that reports a failed write-back only
+// at close (NFS, a quota) must fail the run, not leave a short file
+// behind exit 0. Callers also defer f.Close() for their error paths;
+// closing twice is harmless.
+type jsonlFile struct {
+	f   *os.File
+	w   *bufio.Writer
+	buf []byte
+}
+
+func createJSONL(path string) (*jsonlFile, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &jsonlFile{f: f, w: bufio.NewWriter(f)}, nil
+}
+
+func (j *jsonlFile) write(r ptgsched.CampaignPointResult) error {
+	var err error
+	if j.buf, err = ptgsched.AppendCampaignJSONL(j.buf[:0], r); err != nil {
+		return err
+	}
+	_, err = j.w.Write(j.buf)
+	return err
+}
+
+func (j *jsonlFile) close() error {
+	if err := j.w.Flush(); err != nil {
+		return err
+	}
+	return j.f.Close()
+}
+
+// campaignMode drives the declarative scenario engine: sweep a spec
+// (optionally into a durable store), run one shard of it, or merge shard
+// outputs. The whole path is streaming — points are generated lazily,
+// completed results feed the incremental aggregator (or the JSONL sink)
+// as they arrive, and nothing proportional to the sweep is materialized
+// except where the user asked for an in-memory shard result file.
 func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir string, resume bool, workers int, cacheDir string) error {
 	data, err := os.ReadFile(specPath)
 	if err != nil {
@@ -363,40 +391,41 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 			return err
 		}
 		// A shard's results are the deliverable (the JSONL wire artifact),
-		// so this path materializes them — in point order, bounded by the
-		// user's own shard split.
-		results := e.RunMemo(set, workers, memo)
-		out := w
-		if jsonlPath != "" {
-			f, err := os.Create(jsonlPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := ptgsched.WriteCampaignJSONL(out, results); err != nil {
+		// and a sink that promises order materializes: Run returns them
+		// in point order, bounded by the user's own shard split.
+		results, err := e.Run(set, ptgsched.CampaignSweepOptions{Workers: workers, Memo: memo})
+		if err != nil {
 			return err
 		}
-		if jsonlPath != "" {
-			fmt.Fprintf(w, "wrote %d of %d points (shard %s) to %s\n",
-				len(results), e.NumPoints(), shard, jsonlPath)
+		if jsonlPath == "" {
+			return ptgsched.WriteCampaignJSONL(w, results)
 		}
+		sink, err := createJSONL(jsonlPath)
+		if err != nil {
+			return err
+		}
+		defer sink.f.Close()
+		if err := ptgsched.WriteCampaignJSONL(sink.w, results); err != nil {
+			return err
+		}
+		if err := sink.close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %d of %d points (shard %s) to %s\n",
+			len(results), e.NumPoints(), shard, jsonlPath)
 		return nil
 	}
 
 	// Unsharded run: stream every completed point straight into the
 	// incremental aggregator (and the optional JSONL sink, in completion
-	// order — aggregation and -merge reorder by index, so order on disk
+	// order — aggregation and -merge accept any order, so order on disk
 	// never matters).
-	var sink *bufio.Writer
+	var sink *jsonlFile
 	if jsonlPath != "" {
-		f, err := os.Create(jsonlPath)
-		if err != nil {
+		if sink, err = createJSONL(jsonlPath); err != nil {
 			return err
 		}
-		defer f.Close()
-		sink = bufio.NewWriter(f)
+		defer sink.f.Close()
 	}
 	set := e.All()
 	agg := e.NewAggregator()
@@ -404,15 +433,9 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 	stop := startProgress(func() string {
 		return fmt.Sprintf("campaign %s: %d/%d points", name, done.Load(), set.Len())
 	})
-	var lineBuf []byte // reused across emits; emit calls are serialized
-	err = e.RunEachMemo(set, workers, memo, func(r ptgsched.CampaignPointResult) error {
+	err = e.Each(set, ptgsched.CampaignSweepOptions{Workers: workers, Memo: memo}, func(r ptgsched.CampaignPointResult) error {
 		if sink != nil {
-			var err error
-			lineBuf, err = ptgsched.AppendCampaignJSONL(lineBuf[:0], r)
-			if err != nil {
-				return err
-			}
-			if _, err := sink.Write(lineBuf); err != nil {
+			if err := sink.write(r); err != nil {
 				return err
 			}
 		}
@@ -427,7 +450,7 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 		return err
 	}
 	if sink != nil {
-		if err := sink.Flush(); err != nil {
+		if err := sink.close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %d of %d points to %s\n", agg.Added(), e.NumPoints(), jsonlPath)
@@ -518,16 +541,13 @@ func mergeMode(w io.Writer, specPath string, e *ptgsched.CampaignExpansion, spec
 	if err != nil {
 		return err
 	}
-	var sink *bufio.Writer
+	var sink *jsonlFile
 	if jsonlPath != "" {
-		f, err := os.Create(jsonlPath)
-		if err != nil {
+		if sink, err = createJSONL(jsonlPath); err != nil {
 			return err
 		}
-		defer f.Close()
-		sink = bufio.NewWriter(f)
+		defer sink.f.Close()
 	}
-	var lineBuf []byte // reused across records; the merge loop is sequential
 	agg := e.NewAggregator()
 	for _, path := range paths {
 		f, err := os.Open(path)
@@ -536,12 +556,7 @@ func mergeMode(w io.Writer, specPath string, e *ptgsched.CampaignExpansion, spec
 		}
 		err = ptgsched.ReadCampaignJSONLFunc(f, func(r ptgsched.CampaignPointResult) error {
 			if sink != nil {
-				var err error
-				lineBuf, err = ptgsched.AppendCampaignJSONL(lineBuf[:0], r)
-				if err != nil {
-					return err
-				}
-				if _, err := sink.Write(lineBuf); err != nil {
+				if err := sink.write(r); err != nil {
 					return err
 				}
 			}
@@ -553,7 +568,7 @@ func mergeMode(w io.Writer, specPath string, e *ptgsched.CampaignExpansion, spec
 		}
 	}
 	if sink != nil {
-		if err := sink.Flush(); err != nil {
+		if err := sink.close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %d of %d points to %s\n", agg.Added(), e.NumPoints(), jsonlPath)

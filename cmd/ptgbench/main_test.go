@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -293,8 +294,11 @@ func TestCoordinateFlagValidation(t *testing.T) {
 // TestEmptyEventTimelineReproducesStaticCampaigns is the dynamic
 // machinery's hard guarantee at the CLI boundary: every checked-in paper
 // campaign, reduced for test speed, prints byte-identical tables and
-// JSONL whether its spec omits the events block or declares it
-// explicitly empty.
+// writes the same JSONL records whether its spec omits the events block
+// or declares it explicitly empty. An unsharded -jsonl file is fed
+// straight from the sweep, so it is deterministic as a set of lines, not
+// as a sequence (the stream-order contract, scenario.Expansion.Sweep):
+// the files are compared as sorted line sets.
 func TestEmptyEventTimelineReproducesStaticCampaigns(t *testing.T) {
 	figs, err := filepath.Glob(filepath.Join("..", "..", "examples", "campaigns", "fig*.json"))
 	if err != nil || len(figs) == 0 {
@@ -346,10 +350,17 @@ func TestEmptyEventTimelineReproducesStaticCampaigns(t *testing.T) {
 			t.Errorf("%s: tables differ with an explicitly empty events block\n--- static ---\n%s\n--- empty ---\n%s",
 				base, sOut, eOut)
 		}
-		if !bytes.Equal(sRecs, eRecs) {
+		if !bytes.Equal(sortedLines(sRecs), sortedLines(eRecs)) {
 			t.Errorf("%s: JSONL differs with an explicitly empty events block", base)
 		}
 	}
+}
+
+// sortedLines returns data with its lines in sorted order.
+func sortedLines(data []byte) []byte {
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	sort.Slice(lines, func(i, j int) bool { return bytes.Compare(lines[i], lines[j]) < 0 })
+	return bytes.Join(lines, nil)
 }
 
 func TestCampaignCacheOutputIsByteIdentical(t *testing.T) {

@@ -217,7 +217,10 @@ func ExampleParseCampaignSpec() {
 	if err != nil {
 		panic(err)
 	}
-	results := e.Run(shard, 1)
+	results, err := e.Run(shard, ptgsched.CampaignSweepOptions{Workers: 1})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("shard 0/2 ran %d points; first: %s\n", len(results), results[0].Name)
 	// Output:
 	// 1 cells, 4 points

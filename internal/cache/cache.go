@@ -695,9 +695,10 @@ type Bound struct {
 }
 
 // Bind scopes the cache to an expansion. The returned Bound is the memo
-// handed to RunMemo/RunEachMemo/store.Sweep — lookups hit only entries
-// whose chain verified AND whose stored point name matches the requested
-// point exactly (a defense-in-depth check over the content address).
+// handed to a sweep (scenario.SweepOptions.Memo, Store.UseMemo) — lookups
+// hit only entries whose chain verified AND whose stored point name
+// matches the requested point exactly (a defense-in-depth check over the
+// content address).
 func (c *Cache) Bind(e *scenario.Expansion) *Bound {
 	return &Bound{c: c, e: e, digest: scenario.SpecDigest(e.Spec)}
 }

@@ -54,7 +54,17 @@ func open(t *testing.T, dir string) *Cache {
 // results.
 func fill(t *testing.T, c *Cache, e *scenario.Expansion, workers int) []scenario.PointResult {
 	t.Helper()
-	return e.RunMemo(e.All(), workers, c.Bind(e))
+	return run(t, e, scenario.SweepOptions{Workers: workers, Memo: c.Bind(e)})
+}
+
+// run materializes the whole expansion in point order.
+func run(t *testing.T, e *scenario.Expansion, o scenario.SweepOptions) []scenario.PointResult {
+	t.Helper()
+	res, err := e.Run(e.All(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // segments lists the cache's segment files (not heads), sorted.
@@ -89,7 +99,7 @@ func TestPublishLookupRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c := open(t, dir)
 
-	want := e.Run(e.All(), 1)
+	want := run(t, e, scenario.SweepOptions{Workers: 1})
 	got := fill(t, c, e, 1)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("cold cached sweep differs from plain run")

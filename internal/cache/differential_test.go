@@ -58,7 +58,7 @@ func TestCrossCampaignMemoization(t *testing.T) {
 	}
 
 	// Cold reference for B, no cache anywhere near it.
-	cold := eB.Run(eB.All(), 1)
+	cold := run(t, eB, scenario.SweepOptions{Workers: 1})
 
 	dir := t.TempDir()
 	cA := open(t, dir)
@@ -116,7 +116,7 @@ func TestCrossCampaignPartialOverlap(t *testing.T) {
 		t.Fatalf("oracle: overlap=%d of %d — spec pair no longer exercises a partial overlap", want, eC.NumPoints())
 	}
 
-	cold := eC.Run(eC.All(), 1)
+	cold := run(t, eC, scenario.SweepOptions{Workers: 1})
 	dir := t.TempDir()
 	cA := open(t, dir)
 	fill(t, cA, eA, 1)

@@ -159,7 +159,7 @@ func TestKeyStableUnderWorkersAndOrder(t *testing.T) {
 	// worker counts and publish orders; the resulting entry sets must be
 	// identical and every lookup must serve byte-identical payloads.
 	e := expand(t, smokeSpec)
-	want := e.Run(e.All(), 1)
+	want := run(t, e, scenario.SweepOptions{Workers: 1})
 
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	// dir 0: sequential. dir 1: 4 workers. dir 2: shuffled publish order.
@@ -198,7 +198,7 @@ func TestKeyStableAcrossKilledResume(t *testing.T) {
 	// resume with a fresh handle. The resumed sweep must hit exactly the
 	// prefix and recompute the rest, ending byte-identical to a clean run.
 	e := expand(t, smokeSpec)
-	want := e.Run(e.All(), 1)
+	want := run(t, e, scenario.SweepOptions{Workers: 1})
 	dir := t.TempDir()
 
 	c := open(t, dir)

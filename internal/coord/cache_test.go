@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ptgsched/internal/cache"
+	"ptgsched/internal/scenario"
 )
 
 func openCache(t *testing.T, dir string) *cache.Cache {
@@ -29,7 +30,9 @@ func TestCoordinatorSeedsFromWarmCache(t *testing.T) {
 	// Warm the cache locally, the way a previous campaign run would.
 	dir := t.TempDir()
 	ch := openCache(t, dir)
-	e.RunMemo(e.All(), 0, ch.Bind(e))
+	if _, err := e.Run(e.All(), scenario.SweepOptions{Memo: ch.Bind(e)}); err != nil {
+		t.Fatal(err)
+	}
 	if err := ch.Sync(); err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,8 @@ type Counters struct {
 }
 
 // CountersSnapshot is the JSON view of the counters, the payload fleet
-// stats surfaces (the coordinator's /v1/stats, the benchsuite report).
+// stats surfaces (the coordinator's /v1/stats, the benchmark's coord.*
+// metrics).
 type CountersSnapshot struct {
 	// Dispatches counts shard-lease job submissions (including
 	// re-dispatches after failures).

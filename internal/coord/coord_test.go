@@ -58,7 +58,11 @@ func directTables(t *testing.T, specJSON []byte) ([]scenario.Table, *scenario.Ex
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := e.Aggregate(e.Run(e.All(), 0))
+	results, err := e.Run(e.All(), scenario.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := e.Aggregate(results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +142,12 @@ func TestCoordinatorDeadWorkerReassignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shard0, err := e.Run(set, scenario.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := scenario.WriteJSONL(&buf, e.Run(set, 0)); err != nil {
+	if err := scenario.WriteJSONL(&buf, shard0); err != nil {
 		t.Fatal(err)
 	}
 	plan := &dieDuringResults{severAt: int64(buf.Len()) - 10}

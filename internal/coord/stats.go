@@ -7,8 +7,7 @@ import (
 
 // FleetStats is the coordinator's observability payload: the robustness
 // counters plus a progress snapshot. It is what the coordinator's own
-// /v1/stats endpoint serves and what the benchsuite folds into its
-// per-case metrics.
+// /v1/stats endpoint serves.
 type FleetStats struct {
 	Counters CountersSnapshot `json:"counters"`
 	Progress Progress         `json:"progress"`

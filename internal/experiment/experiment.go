@@ -116,9 +116,9 @@ type Result struct {
 
 // Run executes the campaign and aggregates the paper's metrics. The run
 // grid is never materialized: the worker pool is driven by a bare index
-// generator (ForEach), and each index is decomposed arithmetically into
-// its (point, rep, platform) key — the same lazy-enumeration discipline
-// the scenario layer's PointAt uses. Each pool slot owns one Scratch, so
+// generator (ForEachWorker), and each index is decomposed arithmetically
+// into its (point, rep, platform) key — the same lazy-enumeration
+// discipline the scenario layer's PointAt uses. Each pool slot owns one Scratch, so
 // the simulation state is reused across all the runs a worker executes.
 func Run(cfg Config) *Result {
 	cfg = cfg.Defaults()
@@ -177,9 +177,9 @@ func Run(cfg Config) *Result {
 	return res
 }
 
-// Workers resolves the effective pool size ForEach and ForEachWorker use
-// for n jobs: 0 means GOMAXPROCS, anything ≤ 1 means inline, and the pool
-// never exceeds the job count. Callers sizing per-worker state (scratch
+// Workers resolves the effective pool size ForEachWorker uses for n jobs:
+// 0 means GOMAXPROCS, anything ≤ 1 means inline, and the pool never
+// exceeds the job count. Callers sizing per-worker state (scratch
 // arenas, emit batches) allocate exactly Workers(n, workers) slots.
 func Workers(n, workers int) int {
 	if workers == 0 {
@@ -194,22 +194,16 @@ func Workers(n, workers int) int {
 	return workers
 }
 
-// ForEach runs fn(i) for every i in [0, n) over a fixed pool of workers
-// goroutines (workers ≤ 1 runs inline on the calling goroutine; workers = 0
-// uses GOMAXPROCS). It is the campaign worker pool shared by Run and the
-// scenario sweep runner: fn must write only state owned by its index, so
-// results are independent of the fan-out. ForEach returns when every call
-// has finished.
-func ForEach(n, workers int, fn func(i int)) {
-	ForEachWorker(n, workers, func(_, i int) { fn(i) })
-}
-
-// ForEachWorker is ForEach with the pool slot identity exposed: fn runs as
-// fn(worker, i) where worker ∈ [0, Workers(n, workers)) names the goroutine
-// executing the call. A slot runs its calls strictly sequentially, so
-// per-worker state indexed by the slot — scratch arenas, result batches —
-// needs no synchronization of its own. Which indices land on which slot is
-// scheduling-dependent; fn must not let that affect its results.
+// ForEachWorker runs fn(worker, i) for every i in [0, n) over a fixed pool
+// of workers goroutines (workers ≤ 1 runs inline on the calling goroutine;
+// workers = 0 uses GOMAXPROCS) and returns when every call has finished.
+// It is the campaign worker pool shared by Run and scenario's Sweep.
+// worker ∈ [0, Workers(n, workers)) names the goroutine executing the
+// call. A slot runs its calls strictly sequentially, so per-worker state
+// indexed by the slot — scratch arenas, result batches — needs no
+// synchronization of its own. Which indices land on which slot is
+// scheduling-dependent; fn must write only state owned by its index or
+// its slot, so results are independent of the fan-out.
 func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	workers = Workers(n, workers)
 	if workers <= 1 {

@@ -103,7 +103,7 @@ func TestExampleCampaignReproducesFig3(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteJSONL(&buf, e.Run(set, 0)); err != nil {
+		if err := WriteJSONL(&buf, mustRun(t, e, set, 0)); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadJSONL(&buf)

@@ -18,7 +18,7 @@ import (
 // names, slice headers or arrival buffering.
 //
 // Concurrency: an Aggregator is not synchronized; stream into it from one
-// goroutine (Expansion.RunEach already serializes its emit calls).
+// goroutine (Expansion.Each already serializes its emit calls).
 type Aggregator struct {
 	e *Expansion
 	// groups[g] is the slot block of group g = cell*len(nptgs) + nidx,

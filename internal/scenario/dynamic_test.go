@@ -200,7 +200,7 @@ func TestDynamicFig3CampaignMatchesGolden(t *testing.T) {
 	}`)
 	e := mustExpand(t, spec)
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, e.Run(e.All(), 0)); err != nil {
+	if err := WriteJSONL(&buf, mustRun(t, e, e.All(), 0)); err != nil {
 		t.Fatal(err)
 	}
 	clitest.CheckGolden(t, "dynamic-fig3.golden", buf.Bytes())

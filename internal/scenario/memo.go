@@ -1,9 +1,7 @@
 package scenario
 
-import "ptgsched/internal/experiment"
-
-// Memo is a per-point memoization source consulted by every sweep engine
-// (RunMemo, RunEachMemo, a store.Sweep with a memo attached, the service
+// Memo is a per-point memoization source, handed to a sweep as
+// SweepOptions.Memo (directly, through Store.UseMemo, or by the service
 // and the fleet coordinator): Lookup is asked for a point's result before
 // it is computed, and Publish is offered the result after a miss was
 // computed. Implementations decide what "known" means — the canonical one
@@ -22,19 +20,14 @@ type Memo interface {
 	Publish(p Point, r PointResult)
 }
 
-// ComputePoint is RunPoint behind a memo: a Lookup hit is returned as-is,
-// a miss is computed and offered back via Publish. A nil memo degenerates
-// to RunPoint exactly. All sweep paths funnel through this, so "consult
-// the cache before computing, publish after" holds everywhere a point can
-// be executed.
-func (e *Expansion) ComputePoint(p Point, m Memo) PointResult {
-	return e.ComputePointScratch(nil, p, m)
-}
-
-// ComputePointScratch is ComputePoint drawing per-point working state
-// from a worker-owned scratch (nil degrades to ComputePoint exactly).
-// The returned result is never scratch-owned — see Scratch — so it may
-// be retained, batched and published freely.
+// ComputePointScratch is RunPoint behind a memo, drawing per-point working
+// state from a worker-owned scratch (nil computes without one): a Lookup
+// hit is returned as-is, a miss is computed and offered back via Publish.
+// A nil memo degenerates to RunPoint exactly. Sweep funnels every point
+// through this, so "consult the cache before computing, publish after"
+// holds everywhere a point can be executed. The returned result is never
+// scratch-owned — see Scratch — so it may be retained, batched and
+// published freely.
 func (e *Expansion) ComputePointScratch(sc *Scratch, p Point, m Memo) PointResult {
 	if m != nil {
 		if r, ok := m.Lookup(p); ok {
@@ -46,29 +39,4 @@ func (e *Expansion) ComputePointScratch(sc *Scratch, p Point, m Memo) PointResul
 		m.Publish(p, r)
 	}
 	return r
-}
-
-// RunMemo is Run with a memo consulted per point. Results are
-// bit-identical to Run at every worker count and every hit/miss split:
-// the memo contract pins hits to what RunPoint would have produced.
-func (e *Expansion) RunMemo(set IndexSet, workers int, m Memo) []PointResult {
-	outs := make([]PointResult, set.Len())
-	scratches := make([]*Scratch, experiment.Workers(set.Len(), workers))
-	experiment.ForEachWorker(set.Len(), workers, func(w, j int) {
-		if scratches[w] == nil {
-			scratches[w] = NewScratch()
-		}
-		outs[j] = e.ComputePointScratch(scratches[w], e.PointAt(set.At(j)), m)
-	})
-	return outs
-}
-
-// RunEachMemo is RunEach with a memo consulted per point.
-func (e *Expansion) RunEachMemo(set IndexSet, workers int, m Memo, emit func(PointResult) error) error {
-	return e.runEach(set, workers, 0, false, m, emit)
-}
-
-// RunEachIsolatedMemo is RunEachIsolated with a memo consulted per point.
-func (e *Expansion) RunEachIsolatedMemo(set IndexSet, workers int, m Memo, emit func(PointResult) error) error {
-	return e.runEach(set, workers, 0, true, m, emit)
 }

@@ -2,8 +2,8 @@ package scenario
 
 // The Memo seam, tested with an in-memory fake: hits bypass computation,
 // misses are computed and offered back, a nil memo degenerates to the
-// plain sweep, and every engine (RunMemo, RunEachMemo, isolated) funnels
-// through the same lookup→compute→publish contract. The canonical disk
+// plain sweep, and every shape (Run, Each) funnels through the same
+// lookup→compute→publish contract. The canonical disk
 // implementation lives in internal/cache; this file keeps the seam itself
 // under the scenario package's own race coverage.
 
@@ -63,11 +63,11 @@ func TestComputePointConsultsMemo(t *testing.T) {
 	m := newMapMemo()
 	p := e.PointAt(0)
 
-	r1 := e.ComputePoint(p, m)
+	r1 := e.ComputePointScratch(nil, p, m)
 	if m.misses.Load() != 1 || m.published.Load() != 1 {
 		t.Fatalf("first compute: misses=%d published=%d, want 1/1", m.misses.Load(), m.published.Load())
 	}
-	r2 := e.ComputePoint(p, m)
+	r2 := e.ComputePointScratch(nil, p, m)
 	if m.hits.Load() != 1 || m.published.Load() != 1 {
 		t.Fatalf("second compute: hits=%d published=%d, want 1/1", m.hits.Load(), m.published.Load())
 	}
@@ -82,14 +82,14 @@ func TestComputePointConsultsMemo(t *testing.T) {
 func TestComputePointNilMemoIsRunPoint(t *testing.T) {
 	e := memoExpansion(t)
 	p := e.PointAt(1)
-	if !reflect.DeepEqual(e.ComputePoint(p, nil), e.RunPoint(p)) {
+	if !reflect.DeepEqual(e.ComputePointScratch(nil, p, nil), e.RunPoint(p)) {
 		t.Fatal("nil memo does not degenerate to RunPoint")
 	}
 }
 
 func TestRunMemoMatchesRunAtEveryHitSplit(t *testing.T) {
 	e := memoExpansion(t)
-	want := e.Run(e.All(), 1)
+	want := mustRun(t, e, e.All(), 1)
 
 	// Pre-warm the memo with a prefix of the points; the sweep must fill
 	// in the rest and return results identical to the plain run, at
@@ -100,9 +100,12 @@ func TestRunMemoMatchesRunAtEveryHitSplit(t *testing.T) {
 			for i := 0; i < warm; i++ {
 				m.Publish(e.PointAt(i), want[i])
 			}
-			got := e.RunMemo(e.All(), workers, m)
+			got, err := e.Run(e.All(), SweepOptions{Workers: workers, Memo: m})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("warm=%d workers=%d: RunMemo differs from Run", warm, workers)
+				t.Fatalf("warm=%d workers=%d: Run behind a memo differs from Run", warm, workers)
 			}
 			if h := m.hits.Load(); h != int64(warm) {
 				t.Fatalf("warm=%d workers=%d: hits=%d", warm, workers, h)
@@ -117,20 +120,20 @@ func TestRunMemoMatchesRunAtEveryHitSplit(t *testing.T) {
 
 func TestRunEachMemoStreamsMemoHits(t *testing.T) {
 	e := memoExpansion(t)
-	want := e.Run(e.All(), 1)
+	want := mustRun(t, e, e.All(), 1)
 	m := newMapMemo()
 	for i, r := range want {
 		m.Publish(e.PointAt(i), r)
 	}
 	var got []PointResult
-	if err := e.RunEachMemo(e.All(), 1, m, func(r PointResult) error {
+	if err := e.Each(e.All(), SweepOptions{Workers: 1, Memo: m}, func(r PointResult) error {
 		got = append(got, r)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("RunEachMemo over a fully warm memo differs from Run")
+		t.Fatal("Each over a fully warm memo differs from Run")
 	}
 	if m.hits.Load() != int64(e.NumPoints()) {
 		t.Fatalf("hits=%d, want %d", m.hits.Load(), e.NumPoints())

@@ -179,7 +179,7 @@ func TestInlineHeterogeneousPlatform(t *testing.T) {
 	if e.Platforms[1].Name != "skewed" || e.Platforms[1].Heterogeneity() < 7.9 {
 		t.Fatalf("inline platform not resolved: %v", e.Platforms[1])
 	}
-	res := e.Run(e.All(), 1)
+	res := mustRun(t, e, e.All(), 1)
 	if len(res) != 2 {
 		t.Fatalf("%d results, want 2", len(res))
 	}
@@ -203,7 +203,7 @@ func TestAggregateBitIdenticalToExperimentRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := mustExpand(t, spec)
-	tables, err := e.Aggregate(e.Run(e.All(), 4))
+	tables, err := e.Aggregate(mustRun(t, e, e.All(), 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestShardsRecombineBitIdentically(t *testing.T) {
 	spec.Platforms = []string{"lille", "rennes"}
 	e := mustExpand(t, spec)
 
-	full, err := e.Aggregate(e.Run(e.All(), 2))
+	full, err := e.Aggregate(mustRun(t, e, e.All(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestShardsRecombineBitIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteJSONL(&buf, e.Run(set, 2)); err != nil {
+		if err := WriteJSONL(&buf, mustRun(t, e, set, 2)); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadJSONL(&buf)
@@ -359,7 +359,7 @@ func TestExpandRejectsOversizedSweepsWithoutMaterializing(t *testing.T) {
 func TestAggregateRejectsIncompleteAndDuplicates(t *testing.T) {
 	e := mustExpand(t, &Spec{Seed: 1, Reps: 1, NPTGs: []int{2}, Platforms: []string{"lille", "nancy"},
 		Families: []FamilySpec{{Family: "strassen"}}})
-	res := e.Run(e.All(), 1)
+	res := mustRun(t, e, e.All(), 1)
 	if _, err := e.Aggregate(res[:1]); err == nil {
 		t.Fatal("incomplete result set accepted")
 	}
@@ -373,7 +373,7 @@ func TestAggregateRejectsIncompleteAndDuplicates(t *testing.T) {
 func TestJSONLRoundTripsBitExactly(t *testing.T) {
 	e := mustExpand(t, &Spec{Seed: 3, Reps: 1, NPTGs: []int{2}, Platforms: []string{"sophia"},
 		Families: []FamilySpec{{Family: "fft"}}})
-	res := e.Run(e.All(), 1)
+	res := mustRun(t, e, e.All(), 1)
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, res); err != nil {
 		t.Fatal(err)
@@ -403,8 +403,8 @@ func TestOnlineSweepDeterministicAndLabeled(t *testing.T) {
 	if !strings.Contains(e.Cells[1].Label, "poisson@0.25") {
 		t.Fatalf("cell label %q missing process point", e.Cells[1].Label)
 	}
-	r1 := e.Run(e.All(), 1)
-	r2 := e.Run(e.All(), 3)
+	r1 := mustRun(t, e, e.All(), 1)
+	r2 := mustRun(t, e, e.All(), 3)
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatal("online sweep depends on worker count")
 	}

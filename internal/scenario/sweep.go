@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -207,73 +208,60 @@ func flowUnfairness(flows []float64) float64 {
 	return u
 }
 
-// Run executes the set's points (all of them, or one shard) over a fixed
-// pool of workers goroutines (0 = GOMAXPROCS, ≤1 = inline) and returns
-// their results in point order. Results are bit-identical at every worker
-// count: each point derives its whole scenario from its own seed. The
-// result slice is materialized; sweeps too large for that stream through
-// RunEach (or a store.Sweep) instead.
-func (e *Expansion) Run(set IndexSet, workers int) []PointResult {
-	return e.RunMemo(set, workers, nil)
+// SweepOptions shapes one Sweep (and the Each and Run shapes over it). The
+// zero value is a plain sweep over GOMAXPROCS workers.
+type SweepOptions struct {
+	// Workers is the pool size: 0 means GOMAXPROCS, anything ≤ 1 runs
+	// inline on the calling goroutine.
+	Workers int
+	// Memo, when non-nil, is asked for each point before it is computed and
+	// offered each computed miss (see Memo).
+	Memo Memo
+	// Isolate converts a panicking point (a degenerate generated scenario)
+	// into the sweep's returned error instead of unwinding a pool
+	// goroutine: one bad point fails one request, not the process.
+	Isolate bool
+	// Skip, when non-nil, is asked with each global point index before
+	// anything else happens to it; a skipped point is neither looked up,
+	// computed nor visited. It is called from the pool goroutines.
+	Skip func(i int) bool
+	// Context, when non-nil, stops the sweep once cancelled: no further
+	// point is started and Sweep returns the context's error.
+	Context context.Context
 }
 
-// RunEach executes the set's points over the same worker pool, delivering
-// each result to emit as it completes instead of materializing a slice —
-// the streaming form of Run. Each worker gathers its results into a
-// private batch and flushes it to emit in one mutex acquisition, so the
-// emit lock is taken once per defaultEmitBatch points, not once per
-// point. emit calls are serialized (one at a time), arrive in completion
-// order within a batch and in no particular order across batches; callers
-// needing order feed an Aggregator, which accepts any order. The first
-// emit error stops the sweep (already-running points drain; their not-yet-
-// flushed batches are discarded) and is returned.
-func (e *Expansion) RunEach(set IndexSet, workers int, emit func(PointResult) error) error {
-	return e.runEach(set, workers, 0, false, nil, emit)
-}
+// Slots returns the number of pool slots a sweep of n points uses under
+// these options: the slot argument of Sweep's visit ranges over
+// [0, Slots(n)), so callers size their per-slot state with it.
+func (o SweepOptions) Slots(n int) int { return experiment.Workers(n, o.Workers) }
 
-// RunEachBatch is RunEach with an explicit per-worker flush batch size
-// (≤ 0 selects the default). The batch size changes flush granularity —
-// latency of results reaching emit, nothing else; the emitted result set
-// is identical for every value. Exposed so the determinism suite can pin
-// extreme batch shapes.
-func (e *Expansion) RunEachBatch(set IndexSet, workers, batch int, emit func(PointResult) error) error {
-	return e.runEach(set, workers, batch, false, nil, emit)
-}
-
-// RunEachIsolated is RunEach with per-point panic isolation: a panicking
-// point (a degenerate generated scenario) is converted into the returned
-// error instead of unwinding a worker goroutine. The service layer
-// streams campaigns through it so one bad point fails one request, not
-// the process.
-func (e *Expansion) RunEachIsolated(set IndexSet, workers int, emit func(PointResult) error) error {
-	return e.runEach(set, workers, 0, true, nil, emit)
-}
-
-// RunEachIsolatedBatch is RunEachIsolated with an explicit batch size,
-// the isolation-enabled twin of RunEachBatch.
-func (e *Expansion) RunEachIsolatedBatch(set IndexSet, workers, batch int, emit func(PointResult) error) error {
-	return e.runEach(set, workers, batch, true, nil, emit)
-}
-
-// defaultEmitBatch is the per-worker flush granularity of the streaming
-// sweep runners: small enough that consumers (JSONL sinks, progress
-// reporting) see results promptly, large enough that the emit mutex stops
-// being a contention point at high worker counts.
-const defaultEmitBatch = 64
-
-func (e *Expansion) runEach(set IndexSet, workers, batch int, isolate bool, m Memo, emit func(PointResult) error) error {
-	if batch <= 0 {
-		batch = defaultEmitBatch
-	}
+// Sweep is the one loop every point of every sweep runs through: it fans
+// the set's points over the worker pool, computes each on a lazily created
+// per-slot Scratch behind the memo (lookup before, publish after), and
+// hands each result to visit on the goroutine that computed it.
+//
+// visit receives the pool slot executing the call. A slot runs its points
+// strictly sequentially, so state indexed by slot — encode buffers, result
+// batches — needs no locking; anything shared across slots is the
+// caller's to synchronize.
+//
+// The stream-order contract, stated once for every record stream in the
+// repository: results arrive in completion order. Which point lands on
+// which slot, and when, is scheduling-dependent, so everything fed
+// directly from a sweep — Each, an unsharded `ptgbench -jsonl` file, store
+// segments, `-query -format jsonl` — is deterministic as a set of records,
+// not as a sequence. Each record is bit-identical at every worker count
+// (a point derives its whole scenario from its own seed) and aggregation
+// accepts any order. A sink that promises order materializes and sorts:
+// Run, and the `-shard` JSONL files built on it.
+//
+// The first error stops the sweep — points already running finish, no
+// further point is started — and is returned: an error from visit, the
+// Context's error once it is cancelled, or, with Isolate, a panicking
+// point's conversion, which names the point's global index.
+func (e *Expansion) Sweep(set IndexSet, o SweepOptions, visit func(slot int, r PointResult) error) error {
 	n := set.Len()
-	// Per-worker state: the scratch arena points are computed with and the
-	// result batch flushed wholesale. Slots are goroutine-confined by
-	// ForEachWorker, so none of this needs its own locking.
-	type workerState struct {
-		sc  *Scratch
-		buf []PointResult
-	}
-	states := make([]workerState, experiment.Workers(n, workers))
+	scratches := make([]*Scratch, o.Slots(n))
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -287,53 +275,112 @@ func (e *Expansion) runEach(set IndexSet, workers, batch int, isolate bool, m Me
 		mu.Unlock()
 		stop.Store(true)
 	}
-	// flush drains one worker's batch through emit under a single mutex
-	// acquisition. After a failure the batch is discarded unsent — the
-	// sweep is already stopping and partial output past the first error is
-	// not part of RunEach's contract.
-	flush := func(ws *workerState) {
-		if len(ws.buf) == 0 {
-			return
-		}
-		mu.Lock()
-		for i := range ws.buf {
-			if firstErr != nil {
-				break
-			}
-			if err := emit(ws.buf[i]); err != nil {
-				firstErr = err
-				stop.Store(true)
-			}
-		}
-		mu.Unlock()
-		ws.buf = ws.buf[:0]
-	}
-	experiment.ForEachWorker(n, workers, func(w, j int) {
+	experiment.ForEachWorker(n, o.Workers, func(slot, j int) {
 		if stop.Load() {
 			return
 		}
-		ws := &states[w]
-		if isolate {
+		if o.Context != nil {
+			if err := o.Context.Err(); err != nil {
+				fail(err)
+				return
+			}
+		}
+		i := set.At(j)
+		if o.Skip != nil && o.Skip(i) {
+			return
+		}
+		if o.Isolate {
 			defer func() {
 				if r := recover(); r != nil {
-					fail(fmt.Errorf("scenario: point %d panicked: %v", set.At(j), r))
+					fail(fmt.Errorf("scenario: point %d panicked: %v", i, r))
 				}
 			}()
 		}
-		if ws.sc == nil {
-			ws.sc = NewScratch()
+		if scratches[slot] == nil {
+			scratches[slot] = NewScratch()
 		}
-		ws.buf = append(ws.buf, e.ComputePointScratch(ws.sc, e.PointAt(set.At(j)), m))
-		if len(ws.buf) >= batch {
-			flush(ws)
+		if err := visit(slot, e.ComputePointScratch(scratches[slot], e.PointAt(i), o.Memo)); err != nil {
+			fail(err)
 		}
 	})
-	// Workers have all returned; drain the partial batches. flush itself
-	// skips emitting once a failure is recorded.
-	for w := range states {
-		flush(&states[w])
-	}
 	return firstErr
+}
+
+// emitBatch is Each's per-slot flush granularity: small enough that
+// consumers (JSONL sinks, progress reporting) see results promptly, large
+// enough that the emit lock stops being a contention point at high worker
+// counts. It changes when results reach emit, never which results do.
+const emitBatch = 64
+
+// Each is the streaming shape of Sweep: every result is delivered to emit,
+// one call at a time. Each slot gathers its results into a private batch
+// and flushes it under one lock acquisition, so the emit lock is taken
+// once per emitBatch points, not once per point. Order is Sweep's
+// (completion order); callers needing more feed an Aggregator, which
+// accepts any order. After the first error nothing further is emitted —
+// batches still buffered are discarded — and that error is returned.
+func (e *Expansion) Each(set IndexSet, o SweepOptions, emit func(PointResult) error) error {
+	return e.each(set, o, emitBatch, emit)
+}
+
+func (e *Expansion) each(set IndexSet, o SweepOptions, batch int, emit func(PointResult) error) error {
+	bufs := make([][]PointResult, o.Slots(set.Len()))
+	var (
+		mu      sync.Mutex
+		emitErr error
+	)
+	flush := func(slot int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range bufs[slot] {
+			if emitErr != nil {
+				break
+			}
+			emitErr = emit(bufs[slot][i])
+		}
+		bufs[slot] = bufs[slot][:0]
+		return emitErr
+	}
+	if err := e.Sweep(set, o, func(slot int, r PointResult) error {
+		bufs[slot] = append(bufs[slot], r)
+		if len(bufs[slot]) < batch {
+			return nil
+		}
+		return flush(slot)
+	}); err != nil {
+		return err
+	}
+	// The pool has returned; drain the partial batches.
+	for slot := range bufs {
+		if err := flush(slot); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Run is the ordered shape of Sweep: the set's results materialized in
+// point order, byte-identical (as JSONL) at every worker count. Sweeps too
+// large to hold stream through Each or a store.Sweep instead.
+func (e *Expansion) Run(set IndexSet, o SweepOptions) ([]PointResult, error) {
+	outs := make([]PointResult, set.Len())
+	if err := e.Sweep(set, o, func(_ int, r PointResult) error {
+		outs[(r.Index-set.Offset)/set.stride()] = r
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// RunEach is Each with only a worker count.
+func (e *Expansion) RunEach(set IndexSet, workers int, emit func(PointResult) error) error {
+	return e.Each(set, SweepOptions{Workers: workers}, emit)
+}
+
+// RunEachIsolated is RunEach with per-point panic isolation.
+func (e *Expansion) RunEachIsolated(set IndexSet, workers int, emit func(PointResult) error) error {
+	return e.Each(set, SweepOptions{Workers: workers, Isolate: true}, emit)
 }
 
 // WriteJSONL streams results as JSON Lines: one compact PointResult object

@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"ptgsched/internal/core"
-	"ptgsched/internal/experiment"
 	"ptgsched/internal/scenario"
 )
 
@@ -225,42 +223,6 @@ func clampWorkers(w int) int {
 	return w
 }
 
-// runPoints is Expansion.Run with panic isolation: with workers > 1 the
-// points run on ForEach's own goroutines, outside runSafely's recover,
-// where a panicking point (a degenerate generated scenario) would kill the
-// whole process instead of failing the one request.
-func runPoints(e *scenario.Expansion, set scenario.IndexSet, workers int, m scenario.Memo) (outs []scenario.PointResult, err error) {
-	outs = make([]scenario.PointResult, set.Len())
-	var mu sync.Mutex
-	experiment.ForEach(set.Len(), workers, func(j int) {
-		defer func() {
-			if r := recover(); r != nil {
-				mu.Lock()
-				if err == nil {
-					err = fmt.Errorf("service: campaign point %d panicked: %v", set.At(j), r)
-				}
-				mu.Unlock()
-			}
-		}()
-		outs[j] = e.ComputePoint(e.PointAt(set.At(j)), m)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// runPointsInto is the streaming counterpart of runPoints: each completed
-// result is delivered to emit (serialized, in completion order) instead
-// of being materialized — the unsharded campaign path feeds a
-// scenario.Aggregator this way, so a request's memory is bounded by the
-// aggregation slots, not the result set. Panic isolation comes from
-// scenario.RunEachIsolated: one degenerate point fails one request, not
-// the process.
-func runPointsInto(e *scenario.Expansion, set scenario.IndexSet, workers int, m scenario.Memo, emit func(scenario.PointResult) error) error {
-	return e.RunEachIsolatedMemo(set, workers, m, emit)
-}
-
 // Campaign runs one declarative campaign sweep through the worker pool.
 // Unsharded requests stream every completed point straight into the
 // incremental aggregator — results are never materialized; sharded
@@ -271,8 +233,17 @@ func (s *Service) Campaign(ctx context.Context, req CampaignRequest) (*CampaignR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
+	return s.campaign(ctx, cs)
+}
+
+func (s *Service) campaign(ctx context.Context, cs campaignScenario) (*CampaignResponse, error) {
 	resp, err := s.submit(ctx, "campaign", func(*core.Scratch) (any, error) {
 		started := time.Now()
+		// Isolate: with workers > 1 the points run on the sweep pool's
+		// goroutines, outside runSafely's recover, where a panicking point
+		// (a degenerate generated scenario) would kill the whole process
+		// instead of failing the one request.
+		o := scenario.SweepOptions{Workers: cs.workers, Memo: s.memoFor(cs.expansion), Isolate: true}
 		out := &CampaignResponse{
 			Name:      cs.expansion.Spec.Name,
 			Points:    cs.expansion.NumPoints(),
@@ -281,7 +252,7 @@ func (s *Service) Campaign(ctx context.Context, req CampaignRequest) (*CampaignR
 		}
 		if cs.shard == "" {
 			agg := cs.expansion.NewAggregator()
-			if err := runPointsInto(cs.expansion, cs.set, cs.workers, s.memoFor(cs.expansion), agg.Add); err != nil {
+			if err := cs.expansion.Each(cs.set, o, agg.Add); err != nil {
 				return nil, err
 			}
 			tables, err := agg.Tables()
@@ -308,7 +279,7 @@ func (s *Service) Campaign(ctx context.Context, req CampaignRequest) (*CampaignR
 				out.Tables = append(out.Tables, ct)
 			}
 		} else {
-			results, err := runPoints(cs.expansion, cs.set, cs.workers, s.memoFor(cs.expansion))
+			results, err := cs.expansion.Run(cs.set, o)
 			if err != nil {
 				return nil, err
 			}

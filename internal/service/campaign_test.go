@@ -74,21 +74,6 @@ func TestCampaignShardsRecombineThroughService(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var merged []scenario.PointResult
-	for _, shard := range []string{"1/2", "0/2"} {
-		resp, err := s.Campaign(context.Background(), service.CampaignRequest{
-			Spec:  json.RawMessage(smallCampaignSpec),
-			Shard: shard,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Tables) != 0 || len(resp.Results) == 0 || resp.Shard != shard {
-			t.Fatalf("shard response shape: %+v", resp)
-		}
-		merged = append(merged, resp.Results...)
-	}
-
 	spec, err := scenario.ParseSpec([]byte(smallCampaignSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -97,12 +82,63 @@ func TestCampaignShardsRecombineThroughService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := e.Aggregate(merged)
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		var merged []scenario.PointResult
+		for _, shard := range []string{"1/2", "0/2"} {
+			resp, err := s.Campaign(context.Background(), service.CampaignRequest{
+				Spec:    json.RawMessage(smallCampaignSpec),
+				Shard:   shard,
+				Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Tables) != 0 || len(resp.Results) == 0 || resp.Shard != shard {
+				t.Fatalf("shard response shape: %+v", resp)
+			}
+			// A sharded response is an ordered sink: point order, each
+			// record what a scratch-less, memo-less RunPoint computes.
+			for k, r := range resp.Results {
+				if want := e.RunPoint(e.PointAt(r.Index)); !reflect.DeepEqual(r, want) {
+					t.Fatalf("workers=%d shard %s: result %d differs from RunPoint", workers, shard, r.Index)
+				}
+				if k > 0 && resp.Results[k-1].Index >= r.Index {
+					t.Fatalf("workers=%d shard %s: results out of point order", workers, shard)
+				}
+			}
+			merged = append(merged, resp.Results...)
+		}
+		tables, err := e.Aggregate(merged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tables[0].Result.Points[0].Unfairness, full.Tables[0].Rows[0].Unfairness) {
+			t.Fatal("recombined shards differ from the unsharded service run")
+		}
 	}
-	if !reflect.DeepEqual(tables[0].Result.Points[0].Unfairness, full.Tables[0].Rows[0].Unfairness) {
-		t.Fatal("recombined shards differ from the unsharded service run")
+}
+
+// A point whose generator panics fails its own request — sharded or not,
+// inline or on the sweep pool's goroutines — naming the point, and the
+// service keeps serving.
+func TestCampaignPanickingPointFailsOnlyItsRequest(t *testing.T) {
+	s := newService(t, service.Options{Workers: 1})
+	for _, workers := range []int{1, 4} {
+		for shard, first := range map[string]string{"": "point 0 panicked", "1/2": "point 1 panicked"} {
+			req := service.CampaignRequest{Spec: json.RawMessage(smallCampaignSpec), Shard: shard, Workers: workers}
+			_, err := s.CampaignWithPanickingCell0(context.Background(), req)
+			if err == nil || !strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("workers=%d shard=%q: err = %v, want a panic conversion", workers, shard, err)
+			}
+			// Inline, the first point of the set is the one that fails;
+			// the error names its global index, not its position.
+			if workers == 1 && !strings.Contains(err.Error(), first) {
+				t.Fatalf("shard=%q: err = %v, want %q", shard, err, first)
+			}
+			if _, err := s.Campaign(context.Background(), req); err != nil {
+				t.Fatalf("workers=%d shard=%q: request after the panic: %v", workers, shard, err)
+			}
+		}
 	}
 }
 

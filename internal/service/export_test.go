@@ -2,9 +2,23 @@ package service
 
 import (
 	"context"
+	"math/rand"
 
 	"ptgsched/internal/core"
+	"ptgsched/internal/dag"
 )
+
+// CampaignWithPanickingCell0 is Campaign with the generator of the
+// expansion's first cell replaced by one that panics: a degenerate
+// generated scenario, which no JSON spec can ask for.
+func (s *Service) CampaignWithPanickingCell0(ctx context.Context, req CampaignRequest) (*CampaignResponse, error) {
+	cs, err := req.resolve(s.opts.Limits)
+	if err != nil {
+		return nil, err
+	}
+	cs.expansion.Cells[0].Config.Gen = func(*rand.Rand) *dag.Graph { panic("degenerate scenario") }
+	return s.campaign(ctx, cs)
+}
 
 // SubmitTestJob enqueues a job that blocks until release is closed. It lets
 // tests saturate the worker pool and queue deterministically, without

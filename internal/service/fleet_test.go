@@ -83,7 +83,11 @@ func TestJobShardExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.Aggregate(e.Run(e.All(), 0))
+	results, err := e.Run(e.All(), scenario.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Aggregate(results)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"ptgsched/internal/core"
-	"ptgsched/internal/experiment"
 	"ptgsched/internal/query"
 	"ptgsched/internal/scenario"
 )
@@ -128,10 +127,9 @@ type jobHandle struct {
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the job reaches a terminal state
 
-	mu       sync.Mutex // guards state, err, sweepErr, started, finished
+	mu       sync.Mutex // guards state, err, started, finished
 	state    string
 	err      error
-	sweepErr error // first panic of a sweep worker, converted to an error
 	started  time.Time
 	finished time.Time
 
@@ -152,15 +150,17 @@ type jobHandle struct {
 	ready       []atomic.Bool
 }
 
-// record spools one completed point result (worker side). A record
-// arriving after release (a point in flight when the job was canceled and
-// dropped) is discarded silently.
-func (h *jobHandle) record(r scenario.PointResult) error {
-	line, err := json.Marshal(r)
+// record spools one completed point result (worker side), encoding it
+// into the calling slot's reusable line buffer (AppendJSONL is
+// byte-identical to json.Marshal plus the newline). A record arriving
+// after release (a point in flight when the job was canceled and dropped)
+// is discarded silently.
+func (h *jobHandle) record(r scenario.PointResult, buf *[]byte) error {
+	line, err := scenario.AppendJSONL((*buf)[:0], r)
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
+	*buf = line
 	h.spoolMu.Lock()
 	if h.spoolClosed {
 		h.spoolMu.Unlock()
@@ -520,36 +520,18 @@ func (s *Service) enqueueJob(h *jobHandle) error {
 }
 
 // runJob executes the sweep on a pool worker, fanning points over the
-// job's intra-run workers and publishing each result as it completes.
-// Each point recovers its own panics: with worker > 1 ForEach runs points
-// on goroutines outside runSafely's recover, where an unrecovered panic
-// would kill the whole process instead of failing the job.
+// job's intra-run workers and spooling each result as it completes.
+// Isolate: with worker > 1 the points run on the sweep pool's goroutines,
+// outside runSafely's recover, where an unrecovered panic would kill the
+// whole process instead of failing the job. A panicking point or a failed
+// spool append fails the job; cancellation ends it with the context's
+// error.
 func (s *Service) runJob(h *jobHandle) error {
 	h.setState(JobRunning, nil)
-	memo := s.memoFor(h.e)
-	experiment.ForEach(h.set.Len(), h.worker, func(j int) {
-		i := h.set.At(j)
-		if h.ctx.Err() != nil {
-			return // canceled: drain the remaining indices fast
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				h.mu.Lock()
-				if h.sweepErr == nil {
-					h.sweepErr = fmt.Errorf("service: job point %d panicked: %v", i, r)
-				}
-				h.mu.Unlock()
-				h.cancel() // drain the remaining points fast
-			}
-		}()
-		if err := h.record(h.e.ComputePoint(h.e.PointAt(i), memo)); err != nil {
-			h.mu.Lock()
-			if h.sweepErr == nil {
-				h.sweepErr = err
-			}
-			h.mu.Unlock()
-			h.cancel() // a failed spool append fails the job; drain fast
-		}
+	o := scenario.SweepOptions{Workers: h.worker, Memo: s.memoFor(h.e), Isolate: true, Context: h.ctx}
+	bufs := make([][]byte, o.Slots(h.set.Len()))
+	err := h.e.Sweep(h.set, o, func(slot int, r scenario.PointResult) error {
+		return h.record(r, &bufs[slot])
 	})
 	if s.opts.Cache != nil {
 		// Seal the cache segment after each job so sibling workers
@@ -558,9 +540,6 @@ func (s *Service) runJob(h *jobHandle) error {
 		// failure costs durability of the seal, not the job.
 		_ = s.opts.Cache.Sync()
 	}
-	h.mu.Lock()
-	err := h.sweepErr
-	h.mu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -7,12 +7,14 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"ptgsched/internal/dag"
 	"ptgsched/internal/scenario"
 )
 
@@ -27,7 +29,12 @@ const jobSpec = `{
 
 func submitSmokeJob(t *testing.T, s *Service, shards int) *JobStatus {
 	t.Helper()
-	st, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(jobSpec), Shards: shards})
+	return submitSmokeJobWorkers(t, s, shards, 0)
+}
+
+func submitSmokeJobWorkers(t *testing.T, s *Service, shards, workers int) *JobStatus {
+	t.Helper()
+	st, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(jobSpec), Shards: shards, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +42,16 @@ func submitSmokeJob(t *testing.T, s *Service, shards int) *JobStatus {
 }
 
 func TestJobRoundTrip(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		testJobRoundTrip(t, workers)
+	}
+}
+
+func testJobRoundTrip(t *testing.T, workers int) {
 	s := New(Options{Workers: 2})
 	defer s.Close()
 
-	st := submitSmokeJob(t, s, 2)
+	st := submitSmokeJobWorkers(t, s, 2, workers)
 	if st.ID == "" || st.Points != 8 {
 		t.Fatalf("initial status %+v", st)
 	}
@@ -60,6 +73,7 @@ func TestJobRoundTrip(t *testing.T) {
 	if err := s.JobResults(st.ID, ResultQuery{}, &buf); err != nil {
 		t.Fatal(err)
 	}
+	spooled := append([]byte(nil), buf.Bytes()...)
 	results, err := scenario.ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +83,26 @@ func TestJobRoundTrip(t *testing.T) {
 	}
 	spec, _ := scenario.ParseSpec([]byte(jobSpec))
 	e, _ := scenario.Expand(spec)
-	want, err := e.Aggregate(e.Run(e.All(), 0))
+	// The spooled lines are relayed byte for byte, in point order: each
+	// must be json.Marshal of what a scratch-less, memo-less RunPoint
+	// computes, however many sweep workers filled the spool.
+	var wantLines bytes.Buffer
+	for i := 0; i < e.NumPoints(); i++ {
+		line, err := json.Marshal(e.RunPoint(e.PointAt(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLines.Write(line)
+		wantLines.WriteByte('\n')
+	}
+	if !bytes.Equal(spooled, wantLines.Bytes()) {
+		t.Fatalf("workers=%d: spooled lines differ from json.Marshal(RunPoint)", workers)
+	}
+	direct, err := e.Run(e.All(), scenario.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Aggregate(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +121,48 @@ func TestJobRoundTrip(t *testing.T) {
 
 	if list := s.Jobs(); len(list) != 1 || list[0].ID != st.ID {
 		t.Fatalf("Jobs() = %+v", list)
+	}
+}
+
+// A point whose generator panics fails its job, naming the point — inline
+// or on the sweep pool's goroutines — and the service keeps serving.
+func TestJobPanickingPointFailsOnlyItsJob(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s := New(Options{Workers: 1})
+		// Hold the only service worker so the job sits queued while its
+		// expansion is given a generator no JSON spec can ask for.
+		release := make(chan struct{})
+		held := make(chan error, 1)
+		go func() { held <- s.SubmitTestJob(context.Background(), release) }()
+		for s.Stats().InFlight == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		st := submitSmokeJobWorkers(t, s, 1, workers)
+		h, err := s.jobs.get(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.e.Cells[0].Config.Gen = func(*rand.Rand) *dag.Graph { panic("degenerate scenario") }
+		close(release)
+		if err := <-held; err != nil {
+			t.Fatal(err)
+		}
+
+		final, err := s.WaitJob(context.Background(), st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != JobFailed || !strings.Contains(final.Error, "panicked") {
+			t.Fatalf("workers=%d: final status %+v, want a failed job with a panic conversion", workers, final)
+		}
+		if workers == 1 && !strings.Contains(final.Error, "point 0 panicked") {
+			t.Fatalf("inline job error %q does not name point 0", final.Error)
+		}
+		again := submitSmokeJob(t, s, 1)
+		if final, err := s.WaitJob(context.Background(), again.ID); err != nil || final.State != JobDone {
+			t.Fatalf("workers=%d: job after the panic: %+v, %v", workers, final, err)
+		}
+		s.Close()
 	}
 }
 

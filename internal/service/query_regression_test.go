@@ -50,7 +50,7 @@ func TestJobResultsMalformedSpoolRecordClassifies(t *testing.T) {
 		Index: 3, Cell: h.e.CellOf(3), Name: h.e.PointAt(3).Name,
 		Unfairness: []float64{1}, Makespan: []float64{2}, Rel: []float64{3},
 	}
-	if err := h.record(bad); err != nil {
+	if err := h.record(bad, new([]byte)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -45,7 +45,7 @@ func (f *countingMemo) Publish(p scenario.Point, r scenario.PointResult) {
 
 func TestSweepConsultsMemo(t *testing.T) {
 	e := expand(t, smokeSpec)
-	want := e.Run(e.All(), 1)
+	want := runAll(t, e)
 
 	m := newCountingMemo()
 	for i, r := range want {

@@ -22,7 +22,11 @@ import (
 // handles manually.
 func runAll(t *testing.T, e *scenario.Expansion) []scenario.PointResult {
 	t.Helper()
-	return e.Run(e.All(), 0)
+	res, err := e.Run(e.All(), scenario.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestAppendWhileOtherHandleAggregates interleaves a writer handle

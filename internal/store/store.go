@@ -55,7 +55,6 @@ import (
 	"sync/atomic"
 
 	"ptgsched/internal/bitset"
-	"ptgsched/internal/experiment"
 	"ptgsched/internal/scenario"
 )
 
@@ -626,13 +625,6 @@ func (s *Store) Aggregate() ([]scenario.Table, error) {
 	return agg.Tables()
 }
 
-// Sweep runs every pending point of the set (the full expansion or one
-// shard) over the experiment worker pool, appending each result as it
-// completes, and reports how many points it ran and how many were already
-// recorded. The set is an index predicate and the skip test is one bitmap
-// read, so a resumed sweep carries no per-point bookkeeping beyond the
-// done bitmap. Results are bit-identical at every worker count and across
-// any kill/resume split: each point derives everything from its own seed.
 // UseMemo attaches a per-point memoization source (typically a bound
 // content-addressed cache) consulted by Sweep: a memoized point is
 // appended without recomputation. Set it before Sweep runs; it must not
@@ -654,6 +646,14 @@ func (s *Store) PublishTo(m scenario.Memo) (int, error) {
 	return n, err
 }
 
+// Sweep is the durable shape of scenario's Sweep: it runs every pending
+// point of the set (the full expansion or one shard), appending each
+// result as it completes, and reports how many points it ran and how many
+// were already recorded. The set is an index predicate and the skip test
+// is one bitmap read, so a resumed sweep carries no per-point bookkeeping
+// beyond the done bitmap. Segments fill in completion order; each record
+// is bit-identical at every worker count and across any kill/resume
+// split, because each point derives everything from its own seed.
 func (s *Store) Sweep(set scenario.IndexSet, workers int) (ran, skipped int, err error) {
 	if s.readOnly {
 		return 0, 0, ErrReadOnly
@@ -662,47 +662,35 @@ func (s *Store) Sweep(set scenario.IndexSet, workers int) (ran, skipped int, err
 		return 0, 0, ErrFailed
 	}
 	skipped = s.CountDone(set)
-	pending := set.Len() - skipped
+	o := scenario.SweepOptions{Workers: workers, Memo: s.memo, Skip: s.IsDone}
+	// One JSONL encode buffer per pool slot, reused across all the points
+	// the slot sweeps.
+	bufs := make([][]byte, o.Slots(set.Len()))
 	var (
-		errMu    sync.Mutex
-		firstErr error
+		errMu sync.Mutex
+		root  error
 	)
-	// Per-worker compute scratch and encode buffer: each pool slot reuses
-	// its simulation state and JSONL line buffer across all the points it
-	// sweeps (both are goroutine-confined by ForEachWorker).
-	type workerState struct {
-		sc  *scenario.Scratch
-		buf []byte
-	}
-	states := make([]workerState, experiment.Workers(set.Len(), workers))
-	experiment.ForEachWorker(set.Len(), workers, func(w, j int) {
-		if s.failed.Load() {
-			return // an earlier append failed; drain fast
-		}
-		i := set.At(j)
-		if s.IsDone(i) {
-			return
-		}
-		ws := &states[w]
-		if ws.sc == nil {
-			ws.sc = scenario.NewScratch()
-		}
-		r := s.e.ComputePointScratch(ws.sc, s.e.PointAt(i), s.memo)
-		if err := s.append(r, &ws.buf); err != nil {
+	err = s.e.Sweep(set, o, func(slot int, r scenario.PointResult) error {
+		err := s.append(r, &bufs[slot])
+		if err != nil && !errors.Is(err, ErrFailed) {
 			errMu.Lock()
-			// Keep the most informative error: a worker racing in after
-			// the failure sees the bare poisoned-handle ErrFailed, which
-			// must not shadow the root cause.
-			if firstErr == nil || (errors.Is(firstErr, ErrFailed) && !errors.Is(err, ErrFailed)) {
-				firstErr = err
+			if root == nil {
+				root = err
 			}
 			errMu.Unlock()
 		}
+		return err
 	})
-	if firstErr != nil {
-		return 0, skipped, firstErr
+	// A slot racing in after the failing append sees only the poisoned
+	// handle's bare ErrFailed and may report it first; that must not
+	// shadow the root cause.
+	if root != nil {
+		err = root
 	}
-	return pending, skipped, nil
+	if err != nil {
+		return 0, skipped, err
+	}
+	return set.Len() - skipped, skipped, nil
 }
 
 // Sync flushes every segment to stable storage (fsync). Append itself does

@@ -100,7 +100,7 @@ func TestTornFinalLineIsRecoveredAndResumed(t *testing.T) {
 	e := expand(t, smokeSpec)
 
 	// The uninterrupted reference.
-	ref, err := e.Aggregate(e.Run(e.All(), 0))
+	ref, err := e.Aggregate(runAll(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestTornFinalLineIsRecoveredAndResumed(t *testing.T) {
 
 func TestShardedStoresRecombineAfterCrash(t *testing.T) {
 	e := expand(t, smokeSpec)
-	ref, err := e.Aggregate(e.Run(e.All(), 0))
+	ref, err := e.Aggregate(runAll(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
