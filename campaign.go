@@ -107,6 +107,4 @@ var (
 	// byte buffer, byte-identically to json.Marshal — the allocation-free
 	// encoder streaming sinks reuse one buffer with.
 	AppendCampaignJSONL = scenario.AppendJSONL
-	// SortCampaignResults orders merged shard results by point index.
-	SortCampaignResults = scenario.SortResults
 )

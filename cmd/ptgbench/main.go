@@ -57,7 +57,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -76,20 +75,10 @@ import (
 	"time"
 
 	"ptgsched"
+	"ptgsched/internal/cli"
 )
 
-// errUsage signals a flag-parse failure the flag package already reported
-// to the output writer; main exits nonzero without printing it twice.
-var errUsage = errors.New("usage")
-
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if !errors.Is(err, errUsage) {
-			fmt.Fprintln(os.Stderr, "ptgbench:", err)
-		}
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("ptgbench", run) }
 
 // run executes one ptgbench invocation, writing its report to w. It is
 // the testable core behind main.
@@ -118,17 +107,13 @@ func run(argv []string, w io.Writer) error {
 		statsAddr    = fs.String("stats-addr", "", "coordinate: also serve the coordinator's /v1/stats on this address")
 		reps         = fs.Int("reps", 25, "random PTG combinations per point (paper: 25)")
 		seed         = fs.Int64("seed", 42, "base random seed")
-		workers      = fs.Int("workers", 0, "concurrent runs (default: GOMAXPROCS)")
+		workers      = fs.Int("workers", 0, "concurrent runs (default: GOMAXPROCS) of fig2-fig5, mu-calibration, -campaign sweeps and each -coordinate job; table1, fig1, ablation and dynamic are sequential")
 		csvPath      = fs.String("csv", "", "also write the aggregated results to this CSV file")
 		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile   = fs.String("memprofile", "", "write a pprof allocation profile (after a final GC) to this file on exit")
 	)
-	fs.SetOutput(w)
-	if err := fs.Parse(argv); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // -h: usage already printed, exit 0
-		}
-		return errUsage
+	if ok, err := cli.Parse(fs, argv, w); !ok {
+		return err
 	}
 
 	if *cpuProfile != "" {
@@ -222,7 +207,7 @@ func run(argv []string, w io.Writer) error {
 	case "mu-calibration":
 		return muCalibration(w, *seed, *reps, *workers)
 	case "ablation":
-		return ablation(w, *seed, *reps, *workers)
+		return ablation(w, *seed, *reps)
 	case "dynamic":
 		return dynamic(w, *seed, *reps)
 	default:
@@ -285,15 +270,19 @@ func openCache(dir string) (*ptgsched.CampaignCache, func(), error) {
 // file is the run's deliverable, so close reports the flush's error and
 // then the close's — a filesystem that reports a failed write-back only
 // at close (NFS, a quota) must fail the run, not leave a short file
-// behind exit 0. Callers also defer f.Close() for their error paths;
-// closing twice is harmless.
+// behind exit 0. A nil *jsonlFile is the absent -jsonl flag: writes and
+// closes on it do nothing.
 type jsonlFile struct {
 	f   *os.File
 	w   *bufio.Writer
 	buf []byte
 }
 
+// createJSONL creates the -jsonl file at path; an empty path yields nil.
 func createJSONL(path string) (*jsonlFile, error) {
+	if path == "" {
+		return nil, nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
@@ -302,6 +291,9 @@ func createJSONL(path string) (*jsonlFile, error) {
 }
 
 func (j *jsonlFile) write(r ptgsched.CampaignPointResult) error {
+	if j == nil {
+		return nil
+	}
 	var err error
 	if j.buf, err = ptgsched.AppendCampaignJSONL(j.buf[:0], r); err != nil {
 		return err
@@ -311,10 +303,21 @@ func (j *jsonlFile) write(r ptgsched.CampaignPointResult) error {
 }
 
 func (j *jsonlFile) close() error {
+	if j == nil {
+		return nil
+	}
 	if err := j.w.Flush(); err != nil {
 		return err
 	}
 	return j.f.Close()
+}
+
+// abort releases the file on an error path, where the run's error is the
+// one to report; after a successful close it is a harmless second Close.
+func (j *jsonlFile) abort() {
+	if j != nil {
+		j.f.Close()
+	}
 }
 
 // campaignMode drives the declarative scenario engine: sweep a spec
@@ -324,29 +327,15 @@ func (j *jsonlFile) close() error {
 // as they arrive, and nothing proportional to the sweep is materialized
 // except where the user asked for an in-memory shard result file.
 func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir string, resume bool, workers int, cacheDir string) error {
-	data, err := os.ReadFile(specPath)
+	e, err := cli.LoadCampaign(specPath)
 	if err != nil {
 		return err
 	}
-	spec, err := ptgsched.ParseCampaignSpec(data)
-	if err != nil {
-		return err
-	}
-	// Report the arithmetic cardinality before expanding anything, so the
-	// operator of a multi-million-point sweep sees its size immediately.
-	cells, points, err := ptgsched.EstimateCampaignPoints(spec)
-	if err != nil {
-		return err
-	}
-	name := spec.Name
-	if name == "" {
-		name = specPath
-	}
-	fmt.Fprintf(os.Stderr, "ptgbench: campaign %s: %d cells, %d points\n", name, cells, points)
-	e, err := ptgsched.ExpandCampaign(spec)
-	if err != nil {
-		return err
-	}
+	// Report the cardinality before anything runs (the expansion is lazy:
+	// no point exists yet), so the operator of a multi-million-point sweep
+	// sees its size immediately.
+	name := campaignTitle(e, specPath)
+	fmt.Fprintf(os.Stderr, "ptgbench: campaign %s: %d cells, %d points\n", name, len(e.Cells), e.NumPoints())
 	if resume && storeDir == "" {
 		return fmt.Errorf("-resume requires -store")
 	}
@@ -357,6 +346,7 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 		return fmt.Errorf("-store already persists per-point JSONL; use -merge %s to read it back instead of -jsonl", storeDir)
 	}
 
+	var mergePaths []string
 	if merge != "" {
 		if shard != "" {
 			return fmt.Errorf("-merge and -shard are mutually exclusive")
@@ -364,7 +354,9 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 		if cacheDir != "" {
 			return fmt.Errorf("-merge and -cache are mutually exclusive (merging only re-reads results)")
 		}
-		return mergeMode(w, specPath, e, spec, merge, jsonlPath)
+		if mergePaths, err = mergeInputs(merge, ptgsched.CampaignSpecDigest(e.Spec)); err != nil {
+			return err
+		}
 	}
 
 	var memo ptgsched.CampaignMemo
@@ -380,6 +372,12 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 	if storeDir != "" {
 		return storeMode(w, specPath, e, storeDir, shard, resume, workers, memo)
 	}
+
+	sink, err := createJSONL(jsonlPath)
+	if err != nil {
+		return err
+	}
+	defer sink.abort()
 
 	if shard != "" {
 		idx, n, err := ptgsched.ParseCampaignShard(shard)
@@ -397,14 +395,9 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 		if err != nil {
 			return err
 		}
-		if jsonlPath == "" {
+		if sink == nil {
 			return ptgsched.WriteCampaignJSONL(w, results)
 		}
-		sink, err := createJSONL(jsonlPath)
-		if err != nil {
-			return err
-		}
-		defer sink.f.Close()
 		if err := ptgsched.WriteCampaignJSONL(sink.w, results); err != nil {
 			return err
 		}
@@ -416,36 +409,32 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 		return nil
 	}
 
-	// Unsharded run: stream every completed point straight into the
-	// incremental aggregator (and the optional JSONL sink, in completion
-	// order — aggregation and -merge accept any order, so order on disk
-	// never matters).
-	var sink *jsonlFile
-	if jsonlPath != "" {
-		if sink, err = createJSONL(jsonlPath); err != nil {
-			return err
-		}
-		defer sink.f.Close()
-	}
-	set := e.All()
+	// An unsharded run and a merge differ only in where the records come
+	// from — the sweep, in completion order, or the shard files, in read
+	// order. Either way every record is teed into the optional -jsonl copy
+	// and the incremental aggregator (which accepts any order, so order on
+	// disk never matters), and the tables are printed.
 	agg := e.NewAggregator()
-	var done atomic.Int64
-	stop := startProgress(func() string {
-		return fmt.Sprintf("campaign %s: %d/%d points", name, done.Load(), set.Len())
-	})
-	err = e.Each(set, ptgsched.CampaignSweepOptions{Workers: workers, Memo: memo}, func(r ptgsched.CampaignPointResult) error {
-		if sink != nil {
-			if err := sink.write(r); err != nil {
-				return err
-			}
-		}
-		if err := agg.Add(r); err != nil {
+	tee := func(r ptgsched.CampaignPointResult) error {
+		if err := sink.write(r); err != nil {
 			return err
 		}
-		done.Add(1)
-		return nil
-	})
-	stop()
+		return agg.Add(r)
+	}
+	if merge != "" {
+		err = readRecords(mergePaths, tee)
+	} else {
+		set := e.All()
+		var done atomic.Int64
+		stop := startProgress(func() string {
+			return fmt.Sprintf("campaign %s: %d/%d points", name, done.Load(), set.Len())
+		})
+		err = e.Each(set, ptgsched.CampaignSweepOptions{Workers: workers, Memo: memo}, func(r ptgsched.CampaignPointResult) error {
+			done.Add(1)
+			return tee(r)
+		})
+		stop()
+	}
 	if err != nil {
 		return err
 	}
@@ -483,12 +472,7 @@ func coordinateMode(w io.Writer, specPath, workerList string, shards, jobWorkers
 		}
 		defer finish()
 	}
-	var workers []string
-	for _, addr := range strings.Split(workerList, ",") {
-		if addr = strings.TrimSpace(addr); addr != "" {
-			workers = append(workers, addr)
-		}
-	}
+	workers := splitList(workerList)
 	c, err := ptgsched.NewFleetCoordinator(data, workers, ptgsched.FleetOptions{
 		Shards:       shards,
 		JobWorkers:   jobWorkers,
@@ -531,67 +515,36 @@ func coordinateMode(w io.Writer, specPath, workerList string, shards, jobWorkers
 	return renderCampaign(w, specPath, e, tables)
 }
 
-// mergeMode recombines shard outputs (files or directories of segments)
-// by streaming every record into the incremental aggregator — a
-// multi-million-point store directory merges without the result set ever
-// being resident. With -jsonl the records are additionally copied to one
-// combined file, in read order.
-func mergeMode(w io.Writer, specPath string, e *ptgsched.CampaignExpansion, spec *ptgsched.CampaignSpec, merge, jsonlPath string) error {
-	paths, err := mergeInputs(merge, ptgsched.CampaignSpecDigest(spec))
-	if err != nil {
-		return err
-	}
-	var sink *jsonlFile
-	if jsonlPath != "" {
-		if sink, err = createJSONL(jsonlPath); err != nil {
-			return err
-		}
-		defer sink.f.Close()
-	}
-	agg := e.NewAggregator()
+// readRecords streams every record of the merge inputs (files, or the
+// segments of directories) through emit — a multi-million-point store
+// directory merges without the result set ever being resident.
+func readRecords(paths []string, emit func(ptgsched.CampaignPointResult) error) error {
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
-		err = ptgsched.ReadCampaignJSONLFunc(f, func(r ptgsched.CampaignPointResult) error {
-			if sink != nil {
-				if err := sink.write(r); err != nil {
-					return err
-				}
-			}
-			return agg.Add(r)
-		})
+		err = ptgsched.ReadCampaignJSONLFunc(f, emit)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	if sink != nil {
-		if err := sink.close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %d of %d points to %s\n", agg.Added(), e.NumPoints(), jsonlPath)
-	}
-	tables, err := agg.Tables()
-	if err != nil {
-		return err
-	}
-	return renderCampaign(w, specPath, e, tables)
+	return nil
 }
 
 // mergeInputs expands the -merge argument: each comma-separated entry is
 // either one JSONL file or a directory whose *.jsonl segments (a store
 // directory, or any folder of shard outputs) are merged in name order —
-// aggregation reorders by point index, so segment order never matters. A
-// directory carrying a store manifest must have been written by the same
+// aggregation reorders by point index, so segment order never matters.
+// Empty entries (a trailing or doubled comma) are skipped. A directory
+// carrying a store manifest must have been written by the same
 // campaign spec: two specs can share an expansion's shape (e.g. differ
 // only in seed), so the aggregate-time congruence checks alone cannot
 // catch results belonging to a different sweep.
 func mergeInputs(merge, specDigest string) ([]string, error) {
 	var paths []string
-	for _, entry := range strings.Split(merge, ",") {
-		entry = strings.TrimSpace(entry)
+	for _, entry := range splitList(merge) {
 		fi, err := os.Stat(entry)
 		if err != nil {
 			return nil, err
@@ -628,7 +581,22 @@ func mergeInputs(merge, specDigest string) ([]string, error) {
 		sort.Strings(segs)
 		paths = append(paths, segs...)
 	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("-merge %q names no inputs", merge)
+	}
 	return paths, nil
+}
+
+// splitList splits a comma-separated flag value, trimming blanks and
+// skipping empty entries.
+func splitList(list string) []string {
+	var out []string
+	for _, item := range strings.Split(list, ",") {
+		if item = strings.TrimSpace(item); item != "" {
+			out = append(out, item)
+		}
+	}
+	return out
 }
 
 // storeMode sweeps into a durable store: create (or, with resume, reopen)
@@ -720,13 +688,17 @@ func storeMode(w io.Writer, specPath string, e *ptgsched.CampaignExpansion, dir,
 	return renderCampaign(w, specPath, e, tables)
 }
 
+// campaignTitle names a campaign in reports: the spec's name, or its path.
+func campaignTitle(e *ptgsched.CampaignExpansion, specPath string) string {
+	if e.Spec.Name != "" {
+		return e.Spec.Name
+	}
+	return specPath
+}
+
 // renderCampaign prints every cell's aggregated summary tables.
 func renderCampaign(w io.Writer, specPath string, e *ptgsched.CampaignExpansion, tables []ptgsched.CampaignTable) error {
-	title := e.Spec.Name
-	if title == "" {
-		title = specPath
-	}
-	fmt.Fprintf(w, "Campaign %s: %d cells, %d points\n", title, len(e.Cells), e.NumPoints())
+	fmt.Fprintf(w, "Campaign %s: %d cells, %d points\n", campaignTitle(e, specPath), len(e.Cells), e.NumPoints())
 	for _, tb := range tables {
 		fmt.Fprintf(w, "\n--- cell %s ---\n", tb.Cell.Label)
 		for _, m := range []ptgsched.ExperimentMetric{
@@ -861,7 +833,7 @@ func muCalibration(w io.Writer, seed int64, reps, workers int) error {
 
 // ablation quantifies the mapper's design choices: ready-task vs
 // global ordering and packing on/off, on the paper's random workload.
-func ablation(w io.Writer, seed int64, reps, workers int) error {
+func ablation(w io.Writer, seed int64, reps int) error {
 	fmt.Fprintln(w, "Ablation: mapping design choices on random PTGs, ES strategy")
 	variants := []struct {
 		label string
@@ -876,17 +848,14 @@ func ablation(w io.Writer, seed int64, reps, workers int) error {
 	fmt.Fprintf(w, "%-16s %8s %14s %14s\n", "variant", "#PTGs", "unfairness", "makespan (s)")
 	for _, v := range variants {
 		for _, n := range nptgs {
-			unf, mak := ablationPoint(v.opts, n, seed, reps, workers)
+			unf, mak := ablationPoint(v.opts, n, seed, reps)
 			fmt.Fprintf(w, "%-16s %8d %14.3f %14.1f\n", v.label, n, unf, mak)
 		}
 	}
 	return nil
 }
 
-func ablationPoint(opts ptgsched.MapOptions, n int, seed int64, reps, workers int) (unfairness, makespan float64) {
-	if workers <= 0 {
-		workers = 4
-	}
+func ablationPoint(opts ptgsched.MapOptions, n int, seed int64, reps int) (unfairness, makespan float64) {
 	var unfSum, makSum float64
 	count := 0
 	for rep := 0; rep < reps; rep++ {

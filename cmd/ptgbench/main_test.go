@@ -51,6 +51,29 @@ func TestCampaignShardsMergeToUnshardedOutput(t *testing.T) {
 	}
 }
 
+// TestMergeSkipsEmptyEntries: a trailing or doubled comma in -merge names
+// no file; the empty entries are skipped like -coordinate skips them, and a
+// list of nothing but commas is a plain error, not a stat of "".
+func TestMergeSkipsEmptyEntries(t *testing.T) {
+	unsharded := runCLI(t, "-campaign", "testdata/smoke-campaign.json")
+	dir := t.TempDir()
+	s0 := filepath.Join(dir, "shard0.jsonl")
+	s1 := filepath.Join(dir, "shard1.jsonl")
+	runCLI(t, "-campaign", "testdata/smoke-campaign.json", "-shard", "0/2", "-jsonl", s0)
+	runCLI(t, "-campaign", "testdata/smoke-campaign.json", "-shard", "1/2", "-jsonl", s1)
+
+	merged := runCLI(t, "-campaign", "testdata/smoke-campaign.json", "-merge", s0+",, "+s1+",")
+	if !bytes.Equal(unsharded, merged) {
+		t.Errorf("merge with empty entries differs from unsharded run\n--- unsharded ---\n%s\n--- merged ---\n%s",
+			unsharded, merged)
+	}
+
+	err := run([]string{"-campaign", "testdata/smoke-campaign.json", "-merge", " , "}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "no inputs") {
+		t.Errorf("-merge of only commas: got %v, want a \"no inputs\" error", err)
+	}
+}
+
 func TestCampaignShardStreamsJSONLToStdout(t *testing.T) {
 	out := runCLI(t, "-campaign", "testdata/smoke-campaign.json", "-shard", "0/4")
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")

@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"ptgsched"
+	"ptgsched/internal/cli"
 )
 
 // queryOpts carries the -query flag group from run to queryMode.
@@ -42,15 +43,7 @@ func queryMode(w io.Writer, specPath, dir string, q queryOpts) error {
 	default:
 		return fmt.Errorf("-format must be table or jsonl, not %q", q.format)
 	}
-	data, err := os.ReadFile(specPath)
-	if err != nil {
-		return err
-	}
-	spec, err := ptgsched.ParseCampaignSpec(data)
-	if err != nil {
-		return err
-	}
-	e, err := ptgsched.ExpandCampaign(spec)
+	e, err := cli.LoadCampaign(specPath)
 	if err != nil {
 		return err
 	}

@@ -52,15 +52,13 @@ import (
 	"time"
 
 	"ptgsched"
+	"ptgsched/internal/cli"
 )
 
 func main() {
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	if err := run(os.Args[1:], os.Stdout, sigCh); err != nil {
-		fmt.Fprintln(os.Stderr, "ptgserve:", err)
-		os.Exit(1)
-	}
+	cli.Main("ptgserve", func(argv []string, w io.Writer) error { return run(argv, w, sigCh) })
 }
 
 // run executes one ptgserve invocation: listen, serve until the listener
@@ -83,11 +81,7 @@ func run(argv []string, w io.Writer, sigCh <-chan os.Signal) error {
 		maxBack   = fs.Int("max-job-backlog", 0, "total points across live jobs (default: 2^21)")
 		cacheDir  = fs.String("cache", "", "content-addressed result cache directory (created if missing); campaign and job points are served from verified cache entries and published back — point a fleet's workers at one shared directory")
 	)
-	fs.SetOutput(w)
-	if err := fs.Parse(argv); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
+	if ok, err := cli.Parse(fs, argv, w); !ok {
 		return err
 	}
 

@@ -11,28 +11,16 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 
 	"ptgsched"
+	"ptgsched/internal/cli"
 )
 
-// errUsage signals a flag-parse failure the flag package already reported
-// to the output writer; main exits nonzero without printing it twice.
-var errUsage = errors.New("usage")
-
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if !errors.Is(err, errUsage) {
-			fmt.Fprintln(os.Stderr, "ptgsim:", err)
-		}
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("ptgsim", run) }
 
 // run executes one ptgsim invocation, writing its report to w. It is the
 // testable core behind main.
@@ -51,12 +39,8 @@ func run(argv []string, w io.Writer) error {
 		point        = fs.String("point", "", "campaign: the scenario point to run, by canonical name or global index")
 		list         = fs.Bool("list", false, "campaign: list the spec's cells and points instead of running")
 	)
-	fs.SetOutput(w)
-	if err := fs.Parse(argv); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // -h: usage already printed, exit 0
-		}
-		return errUsage
+	if ok, err := cli.Parse(fs, argv, w); !ok {
+		return err
 	}
 
 	if *campaignPath != "" {
@@ -126,21 +110,13 @@ func run(argv []string, w io.Writer) error {
 // reporting every strategy of the point's cell (and, for offline points,
 // validating each schedule against the invariant oracle).
 func campaignPoint(w io.Writer, specPath, pointKey string, list, gantt bool) error {
-	data, err := os.ReadFile(specPath)
-	if err != nil {
-		return err
-	}
-	spec, err := ptgsched.ParseCampaignSpec(data)
-	if err != nil {
-		return err
-	}
-	e, err := ptgsched.ExpandCampaign(spec)
+	e, err := cli.LoadCampaign(specPath)
 	if err != nil {
 		return err
 	}
 
 	if list {
-		fmt.Fprintf(w, "campaign %s: %d cells, %d points\n", spec.Name, len(e.Cells), e.NumPoints())
+		fmt.Fprintf(w, "campaign %s: %d cells, %d points\n", e.Spec.Name, len(e.Cells), e.NumPoints())
 		for _, c := range e.Cells {
 			fmt.Fprintf(w, "  cell %d: %s (%d strategies)\n", c.Index, c.Label, len(c.Config.Strategies))
 		}

@@ -9,7 +9,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -18,20 +17,10 @@ import (
 	"strings"
 
 	"ptgsched"
+	"ptgsched/internal/cli"
 )
 
-// errUsage signals a flag-parse failure the flag package already reported
-// to the output writer; main exits nonzero without printing it twice.
-var errUsage = errors.New("usage")
-
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if !errors.Is(err, errUsage) {
-			fmt.Fprintln(os.Stderr, "ptgtrace:", err)
-		}
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("ptgtrace", run) }
 
 // run executes one ptgtrace invocation, writing its report to w. It is the
 // testable core behind main.
@@ -50,12 +39,8 @@ func run(argv []string, w io.Writer) error {
 		strategyName = fs.String("strategy", "WPS-work", "strategy for replay: S, ES, PS-{cp,width,work} or WPS-{cp,width,work}")
 		mu           = fs.Float64("mu", -1, "µ for WPS strategies on replay (default: the paper's calibrated value for -family)")
 	)
-	fs.SetOutput(w)
-	if err := fs.Parse(argv); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // -h: usage already printed, exit 0
-		}
-		return errUsage
+	if ok, err := cli.Parse(fs, argv, w); !ok {
+		return err
 	}
 
 	switch strings.ToLower(*mode) {

@@ -658,9 +658,6 @@ func (c *Cache) Close() error {
 	return err
 }
 
-// Dir reports the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
 	c.mu.RLock()
@@ -728,6 +725,3 @@ func (b *Bound) Publish(p scenario.Point, r scenario.PointResult) {
 	k := KeyFor(b.e, b.digest, p)
 	b.c.put(k, entry{name: r.Name, unfairness: r.Unfairness, makespan: r.Makespan, rel: r.Rel})
 }
-
-// Cache exposes the underlying cache of a Bound (for stats and sealing).
-func (b *Bound) Cache() *Cache { return b.c }

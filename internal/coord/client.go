@@ -285,13 +285,6 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	return nil, 0
 }
 
-// Healthz fetches the worker's health snapshot (with retries).
-func (c *Client) Healthz(ctx context.Context) (service.Health, error) {
-	var h service.Health
-	err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &h)
-	return h, err
-}
-
 // Probe is a single-attempt health check — the cheap "is it back?"
 // question asked of a worker already believed dead, where the full
 // backoff loop would only slow the verdict down.

@@ -112,14 +112,6 @@ func TaskTime(v *dag.Task, speedGFlops float64, p int) float64 {
 	return AmdahlTime(SeqTime(v.SeqGFlop, speedGFlops), v.Alpha, p)
 }
 
-// Area returns the processing-power area of executing task v on p
-// processors of the given speed: execution time multiplied by the consumed
-// power p·speed, in GFlop·s/s (i.e. GFlop of capacity). SCRAP's global
-// constraint compares summed areas against the allowed power share (§4).
-func Area(v *dag.Task, speedGFlops float64, p int) float64 {
-	return TaskTime(v, speedGFlops, p) * float64(p) * speedGFlops
-}
-
 // Speedup returns the Amdahl speedup at p processors for the given serial
 // fraction.
 func Speedup(alpha float64, p int) float64 {

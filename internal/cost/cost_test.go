@@ -77,13 +77,20 @@ func TestTaskTimeMatchesPaperFormula(t *testing.T) {
 	}
 }
 
+// area is the processing-power area SCRAP's global constraint sums (§4):
+// execution time multiplied by the consumed power p·speed, as alloc.Compute
+// spells it inline.
+func area(v *dag.Task, speedGFlops float64, p int) float64 {
+	return TaskTime(v, speedGFlops, p) * float64(p) * speedGFlops
+}
+
 func TestAreaGrowsWithProcs(t *testing.T) {
 	g := dag.New("g")
 	v := g.AddTask("v", 1e6, 10, 0.2)
 	// With alpha > 0, parallel efficiency drops, so area strictly grows.
-	prev := Area(v, 3, 1)
+	prev := area(v, 3, 1)
 	for p := 2; p <= 16; p++ {
-		a := Area(v, 3, p)
+		a := area(v, 3, p)
 		if a <= prev {
 			t.Fatalf("area not increasing at p=%d: %g <= %g", p, a, prev)
 		}
@@ -94,8 +101,8 @@ func TestAreaGrowsWithProcs(t *testing.T) {
 func TestAreaConstantWhenPerfectlyParallel(t *testing.T) {
 	g := dag.New("g")
 	v := g.AddTask("v", 1e6, 10, 0)
-	a1 := Area(v, 3, 1)
-	a8 := Area(v, 3, 8)
+	a1 := area(v, 3, 1)
+	a8 := area(v, 3, 8)
 	if math.Abs(a1-a8) > 1e-9 {
 		t.Fatalf("area changed for alpha=0: %g vs %g", a1, a8)
 	}

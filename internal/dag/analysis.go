@@ -2,7 +2,6 @@ package dag
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -119,34 +118,4 @@ func (g *Graph) Reachable(src, dst *Task) bool {
 		}
 	}
 	return false
-}
-
-// WorkHistogram buckets task works into n equal-width bins between the
-// minimum and maximum task work, returning the bin counts. Useful for
-// inspecting generated workloads.
-func (g *Graph) WorkHistogram(n int) []int {
-	if n < 1 {
-		panic(fmt.Sprintf("dag: histogram with %d bins", n))
-	}
-	bins := make([]int, n)
-	if len(g.Tasks) == 0 {
-		return bins
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, t := range g.Tasks {
-		lo = math.Min(lo, t.SeqGFlop)
-		hi = math.Max(hi, t.SeqGFlop)
-	}
-	span := hi - lo
-	for _, t := range g.Tasks {
-		i := 0
-		if span > 0 {
-			i = int(float64(n) * (t.SeqGFlop - lo) / span)
-			if i >= n {
-				i = n - 1
-			}
-		}
-		bins[i]++
-	}
-	return bins
 }

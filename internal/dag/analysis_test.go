@@ -71,34 +71,6 @@ func TestReachable(t *testing.T) {
 	}
 }
 
-func TestWorkHistogram(t *testing.T) {
-	g := New("h")
-	for _, w := range []float64{1, 1, 5, 10} {
-		g.AddTask("t", 1, w, 0)
-	}
-	bins := g.WorkHistogram(3)
-	// span [1,10]: 1→bin0, 1→bin0, 5→bin1, 10→bin2.
-	if bins[0] != 2 || bins[1] != 1 || bins[2] != 1 {
-		t.Fatalf("bins = %v", bins)
-	}
-}
-
-func TestWorkHistogramDegenerate(t *testing.T) {
-	g := New("h")
-	g.AddTask("t", 1, 3, 0)
-	g.AddTask("u", 1, 3, 0)
-	bins := g.WorkHistogram(4)
-	if bins[0] != 2 {
-		t.Fatalf("identical works should land in bin 0: %v", bins)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("0-bin histogram accepted")
-		}
-	}()
-	g.WorkHistogram(0)
-}
-
 // Property: transitive reduction preserves reachability and precedence
 // levels while never adding edges.
 func TestTransitiveReductionProperty(t *testing.T) {

@@ -145,24 +145,6 @@ func (t *Task) In() []*Edge { return t.in }
 // Out returns the outgoing edges of t.
 func (t *Task) Out() []*Edge { return t.out }
 
-// Predecessors returns the direct predecessors of t.
-func (t *Task) Predecessors() []*Task {
-	ps := make([]*Task, len(t.in))
-	for i, e := range t.in {
-		ps[i] = e.From
-	}
-	return ps
-}
-
-// Successors returns the direct successors of t.
-func (t *Task) Successors() []*Task {
-	ss := make([]*Task, len(t.out))
-	for i, e := range t.out {
-		ss[i] = e.To
-	}
-	return ss
-}
-
 // Entries returns the tasks with no predecessors. The slice is cached;
 // treat it as read-only.
 func (g *Graph) Entries() []*Task {

@@ -292,20 +292,15 @@ func (sc *Scratch) schedulerFor(pf *platform.Platform, pfIdx int) *core.Schedule
 	return sc.scheds[pfIdx]
 }
 
-// RunOne executes the single campaign run identified by (point, rep,
+// RunOneWith executes the single campaign run identified by (point, rep,
 // platform) — indices into cfg.NPTGs and cfg.Platforms — on the calling
-// goroutine. Run is exactly an aggregation of RunOne over the full key
-// grid; the scenario package calls it directly to sweep spec-driven
-// expansions point by point with bit-identical results.
-func RunOne(cfg Config, point, rep, pfIdx int) Measurement {
-	return RunOneWith(cfg, point, rep, pfIdx, NewScratch())
-}
-
-// RunOneWith is RunOne on a reusable worker-owned scratch: the simulation
-// and scheduling state is recycled across calls, so a worker sweeping
-// thousands of runs allocates only what escapes into the Measurement.
-// Results are bit-identical to RunOne — the scratch changes where buffers
-// live, never what is computed.
+// goroutine, on a worker-owned scratch: the simulation and scheduling state
+// is recycled across calls, so a worker sweeping thousands of runs
+// allocates only what escapes into the Measurement. Run is exactly an
+// aggregation of RunOneWith over the full key grid; the scenario package
+// calls it directly to sweep spec-driven expansions point by point. The
+// scratch changes where buffers live, never what is computed: a run on a
+// carried scratch is bit-identical to one on NewScratch().
 func RunOneWith(cfg Config, point, rep, pfIdx int, sc *Scratch) Measurement {
 	r := rand.New(rand.NewSource(RunSeed(cfg.Seed, point, rep)))
 	n := cfg.NPTGs[point]

@@ -26,7 +26,7 @@ func TestRunOneWithMatchesRunOne(t *testing.T) {
 		for point := range cfg.NPTGs {
 			for rep := 0; rep < cfg.Reps; rep++ {
 				for pfIdx := range cfg.Platforms {
-					got, want := RunOneWith(cfg, point, rep, pfIdx, sc), RunOne(cfg, point, rep, pfIdx)
+					got, want := RunOneWith(cfg, point, rep, pfIdx, sc), RunOneWith(cfg, point, rep, pfIdx, NewScratch())
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%v point %d rep %d platform %d: on a shared scratch\n%+v\nfresh\n%+v",
 							family, point, rep, pfIdx, got, want)
@@ -67,7 +67,7 @@ func TestRunOneWithForgetsAllocationsBetweenRuns(t *testing.T) {
 				task.Alpha = 0.25 * r.Float64()
 			}
 		}
-		got, want := RunOneWith(cfg, 0, rep, 0, sc), RunOne(cfg, 0, rep, 0)
+		got, want := RunOneWith(cfg, 0, rep, 0, sc), RunOneWith(cfg, 0, rep, 0, NewScratch())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("rep %d: the shared scratch served allocations of the previous run's costs\n%+v\nfresh\n%+v", rep, got, want)
 		}

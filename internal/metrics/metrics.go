@@ -94,31 +94,3 @@ func StdDev(xs []float64) float64 {
 	}
 	return math.Sqrt(v / float64(len(xs)-1))
 }
-
-// Min returns the smallest element of xs.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("metrics: min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("metrics: max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}

@@ -37,7 +37,6 @@ type GroupAggregator struct {
 	// otherwise). filled[g] marks which slots hold a result.
 	groups [][]float64
 	filled [][]bool
-	added  int
 }
 
 // NewGroupAggregator returns an empty filtered reduction under the plan.
@@ -46,9 +45,6 @@ func NewGroupAggregator(p *Plan) *GroupAggregator {
 	n := len(e.Cells) * e.NumNPTGs()
 	return &GroupAggregator{p: p, groups: make([][]float64, n), filled: make([][]bool, n)}
 }
-
-// Added returns the number of results absorbed so far.
-func (a *GroupAggregator) Added() int { return a.added }
 
 // cols returns how many strategy columns cell ci's records carry after
 // the plan's projection.
@@ -92,7 +88,6 @@ func (a *GroupAggregator) Add(r scenario.PointResult) error {
 		return fmt.Errorf("query: duplicate result for point %d", r.Index)
 	}
 	a.filled[g][slot] = true
-	a.added++
 	buf := a.groups[g]
 	for s := 0; s < nc; s++ {
 		buf[(0*nc+s)*slots+slot] = r.Unfairness[s]

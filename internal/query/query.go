@@ -175,10 +175,6 @@ func (p *Plan) Query() Query { return p.q }
 // Expansion returns the expansion the plan was compiled against.
 func (p *Plan) Expansion() *scenario.Expansion { return p.e }
 
-// CellMatches reports whether cell ci passes the family and strategy
-// filters (range excluded — ranges cut within cells).
-func (p *Plan) CellMatches(ci int) bool { return p.cellSet[ci] }
-
 // Cells returns the matching cell indices, ascending. Callers must not
 // mutate the returned slice.
 func (p *Plan) Cells() []int { return p.cells }
@@ -216,13 +212,6 @@ func (p *Plan) OverlapsSelection(lo, hi int) bool {
 	cLo, cHi := p.e.CellOf(lo), p.e.CellOf(hi)
 	j := sort.SearchInts(p.cells, cLo)
 	return j < len(p.cells) && p.cells[j] <= cHi
-}
-
-// Covers reports whether every index of the closed interval [lo, hi]
-// falls inside the plan's From/To range — when a single-cell run is
-// covered, its records can be relayed without decoding them.
-func (p *Plan) Covers(lo, hi int) bool {
-	return lo >= p.From && hi < p.To
 }
 
 // EachRange calls fn for every maximal contiguous global-index range the
@@ -269,7 +258,7 @@ func (p *Plan) NumSelected() int {
 
 // ProjectColumn returns the projection column of cell ci, or -1 when no
 // projection is requested (or the cell lacks the label — but such cells
-// never pass CellMatches).
+// never match).
 func (p *Plan) ProjectColumn(ci int) int {
 	if p.stratCol == nil {
 		return -1

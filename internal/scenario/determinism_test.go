@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -88,7 +89,7 @@ func TestRunEachBatchWorkerAndBatchInvariance(t *testing.T) {
 					}
 					// Each promises the multiset; sorting recovers the
 					// sequence Run promises.
-					SortResults(got)
+					sort.Slice(got, func(i, j int) bool { return got[i].Index < got[j].Index })
 					if !bytes.Equal(jsonlBytes(t, got), wantJSONL) {
 						t.Fatal("emitted results differ from the 1-worker reference")
 					}

@@ -37,7 +37,7 @@ type Cell struct {
 	Policy string
 	// Config is the resolved experiment campaign this cell is a slice of:
 	// its NPTGs, Reps, Platforms, Strategies, Labels, Seed and Gen fields
-	// drive experiment.RunOne for every point of the cell.
+	// drive experiment.RunOneWith for every point of the cell.
 	Config experiment.Config
 }
 

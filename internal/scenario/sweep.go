@@ -8,14 +8,12 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"ptgsched/internal/dag"
-	"ptgsched/internal/daggen"
 	"ptgsched/internal/experiment"
 	"ptgsched/internal/metrics"
 	"ptgsched/internal/online"
@@ -63,51 +61,49 @@ func (e *Expansion) RunPoint(p Point) PointResult {
 
 func (e *Expansion) runPoint(p Point, sc *Scratch) PointResult {
 	c := e.Cells[p.Cell]
-	if c.Policy != "" {
+	if c.Online != nil || c.Policy != "" {
 		return e.runDynamicPoint(c, p)
 	}
-	if c.Online == nil {
-		var m experiment.Measurement
-		if sc != nil {
-			m = experiment.RunOneWith(c.Config, p.NIdx, p.Rep, p.Platform, sc.exp)
-		} else {
-			m = experiment.RunOne(c.Config, p.NIdx, p.Rep, p.Platform)
-		}
-		return PointResult{
-			Index: p.Index, Cell: p.Cell, Name: p.Name,
-			Unfairness: m.Unfairness, Makespan: m.Makespan, Rel: m.Rel,
-		}
+	if sc == nil {
+		sc = NewScratch()
 	}
-	return e.runOnlinePoint(c, p)
+	m := experiment.RunOneWith(c.Config, p.NIdx, p.Rep, p.Platform, sc.exp)
+	return PointResult{
+		Index: p.Index, Cell: p.Cell, Name: p.Name,
+		Unfairness: m.Unfairness, Makespan: m.Makespan, Rel: m.Rel,
+	}
 }
 
-// runDynamicPoint measures one dynamic-scenario point: the point's
-// workload (its arrival process, or a concurrent burst for offline-style
-// cells — drawn from the point seed in the same order as the static
-// paths), replayed per strategy through the online engine under the
-// point's event timeline and the cell's rescheduling policy. Cancelled
-// applications are excluded from the flow-time metrics; the relative
-// makespans are guarded, since a point whose applications are all
+// arrivalsFor draws point p's workload from its seed: the cell's arrival
+// process, or a concurrent burst for offline-style cells — the same draws,
+// in the same order, as the static path makes.
+func arrivalsFor(c *Cell, p Point) []online.Arrival {
+	spec := workload.Spec{Family: c.Family, Count: p.NPTGs, Process: workload.Burst, Gen: c.Config.Gen}
+	if c.Online != nil {
+		spec.Process, spec.Rate = c.Online.Process, c.Online.Rate
+	}
+	return workload.Generate(spec, rand.New(rand.NewSource(p.Seed)))
+}
+
+// runDynamicPoint measures every point that runs through the online
+// engine: the point's workload replayed per strategy under the point's
+// event timeline and the cell's rescheduling policy. An online cell of a
+// spec without events is the same run with a nil timeline and a nil
+// policy, which online.Schedule executes as the static online run bit for
+// bit. Cancelled applications are excluded from the flow-time metrics; the
+// relative makespans are guarded, since a point whose applications are all
 // cancelled has no positive makespan.
 func (e *Expansion) runDynamicPoint(c *Cell, p Point) PointResult {
-	process, rate := workload.Burst, 0.0
-	if c.Online != nil {
-		process, rate = c.Online.Process, c.Online.Rate
-	}
-	r := rand.New(rand.NewSource(p.Seed))
-	arrivals := workload.Generate(workload.Spec{
-		Family:  c.Family,
-		Count:   p.NPTGs,
-		Process: process,
-		Rate:    rate,
-		Gen:     c.Config.Gen,
-	}, r)
+	arrivals := arrivalsFor(c, p)
 	timeline := e.TimelineFor(p)
-	policy, err := online.PolicyByName(c.Policy)
-	if err != nil {
-		// Policies were validated at parse time; an unknown one here is an
-		// engine bug.
-		panic(fmt.Sprintf("scenario: %v", err))
+	var policy online.ReschedulePolicy
+	if c.Policy != "" {
+		var err error
+		if policy, err = online.PolicyByName(c.Policy); err != nil {
+			// Policies were validated at parse time; an unknown one here is an
+			// engine bug.
+			panic(fmt.Sprintf("scenario: %v", err))
+		}
 	}
 
 	out := PointResult{
@@ -140,7 +136,8 @@ func (e *Expansion) runDynamicPoint(c *Cell, p Point) PointResult {
 // degenerate points allowed: the best makespan is the smallest positive
 // one; with none positive (every application cancelled) all ratios are 1,
 // and a zero makespan maps to 0. All outputs are finite, keeping the JSONL
-// wire format intact.
+// wire format intact. With every makespan positive — any run without
+// cancellations — it is RelativeMakespans exactly.
 func relMakespansGuarded(mk []float64) []float64 {
 	best := math.Inf(1)
 	for _, m := range mk {
@@ -160,37 +157,6 @@ func relMakespansGuarded(mk []float64) []float64 {
 		}
 	}
 	return rel
-}
-
-// runOnlinePoint measures one dynamic-arrivals point: a workload drawn
-// from the point's seed is replayed under every strategy of the cell.
-func (e *Expansion) runOnlinePoint(c *Cell, p Point) PointResult {
-	r := rand.New(rand.NewSource(p.Seed))
-	arrivals := workload.Generate(workload.Spec{
-		Family:  c.Family,
-		Count:   p.NPTGs,
-		Process: c.Online.Process,
-		Rate:    c.Online.Rate,
-		Gen:     c.Config.Gen,
-	}, r)
-
-	out := PointResult{
-		Index: p.Index, Cell: p.Cell, Name: p.Name,
-		Unfairness: make([]float64, len(c.Config.Strategies)),
-		Makespan:   make([]float64, len(c.Config.Strategies)),
-	}
-	pf := e.Platforms[p.Platform]
-	for s, strat := range c.Config.Strategies {
-		res := online.Schedule(pf, arrivals, online.Options{Strategy: strat})
-		flows := make([]float64, len(res.Apps))
-		for i, app := range res.Apps {
-			flows[i] = app.FlowTime()
-		}
-		out.Makespan[s] = res.Makespan
-		out.Unfairness[s] = flowUnfairness(flows)
-	}
-	out.Rel = metrics.RelativeMakespans(out.Makespan)
-	return out
 }
 
 // flowUnfairness is the online analog of Eq. 5: flow times are normalized
@@ -469,13 +435,6 @@ func (e *Expansion) Aggregate(results []PointResult) ([]Table, error) {
 	return agg.Tables()
 }
 
-// SortResults orders results by point index in place (shard files may be
-// merged in any order before aggregation; Aggregate does not require it,
-// but sorted JSONL diffs cleanly).
-func SortResults(results []PointResult) {
-	sort.Slice(results, func(i, j int) bool { return results[i].Index < results[j].Index })
-}
-
 // FindPoint resolves a point by canonical name or decimal global index.
 // The name form is parsed back into its (cell, NPTGs, repetition,
 // platform) coordinates and the index computed arithmetically — O(cells),
@@ -558,32 +517,11 @@ func (e *Expansion) findPointByName(key string) (Point, bool) {
 // in depth. The graphs are fresh instances owned by the caller; the cell
 // (strategies, labels, family) is e.Cells[p.Cell].
 func (e *Expansion) Materialize(p Point) (pf *platform.Platform, graphs []*dag.Graph, releases []float64) {
-	c := e.Cells[p.Cell]
-	r := rand.New(rand.NewSource(p.Seed))
-	gen := c.Config.Gen
-	if gen == nil {
-		fam := c.Family
-		gen = func(r *rand.Rand) *dag.Graph { return daggen.Generate(fam, r) }
-	}
-	releases = make([]float64, p.NPTGs)
-	if c.Online == nil {
-		graphs = make([]*dag.Graph, p.NPTGs)
-		for i := range graphs {
-			graphs[i] = gen(r)
-		}
-	} else {
-		arrivals := workload.Generate(workload.Spec{
-			Family:  c.Family,
-			Count:   p.NPTGs,
-			Process: c.Online.Process,
-			Rate:    c.Online.Rate,
-			Gen:     c.Config.Gen,
-		}, r)
-		graphs = make([]*dag.Graph, len(arrivals))
-		for i, a := range arrivals {
-			graphs[i] = a.Graph
-			releases[i] = a.At
-		}
+	arrivals := arrivalsFor(e.Cells[p.Cell], p)
+	graphs = make([]*dag.Graph, len(arrivals))
+	releases = make([]float64, len(arrivals))
+	for i, a := range arrivals {
+		graphs[i], releases[i] = a.Graph, a.At
 	}
 	return e.Platforms[p.Platform], graphs, releases
 }

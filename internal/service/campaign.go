@@ -163,51 +163,63 @@ type campaignScenario struct {
 // goroutine, so malformed or oversized campaigns fail fast without a
 // queue slot.
 func (r CampaignRequest) resolve(lim Limits) (campaignScenario, error) {
-	var cs campaignScenario
-	if len(r.Spec) == 0 {
-		return cs, fmt.Errorf("service: campaign request needs a spec")
-	}
-	spec, err := r.resolveSpecCaps()
+	e, set, err := resolveSweep("campaign", r.Spec, r.Shard, lim.CampaignExpansion, lim.CampaignPoints)
 	if err != nil {
-		return cs, err
+		return campaignScenario{}, err
+	}
+	return campaignScenario{expansion: e, set: set, shard: r.Shard, workers: clampWorkers(r.Workers)}, nil
+}
+
+// resolveSweep is the one spec → (expansion, executed set) resolver behind
+// the synchronous campaign endpoint and the job subsystem: structural caps,
+// arithmetic cardinality, expansion, shard selection. The two differ only
+// in their caps: expansionCap bounds the whole expansion even sharded,
+// runCap the points the selected shard executes (a job passes its point
+// cap as both — its spool index is addressed by global point index).
+func resolveSweep(kind string, raw json.RawMessage, shard string, expansionCap, runCap int) (*scenario.Expansion, scenario.IndexSet, error) {
+	var none scenario.IndexSet
+	if len(raw) == 0 {
+		return nil, none, fmt.Errorf("service: %s request needs a spec", kind)
+	}
+	spec, err := resolveSpecCaps(raw)
+	if err != nil {
+		return nil, none, err
 	}
 
 	// Reject oversized sweeps arithmetically before the expansion
 	// resolves anything: the shard selector divides the executed share,
 	// so it enters the budget check, not the expansion.
-	shardN := 1
-	var shardIdx int
-	if r.Shard != "" {
-		if shardIdx, shardN, err = scenario.ParseShard(r.Shard); err != nil {
-			return cs, err
+	shardIdx, shardN := 0, 1
+	if shard != "" {
+		if shardIdx, shardN, err = scenario.ParseShard(shard); err != nil {
+			return nil, none, err
 		}
 	}
 	if _, points, err := scenario.EstimatePoints(spec); err != nil {
-		return cs, err
-	} else if points > lim.CampaignExpansion {
-		return cs, fmt.Errorf("service: campaign expands to %d points, server cap is %d even sharded (use ptgbench -campaign for larger sweeps)",
-			points, lim.CampaignExpansion)
-	} else if points > lim.CampaignPoints*shardN {
-		return cs, fmt.Errorf("service: campaign would execute ~%d points per shard, cap is %d (shard it further, or use ptgbench -campaign)",
-			points/shardN, lim.CampaignPoints)
+		return nil, none, err
+	} else if points > expansionCap {
+		return nil, none, fmt.Errorf("service: %s expands to %d points, server cap is %d even sharded (use ptgbench -campaign for larger sweeps)",
+			kind, points, expansionCap)
+	} else if points > runCap*shardN {
+		return nil, none, fmt.Errorf("service: %s would execute ~%d points per shard, cap is %d (shard it further, or use ptgbench -campaign)",
+			kind, points/shardN, runCap)
 	}
 
 	e, err := scenario.Expand(spec)
 	if err != nil {
-		return cs, err
+		return nil, none, err
 	}
 	set := e.All()
-	if r.Shard != "" {
+	if shard != "" {
 		if set, err = e.Shard(shardIdx, shardN); err != nil {
-			return cs, err
+			return nil, none, err
 		}
 	}
-	if set.Len() > lim.CampaignPoints {
-		return cs, fmt.Errorf("service: campaign executes %d points, cap is %d (shard it, or use ptgbench -campaign)",
-			set.Len(), lim.CampaignPoints)
+	if set.Len() > runCap {
+		return nil, none, fmt.Errorf("service: %s executes %d points, cap is %d (shard it, or use ptgbench -campaign)",
+			kind, set.Len(), runCap)
 	}
-	cs = campaignScenario{expansion: e, set: set, shard: r.Shard, workers: clampWorkers(r.Workers)}
-	return cs, nil
+	return e, set, nil
 }
 
 // clampWorkers applies the intra-request parallelism policy shared by the
@@ -237,7 +249,7 @@ func (s *Service) Campaign(ctx context.Context, req CampaignRequest) (*CampaignR
 }
 
 func (s *Service) campaign(ctx context.Context, cs campaignScenario) (*CampaignResponse, error) {
-	resp, err := s.submit(ctx, "campaign", func(*core.Scratch) (any, error) {
+	return submit[CampaignResponse](ctx, s, "campaign", func(*core.Scratch) (any, error) {
 		started := time.Now()
 		// Isolate: with workers > 1 the points run on the sweep pool's
 		// goroutines, outside runSafely's recover, where a panicking point
@@ -288,8 +300,4 @@ func (s *Service) campaign(ctx context.Context, cs campaignScenario) (*CampaignR
 		out.ElapsedMS = float64(time.Since(started).Microseconds()) / 1e3
 		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.(*CampaignResponse), nil
 }

@@ -39,46 +39,13 @@ import (
 // concurrent use, like the Service beneath it.
 func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/schedule", func(w http.ResponseWriter, r *http.Request) {
-		var req ScheduleRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		respond(w, s, func(ctx context.Context) (any, error) { return s.Schedule(ctx, req) }, r)
-	})
-	mux.HandleFunc("POST /v1/online", func(w http.ResponseWriter, r *http.Request) {
-		var req OnlineRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		respond(w, s, func(ctx context.Context) (any, error) { return s.Online(ctx, req) }, r)
-	})
-	mux.HandleFunc("POST /v1/workload", func(w http.ResponseWriter, r *http.Request) {
-		var req WorkloadRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		respond(w, s, func(ctx context.Context) (any, error) { return s.Workload(ctx, req) }, r)
-	})
-	mux.HandleFunc("POST /v1/campaign", func(w http.ResponseWriter, r *http.Request) {
-		var req CampaignRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		respond(w, s, func(ctx context.Context) (any, error) { return s.Campaign(ctx, req) }, r)
-	})
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req JobRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		st, err := s.SubmitJob(req)
-		if err != nil {
-			writeJobError(w, s, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, st)
-	})
+	mux.HandleFunc("POST /v1/schedule", post(s, http.StatusOK, s.Schedule))
+	mux.HandleFunc("POST /v1/online", post(s, http.StatusOK, s.Online))
+	mux.HandleFunc("POST /v1/workload", post(s, http.StatusOK, s.Workload))
+	mux.HandleFunc("POST /v1/campaign", post(s, http.StatusOK, s.Campaign))
+	mux.HandleFunc("POST /v1/jobs", post(s, http.StatusAccepted, func(_ context.Context, req JobRequest) (*JobStatus, error) {
+		return s.SubmitJob(req)
+	}))
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, struct {
 			Jobs []*JobStatus `json:"jobs"`
@@ -86,11 +53,7 @@ func Handler(s *Service) http.Handler {
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.JobStatusByID(r.PathValue("id"))
-		if err != nil {
-			writeJobError(w, s, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
+		respond(w, s, http.StatusOK, st, err)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/results", func(w http.ResponseWriter, r *http.Request) {
 		q, err := parseResultQuery(r)
@@ -102,7 +65,7 @@ func Handler(s *Service) http.Handler {
 		// Look the job up before committing to a streaming response, so
 		// an unknown id still gets a clean 404 envelope.
 		if _, err := s.JobStatusByID(id); err != nil {
-			writeJobError(w, s, err)
+			fail(w, s, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
@@ -111,7 +74,7 @@ func Handler(s *Service) http.Handler {
 			if cw.n == 0 {
 				// Validation failed before any line went out; the JSON
 				// envelope replaces the (unsent) stream.
-				writeJobError(w, s, err)
+				fail(w, s, err)
 			}
 			// A mid-stream write failure means the client went away; the
 			// response is already committed, nothing useful to add.
@@ -119,11 +82,7 @@ func Handler(s *Service) http.Handler {
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.CancelJob(r.PathValue("id"))
-		if err != nil {
-			writeJobError(w, s, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
+		respond(w, s, http.StatusOK, st, err)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
@@ -154,31 +113,6 @@ const (
 	CodeTooManyJobs      = "too_many_jobs"
 	CodeInternal         = "internal"
 )
-
-// writeJobError maps job-subsystem errors onto the JSON envelope: unknown
-// id → 404, full registry or queue → 429, validation → 400, closed → 503.
-// Throttled responses carry a Retry-After hint derived from the live queue
-// depth (Service.RetryAfterSeconds), so a backing-off client waits about
-// as long as the backlog will actually take to drain.
-func writeJobError(w http.ResponseWriter, s *Service, err error) {
-	status, code := http.StatusInternalServerError, CodeInternal
-	switch {
-	case errors.Is(err, ErrJobNotFound):
-		status, code = http.StatusNotFound, CodeNotFound
-	case errors.Is(err, ErrTooManyJobs):
-		status, code = http.StatusTooManyRequests, CodeTooManyJobs
-		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfterSeconds()))
-	case errors.Is(err, ErrQueueFull):
-		status, code = http.StatusTooManyRequests, CodeQueueFull
-		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfterSeconds()))
-	case errors.Is(err, ErrClosed):
-		status, code = http.StatusServiceUnavailable, CodeClosed
-		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfterSeconds()))
-	case errors.As(err, new(*ValidationError)):
-		status, code = http.StatusBadRequest, CodeValidation
-	}
-	writeError(w, status, code, err)
-}
 
 // countingWriter tracks whether any stream bytes were written, so the
 // results handler can tell a pre-stream validation failure (error envelope
@@ -234,33 +168,64 @@ func decode(w http.ResponseWriter, r *http.Request, req any) bool {
 	return true
 }
 
-// respond runs the request against the service and writes the outcome.
-// Throttled responses (429/503) carry a Retry-After hint derived from the
-// live queue depth — see Service.RetryAfterSeconds.
-func respond(w http.ResponseWriter, s *Service, run func(context.Context) (any, error), r *http.Request) {
-	resp, err := run(r.Context())
-	if err != nil {
-		status, code := http.StatusInternalServerError, CodeInternal
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			status, code = http.StatusTooManyRequests, CodeQueueFull
-			w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfterSeconds()))
-		case errors.Is(err, ErrClosed):
-			status, code = http.StatusServiceUnavailable, CodeClosed
-			w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfterSeconds()))
-		case errors.Is(err, context.DeadlineExceeded):
-			status, code = http.StatusGatewayTimeout, CodeTimeout
-		case errors.Is(err, context.Canceled):
-			// The client went away; the status is moot but 499-style
-			// semantics map best onto 408 here.
-			status, code = http.StatusRequestTimeout, CodeCanceled
-		case errors.As(err, new(*ValidationError)):
-			status, code = http.StatusBadRequest, CodeValidation
+// post is the route of every JSON-in, JSON-out endpoint: decode the body
+// into a Req, run it against the service, respond.
+func post[Req, Resp any](s *Service, ok int, run func(context.Context, Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !decode(w, r, &req) {
+			return
 		}
-		writeError(w, status, code, err)
+		resp, err := run(r.Context(), req)
+		respond(w, s, ok, resp, err)
+	}
+}
+
+// errorStatus is the one table from a service error to its HTTP status and
+// envelope code; throttled marks the responses (429/503) that carry a
+// Retry-After hint.
+func errorStatus(err error) (status int, code string, throttled bool) {
+	switch {
+	case errors.Is(err, ErrJobNotFound):
+		return http.StatusNotFound, CodeNotFound, false
+	case errors.Is(err, ErrTooManyJobs):
+		return http.StatusTooManyRequests, CodeTooManyJobs, true
+	case errors.Is(err, ErrQueueFull):
+		return http.StatusTooManyRequests, CodeQueueFull, true
+	case errors.Is(err, ErrClosed):
+		return http.StatusServiceUnavailable, CodeClosed, true
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, CodeTimeout, false
+	case errors.Is(err, context.Canceled):
+		// The client went away; the status is moot but 499-style
+		// semantics map best onto 408 here.
+		return http.StatusRequestTimeout, CodeCanceled, false
+	case errors.As(err, new(*ValidationError)):
+		return http.StatusBadRequest, CodeValidation, false
+	}
+	return http.StatusInternalServerError, CodeInternal, false
+}
+
+// respond writes a request's outcome: v under the ok status, or the
+// failure.
+func respond(w http.ResponseWriter, s *Service, ok int, v any, err error) {
+	if err != nil {
+		fail(w, s, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, ok, v)
+}
+
+// fail writes err as the JSON envelope under errorStatus's mapping.
+// Throttled responses carry a Retry-After hint derived from the live queue
+// depth (Service.RetryAfterSeconds), so a backing-off client waits about
+// as long as the backlog will actually take to drain.
+func fail(w http.ResponseWriter, s *Service, err error) {
+	status, code, throttled := errorStatus(err)
+	if throttled {
+		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfterSeconds()))
+	}
+	writeError(w, status, code, err)
 }
 
 // errorBody is the JSON error envelope every failing response carries:

@@ -251,19 +251,22 @@ func (h *jobHandle) status() *JobStatus {
 	return st
 }
 
+// terminalState reports whether state is one a job never leaves.
+func terminalState(state string) bool {
+	return state == JobDone || state == JobFailed || state == JobCanceled
+}
+
 // setState transitions the handle; terminal states close done exactly once.
 func (h *jobHandle) setState(state string, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	switch h.state {
-	case JobDone, JobFailed, JobCanceled:
-		return // already terminal
+	if terminalState(h.state) {
+		return
 	}
 	h.state = state
-	switch state {
-	case JobRunning:
+	if state == JobRunning {
 		h.started = time.Now()
-	case JobDone, JobFailed, JobCanceled:
+	} else if terminalState(state) {
 		h.err = err
 		h.finished = time.Now()
 		if h.started.IsZero() {
@@ -277,7 +280,7 @@ func (h *jobHandle) setState(state string, err error) {
 func (h *jobHandle) terminal() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.state == JobDone || h.state == JobFailed || h.state == JobCanceled
+	return terminalState(h.state)
 }
 
 // jobRegistry owns the service's job handles.
@@ -360,64 +363,21 @@ func (reg *jobRegistry) list() []*jobHandle {
 	return hs
 }
 
-// cancelAll cancels every job's context (used by Close).
-func (reg *jobRegistry) cancelAll() {
-	for _, h := range reg.list() {
-		h.cancel()
-	}
-}
-
-// releaseAll drops every job's result spool (used by Close, after the
-// workers drained).
-func (reg *jobRegistry) releaseAll() {
-	for _, h := range reg.list() {
-		h.release()
-	}
-}
-
-// resolveJob validates a job request against the campaign caps (minus the
+// resolve validates a job request against the campaign caps (minus the
 // synchronous per-request point cap: jobs are bounded by
-// Limits.JobPoints).
+// Limits.JobPoints, which applies to the whole expansion even for a
+// sharded job — the handle's per-point arrays are sized by the expansion).
 func (r JobRequest) resolve(lim Limits) (*scenario.Expansion, scenario.IndexSet, int, int, error) {
-	var none scenario.IndexSet
-	if len(r.Spec) == 0 {
-		return nil, none, 0, 0, fmt.Errorf("service: job request needs a spec")
-	}
-	// Reuse the campaign request's structural caps (strategies, platform
-	// sizes) without a shard selector.
-	spec, err := (CampaignRequest{Spec: r.Spec}).resolveSpecCaps()
+	e, set, err := resolveSweep("job", r.Spec, r.Shard, lim.JobPoints, lim.JobPoints)
 	if err != nil {
-		return nil, none, 0, 0, err
-	}
-	// The point cap applies to the whole expansion even for a sharded job:
-	// the result spool index is addressed by global point index, so the
-	// handle's per-point arrays are sized by the expansion.
-	if _, points, err := scenario.EstimatePoints(spec); err != nil {
-		return nil, none, 0, 0, err
-	} else if points > lim.JobPoints {
-		return nil, none, 0, 0, fmt.Errorf("service: job expands to %d points, cap is %d (use ptgbench -campaign -store for larger sweeps)",
-			points, lim.JobPoints)
-	}
-	e, err := scenario.Expand(spec)
-	if err != nil {
-		return nil, none, 0, 0, err
-	}
-	set := e.All()
-	if r.Shard != "" {
-		idx, n, err := scenario.ParseShard(r.Shard)
-		if err != nil {
-			return nil, none, 0, 0, err
-		}
-		if set, err = e.Shard(idx, n); err != nil {
-			return nil, none, 0, 0, err
-		}
+		return nil, set, 0, 0, err
 	}
 	shards := r.Shards
 	if shards == 0 {
 		shards = 1
 	}
 	if shards < 1 || shards > MaxJobShards || shards > set.Len() {
-		return nil, none, 0, 0, fmt.Errorf("service: %d shards for %d points (cap %d)", shards, set.Len(), MaxJobShards)
+		return nil, scenario.IndexSet{}, 0, 0, fmt.Errorf("service: %d shards for %d points (cap %d)", shards, set.Len(), MaxJobShards)
 	}
 	return e, set, shards, clampWorkers(r.Workers), nil
 }
@@ -488,22 +448,9 @@ func (s *Service) enqueueJob(h *jobHandle) error {
 		return nil, s.runJob(h)
 	}, done: make(chan outcome, 1)}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.stats.rejected.Add(1)
-		return ErrClosed
+	if err := s.admit(pj); err != nil {
+		return err
 	}
-	select {
-	case s.queue <- pj:
-		s.mu.Unlock()
-		s.stats.accepted.Add(1)
-	default:
-		s.mu.Unlock()
-		s.stats.rejected.Add(1)
-		return ErrQueueFull
-	}
-
 	go func() {
 		out := <-pj.done
 		switch {
@@ -699,11 +646,11 @@ func (s *Service) JobResults(id string, q ResultQuery, w io.Writer) error {
 	})
 }
 
-// resolveSpecCaps applies the campaign request's structural caps (NPTGs,
-// strategy count, platform sizes) to the spec; shared by the synchronous
-// campaign endpoint and the job subsystem.
-func (r CampaignRequest) resolveSpecCaps() (*scenario.Spec, error) {
-	spec, err := scenario.ParseSpec(r.Spec)
+// resolveSpecCaps parses the spec and applies the structural caps (NPTGs,
+// strategy count, platform sizes, event budget) the synchronous campaign
+// endpoint and the job subsystem share.
+func resolveSpecCaps(raw json.RawMessage) (*scenario.Spec, error) {
+	spec, err := scenario.ParseSpec(raw)
 	if err != nil {
 		return nil, err
 	}

@@ -157,8 +157,8 @@ type job struct {
 func (j *job) settle() bool { return j.settled.CompareAndSwap(false, true) }
 
 type outcome struct {
-	resp any
-	err  error
+	value any // the *T the request's run returned
+	err   error
 }
 
 // New starts a service with opts defaults applied.
@@ -204,7 +204,9 @@ func (s *Service) CloseGrace(grace time.Duration) int {
 		close(s.queue)
 		// A running campaign job would otherwise hold its worker until the
 		// sweep finishes; cancel them all so the drain completes promptly.
-		s.jobs.cancelAll()
+		for _, h := range s.jobs.list() {
+			h.cancel()
+		}
 	}
 	s.mu.Unlock()
 
@@ -213,27 +215,26 @@ func (s *Service) CloseGrace(grace time.Duration) int {
 		s.wg.Wait()
 		close(drained)
 	}()
+	var timeout <-chan time.Time // nil, which never fires, without a grace
 	if grace > 0 {
+		timeout = time.After(grace)
+	}
+	select {
+	case <-drained:
+	case <-timeout:
 		select {
-		case <-drained:
-		case <-time.After(grace):
-			select {
-			case <-drained: // drained at the wire: fall through, clean
-			default:
-				// Workers still running: report how many, leave their
-				// spools alone (a worker may hold the spool mutex
-				// mid-append; the process is exiting anyway).
-				if n := int(s.stats.inFlight.Load()); n > 0 {
-					return n
-				}
-				return 1
-			}
+		case <-drained: // drained at the wire: fall through, clean
+		default:
+			// Workers still running: report how many, leave their spools
+			// alone (a worker may hold the spool mutex mid-append; the
+			// process is exiting anyway).
+			return max(1, int(s.stats.inFlight.Load()))
 		}
-	} else {
-		<-drained
 	}
 	// Jobs are not queryable after Close; drop every result spool.
-	s.jobs.releaseAll()
+	for _, h := range s.jobs.list() {
+		h.release()
+	}
 	return 0
 }
 
@@ -274,7 +275,7 @@ func (s *Service) worker() {
 				s.stats.failed.Add(1)
 			}
 		}
-		j.done <- outcome{resp: resp, err: err}
+		j.done <- outcome{value: resp, err: err}
 	}
 }
 
@@ -291,31 +292,38 @@ func runSafely(run func(*core.Scratch) (any, error), sc *core.Scratch) (resp any
 	return run(sc)
 }
 
-// submit enqueues a validated request and waits for its outcome or the
-// context. Requests abandoned at a timeout keep their queue slot until a
-// worker pops and discards them.
-func (s *Service) submit(ctx context.Context, kind string, run func(*core.Scratch) (any, error)) (any, error) {
+// admit is the one door onto the queue: it refuses a closed service or a
+// full queue without blocking, and counts the job as accepted or rejected.
+func (s *Service) admit(j *job) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		s.stats.rejected.Add(1)
+		return ErrClosed
+	}
+	select {
+	case s.queue <- j:
+		s.stats.accepted.Add(1)
+		return nil
+	default:
+		s.stats.rejected.Add(1)
+		return ErrQueueFull
+	}
+}
+
+// submit is the synchronous request path — admit, run on a worker, hand
+// the response back — for a validated request whose run returns a *T. It
+// waits for the outcome or the context. Requests abandoned at a timeout
+// keep their queue slot until a worker pops and discards them.
+func submit[T any](ctx context.Context, s *Service, kind string, run func(*core.Scratch) (any, error)) (*T, error) {
 	if !s.opts.NoTimeout {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
 		defer cancel()
 	}
 	j := &job{ctx: ctx, kind: kind, enqueued: time.Now(), run: run, done: make(chan outcome, 1)}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.stats.rejected.Add(1)
-		return nil, ErrClosed
-	}
-	select {
-	case s.queue <- j:
-		s.mu.Unlock()
-		s.stats.accepted.Add(1)
-	default:
-		s.mu.Unlock()
-		s.stats.rejected.Add(1)
-		return nil, ErrQueueFull
+	if err := s.admit(j); err != nil {
+		return nil, err
 	}
 
 	select {
@@ -331,7 +339,10 @@ func (s *Service) submit(ctx context.Context, kind string, run func(*core.Scratc
 			}
 			return nil, err
 		}
-		return out.resp, out.err
+		if out.err != nil {
+			return nil, out.err
+		}
+		return out.value.(*T), nil
 	case <-ctx.Done():
 		if j.settle() {
 			s.stats.expired.Add(1)
@@ -401,44 +412,55 @@ type scheduleScenario struct {
 	opts   mapping.Options
 }
 
+// orDefault returns name, or def for the empty string.
+func orDefault(name, def string) string {
+	if name == "" {
+		return def
+	}
+	return name
+}
+
+// resolveStrategy resolves a request's strategy name (default WPS-work)
+// and optional µ override against the batch's family.
+func resolveStrategy(name string, mu *float64, fam daggen.Family) (strategy.Strategy, error) {
+	m := -1.0
+	if mu != nil {
+		m = *mu
+	}
+	return strategy.ByName(orDefault(name, "WPS-work"), m, fam)
+}
+
+// resolveCount applies the batch-size default (4) and the cap every
+// endpoint shares, MaxCampaignNPTGs.
+func resolveCount(count int) (int, error) {
+	if count == 0 {
+		count = 4
+	}
+	if count < 1 || count > MaxCampaignNPTGs {
+		return 0, fmt.Errorf("service: count %d outside [1,%d]", count, MaxCampaignNPTGs)
+	}
+	return count, nil
+}
+
 // resolve validates the request and resolves names; it runs on the caller's
 // goroutine so malformed requests fail fast without a queue slot.
 func (r ScheduleRequest) resolve() (scheduleScenario, error) {
 	var sc scheduleScenario
-	name := r.Platform
-	if name == "" {
-		name = "rennes"
-	}
-	pf, err := platform.ByName(name)
+	pf, err := platform.ByName(orDefault(r.Platform, "rennes"))
 	if err != nil {
 		return sc, err
 	}
-	famName := r.Family
-	if famName == "" {
-		famName = "random"
-	}
-	fam, err := daggen.FamilyByName(famName)
+	fam, err := daggen.FamilyByName(orDefault(r.Family, "random"))
 	if err != nil {
 		return sc, err
 	}
-	stratName := r.Strategy
-	if stratName == "" {
-		stratName = "WPS-work"
-	}
-	mu := -1.0
-	if r.Mu != nil {
-		mu = *r.Mu
-	}
-	strat, err := strategy.ByName(stratName, mu, fam)
+	strat, err := resolveStrategy(r.Strategy, r.Mu, fam)
 	if err != nil {
 		return sc, err
 	}
-	count := r.Count
-	if count == 0 {
-		count = 4
-	}
-	if count < 1 || count > 64 {
-		return sc, fmt.Errorf("service: count %d outside [1,64]", count)
+	count, err := resolveCount(r.Count)
+	if err != nil {
+		return sc, err
 	}
 	var opts mapping.Options
 	switch r.Ordering {
@@ -449,8 +471,7 @@ func (r ScheduleRequest) resolve() (scheduleScenario, error) {
 		return sc, fmt.Errorf("service: unknown ordering %q (want ready or global)", r.Ordering)
 	}
 	opts.NoPacking = r.NoPacking
-	sc = scheduleScenario{pf: pf, family: fam, strat: strat, count: count, opts: opts}
-	return sc, nil
+	return scheduleScenario{pf: pf, family: fam, strat: strat, count: count, opts: opts}, nil
 }
 
 // Schedule runs one offline batch-scheduling request through the worker
@@ -460,7 +481,7 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	resp, err := s.submit(ctx, "schedule", func(scratch *core.Scratch) (any, error) {
+	return submit[ScheduleResponse](ctx, s, "schedule", func(scratch *core.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		graphs := make([]*dag.Graph, sc.count)
@@ -499,10 +520,6 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 		out.ElapsedMS = float64(time.Since(started).Microseconds()) / 1e3
 		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.(*ScheduleResponse), nil
 }
 
 // OnlineRequest describes one online (dynamic-arrivals) scheduling request:
@@ -547,7 +564,7 @@ func (s *Service) Online(ctx context.Context, req OnlineRequest) (*OnlineRespons
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	resp, err := s.submit(ctx, "online", func(*core.Scratch) (any, error) {
+	return submit[OnlineResponse](ctx, s, "online", func(*core.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		arrivals := workload.Generate(spec, r)
@@ -573,10 +590,6 @@ func (s *Service) Online(ctx context.Context, req OnlineRequest) (*OnlineRespons
 		out.ElapsedMS = float64(time.Since(started).Microseconds()) / 1e3
 		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.(*OnlineResponse), nil
 }
 
 // resolveSpec validates the workload fields shared by the online and
@@ -584,25 +597,16 @@ func (s *Service) Online(ctx context.Context, req OnlineRequest) (*OnlineRespons
 // (random family, poisson at 0.25/s, 4 applications).
 func resolveSpec(family string, count int, process string, rate float64) (workload.Spec, error) {
 	var spec workload.Spec
-	if family == "" {
-		family = "random"
-	}
-	fam, err := daggen.FamilyByName(family)
+	fam, err := daggen.FamilyByName(orDefault(family, "random"))
 	if err != nil {
 		return spec, err
 	}
-	if process == "" {
-		process = "poisson"
-	}
-	proc, err := workload.ProcessByName(process)
+	proc, err := workload.ProcessByName(orDefault(process, "poisson"))
 	if err != nil {
 		return spec, err
 	}
-	if count == 0 {
-		count = 4
-	}
-	if count < 1 || count > 64 {
-		return spec, fmt.Errorf("service: count %d outside [1,64]", count)
+	if count, err = resolveCount(count); err != nil {
+		return spec, err
 	}
 	if rate == 0 {
 		rate = 0.25
@@ -614,32 +618,15 @@ func resolveSpec(family string, count int, process string, rate float64) (worklo
 }
 
 // resolve validates an OnlineRequest.
-func (r OnlineRequest) resolve() (workload.Spec, *platform.Platform, strategy.Strategy, error) {
-	spec, err := resolveSpec(r.Family, r.Count, r.Process, r.Rate)
-	if err != nil {
-		return spec, nil, strategy.Strategy{}, err
+func (r OnlineRequest) resolve() (spec workload.Spec, pf *platform.Platform, strat strategy.Strategy, err error) {
+	if spec, err = resolveSpec(r.Family, r.Count, r.Process, r.Rate); err != nil {
+		return
 	}
-	name := r.Platform
-	if name == "" {
-		name = "rennes"
+	if pf, err = platform.ByName(orDefault(r.Platform, "rennes")); err != nil {
+		return
 	}
-	pf, err := platform.ByName(name)
-	if err != nil {
-		return spec, nil, strategy.Strategy{}, err
-	}
-	stratName := r.Strategy
-	if stratName == "" {
-		stratName = "WPS-work"
-	}
-	mu := -1.0
-	if r.Mu != nil {
-		mu = *r.Mu
-	}
-	strat, err := strategy.ByName(stratName, mu, spec.Family)
-	if err != nil {
-		return spec, nil, strategy.Strategy{}, err
-	}
-	return spec, pf, strat, nil
+	strat, err = resolveStrategy(r.Strategy, r.Mu, spec.Family)
+	return
 }
 
 // WorkloadRequest describes one workload-generation request: draw a
@@ -679,7 +666,7 @@ func (s *Service) Workload(ctx context.Context, req WorkloadRequest) (*WorkloadR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	resp, err := s.submit(ctx, "workload", func(*core.Scratch) (any, error) {
+	return submit[WorkloadResponse](ctx, s, "workload", func(*core.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		arrivals := workload.Generate(spec, r)
@@ -702,10 +689,6 @@ func (s *Service) Workload(ctx context.Context, req WorkloadRequest) (*WorkloadR
 		out.ElapsedMS = float64(time.Since(started).Microseconds()) / 1e3
 		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.(*WorkloadResponse), nil
 }
 
 // counters is the service's internal atomic instrumentation.
@@ -721,29 +704,21 @@ type counters struct {
 	busyNanos      atomic.Int64
 	queueWaitNanos atomic.Int64
 
-	schedule atomic.Uint64
-	online   atomic.Uint64
-	workload atomic.Uint64
-	campaign atomic.Uint64
-	jobRuns  atomic.Uint64
+	// completedBy counts completions per request kind, indexed like kinds.
+	completedBy [len(kinds)]atomic.Uint64
 }
+
+// kinds lists the request kinds, the keys of Stats.CompletedByKind.
+var kinds = [...]string{"schedule", "online", "workload", "campaign", "job"}
 
 // byKind maps a request kind to its completion counter.
 func (c *counters) byKind(kind string) *atomic.Uint64 {
-	switch kind {
-	case "schedule":
-		return &c.schedule
-	case "online":
-		return &c.online
-	case "workload":
-		return &c.workload
-	case "campaign":
-		return &c.campaign
-	case "job":
-		return &c.jobRuns
-	default:
-		panic(fmt.Sprintf("service: unknown request kind %q", kind))
+	for i, k := range kinds {
+		if k == kind {
+			return &c.completedBy[i]
+		}
 	}
+	panic(fmt.Sprintf("service: unknown request kind %q", kind))
 }
 
 // Stats is a point-in-time snapshot of the service's instrumentation, the
@@ -792,25 +767,22 @@ type Stats struct {
 // consistent only up to in-flight increments — fine for monitoring.
 func (s *Service) Stats() Stats {
 	st := Stats{
-		Workers:    s.opts.Workers,
-		QueueDepth: s.opts.QueueDepth,
-		Accepted:   s.stats.accepted.Load(),
-		Rejected:   s.stats.rejected.Load(),
-		Invalid:    s.stats.invalid.Load(),
-		Completed:  s.stats.completed.Load(),
-		Failed:     s.stats.failed.Load(),
-		Expired:    s.stats.expired.Load(),
-		InFlight:   s.stats.inFlight.Load(),
-		Queued:     len(s.queue),
-		CompletedByKind: map[string]uint64{
-			"schedule": s.stats.schedule.Load(),
-			"online":   s.stats.online.Load(),
-			"workload": s.stats.workload.Load(),
-			"campaign": s.stats.campaign.Load(),
-			"job":      s.stats.jobRuns.Load(),
-		},
-		BusySeconds:   float64(s.stats.busyNanos.Load()) / 1e9,
-		UptimeSeconds: time.Since(s.start).Seconds(),
+		Workers:         s.opts.Workers,
+		QueueDepth:      s.opts.QueueDepth,
+		Accepted:        s.stats.accepted.Load(),
+		Rejected:        s.stats.rejected.Load(),
+		Invalid:         s.stats.invalid.Load(),
+		Completed:       s.stats.completed.Load(),
+		Failed:          s.stats.failed.Load(),
+		Expired:         s.stats.expired.Load(),
+		InFlight:        s.stats.inFlight.Load(),
+		Queued:          len(s.queue),
+		CompletedByKind: make(map[string]uint64, len(kinds)),
+		BusySeconds:     float64(s.stats.busyNanos.Load()) / 1e9,
+		UptimeSeconds:   time.Since(s.start).Seconds(),
+	}
+	for _, k := range kinds {
+		st.CompletedByKind[k] = s.stats.byKind(k).Load()
 	}
 	if ran := st.Completed + st.Failed; ran > 0 {
 		st.MeanLatencyMS = float64(s.stats.busyNanos.Load()) / 1e6 / float64(ran)

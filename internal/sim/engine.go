@@ -177,12 +177,6 @@ type Event struct {
 	index     int // position in the queue; -1 once popped
 }
 
-// Time returns the virtual time at which the event fires.
-func (ev *Event) Time() float64 { return ev.time }
-
-// Label returns the human-readable label given at scheduling time.
-func (ev *Event) Label() string { return ev.label }
-
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (ev *Event) Cancel() { ev.cancelled = true }

@@ -51,15 +51,6 @@ func NewTestFlow(route []*Link, remaining float64) *Flow {
 	return &Flow{route: route, remaining: remaining}
 }
 
-// Remaining returns the bytes still to be transferred (excluding latency).
-func (f *Flow) Remaining() float64 { return f.remaining }
-
-// Rate returns the flow's current transfer rate in bytes/s: while the flow
-// is transferring, the bounded max-min fair rate its route class was given
-// at the last reshare (every flow on the same route has the same rate); 0
-// before the route latency has elapsed and after completion.
-func (f *Flow) Rate() float64 { return f.rate }
-
 // Done reports whether the flow has completed.
 func (f *Flow) Done() bool { return f.done }
 

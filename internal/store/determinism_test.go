@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"ptgsched/internal/scenario"
@@ -29,10 +30,7 @@ func TestSweepWorkerInvariance(t *testing.T) {
 		if ran, skipped, err := s.Sweep(e.All(), workers); err != nil || ran != e.NumPoints() || skipped != 0 {
 			t.Fatalf("Sweep = (%d, %d, %v), want (%d, 0, nil)", ran, skipped, err, e.NumPoints())
 		}
-		results, err := s.Results() // sorted by point index
-		if err != nil {
-			t.Fatal(err)
-		}
+		results := sortedResults(t, s)
 		var buf bytes.Buffer
 		if err := scenario.WriteJSONL(&buf, results); err != nil {
 			t.Fatal(err)
@@ -48,4 +46,19 @@ func TestSweepWorkerInvariance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sortedResults streams the store's completed results through Each and
+// returns them in global point order.
+func sortedResults(t *testing.T, s *Store) []scenario.PointResult {
+	t.Helper()
+	var out []scenario.PointResult
+	if err := s.Each(func(r scenario.PointResult) error {
+		out = append(out, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
+	return out
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"ptgsched/internal/query"
 	"ptgsched/internal/scenario"
@@ -543,9 +542,4 @@ func (s *Store) checkPlan(p *query.Plan) error {
 		return fmt.Errorf("store: plan compiled for campaign digest %.12s, store holds %.12s", got, s.man.SpecDigest)
 	}
 	return nil
-}
-
-// sortRunsCheck is referenced by tests asserting run ordering invariants.
-func sortRunsCheck(runs []run) bool {
-	return sort.SliceIsSorted(runs, func(i, j int) bool { return runs[i].off < runs[j].off })
 }

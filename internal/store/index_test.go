@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"ptgsched/internal/query"
@@ -131,7 +132,7 @@ func TestSidecarRoundTripAndOpenReadFastPath(t *testing.T) {
 		t.Fatalf("clean close, yet OpenRead rebuilt %d segments", n)
 	}
 	for _, seg := range r.segs {
-		if len(seg.idx.runs) == 0 || !sortRunsCheck(seg.idx.runs) {
+		if len(seg.idx.runs) == 0 || !sort.SliceIsSorted(seg.idx.runs, func(i, j int) bool { return seg.idx.runs[i].off < seg.idx.runs[j].off }) {
 			t.Fatalf("segment index empty or out of order: %+v", seg.idx.runs)
 		}
 	}

@@ -67,10 +67,7 @@ func TestSweepConsultsMemo(t *testing.T) {
 	if hits != e.NumPoints() {
 		t.Fatalf("memo hits=%d, want %d (every sweep point served warm)", hits, e.NumPoints())
 	}
-	got, err := s.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := sortedResults(t, s)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("memo-fed store holds results differing from a plain run")
 	}

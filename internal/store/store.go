@@ -49,7 +49,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -451,9 +450,6 @@ func (s *Store) validate(r scenario.PointResult, seg int) error {
 // Manifest returns the store's manifest.
 func (s *Store) Manifest() Manifest { return s.man }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Append durably records one point result: the JSONL line is written with a
 // single write call to the point's O_APPEND segment, so a crash tears at
 // most the final line (which Open truncates away). Appending a point that
@@ -595,22 +591,6 @@ func (s *Store) Each(fn func(scenario.PointResult) error) error {
 		}
 	}
 	return nil
-}
-
-// Results re-reads the store's completed results into a slice in global
-// point order — the materialized convenience over Each for small sweeps
-// and tests; multi-million-point stores stream through Each or Aggregate
-// instead.
-func (s *Store) Results() ([]scenario.PointResult, error) {
-	var out []scenario.PointResult
-	if err := s.Each(func(r scenario.PointResult) error {
-		out = append(out, r)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out, nil
 }
 
 // Aggregate reduces a complete store into per-cell summary tables by
