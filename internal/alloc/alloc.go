@@ -22,7 +22,8 @@
 //
 // Concurrency: the package is stateless, but Compute works in the level
 // tracker and cached analyses of the dag.Graph it is given, so concurrent
-// calls are safe only on distinct graphs.
+// calls are safe only on distinct graphs. A Traces store belongs to one
+// goroutine.
 package alloc
 
 import (
@@ -171,7 +172,18 @@ func (a *Allocation) Respected(proc Procedure) bool { return !a.violates(proc) }
 // the full recomputation would use, in the same summation order, so the
 // result is bit-identical to recomputing everything at every step (the
 // oracle in oracle_test.go).
+//
+// Compute is that loop on an empty trace in a store it throws away; callers
+// that allocate one graph again and again keep a Traces store.
 func Compute(g *dag.Graph, ref platform.Reference, beta float64, proc Procedure) *Allocation {
+	var s Traces
+	// No limit exceeds +Inf, so nothing is recorded either.
+	return s.grow(g, ref, beta, proc, &trace{limit: math.Inf(1)})
+}
+
+// grow is the growth loop, started from what tr holds of an earlier run on
+// the same (graph, reference, procedure) — see trace.
+func (s *Traces) grow(g *dag.Graph, ref platform.Reference, beta float64, proc Procedure, tr *trace) *Allocation {
 	if beta <= 0 || beta > 1 {
 		panic(fmt.Sprintf("alloc: beta %g outside (0,1]", beta))
 	}
@@ -197,13 +209,31 @@ func Compute(g *dag.Graph, ref platform.Reference, beta float64, proc Procedure)
 			if a.levelPower(set) > limit {
 				// A level is over budget at one processor per task, and
 				// growing never lowers a level's power: every step would
-				// be rejected.
+				// be rejected. The loop below tests the grown level only,
+				// so this run has no steps to compare or to keep: the
+				// trace stays as it is.
 				return a
 			}
 		}
 	}
 
-	lv := g.Levels(func(t *dag.Task) float64 { return cost.TaskTime(t, ref.Speed, 1) })
+	// The steps this run decides like the traced one are not grown again:
+	// the accepted ones give the allocation the loop starts from, the
+	// rejected ones (below, once gains exist) the tasks it may not pick.
+	replayed := tr.shared(limit)
+	s.Replayed += replayed
+	for i, id := range tr.task[:replayed] {
+		if !(tr.q[i] > limit) {
+			a.Procs[id]++
+		}
+	}
+	// The steps grown from here on replace the rest of the trace when this
+	// run's limit is the largest the trace has seen; they are collected in
+	// the store's buffer until the run ends.
+	record, rec := limit > tr.limit, &s.rec
+	rec.task, rec.q = rec.task[:0], rec.q[:0]
+
+	lv := g.Levels(a.TimeOf)
 	// next[id] is task id's time with one more processor, gain[id] the
 	// time that processor saves; a task that may not grow any more — at
 	// the platform size, or its last tentative growth broke the constraint
@@ -220,6 +250,11 @@ func Compute(g *dag.Graph, ref platform.Reference, beta float64, proc Procedure)
 	for id := range gain {
 		widen(id)
 	}
+	for i, id := range tr.task[:replayed] {
+		if tr.q[i] > limit {
+			gain[id] = 0
+		}
+	}
 
 	for {
 		// The critical-path task that benefits most from one more
@@ -233,15 +268,22 @@ func Compute(g *dag.Graph, ref platform.Reference, beta float64, proc Procedure)
 		if best < 0 {
 			// No critical-path task can grow: either all saturated or no
 			// task gains from one more processor (alpha = 1).
+			if record {
+				tr.limit = limit
+				tr.task = append(tr.task[:replayed], rec.task...)
+				tr.q = append(tr.q[:replayed], rec.q...)
+			}
 			return a
 		}
+		s.Grown++
 		a.Procs[best]++
-		var violates bool
+		// q is what the step's test compares with the limit; where there
+		// is nothing to test it stays below every limit.
+		q := math.Inf(-1)
 		switch proc {
 		case SCRAPMAX:
 			// Only the grown task's level moved.
-			violates = a.levelPower(sets[levelOf[best]]) > limit
-			if !violates {
+			if q = a.levelPower(sets[levelOf[best]]); !(q > limit) {
 				lv.Set(best, next[best])
 			}
 		case SCRAP:
@@ -252,13 +294,16 @@ func Compute(g *dag.Graph, ref platform.Reference, beta float64, proc Procedure)
 				for id, p := range a.Procs {
 					area += lv.Time(id) * (float64(p) * ref.Speed)
 				}
-				violates = area/cp > limit
+				q = area / cp
 			}
-			if violates {
+			if q > limit {
 				lv.Revert()
 			}
 		}
-		if violates {
+		if record {
+			rec.task, rec.q = append(rec.task, int32(best)), append(rec.q, q)
+		}
+		if q > limit {
 			a.Procs[best]--
 			gain[best] = 0
 			continue

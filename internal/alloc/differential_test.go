@@ -193,18 +193,39 @@ func fuzzGraph(r *rand.Rand) *dag.Graph {
 }
 
 // FuzzComputeMatchesOracle draws a graph, a reference cluster and a β from
-// the fuzzed seed and requires both procedures to reproduce the oracle.
+// the fuzzed seed and requires both procedures to reproduce the oracle;
+// then the fuzzer's bytes choose a β sequence — two bytes a β, a zero byte
+// repeating the previous one — that both procedures walk through one trace
+// each, the oracle's allocation required after every call.
 func FuzzComputeMatchesOracle(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
-		f.Add(seed, uint16(seed*4099), uint8(seed*37))
+		seq := make([]byte, 2*(seed%7))
+		rand.New(rand.NewSource(seed)).Read(seq)
+		f.Add(seed, uint16(seed*4099), uint8(seed*37), seq)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, betaRaw uint16, procsRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, betaRaw uint16, procsRaw uint8, seq []byte) {
 		r := rand.New(rand.NewSource(seed))
 		g := fuzzGraph(r)
-		beta := (float64(betaRaw) + 1) / (math.MaxUint16 + 1) // (0, 1]
+		share := func(raw uint16) float64 { return (float64(raw) + 1) / (math.MaxUint16 + 1) } // (0, 1]
+		beta := share(betaRaw)
 		rf := ref(1+int(procsRaw), 0.5+4*r.Float64())
 		for _, proc := range procedures {
 			assertMatchesOracle(t, fmt.Sprintf("seed %d", seed), g, rf, beta, proc)
+		}
+
+		betas := []float64{beta}
+		for len(seq) > 0 && len(betas) < 12 {
+			if seq[0] == 0 || len(seq) == 1 {
+				betas, seq = append(betas, betas[len(betas)-1]), seq[1:]
+				continue
+			}
+			betas, seq = append(betas, share(uint16(seq[0])<<8|uint16(seq[1]))), seq[2:]
+		}
+		for _, proc := range procedures {
+			o := &tracedOracle{t: t}
+			for i, beta := range betas {
+				o.compute(fmt.Sprintf("seed %d, call %d of %v", seed, i, betas), g, rf, beta, proc)
+			}
 		}
 	})
 }

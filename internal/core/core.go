@@ -79,18 +79,21 @@ func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Resu
 // of graphs scheduled several times — alone for M_own, then under each
 // strategy — computes each distinct (graph, reference cluster, β,
 // procedure) once: the β = 1 dedicated run is the selfish strategy's
-// allocation, and strategies often resolve a graph to the same β. Callers
-// moving on to other graphs call ForgetAllocations; graphs' task costs
-// must not be edited while their allocations are remembered (appending
-// tasks or edges is detected). Release ends a scratch's use for one piece
-// of work altogether.
+// allocation, and strategies often resolve a graph to the same β. What it
+// does compute goes through a store of allocation traces (alloc.Traces), so
+// a graph's run under one β starts from the growth steps its runs under
+// other β already made. Callers moving on to other graphs call
+// ForgetAllocations; graphs' task costs must not be edited while their
+// allocations and traces are remembered (appending tasks or edges is
+// detected). Release ends a scratch's use for one piece of work altogether.
 type Scratch struct {
-	exec  *simexec.Scratch
-	apps  []*alloc.Allocation
-	alone [1]*dag.Graph
-	slow  []float64
-	res   Result
-	memo  []remembered
+	exec   *simexec.Scratch
+	apps   []*alloc.Allocation
+	alone  [1]*dag.Graph
+	slow   []float64
+	res    Result
+	memo   []remembered
+	traces alloc.Traces
 }
 
 // remembered is one allocation with what identifies its computation beyond
@@ -107,18 +110,20 @@ func NewScratch() *Scratch {
 	return &Scratch{exec: simexec.NewScratch()}
 }
 
-// ForgetAllocations drops the remembered allocations, releasing their
-// graphs. Call it between batches of different graphs.
+// ForgetAllocations drops the remembered allocations and their traces,
+// releasing their graphs. Call it between batches of different graphs.
 func (sc *Scratch) ForgetAllocations() {
 	clear(sc.memo)
 	sc.memo = sc.memo[:0]
+	sc.traces.Forget()
 }
 
 // Release drops everything the scratch still references of the batches it
-// scheduled — the last Result, the allocation memo, the executor's
-// schedule — keeping only buffers, so a scratch parked between unrelated
-// pieces of work (a service worker between requests) pins none of the
-// previous one's graphs. Results the scratch returned are invalid after it.
+// scheduled — the last Result, the allocation memo and traces, the
+// executor's schedule — keeping only buffers, so a scratch parked between
+// unrelated pieces of work (a service worker between requests) pins none of
+// the previous one's graphs. Results the scratch returned are invalid after
+// it.
 func (sc *Scratch) Release() {
 	sc.ForgetAllocations()
 	clear(sc.apps[:cap(sc.apps)])
@@ -128,7 +133,8 @@ func (sc *Scratch) Release() {
 }
 
 // allocation returns alloc.Compute(g, ref, beta, proc), computed at most
-// once per remembered (graph, reference, β, procedure).
+// once per remembered (graph, reference, β, procedure) and then from the
+// trace of (graph, reference, procedure).
 func (sc *Scratch) allocation(g *dag.Graph, ref platform.Reference, beta float64, proc alloc.Procedure) *alloc.Allocation {
 	for _, m := range sc.memo {
 		if a := m.a; a.Graph == g && a.Beta == beta && a.Ref == ref && m.proc == proc &&
@@ -136,7 +142,7 @@ func (sc *Scratch) allocation(g *dag.Graph, ref platform.Reference, beta float64
 			return a
 		}
 	}
-	a := alloc.Compute(g, ref, beta, proc)
+	a := sc.traces.Compute(g, ref, beta, proc)
 	sc.memo = append(sc.memo, remembered{a, proc, len(g.Edges)})
 	return a
 }

@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"ptgsched/internal/alloc"
 	"ptgsched/internal/core"
+	"ptgsched/internal/dag"
 	"ptgsched/internal/daggen"
 	"ptgsched/internal/platform"
 	"ptgsched/internal/strategy"
@@ -126,4 +129,35 @@ func TestScratchReleaseForgetsTheBatch(t *testing.T) {
 		t.Error("allocation survived Release")
 	}
 	sameResult(t, "after Release", after, sched.Schedule(gs, strategy.S()))
+}
+
+// A campaign point — every graph alone, then the batch under each of the
+// paper's strategies — on a scratch carried from point to point allocates
+// each graph from the trace its earlier β left (the β = 1 dedicated run
+// comes first, so every constrained run replays a prefix of it), in step
+// storage recycled from the point before. Each result equals a fresh
+// Schedule call's, under both procedures.
+func TestPointOnCarriedScratchMatchesFreshSchedules(t *testing.T) {
+	sc := core.NewScratch()
+	for si, pf := range platform.Grid5000Sites() {
+		for _, proc := range []alloc.Procedure{alloc.SCRAPMAX, alloc.SCRAP} {
+			sched := core.New(pf)
+			sched.Procedure = proc
+			family := daggen.Family((si + int(proc)) % 3)
+			r := rand.New(rand.NewSource(int64(70 + si)))
+			gs := make([]*dag.Graph, 2+2*si)
+			for i := range gs {
+				gs[i] = daggen.Generate(family, r)
+			}
+			sc.ForgetAllocations()
+			for i, g := range gs {
+				if got, want := sched.ScheduleAloneWith(sc, g), sched.ScheduleAlone(g); got != want {
+					t.Fatalf("%s %v: app %d alone: %g on the carried scratch, %g fresh", pf.Name, proc, i, got, want)
+				}
+			}
+			for _, strat := range strategy.PaperSet(family) {
+				sameResult(t, pf.Name+" "+proc.String()+" "+strat.Name(), sched.ScheduleWith(sc, gs, strat), sched.Schedule(gs, strat))
+			}
+		}
+	}
 }

@@ -5,10 +5,14 @@
 // strategy, the allocations of their not-yet-started tasks are rebuilt
 // under the new constraints, and committed-but-not-started placements are
 // revoked and remapped ("the schedules of the already running applications
-// may have to be reconsidered"). An application whose reference cluster and
-// β came out of a rebalance unchanged keeps its allocation: the allocation
-// is a function of (graph, reference, β, procedure) alone. Allocations use
-// the procedure in Options, whose zero value is SCRAP — see Options.
+// may have to be reconsidered"). Every rebalance allocates through the
+// run's store of allocation traces (alloc.Traces, in the Scratch): an
+// arrival or a completion only rescales β, so an application's growth steps
+// under its previous shares are replayed as far as the new share decides
+// them alike — all the way when β is where it was — and a platform event
+// that returns to an earlier reference cluster finds that reference's traces
+// again. Allocations use the procedure in Options, whose zero value is SCRAP
+// — see Options.
 //
 // The driver is an event-driven scheduler over the mapper's cost model:
 // decision instants are application arrivals and task completions; at each
@@ -20,16 +24,18 @@
 // studied here.
 //
 // Concurrency: Schedule keeps the whole driver state in per-call values
-// and mutates the arrival graphs' analysis caches; concurrent calls are
-// safe on disjoint arrival sets (the service layer generates a private
-// workload per request).
+// and a Scratch, and mutates the arrival graphs' analysis caches;
+// concurrent calls are safe on disjoint arrival sets and distinct scratches
+// (the service layer generates a private workload per request and runs it on
+// the worker's scratch).
 package online
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ptgsched/internal/alloc"
 	"ptgsched/internal/cost"
@@ -54,7 +60,8 @@ type Arrival struct {
 // the zero Procedure here is alloc.SCRAP and no caller in this module
 // (scenario sweeps, the service's /v1/online, ptgsim) sets it — every
 // online and dynamic result is a SCRAP result. Switching the default moves
-// every online golden and is tracked in ROADMAP item 1.
+// every online golden and is tracked in ROADMAP item 2; allocation traces
+// are kept per procedure and replay either, so the switch keeps the replay.
 type Options struct {
 	// Strategy determines β over the set of *active* applications at each
 	// rebalance point. The zero value is the selfish strategy.
@@ -166,15 +173,51 @@ type scheduler struct {
 	events eventHeap
 	now    float64
 
-	// recompute makes every rebalance recompute every active application's
-	// allocation even when its (reference, β) is unchanged. Tests set it to
-	// check that keeping allocations changes nothing.
+	sc *Scratch
+
+	// recompute makes every rebalance allocate with plain alloc.Compute
+	// instead of through the scratch's traces. Tests set it to check that
+	// replaying changes nothing.
 	recompute bool
+}
+
+// Scratch carries what one worker's online runs share: the allocation
+// traces of the arrival graphs, which outlive a run so that a campaign
+// point's strategies — the same arrivals under the same platform events —
+// replay each other's growth steps, and the driver's working buffers. A
+// Scratch must be confined to one goroutine. The arrival graphs' task costs
+// must not be edited between runs that share traces (appended tasks or
+// edges are detected); Release before moving on to other graphs.
+type Scratch struct {
+	traces alloc.Traces
+
+	active []int
+	graphs []*dag.Graph
+	ready  []*onlineTask
+	free   []float64 // one cluster's availability, sorted
+	order  []int     // one cluster's processors, earliest free first
+}
+
+// NewScratch returns an empty scratch ready for ScheduleWith.
+func NewScratch() *Scratch { return new(Scratch) }
+
+// Release drops the traces and every graph and task the scratch still
+// references, keeping only buffers.
+func (sc *Scratch) Release() {
+	sc.traces.Forget()
+	clear(sc.graphs[:cap(sc.graphs)])
+	clear(sc.ready[:cap(sc.ready)])
 }
 
 // Schedule runs the online scheduler over the given arrivals.
 func Schedule(pf *platform.Platform, arrivals []Arrival, opts Options) *Result {
-	s := newScheduler(pf, arrivals, opts)
+	return ScheduleWith(NewScratch(), pf, arrivals, opts)
+}
+
+// ScheduleWith is Schedule on a reusable worker-owned scratch; the result
+// is bit-identical and owned by the caller.
+func ScheduleWith(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts Options) *Result {
+	s := newScheduler(sc, pf, arrivals, opts)
 	s.run()
 	s.finish()
 	return s.result
@@ -182,11 +225,11 @@ func Schedule(pf *platform.Platform, arrivals []Arrival, opts Options) *Result {
 
 // newScheduler validates the arrivals and builds the driver's initial
 // state: every arrival (and timeline event) queued, nothing handled yet.
-func newScheduler(pf *platform.Platform, arrivals []Arrival, opts Options) *scheduler {
+func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts Options) *scheduler {
 	if len(arrivals) == 0 {
 		panic("online: no arrivals")
 	}
-	s := &scheduler{pf: pf, opts: opts, ref: pf.ReferenceCluster()}
+	s := &scheduler{pf: pf, opts: opts, ref: pf.ReferenceCluster(), sc: sc}
 	s.arrivals = append([]Arrival(nil), arrivals...)
 	s.result = &Result{Apps: make([]AppResult, len(arrivals))}
 
@@ -344,14 +387,16 @@ func (s *scheduler) onCompletion(ot *onlineTask) {
 	}
 }
 
-// activeApps returns the arrived, unfinished, not-withdrawn applications.
+// activeApps returns the arrived, unfinished, not-withdrawn applications,
+// in a scratch buffer the next call overwrites.
 func (s *scheduler) activeApps() []int {
-	var ids []int
+	ids := s.sc.active[:0]
 	for i := range s.arrivals {
 		if s.arrived[i] && !s.cancelled[i] && s.done[i] < len(s.tasks[i]) {
 			ids = append(ids, i)
 		}
 	}
+	s.sc.active = ids
 	return ids
 }
 
@@ -365,21 +410,20 @@ func (s *scheduler) rebalance() {
 	}
 	s.result.Rebalances++
 
-	graphs := make([]*dag.Graph, len(active))
-	for i, app := range active {
-		graphs[i] = s.arrivals[app].Graph
+	graphs := s.sc.graphs[:0]
+	for _, app := range active {
+		graphs = append(graphs, s.arrivals[app].Graph)
 	}
+	s.sc.graphs = graphs
 	betas := s.opts.Strategy.Betas(graphs, s.ref)
 
 	for i, app := range active {
-		// An application's allocation, and the bottom levels derived from
-		// it, depend on its (reference, β) only: most rebalances of a
-		// selfish run, and every one that leaves an application's share
-		// where it was, keep what the last one computed.
-		if a := s.allocs[app]; s.recompute || a == nil || a.Ref != s.ref || a.Beta != betas[i] {
+		if s.recompute {
 			s.allocs[app] = alloc.Compute(graphs[i], s.ref, betas[i], s.opts.Procedure)
-			s.bl[app] = graphs[i].BottomLevels(s.allocs[app].TimeOf, dag.ZeroComm)
+		} else {
+			s.allocs[app] = s.sc.traces.Compute(graphs[i], s.ref, betas[i], s.opts.Procedure)
 		}
+		s.bl[app] = graphs[i].BottomLevels(s.allocs[app].TimeOf, dag.ZeroComm)
 		for _, ot := range s.tasks[app] {
 			if ot.state == taskCommitted && ot.placement.Start > s.now {
 				ot.state = taskReady
@@ -417,7 +461,7 @@ func (s *scheduler) rebuildAvail() {
 // instant, in decreasing bottom-level order, exactly like the offline
 // ready-task mapper.
 func (s *scheduler) dispatch() {
-	var ready []*onlineTask
+	ready := s.sc.ready[:0]
 	for _, app := range s.activeApps() {
 		for _, ot := range s.tasks[app] {
 			if ot.state == taskReady {
@@ -425,15 +469,13 @@ func (s *scheduler) dispatch() {
 			}
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool {
-		bi, bj := s.bl[ready[i].app][ready[i].task.ID], s.bl[ready[j].app][ready[j].task.ID]
-		if bi != bj {
-			return bi > bj
-		}
-		if ready[i].app != ready[j].app {
-			return ready[i].app < ready[j].app
-		}
-		return ready[i].task.ID < ready[j].task.ID
+	s.sc.ready = ready
+	// A total order: no two ready tasks share (application, task).
+	slices.SortFunc(ready, func(x, y *onlineTask) int {
+		return cmp.Or(
+			cmp.Compare(s.bl[y.app][y.task.ID], s.bl[x.app][x.task.ID]),
+			cmp.Compare(x.app, y.app),
+			cmp.Compare(x.task.ID, y.task.ID))
 	})
 	for _, ot := range ready {
 		s.commit(ot)
@@ -470,8 +512,9 @@ func (s *scheduler) commit(ot *onlineTask) {
 		}
 		speed := s.speed[c.Index]
 		want := alloc.TranslateTo(a.Procs[ot.task.ID], a.Ref, c.Procs, speed)
-		free := append([]float64(nil), s.avail[c.Index]...)
-		sort.Float64s(free)
+		free := append(s.sc.free[:0], s.avail[c.Index]...)
+		s.sc.free = free
+		slices.Sort(free)
 		ready := dataReady(c)
 		eval := func(q int) (float64, float64) {
 			start := math.Max(ready, free[q-1])
@@ -506,16 +549,19 @@ func (s *scheduler) commit(ot *onlineTask) {
 		panic("online: no cluster available")
 	}
 
-	k := best.cluster.Index
-	idx := make([]int, len(s.avail[k]))
-	for i := range idx {
-		idx[i] = i
+	// The earliest-free processors of the winner, the lowest index first
+	// among equally free ones.
+	avail := s.avail[best.cluster.Index]
+	order := s.sc.order[:0]
+	for i := range avail {
+		order = append(order, i)
 	}
-	sort.SliceStable(idx, func(i, j int) bool { return s.avail[k][idx[i]] < s.avail[k][idx[j]] })
-	procs := append([]int(nil), idx[:best.procs]...)
-	sort.Ints(procs)
+	s.sc.order = order
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(avail[i], avail[j]) })
+	procs := slices.Clone(order[:best.procs])
+	slices.Sort(procs)
 	for _, i := range procs {
-		s.avail[k][i] = best.end
+		avail[i] = best.end
 	}
 
 	ot.placement = &mapping.Placement{

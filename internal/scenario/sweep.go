@@ -39,19 +39,20 @@ type PointResult struct {
 	Rel []float64 `json:"rel"`
 }
 
-// Scratch amortizes one sweep worker's per-point state (the experiment
-// layer's simulation and scheduling buffers) across the points a pool slot
-// executes. It must be confined to one goroutine. Only static cells draw
-// on it — online and dynamic points build their engines per point — and
-// the PointResults produced through it are never scratch-owned: their
-// slices escape, so results batch and aggregate freely.
+// Scratch amortizes one sweep worker's per-point state across the points a
+// pool slot executes: the experiment layer's simulation and scheduling
+// buffers for static cells, the online engine's allocation traces and
+// buffers for online and dynamic ones. It must be confined to one
+// goroutine. The PointResults produced through it are never scratch-owned:
+// their slices escape, so results batch and aggregate freely.
 type Scratch struct {
-	exp *experiment.Scratch
+	exp    *experiment.Scratch
+	online *online.Scratch
 }
 
 // NewScratch returns an empty scratch ready for ComputePointScratch.
 func NewScratch() *Scratch {
-	return &Scratch{exp: experiment.NewScratch()}
+	return &Scratch{exp: experiment.NewScratch(), online: online.NewScratch()}
 }
 
 // RunPoint executes one scenario point on the calling goroutine.
@@ -61,11 +62,11 @@ func (e *Expansion) RunPoint(p Point) PointResult {
 
 func (e *Expansion) runPoint(p Point, sc *Scratch) PointResult {
 	c := e.Cells[p.Cell]
-	if c.Online != nil || c.Policy != "" {
-		return e.runDynamicPoint(c, p)
-	}
 	if sc == nil {
 		sc = NewScratch()
+	}
+	if c.Online != nil || c.Policy != "" {
+		return e.runDynamicPoint(c, p, sc.online)
 	}
 	m := experiment.RunOneWith(c.Config, p.NIdx, p.Rep, p.Platform, sc.exp)
 	return PointResult{
@@ -89,11 +90,14 @@ func arrivalsFor(c *Cell, p Point) []online.Arrival {
 // engine: the point's workload replayed per strategy under the point's
 // event timeline and the cell's rescheduling policy. An online cell of a
 // spec without events is the same run with a nil timeline and a nil
-// policy, which online.Schedule executes as the static online run bit for
-// bit. Cancelled applications are excluded from the flow-time metrics; the
-// relative makespans are guarded, since a point whose applications are all
-// cancelled has no positive makespan.
-func (e *Expansion) runDynamicPoint(c *Cell, p Point) PointResult {
+// policy, which the online engine executes as the static online run bit
+// for bit. The strategies share sc: each replays the allocation steps the
+// earlier ones made on the point's graphs, which the scratch forgets when
+// the point ends. Cancelled applications are excluded from the flow-time
+// metrics; the relative makespans are guarded, since a point whose
+// applications are all cancelled has no positive makespan.
+func (e *Expansion) runDynamicPoint(c *Cell, p Point, sc *online.Scratch) PointResult {
+	defer sc.Release()
 	arrivals := arrivalsFor(c, p)
 	timeline := e.TimelineFor(p)
 	var policy online.ReschedulePolicy
@@ -113,7 +117,7 @@ func (e *Expansion) runDynamicPoint(c *Cell, p Point) PointResult {
 	}
 	pf := e.Platforms[p.Platform]
 	for s, strat := range c.Config.Strategies {
-		res := online.Schedule(pf, arrivals, online.Options{
+		res := online.ScheduleWith(sc, pf, arrivals, online.Options{
 			Strategy: strat,
 			Timeline: timeline,
 			Policy:   policy,

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"ptgsched/internal/core"
 	"ptgsched/internal/scenario"
 )
 
@@ -249,7 +248,7 @@ func (s *Service) Campaign(ctx context.Context, req CampaignRequest) (*CampaignR
 }
 
 func (s *Service) campaign(ctx context.Context, cs campaignScenario) (*CampaignResponse, error) {
-	return submit[CampaignResponse](ctx, s, "campaign", func(*core.Scratch) (any, error) {
+	return submit[CampaignResponse](ctx, s, "campaign", func(*scratch) (any, error) {
 		started := time.Now()
 		// Isolate: with workers > 1 the points run on the sweep pool's
 		// goroutines, outside runSafely's recover, where a panicking point

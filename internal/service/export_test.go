@@ -24,7 +24,7 @@ func (s *Service) CampaignWithPanickingCell0(ctx context.Context, req CampaignRe
 // tests saturate the worker pool and queue deterministically, without
 // depending on how fast the real pipeline runs.
 func (s *Service) SubmitTestJob(ctx context.Context, release <-chan struct{}) error {
-	_, err := submit[ScheduleResponse](ctx, s, "schedule", func(*core.Scratch) (any, error) {
+	_, err := submit[ScheduleResponse](ctx, s, "schedule", func(*scratch) (any, error) {
 		<-release
 		return &ScheduleResponse{}, nil
 	})
@@ -35,8 +35,8 @@ func (s *Service) SubmitTestJob(ctx context.Context, release <-chan struct{}) er
 // worker's own scratch, under the same panic recovery and Release as a real
 // request. It lets tests leave a worker's scratch in any state they like.
 func (s *Service) RunOnWorkerScratch(ctx context.Context, fn func(*core.Scratch)) error {
-	_, err := submit[ScheduleResponse](ctx, s, "schedule", func(sc *core.Scratch) (any, error) {
-		fn(sc)
+	_, err := submit[ScheduleResponse](ctx, s, "schedule", func(sc *scratch) (any, error) {
+		fn(sc.core)
 		return &ScheduleResponse{}, nil
 	})
 	return err

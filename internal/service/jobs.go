@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ptgsched/internal/core"
 	"ptgsched/internal/query"
 	"ptgsched/internal/scenario"
 )
@@ -444,7 +443,7 @@ func (s *Service) SubmitJob(req JobRequest) (*JobStatus, error) {
 // collects its outcome in the background. Jobs run without the per-request
 // timeout: their lifetime is governed by their own context.
 func (s *Service) enqueueJob(h *jobHandle) error {
-	pj := &job{ctx: h.ctx, kind: "job", enqueued: time.Now(), run: func(*core.Scratch) (any, error) {
+	pj := &job{ctx: h.ctx, kind: "job", enqueued: time.Now(), run: func(*scratch) (any, error) {
 		return nil, s.runJob(h)
 	}, done: make(chan outcome, 1)}
 

@@ -1,9 +1,10 @@
 package service_test
 
-// Tests of the worker-owned scratch: one core.Scratch per worker serves
-// every schedule request that worker runs, so responses must own their
-// slices, a request must leave nothing behind for the next, and the
-// results must stay those of a scheduler that starts from nothing.
+// Tests of the worker-owned scratch: one core.Scratch and one
+// online.Scratch per worker serve every schedule and online request that
+// worker runs, so responses must own their slices, a request must leave
+// nothing behind for the next, and the results must stay those of a
+// scheduler that starts from nothing.
 
 import (
 	"context"
@@ -15,9 +16,11 @@ import (
 	"ptgsched/internal/core"
 	"ptgsched/internal/dag"
 	"ptgsched/internal/daggen"
+	"ptgsched/internal/online"
 	"ptgsched/internal/platform"
 	"ptgsched/internal/service"
 	"ptgsched/internal/strategy"
+	"ptgsched/internal/workload"
 )
 
 // materialize generates a request's batch the way Service.Schedule does.
@@ -152,5 +155,53 @@ func TestPanickingRequestLeavesWorkerScratchUsable(t *testing.T) {
 	}
 	if st := s.Stats(); st.Failed != 1 || st.Completed != 2 {
 		t.Fatalf("stats %+v, want 1 failed and 2 completed", st)
+	}
+}
+
+// /v1/online runs on the worker's online scratch, whose allocation traces
+// are released with the request: consecutive requests on one worker —
+// repeated, on other seeds, strategies and platforms — each equal a run on
+// a scratch of its own.
+func TestOnlineOnWorkerScratchMatchesFreshRun(t *testing.T) {
+	s := newService(t, service.Options{Workers: 1})
+	reqs := []service.OnlineRequest{
+		{Platform: "rennes", Family: "random", Count: 4, Process: "poisson", Rate: 0.2, Strategy: "ES", Seed: 5},
+		{Platform: "rennes", Family: "random", Count: 4, Process: "poisson", Rate: 0.2, Strategy: "WPS-work", Seed: 5},
+		{Platform: "lille", Family: "fft", Count: 3, Process: "uniform", Rate: 0.5, Strategy: "PS-cp", Seed: 6, NoRebalanceOnCompletion: true},
+		{Platform: "rennes", Family: "random", Count: 4, Process: "poisson", Rate: 0.2, Strategy: "ES", Seed: 5},
+	}
+	for i, req := range reqs {
+		resp, err := s.Online(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := platform.ByName(req.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fam, err := daggen.FamilyByName(req.Family)
+		if err != nil {
+			t.Fatal(err)
+		}
+		process, err := workload.ProcessByName(req.Process)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strat, err := strategy.ByName(req.Strategy, -1, fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals := workload.Generate(workload.Spec{Family: fam, Count: req.Count, Process: process, Rate: req.Rate},
+			rand.New(rand.NewSource(req.Seed)))
+		want := online.Schedule(pf, arrivals, online.Options{Strategy: strat, NoRebalanceOnCompletion: req.NoRebalanceOnCompletion})
+		if resp.Makespan != want.Makespan || resp.Rebalances != want.Rebalances {
+			t.Fatalf("request %d: makespan %g after %d rebalances on the worker's scratch, %g after %d on a new one",
+				i, resp.Makespan, resp.Rebalances, want.Makespan, want.Rebalances)
+		}
+		for a, app := range want.Apps {
+			if resp.FlowTimes[a] != app.FlowTime() {
+				t.Fatalf("request %d: app %d flow time %g, want %g", i, a, resp.FlowTimes[a], app.FlowTime())
+			}
+		}
 	}
 }

@@ -14,12 +14,13 @@
 // strategy/alloc/mapping pipeline keeps all mutable state in per-call
 // values, and the only caching mutable structure — dag.Graph's analysis
 // caches — is confined to graphs generated privately per request. The
-// simulated executor's reusable state lives in one core.Scratch per
-// worker: the worker goroutine creates it, hands it to each request it
-// runs (one at a time, so the scratch never leaves that goroutine) and
-// calls Release when the request ends, so a parked scratch pins nothing of
-// the last request; everything a response carries is copied out of
-// scratch-owned results before then. Nothing is shared between two
+// simulated executor's reusable state and the allocation traces live in one
+// scratch per worker (a core.Scratch for the offline pipeline, an
+// online.Scratch for /v1/online): the worker goroutine creates it, hands it
+// to each request it runs (one at a time, so the scratch never leaves that
+// goroutine) and releases it when the request ends, so a parked scratch
+// pins nothing of the last request; everything a response carries is copied
+// out of scratch-owned results before then. Nothing is shared between two
 // in-flight requests except immutable platforms, so requests never contend
 // on scheduling state, only on the queue and the stats counters.
 package service
@@ -144,7 +145,7 @@ type job struct {
 	enqueued time.Time
 	// run executes the request on the worker's scratch, which is the
 	// request's alone until run returns.
-	run  func(sc *core.Scratch) (any, error)
+	run  func(sc *scratch) (any, error)
 	done chan outcome
 	// settled arbitrates the accounting between the worker and the
 	// submitter: whoever swaps it first counts the job's fate, so
@@ -238,11 +239,22 @@ func (s *Service) CloseGrace(grace time.Duration) int {
 	return 0
 }
 
+// scratch is what one worker owns and lends to the request it is running.
+type scratch struct {
+	core   *core.Scratch
+	online *online.Scratch
+}
+
+func (sc *scratch) release() {
+	sc.core.Release()
+	sc.online.Release()
+}
+
 // worker executes queued jobs until the queue closes, all on the one
 // scratch it owns.
 func (s *Service) worker() {
 	defer s.wg.Done()
-	sc := core.NewScratch()
+	sc := &scratch{core: core.NewScratch(), online: online.NewScratch()}
 	for j := range s.queue {
 		if err := j.ctx.Err(); err != nil {
 			// The client gave up while the job was queued; don't burn a
@@ -256,7 +268,7 @@ func (s *Service) worker() {
 		s.stats.inFlight.Add(1)
 		started := time.Now()
 		resp, err := runSafely(j.run, sc)
-		sc.Release()
+		sc.release()
 		elapsed := time.Since(started)
 		s.stats.inFlight.Add(-1)
 		s.stats.busyNanos.Add(elapsed.Nanoseconds())
@@ -283,7 +295,7 @@ func (s *Service) worker() {
 // scenario) into an error, so one bad request cannot take down a worker.
 // The scratch stays usable: every call on it rebuilds its state from the
 // call's inputs.
-func runSafely(run func(*core.Scratch) (any, error), sc *core.Scratch) (resp any, err error) {
+func runSafely(run func(*scratch) (any, error), sc *scratch) (resp any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("service: request panicked: %v", r)
@@ -315,7 +327,7 @@ func (s *Service) admit(j *job) error {
 // the response back — for a validated request whose run returns a *T. It
 // waits for the outcome or the context. Requests abandoned at a timeout
 // keep their queue slot until a worker pops and discards them.
-func submit[T any](ctx context.Context, s *Service, kind string, run func(*core.Scratch) (any, error)) (*T, error) {
+func submit[T any](ctx context.Context, s *Service, kind string, run func(*scratch) (any, error)) (*T, error) {
 	if !s.opts.NoTimeout {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
@@ -481,7 +493,7 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[ScheduleResponse](ctx, s, "schedule", func(scratch *core.Scratch) (any, error) {
+	return submit[ScheduleResponse](ctx, s, "schedule", func(ws *scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		graphs := make([]*dag.Graph, sc.count)
@@ -495,12 +507,12 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 		if req.ComputeOwn {
 			own = make([]float64, len(graphs))
 			for i, g := range graphs {
-				own[i] = sched.ScheduleAloneWith(scratch, g)
+				own[i] = sched.ScheduleAloneWith(ws.core, g)
 			}
 		}
 		// res is scratch-owned. Betas is the strategy's fresh slice; the
 		// makespans live in the executor's buffers and are copied out.
-		res := sched.ScheduleWith(scratch, graphs, sc.strat)
+		res := sched.ScheduleWith(ws.core, graphs, sc.strat)
 		out := &ScheduleResponse{
 			Platform:     sc.pf.Name,
 			Strategy:     sc.strat.Name(),
@@ -564,11 +576,11 @@ func (s *Service) Online(ctx context.Context, req OnlineRequest) (*OnlineRespons
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[OnlineResponse](ctx, s, "online", func(*core.Scratch) (any, error) {
+	return submit[OnlineResponse](ctx, s, "online", func(ws *scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		arrivals := workload.Generate(spec, r)
-		res := online.Schedule(pf, arrivals, online.Options{
+		res := online.ScheduleWith(ws.online, pf, arrivals, online.Options{
 			Strategy:                strat,
 			NoRebalanceOnCompletion: req.NoRebalanceOnCompletion,
 		})
@@ -666,7 +678,7 @@ func (s *Service) Workload(ctx context.Context, req WorkloadRequest) (*WorkloadR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[WorkloadResponse](ctx, s, "workload", func(*core.Scratch) (any, error) {
+	return submit[WorkloadResponse](ctx, s, "workload", func(*scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		arrivals := workload.Generate(spec, r)
