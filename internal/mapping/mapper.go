@@ -33,59 +33,6 @@ type taskRef struct {
 	task *dag.Task
 }
 
-// procSlot is one processor's availability: the time at which it becomes
-// free under the reservations made so far.
-type procSlot struct {
-	time float64
-	proc int
-}
-
-// clusterState maintains one cluster's processor availability as a
-// persistently sorted structure: slots ordered by (time, proc). Every
-// candidate evaluation reads the q-th earliest time in O(1) and every
-// reservation restores the order with a single linear merge, replacing the
-// seed's per-candidate copy-and-sort and per-placement stable sort.
-type clusterState struct {
-	slots []procSlot
-	// scratch is the merge buffer reused across reservations.
-	scratch []procSlot
-}
-
-// reserve books the q earliest-available processors until end and returns
-// their indices in ascending order. The (time, proc) order matches the
-// seed's stable sort of processor indices by availability, so the chosen
-// set is identical.
-func (cs *clusterState) reserve(q int, end float64) []int {
-	procs := make([]int, q)
-	for i := 0; i < q; i++ {
-		procs[i] = cs.slots[i].proc
-	}
-	sort.Ints(procs)
-
-	// Merge the untouched tail (already sorted) with the q re-reserved
-	// slots (all at time end, ascending proc) back into sorted order.
-	tail := cs.slots[q:]
-	merged := cs.scratch[:0]
-	ti, ni := 0, 0
-	for ti < len(tail) && ni < q {
-		nt := procSlot{time: end, proc: procs[ni]}
-		if tail[ti].time < nt.time || (tail[ti].time == nt.time && tail[ti].proc < nt.proc) {
-			merged = append(merged, tail[ti])
-			ti++
-		} else {
-			merged = append(merged, nt)
-			ni++
-		}
-	}
-	merged = append(merged, tail[ti:]...)
-	for ; ni < q; ni++ {
-		merged = append(merged, procSlot{time: end, proc: procs[ni]})
-	}
-	cs.scratch = cs.slots[:0]
-	cs.slots = merged
-	return procs
-}
-
 // feed is one predecessor's contribution to a task's data-ready time.
 type feed struct {
 	end   float64
@@ -99,8 +46,8 @@ type mapper struct {
 	opts  Options
 	sched *Schedule
 
-	// cs[k] is the availability view of cluster k.
-	cs []clusterState
+	// avail[k] is the availability view of cluster k.
+	avail []Availability
 	// want[app][k][taskID] is the translated allocation width of the task
 	// on cluster k, precomputed in one batch per application.
 	want [][][]int
@@ -128,13 +75,13 @@ func newMapper(pf *platform.Platform, apps []*alloc.Allocation, opts Options) *m
 			byTask:     make(map[*dag.Task]*Placement, total),
 		},
 	}
-	m.cs = make([]clusterState, len(pf.Clusters))
+	m.avail = make([]Availability, len(pf.Clusters))
 	for k, c := range pf.Clusters {
 		slots := make([]procSlot, c.Procs)
 		for i := range slots {
 			slots[i] = procSlot{time: 0, proc: i}
 		}
-		m.cs[k] = clusterState{slots: slots, scratch: make([]procSlot, 0, c.Procs)}
+		m.avail[k] = Availability{slots: slots, scratch: make([]procSlot, 0, c.Procs)}
 	}
 	m.want = make([][][]int, len(apps))
 	m.bl = make([][]float64, len(apps))
@@ -173,7 +120,7 @@ type candidate struct {
 // no per-candidate allocation or sort.
 func (m *mapper) bestOnCluster(app int, t *dag.Task, c *platform.Cluster, dataReady float64) candidate {
 	want := m.want[app][c.Index][t.ID]
-	slots := m.cs[c.Index].slots
+	slots := m.avail[c.Index].slots
 
 	best := candidate{cluster: c, procs: want}
 	best.start = math.Max(dataReady, slots[want-1].time)
@@ -218,7 +165,7 @@ func (m *mapper) place(app int, t *dag.Task) *Placement {
 		panic("mapping: no cluster available")
 	}
 
-	procs := m.cs[best.cluster.Index].reserve(best.procs, best.end)
+	procs := m.avail[best.cluster.Index].Reserve(best.procs, best.end)
 
 	p := &Placement{
 		App:     app,

@@ -38,11 +38,9 @@ package online
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ptgsched/internal/dag"
 	"ptgsched/internal/events"
-	"ptgsched/internal/mapping"
 	"ptgsched/internal/platform"
 )
 
@@ -143,7 +141,7 @@ func (s *scheduler) pushTimeline(tl events.Timeline) {
 				panic(fmt.Sprintf("online: event application %d outside arrival set of %d", e.App, len(s.arrivals)))
 			}
 		}
-		s.pushEvent(ev)
+		s.events.push(ev)
 	}
 }
 
@@ -175,28 +173,24 @@ func (s *scheduler) onClusterDown(k int) {
 	s.downC[k] = true
 	s.refreshRef()
 
-	// Kill every in-flight placement on the failed cluster, grouped per
-	// application for the policy.
-	killed := make(map[int][]int)
-	for app := range s.tasks {
-		for _, ot := range s.tasks[app] {
+	// Kill every in-flight placement on the failed cluster, application by
+	// application: the policy sees one application's killed tasks and
+	// completion mask, in scratch buffers the next application overwrites.
+	for app, tasks := range s.tasks {
+		killed := s.sc.killed[:0]
+		done := resized(s.sc.done, len(tasks))
+		for id, ot := range tasks {
 			if (ot.state == taskRunning || ot.state == taskCommitted) && ot.placement.Cluster.Index == k {
-				killed[app] = append(killed[app], ot.task.ID)
+				killed = append(killed, id)
 			}
-		}
-	}
-	apps := make([]int, 0, len(killed))
-	for app := range killed {
-		apps = append(apps, app)
-	}
-	sort.Ints(apps)
-	for _, app := range apps {
-		done := make([]bool, len(s.tasks[app]))
-		for id, ot := range s.tasks[app] {
 			done[id] = ot.state == taskDone
 		}
-		ids := s.policy.Invalidate(s.arrivals[app].Graph, killed[app], done)
-		s.invalidate(app, union(ids, killed[app]))
+		s.sc.killed, s.sc.done = killed, done
+		if len(killed) == 0 {
+			continue
+		}
+		ids := s.policy.Invalidate(s.arrivals[app].Graph, killed, done)
+		s.invalidate(app, s.union(ids, killed, len(tasks)))
 		s.result.Reschedules++
 	}
 	s.rebalance()
@@ -229,12 +223,12 @@ func (s *scheduler) onCancel(app int) {
 	s.cancelled[app] = true
 	s.result.Cancelled[app] = true
 	for _, ot := range s.tasks[app] {
-		if ot.state == taskDone {
-			s.removePlacement(ot.placement)
-		}
 		ot.placement = nil // stales any pending completion event
 		ot.state = taskPending
 		ot.remainingPreds = len(ot.task.In())
+	}
+	if s.done[app] > 0 {
+		s.dropDiscarded()
 	}
 	s.done[app] = 0
 	s.result.Apps[app].StartedAt = s.result.Apps[app].SubmittedAt
@@ -278,10 +272,12 @@ func (s *scheduler) invalidate(app int, ids []int) {
 		if ot.state == taskDone {
 			s.done[app]--
 			discardedDone = true
-			s.removePlacement(ot.placement)
 		}
 		ot.placement = nil
 		ot.state = taskPending
+	}
+	if discardedDone {
+		s.dropDiscarded()
 	}
 	// Recompute readiness of every non-done task against the surviving
 	// completion set.
@@ -310,34 +306,39 @@ func (s *scheduler) invalidate(app int, ids []int) {
 	}
 }
 
-// removePlacement drops one surviving placement from the result, keeping
-// the completion order of the rest.
-func (s *scheduler) removePlacement(p *mapping.Placement) {
+// dropDiscarded removes from the result, in one pass that keeps the
+// completion order of the rest, every placement its task no longer holds: a
+// surviving placement is the current placement of a finished task, and a
+// discarded task's placement has just been cleared.
+func (s *scheduler) dropDiscarded() {
 	ps := s.result.Placements
-	for i, q := range ps {
-		if q == p {
-			s.result.Placements = append(ps[:i], ps[i+1:]...)
-			return
+	kept := ps[:0]
+	for _, p := range ps {
+		if s.tasks[p.App][p.Task.ID].placement == p {
+			kept = append(kept, p)
 		}
 	}
+	clear(ps[len(kept):])
+	s.result.Placements = kept
 }
 
-// union merges two task-ID sets into a sorted, duplicate-free slice.
-func union(a, b []int) []int {
-	seen := make(map[int]bool, len(a)+len(b))
-	out := make([]int, 0, len(a)+len(b))
+// union merges two sets of IDs below n into a sorted, duplicate-free slice,
+// in a scratch buffer the next call overwrites.
+func (s *scheduler) union(a, b []int, n int) []int {
+	member := resized(s.sc.member, n)
+	clear(member)
 	for _, id := range a {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
+		member[id] = true
 	}
 	for _, id := range b {
-		if !seen[id] {
-			seen[id] = true
+		member[id] = true
+	}
+	out := s.sc.invalid[:0]
+	for id, in := range member {
+		if in {
 			out = append(out, id)
 		}
 	}
-	sort.Ints(out)
+	s.sc.member, s.sc.invalid = member, out
 	return out
 }

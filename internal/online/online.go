@@ -32,7 +32,6 @@ package online
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -157,10 +156,6 @@ type scheduler struct {
 	done     []int // finished task count per app
 	result   *Result
 
-	// avail[k][i]: when processor i of cluster k frees up, considering
-	// running and committed placements.
-	avail [][]float64
-
 	// Dynamic-scenario state (see dynamic.go). dyn is set when a timeline
 	// is present; the static path never consults downC/cancelled and keeps
 	// speed equal to the configured cluster speeds.
@@ -179,23 +174,43 @@ type scheduler struct {
 	// instead of through the scratch's traces. Tests set it to check that
 	// replaying changes nothing.
 	recompute bool
+	// sortMapper, when set, stands in for rebuildAvail and commit. Tests set
+	// it to the seed's mapper, which copies and sorts every cluster's
+	// availability per task, to check that the sorted structure changes no
+	// placement.
+	sortMapper interface {
+		rebuildAvail()
+		commit(ot *onlineTask)
+	}
 }
 
 // Scratch carries what one worker's online runs share: the allocation
 // traces of the arrival graphs, which outlive a run so that a campaign
 // point's strategies — the same arrivals under the same platform events —
-// replay each other's growth steps, and the driver's working buffers. A
-// Scratch must be confined to one goroutine. The arrival graphs' task costs
-// must not be edited between runs that share traces (appended tasks or
-// edges are detected); Release before moving on to other graphs.
+// replay each other's growth steps, and the driver's working buffers: the
+// active set and its graphs, the ready list, every cluster's processor
+// availability (the sorted structure the offline mapper runs on too) with
+// the times vectors rebuildAvail reloads it from, and the task-ID sets a
+// cluster failure hands the rescheduling policy. Only the traces carry
+// anything from one run to the next; a run overwrites the rest before it
+// reads it. A Scratch must be confined to one goroutine. The arrival graphs'
+// task costs must not be edited between runs that share traces (appended
+// tasks or edges are detected); Release before moving on to other graphs.
 type Scratch struct {
 	traces alloc.Traces
 
 	active []int
 	graphs []*dag.Graph
 	ready  []*onlineTask
-	free   []float64 // one cluster's availability, sorted
-	order  []int     // one cluster's processors, earliest free first
+	// avail[k]: when the processors of cluster k free up, considering
+	// running and committed placements, earliest first. rebuildAvail loads
+	// it from times[k][processor].
+	avail []mapping.Availability
+	times [][]float64
+
+	// onClusterDown's per-application sets, indexed or valued by task ID.
+	killed, invalid []int
+	done, member    []bool
 }
 
 // NewScratch returns an empty scratch ready for ScheduleWith.
@@ -238,6 +253,7 @@ func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts O
 	s.bl = make([][]float64, len(arrivals))
 	s.arrived = make([]bool, len(arrivals))
 	s.done = make([]int, len(arrivals))
+	total := 0
 	for i, a := range s.arrivals {
 		if a.At < 0 {
 			panic(fmt.Sprintf("online: negative arrival time %g", a.At))
@@ -245,21 +261,31 @@ func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts O
 		if err := a.Graph.Validate(false); err != nil {
 			panic(fmt.Sprintf("online: app %d: %v", i, err))
 		}
-		s.tasks[i] = make([]*onlineTask, len(a.Graph.Tasks))
+		total += len(a.Graph.Tasks)
+	}
+	// One slab holds every application's tasks.
+	slab := make([]onlineTask, total)
+	for i, a := range s.arrivals {
+		n := len(a.Graph.Tasks)
+		s.tasks[i] = make([]*onlineTask, n)
 		for _, t := range a.Graph.Tasks {
-			s.tasks[i][t.ID] = &onlineTask{app: i, task: t, remainingPreds: len(t.In())}
+			slab[t.ID] = onlineTask{app: i, task: t, remainingPreds: len(t.In())}
+			s.tasks[i][t.ID] = &slab[t.ID]
 		}
+		slab = slab[n:]
 		s.result.Apps[i] = AppResult{SubmittedAt: a.At, StartedAt: math.Inf(1)}
-		heap.Push(&s.events, event{at: a.At, kind: evArrival, app: i})
+		s.events.push(event{at: a.At, kind: evArrival, app: i})
 	}
 
-	s.avail = make([][]float64, len(pf.Clusters))
+	sc.avail = resized(sc.avail, len(pf.Clusters))
+	sc.times = resized(sc.times, len(pf.Clusters))
 	s.speed = make([]float64, len(pf.Clusters))
 	s.downC = make([]bool, len(pf.Clusters))
 	for k, c := range pf.Clusters {
-		s.avail[k] = make([]float64, c.Procs)
+		sc.times[k] = resized(sc.times[k], c.Procs)
 		s.speed[k] = c.Speed
 	}
+	s.rebuildAvail() // every processor free at 0
 	s.cancelled = make([]bool, len(arrivals))
 
 	if len(opts.Timeline) > 0 {
@@ -272,6 +298,12 @@ func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts O
 		s.pushTimeline(opts.Timeline)
 	}
 	return s
+}
+
+// resized returns s with length n, reusing its array when that is large
+// enough; the elements keep whatever an earlier use left in them.
+func resized[S ~[]E, E any](s S, n int) S {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // finish checks the run drained completely and normalizes the records of
@@ -302,16 +334,16 @@ func stale(ev event) bool {
 }
 
 func (s *scheduler) run() {
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(event)
+	for len(s.events) > 0 {
+		ev := s.events.pop()
 		if stale(ev) {
 			continue
 		}
 		s.now = ev.at
 		s.handle(ev)
 		// Drain all events at the same instant before making decisions.
-		for s.events.Len() > 0 && s.events[0].at == s.now {
-			nxt := heap.Pop(&s.events).(event)
+		for len(s.events) > 0 && s.events[0].at == s.now {
+			nxt := s.events.pop()
 			if stale(nxt) {
 				continue
 			}
@@ -431,15 +463,20 @@ func (s *scheduler) rebalance() {
 			}
 		}
 	}
-	s.rebuildAvail()
+	if s.sortMapper != nil {
+		s.sortMapper.rebuildAvail()
+	} else {
+		s.rebuildAvail()
+	}
 }
 
 // rebuildAvail recomputes processor availability from running and still-
-// committed placements.
+// committed placements: one fill and one sort per cluster.
 func (s *scheduler) rebuildAvail() {
-	for k := range s.avail {
-		for i := range s.avail[k] {
-			s.avail[k][i] = s.now
+	times := s.sc.times
+	for _, ts := range times {
+		for i := range ts {
+			ts[i] = s.now
 		}
 	}
 	for _, appTasks := range s.tasks {
@@ -448,12 +485,16 @@ func (s *scheduler) rebuildAvail() {
 				continue
 			}
 			p := ot.placement
+			ts := times[p.Cluster.Index]
 			for _, i := range p.Procs {
-				if p.End > s.avail[p.Cluster.Index][i] {
-					s.avail[p.Cluster.Index][i] = p.End
+				if p.End > ts[i] {
+					ts[i] = p.End
 				}
 			}
 		}
+	}
+	for k := range times {
+		s.sc.avail[k].Load(times[k])
 	}
 }
 
@@ -478,25 +519,35 @@ func (s *scheduler) dispatch() {
 			cmp.Compare(x.task.ID, y.task.ID))
 	})
 	for _, ot := range ready {
-		s.commit(ot)
+		if s.sortMapper != nil {
+			s.sortMapper.commit(ot)
+		} else {
+			s.commit(ot)
+		}
 	}
+}
+
+// dataReady returns the earliest time all of ot's predecessor data can be
+// at c: now, or the latest predecessor end plus the contention-free
+// redistribution estimate.
+func (s *scheduler) dataReady(ot *onlineTask, c *platform.Cluster) float64 {
+	ready := s.now
+	for _, e := range ot.task.In() {
+		pred := s.tasks[ot.app][e.From.ID]
+		at := pred.placement.End + s.pf.TransferTime(pred.placement.Cluster, c, e.Bytes)
+		if at > ready {
+			ready = at
+		}
+	}
+	return ready
 }
 
 // commit chooses the earliest-finish (cluster, width) for ot, honouring
 // allocation packing, reserves the processors and schedules its completion.
+// Candidates compare exactly — no tolerance, unlike the offline mapper's
+// better — and the first cluster wins a full tie.
 func (s *scheduler) commit(ot *onlineTask) {
 	a := s.allocs[ot.app]
-	dataReady := func(c *platform.Cluster) float64 {
-		ready := s.now
-		for _, e := range ot.task.In() {
-			pred := s.tasks[ot.app][e.From.ID]
-			at := pred.placement.End + s.pf.TransferTime(pred.placement.Cluster, c, e.Bytes)
-			if at > ready {
-				ready = at
-			}
-		}
-		return ready
-	}
 
 	type cand struct {
 		cluster *platform.Cluster
@@ -512,23 +563,17 @@ func (s *scheduler) commit(ot *onlineTask) {
 		}
 		speed := s.speed[c.Index]
 		want := alloc.TranslateTo(a.Procs[ot.task.ID], a.Ref, c.Procs, speed)
-		free := append(s.sc.free[:0], s.avail[c.Index]...)
-		s.sc.free = free
-		slices.Sort(free)
-		ready := dataReady(c)
-		eval := func(q int) (float64, float64) {
-			start := math.Max(ready, free[q-1])
-			return start, start + cost.TaskTime(ot.task, speed, q)
-		}
-		start, end := eval(want)
-		cc := cand{cluster: c, procs: want, start: start, end: end}
+		avail := &s.sc.avail[c.Index]
+		ready := s.dataReady(ot, c)
+		start := math.Max(ready, avail.Earliest(want))
+		cc := cand{cluster: c, procs: want, start: start, end: start + cost.TaskTime(ot.task, speed, want)}
 		if !s.opts.NoPacking {
 			for q := want - 1; q >= 1; q-- {
-				st, en := eval(q)
+				st := math.Max(ready, avail.Earliest(q))
 				if st >= cc.start {
 					break
 				}
-				if en <= cc.end {
+				if en := st + cost.TaskTime(ot.task, speed, q); en <= cc.end {
 					cc = cand{cluster: c, procs: q, start: st, end: en}
 				}
 			}
@@ -551,18 +596,7 @@ func (s *scheduler) commit(ot *onlineTask) {
 
 	// The earliest-free processors of the winner, the lowest index first
 	// among equally free ones.
-	avail := s.avail[best.cluster.Index]
-	order := s.sc.order[:0]
-	for i := range avail {
-		order = append(order, i)
-	}
-	s.sc.order = order
-	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(avail[i], avail[j]) })
-	procs := slices.Clone(order[:best.procs])
-	slices.Sort(procs)
-	for _, i := range procs {
-		avail[i] = best.end
-	}
+	procs := s.sc.avail[best.cluster.Index].Reserve(best.procs, best.end)
 
 	ot.placement = &mapping.Placement{
 		App:     ot.app,
@@ -577,7 +611,7 @@ func (s *scheduler) commit(ot *onlineTask) {
 	} else {
 		ot.state = taskCommitted
 	}
-	heap.Push(&s.events, event{at: best.end, kind: evCompletion, ot: ot, placement: ot.placement})
+	s.events.push(event{at: best.end, kind: evCompletion, ot: ot, placement: ot.placement})
 }
 
 // Event plumbing.
@@ -632,24 +666,50 @@ type event struct {
 	factor  float64
 }
 
+// eventHeap is a min-heap of events by (time, rank). It sifts exactly as
+// container/heap does, so same-(time, rank) events pop in the order they
+// always have — two completions at one instant append to Result.Placements
+// in pop order — without boxing an event per push and pop.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].kind.rank() < h[j].kind.rank()
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
 
-// pushEvent enqueues one event (the dynamic machinery's entry point).
-func (s *scheduler) pushEvent(ev event) { heap.Push(&s.events, ev) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
