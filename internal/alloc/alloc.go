@@ -91,7 +91,7 @@ func (a *Allocation) CriticalPathLength() float64 {
 func (a *Allocation) TotalArea() float64 {
 	area := 0.0
 	for _, t := range a.Graph.Tasks {
-		area += a.TimeOf(t) * a.PowerOf(t)
+		area += float64(a.TimeOf(t) * a.PowerOf(t)) // the conversion bars a fused multiply-add
 	}
 	return area
 }
@@ -163,10 +163,11 @@ func (a *Allocation) Respected(proc Procedure) bool { return !a.violates(proc) }
 // task, so exactly one task time changes: each task's time at its current
 // width lives in g's level tracker, its time at the next width and the gain
 // between the two in a tracker-owned buffer, and the tracker brings bottom
-// and top levels up to date only where the change reaches (dag.Levels).
-// SCRAP-MAX tests a step by re-summing the grown task's precedence level —
-// no other level moved, and none is over budget once the minimal allocation
-// has been checked — so a rejected step touches no level value at all;
+// levels up to date before the grown task in topological order and top
+// levels after it (dag.Levels). SCRAP-MAX tests a step by re-summing the
+// grown task's precedence level — no other level moved, and none is over
+// budget once the minimal allocation has been checked — so a rejected step
+// touches no level value at all and an accepted one is settled in one call;
 // SCRAP tests it on the tentatively updated bottom levels and withdraws
 // them on rejection. Every quantity compared is produced by the expression
 // the full recomputation would use, in the same summation order, so the
@@ -282,9 +283,10 @@ func (s *Traces) grow(g *dag.Graph, ref platform.Reference, beta float64, proc P
 		q := math.Inf(-1)
 		switch proc {
 		case SCRAPMAX:
-			// Only the grown task's level moved.
+			// Only the grown task's level moved, and a step that passes is
+			// kept: nothing to test on the new levels, nothing to undo.
 			if q = a.levelPower(sets[levelOf[best]]); !(q > limit) {
-				lv.Set(best, next[best])
+				lv.Update(best, next[best])
 			}
 		case SCRAP:
 			// Total area over critical path length, both with the grown
@@ -292,12 +294,17 @@ func (s *Traces) grow(g *dag.Graph, ref platform.Reference, beta float64, proc P
 			if cp := lv.Set(best, next[best]); cp > 0 {
 				area := 0.0
 				for id, p := range a.Procs {
-					area += lv.Time(id) * (float64(p) * ref.Speed)
+					// The conversion keeps the product from fusing into the
+					// sum on architectures with a multiply-add, where one
+					// ulp could flip the test below.
+					area += float64(lv.Time(id) * (float64(p) * ref.Speed))
 				}
 				q = area / cp
 			}
 			if q > limit {
 				lv.Revert()
+			} else {
+				lv.Commit()
 			}
 		}
 		if record {
@@ -308,7 +315,6 @@ func (s *Traces) grow(g *dag.Graph, ref platform.Reference, beta float64, proc P
 			gain[best] = 0
 			continue
 		}
-		lv.Commit()
 		widen(best)
 	}
 }

@@ -230,32 +230,49 @@ func FuzzComputeMatchesOracle(f *testing.F) {
 	})
 }
 
+// gridPTG is an n-task PTG of the shape the benchmark campaigns pin.
+func gridPTG(n int) *dag.Graph {
+	return daggen.Random(daggen.RandomConfig{Tasks: n, Width: 0.5, Regularity: 0.8, Density: 0.8, Jump: 2,
+		Complexity: daggen.Mixed}, rand.New(rand.NewSource(1)))
+}
+
 // BenchmarkCompute times the incremental loop and the oracle on one
 // 50-task PTG of the benchmark campaigns' pinned grid, per procedure and β,
-// and reports the time per growth step (accepted steps: ΣProcs − tasks).
+// and reports the time per growth step (accepted steps: ΣProcs − tasks);
+// then the incremental loop alone at β = 1 along a size axis, 10 to 1,000
+// tasks of the same shape — what a step costs must hold at every size the
+// repository generates, not only at the one the campaigns run.
 func BenchmarkCompute(b *testing.B) {
-	g := daggen.Random(daggen.RandomConfig{Tasks: 50, Width: 0.5, Regularity: 0.8, Density: 0.8, Jump: 2,
-		Complexity: daggen.Mixed}, rand.New(rand.NewSource(1)))
 	rf := platform.Rennes().ReferenceCluster()
-	impls := []struct {
+	type computeFunc func(*dag.Graph, platform.Reference, float64, Procedure) *Allocation
+	run := func(name string, compute computeFunc, g *dag.Graph, beta float64, proc Procedure) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			steps := 0
+			for i := 0; i < b.N; i++ {
+				steps = -len(g.Tasks)
+				for _, p := range compute(g, rf, beta, proc).Procs {
+					steps += p
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
+		})
+	}
+	g := gridPTG(50)
+	for _, impl := range []struct {
 		name    string
-		compute func(*dag.Graph, platform.Reference, float64, Procedure) *Allocation
-	}{{"incremental", Compute}, {"oracle", oracleCompute}}
-	for _, impl := range impls {
+		compute computeFunc
+	}{{"incremental", Compute}, {"oracle", oracleCompute}} {
 		for _, proc := range procedures {
 			for _, beta := range []float64{0.1, 0.3, 1} {
-				b.Run(fmt.Sprintf("%s/%v/beta=%g", impl.name, proc, beta), func(b *testing.B) {
-					b.ReportAllocs()
-					steps := 0
-					for i := 0; i < b.N; i++ {
-						steps = -len(g.Tasks)
-						for _, p := range impl.compute(g, rf, beta, proc).Procs {
-							steps += p
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
-				})
+				run(fmt.Sprintf("%s/%v/beta=%g", impl.name, proc, beta), impl.compute, g, beta, proc)
 			}
+		}
+	}
+	for _, n := range []int{10, 20, 50, 200, 1000} {
+		g := gridPTG(n)
+		for _, proc := range procedures {
+			run(fmt.Sprintf("size/%v/n=%d", proc, n), Compute, g, 1, proc)
 		}
 	}
 }

@@ -236,8 +236,7 @@ func TestTracesForget(t *testing.T) {
 // the steps grown. BenchmarkCompute's incremental cases are the same calls
 // without a trace.
 func BenchmarkComputeReplay(b *testing.B) {
-	g := daggen.Random(daggen.RandomConfig{Tasks: 50, Width: 0.5, Regularity: 0.8, Density: 0.8, Jump: 2,
-		Complexity: daggen.Mixed}, rand.New(rand.NewSource(1)))
+	g := gridPTG(50)
 	rf := platform.Rennes().ReferenceCluster()
 	var ladder []float64
 	for k := 1; k <= 10; k++ {

@@ -3,47 +3,44 @@ package dag
 // Levels maintains a graph's bottom levels, top levels and critical path
 // length (communication ignored) under per-task times of which one changes
 // at a time — the shape of the allocation procedures' growth loop, where
-// each step widens one task. A change re-evaluates bottom levels only up
-// through the task's ancestors and top levels only down through its
-// descendants, stopping wherever a value comes out unchanged.
+// each step widens one task. A change re-evaluates the bottom levels of
+// every task up to the changed one in topological order, and the top levels
+// of every task after it: two contiguous sweeps. Tasks the change cannot
+// reach get the value they had; in the graphs the allocator grows nearly
+// every level a sweep crosses moves, so telling the two apart costs more
+// than it saves.
 //
 // Every value is produced by the expression the full passes (BottomLevels,
 // TopLevels) use, over the same edge order, and depends only on the current
-// times: a node is re-evaluated whenever one of its inputs changed, in
+// times: a sweep covers every task whose inputs can have changed, in
 // topological order, so the tracked values are bit-identical to a full
 // recomputation whatever the history of changes.
 //
 // A tracker is owned by its graph (see Graph.Levels) and shares the graph's
 // confinement to one goroutine.
 type Levels struct {
-	g *Graph
-
-	// Structure, indexed by task ID: the topological order and its inverse,
-	// and successor/predecessor lists in compressed rows that keep the
-	// order of Task.Out and Task.In.
-	order, pos    []int32
+	// Structure. Everything but pos is indexed by topological position, so
+	// that a sweep reads and writes contiguous memory: pos maps a task ID to
+	// its position, the compressed successor/predecessor rows hold
+	// positions in the order of Task.Out and Task.In, entries the positions
+	// of the entry tasks.
+	pos           []int32
 	succOff, succ []int32
 	predOff, pred []int32
+	entries       []int32
 
-	time, bl, tl []float64
-	length       float64 // critical path length: the maximal bottom level over entry tasks
-	aux          []float64
+	// Values, by position; fin caches the finish level tl + time that the
+	// top levels of a task's successors read.
+	time, bl, tl, fin []float64
+	length            float64 // critical path length: the maximal bottom level over entry tasks
+	aux               []float64
 
-	// dirty flags, by topological position, the nodes awaiting
-	// re-evaluation during one propagation; all false between calls.
-	dirty []bool
-
-	// Undo state of the last Set: the task, its previous time, the
-	// previous length and every bottom level the propagation overwrote.
-	undoID     int
+	// Undo state of the last Set: the task's position, its previous time,
+	// the previous length and the bottom levels the sweep overwrote.
+	undoPos    int
 	undoTime   float64
 	undoLength float64
-	journal    []savedLevel
-}
-
-type savedLevel struct {
-	id int32
-	bl float64
+	saved      []float64
 }
 
 // Levels returns the graph-owned level tracker, reset to the times timeOf
@@ -55,16 +52,10 @@ func (g *Graph) Levels(timeOf TimeFunc) *Levels {
 	}
 	lv := g.tracker
 	for id, t := range g.Tasks {
-		lv.time[id] = timeOf(t)
+		lv.time[lv.pos[id]] = timeOf(t)
 	}
-	for i := len(lv.order) - 1; i >= 0; i-- {
-		u := int(lv.order[i])
-		lv.bl[u] = lv.bottomOf(u)
-	}
-	for _, u := range lv.order {
-		lv.tl[u] = lv.topOf(int(u))
-	}
-	lv.length = g.maxEntryLevel(lv.bl)
+	lv.sweepBottom(len(g.Tasks) - 1)
+	lv.sweepTop(0)
 	return lv
 }
 
@@ -73,46 +64,49 @@ func newLevels(g *Graph) *Levels {
 	if err != nil {
 		panic(err)
 	}
-	n, m := len(g.Tasks), len(g.Edges)
-	ints := make([]int32, 4*n+2+2*m)
-	floats := make([]float64, 3*n)
+	n, m, k := len(g.Tasks), len(g.Edges), len(g.Entries())
+	ints := make([]int32, 3*n+2+2*m+k)
+	floats := make([]float64, 5*n)
 	lv := &Levels{
-		g:     g,
-		order: ints[:n], pos: ints[n : 2*n],
-		succOff: ints[2*n : 3*n+1], predOff: ints[3*n+1 : 4*n+2],
-		succ: ints[4*n+2 : 4*n+2+m], pred: ints[4*n+2+m:],
-		time: floats[:n], bl: floats[n : 2*n], tl: floats[2*n:],
-		dirty: make([]bool, n),
+		pos:     ints[:n],
+		succOff: ints[n : 2*n+1], predOff: ints[2*n+1 : 3*n+2],
+		succ: ints[3*n+2 : 3*n+2+m], pred: ints[3*n+2+m : 3*n+2+2*m],
+		entries: ints[3*n+2+2*m:],
+		time:    floats[:n], bl: floats[n : 2*n], tl: floats[2*n : 3*n],
+		fin: floats[3*n : 4*n], saved: floats[4*n:],
 	}
 	for i, t := range order {
-		lv.order[i] = int32(t.ID)
 		lv.pos[t.ID] = int32(i)
 	}
 	so, po := 0, 0
-	for id, t := range g.Tasks {
-		lv.succOff[id], lv.predOff[id] = int32(so), int32(po)
+	for i, t := range order {
+		lv.succOff[i], lv.predOff[i] = int32(so), int32(po)
 		for _, e := range t.out {
-			lv.succ[so] = int32(e.To.ID)
+			lv.succ[so] = lv.pos[e.To.ID]
 			so++
 		}
 		for _, e := range t.in {
-			lv.pred[po] = int32(e.From.ID)
+			lv.pred[po] = lv.pos[e.From.ID]
 			po++
 		}
 	}
 	lv.succOff[n], lv.predOff[n] = int32(so), int32(po)
+	for i, t := range g.Entries() {
+		lv.entries[i] = lv.pos[t.ID]
+	}
 	return lv
 }
 
 // Time returns the current time of task id.
-func (lv *Levels) Time(id int) float64 { return lv.time[id] }
+func (lv *Levels) Time(id int) float64 { return lv.time[lv.pos[id]] }
 
 // Critical reports whether task id lies on a critical path: its top level
 // plus bottom level reaches the critical path length within a relative
 // tolerance. These are the tasks the allocator may widen.
 func (lv *Levels) Critical(id int) bool {
 	const relTol = 1e-9
-	return lv.tl[id]+lv.bl[id] >= lv.length*(1-relTol)
+	p := lv.pos[id]
+	return lv.tl[p]+lv.bl[p] >= lv.length*(1-relTol)
 }
 
 // Aux returns a tracker-owned buffer of n floats for the caller's own
@@ -124,33 +118,48 @@ func (lv *Levels) Aux(n int) []float64 {
 	return lv.aux[:n]
 }
 
-func (lv *Levels) bottomOf(u int) float64 {
+// sweepBottom re-evaluates the bottom levels of positions from … 0, in that
+// order, and the critical path length.
+func (lv *Levels) sweepBottom(from int) {
+	time, bl, succ, off := lv.time, lv.bl, lv.succ, lv.succOff
+	end := off[from+1]
+	for i := from; i >= 0; i-- {
+		start := off[i]
+		best := 0.0
+		for _, s := range succ[start:end] {
+			if v := bl[s]; v > best {
+				best = v
+			}
+		}
+		bl[i] = time[i] + best
+		end = start
+	}
 	best := 0.0
-	for _, s := range lv.succ[lv.succOff[u]:lv.succOff[u+1]] {
-		if v := lv.bl[s]; v > best {
+	for _, e := range lv.entries {
+		if v := bl[e]; v > best {
 			best = v
 		}
 	}
-	return lv.time[u] + best
+	lv.length = best
 }
 
-func (lv *Levels) topOf(u int) float64 {
-	best := 0.0
-	for _, p := range lv.pred[lv.predOff[u]:lv.predOff[u+1]] {
-		if v := lv.tl[p] + lv.time[p]; v > best {
-			best = v
+// sweepTop re-evaluates the top and finish levels of positions from … n−1,
+// in that order.
+func (lv *Levels) sweepTop(from int) {
+	time, tl, fin, pred, off := lv.time, lv.tl, lv.fin, lv.pred, lv.predOff
+	start := off[from]
+	for i := from; i < len(tl); i++ {
+		end := off[i+1]
+		best := 0.0
+		for _, p := range pred[start:end] {
+			if v := fin[p]; v > best {
+				best = v
+			}
 		}
+		tl[i] = best
+		fin[i] = best + time[i]
+		start = end
 	}
-	return best
-}
-
-// mark flags task id for re-evaluation and reports whether it was not
-// flagged already.
-func (lv *Levels) mark(id int32) bool {
-	i := lv.pos[id]
-	fresh := !lv.dirty[i]
-	lv.dirty[i] = true
-	return fresh
 }
 
 // Set changes task id's time to v and brings the bottom levels and the
@@ -159,86 +168,36 @@ func (lv *Levels) mark(id int32) bool {
 // withdrawn by Revert, which restores the state before Set exactly. A
 // caller that only needs to test the new length pays no downward pass.
 func (lv *Levels) Set(id int, v float64) float64 {
-	lv.undoID, lv.undoTime, lv.undoLength = id, lv.time[id], lv.length
-	lv.journal = lv.journal[:0]
-	lv.time[id] = v
-	pending := lv.relaxBottom(id)
-	for i := lv.pos[id] - 1; pending > 0; i-- {
-		if lv.dirty[i] {
-			lv.dirty[i] = false
-			pending += lv.relaxBottom(int(lv.order[i])) - 1
-		}
-	}
-	lv.length = lv.g.maxEntryLevel(lv.bl)
+	p := int(lv.pos[id])
+	lv.undoPos, lv.undoTime, lv.undoLength = p, lv.time[p], lv.length
+	copy(lv.saved, lv.bl[:p+1])
+	lv.time[p] = v
+	lv.sweepBottom(p)
 	return lv.length
-}
-
-// relaxBottom re-evaluates u's bottom level; when it changed, the old
-// value is journaled and the predecessors it can reach are marked. It
-// returns the number of newly marked nodes.
-func (lv *Levels) relaxBottom(u int) int {
-	old, v := lv.bl[u], lv.bottomOf(u)
-	if v == old {
-		return 0
-	}
-	lv.journal = append(lv.journal, savedLevel{int32(u), old})
-	lv.bl[u] = v
-	marked := 0
-	for _, p := range lv.pred[lv.predOff[u]:lv.predOff[u+1]] {
-		// A successor that shrank and was not p's longest (its old level
-		// falls short of reproducing p's) leaves p's maximum where it was.
-		if v <= old && lv.time[p]+old < lv.bl[p] {
-			continue
-		}
-		if lv.mark(p) {
-			marked++
-		}
-	}
-	return marked
 }
 
 // Revert withdraws the last Set.
 func (lv *Levels) Revert() {
-	lv.time[lv.undoID] = lv.undoTime
-	for _, s := range lv.journal {
-		lv.bl[s.id] = s.bl
-	}
+	p := lv.undoPos
+	lv.time[p] = lv.undoTime
+	copy(lv.bl[:p+1], lv.saved)
 	lv.length = lv.undoLength
 }
 
-// Commit settles the last Set: top levels are re-evaluated down through the
-// changed task's descendants.
+// Commit settles the last Set: the changed task's finish level and the top
+// levels of every task after it are re-evaluated.
 func (lv *Levels) Commit() {
-	id := lv.undoID
-	pending := lv.markBelow(id, lv.tl[id]+lv.undoTime)
-	for i := lv.pos[id] + 1; pending > 0; i++ {
-		if lv.dirty[i] {
-			lv.dirty[i] = false
-			pending--
-			u := int(lv.order[i])
-			if old, v := lv.tl[u], lv.topOf(u); v != old {
-				lv.tl[u] = v
-				pending += lv.markBelow(u, old+lv.time[u])
-			}
-		}
-	}
+	p := lv.undoPos
+	lv.fin[p] = lv.tl[p] + lv.time[p]
+	lv.sweepTop(p + 1)
 }
 
-// markBelow marks the successors of u that its changed top level or time
-// can reach, given the finish level (top level plus time) u had before, and
-// returns the number of newly marked nodes.
-func (lv *Levels) markBelow(u int, old float64) int {
-	v := lv.tl[u] + lv.time[u]
-	marked := 0
-	for _, s := range lv.succ[lv.succOff[u]:lv.succOff[u+1]] {
-		// As in relaxBottom: a predecessor that finishes no later than
-		// before, and did not set s's top level, cannot move it.
-		if v <= old && old < lv.tl[s] {
-			continue
-		}
-		if lv.mark(s) {
-			marked++
-		}
-	}
-	return marked
+// Update is Set followed by Commit for a caller that will not Revert: it
+// saves nothing to go back to, so a Revert after it is invalid.
+func (lv *Levels) Update(id int, v float64) {
+	p := int(lv.pos[id])
+	lv.time[p] = v
+	lv.sweepBottom(p)
+	lv.fin[p] = lv.tl[p] + v
+	lv.sweepTop(p + 1)
 }
