@@ -2,7 +2,11 @@ package mapping
 
 import (
 	"cmp"
+	"math"
 	"slices"
+
+	"ptgsched/internal/cost"
+	"ptgsched/internal/dag"
 )
 
 // procSlot is one processor's availability: the time at which it becomes
@@ -53,6 +57,37 @@ func (a *Availability) Load(times []float64) {
 // Earliest returns the time at which q processors are free: the q-th
 // smallest availability, 1 ≤ q ≤ the cluster's size.
 func (a *Availability) Earliest(q int) float64 { return a.slots[q-1].time }
+
+// Best is the paper's §5 placement step on one cluster, the one both mappers
+// evaluate a cluster through: task t, whose data is there at ready, takes the
+// want earliest processors of a cluster of the given speed, and with packing
+// the allocation shrinks while the task starts earlier and finishes no later.
+func (a *Availability) Best(t *dag.Task, speed float64, want int, ready float64, packing bool) (procs int, start, end float64) {
+	slots := a.slots
+	procs = want
+	start = math.Max(ready, slots[want-1].time)
+	end = start + cost.TaskTime(t, speed, want)
+	if !packing {
+		return procs, start, end
+	}
+	// Allocation packing (§5): accept a narrower allocation iff the task
+	// starts earlier and finishes no later. Among admissible widths prefer
+	// the earliest finish, then the earliest start, then the widest
+	// allocation.
+	for q := want - 1; q >= 1; q-- {
+		st := math.Max(ready, slots[q-1].time)
+		if st >= start {
+			// Narrower cannot start later than a wider allocation's
+			// processors allow; once start stops improving, no smaller q
+			// will help (slots are sorted by time).
+			break
+		}
+		if en := st + cost.TaskTime(t, speed, q); en <= end {
+			procs, start, end = q, st, en
+		}
+	}
+	return procs, start, end
+}
 
 // Reserve books the q earliest-available processors until end and returns
 // their indices in ascending order. The (time, proc) order matches the

@@ -6,9 +6,9 @@ import (
 	"sort"
 
 	"ptgsched/internal/alloc"
-	"ptgsched/internal/cost"
 	"ptgsched/internal/dag"
 	"ptgsched/internal/platform"
+	"ptgsched/internal/pq"
 )
 
 // Map schedules the tasks of all allocated applications onto pf. All
@@ -27,10 +27,25 @@ func Map(pf *platform.Platform, apps []*alloc.Allocation, opts Options) *Schedul
 	return m.sched
 }
 
-// taskRef identifies one task of one application.
+// taskRef is one task of one application, with the bottom level the ready
+// priority orders it by.
 type taskRef struct {
+	bl   float64
 	app  int
 	task *dag.Task
+}
+
+// before is the ready priority: decreasing bottom level; ties by application
+// then task ID for determinism. It is a total order, so any correct heap or
+// sort places tasks in the one sequence.
+func before(a, b *taskRef) bool {
+	if a.bl != b.bl {
+		return a.bl > b.bl
+	}
+	if a.app != b.app {
+		return a.app < b.app
+	}
+	return a.task.ID < b.task.ID
 }
 
 // feed is one predecessor's contribution to a task's data-ready time.
@@ -75,13 +90,15 @@ func newMapper(pf *platform.Platform, apps []*alloc.Allocation, opts Options) *m
 			byTask:     make(map[*dag.Task]*Placement, total),
 		},
 	}
+	// Every processor is free at 0: one zero vector loads every cluster.
+	largest := 0
+	for _, c := range pf.Clusters {
+		largest = max(largest, c.Procs)
+	}
+	free := make([]float64, largest)
 	m.avail = make([]Availability, len(pf.Clusters))
 	for k, c := range pf.Clusters {
-		slots := make([]procSlot, c.Procs)
-		for i := range slots {
-			slots[i] = procSlot{time: 0, proc: i}
-		}
-		m.avail[k] = Availability{slots: slots, scratch: make([]procSlot, 0, c.Procs)}
+		m.avail[k].Load(free[:c.Procs])
 	}
 	m.want = make([][][]int, len(apps))
 	m.bl = make([][]float64, len(apps))
@@ -92,17 +109,9 @@ func newMapper(pf *platform.Platform, apps []*alloc.Allocation, opts Options) *m
 	return m
 }
 
-// priority orders by decreasing bottom level; ties by application then task
-// ID for determinism.
-func (m *mapper) less(a, b taskRef) bool {
-	ba, bb := m.bl[a.app][a.task.ID], m.bl[b.app][b.task.ID]
-	if ba != bb {
-		return ba > bb
-	}
-	if a.app != b.app {
-		return a.app < b.app
-	}
-	return a.task.ID < b.task.ID
+// ref returns task t of application app under its ready priority.
+func (m *mapper) ref(app int, t *dag.Task) taskRef {
+	return taskRef{bl: m.bl[app][t.ID], app: app, task: t}
 }
 
 // candidate is one (cluster, width) option for a task.
@@ -113,40 +122,6 @@ type candidate struct {
 	end     float64
 }
 
-// bestOnCluster evaluates placing task t of application app on cluster c.
-// dataReady is the earliest time all predecessor data can be at c. The
-// translated allocation width may be reduced by allocation packing. The
-// evaluation reads the cluster's shared sorted availability view directly:
-// no per-candidate allocation or sort.
-func (m *mapper) bestOnCluster(app int, t *dag.Task, c *platform.Cluster, dataReady float64) candidate {
-	want := m.want[app][c.Index][t.ID]
-	slots := m.avail[c.Index].slots
-
-	best := candidate{cluster: c, procs: want}
-	best.start = math.Max(dataReady, slots[want-1].time)
-	best.end = best.start + cost.TaskTime(t, c.Speed, want)
-	if m.opts.NoPacking {
-		return best
-	}
-	// Allocation packing (§5): accept a narrower allocation iff the task
-	// starts earlier and finishes no later. Among admissible widths prefer
-	// the earliest finish, then the earliest start, then the widest
-	// allocation.
-	for q := want - 1; q >= 1; q-- {
-		start := math.Max(dataReady, slots[q-1].time)
-		if start >= best.start {
-			// Narrower cannot start later than a wider allocation's
-			// processors allow; once start stops improving, no smaller q
-			// will help (slots are sorted by time).
-			break
-		}
-		if end := start + cost.TaskTime(t, c.Speed, q); end <= best.end {
-			best = candidate{cluster: c, procs: q, start: start, end: end}
-		}
-	}
-	return best
-}
-
 // place maps task t of application app, choosing the earliest-finish
 // candidate across clusters (ties: earlier start, then fewer processors,
 // then cluster index). It reserves the processors and records the
@@ -155,7 +130,9 @@ func (m *mapper) place(app int, t *dag.Task) *Placement {
 	var best candidate
 	found := false
 	for _, c := range m.pf.Clusters {
-		cand := m.bestOnCluster(app, t, c, m.dataReady(c))
+		cand := candidate{cluster: c}
+		cand.procs, cand.start, cand.end = m.avail[c.Index].Best(
+			t, c.Speed, m.want[app][c.Index][t.ID], m.dataReady(c), !m.opts.NoPacking)
 		if !found || better(cand, best) {
 			best = cand
 			found = true
@@ -240,51 +217,59 @@ func (m *mapper) runReady() {
 		total += len(a.Graph.Tasks)
 	}
 
-	// completions orders mapped-but-not-finished tasks by end time.
-	var completions completionHeap
-
-	ready := readyHeap{m: m, refs: make([]taskRef, 0, total)}
+	ready := pq.Heap[taskRef]{Items: make([]taskRef, 0, total), Less: before}
 	for i, a := range m.apps {
 		for _, t := range a.Graph.Tasks {
 			if len(t.In()) == 0 {
-				ready.refs = append(ready.refs, taskRef{i, t})
+				ready.Push(m.ref(i, t))
 			}
 		}
 	}
-	ready.init()
-	completions.grow(total)
+	// completions orders mapped-but-not-finished tasks by end time. Tasks
+	// ending at one instant are all released before the next is mapped, so
+	// their order among themselves changes nothing.
+	completions := pq.Heap[completion]{
+		Items: make([]completion, 0, total),
+		Less:  func(a, b *completion) bool { return a.end < b.end },
+	}
+	release := func(c completion) {
+		for _, e := range c.task.Out() {
+			succ := e.To
+			remainingPreds[c.app][succ.ID]--
+			if remainingPreds[c.app][succ.ID] == 0 {
+				ready.Push(m.ref(c.app, succ))
+			}
+		}
+	}
 
 	mapped := 0
 	for mapped < total {
-		if ready.len() == 0 {
-			if completions.len() == 0 {
+		if ready.Len() == 0 {
+			if completions.Len() == 0 {
 				panic("mapping: no ready tasks and no pending completions")
 			}
 			// Advance the clock to the next completion (and all
 			// completions at the same instant) to release successors.
-			c := completions.pop()
-			m.release(c, remainingPreds, &ready)
-			for completions.len() > 0 && completions.heap[0].end == c.end {
-				m.release(completions.pop(), remainingPreds, &ready)
+			c := completions.Pop()
+			release(c)
+			for completions.Len() > 0 && completions.Items[0].end == c.end {
+				release(completions.Pop())
 			}
 			continue
 		}
-		ref := ready.pop()
+		ref := ready.Pop()
 		m.loadFeeds(ref.task)
 		p := m.place(ref.app, ref.task)
-		completions.push(completion{ref: ref, end: p.End})
+		completions.Push(completion{app: ref.app, task: ref.task, end: p.End})
 		mapped++
 	}
 }
 
-func (m *mapper) release(c completion, remainingPreds [][]int, ready *readyHeap) {
-	for _, e := range c.ref.task.Out() {
-		succ := e.To
-		remainingPreds[c.ref.app][succ.ID]--
-		if remainingPreds[c.ref.app][succ.ID] == 0 {
-			ready.push(taskRef{c.ref.app, succ})
-		}
-	}
+// completion is a mapped task's end on the virtual clock.
+type completion struct {
+	app  int
+	task *dag.Task
+	end  float64
 }
 
 // runGlobal implements the classical aggregated ordering: all tasks of all
@@ -295,126 +280,12 @@ func (m *mapper) runGlobal() {
 	var all []taskRef
 	for i, a := range m.apps {
 		for _, t := range a.Graph.Tasks {
-			all = append(all, taskRef{i, t})
+			all = append(all, m.ref(i, t))
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return m.less(all[i], all[j]) })
+	sort.Slice(all, func(i, j int) bool { return before(&all[i], &all[j]) })
 	for _, ref := range all {
 		m.loadFeeds(ref.task)
 		m.place(ref.app, ref.task)
 	}
-}
-
-// readyHeap is a priority heap of ready tasks ordered by the mapper's
-// priority (decreasing bottom level, ties by application then task ID).
-// The heap stores concrete taskRefs — unlike container/heap, pushes do not
-// box values into interfaces, which dominated the seed's allocation count.
-type readyHeap struct {
-	m    *mapper
-	refs []taskRef
-}
-
-func (h *readyHeap) len() int { return len(h.refs) }
-
-func (h *readyHeap) init() {
-	for i := len(h.refs)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h *readyHeap) push(ref taskRef) {
-	h.refs = append(h.refs, ref)
-	i := len(h.refs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.m.less(h.refs[i], h.refs[parent]) {
-			break
-		}
-		h.refs[i], h.refs[parent] = h.refs[parent], h.refs[i]
-		i = parent
-	}
-}
-
-func (h *readyHeap) pop() taskRef {
-	top := h.refs[0]
-	n := len(h.refs) - 1
-	h.refs[0] = h.refs[n]
-	h.refs = h.refs[:n]
-	if n > 0 {
-		h.down(0)
-	}
-	return top
-}
-
-func (h *readyHeap) down(i int) {
-	n := len(h.refs)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		next := l
-		if r := l + 1; r < n && h.m.less(h.refs[r], h.refs[l]) {
-			next = r
-		}
-		if !h.m.less(h.refs[next], h.refs[i]) {
-			return
-		}
-		h.refs[i], h.refs[next] = h.refs[next], h.refs[i]
-		i = next
-	}
-}
-
-type completion struct {
-	ref taskRef
-	end float64
-}
-
-// completionHeap is a boxing-free min-heap of completions keyed by end time.
-type completionHeap struct {
-	heap []completion
-}
-
-func (h *completionHeap) len() int { return len(h.heap) }
-
-func (h *completionHeap) grow(n int) {
-	if cap(h.heap) < n {
-		h.heap = append(make([]completion, 0, n), h.heap...)
-	}
-}
-
-func (h *completionHeap) push(c completion) {
-	h.heap = append(h.heap, c)
-	i := len(h.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.heap[i].end >= h.heap[parent].end {
-			break
-		}
-		h.heap[i], h.heap[parent] = h.heap[parent], h.heap[i]
-		i = parent
-	}
-}
-
-func (h *completionHeap) pop() completion {
-	top := h.heap[0]
-	n := len(h.heap) - 1
-	h.heap[0] = h.heap[n]
-	h.heap = h.heap[:n]
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		next := l
-		if r := l + 1; r < n && h.heap[r].end < h.heap[l].end {
-			next = r
-		}
-		if h.heap[next].end >= h.heap[i].end {
-			break
-		}
-		h.heap[i], h.heap[next] = h.heap[next], h.heap[i]
-		i = next
-	}
-	return top
 }

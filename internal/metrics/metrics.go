@@ -90,7 +90,7 @@ func StdDev(xs []float64) float64 {
 	m := Mean(xs)
 	v := 0.0
 	for _, x := range xs {
-		v += (x - m) * (x - m)
+		v += float64((x - m) * (x - m))
 	}
 	return math.Sqrt(v / float64(len(xs)-1))
 }

@@ -141,7 +141,7 @@ func (s *scheduler) pushTimeline(tl events.Timeline) {
 				panic(fmt.Sprintf("online: event application %d outside arrival set of %d", e.App, len(s.arrivals)))
 			}
 		}
-		s.events.push(ev)
+		s.events.Push(ev)
 	}
 }
 
@@ -158,7 +158,7 @@ func (s *scheduler) refreshRef() {
 			continue
 		}
 		procs += c.Procs
-		power += float64(c.Procs) * s.speed[k]
+		power += float64(float64(c.Procs) * s.speed[k])
 	}
 	if procs == 0 {
 		return

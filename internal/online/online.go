@@ -37,11 +37,11 @@ import (
 	"slices"
 
 	"ptgsched/internal/alloc"
-	"ptgsched/internal/cost"
 	"ptgsched/internal/dag"
 	"ptgsched/internal/events"
 	"ptgsched/internal/mapping"
 	"ptgsched/internal/platform"
+	"ptgsched/internal/pq"
 	"ptgsched/internal/strategy"
 )
 
@@ -59,7 +59,7 @@ type Arrival struct {
 // the zero Procedure here is alloc.SCRAP and no caller in this module
 // (scenario sweeps, the service's /v1/online, ptgsim) sets it — every
 // online and dynamic result is a SCRAP result. Switching the default moves
-// every online golden and is tracked in ROADMAP item 2; allocation traces
+// every online golden and is tracked in ROADMAP item 1; allocation traces
 // are kept per procedure and replay either, so the switch keeps the replay.
 type Options struct {
 	// Strategy determines β over the set of *active* applications at each
@@ -165,7 +165,7 @@ type scheduler struct {
 	downC     []bool    // cluster currently failed
 	cancelled []bool    // application currently withdrawn
 
-	events eventHeap
+	events pq.Heap[event] // ordered by eventBefore
 	now    float64
 
 	sc *Scratch
@@ -244,7 +244,7 @@ func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts O
 	if len(arrivals) == 0 {
 		panic("online: no arrivals")
 	}
-	s := &scheduler{pf: pf, opts: opts, ref: pf.ReferenceCluster(), sc: sc}
+	s := &scheduler{pf: pf, opts: opts, ref: pf.ReferenceCluster(), sc: sc, events: pq.Heap[event]{Less: eventBefore}}
 	s.arrivals = append([]Arrival(nil), arrivals...)
 	s.result = &Result{Apps: make([]AppResult, len(arrivals))}
 
@@ -274,7 +274,7 @@ func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts O
 		}
 		slab = slab[n:]
 		s.result.Apps[i] = AppResult{SubmittedAt: a.At, StartedAt: math.Inf(1)}
-		s.events.push(event{at: a.At, kind: evArrival, app: i})
+		s.events.Push(event{at: a.At, kind: evArrival, app: i})
 	}
 
 	sc.avail = resized(sc.avail, len(pf.Clusters))
@@ -334,16 +334,16 @@ func stale(ev event) bool {
 }
 
 func (s *scheduler) run() {
-	for len(s.events) > 0 {
-		ev := s.events.pop()
+	for s.events.Len() > 0 {
+		ev := s.events.Pop()
 		if stale(ev) {
 			continue
 		}
 		s.now = ev.at
 		s.handle(ev)
 		// Drain all events at the same instant before making decisions.
-		for len(s.events) > 0 && s.events[0].at == s.now {
-			nxt := s.events.pop()
+		for s.events.Len() > 0 && s.events.Items[0].at == s.now {
+			nxt := s.events.Pop()
 			if stale(nxt) {
 				continue
 			}
@@ -542,10 +542,15 @@ func (s *scheduler) dataReady(ot *onlineTask, c *platform.Cluster) float64 {
 	return ready
 }
 
-// commit chooses the earliest-finish (cluster, width) for ot, honouring
-// allocation packing, reserves the processors and schedules its completion.
-// Candidates compare exactly — no tolerance, unlike the offline mapper's
-// better — and the first cluster wins a full tie.
+// commit chooses the earliest-finish (cluster, width) for ot, reserves the
+// processors and schedules its completion. A cluster is evaluated through
+// mapping.Availability.Best, the §5 step the offline mapper shares; this
+// driver's own are the inputs — the clock under the data-ready time, down
+// clusters skipped, widths translated at the effective speed — and the
+// comparison: exact, no tolerance, unlike the offline mapper's better, and
+// the first cluster wins a full tie. The two rules agree on every batch of the
+// Fig. 3–5 grids (TestOfflineEqualsOnlineAtRelease0) and still stay apart:
+// merged, results move wherever two finish times fall within 1e-12.
 func (s *scheduler) commit(ot *onlineTask) {
 	a := s.allocs[ot.app]
 
@@ -563,21 +568,8 @@ func (s *scheduler) commit(ot *onlineTask) {
 		}
 		speed := s.speed[c.Index]
 		want := alloc.TranslateTo(a.Procs[ot.task.ID], a.Ref, c.Procs, speed)
-		avail := &s.sc.avail[c.Index]
-		ready := s.dataReady(ot, c)
-		start := math.Max(ready, avail.Earliest(want))
-		cc := cand{cluster: c, procs: want, start: start, end: start + cost.TaskTime(ot.task, speed, want)}
-		if !s.opts.NoPacking {
-			for q := want - 1; q >= 1; q-- {
-				st := math.Max(ready, avail.Earliest(q))
-				if st >= cc.start {
-					break
-				}
-				if en := st + cost.TaskTime(ot.task, speed, q); en <= cc.end {
-					cc = cand{cluster: c, procs: q, start: st, end: en}
-				}
-			}
-		}
+		cc := cand{cluster: c}
+		cc.procs, cc.start, cc.end = s.sc.avail[c.Index].Best(ot.task, speed, want, s.dataReady(ot, c), !s.opts.NoPacking)
 		if !found || cc.end < best.end ||
 			(cc.end == best.end && cc.start < best.start) ||
 			(cc.end == best.end && cc.start == best.start && cc.procs < best.procs) {
@@ -611,7 +603,7 @@ func (s *scheduler) commit(ot *onlineTask) {
 	} else {
 		ot.state = taskCommitted
 	}
-	s.events.push(event{at: best.end, kind: evCompletion, ot: ot, placement: ot.placement})
+	s.events.Push(event{at: best.end, kind: evCompletion, ot: ot, placement: ot.placement})
 }
 
 // Event plumbing.
@@ -666,50 +658,13 @@ type event struct {
 	factor  float64
 }
 
-// eventHeap is a min-heap of events by (time, rank). It sifts exactly as
-// container/heap does, so same-(time, rank) events pop in the order they
+// eventBefore orders the event queue by (time, rank). pq.Heap sifts exactly
+// as container/heap does, so same-(time, rank) events pop in the order they
 // always have — two completions at one instant append to Result.Placements
-// in pop order — without boxing an event per push and pop.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// in pop order.
+func eventBefore(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].kind.rank() < h[j].kind.rank()
-}
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	q := *h
-	for j := len(q) - 1; ; {
-		i := (j - 1) / 2 // parent
-		if i == j || !q.less(j, i) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-func (h *eventHeap) pop() event {
-	q := *h
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && q.less(r, j) {
-			j = r
-		}
-		if !q.less(j, i) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-	*h = q[:n]
-	return q[n]
+	return a.kind.rank() < b.kind.rank()
 }

@@ -165,7 +165,7 @@ func (o *sortOracle) commit(ot *onlineTask) {
 	} else {
 		ot.state = taskCommitted
 	}
-	s.events.push(event{at: best.end, kind: evCompletion, ot: ot, placement: ot.placement})
+	s.events.Push(event{at: best.end, kind: evCompletion, ot: ot, placement: ot.placement})
 }
 
 // Every placement of a run on the sorted availability structure — cluster,

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"ptgsched/internal/mapping"
 )
@@ -109,20 +108,4 @@ func Summarize(s *mapping.Schedule) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("makespan %.2f s, %d placements, utilization %.1f%%, efficiency %.1f%%",
 		s.Makespan, s.Placements, s.MeanUtilization*100, s.MeanEfficiency*100)
-}
-
-// BusiestCluster returns the name of the cluster with the highest busy
-// processor-seconds, breaking ties alphabetically.
-func BusiestCluster(s *mapping.Schedule) string {
-	us := Utilization(s)
-	sort.Slice(us, func(i, j int) bool {
-		if us[i].BusyProcSeconds != us[j].BusyProcSeconds {
-			return us[i].BusyProcSeconds > us[j].BusyProcSeconds
-		}
-		return us[i].Cluster < us[j].Cluster
-	})
-	if len(us) == 0 {
-		return ""
-	}
-	return us[0].Cluster
 }

@@ -95,20 +95,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestBusiestCluster(t *testing.T) {
-	s := validSchedule(t)
-	name := trace.BusiestCluster(s)
-	found := false
-	for _, c := range s.Platform.Clusters {
-		if c.Name == name {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("busiest cluster %q not on platform", name)
-	}
-}
-
 func TestConstrainedStrategiesUseFewerProcSeconds(t *testing.T) {
 	// The whole point of beta: a constrained allocation consumes less
 	// processor time than a selfish one for the same applications.
@@ -222,15 +208,5 @@ func TestUtilizationZeroWidthPlacements(t *testing.T) {
 	es := trace.Efficiencies(s)
 	if math.IsNaN(es[0].Efficiency) {
 		t.Fatalf("zero-consumption efficiency is NaN")
-	}
-}
-
-func TestBusiestClusterEmptySchedule(t *testing.T) {
-	// With no placements every cluster ties at zero; the alphabetical
-	// tie-break must still return a real cluster, and a platform-less call
-	// pattern (no clusters) is impossible by construction.
-	name := trace.BusiestCluster(emptySchedule())
-	if name != "c0" {
-		t.Fatalf("busiest = %q, want c0", name)
 	}
 }
