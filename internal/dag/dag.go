@@ -15,6 +15,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Task is a data-parallel (moldable) task: a node of a PTG. Its sequential
@@ -113,8 +114,9 @@ func (g *Graph) AddEdge(from, to *Task, bytes float64) (*Edge, error) {
 	if from == to {
 		return nil, fmt.Errorf("dag: self edge on task %q", from.Name)
 	}
-	if bytes < 0 {
-		return nil, fmt.Errorf("dag: negative edge weight %g on %q->%q", bytes, from.Name, to.Name)
+	// Not "bytes < 0", which NaN passes.
+	if !(bytes >= 0) || math.IsInf(bytes, 1) {
+		return nil, fmt.Errorf("dag: negative or non-finite edge weight %g on %q->%q", bytes, from.Name, to.Name)
 	}
 	for _, e := range from.out {
 		if e.To == to {

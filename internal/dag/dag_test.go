@@ -3,6 +3,7 @@ package dag
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -46,8 +47,14 @@ func TestAddEdgeRejectsSelfAndDuplicate(t *testing.T) {
 	if _, err := g.AddEdge(a, b, 1); err == nil {
 		t.Error("duplicate edge accepted")
 	}
-	if _, err := g.AddEdge(b, a, -1); err == nil {
-		t.Error("negative weight accepted")
+	// NaN passes a "< 0" test, and a flow of NaN bytes never finishes.
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := g.AddEdge(b, a, w); err == nil {
+			t.Errorf("edge weight %g accepted", w)
+		}
+	}
+	if len(g.Edges) != 1 {
+		t.Errorf("%d edges after the rejections, want 1", len(g.Edges))
 	}
 }
 

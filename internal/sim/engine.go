@@ -17,7 +17,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -25,8 +24,11 @@ import (
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	now     float64
-	queue   eventQueue
+	now float64
+	// queue is a binary min-heap on (time, seq). Sequence numbers are
+	// unique, so the order events pop in is fixed by their keys alone,
+	// whatever the heap's internal layout.
+	queue   []*Event
 	seq     int64 // tie-breaker for deterministic ordering
 	stopped bool
 
@@ -36,9 +38,6 @@ type Engine struct {
 	evBlocks [][]Event
 	evBlock  int // block the next event comes from
 	evUsed   int // events used within that block
-
-	// Hooks, optional. Invoked synchronously inside Run.
-	OnEvent func(t float64, label string)
 }
 
 // NewEngine returns an empty simulator positioned at virtual time 0.
@@ -101,7 +100,8 @@ func (e *Engine) At(t float64, label string, fn func()) *Event {
 	ev := e.newEvent()
 	ev.time, ev.seq, ev.label, ev.fn = t, e.seq, label, fn
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue = append(e.queue, ev)
+	e.up(len(e.queue)-1, ev)
 	return ev
 }
 
@@ -131,14 +131,18 @@ func (e *Engine) Reschedule(ev *Event, t float64) {
 	}
 	ev.time, ev.seq = t, e.seq
 	e.seq++
-	heap.Fix(&e.queue, ev.index)
+	if i := ev.index; i > 0 && ev.before(e.queue[(i-1)/2]) {
+		e.up(i, ev)
+	} else {
+		e.down(i, ev)
+	}
 }
 
 // Run processes events until the queue is empty or Stop is called. It
 // returns the final virtual time.
 func (e *Engine) Run() float64 {
-	for e.queue.Len() > 0 && !e.stopped {
-		ev := heap.Pop(&e.queue).(*Event)
+	for len(e.queue) > 0 && !e.stopped {
+		ev := e.pop()
 		if ev.cancelled {
 			continue
 		}
@@ -146,9 +150,6 @@ func (e *Engine) Run() float64 {
 			panic(fmt.Sprintf("sim: time went backwards: %g -> %g (%s)", e.now, ev.time, ev.label))
 		}
 		e.now = ev.time
-		if e.OnEvent != nil {
-			e.OnEvent(e.now, ev.label)
-		}
 		if ev.fn != nil {
 			ev.fn()
 		}
@@ -181,36 +182,61 @@ type Event struct {
 // already-cancelled event is a no-op.
 func (ev *Event) Cancel() { ev.cancelled = true }
 
-// eventQueue is a min-heap ordered by (time, seq).
-type eventQueue []*Event
+// before reports whether ev fires before o: earlier time, then lower
+// sequence number.
+func (ev *Event) before(o *Event) bool {
+	return ev.time < o.time || (ev.time == o.time && ev.seq < o.seq)
+}
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+// up moves the hole at queue position i towards the root until ev fits,
+// then drops ev into it.
+func (e *Engine) up(i int, ev *Event) {
+	q := e.queue
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	q[i] = ev
+	ev.index = i
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// down moves the hole at queue position i towards the leaves until ev fits,
+// then drops ev into it.
+func (e *Engine) down(i int, ev *Event) {
+	q := e.queue
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if r := c + 1; r < len(q) && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(ev) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
+// pop removes and returns the first event of the queue.
+func (e *Engine) pop() *Event {
+	q := e.queue
+	ev, last := q[0], q[len(q)-1]
+	q[len(q)-1] = nil
+	e.queue = q[:len(q)-1]
+	if len(e.queue) > 0 {
+		e.down(0, last)
+	}
 	ev.index = -1
 	return ev
 }

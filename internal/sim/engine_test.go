@@ -113,18 +113,6 @@ func TestEnginePending(t *testing.T) {
 	}
 }
 
-func TestEngineOnEventHook(t *testing.T) {
-	e := NewEngine()
-	var labels []string
-	e.OnEvent = func(_ float64, label string) { labels = append(labels, label) }
-	e.At(1, "a", nil)
-	e.At(2, "b", nil)
-	e.Run()
-	if len(labels) != 2 || labels[0] != "a" || labels[1] != "b" {
-		t.Fatalf("hook labels = %v", labels)
-	}
-}
-
 // Property: events fire in nondecreasing time order regardless of insertion
 // order.
 func TestEngineOrderingProperty(t *testing.T) {

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 )
 
 // Link is a network resource with a fixed capacity in bytes per second and a
@@ -29,18 +31,21 @@ func NewLink(name string, capacity, latency float64) *Link {
 // Flow is a data transfer over a route of links. Flows are created through
 // FlowNet.Start and must not be constructed directly.
 type Flow struct {
-	Label     string
-	route     []*Link
-	class     int     // route class within the owning FlowNet's solver
-	remaining float64 // bytes still to transfer once started
-	rate      float64 // current bytes/s: the class's rate at the last reshare
-	started   bool    // latency elapsed, transferring
+	Label string
+	route []*Link
+	class int // route class within the owning FlowNet's solver
+	// remaining is the bytes to transfer; once the flow is active its
+	// class's rem vector holds what is left and this field is stale.
+	remaining float64
+	rate      float64 // bytes/s as FairShareRates solved it; FlowNet keeps rates per class
+	stamp     uint64  // position in the net's activation order, set as the flow becomes active
 	done      bool
 	onDone    func(endTime float64)
-	startEv   *Event
-	// startFn is the latency-elapsed callback, created once per arena
-	// slot and reused across recycles (it captures only the slot's stable
-	// address and its owning net).
+	// next chains the flows that share one start event, in Start order.
+	next *Flow
+	// startFn is the latency-elapsed callback of the start event this flow
+	// heads, created once per arena slot and reused across recycles (it
+	// captures only the slot's stable address and its owning net).
 	startFn func()
 }
 
@@ -59,10 +64,38 @@ func (f *Flow) Done() bool { return f.done }
 // whenever the set of active flows changes, all rates are recomputed by
 // progressive filling over the live route classes and the single pending
 // completion event is re-keyed to the next completion.
+//
+// The active flows are kept by route class (flowSet), each class ordered by
+// remaining bytes, so only advance visits every flow; a reshare reads each
+// live class's head and a completion retires each class's zero prefix.
+// What the order cannot say — which of several flows came first — the
+// activation stamps do.
+//
+// Tie rule: the next completion is the flow with the smallest
+// (remaining/rate, stamp) over all active flows, and flows retired by one
+// completion event finish in stamp order. That is what a scan of all
+// active flows in activation order with a strict "earlier than the best so
+// far" test selects, and the order such a scan retires in — the net this
+// one replaced, kept as oracleNet in the tests; it fixes the order of the
+// onDone callbacks and so of every event they schedule.
+//
+// Sharing rule: Start lets a flow join the previous Start's start event
+// when that event is still pending, falls at the same instant bit for bit,
+// and the engine has handed out no sequence number since. Events of their
+// own would carry consecutive sequence numbers at one time, so nothing
+// could fire between them and no time would pass: the rates a reshare
+// between them computes are never applied by an advance (dt is 0), and of
+// the completion event's successive re-keyings only the last (time, seq)
+// survives. One activation pass with one reshare at its end therefore
+// leaves every surviving event in the same relative order. A flow with
+// nothing to transfer is the exception that needs care: it finishes in its
+// turn, its callback may schedule events, and those must keep following
+// the re-keying its predecessors in the group would have caused — so the
+// group reshares before finishing it.
 type FlowNet struct {
 	eng        *Engine
-	active     []*Flow
 	lastUpdate float64
+	stamp      uint64 // activation stamps handed out since the last Reset
 	// completion is the one pending flow-completion event, nil when no
 	// flow is active; completionFn is its callback, bound once.
 	completion   *Event
@@ -73,9 +106,19 @@ type FlowNet struct {
 	// whose completion time underflows against the clock, stalling the
 	// simulation in a zero-dt event loop.
 	nextDone *Flow
+	// group is the start event of the most recent Start, groupTail the
+	// last flow chained to it and groupSeq the engine's sequence counter
+	// as that Start left it.
+	group     *Event
+	groupTail *Flow
+	groupSeq  int64
 	// solver holds the run's link and route-class registries and the
 	// scratch state of the fair-share computation, reused across reshares.
+	// sets[c] holds the active flows of the solver's class c; it grows
+	// with the largest class count of any run and is emptied, capacity
+	// kept, by Reset.
 	solver fairShareSolver
+	sets   []flowSet
 
 	// Flow arena: Start hands flows out of fixed-size blocks and Reset
 	// recycles them wholesale, so replaying many schedules on one net
@@ -87,6 +130,17 @@ type FlowNet struct {
 	// finished is onCompletion's scratch for the flows retired by one
 	// completion event (events run sequentially, so it is never nested).
 	finished []*Flow
+}
+
+// flowSet is the active flows of one route class, as many as the class
+// counts, as parallel vectors: flows[i] has rem[i] bytes left as of the
+// net's last advance. Invariant: rem is non-decreasing. Inserting at the
+// upper bound, subtracting one amount from every element and snapping small
+// values to 0 all keep it; nothing else writes rem except a completion's
+// force-retired target, which moves to the front as 0.
+type flowSet struct {
+	rem   []float64
+	flows []*Flow
 }
 
 // NewFlowNet returns a flow manager bound to eng.
@@ -103,14 +157,20 @@ func NewFlowNet(eng *Engine) *FlowNet {
 // fresh copy of the same one — so a registry kept across runs would grow
 // with, and pin, every platform the net has ever seen. Re-registering a
 // platform's few links and routes per run is noise next to the run's
-// solves. The engine must be Reset alongside; flows handed out before the
-// Reset are invalidated.
+// solves. The flow sets, indexed by class, are emptied with it and keep
+// their capacity. The engine must be Reset alongside; flows handed out
+// before the Reset are invalidated.
 func (n *FlowNet) Reset() {
-	clear(n.active)
-	n.active = n.active[:0]
+	for i := range n.sets {
+		set := &n.sets[i]
+		clear(set.flows) // a run cut short leaves flows behind
+		set.rem, set.flows = set.rem[:0], set.flows[:0]
+	}
 	n.lastUpdate = 0
+	n.stamp = 0
 	n.completion = nil
 	n.nextDone = nil
+	n.group, n.groupTail = nil, nil
 	n.flBlock = 0
 	n.flUsed = 0
 	n.solver.reset()
@@ -148,8 +208,9 @@ func (n *FlowNet) newFlow() *Flow {
 // completes immediately: no network or engine involvement at all, so the
 // flow is finished — and onDone has fired — before Start returns.
 func (n *FlowNet) Start(label string, route []*Link, bytes float64, onDone func(endTime float64)) *Flow {
-	if bytes < 0 {
-		panic(fmt.Sprintf("sim: flow %q with negative size %g", label, bytes))
+	// Not "bytes < 0", which NaN passes: the class vectors are ordered.
+	if !(bytes >= 0) || math.IsInf(bytes, 1) {
+		panic(fmt.Sprintf("sim: flow %q with size %g, want a finite non-negative one", label, bytes))
 	}
 	f := n.newFlow()
 	f.Label, f.route, f.remaining, f.onDone = label, route, bytes, onDone
@@ -158,55 +219,90 @@ func (n *FlowNet) Start(label string, route []*Link, bytes float64, onDone func(
 		return f
 	}
 	f.class = n.solver.classify(route)
+	if f.class == len(n.sets) {
+		n.sets = append(n.sets, flowSet{})
+	}
 	lat := 0.0
 	for _, l := range route {
 		lat += l.Latency
 	}
-	// The start label is only observable through the engine's OnEvent
-	// hook; skip the concatenation on the (hot) unobserved path.
-	startLabel := label
-	if n.eng.OnEvent != nil {
-		startLabel = "flow-start:" + label
+	// The sharing rule (see FlowNet). index < 0 marks an event that fired.
+	if ev := n.group; ev != nil && n.eng.seq == n.groupSeq && ev.index >= 0 && ev.time == n.eng.now+lat {
+		n.groupTail.next = f
+	} else {
+		if f.startFn == nil {
+			f.startFn = func() { n.flowsStarted(f) }
+		}
+		n.group = n.eng.After(lat, label, f.startFn)
 	}
-	if f.startFn == nil {
-		f.startFn = func() { n.flowStarted(f) }
-	}
-	f.startEv = n.eng.After(lat, startLabel, f.startFn)
+	n.groupTail, n.groupSeq = f, n.eng.seq
 	return f
 }
 
-// flowStarted runs when a flow's route latency has elapsed: the flow
-// joins the active set and bandwidth is reshared.
-func (n *FlowNet) flowStarted(f *Flow) {
-	f.started = true
-	if f.remaining <= 0 {
-		n.finish(f)
-		return
+// flowsStarted runs when the route latency of the flows chained from f has
+// elapsed: they join the active set in Start order and bandwidth is
+// reshared once for all of them, or — see the sharing rule — once before
+// each flow that has nothing to transfer and finishes on the spot.
+func (n *FlowNet) flowsStarted(f *Flow) {
+	joined := false
+	for ; f != nil; f = f.next {
+		if f.remaining <= 0 {
+			if joined {
+				n.reshare()
+				joined = false
+			}
+			n.finish(f)
+			continue
+		}
+		n.advance() // the clock stands still from here on: a no-op after the first
+		n.stamp++
+		f.stamp = n.stamp
+		set := &n.sets[f.class]
+		// After the last element not larger than f.
+		i := sort.Search(len(set.rem), func(i int) bool { return set.rem[i] > f.remaining })
+		set.rem = slices.Insert(set.rem, i, f.remaining)
+		set.flows = slices.Insert(set.flows, i, f)
+		n.solver.enter(f.class)
+		joined = true
 	}
-	n.advance()
-	n.active = append(n.active, f)
-	n.solver.enter(f.class)
-	n.reshare()
+	if joined {
+		n.reshare()
+	}
 }
 
 // ActiveFlows returns the number of flows currently transferring bytes.
-func (n *FlowNet) ActiveFlows() int { return len(n.active) }
+func (n *FlowNet) ActiveFlows() int {
+	total := 0
+	for _, c := range n.solver.live {
+		total += n.solver.classes[c].count
+	}
+	return total
+}
 
 // advance progresses every active flow's remaining bytes to the current
-// simulation time using the rates computed at the last reshare.
+// simulation time using the rates computed at the last reshare. Every
+// member of a class subtracts the same amount, and rounding and the snap
+// are monotone, so each class stays ordered.
 func (n *FlowNet) advance() {
-	dt := n.eng.Now() - n.lastUpdate
-	if dt > 0 {
-		for _, f := range n.active {
-			f.remaining -= f.rate * dt
-			// Snap sub-microbyte residue to zero: real transfers are
-			// megabytes, anything this small is floating-point noise.
-			if f.remaining < 1e-6 {
-				f.remaining = 0
+	now := n.eng.Now()
+	if dt := now - n.lastUpdate; dt > 0 {
+		for _, c := range n.solver.live {
+			// The conversion keeps the product from fusing into the
+			// subtraction where the architecture has a multiply-add.
+			d := float64(n.solver.classes[c].rate * dt)
+			rem := n.sets[c].rem
+			for i, r := range rem {
+				r -= d
+				// Snap sub-microbyte residue to zero: real transfers are
+				// megabytes, anything this small is floating-point noise.
+				if r < 1e-6 {
+					r = 0
+				}
+				rem[i] = r
 			}
 		}
 	}
-	n.lastUpdate = n.eng.Now()
+	n.lastUpdate = now
 }
 
 // reshare recomputes all fair-share rates and moves the completion event
@@ -214,22 +310,30 @@ func (n *FlowNet) advance() {
 // already advanced. With no active flow left there is nothing to schedule:
 // only onCompletion can empty the active set, and its event has fired.
 func (n *FlowNet) reshare() {
-	if len(n.active) == 0 {
+	s := &n.solver
+	if len(s.live) == 0 {
 		return
 	}
-	n.solver.solve()
+	s.solve()
 
-	// Find the earliest completion among active flows.
+	// The earliest completion, by the tie rule (see FlowNet). A class's
+	// candidates are its head and the few elements after it whose own
+	// quotient rounds to the head's.
 	next := math.Inf(1)
 	var first *Flow
-	for _, f := range n.active {
-		f.rate = n.solver.classes[f.class].rate
-		if f.rate <= 0 {
+	for _, c := range s.live {
+		rate, set := s.classes[c].rate, &n.sets[c]
+		if rate <= 0 {
 			continue
 		}
-		if t := f.remaining / f.rate; t < next {
-			next = t
-			first = f
+		t, f := set.rem[0]/rate, set.flows[0]
+		for i := 1; i < len(set.rem) && set.rem[i]/rate == t; i++ {
+			if set.flows[i].stamp < f.stamp {
+				f = set.flows[i]
+			}
+		}
+		if t < next || (t == next && first != nil && f.stamp < first.stamp) {
+			next, first = t, f
 		}
 	}
 	if first == nil {
@@ -254,20 +358,34 @@ func (n *FlowNet) onCompletion() {
 	target := n.nextDone
 	n.nextDone = nil
 	n.advance()
-	if target != nil {
-		target.remaining = 0
-	}
-	kept := n.active[:0]
+	s := &n.solver
+	// The target goes to the front of its class as 0. It sits among the
+	// class's leading ties, whose residue, if any, stays ahead of the rest.
+	set := &n.sets[target.class]
+	i := slices.Index(set.flows, target)
+	copy(set.rem[1:i+1], set.rem[:i])
+	copy(set.flows[1:i+1], set.flows[:i])
+	set.rem[0], set.flows[0] = 0, target
+
 	finished := n.finished[:0]
-	for _, f := range n.active {
-		if f.remaining <= 0 {
-			finished = append(finished, f)
-			n.solver.leave(f.class)
-		} else {
-			kept = append(kept, f)
+	for _, c := range s.live {
+		set = &n.sets[c]
+		k := 0
+		for k < len(set.rem) && set.rem[k] <= 0 {
+			k++
 		}
+		if k == 0 {
+			continue
+		}
+		finished = append(finished, set.flows[:k]...)
+		set.rem = slices.Delete(set.rem, 0, k)
+		set.flows = slices.Delete(set.flows, 0, k) // clears the vacated tail
 	}
-	n.active = kept
+	// Into activation order; they are few.
+	slices.SortFunc(finished, func(a, b *Flow) int { return cmp.Compare(a.stamp, b.stamp) })
+	for _, f := range finished {
+		s.leave(f.class)
+	}
 	n.reshare()
 	for _, f := range finished {
 		n.finish(f)
@@ -281,7 +399,6 @@ func (n *FlowNet) finish(f *Flow) {
 		return
 	}
 	f.done = true
-	f.rate = 0
 	if f.onDone != nil {
 		f.onDone(n.eng.Now())
 	}

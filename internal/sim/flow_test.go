@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -185,6 +186,17 @@ func TestNegativeFlowSizePanics(t *testing.T) {
 	}()
 	e := NewEngine()
 	NewFlowNet(e).Start("bad", []*Link{NewLink("l", 1, 0)}, -1, nil)
+}
+
+// A class's vector is ordered by remaining bytes: it must never be handed a
+// NaN, which passes a "< 0" test, nor a size that never drains.
+func TestNonFiniteFlowSizePanics(t *testing.T) {
+	n := NewFlowNet(NewEngine())
+	for _, size := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		requirePanic(t, fmt.Sprintf("flow of %g bytes", size), func() {
+			n.Start("bad", []*Link{NewLink("l", 1, 0)}, size, nil)
+		})
+	}
 }
 
 func TestFairShareBottleneckAsymmetry(t *testing.T) {

@@ -8,9 +8,11 @@ package sim
 // comparison below is on math.Float64bits, not on a tolerance.
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -391,7 +393,6 @@ func (n *oracleNet) Start(route []*Link, bytes float64, onDone func(float64)) {
 		lat += l.Latency
 	}
 	n.eng.After(lat, "flow-start", func() {
-		f.started = true
 		if f.remaining <= 0 {
 			n.finish(f)
 			return
@@ -486,25 +487,189 @@ type completionRecord struct {
 	at   uint64 // Float64bits of the completion time
 }
 
+// transfer is one flow of a scenario. then, if non-nil, is started from its
+// completion callback, at the instant it completes.
+type transfer struct {
+	route []*Link
+	bytes float64
+	then  *transfer
+}
+
+// launch starts its transfers, in order, from one callback at time at.
+type launch struct {
+	at        float64
+	transfers []*transfer
+}
+
+// play schedules the launches on eng, starting every flow through start,
+// and returns the record the completions will be appended to. Flows are
+// numbered as they start.
+func play(eng *Engine, launches []launch, start func([]*Link, float64, func(float64))) *[]completionRecord {
+	rec := new([]completionRecord)
+	started := 0
+	var begin func(*transfer)
+	begin = func(tr *transfer) {
+		id := started
+		started++
+		start(tr.route, tr.bytes, func(at float64) {
+			*rec = append(*rec, completionRecord{id, math.Float64bits(at)})
+			if tr.then != nil {
+				begin(tr.then)
+			}
+		})
+	}
+	for _, l := range launches {
+		l := l
+		eng.At(l.at, "launch", func() {
+			for _, tr := range l.transfers {
+				begin(tr)
+			}
+		})
+	}
+	return rec
+}
+
+// requireOrderedClasses checks what FlowNet promises of its flow sets
+// between events: every live class's set holds the class's count of flows
+// in order of remaining bytes, no other set holds any, and ActiveFlows is
+// their sum.
+func requireOrderedClasses(t testing.TB, what string, n *FlowNet) {
+	t.Helper()
+	s := &n.solver
+	total := 0
+	for c := range n.sets {
+		set, count := &n.sets[c], 0
+		if c < len(s.classes) {
+			cl := &s.classes[c]
+			count = cl.count
+			if live := cl.pos < len(s.live) && s.live[cl.pos] == c; live != (count > 0) {
+				t.Fatalf("%s: class %d with %d flows: live is %v", what, c, count, live)
+			}
+		}
+		if len(set.rem) != count || len(set.flows) != count {
+			t.Fatalf("%s: class %d counts %d flows, its set holds %d remainders and %d flows", what, c, count, len(set.rem), len(set.flows))
+		}
+		if !slices.IsSorted(set.rem) {
+			t.Fatalf("%s: class %d out of order: %v", what, c, set.rem)
+		}
+		total += count
+	}
+	if len(n.sets) < len(s.classes) {
+		t.Fatalf("%s: %d flow sets for %d classes", what, len(n.sets), len(s.classes))
+	}
+	if n.ActiveFlows() != total {
+		t.Fatalf("%s: ActiveFlows is %d, the sets hold %d", what, n.ActiveFlows(), total)
+	}
+}
+
+// requireNoFlowsPinned checks, after a Reset, that no flow set the net ever
+// used still references a flow.
+func requireNoFlowsPinned(t testing.TB, what string, n *FlowNet) {
+	t.Helper()
+	for c, set := range n.sets[:cap(n.sets)] {
+		for i, f := range set.flows[:cap(set.flows)] {
+			if f != nil {
+				t.Fatalf("%s: flow set %d still references a flow at %d after Reset", what, c, i)
+			}
+		}
+	}
+}
+
+// requireSameCompletions plays the launches through oracleNet, then twice
+// through net: once under Engine.Run, and once event by event — cut short
+// and Reset halfway first, when cut is set — with the class invariants
+// checked after every event. Each run must give the oracle's completions in
+// the oracle's order at bit-equal times.
+func requireSameCompletions(t testing.TB, what string, eng *Engine, net *FlowNet, launches []launch, links int, cut bool) {
+	t.Helper()
+	ref := &oracleNet{eng: NewEngine()}
+	want := play(ref.eng, launches, ref.Start)
+	endWant := ref.eng.Run()
+
+	start := func(route []*Link, bytes float64, onDone func(float64)) { net.Start("", route, bytes, onDone) }
+	compare := func(how string, got []completionRecord, end float64) {
+		t.Helper()
+		if len(got) != len(*want) {
+			t.Fatalf("%s, %s: %d completions, oracle net has %d", what, how, len(got), len(*want))
+		}
+		for i, w := range *want {
+			if got[i] != w {
+				t.Fatalf("%s, %s: completion %d is flow %d at %v, oracle net has flow %d at %v", what, how, i,
+					got[i].flow, math.Float64frombits(got[i].at), w.flow, math.Float64frombits(w.at))
+			}
+		}
+		if end != endWant {
+			t.Fatalf("%s, %s: run ended at %v, oracle net at %v", what, how, end, endWant)
+		}
+		if n := net.RegisteredLinks(); n > links {
+			t.Fatalf("%s, %s: %d links registered, the run had %d", what, how, n, links)
+		}
+		if net.ActiveFlows() != 0 || len(net.solver.live) != 0 {
+			t.Fatalf("%s, %s: %d flows, %d classes still live after the run", what, how, net.ActiveFlows(), len(net.solver.live))
+		}
+		// One start event per group of flows and one completion event
+		// re-keyed in place: at most a launch, a start and a completion
+		// event per transfer drawn from the arena, not one more per reshare.
+		if drawn := eng.evBlock*eventBlockSize + eng.evUsed; drawn > 3*len(got) {
+			t.Fatalf("%s, %s: %d events drawn for %d transfers", what, how, drawn, len(got))
+		}
+	}
+
+	eng.Reset()
+	net.Reset()
+	got := play(eng, launches, start)
+	compare("run", *got, eng.Run())
+
+	// step fires up to limit events the way Run does.
+	step := func(limit int) {
+		for ; len(eng.queue) > 0 && limit > 0; limit-- {
+			ev := eng.pop()
+			eng.now = ev.time
+			ev.fn()
+			requireOrderedClasses(t, what, net)
+		}
+	}
+	eng.Reset()
+	net.Reset()
+	requireNoFlowsPinned(t, what, net)
+	if cut {
+		play(eng, launches, start)
+		step(len(*want))
+		eng.Reset()
+		net.Reset()
+		requireNoFlowsPinned(t, what+", cut short", net)
+	}
+	got = play(eng, launches, start)
+	step(math.MaxInt)
+	compare("event by event", *got, eng.now)
+}
+
 // TestFlowNetMatchesOracleNet drives the same randomly staggered transfers
 // — few routes and many flows, as a schedule replay does, plus the
 // occasional zero-byte and repeated-link flow — through FlowNet and
 // through oracleNet, and requires the same completions in the same order
-// at bit-equal times. Each FlowNet serves two scenarios, so the per-run
-// registries are exercised across a Reset onto other links.
+// at bit-equal times. Several transfers start from one callback, so start
+// events are shared, some with a zero-byte flow between two others; some
+// completion callbacks start a flow of their own at that instant; a third
+// of the scenarios run on zero-latency links, where such a flow's start
+// falls on the instant of an event that has just fired, and a third move
+// 1e10 to 1e12 bytes, where an ulp of the remainder exceeds the 1e-6 snap
+// and a tied neighbour of the force-retired target keeps a positive
+// residue. One FlowNet serves every scenario, so the per-run registries
+// and class vectors are exercised across Resets onto other links.
 func TestFlowNetMatchesOracleNet(t *testing.T) {
-	type transfer struct {
-		at    float64
-		route []*Link
-		bytes float64
-	}
 	eng := NewEngine()
 	net := NewFlowNet(eng)
-	for seed := int64(0); seed < 60; seed++ {
+	for seed := int64(0); seed < 90; seed++ {
 		r := rand.New(rand.NewSource(500 + seed))
+		zeroLatency, big := seed%3 == 1, seed%3 == 2
 		links := make([]*Link, 2+r.Intn(6))
 		for i := range links {
-			links[i] = NewLink(fmt.Sprintf("l%d", i%5), 1e8*(0.5+4*r.Float64()), 1e-4*float64(r.Intn(4)))
+			lat := 1e-4 * float64(r.Intn(4))
+			if zeroLatency {
+				lat = 0
+			}
+			links[i] = NewLink(fmt.Sprintf("l%d", i%5), 1e8*(0.5+4*r.Float64()), lat)
 		}
 		routes := make([][]*Link, 1+r.Intn(5))
 		for i := range routes {
@@ -512,56 +677,231 @@ func TestFlowNetMatchesOracleNet(t *testing.T) {
 				routes[i] = append(routes[i], links[r.Intn(len(links))])
 			}
 		}
-		transfers := make([]transfer, 20+r.Intn(200))
-		for i := range transfers {
-			transfers[i] = transfer{
-				at:    float64(r.Intn(40)) * 0.05, // many simultaneous starts
+		var draw func(depth int) *transfer
+		draw = func(depth int) *transfer {
+			tr := &transfer{
 				route: routes[r.Intn(len(routes))],
-				bytes: 1e6 * float64(r.Intn(60)), // some empty
+				bytes: 1e6 * float64(r.Intn(60)), // some empty, many equal
+			}
+			if big && r.Intn(2) == 0 {
+				tr.bytes = 1e10 * float64(1+r.Intn(100))
+			}
+			if depth < 2 && r.Intn(5) == 0 {
+				tr.then = draw(depth + 1)
+			}
+			return tr
+		}
+		launches := make([]launch, 10+r.Intn(80))
+		for i := range launches {
+			launches[i].at = float64(r.Intn(40)) * 0.05 // many simultaneous launches
+			for n := 1 + r.Intn(5); n > 0; n-- {
+				launches[i].transfers = append(launches[i].transfers, draw(0))
 			}
 		}
+		requireSameCompletions(t, fmt.Sprintf("seed %d", seed), eng, net, launches, len(links), seed%4 == 0)
+	}
+}
 
-		var got, want []completionRecord
-		eng.Reset()
-		net.Reset()
-		ref := &oracleNet{eng: NewEngine()}
-		for i, tr := range transfers {
-			i, tr := i, tr
-			eng.At(tr.at, "launch", func() {
-				net.Start("", tr.route, tr.bytes, func(at float64) {
-					got = append(got, completionRecord{i, math.Float64bits(at)})
-				})
-			})
-			ref.eng.At(tr.at, "launch", func() {
-				ref.Start(tr.route, tr.bytes, func(at float64) {
-					want = append(want, completionRecord{i, math.Float64bits(at)})
-				})
-			})
+// TestFlowNetMatchesOracleNetOnExactTies: hand-built scenarios for what
+// random sizes do not hit — events that tie with the completion event to
+// the bit, and remainders an ulp apart. On a link of 1e8 bytes/s and 1e-4 s
+// a lone flow of 1e4 bytes transfers for exactly the link's latency.
+func TestFlowNetMatchesOracleNetOnExactTies(t *testing.T) {
+	eng := NewEngine()
+	net := NewFlowNet(eng)
+	slow := []*Link{NewLink("l", 1e8, 1e-4)}
+	flow := func(bytes float64, then *transfer) *transfer { return &transfer{route: slow, bytes: bytes, then: then} }
+	for name, launches := range map[string][]launch{
+		// p and z share a start event. z's completion starts y, whose
+		// start event falls on the instant of p's completion and must
+		// follow it: the group reshares before z finishes.
+		"empty flow after a joined one": {
+			{at: 0, transfers: []*transfer{flow(1e4, nil), flow(0, flow(0, nil))}},
+		},
+		// a's start event is pending at 2e-4 when z's completion starts b
+		// for that same instant, but p has been activated in between and
+		// its completion, also at 2e-4, is keyed between the two.
+		"no sharing across a reshare": {
+			{at: 0, transfers: []*transfer{flow(1e4, nil), flow(0, flow(0, nil))}},
+			{at: 1e-4, transfers: []*transfer{flow(0, nil)}},
+		},
+		// y starts from the callback of the start event it would join.
+		"no sharing with an event that fired": {
+			{at: 0, transfers: []*transfer{flow(0, flow(1e6, nil)), flow(1e6, nil), flow(0, flow(0, nil))}},
+		},
+	} {
+		requireSameCompletions(t, name, eng, net, launches, 1, true)
+	}
+	// The second flow arrives one ulp short of what the first has left, so
+	// it sorts first, and for some sizes both quotients round to one
+	// completion time: the older flow is the target, from behind the
+	// younger one. Early in a long transfer the younger is then retired
+	// with it or left with an ulp; late in the run, where the clock's own
+	// ulp is what cuts the last step short, it keeps a residue above the
+	// snap, ahead of the target.
+	wire := []*Link{NewLink("l", 1e8, 0)}
+	ulpApart := func(size, at float64) {
+		requireSameCompletions(t, fmt.Sprintf("an ulp apart, %g bytes at %g", size, at), eng, net, []launch{
+			{at: 0, transfers: []*transfer{{route: wire, bytes: size}}},
+			{at: at, transfers: []*transfer{{route: wire, bytes: math.Nextafter(size-float64(1e8*at), 0)}}},
+		}, 1, false)
+	}
+	for k := 1; k <= 8; k++ {
+		for j := 1; j <= 8; j++ {
+			ulpApart(1e10*float64(k), 0.05*float64(j))
 		}
-		endGot, endWant := eng.Run(), ref.eng.Run()
-		if len(got) != len(transfers) || len(want) != len(transfers) {
-			t.Fatalf("seed %d: %d and %d completions of %d transfers", seed, len(got), len(want), len(transfers))
+	}
+	for k := 1; k <= 20; k++ {
+		for j := 1; j <= 4; j++ {
+			at := 1000.3 * float64(j)
+			ulpApart(float64(1e8*at)+1e6*float64(k), at)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: completion %d is flow %d at %v, oracle net has flow %d at %v", seed, i,
-					got[i].flow, math.Float64frombits(got[i].at), want[i].flow, math.Float64frombits(want[i].at))
+	}
+}
+
+// scenarioFromBytes decodes fuzz input: links and routes, then transfers
+// of (time and grouping, route, size) with times from six values — two of
+// them 1e-4 apart, one link latency — and sizes from eight, 0 and a repeat
+// among them.
+func scenarioFromBytes(data []byte) (launches []launch, links int) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	ls := make([]*Link, 1+next()%5)
+	for i := range ls {
+		b := next()
+		ls[i] = NewLink(fmt.Sprintf("l%d", b%3), []float64{1e8, 2.5e8, 1e9 / 3, 1.25e9}[b/4%4], []float64{0, 0, 1e-4, 3e-4}[b/16%4])
+	}
+	routes := make([][]*Link, 1+next()%5)
+	for i := range routes {
+		for n := 1 + next()%3; n > 0; n-- {
+			routes[i] = append(routes[i], ls[next()%len(ls)])
+		}
+	}
+	times := []float64{0, 1e-4, 0.05, 0.1, 0.1 + 1e-4, 2}
+	sizes := []float64{0, 1e4, 1e6, 1e6, 3e6, 7.5e6, 1e10, 1e12 / 3}
+	var last *transfer
+	for n := 0; len(data) > 0 && n < 400; n++ {
+		b := next()
+		tr := &transfer{route: routes[next()%len(routes)], bytes: sizes[next()%len(sizes)]}
+		switch {
+		case last != nil && b&0xc0 == 0x40:
+			last.then = tr // started by the previous transfer's completion
+		case last != nil && b&0x80 != 0:
+			l := &launches[len(launches)-1]
+			l.transfers = append(l.transfers, tr) // from the previous one's callback
+		default:
+			launches = append(launches, launch{at: times[b%len(times)], transfers: []*transfer{tr}})
+		}
+		last = tr
+	}
+	return launches, len(ls)
+}
+
+// FuzzFlowNetMatchesOracleNet: a byte-driven transfer list through FlowNet
+// and oracleNet, same completions in the same order at bit-equal times.
+func FuzzFlowNetMatchesOracleNet(f *testing.F) {
+	f.Add([]byte{1, 0x20, 0x04, 0, 0, 0, 1, 1, 0, 0, 1, 0x80, 0, 0, 0x80, 0, 1, 0x40, 0, 2, 2, 0, 1})
+	f.Add([]byte{0, 0x0c, 0, 0, 0, 0, 0, 6, 0x80, 0, 6, 0x80, 0, 6, 0x80, 0, 7, 0x40, 0, 0, 4, 0, 6})
+	f.Add([]byte{3, 0x21, 0x32, 0x05, 0x18, 2, 2, 0, 1, 1, 3, 2, 1, 0, 0, 3, 1, 0x83, 1, 1, 0x83, 2, 0, 0x83, 0, 3, 5, 1, 4, 0x42, 0, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		launches, links := scenarioFromBytes(data)
+		if len(launches) == 0 {
+			return
+		}
+		eng := NewEngine()
+		requireSameCompletions(t, "fuzz", eng, NewFlowNet(eng), launches, links, len(data)%2 == 0)
+	})
+}
+
+// refEvent and refQueue are the event queue as the engine kept it before
+// sifting inline: a container/heap on (time, seq).
+type refEvent struct {
+	time  float64
+	seq   int64
+	index int
+}
+
+type refQueue []*refEvent
+
+func (q refQueue) Len() int { return len(q) }
+
+func (q refQueue) Less(i, j int) bool {
+	if q[i].time != q[j].time {
+		return q[i].time < q[j].time
+	}
+	return q[i].seq < q[j].seq
+}
+
+func (q refQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index = i
+	q[j].index = j
+}
+
+func (q *refQueue) Push(x any) {
+	ev := x.(*refEvent)
+	ev.index = len(*q)
+	*q = append(*q, ev)
+}
+
+func (q *refQueue) Pop() any {
+	old := *q
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	*q = old[:n-1]
+	ev.index = -1
+	return ev
+}
+
+// TestQueueMatchesContainerHeap: seeded interleavings of At, pop and
+// Reschedule with times from four values, mirrored on a container/heap;
+// both pop the same events in the same order, and every queued event knows
+// its position.
+func TestQueueMatchesContainerHeap(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		var ref refQueue
+		mirror := map[*Event]*refEvent{}
+		var pending []*Event
+		for op := 0; op < 400; op++ {
+			at := float64(r.Intn(4))
+			switch k := r.Intn(5); {
+			case k < 2 || len(pending) == 0:
+				ev := e.At(at, "ev", nil)
+				mirror[ev] = &refEvent{time: ev.time, seq: ev.seq}
+				heap.Push(&ref, mirror[ev])
+				pending = append(pending, ev)
+			case k < 4:
+				ev := pending[r.Intn(len(pending))]
+				e.Reschedule(ev, at)
+				m := mirror[ev]
+				m.time, m.seq = ev.time, ev.seq
+				heap.Fix(&ref, m.index)
+			default:
+				ev, want := e.pop(), heap.Pop(&ref).(*refEvent)
+				if mirror[ev] != want {
+					t.Fatalf("seed %d, op %d: popped (%g, %d), container/heap pops (%g, %d)", seed, op, ev.time, ev.seq, want.time, want.seq)
+				}
+				pending = slices.DeleteFunc(pending, func(p *Event) bool { return p == ev })
+			}
+			for i, ev := range e.queue {
+				if ev.index != i {
+					t.Fatalf("seed %d, op %d: event at queue position %d believes it is at %d", seed, op, i, ev.index)
+				}
 			}
 		}
-		if endGot != endWant {
-			t.Fatalf("seed %d: run ended at %v, oracle net at %v", seed, endGot, endWant)
-		}
-		if n := net.RegisteredLinks(); n > len(links) {
-			t.Fatalf("seed %d: %d links registered, the run had %d", seed, n, len(links))
-		}
-		if net.ActiveFlows() != 0 || len(net.solver.live) != 0 {
-			t.Fatalf("seed %d: %d flows, %d classes still live after the run", seed, net.ActiveFlows(), len(net.solver.live))
-		}
-		// One completion event re-keyed in place: the run drew a launch, a
-		// start and at most one completion event per transfer from the
-		// arena, not one more per reshare.
-		if drawn := eng.evBlock*eventBlockSize + eng.evUsed; drawn > 3*len(transfers) {
-			t.Fatalf("seed %d: %d events drawn for %d transfers", seed, drawn, len(transfers))
+		for len(e.queue) > 0 {
+			if ev, want := e.pop(), heap.Pop(&ref).(*refEvent); mirror[ev] != want {
+				t.Fatalf("seed %d, draining: popped (%g, %d), container/heap pops (%g, %d)", seed, ev.time, ev.seq, want.time, want.seq)
+			}
 		}
 	}
 }

@@ -40,6 +40,12 @@ type Result struct {
 	Starts, Ends []float64
 }
 
+// flowEdge is one DAG edge between task indices.
+type flowEdge struct {
+	from, to int
+	bytes    float64
+}
+
 // execTask tracks the runtime state of one placement.
 type execTask struct {
 	p     *mapping.Placement
@@ -76,11 +82,13 @@ type Scratch struct {
 	succCur   []int
 	succs     []int
 	// Outgoing data redistributions as CSR over the producer's task
-	// index, in DAG edge order.
+	// index, in DAG edge order. edges is buildFlows' scratch: every edge
+	// with its two ends resolved to task indices, once.
 	flowStart []int
 	flowCur   []int
 	flowTo    []int
 	flowBytes []float64
+	edges     []flowEdge
 
 	// Per-slot callbacks, created once as the scratch grows and reused
 	// across runs: computeFns[i] completes task i, arriveFns[i] records
@@ -277,7 +285,7 @@ func (sc *Scratch) buildFlows(s *mapping.Schedule) {
 	for i := range sc.flowStart {
 		sc.flowStart[i] = 0
 	}
-	nf := 0
+	edges := sc.edges[:0]
 	for _, app := range s.Apps {
 		for _, e := range app.Graph.Edges {
 			from, to := s.PlacementOf(e.From), s.PlacementOf(e.To)
@@ -286,24 +294,22 @@ func (sc *Scratch) buildFlows(s *mapping.Schedule) {
 			}
 			sc.tasks[to.Index].flows++
 			sc.flowStart[from.Index+1]++
-			nf++
+			edges = append(edges, flowEdge{from.Index, to.Index, e.Bytes})
 		}
 	}
+	sc.edges = edges
 	for i := 0; i < nt; i++ {
 		sc.flowStart[i+1] += sc.flowStart[i]
 	}
-	sc.flowTo = growSlice(sc.flowTo, nf)
-	sc.flowBytes = growSlice(sc.flowBytes, nf)
+	sc.flowTo = growSlice(sc.flowTo, len(edges))
+	sc.flowBytes = growSlice(sc.flowBytes, len(edges))
 	sc.flowCur = growSlice(sc.flowCur, nt)
 	copy(sc.flowCur, sc.flowStart[:nt])
-	for _, app := range s.Apps {
-		for _, e := range app.Graph.Edges {
-			from, to := s.PlacementOf(e.From), s.PlacementOf(e.To)
-			k := sc.flowCur[from.Index]
-			sc.flowTo[k] = to.Index
-			sc.flowBytes[k] = e.Bytes
-			sc.flowCur[from.Index] = k + 1
-		}
+	for _, e := range edges {
+		k := sc.flowCur[e.from]
+		sc.flowTo[k] = e.to
+		sc.flowBytes[k] = e.bytes
+		sc.flowCur[e.from] = k + 1
 	}
 }
 
@@ -318,18 +324,11 @@ func (sc *Scratch) finishTask(i int) {
 		sc.tasks[j].procs--
 		sc.tryStart(j)
 	}
-	s := sc.sched
-	observed := sc.eng.OnEvent != nil
+	pf := sc.sched.Platform
 	for k := sc.flowStart[i]; k < sc.flowStart[i+1]; k++ {
 		to := sc.flowTo[k]
-		route := s.Platform.Route(et.p.Cluster, sc.tasks[to].p.Cluster)
-		label := ""
-		if observed {
-			// Flow labels are only observable through the engine's
-			// OnEvent hook; skip the formatting on the unobserved path.
-			label = fmt.Sprintf("%s->%s", et.p.Task.Name, sc.tasks[to].p.Task.Name)
-		}
-		sc.net.Start(label, route, sc.flowBytes[k], sc.arriveFns[to])
+		route := pf.Route(et.p.Cluster, sc.tasks[to].p.Cluster)
+		sc.net.Start("redistribution", route, sc.flowBytes[k], sc.arriveFns[to])
 	}
 }
 
@@ -342,11 +341,7 @@ func (sc *Scratch) tryStart(i int) {
 	}
 	et.start = sc.eng.Now()
 	dur := cost.TaskTime(et.p.Task, et.p.Cluster.Speed, len(et.p.Procs))
-	label := "compute"
-	if sc.eng.OnEvent != nil {
-		label = "compute:" + et.p.Task.Name
-	}
-	sc.eng.After(dur, label, sc.computeFns[i])
+	sc.eng.After(dur, "compute", sc.computeFns[i])
 }
 
 // growSlice resizes s to length n, reusing capacity when possible. The
