@@ -11,7 +11,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -81,13 +80,14 @@ func queryMode(w io.Writer, specPath, dir string, q queryOpts) error {
 		renderQueryTable(w, plan.Query().String(), rows)
 	} else {
 		out := bufio.NewWriter(w)
+		var line []byte
 		emit := func(r ptgsched.CampaignPointResult) error {
-			line, err := json.Marshal(r)
-			if err != nil {
+			var err error
+			if line, err = ptgsched.AppendCampaignJSONL(line[:0], r); err != nil {
 				return err
 			}
-			out.Write(line)
-			return out.WriteByte('\n')
+			_, err = out.Write(line)
+			return err
 		}
 		if q.fullScan {
 			stats, err = st.QueryFullScan(plan, emit)

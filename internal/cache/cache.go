@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ptgsched/internal/jsonl"
 	"ptgsched/internal/scenario"
 )
 
@@ -110,18 +111,6 @@ type manifest struct {
 	ID      string `json:"id"`
 }
 
-// record is one cached measurement. Sum and Proof are omitted from the
-// canonical body (the bytes Sum hashes) by their omitempty tags.
-type record struct {
-	Key        string    `json:"key"`
-	Name       string    `json:"name"`
-	Unfairness []float64 `json:"unfairness"`
-	Makespan   []float64 `json:"makespan"`
-	Rel        []float64 `json:"rel"`
-	Sum        string    `json:"sum,omitempty"`
-	Proof      string    `json:"proof,omitempty"`
-}
-
 // header is a segment's first line.
 type header struct {
 	Cache   string `json:"cache"`
@@ -178,6 +167,7 @@ type Cache struct {
 	entries map[Key]entry
 	segs    map[string]*segState
 	fails   []VerifyError // capped diagnostic log
+	buf     []byte        // record encode scratch (put, verifyRecord)
 
 	// The lazily created writer segment.
 	own      *os.File
@@ -360,8 +350,9 @@ func (c *Cache) scanSegment(st *segState) error {
 		}
 	}
 	br := bufio.NewReaderSize(f, 256*1024)
+	var long []byte
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := jsonl.ReadLine(br, &long)
 		if err != nil {
 			// A trailing fragment without its newline is a write in
 			// flight (or a torn tail): leave off where it is and retry on
@@ -444,8 +435,8 @@ func (c *Cache) verifyHeader(st *segState, line []byte) bool {
 // fatal for the rest of the segment.
 func (c *Cache) verifyRecord(st *segState, line []byte, pending map[Key]entry) (fatal bool) {
 	pos := st.records
-	var rec record
-	if err := json.Unmarshal(line, &rec); err != nil {
+	rec, err := parseRecord(line)
+	if err != nil {
 		c.fail(VerifyError{Class: ClassCorrupt, Segment: st.name, Record: pos,
 			Detail: fmt.Sprintf("unparsable record: %v", err)})
 		return true
@@ -468,13 +459,12 @@ func (c *Cache) verifyRecord(st *segState, line []byte, pending map[Key]entry) (
 
 	body := rec
 	body.Sum, body.Proof = "", ""
-	bodyBytes, err := json.Marshal(body)
-	if err != nil {
+	if c.buf, err = appendRecord(c.buf[:0], body); err != nil {
 		c.fail(VerifyError{Class: ClassCorrupt, Segment: st.name, Record: pos,
 			Detail: fmt.Sprintf("remarshal: %v", err)})
 		return true
 	}
-	if sum := sha256.Sum256(bodyBytes); !bytes.Equal(sum[:], sumBytes) {
+	if sum := sha256.Sum256(c.buf); !bytes.Equal(sum[:], sumBytes) {
 		c.fail(VerifyError{Class: ClassSum, Segment: st.name, Record: pos,
 			Detail: "record body does not hash to its sum (payload altered in place)"})
 		return false
@@ -537,32 +527,27 @@ func (c *Cache) put(k Key, e entry) {
 		}
 	}
 	rec := record{Key: k.String(), Name: e.name, Unfairness: e.unfairness, Makespan: e.makespan, Rel: e.rel}
-	bodyBytes, err := json.Marshal(rec)
-	if err != nil {
+	var err error
+	if c.buf, err = appendRecord(c.buf[:0], rec); err != nil {
 		c.writeErr = err
 		c.entries[k] = e
 		return
 	}
-	sum := sha256.Sum256(bodyBytes)
+	sum := sha256.Sum256(c.buf)
 	proof := chain(c.ownState.proof, sum[:])
 	rec.Sum, rec.Proof = hex.EncodeToString(sum[:]), hex.EncodeToString(proof[:])
-	line, err := json.Marshal(rec)
-	if err != nil {
-		c.writeErr = err
-		c.entries[k] = e
-		return
-	}
-	line = append(line, '\n')
+	c.buf, _ = appendRecord(c.buf[:0], rec) // the body encoded, so does the line
+	c.buf = append(c.buf, '\n')
 	// One write(2) per record, like the store: an append either lands
 	// whole or becomes a torn tail the next reader ignores.
-	if _, err := c.own.Write(line); err != nil {
+	if _, err := c.own.Write(c.buf); err != nil {
 		c.writeErr = err
 		c.entries[k] = e
 		return
 	}
 	c.ownState.proof = proof
 	c.ownState.records++
-	c.ownState.off += int64(len(line))
+	c.ownState.off += int64(len(c.buf))
 	c.entries[k] = e
 }
 

@@ -12,9 +12,10 @@ package cache
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"strconv"
 
+	"ptgsched/internal/jsonl"
 	"ptgsched/internal/scenario"
 )
 
@@ -32,8 +33,29 @@ type Key [sha256.Size]byte
 // segment records.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// The identity record is the canonical JSON the key hashes. It pins
-// everything a point's measurement depends on and nothing it doesn't:
+// KeyFor derives point p's content address under expansion e. specDigest
+// must be scenario.SpecDigest(e.Spec); it is passed in so per-sweep
+// callers (Bound) hash the spec once, not once per point. The result is a
+// pure function of (spec digest, global index): the identity record is
+// fully determined by the expansion arithmetic, which those two
+// coordinates pin.
+func KeyFor(e *scenario.Expansion, specDigest string, p scenario.Point) Key {
+	var stack [1024]byte
+	b, err := appendIdentity(stack[:0], e, specDigest, p)
+	if err != nil {
+		// The identity record is plain data; an encoding failure (a
+		// non-finite µ, speed or rate) is an engine bug, not an input
+		// condition.
+		panic(fmt.Sprintf("cache: encode point identity: %v", err))
+	}
+	return Key(sha256.Sum256(b))
+}
+
+// appendIdentity appends point p's identity record, the canonical JSON
+// the key hashes: the bytes json.Marshal gives the identity struct
+// key_test.go keeps as its oracle, field by field in that struct's
+// order. The record pins everything a point's measurement depends on and
+// nothing it doesn't:
 //
 //   - static (offline and online-arrivals) cells resolve to the cell's
 //     semantics — family grid point (the label prints every grid
@@ -51,89 +73,56 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // already encodes it) — are deliberately absent: the key is invariant
 // under every execution layout, which the key-determinism property suite
 // asserts.
-type identity struct {
-	V          int                `json:"v"`
-	Cell       string             `json:"cell"`
-	Family     string             `json:"family"`
-	Strategies []strategyIdentity `json:"strategies"`
-	Platform   platformIdentity   `json:"platform"`
-	NPTGs      int                `json:"nptgs"`
-	Rep        int                `json:"rep"`
-	Seed       int64              `json:"seed"`
-	Online     *onlineIdentity    `json:"online,omitempty"`
-	Policy     string             `json:"policy"`
-	Campaign   string             `json:"campaign"`
-	Index      int                `json:"index"`
-}
-
-type strategyIdentity struct {
-	Name string  `json:"name"`
-	Mu   float64 `json:"mu"`
-}
-
-type clusterIdentity struct {
-	Name  string  `json:"name"`
-	Procs int     `json:"procs"`
-	Speed float64 `json:"speed"`
-}
-
-type platformIdentity struct {
-	Name         string            `json:"name"`
-	SharedSwitch bool              `json:"shared_switch"`
-	Clusters     []clusterIdentity `json:"clusters"`
-}
-
-type onlineIdentity struct {
-	Process string  `json:"process"`
-	Rate    float64 `json:"rate"`
-}
-
-// KeyFor derives point p's content address under expansion e. specDigest
-// must be scenario.SpecDigest(e.Spec); it is passed in so per-sweep
-// callers (Bound) hash the spec once, not once per point. The result is a
-// pure function of (spec digest, global index): the identity record is
-// fully determined by the expansion arithmetic, which those two
-// coordinates pin.
-func KeyFor(e *scenario.Expansion, specDigest string, p scenario.Point) Key {
-	c := e.Cells[p.Cell]
-	pf := e.Platforms[p.Platform]
-	id := identity{
-		V:          KeyVersion,
-		Cell:       c.Label,
-		Family:     c.Family.String(),
-		Strategies: make([]strategyIdentity, len(c.Config.Strategies)),
-		Platform: platformIdentity{
-			Name:         pf.Name,
-			SharedSwitch: pf.SharedSwitch,
-			Clusters:     make([]clusterIdentity, len(pf.Clusters)),
-		},
-		NPTGs: p.NPTGs,
-		Rep:   p.Rep,
-		Seed:  p.Seed,
-		// Static cells leave the campaign coordinates neutral so equal
-		// points of different specs collide (that is the cross-campaign
-		// memoization); dynamic cells overwrite them below.
-		Index: -1,
+func appendIdentity(buf []byte, e *scenario.Expansion, specDigest string, p scenario.Point) ([]byte, error) {
+	c, pf := e.Cells[p.Cell], e.Platforms[p.Platform]
+	var err error
+	buf = strconv.AppendInt(append(buf, `{"v":`...), KeyVersion, 10)
+	buf = jsonl.AppendString(append(buf, `,"cell":`...), c.Label)
+	buf = jsonl.AppendString(append(buf, `,"family":`...), c.Family.String())
+	buf = append(buf, `,"strategies":[`...)
+	for i, st := range c.Config.Strategies {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = jsonl.AppendString(append(buf, `{"name":`...), st.Name())
+		if buf, err = jsonl.AppendFloat(append(buf, `,"mu":`...), st.Mu); err != nil {
+			return buf, err
+		}
+		buf = append(buf, '}')
 	}
-	for i, s := range c.Config.Strategies {
-		id.Strategies[i] = strategyIdentity{Name: s.Name(), Mu: s.Mu}
-	}
+	buf = jsonl.AppendString(append(buf, `],"platform":{"name":`...), pf.Name)
+	buf = strconv.AppendBool(append(buf, `,"shared_switch":`...), pf.SharedSwitch)
+	buf = append(buf, `,"clusters":[`...)
 	for i, cl := range pf.Clusters {
-		id.Platform.Clusters[i] = clusterIdentity{Name: cl.Name, Procs: cl.Procs, Speed: cl.Speed}
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = jsonl.AppendString(append(buf, `{"name":`...), cl.Name)
+		buf = strconv.AppendInt(append(buf, `,"procs":`...), int64(cl.Procs), 10)
+		if buf, err = jsonl.AppendFloat(append(buf, `,"speed":`...), cl.Speed); err != nil {
+			return buf, err
+		}
+		buf = append(buf, '}')
 	}
+	buf = strconv.AppendInt(append(buf, `]},"nptgs":`...), int64(p.NPTGs), 10)
+	buf = strconv.AppendInt(append(buf, `,"rep":`...), int64(p.Rep), 10)
+	buf = strconv.AppendInt(append(buf, `,"seed":`...), p.Seed, 10)
 	if c.Online != nil {
-		id.Online = &onlineIdentity{Process: c.Online.Process.String(), Rate: c.Online.Rate}
+		buf = jsonl.AppendString(append(buf, `,"online":{"process":`...), c.Online.Process.String())
+		if buf, err = jsonl.AppendFloat(append(buf, `,"rate":`...), c.Online.Rate); err != nil {
+			return buf, err
+		}
+		buf = append(buf, '}')
 	}
+	// Static cells leave the campaign coordinates neutral so equal points
+	// of different specs collide (that is the cross-campaign
+	// memoization); dynamic cells pin them.
+	campaign, index := "", -1
 	if c.Policy != "" {
-		id.Policy = c.Policy
-		id.Campaign = specDigest
-		id.Index = p.Index
+		campaign, index = specDigest, p.Index
 	}
-	b, err := json.Marshal(id)
-	if err != nil {
-		// The identity record is plain data; a marshal failure is an
-		// engine bug, not an input condition.
-		panic(fmt.Sprintf("cache: marshal point identity: %v", err))
-	}
-	return Key(sha256.Sum256(b))
+	buf = jsonl.AppendString(append(buf, `,"policy":`...), c.Policy)
+	buf = jsonl.AppendString(append(buf, `,"campaign":`...), campaign)
+	buf = strconv.AppendInt(append(buf, `,"index":`...), int64(index), 10)
+	return append(buf, '}'), nil
 }

@@ -7,6 +7,9 @@ package cache
 // style from a seeded rng so the suite is reproducible.
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -229,5 +232,122 @@ func TestKeyStableAcrossKilledResume(t *testing.T) {
 	c3 := open(t, dir)
 	if st := c3.Stats(); st.Entries != e.NumPoints() || st.Segments != 2 {
 		t.Fatalf("after resume: entries=%d segments=%d, want %d/2", st.Entries, st.Segments, e.NumPoints())
+	}
+}
+
+// identity is the struct whose json.Marshal encoding appendIdentity
+// writes by hand; it and oracleIdentity are KeyFor's identity record as
+// it was built before, kept as the reference the keys of every cache on
+// disk were hashed over.
+type identity struct {
+	V          int                `json:"v"`
+	Cell       string             `json:"cell"`
+	Family     string             `json:"family"`
+	Strategies []strategyIdentity `json:"strategies"`
+	Platform   platformIdentity   `json:"platform"`
+	NPTGs      int                `json:"nptgs"`
+	Rep        int                `json:"rep"`
+	Seed       int64              `json:"seed"`
+	Online     *onlineIdentity    `json:"online,omitempty"`
+	Policy     string             `json:"policy"`
+	Campaign   string             `json:"campaign"`
+	Index      int                `json:"index"`
+}
+
+type strategyIdentity struct {
+	Name string  `json:"name"`
+	Mu   float64 `json:"mu"`
+}
+
+type clusterIdentity struct {
+	Name  string  `json:"name"`
+	Procs int     `json:"procs"`
+	Speed float64 `json:"speed"`
+}
+
+type platformIdentity struct {
+	Name         string            `json:"name"`
+	SharedSwitch bool              `json:"shared_switch"`
+	Clusters     []clusterIdentity `json:"clusters"`
+}
+
+type onlineIdentity struct {
+	Process string  `json:"process"`
+	Rate    float64 `json:"rate"`
+}
+
+func oracleIdentity(e *scenario.Expansion, specDigest string, p scenario.Point) identity {
+	c := e.Cells[p.Cell]
+	pf := e.Platforms[p.Platform]
+	id := identity{
+		V:          KeyVersion,
+		Cell:       c.Label,
+		Family:     c.Family.String(),
+		Strategies: make([]strategyIdentity, len(c.Config.Strategies)),
+		Platform: platformIdentity{
+			Name:         pf.Name,
+			SharedSwitch: pf.SharedSwitch,
+			Clusters:     make([]clusterIdentity, len(pf.Clusters)),
+		},
+		NPTGs: p.NPTGs,
+		Rep:   p.Rep,
+		Seed:  p.Seed,
+		Index: -1,
+	}
+	for i, s := range c.Config.Strategies {
+		id.Strategies[i] = strategyIdentity{Name: s.Name(), Mu: s.Mu}
+	}
+	for i, cl := range pf.Clusters {
+		id.Platform.Clusters[i] = clusterIdentity{Name: cl.Name, Procs: cl.Procs, Speed: cl.Speed}
+	}
+	if c.Online != nil {
+		id.Online = &onlineIdentity{Process: c.Online.Process.String(), Rate: c.Online.Rate}
+	}
+	if c.Policy != "" {
+		id.Policy = c.Policy
+		id.Campaign = specDigest
+		id.Index = p.Index
+	}
+	return id
+}
+
+// TestKeyIdentityMatchesEncodingJSON: for every point of static, online
+// and dynamic campaigns — inline platforms with names that need escapes,
+// fractional speeds and µ overrides among them — the hand-written
+// identity record is json.Marshal's, so no key of any cache on disk moves.
+func TestKeyIdentityMatchesEncodingJSON(t *testing.T) {
+	specs := []string{smokeSpec, `{
+		"name": "identity", "seed": 5, "reps": 2, "nptgs": [2, 3],
+		"platforms": ["sophia"],
+		"platform_specs": [{"name": "café <a&b> \"q\"", "shared_switch": true,
+			"clusters": [{"name": "c\\0", "procs": 4, "speed": 2.5}, {"name": "c&1", "procs": 3, "speed": 1e-7}]}],
+		"families": [{"family": "fft", "k": [2]}],
+		"strategies": [{"name": "S"}, {"name": "WPS-work", "mu": 0.3}, {"name": "ES"}],
+		"online": {"processes": ["poisson"], "rates": [0.75]}
+	}`, `{
+		"name": "identity-dyn", "seed": 7, "reps": 2, "nptgs": [2], "platforms": ["nancy"],
+		"events": {"failures": [{"cluster": 0, "at": 50, "duration": 20}], "policies": ["restart", "checkpoint"]}
+	}`}
+	rng := rand.New(rand.NewSource(1013))
+	for i := 0; i < 10; i++ {
+		specs = append(specs, randomSpec(rng, i))
+	}
+	for _, spec := range specs {
+		e := expand(t, spec)
+		d := scenario.SpecDigest(e.Spec)
+		for i := 0; i < e.NumPoints(); i++ {
+			p := e.PointAt(i)
+			want, err := json.Marshal(oracleIdentity(e, d, p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := appendIdentity(nil, e, d, p)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("point %d (err %v):\n got %s\nwant %s", i, err, got, want)
+			}
+			if KeyFor(e, d, p) != Key(sha256.Sum256(want)) {
+				t.Fatalf("point %d: KeyFor does not hash the identity record", i)
+			}
+		}
 	}
 }

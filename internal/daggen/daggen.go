@@ -116,7 +116,7 @@ func (c RandomConfig) Validate() error {
 // uniform in [4M, 121M], iteration coefficient a uniform in [2^6, 2^9],
 // Amdahl fraction uniform in [0, 0.25] (§2).
 func drawTaskParams(mode ComplexityMode, r *rand.Rand) (dataElems, seqGFlop, alpha float64) {
-	d := cost.MinDataElems + r.Float64()*(cost.MaxDataElems-cost.MinDataElems)
+	d := cost.MinDataElems + float64(r.Float64()*(cost.MaxDataElems-cost.MinDataElems))
 	a := float64(cost.MinCoeff + r.Intn(cost.MaxCoeff-cost.MinCoeff+1))
 	var class cost.Complexity
 	switch mode {
@@ -152,7 +152,7 @@ func Random(cfg RandomConfig, r *rand.Rand) *dag.Graph {
 	sizes := []int{1}
 	remaining := cfg.Tasks - 2
 	for remaining > 0 {
-		jitter := 1 + (1-cfg.Regularity)*(2*r.Float64()-1)
+		jitter := 1 + float64((1-cfg.Regularity)*(float64(2*r.Float64())-1))
 		s := int(math.Round(perfect * jitter))
 		if s < 1 {
 			s = 1

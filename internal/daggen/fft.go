@@ -27,7 +27,7 @@ func FFT(k int, r *rand.Rand) *dag.Graph {
 	n := 1 << k
 	g := dag.New(fmt.Sprintf("fft-%dpt", n))
 
-	d0 := cost.MinDataElems + r.Float64()*(cost.MaxDataElems-cost.MinDataElems)
+	d0 := cost.MinDataElems + float64(r.Float64()*(cost.MaxDataElems-cost.MinDataElems))
 	a := float64(cost.MinCoeff + r.Intn(cost.MaxCoeff-cost.MinCoeff+1))
 	alpha := r.Float64() * cost.AlphaMax
 	work := func(d float64) float64 { return cost.GFlop(cost.Flops(cost.Linear, a, d)) }

@@ -31,7 +31,7 @@ import (
 func Strassen(r *rand.Rand) *dag.Graph {
 	g := dag.New("strassen")
 
-	d := cost.MinDataElems + r.Float64()*(cost.MaxDataElems-cost.MinDataElems)
+	d := cost.MinDataElems + float64(r.Float64()*(cost.MaxDataElems-cost.MinDataElems))
 	q := d / 4 // elements per quadrant
 	alpha := func() float64 { return r.Float64() * cost.AlphaMax }
 	addWork := cost.GFlop(cost.Flops(cost.Linear, 1, q))  // one add pass over a quadrant

@@ -400,9 +400,9 @@ func (s *Spec) Generate(nClusters, nApps int, r *rand.Rand) Timeline {
 		}
 		t := 0.0
 		for c := 0; c < cycles; c++ {
-			t += r.ExpFloat64() * f.MTTF
+			t += float64(r.ExpFloat64() * f.MTTF)
 			down := t
-			t += r.ExpFloat64() * f.MTTR
+			t += float64(r.ExpFloat64() * f.MTTR)
 			if f.Cluster >= nClusters {
 				continue
 			}

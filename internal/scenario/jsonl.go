@@ -2,10 +2,9 @@ package scenario
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
 	"strconv"
-	"unicode/utf8"
+
+	"ptgsched/internal/jsonl"
 )
 
 // AppendJSONL appends r's compact JSON encoding plus the trailing newline
@@ -17,90 +16,43 @@ import (
 // (a non-finite float, which json.Marshal rejects too) the returned
 // buffer holds a partial record and must be discarded.
 func AppendJSONL(buf []byte, r PointResult) ([]byte, error) {
-	var err error
 	buf = append(buf, `{"index":`...)
 	buf = strconv.AppendInt(buf, int64(r.Index), 10)
 	buf = append(buf, `,"cell":`...)
 	buf = strconv.AppendInt(buf, int64(r.Cell), 10)
-	buf = append(buf, `,"name":`...)
-	if buf, err = appendJSONString(buf, r.Name); err != nil {
-		return buf, err
-	}
-	buf = append(buf, `,"unfairness":`...)
-	if buf, err = appendJSONFloats(buf, r.Unfairness); err != nil {
-		return buf, err
-	}
-	buf = append(buf, `,"makespan":`...)
-	if buf, err = appendJSONFloats(buf, r.Makespan); err != nil {
-		return buf, err
-	}
-	buf = append(buf, `,"rel":`...)
-	if buf, err = appendJSONFloats(buf, r.Rel); err != nil {
+	buf, err := jsonl.AppendMeasurement(append(buf, ','), r.Name, r.Unfairness, r.Makespan, r.Rel)
+	if err != nil {
 		return buf, err
 	}
 	return append(buf, '}', '\n'), nil
 }
 
-// appendJSONString writes s as a JSON string. The fast path covers the
-// characters point names are actually made of — printable ASCII minus the
-// characters encoding/json escapes ('"', '\\', and the HTML-safety set
-// '<', '>', '&'); anything else falls back to json.Marshal so the escape
-// forms (\u003c for '<', the U+FFFD replacement for invalid UTF-8, …)
-// stay byte-identical.
-func appendJSONString(buf []byte, s string) ([]byte, error) {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, err := json.Marshal(s)
-			if err != nil {
-				return buf, err
-			}
-			return append(buf, b...), nil
-		}
+// ParseJSONL decodes one record line, with or without its newline — the
+// inverse of AppendJSONL. A line in exactly the layout AppendJSONL writes
+// (its key order, no whitespace, a name of printable ASCII without
+// escapes) is read directly, with one allocation for the name and one for
+// the three float lists; any other line goes to json.Unmarshal. Either
+// way the value and the error are encoding/json's, for every input, and
+// nothing of line is retained.
+func ParseJSONL(line []byte) (PointResult, error) {
+	if r, ok := parseJSONLDirect(line); ok {
+		return r, nil
 	}
-	buf = append(buf, '"')
-	buf = append(buf, s...)
-	return append(buf, '"'), nil
+	var r PointResult
+	err := json.Unmarshal(line, &r)
+	return r, err
 }
 
-// appendJSONFloats writes a float slice, with encoding/json's nil-slice
-// convention (null) preserved.
-func appendJSONFloats(buf []byte, s []float64) ([]byte, error) {
-	if s == nil {
-		return append(buf, `null`...), nil
-	}
-	buf = append(buf, '[')
-	var err error
-	for i, f := range s {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		if buf, err = appendJSONFloat(buf, f); err != nil {
-			return buf, err
-		}
-	}
-	return append(buf, ']'), nil
-}
-
-// appendJSONFloat replicates encoding/json's float64 encoding exactly:
-// shortest round-trip form, 'f' format unless the magnitude calls for
-// exponent form ('e' below 1e-6 or at/above 1e21), with the exponent's
-// leading zero trimmed ("2e-09" → "2e-9").
-func appendJSONFloat(buf []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return buf, fmt.Errorf("scenario: unsupported non-finite value %v in point result", f)
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	buf = strconv.AppendFloat(buf, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(buf); n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
-			buf[n-2] = buf[n-1]
-			buf = buf[:n-1]
-		}
-	}
-	return buf, nil
+// parseJSONLDirect is ParseJSONL's direct path; ok is false for a line
+// outside AppendJSONL's layout.
+func parseJSONLDirect(line []byte) (r PointResult, ok bool) {
+	c := jsonl.NewCursor(line)
+	c.Lit(`{"index":`)
+	r.Index = c.Int()
+	c.Lit(`,"cell":`)
+	r.Cell = c.Int()
+	c.Lit(`,`)
+	r.Name, r.Unfairness, r.Makespan, r.Rel = c.Measurement()
+	c.Lit(`}`)
+	return r, c.End()
 }

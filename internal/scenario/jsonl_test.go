@@ -8,7 +8,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
+	"unicode/utf8"
 )
 
 // marshalLine is the reference encoding: json.Marshal plus the newline
@@ -22,14 +24,17 @@ func marshalLine(t *testing.T, r PointResult) []byte {
 	return append(b, '\n')
 }
 
-func TestAppendJSONLMatchesEncodingJSON(t *testing.T) {
+// adversarialRecords are the encoder's hard cases: nil vs empty lists,
+// extreme indices, every escape class of the name, and floats on both
+// sides of each formatting threshold.
+func adversarialRecords() []PointResult {
 	floats := []float64{
 		0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3.0,
 		1e-6, 9.999999e-7, 1e-7, 5e-324, // exponent-form threshold and denormal
 		1e20, 1e21, 1.0000001e21, math.MaxFloat64,
 		-2.5e-9, 123456.789, 1013.0, 2.718281828459045,
 	}
-	cases := []PointResult{
+	return []PointResult{
 		{}, // zero value: nil slices must encode as null
 		{Index: 3, Cell: 1, Name: "strassen/n=2/rep=0/lille",
 			Unfairness: []float64{}, Makespan: []float64{}, Rel: []float64{}},
@@ -43,7 +48,10 @@ func TestAppendJSONLMatchesEncodingJSON(t *testing.T) {
 		{Index: 42, Cell: 2, Name: "floats", Unfairness: floats,
 			Makespan: floats[:4], Rel: floats[4:]},
 	}
-	for i, r := range cases {
+}
+
+func TestAppendJSONLMatchesEncodingJSON(t *testing.T) {
+	for i, r := range adversarialRecords() {
 		got, err := AppendJSONL(nil, r)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
@@ -105,6 +113,187 @@ func FuzzAppendJSONL(f *testing.F) {
 		}
 		if !bytes.Equal(got, append(want, '\n')) {
 			t.Fatalf("encoders diverge:\n got %s\nwant %s\n", got, want)
+		}
+	})
+}
+
+// requireSameDecode checks ParseJSONL against json.Unmarshal on one line:
+// the same value (nil and empty lists apart, floats bit for bit) and the
+// same error text.
+func requireSameDecode(t *testing.T, line []byte) {
+	t.Helper()
+	got, gerr := ParseJSONL(line)
+	var want PointResult
+	werr := json.Unmarshal(line, &want)
+	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+		t.Fatalf("%q: error %v, json.Unmarshal says %v", line, gerr, werr)
+	}
+	if !reflect.DeepEqual(got, want) || !sameFloatBits(got, want) {
+		t.Fatalf("%q:\n got %#v\nwant %#v", line, got, want)
+	}
+}
+
+// sameFloatBits compares every float of two results bit for bit, which
+// reflect.DeepEqual does not (it equates 0 and -0).
+func sameFloatBits(a, b PointResult) bool {
+	for _, p := range [][2][]float64{{a.Unfairness, b.Unfairness}, {a.Makespan, b.Makespan}, {a.Rel, b.Rel}} {
+		if len(p[0]) != len(p[1]) {
+			return false
+		}
+		for i := range p[0] {
+			if math.Float64bits(p[0][i]) != math.Float64bits(p[1][i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// storeWarmRecord is shaped like the records of the store_warm benchmark:
+// a real point name and six strategies' worth of full-precision floats.
+func storeWarmRecord() PointResult {
+	r := PointResult{Index: 4321, Cell: 2, Name: "fft/n=6/rep=119/Lyon",
+		Unfairness: make([]float64, 6), Makespan: make([]float64, 6), Rel: make([]float64, 6)}
+	k := uint64(0x9e3779b97f4a7c15)
+	for s := range r.Unfairness {
+		k ^= k >> 31
+		k *= 0x94d049bb133111eb
+		r.Unfairness[s] = float64(k%9973)/9973 + float64(s)*0.01
+		r.Makespan[s] = 1000 + float64(k>>20%100003)/97 + float64(s)
+		r.Rel[s] = 1 + float64(k>>40%1009)/1009
+	}
+	return r
+}
+
+// TestParseJSONLRoundTrip reads back every adversarial record bit for
+// bit, with and without its newline, and keeps nothing of the line. A
+// line whose name needed no escape takes the direct path. (A name that is
+// not valid UTF-8 does not survive encoding/json either; that case is
+// TestParseJSONLMatchesUnmarshal's.)
+func TestParseJSONLRoundTrip(t *testing.T) {
+	long := PointResult{Name: "more floats than the stack buffer", Makespan: make([]float64, 100)}
+	for i := range long.Makespan {
+		long.Makespan[i] = float64(i) / 7
+	}
+	for i, r := range append(adversarialRecords(), storeWarmRecord(), long) {
+		if !utf8.ValidString(r.Name) {
+			continue
+		}
+		line, err := AppendJSONL(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{len(line), len(line) - 1} {
+			l := append([]byte(nil), line[:n]...)
+			_, direct := parseJSONLDirect(l)
+			if want := !bytes.ContainsRune(l, '\\'); direct != want {
+				t.Errorf("case %d (%q): direct path %v, want %v", i, l, direct, want)
+			}
+			got, err := ParseJSONL(l)
+			if err != nil {
+				t.Fatalf("case %d: %v", i, err)
+			}
+			for j := range l {
+				l[j] = 'x' // nothing decoded may alias the line
+			}
+			if !reflect.DeepEqual(got, r) || !sameFloatBits(got, r) {
+				t.Fatalf("case %d:\n got %#v\nwant %#v", i, got, r)
+			}
+			for _, l := range [][]float64{got.Unfairness, got.Makespan, got.Rel} {
+				if cap(l) != len(l) {
+					t.Fatalf("case %d: a list of %d has capacity %d; an append would overwrite the next", i, len(l), cap(l))
+				}
+			}
+		}
+	}
+}
+
+// jsonlMutations are lines outside AppendJSONL's layout that encoding/json
+// still reads (or rejects with its own error): reordered and upper-case
+// keys, whitespace, escapes, number forms the encoder never writes, and
+// trailing junk.
+var jsonlMutations = []string{
+	`{"cell":1,"index":3,"name":"a","unfairness":null,"makespan":null,"rel":null}`,
+	`{"INDEX":3,"Cell":1,"name":"a","unfairness":null,"makespan":null,"rel":null}`,
+	`{"index":3, "cell":1,"name":"a","unfairness":[1, 2],"makespan":null,"rel":null}`,
+	` {"index":3,"cell":1,"name":"a","unfairness":null,"makespan":null,"rel":null}` + "\r\n",
+	`{"index":3,"cell":1,"name":"a\u00e9\n","unfairness":null,"makespan":null,"rel":null}`,
+	`{"index":3,"cell":1,"name":"a","unfairness":[1E5,1e+5,-0,0.5e-3],"makespan":[-0.0],"rel":[]}`,
+	`{"index":-0,"cell":01,"name":"a","unfairness":null,"makespan":null,"rel":null}`,
+	`{"index":3,"cell":1,"name":"a","unfairness":[01],"makespan":null,"rel":null}`,
+	`{"index":3,"cell":1,"name":"a","unfairness":[1e400],"makespan":[2],"rel":[3]}`,
+	`{"index":3,"cell":1,"name":"a","unfairness":[1e-400],"makespan":null,"rel":null}`,
+	`{"index":3.5,"cell":1,"name":"a","unfairness":[1],"makespan":null,"rel":null}`,
+	`{"index":1e2,"cell":1,"name":"a","unfairness":[1],"makespan":null,"rel":null}`,
+	`{"index":99999999999999999999,"cell":1,"name":"a","unfairness":null,"makespan":null,"rel":null}`,
+	`{"index":3,"cell":1,"name":"a","unfairness":[1.],"makespan":null,"rel":null}`,
+	`{"index":3,"cell":1,"name":"a","unfairness":[.5],"makespan":null,"rel":null}`,
+	`{"index":3,"cell":1,"name":"a","unfairness":[1,],"makespan":null,"rel":null}`,
+	`{"index":3,"cell":1,"name":"a","unfairness":null,"makespan":null,"rel":null}junk`,
+	`{"index":3,"cell":1,"name":"a","unfairness":null,"makespan":null,"rel":null}` + "\n\n",
+	`{"index":3,"cell":1,"name":"a","unfairness":null,"makespan":null,"rel":null,"extra":true}`,
+	`{"index":3,"cell":1,"name":"a","unfairness":null,"makespan":null,"rel":null,"index":4}`,
+	`{"index":3,"cell":1,"name":null,"unfairness":"x","makespan":null,"rel":null}`,
+	`{"index":3,"cell":1,"name":"a","unfairness":null,"makespan":null,"rel":null`,
+	`{"index":3,"cell":1,"name":"a\"b","unfairness":null,"makespan":null,"rel":null}`,
+	`null`, `[]`, ``, `{}`, "{\"index\":3,\"cell\":1,\"name\":\"\xff\",\"unfairness\":null,\"makespan\":null,\"rel\":null}",
+}
+
+func TestParseJSONLMatchesUnmarshal(t *testing.T) {
+	for _, r := range adversarialRecords() {
+		line, err := AppendJSONL(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameDecode(t, line)
+		requireSameDecode(t, line[:len(line)/2])
+	}
+	for _, m := range jsonlMutations {
+		requireSameDecode(t, []byte(m))
+	}
+}
+
+// FuzzParseJSONLMatchesUnmarshal: for any bytes, ParseJSONL returns what
+// json.Unmarshal returns — value, float bits, nil-ness and error text —
+// and never panics.
+func FuzzParseJSONLMatchesUnmarshal(f *testing.F) {
+	for _, r := range append(adversarialRecords(), storeWarmRecord()) {
+		line, err := AppendJSONL(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+	}
+	for _, m := range jsonlMutations {
+		f.Add([]byte(m))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		requireSameDecode(t, line)
+	})
+}
+
+// BenchmarkParseJSONL reads one store_warm-shaped record through the
+// decoder and, beside it, through json.Unmarshal.
+func BenchmarkParseJSONL(b *testing.B) {
+	line, err := AppendJSONL(nil, storeWarmRecord())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("ParseJSONL", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ParseJSONL(line); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("json.Unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var r PointResult
+			if err := json.Unmarshal(line, &r); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -3,7 +3,6 @@ package scenario
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -388,8 +387,8 @@ func ReadJSONLFunc(r io.Reader, fn func(PointResult) error) error {
 		if len(text) == 0 {
 			continue
 		}
-		var pr PointResult
-		if err := json.Unmarshal(text, &pr); err != nil {
+		pr, err := ParseJSONL(text)
+		if err != nil {
 			return fmt.Errorf("scenario: jsonl line %d: %w", line, err)
 		}
 		if err := fn(pr); err != nil {

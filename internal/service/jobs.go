@@ -621,8 +621,8 @@ func (s *Service) JobResults(id string, q ResultQuery, w io.Writer) error {
 				continue
 			}
 			if p.ProjectColumn(h.e.CellOf(i)) >= 0 {
-				var r scenario.PointResult
-				if err := json.Unmarshal(line, &r); err != nil {
+				r, err := scenario.ParseJSONL(line)
+				if err != nil {
 					return err
 				}
 				// Project validates the record's column count before
@@ -632,10 +632,9 @@ func (s *Service) JobResults(id string, q ResultQuery, w io.Writer) error {
 				if r, err = p.Project(r); err != nil {
 					return err
 				}
-				if line, err = json.Marshal(r); err != nil {
+				if line, err = scenario.AppendJSONL(line[:0], r); err != nil {
 					return err
 				}
-				line = append(line, '\n')
 			}
 			if _, err := w.Write(line); err != nil {
 				return err

@@ -450,8 +450,8 @@ func (s *Store) emitRun(p *query.Plan, segIdx int, r run, b []byte, st *QuerySta
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var rec scenario.PointResult
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, err := scenario.ParseJSONL(line)
+		if err != nil {
 			return fmt.Errorf("store: %s: corrupt record inside indexed run [%d,%d): %w (delete the .idx sidecar to force a rebuild)",
 				segmentPath(s.dir, segIdx), r.off, r.off+r.len, err)
 		}

@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 
 	"ptgsched/internal/bitset"
+	"ptgsched/internal/jsonl"
 	"ptgsched/internal/scenario"
 )
 
@@ -361,8 +362,9 @@ func (s *Store) scanSegment(idx int, from int64, fn func(r scenario.PointResult,
 
 	br := bufio.NewReaderSize(f, 256*1024)
 	off := from
+	var long []byte
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := jsonl.ReadLine(br, &long)
 		size = off + int64(len(line))
 		if err == io.EOF {
 			// Trailing bytes without a newline: a torn final line (or a
@@ -377,8 +379,8 @@ func (s *Store) scanSegment(idx int, from int64, fn func(r scenario.PointResult,
 			off = size
 			continue
 		}
-		var r scenario.PointResult
-		if err := json.Unmarshal(text, &r); err != nil {
+		r, err := scenario.ParseJSONL(text)
+		if err != nil {
 			// Peek: if nothing follows this line, it is the final line and
 			// parsed as garbage — a torn write (crashed between the payload
 			// and its newline landing). Anything after it means mid-segment
