@@ -354,7 +354,7 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 		if cacheDir != "" {
 			return fmt.Errorf("-merge and -cache are mutually exclusive (merging only re-reads results)")
 		}
-		if mergePaths, err = mergeInputs(merge, ptgsched.CampaignSpecDigest(e.Spec)); err != nil {
+		if mergePaths, err = mergeInputs(merge, e.Digest()); err != nil {
 			return err
 		}
 	}

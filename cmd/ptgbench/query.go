@@ -7,7 +7,7 @@ package main
 // sparse indexes; only those runs are read and decoded. stdout carries
 // exactly the deliverable (JSONL records or the aggregate table); the
 // pushdown evidence (bytes read vs total, lines decoded, rebuilt
-// sidecars, plan-cache counters) goes to stderr.
+// sidecars) goes to stderr.
 
 import (
 	"bufio"
@@ -106,13 +106,11 @@ func queryMode(w io.Writer, specPath, dir string, q queryOpts) error {
 	if q.fullScan {
 		mode = "full scan"
 	}
-	cache := ptgsched.CampaignQueryCache()
 	fmt.Fprintf(os.Stderr,
-		"ptgbench: query %s (%s): %d records emitted; read %d of %d bytes, decoded %d lines, %d/%d runs in %d/%d segments; plan cache %d hits / %d misses\n",
+		"ptgbench: query %s (%s): %d records emitted; read %d of %d bytes, decoded %d lines, %d/%d runs in %d/%d segments\n",
 		plan.Query().String(), mode, stats.Emitted,
 		stats.BytesRead, stats.BytesTotal, stats.LinesDecoded,
-		stats.RunsMatched, stats.RunsTotal, stats.SegmentsTouched, stats.SegmentsTotal,
-		cache.Hits, cache.Misses)
+		stats.RunsMatched, stats.RunsTotal, stats.SegmentsTouched, stats.SegmentsTotal)
 	return nil
 }
 

@@ -25,11 +25,17 @@ import (
 // Of the runs it has seen a trace keeps the one with the largest limit: a
 // smaller limit rejects whatever a larger one rejects, so that run shares
 // the longest prefix with any other.
+//
+// A trace also keeps the allocation every run returned, one per β: a run
+// under a β already seen on the key is answered with that allocation
+// instead of being replayed.
 type trace struct {
 	limit float64
 	steps
-	// tasks and edges are the size the graph had when the steps were
-	// recorded; the store drops the steps of a graph that has grown since.
+	done []*Allocation
+	// tasks and edges are the size the graph had when the steps and the
+	// allocations were made; the store drops both for a graph that has
+	// grown since.
 	tasks, edges int
 }
 
@@ -55,9 +61,13 @@ func (tr *trace) shared(limit float64) int {
 // repeatedly — a campaign point under its strategies, the online scheduler
 // at every rebalance — computes them: Compute returns what the package-level
 // Compute returns, bit for bit, and regrows only the steps no earlier call
-// on the same key already decided alike. A graph may be traced under several
-// references at once (the online reference moves with cluster failures and
-// comes back with recoveries).
+// on the same key already decided alike. A β already computed on the key
+// returns the earlier *Allocation itself: the β = 1 dedicated run is the
+// selfish strategy's allocation, strategies often resolve a graph to the
+// same β, and an online rebalance often leaves a share where it was.
+// Callers must not modify the allocations a store returns. A graph may be
+// traced under several references at once (the online reference moves with
+// cluster failures and comes back with recoveries).
 //
 // The zero value is an empty store. A store belongs to one goroutine, like
 // the graphs it traces. It detects a graph that gained tasks or edges since
@@ -74,8 +84,9 @@ type Traces struct {
 
 	// Replayed and Grown count, over every Compute since the store was
 	// created, the growth steps taken over from a trace and the steps run
-	// through the loop.
-	Replayed, Grown int
+	// through the loop; Repeated counts the calls answered with an earlier
+	// allocation, which take and grow no step.
+	Replayed, Grown, Repeated int
 }
 
 type traceKey struct {
@@ -101,16 +112,25 @@ func (s *Traces) Compute(g *dag.Graph, ref platform.Reference, beta float64, pro
 		s.byKey[key] = tr
 	}
 	if tr.tasks != len(g.Tasks) || tr.edges != len(g.Edges) {
-		*tr = trace{steps: steps{tr.task[:0], tr.q[:0]}, tasks: len(g.Tasks), edges: len(g.Edges)}
+		*tr = trace{steps: steps{tr.task[:0], tr.q[:0]}, done: tr.done[:0], tasks: len(g.Tasks), edges: len(g.Edges)}
 	}
-	return s.grow(g, ref, beta, proc, tr)
+	for _, a := range tr.done {
+		if a.Beta == beta {
+			s.Repeated++
+			return a
+		}
+	}
+	a := s.grow(g, ref, beta, proc, tr)
+	tr.done = append(tr.done, a)
+	return a
 }
 
-// Forget drops every trace, releasing the graphs, and keeps the step
-// storage for the traces to come.
+// Forget drops every trace and the allocations kept with it, releasing the
+// graphs, and keeps the storage for the traces to come.
 func (s *Traces) Forget() {
 	for _, tr := range s.byKey {
 		tr.tasks = -1
+		clear(tr.done)
 		s.free = append(s.free, tr)
 	}
 	clear(s.byKey)

@@ -229,6 +229,73 @@ func TestTracesForget(t *testing.T) {
 	}
 }
 
+// A β already computed on a key returns the allocation computed then —
+// the same *Allocation, no step taken or grown. A different β, reference or
+// procedure is not a repeat; a graph that gained a task or an edge, and a
+// forgotten store, are allocated afresh.
+func TestTracesAnswerRepeats(t *testing.T) {
+	for _, proc := range procedures {
+		g, rf, other := forkJoin(8, 40, 0.1), ref(64, 3), ref(48, 2.5)
+		var s Traces
+		oracle := func(what string, a *Allocation, g *dag.Graph, rf platform.Reference, beta float64, proc Procedure) {
+			t.Helper()
+			if want := oracleCompute(g, rf, beta, proc).Procs; !slices.Equal(a.Procs, want) {
+				t.Fatalf("%v, %s: got %v, want %v", proc, what, a.Procs, want)
+			}
+		}
+		first := s.Compute(g, rf, 0.3, proc)
+		oracle("first run", first, g, rf, 0.3, proc)
+		replayed, grown := s.Replayed, s.Grown
+		if again := s.Compute(g, rf, 0.3, proc); again != first {
+			t.Fatalf("%v: an exact repeat was computed again", proc)
+		}
+		if s.Repeated != 1 || s.Replayed != replayed || s.Grown != grown {
+			t.Fatalf("%v: an exact repeat counted %d repeats, %d steps replayed, %d grown",
+				proc, s.Repeated, s.Replayed-replayed, s.Grown-grown)
+		}
+
+		for _, c := range []struct {
+			what string
+			rf   platform.Reference
+			beta float64
+			proc Procedure
+		}{
+			{"another β", rf, 0.5, proc},
+			{"another reference", other, 0.3, proc},
+			{"another procedure", rf, 0.3, 1 - proc},
+		} {
+			a := s.Compute(g, c.rf, c.beta, c.proc)
+			if a == first {
+				t.Fatalf("%v: %s served the first allocation", proc, c.what)
+			}
+			oracle(c.what, a, g, c.rf, c.beta, c.proc)
+		}
+		if s.Compute(g, rf, 0.3, proc) != first {
+			t.Fatalf("%v: the first allocation was lost to the other keys", proc)
+		}
+
+		g.AddTask("appended", 4e6, 500, 0.05)
+		grownTask := s.Compute(g, rf, 0.3, proc)
+		if grownTask == first || len(grownTask.Procs) != len(g.Tasks) {
+			t.Fatalf("%v: an allocation of %d tasks served after AddTask", proc, len(first.Procs))
+		}
+		oracle("after AddTask", grownTask, g, rf, 0.3, proc)
+
+		g.MustAddEdge(g.Tasks[1], g.Tasks[len(g.Tasks)-1], 1)
+		grownEdge := s.Compute(g, rf, 0.3, proc)
+		if grownEdge == grownTask {
+			t.Fatalf("%v: the allocation without the edge served after AddEdge", proc)
+		}
+		oracle("after AddEdge", grownEdge, g, rf, 0.3, proc)
+
+		s.Forget()
+		repeated := s.Repeated
+		if a := s.Compute(g, rf, 0.3, proc); a == grownEdge || s.Repeated != repeated {
+			t.Fatalf("%v: an allocation survived Forget", proc)
+		}
+	}
+}
+
 // BenchmarkComputeReplay walks one trace down the β ladder 1, 1/2, … 1/10
 // and back up on the campaign grid's 50-task PTG — the shares an
 // equal-share online run moves an application through as others arrive and

@@ -669,7 +669,7 @@ func (c *Cache) VerifyErrors() []VerifyError {
 
 // Bound is a Cache scoped to one expansion: it implements scenario.Memo,
 // deriving each point's content address under that expansion's spec
-// digest. Bind hashes the spec once; Bound is safe for concurrent use.
+// digest. Bound is safe for concurrent use.
 type Bound struct {
 	c      *Cache
 	e      *scenario.Expansion
@@ -682,7 +682,7 @@ type Bound struct {
 // matches the requested point exactly (a defense-in-depth check over the
 // content address).
 func (c *Cache) Bind(e *scenario.Expansion) *Bound {
-	return &Bound{c: c, e: e, digest: scenario.SpecDigest(e.Spec)}
+	return &Bound{c: c, e: e, digest: e.Digest()}
 }
 
 // Lookup implements scenario.Memo: a verified entry for the point's

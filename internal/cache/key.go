@@ -34,8 +34,8 @@ type Key [sha256.Size]byte
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // KeyFor derives point p's content address under expansion e. specDigest
-// must be scenario.SpecDigest(e.Spec); it is passed in so per-sweep
-// callers (Bound) hash the spec once, not once per point. The result is a
+// must be e.Digest(), scenario.SpecDigest of its spec; it is passed in so
+// per-sweep callers (Bound) read it once, not once per point. The result is a
 // pure function of (spec digest, global index): the identity record is
 // fully determined by the expansion arithmetic, which those two
 // coordinates pin.

@@ -75,34 +75,22 @@ func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Resu
 // EvaluateWith fills) are scratch-owned and overwritten by the next call
 // on the same Scratch, so callers consume them before scheduling again.
 //
-// A Scratch also remembers the allocations it computed, so that one batch
-// of graphs scheduled several times — alone for M_own, then under each
-// strategy — computes each distinct (graph, reference cluster, β,
-// procedure) once: the β = 1 dedicated run is the selfish strategy's
-// allocation, and strategies often resolve a graph to the same β. What it
-// does compute goes through a store of allocation traces (alloc.Traces), so
-// a graph's run under one β starts from the growth steps its runs under
-// other β already made. Callers moving on to other graphs call
-// ForgetAllocations; graphs' task costs must not be edited while their
-// allocations and traces are remembered (appending tasks or edges is
-// detected). Release ends a scratch's use for one piece of work altogether.
+// A Scratch also computes its allocations through a store of allocation
+// traces (alloc.Traces), so that one batch of graphs scheduled several
+// times — alone for M_own, then under each strategy — computes each
+// distinct (graph, reference cluster, β, procedure) once and starts a
+// graph's run under a new β from the growth steps its runs under other β
+// already made. Callers moving on to other graphs call ForgetAllocations;
+// graphs' task costs must not be edited while their traces are kept
+// (appending tasks or edges is detected). Release ends a scratch's use for
+// one piece of work altogether.
 type Scratch struct {
 	exec   *simexec.Scratch
 	apps   []*alloc.Allocation
 	alone  [1]*dag.Graph
 	slow   []float64
 	res    Result
-	memo   []remembered
 	traces alloc.Traces
-}
-
-// remembered is one allocation with what identifies its computation beyond
-// the Graph, Ref and Beta it records itself: the procedure, and the graph's
-// edge count (with len(Procs), the size the graph had).
-type remembered struct {
-	a     *alloc.Allocation
-	proc  alloc.Procedure
-	edges int
 }
 
 // NewScratch returns an empty scratch ready for ScheduleWith.
@@ -110,16 +98,12 @@ func NewScratch() *Scratch {
 	return &Scratch{exec: simexec.NewScratch()}
 }
 
-// ForgetAllocations drops the remembered allocations and their traces,
+// ForgetAllocations drops the traces and the allocations kept with them,
 // releasing their graphs. Call it between batches of different graphs.
-func (sc *Scratch) ForgetAllocations() {
-	clear(sc.memo)
-	sc.memo = sc.memo[:0]
-	sc.traces.Forget()
-}
+func (sc *Scratch) ForgetAllocations() { sc.traces.Forget() }
 
 // Release drops everything the scratch still references of the batches it
-// scheduled — the last Result, the allocation memo and traces, the
+// scheduled — the last Result, the allocation traces, the
 // executor's schedule — keeping only buffers, so a scratch parked between
 // unrelated pieces of work (a service worker between requests) pins none of
 // the previous one's graphs. Results the scratch returned are invalid after
@@ -130,21 +114,6 @@ func (sc *Scratch) Release() {
 	sc.alone[0] = nil
 	sc.res = Result{}
 	sc.exec.Release()
-}
-
-// allocation returns alloc.Compute(g, ref, beta, proc), computed at most
-// once per remembered (graph, reference, β, procedure) and then from the
-// trace of (graph, reference, procedure).
-func (sc *Scratch) allocation(g *dag.Graph, ref platform.Reference, beta float64, proc alloc.Procedure) *alloc.Allocation {
-	for _, m := range sc.memo {
-		if a := m.a; a.Graph == g && a.Beta == beta && a.Ref == ref && m.proc == proc &&
-			len(a.Procs) == len(g.Tasks) && m.edges == len(g.Edges) {
-			return a
-		}
-	}
-	a := sc.traces.Compute(g, ref, beta, proc)
-	sc.memo = append(sc.memo, remembered{a, proc, len(g.Edges)})
-	return a
 }
 
 // ScheduleWith is Schedule on a reusable worker-owned scratch. The
@@ -162,7 +131,7 @@ func (s *Scheduler) ScheduleWith(sc *Scratch, graphs []*dag.Graph, strat strateg
 	}
 	apps := sc.apps[:len(graphs)]
 	for i, g := range graphs {
-		apps[i] = sc.allocation(g, ref, betas[i], s.Procedure)
+		apps[i] = sc.traces.Compute(g, ref, betas[i], s.Procedure)
 	}
 	sched := mapping.Map(s.Platform, apps, s.MapOptions)
 	sc.res = Result{

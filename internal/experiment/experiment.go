@@ -258,38 +258,19 @@ type Measurement struct {
 
 // Scratch amortizes one worker's per-run state — the core scheduler
 // scratch (simulation engine, flow net, executor buffers) plus the run's
-// graph and M_own slices and a per-platform scheduler — across the many
-// runs a pool slot executes. A Scratch must be confined to one goroutine.
-// The Measurements RunOneWith returns are NOT scratch-owned: their slices
-// are freshly allocated, so results may be retained and batched freely.
+// graph and M_own slices — across the many runs a pool slot executes. A
+// Scratch must be confined to one goroutine. The Measurements RunOneWith
+// returns are NOT scratch-owned: their slices are freshly allocated, so
+// results may be retained and batched freely.
 type Scratch struct {
 	core   *core.Scratch
 	graphs []*dag.Graph
 	own    []float64
-	// Scheduler cache keyed by platform index; pfs guards reuse across
-	// calls with different Config values.
-	pfs    []*platform.Platform
-	scheds []*core.Scheduler
 }
 
 // NewScratch returns an empty scratch ready for RunOneWith.
 func NewScratch() *Scratch {
 	return &Scratch{core: core.NewScratch()}
-}
-
-// schedulerFor returns the cached paper-configuration scheduler for
-// platform pfIdx, building it on first use (or when the platform set
-// changed between calls, which only mixed-config callers do).
-func (sc *Scratch) schedulerFor(pf *platform.Platform, pfIdx int) *core.Scheduler {
-	for len(sc.scheds) <= pfIdx {
-		sc.scheds = append(sc.scheds, nil)
-		sc.pfs = append(sc.pfs, nil)
-	}
-	if sc.pfs[pfIdx] != pf {
-		sc.scheds[pfIdx] = core.New(pf)
-		sc.pfs[pfIdx] = pf
-	}
-	return sc.scheds[pfIdx]
 }
 
 // RunOneWith executes the single campaign run identified by (point, rep,
@@ -313,8 +294,7 @@ func RunOneWith(cfg Config, point, rep, pfIdx int, sc *Scratch) Measurement {
 	for i := range graphs {
 		graphs[i] = gen(r)
 	}
-	pf := cfg.Platforms[pfIdx]
-	sched := sc.schedulerFor(pf, pfIdx)
+	sched := core.New(cfg.Platforms[pfIdx])
 	// The run's graphs are new: the allocations the scratch remembers from
 	// the slot's previous run serve nothing here and would pin its graphs.
 	sc.core.ForgetAllocations()

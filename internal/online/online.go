@@ -9,10 +9,10 @@
 // run's store of allocation traces (alloc.Traces, in the Scratch): an
 // arrival or a completion only rescales β, so an application's growth steps
 // under its previous shares are replayed as far as the new share decides
-// them alike — all the way when β is where it was — and a platform event
-// that returns to an earlier reference cluster finds that reference's traces
-// again. Allocations use the procedure in Options, whose zero value is SCRAP
-// — see Options.
+// them alike (a share it already had returns the allocation computed then),
+// and a platform event that returns to an earlier reference cluster finds
+// that reference's traces again. Allocations use the procedure in Options,
+// whose zero value is SCRAP — see Options.
 //
 // The driver is an event-driven scheduler over the mapper's cost model:
 // decision instants are application arrivals and task completions; at each

@@ -154,8 +154,8 @@ func TestTracedRunsMatchRecompute(t *testing.T) {
 					what := pf.Name + " " + name + " " + proc.String() + " " + strat.Name() + " " + policy.Name()
 					sameRun(t, what, ScheduleWith(sc, pf, arrivals, opts), recomputed(pf, arrivals, opts))
 				}
-				if sc.traces.Replayed == 0 {
-					t.Errorf("%s %s %v: no growth step was replayed", pf.Name, name, proc)
+				if sc.traces.Replayed+sc.traces.Repeated == 0 {
+					t.Errorf("%s %s %v: no growth step was replayed and no allocation repeated", pf.Name, name, proc)
 				}
 				// A released scratch grows what a new one grows.
 				sc.Release()

@@ -8,14 +8,12 @@
 // The enumeration arithmetic makes pushdown exact: the global order is
 // cell-major, so every cell (and therefore every family and strategy
 // predicate, which resolve to cell sets) is a contiguous index run, and an
-// index range intersects it in O(1). A Plan is pure derived data; Compile
-// is deterministic, so plans are memoized process-wide keyed by
-// (spec digest, normalized query) — the dashboard pattern of re-issuing
-// the same handful of selective queries pays compilation once.
+// index range intersects it in O(1). A Plan is pure derived data, compiled
+// per call: one pass over the cells, cheaper than any lookup keyed by the
+// spec (hashing the spec alone costs several compilations).
 //
 // Concurrency: a Plan is immutable after Compile and safe for concurrent
-// use; the memo cache and CacheStats are synchronized. A GroupAggregator
-// is not synchronized — feed it from one goroutine.
+// use. A GroupAggregator is not synchronized — feed it from one goroutine.
 package query
 
 import (
@@ -24,8 +22,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"ptgsched/internal/scenario"
 )
@@ -56,18 +52,6 @@ type Query struct {
 
 // NoLimit is the Query.To value meaning "the end of the expansion".
 const NoLimit = -1
-
-// Key returns the query's canonical cache-key form. Two queries selecting
-// the same points under the same projection share a key (To clamping is
-// applied by Compile, not here, so the key is expansion-independent only
-// in its filter fields — the digest namespaces it).
-func (q Query) Key() string {
-	to := q.To
-	if to < 0 {
-		to = NoLimit
-	}
-	return q.Family + "\x00" + q.Strategy + "\x00" + strconv.Itoa(q.From) + "\x00" + strconv.Itoa(to)
-}
 
 // String renders the predicate for error messages and logs.
 func (q Query) String() string {
@@ -292,67 +276,7 @@ func (p *Plan) Project(r scenario.PointResult) (scenario.PointResult, error) {
 	}, nil
 }
 
-// maxCachedPlans bounds the process-wide plan memo; eviction is FIFO —
-// the dashboard workload re-issues a small stable set of queries, so
-// anything fancier buys nothing.
-const maxCachedPlans = 256
-
-// planCache is the process-wide plan memo.
-type planCache struct {
-	mu    sync.Mutex
-	plans map[string]*Plan
-	order []string
-	hits  atomic.Int64
-	miss  atomic.Int64
-}
-
-var cache = planCache{plans: make(map[string]*Plan)}
-
-// CacheStats reports the plan memo's hit/miss counters and current size.
-type CacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Size   int   `json:"size"`
-}
-
-// PlanCacheStats snapshots the process-wide plan memo counters.
-func PlanCacheStats() CacheStats {
-	cache.mu.Lock()
-	size := len(cache.plans)
-	cache.mu.Unlock()
-	return CacheStats{Hits: cache.hits.Load(), Misses: cache.miss.Load(), Size: size}
-}
-
-// CompileCached is Compile behind the process-wide memo: plans are keyed
-// by (spec digest, normalized query), so repeated dashboard-style queries
-// over the same campaign reuse one compilation. Expansions of the same
-// spec are deterministic and interchangeable, so a cached plan compiled
-// against an earlier expansion of the same digest answers identically.
-// Failed compilations are not cached — they are cheap and carry errors.
-func CompileCached(e *scenario.Expansion, q Query) (*Plan, error) {
-	key := scenario.SpecDigest(e.Spec) + "\x00" + q.Key()
-	cache.mu.Lock()
-	if p, ok := cache.plans[key]; ok {
-		cache.mu.Unlock()
-		cache.hits.Add(1)
-		return p, nil
-	}
-	cache.mu.Unlock()
-	p, err := Compile(e, q)
-	if err != nil {
-		cache.miss.Add(1)
-		return nil, err
-	}
-	cache.mu.Lock()
-	if _, ok := cache.plans[key]; !ok {
-		if len(cache.order) >= maxCachedPlans {
-			delete(cache.plans, cache.order[0])
-			cache.order = cache.order[1:]
-		}
-		cache.plans[key] = p
-		cache.order = append(cache.order, key)
-	}
-	cache.mu.Unlock()
-	cache.miss.Add(1)
-	return p, nil
-}
+// CompileCached is Compile.
+//
+// Deprecated: plans are compiled per call; use Compile.
+func CompileCached(e *scenario.Expansion, q Query) (*Plan, error) { return Compile(e, q) }

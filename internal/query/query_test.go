@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -235,31 +236,80 @@ func TestProjectValidatesColumns(t *testing.T) {
 	}
 }
 
-func TestCompileCachedMemoizes(t *testing.T) {
+// CompileCached is kept as an alias of Compile: the same plan in every
+// exported view, the same error for a query that cannot compile.
+func TestCompileCachedIsCompile(t *testing.T) {
 	e := expand(t)
-	before := PlanCacheStats()
-	q := Query{Family: "fft", Strategy: "PS-width", From: 1, To: 40}
-	p1, err := CompileCached(e, q)
+	for _, q := range []Query{
+		{To: NoLimit},
+		{Family: "fft", Strategy: "PS-width", From: 1, To: 40},
+		{Family: "strassen", To: NoLimit},
+		{Strategy: "PS-work", From: 7, To: 7},
+	} {
+		want, err := Compile(e, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CompileCached(e, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Query() != want.Query() || got.Expansion() != want.Expansion() ||
+			got.From != want.From || got.To != want.To || got.NumSelected() != want.NumSelected() ||
+			!slices.Equal(got.Cells(), want.Cells()) || !slices.Equal(ranges(got), ranges(want)) {
+			t.Fatalf("%v: CompileCached's plan differs from Compile's", q)
+		}
+		for i := 0; i < e.NumPoints(); i++ {
+			if got.Matches(i) != want.Matches(i) {
+				t.Fatalf("%v: Matches(%d) = %v, Compile's plan says %v", q, i, got.Matches(i), want.Matches(i))
+			}
+		}
+		for ci := range e.Cells {
+			if got.ProjectColumn(ci) != want.ProjectColumn(ci) {
+				t.Fatalf("%v: ProjectColumn(%d) = %d, Compile's plan says %d", q, ci, got.ProjectColumn(ci), want.ProjectColumn(ci))
+			}
+		}
+	}
+	bad := Query{Family: "nosuch", To: NoLimit}
+	_, want := Compile(e, bad)
+	_, got := CompileCached(e, bad)
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Fatalf("unknown family: CompileCached says %v, Compile says %v", got, want)
+	}
+}
+
+// ranges lists a plan's EachRange runs as flat (lo, hi) pairs.
+func ranges(p *Plan) []int {
+	var out []int
+	p.EachRange(func(lo, hi int) error { out = append(out, lo, hi); return nil })
+	return out
+}
+
+// BenchmarkCompile compiles the two queries the store_warm workload runs,
+// on its expansion (3 cells × 3 PTG counts × 4 sites × 150 reps = 5,400
+// points): a plan is one pass over the cells whatever the point count.
+func BenchmarkCompile(b *testing.B) {
+	spec, err := scenario.ParseSpec([]byte(`{"name":"store_warm","seed":301,"reps":150,"nptgs":[2,4,6],` +
+		`"families":[{"family":"strassen"},{"family":"fft","k":[2,3]}]}`))
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	p2, err := CompileCached(e, q)
+	e, err := scenario.Expand(spec)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	if p1 != p2 {
-		t.Fatal("CompileCached returned distinct plans for the same (digest, query)")
-	}
-	after := PlanCacheStats()
-	if after.Hits < before.Hits+1 {
-		t.Errorf("cache hits %d -> %d, want at least one hit", before.Hits, after.Hits)
-	}
-	if after.Misses < before.Misses+1 {
-		t.Errorf("cache misses %d -> %d, want at least one miss", before.Misses, after.Misses)
-	}
-	// A failed compile is not cached and does not poison later lookups.
-	if _, err := CompileCached(e, Query{Family: "nosuch", To: NoLimit}); err == nil {
-		t.Fatal("CompileCached(bad family): want error")
+	for _, q := range []Query{
+		{Family: "strassen", Strategy: "WPS-work", To: NoLimit},
+		{Family: "fft", Strategy: "ES", To: NoLimit},
+	} {
+		b.Run(q.Family+"/"+q.Strategy, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compile(e, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

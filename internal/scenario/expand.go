@@ -334,6 +334,10 @@ func Expand(spec *Spec) (*Expansion, error) {
 	return e, nil
 }
 
+// Digest returns SpecDigest of the spec the expansion was made from,
+// computed once by Expand.
+func (e *Expansion) Digest() string { return e.digest }
+
 // TimelineFor draws the event timeline point p runs under: a pure function
 // of (spec digest, point index), so the same point gets the same timeline
 // on any shard, at any worker count, in any execution order. Static specs

@@ -350,9 +350,13 @@ func TestExpandRejectsOversizedSweepsWithoutMaterializing(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("oversized-sweep rejection took %v; it must not materialize the grid", elapsed)
 	}
-	// Absurd reps must not overflow the arithmetic into acceptance.
-	if _, _, err := EstimatePoints(mustParse(t, `{"reps": 4000000000000000000}`)); err == nil {
-		t.Fatal("absurd reps accepted")
+	// Absurd reps must not overflow the arithmetic into acceptance. Where
+	// int is 32 bits the value does not fit the field, and ParseSpec
+	// rejects it before EstimatePoints can.
+	if s, err := ParseSpec([]byte(`{"reps": 4000000000000000000}`)); err == nil {
+		if _, _, err := EstimatePoints(s); err == nil {
+			t.Fatal("absurd reps accepted")
+		}
 	}
 }
 

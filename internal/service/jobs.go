@@ -16,13 +16,14 @@ package service
 // which ptgbench drives for kill/resume workflows.
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,7 +114,10 @@ type JobStatus struct {
 
 // jobHandle is the server-side state of one job.
 type jobHandle struct {
-	id       string
+	id string
+	// seq is the registry's admission counter the id was formatted from;
+	// ids stop sorting as strings at a million jobs, seq does not.
+	seq      int
 	name     string
 	digest   string
 	e        *scenario.Expansion
@@ -309,23 +313,22 @@ func (reg *jobRegistry) add(h *jobHandle, backlogCap int) (string, error) {
 			ErrTooManyJobs, live, backlogCap)
 	}
 	if len(reg.byID) >= MaxJobs {
-		oldest := ""
-		for id, j := range reg.byID {
-			if j.terminal() && (oldest == "" || id < oldest) {
-				oldest = id
+		var oldest *jobHandle
+		for _, j := range reg.byID {
+			if j.terminal() && (oldest == nil || j.seq < oldest.seq) {
+				oldest = j
 			}
 		}
-		if oldest == "" {
+		if oldest == nil {
 			return "", ErrTooManyJobs
 		}
-		reg.byID[oldest].release()
-		delete(reg.byID, oldest)
+		oldest.release()
+		delete(reg.byID, oldest.id)
 	}
 	reg.seq++
-	id := fmt.Sprintf("job-%06d", reg.seq)
-	h.id = id
-	reg.byID[id] = h
-	return id, nil
+	h.seq, h.id = reg.seq, fmt.Sprintf("job-%06d", reg.seq)
+	reg.byID[h.id] = h
+	return h.id, nil
 }
 
 // get looks a handle up.
@@ -350,7 +353,7 @@ func (reg *jobRegistry) remove(id string) {
 	}
 }
 
-// list snapshots all handles, id-ordered.
+// list snapshots all handles in admission order.
 func (reg *jobRegistry) list() []*jobHandle {
 	reg.mu.Lock()
 	hs := make([]*jobHandle, 0, len(reg.byID))
@@ -358,7 +361,7 @@ func (reg *jobRegistry) list() []*jobHandle {
 		hs = append(hs, h)
 	}
 	reg.mu.Unlock()
-	sort.Slice(hs, func(i, j int) bool { return hs[i].id < hs[j].id })
+	slices.SortFunc(hs, func(a, b *jobHandle) int { return cmp.Compare(a.seq, b.seq) })
 	return hs
 }
 
@@ -399,7 +402,7 @@ func (s *Service) SubmitJob(req JobRequest) (*JobStatus, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &jobHandle{
 		name:       e.Spec.Name,
-		digest:     scenario.SpecDigest(e.Spec),
+		digest:     e.Digest(),
 		e:          e,
 		set:        set,
 		shardSel:   req.Shard,
@@ -572,7 +575,7 @@ func (q ResultQuery) plan(e *scenario.Expansion) (*query.Plan, error) {
 	if to == 0 && !q.ToSet {
 		to = query.NoLimit
 	}
-	return query.CompileCached(e, query.Query{
+	return query.Compile(e, query.Query{
 		Family:   q.Family,
 		Strategy: q.Strategy,
 		From:     q.From,
@@ -582,10 +585,10 @@ func (q ResultQuery) plan(e *scenario.Expansion) (*query.Plan, error) {
 
 // JobResults streams the job's completed results as JSONL — one
 // scenario.PointResult per line, in global point order — applying the
-// query's filters. The query compiles to a memoized plan
-// (internal/query) that resolves the family/strategy/range predicate to
-// the minimal contiguous index ranges, so the walk visits only selected
-// indices instead of every point of the expansion. Lines are read back
+// query's filters. The query compiles to a plan (internal/query) that
+// resolves the family/strategy/range predicate to the minimal contiguous
+// index ranges, so the walk visits only selected indices instead of every
+// point of the expansion. Lines are read back
 // from the job's result spool file (nothing is resident server-side);
 // records needing no projection are relayed byte-for-byte, and the
 // strategy projection re-marshals through the same bit-exact wire

@@ -427,3 +427,45 @@ func TestCloseCancelsRunningJobs(t *testing.T) {
 		t.Fatal("Close did not drain with a running job")
 	}
 }
+
+// Job ids are padded to six digits, so from the millionth job on they stop
+// sorting as strings: "job-1000000" < "job-999999". The registry orders
+// jobs by admission instead — the oldest terminal job is the one evicted,
+// and list returns jobs oldest first — across that boundary.
+func TestJobRegistryOrdersPastAMillionJobs(t *testing.T) {
+	reg := &jobRegistry{seq: 999_998}
+	var ids []string
+	add := func() string {
+		t.Helper()
+		id, err := reg.add(&jobHandle{state: JobDone, done: make(chan struct{})}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+		return id
+	}
+	for len(ids) < MaxJobs {
+		add()
+	}
+	if ids[0] != "job-999999" || ids[1] != "job-1000000" {
+		t.Fatalf("first ids %s, %s: the registry does not cross the boundary", ids[0], ids[1])
+	}
+	for k := 0; k < 3; k++ {
+		id := add()
+		if _, ok := reg.byID[ids[k]]; ok {
+			t.Fatalf("admitting %s kept %s, the oldest terminal job", id, ids[k])
+		}
+		if _, ok := reg.byID[ids[k+1]]; !ok {
+			t.Fatalf("admitting %s evicted %s, a newer job than %s", id, ids[k+1], ids[k])
+		}
+	}
+	hs := reg.list()
+	if len(hs) != MaxJobs {
+		t.Fatalf("%d jobs listed, want %d", len(hs), MaxJobs)
+	}
+	for i, h := range hs {
+		if want := ids[3+i]; h.id != want {
+			t.Fatalf("list()[%d] = %s, want %s (admission order)", i, h.id, want)
+		}
+	}
+}

@@ -522,7 +522,7 @@ func (s *Store) QueryFullScan(p *query.Plan, fn func(scenario.PointResult) error
 func (s *Store) AggregateWhere(p *query.Plan) ([]query.GroupRow, QueryStats, error) {
 	if p == nil {
 		var err error
-		p, err = query.CompileCached(s.e, query.Query{To: query.NoLimit})
+		p, err = query.Compile(s.e, query.Query{To: query.NoLimit})
 		if err != nil {
 			return nil, QueryStats{}, err
 		}
@@ -538,7 +538,7 @@ func (s *Store) AggregateWhere(p *query.Plan) ([]query.GroupRow, QueryStats, err
 // checkPlan rejects a plan compiled against a different campaign than
 // the store holds.
 func (s *Store) checkPlan(p *query.Plan) error {
-	if got := scenario.SpecDigest(p.Expansion().Spec); got != s.man.SpecDigest {
+	if got := p.Expansion().Digest(); got != s.man.SpecDigest {
 		return fmt.Errorf("store: plan compiled for campaign digest %.12s, store holds %.12s", got, s.man.SpecDigest)
 	}
 	return nil

@@ -210,7 +210,7 @@ func Create(dir string, e *scenario.Expansion, shards int) (*Store, error) {
 	man := Manifest{
 		Version:    FormatVersion,
 		Name:       e.Spec.Name,
-		SpecDigest: scenario.SpecDigest(e.Spec),
+		SpecDigest: e.Digest(),
 		Points:     e.NumPoints(),
 		Shards:     shards,
 	}
@@ -295,7 +295,7 @@ func readManifest(dir string, e *scenario.Expansion) (Manifest, error) {
 	if man.Version != FormatVersion {
 		return man, fmt.Errorf("store: %s: format version %d, this build reads %d", dir, man.Version, FormatVersion)
 	}
-	if got, want := scenario.SpecDigest(e.Spec), man.SpecDigest; got != want {
+	if got, want := e.Digest(), man.SpecDigest; got != want {
 		return man, fmt.Errorf("store: %s was written by a different campaign spec (digest %.12s, expansion has %.12s)", dir, want, got)
 	}
 	if man.Points != e.NumPoints() {

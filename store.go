@@ -67,8 +67,6 @@ type (
 	// CampaignGroupRow is one (cell, #PTGs, strategy) aggregate row of
 	// CampaignStore.AggregateWhere.
 	CampaignGroupRow = query.GroupRow
-	// CampaignQueryCacheStats reports plan-cache hits and misses.
-	CampaignQueryCacheStats = query.CacheStats
 )
 
 // CampaignQueryNoLimit marks a CampaignQuery.To meaning "to the end of
@@ -83,11 +81,8 @@ var (
 	// against a store another process is still sweeping into.
 	OpenCampaignStoreRead = store.OpenRead
 	// CompileCampaignQuery validates a predicate against an expansion and
-	// memoizes the resulting plan (keyed by spec digest and normalized
-	// query), so hot result-serving paths skip recompilation.
-	CompileCampaignQuery = query.CompileCached
-	// CampaignQueryCache reports the process-wide plan cache counters.
-	CampaignQueryCache = query.PlanCacheStats
+	// compiles it into a plan.
+	CompileCampaignQuery = query.Compile
 	// NewCampaignGroupAggregator reduces a (filtered, projected) result
 	// stream into CampaignGroupRow summaries — the reducer behind
 	// CampaignStore.AggregateWhere, exposed for callers that bring their
