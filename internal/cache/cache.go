@@ -378,11 +378,7 @@ func (c *Cache) scanSegment(st *segState) error {
 			return nil
 		}
 		if st.hasSeal && st.records == st.sealed.Count {
-			var want [32]byte
-			if h, err := hex.DecodeString(st.sealed.Proof); err == nil && len(h) == 32 {
-				copy(want[:], h)
-			}
-			if want != st.proof {
+			if want, _ := decodeHash(st.sealed.Proof); want != st.proof {
 				c.fail(VerifyError{Class: ClassChain, Segment: st.name, Record: st.records - 1,
 					Detail: "chain proof at seal point does not match sealed head (history rewritten)"})
 				st.dead = true
@@ -435,17 +431,16 @@ func (c *Cache) verifyHeader(st *segState, line []byte) bool {
 // fatal for the rest of the segment.
 func (c *Cache) verifyRecord(st *segState, line []byte, pending map[Key]entry) (fatal bool) {
 	pos := st.records
-	rec, err := parseRecord(line)
+	rec, body, err := parseRecord(line)
 	if err != nil {
 		c.fail(VerifyError{Class: ClassCorrupt, Segment: st.name, Record: pos,
 			Detail: fmt.Sprintf("unparsable record: %v", err)})
 		return true
 	}
-	keyBytes, kerr := hex.DecodeString(rec.Key)
-	sumBytes, serr := hex.DecodeString(rec.Sum)
-	proofBytes, perr := hex.DecodeString(rec.Proof)
-	if kerr != nil || serr != nil || perr != nil ||
-		len(keyBytes) != sha256.Size || len(sumBytes) != sha256.Size || len(proofBytes) != sha256.Size {
+	k, kok := decodeHash(rec.Key)
+	sum, sok := decodeHash(rec.Sum)
+	proof, pok := decodeHash(rec.Proof)
+	if !kok || !sok || !pok {
 		c.fail(VerifyError{Class: ClassCorrupt, Segment: st.name, Record: pos,
 			Detail: "malformed key/sum/proof field"})
 		return true
@@ -455,32 +450,56 @@ func (c *Cache) verifyRecord(st *segState, line []byte, pending map[Key]entry) (
 	// chained over what the writer wrote, so a single altered record is
 	// exactly one failure, not a cascade.
 	prev := st.proof
-	copy(st.proof[:], proofBytes)
+	st.proof = proof
 
-	body := rec
-	body.Sum, body.Proof = "", ""
-	if c.buf, err = appendRecord(c.buf[:0], body); err != nil {
-		c.fail(VerifyError{Class: ClassCorrupt, Segment: st.name, Record: pos,
-			Detail: fmt.Sprintf("remarshal: %v", err)})
-		return true
+	// put hashes canonical bytes only, so a line whose own body hashes to
+	// its sum holds the canonical body, and re-encoding it would give the
+	// same bytes back. Only a line the direct path did not read, or whose
+	// body misses, pays for the re-encoding the verdict rests on.
+	hashed := false
+	if body >= 0 {
+		c.buf = append(append(c.buf[:0], line[:body]...), '}')
+		hashed = sha256.Sum256(c.buf) == sum
 	}
-	if sum := sha256.Sum256(c.buf); !bytes.Equal(sum[:], sumBytes) {
-		c.fail(VerifyError{Class: ClassSum, Segment: st.name, Record: pos,
-			Detail: "record body does not hash to its sum (payload altered in place)"})
-		return false
+	if !hashed {
+		canon := rec
+		canon.Sum, canon.Proof = "", ""
+		if c.buf, err = appendRecord(c.buf[:0], canon); err != nil {
+			c.fail(VerifyError{Class: ClassCorrupt, Segment: st.name, Record: pos,
+				Detail: fmt.Sprintf("remarshal: %v", err)})
+			return true
+		}
+		if sha256.Sum256(c.buf) != sum {
+			c.fail(VerifyError{Class: ClassSum, Segment: st.name, Record: pos,
+				Detail: "record body does not hash to its sum (payload altered in place)"})
+			return false
+		}
 	}
-	if want := chain(prev, sumBytes); !bytes.Equal(want[:], proofBytes) {
+	if chain(prev, sum[:]) != proof {
 		c.fail(VerifyError{Class: ClassChain, Segment: st.name, Record: pos,
 			Detail: "record proof does not extend the running chain (reordered, spliced, or transplanted)"})
 		return false
 	}
 
-	var k Key
-	copy(k[:], keyBytes)
 	if _, dup := pending[k]; !dup {
 		pending[k] = entry{name: rec.Name, unfairness: rec.Unfairness, makespan: rec.Makespan, rel: rec.Rel}
 	}
 	return false
+}
+
+// decodeHash decodes a hex field of exactly 64 digits, as
+// hex.DecodeString plus a length check does but without allocating; ok
+// is false, and the hash zero, for any other field.
+func decodeHash(s string) (h [sha256.Size]byte, ok bool) {
+	var src [2 * sha256.Size]byte
+	if len(s) != len(src) {
+		return h, false
+	}
+	copy(src[:], s)
+	if _, err := hex.Decode(h[:], src[:]); err != nil {
+		return [sha256.Size]byte{}, false
+	}
+	return h, true
 }
 
 func genesis(cacheID, segName string) [32]byte {
@@ -488,12 +507,7 @@ func genesis(cacheID, segName string) [32]byte {
 }
 
 func chain(prev [32]byte, sum []byte) [32]byte {
-	h := sha256.New()
-	h.Write(prev[:])
-	h.Write(sum)
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(append(append(make([]byte, 0, 64), prev[:]...), sum...))
 }
 
 // get serves one verified entry.

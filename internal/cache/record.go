@@ -37,28 +37,34 @@ func appendRecord(buf []byte, rec record) ([]byte, error) {
 
 // parseRecord decodes one record line. A line in exactly the layout put
 // writes is read directly; any other goes to json.Unmarshal, so the value
-// and the error are encoding/json's for every input.
-func parseRecord(line []byte) (record, error) {
-	if rec, ok := parseRecordDirect(line); ok {
-		return rec, nil
+// and the error are encoding/json's for every input. body is the direct
+// path's verdict: for a line it read, the length of the prefix before
+// `,"sum":` (the line's own body is line[:body] + "}"); -1 otherwise.
+func parseRecord(line []byte) (record, int, error) {
+	if rec, body := parseRecordDirect(line); body >= 0 {
+		return rec, body, nil
 	}
 	var rec record
 	err := json.Unmarshal(line, &rec)
-	return rec, err
+	return rec, -1, err
 }
 
-// parseRecordDirect is parseRecord's direct path; ok is false for a line
+// parseRecordDirect is parseRecord's direct path; body is -1 for a line
 // outside put's layout.
-func parseRecordDirect(line []byte) (rec record, ok bool) {
+func parseRecordDirect(line []byte) (rec record, body int) {
 	c := jsonl.NewCursor(line)
 	c.Lit(`{"key":`)
 	rec.Key = c.String()
 	c.Lit(`,`)
 	rec.Name, rec.Unfairness, rec.Makespan, rec.Rel = c.Measurement()
+	body = c.Offset()
 	c.Lit(`,"sum":`)
 	rec.Sum = c.String()
 	c.Lit(`,"proof":`)
 	rec.Proof = c.String()
 	c.Lit(`}`)
-	return rec, c.End()
+	if !c.End() {
+		return record{}, -1
+	}
+	return rec, body
 }

@@ -18,7 +18,7 @@ import (
 // line decodes, the line and body encodes against json.Marshal.
 func requireRecordCodec(t *testing.T, line []byte) {
 	t.Helper()
-	got, gerr := parseRecord(line)
+	got, _, gerr := parseRecord(line)
 	var want record
 	werr := json.Unmarshal(line, &want)
 	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
@@ -89,7 +89,7 @@ func TestRecordCodecMatchesEncodingJSON(t *testing.T) {
 	for _, l := range recordLines {
 		requireRecordCodec(t, []byte(l))
 	}
-	if _, direct := parseRecordDirect([]byte(recordLines[0])); !direct {
+	if _, body := parseRecordDirect([]byte(recordLines[0])); body < 0 {
 		t.Error("a put-shaped line missed the direct path")
 	}
 }

@@ -135,9 +135,9 @@ func (c *Cursor) Lit(lit string) {
 // Int reads an integer that fits an int, converted by strconv.ParseInt
 // as encoding/json converts one.
 func (c *Cursor) Int() int {
-	num, integer := c.number()
+	num, frac, exp := c.number()
 	n, err := strconv.ParseInt(string(num), 10, 0)
-	if !integer || err != nil {
+	if frac || exp || err != nil {
 		c.bad = true
 		return 0
 	}
@@ -145,21 +145,28 @@ func (c *Cursor) Int() int {
 }
 
 // String reads a string of printable ASCII without escapes.
-func (c *Cursor) String() string {
+func (c *Cursor) String() string { return string(c.stringBytes()) }
+
+// stringBytes reads what String reads and returns it as a view of the
+// line, nil on a mismatch.
+func (c *Cursor) stringBytes() []byte {
 	if !c.skip(`"`) {
 		c.bad = true
-		return ""
+		return nil
 	}
 	for j := c.i; j < len(c.b) && c.b[j] >= 0x20 && c.b[j] <= 0x7e && c.b[j] != '\\'; j++ {
 		if c.b[j] == '"' {
-			s := string(c.b[c.i:j])
+			s := c.b[c.i:j]
 			c.i = j + 1
 			return s
 		}
 	}
 	c.bad = true
-	return ""
+	return nil
 }
+
+// Offset returns how many bytes of the line the cursor has read.
+func (c *Cursor) Offset() int { return c.i }
 
 // Measurement reads what AppendMeasurement writes. The three lists are
 // cut, capacity-limited, from one allocation: nil for null and non-nil
@@ -186,6 +193,31 @@ func (c *Cursor) Measurement() (name string, unfairness, makespan, rel []float64
 	return name, lists[0], lists[1], lists[2]
 }
 
+// MeasurementColumn reads what AppendMeasurement writes, holding every
+// number to Measurement's checks, but converts only column k of each list
+// and returns those three values. A list without column k (null, or too
+// short) is a mismatch. With k < 0 it converts no number and keeps no
+// name: the line's verdict is all it reads.
+func (c *Cursor) MeasurementColumn(k int) (name string, col [3]float64) {
+	c.Lit(`"name":`)
+	if k < 0 {
+		c.stringBytes()
+	} else {
+		name = c.String()
+	}
+	for i, key := range measurementKeys {
+		c.Lit(key)
+		var found bool
+		if col[i], found = c.column(k); k >= 0 && !found {
+			c.bad = true
+		}
+	}
+	if c.bad {
+		return "", [3]float64{}
+	}
+	return name, col
+}
+
 // floats reads a float list, `null` or `[n,…]`, appending its numbers to
 // nums, each converted by strconv.ParseFloat(s, 64) as encoding/json
 // converts one (a range error is a mismatch). It returns where the list
@@ -199,10 +231,9 @@ func (c *Cursor) floats(nums []float64) ([]float64, int) {
 		return nums, len(nums)
 	}
 	for !c.bad {
-		num, _ := c.number()
-		f, err := strconv.ParseFloat(string(num), 64)
-		if c.bad || err != nil {
-			c.bad = true
+		num, _, _ := c.number()
+		f := c.float(num)
+		if c.bad {
 			break
 		}
 		nums = append(nums, f)
@@ -214,12 +245,63 @@ func (c *Cursor) floats(nums []float64) ([]float64, int) {
 	return nums, len(nums)
 }
 
+// column reads a float list as floats does but converts only its number
+// at position k (none for k < 0); found reports whether there is one.
+// Every other number is held to the same grammar and range by skipFloat.
+func (c *Cursor) column(k int) (f float64, found bool) {
+	if c.skip("null") {
+		return 0, false
+	}
+	c.Lit("[")
+	if c.skip("]") {
+		return 0, false
+	}
+	for j := 0; !c.bad; j++ {
+		num, _, exp := c.number()
+		if j == k {
+			f, found = c.float(num), true
+		} else {
+			c.skipFloat(num, exp)
+		}
+		if !c.skip(",") {
+			c.Lit("]")
+			break
+		}
+	}
+	return f, found
+}
+
+// float converts num by strconv.ParseFloat(s, 64), as encoding/json
+// converts a number; a syntax or range error is a mismatch.
+func (c *Cursor) float(num []byte) float64 {
+	f, err := strconv.ParseFloat(string(num), 64)
+	if err != nil {
+		c.bad = true
+	}
+	return f
+}
+
+// maxPlain is the longest number skipFloat passes without converting it.
+const maxPlain = 300
+
+// skipFloat gives num, which has an exponent if exp, float's verdict
+// without converting it where it can. A number of JSON's grammar with no
+// exponent and at most maxPlain characters is below 1e300 in magnitude,
+// and a plain decimal never fails by underflow (ParseFloat rounds it to
+// zero), so ParseFloat can only reject a number with an exponent or a
+// longer one (1e400): those still go through float.
+func (c *Cursor) skipFloat(num []byte, exp bool) {
+	if exp || len(num) > maxPlain {
+		c.float(num)
+	}
+}
+
 // number scans a number of JSON's grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether it
-// is an integer (no fraction, no exponent).
-func (c *Cursor) number() (num []byte, integer bool) {
+// has a fraction and whether it has an exponent.
+func (c *Cursor) number() (num []byte, frac, exp bool) {
 	if c.bad {
-		return nil, false
+		return nil, false, false
 	}
 	b, i, ok := c.b, c.i, true
 	if i < len(b) && b[i] == '-' {
@@ -230,13 +312,12 @@ func (c *Cursor) number() (num []byte, integer bool) {
 	} else {
 		i, ok = digits(b, i)
 	}
-	integer = true
 	if ok && i < len(b) && b[i] == '.' {
-		integer = false
+		frac = true
 		i, ok = digits(b, i+1)
 	}
 	if ok && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i, integer = i+1, false
+		i, exp = i+1, true
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
@@ -244,10 +325,10 @@ func (c *Cursor) number() (num []byte, integer bool) {
 	}
 	if !ok {
 		c.bad = true
-		return nil, false
+		return nil, false, false
 	}
 	num, c.i = b[c.i:i], i
-	return num, integer
+	return num, frac, exp
 }
 
 // digits returns the index past the run of decimal digits at i, and

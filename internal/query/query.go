@@ -240,11 +240,11 @@ func (p *Plan) NumSelected() int {
 	return n
 }
 
-// ProjectColumn returns the projection column of cell ci, or -1 when no
-// projection is requested (or the cell lacks the label — but such cells
-// never match).
+// ProjectColumn returns the projection column of cell ci, or -1
+// (scenario.AllColumns) when no projection is requested, the cell lacks
+// the label — but such cells never match — or ci names no cell.
 func (p *Plan) ProjectColumn(ci int) int {
-	if p.stratCol == nil {
+	if p.stratCol == nil || ci < 0 || ci >= len(p.stratCol) {
 		return -1
 	}
 	return p.stratCol[ci]
@@ -252,12 +252,17 @@ func (p *Plan) ProjectColumn(ci int) int {
 
 // Project applies the plan's strategy projection to one record: the
 // record is narrowed to the single selected column. Records are validated
-// first — a record with fewer columns than its cell declares is a
-// malformed (torn or foreign) record and yields ErrMalformedRecord, never
-// a panic. Without a projection the record is returned unchanged.
+// first — a record naming no cell of the campaign, or with fewer columns
+// than its cell declares, is a malformed (torn or foreign) record and
+// yields ErrMalformedRecord, never a panic. Without a projection the
+// record is returned unchanged.
 func (p *Plan) Project(r scenario.PointResult) (scenario.PointResult, error) {
 	if p.stratCol == nil {
 		return r, nil
+	}
+	if r.Cell < 0 || r.Cell >= len(p.stratCol) {
+		return scenario.PointResult{}, fmt.Errorf("%w: point %d names cell %d, campaign has %d",
+			ErrMalformedRecord, r.Index, r.Cell, len(p.stratCol))
 	}
 	k := p.stratCol[r.Cell]
 	if k < 0 {
@@ -274,6 +279,24 @@ func (p *Plan) Project(r scenario.PointResult) (scenario.PointResult, error) {
 		Makespan:   r.Makespan[k : k+1],
 		Rel:        r.Rel[k : k+1],
 	}, nil
+}
+
+// Parse reads one record line as scenario.ParseJSONL followed by Project
+// does — the same record, or the same error — converting only the column
+// the projection keeps (scenario.RecordHead.Keep), and falling back to
+// exactly that pair for any line the projected direct path refuses.
+func (p *Plan) Parse(line []byte) (scenario.PointResult, error) {
+	h := scenario.ParseHead(line)
+	if p.stratCol == nil || (h.Cell >= 0 && h.Cell < len(p.stratCol)) {
+		if r, ok := h.Keep(p.ProjectColumn(h.Cell)); ok {
+			return r, nil
+		}
+	}
+	r, err := scenario.ParseJSONL(line)
+	if err != nil {
+		return r, err
+	}
+	return p.Project(r)
 }
 
 // CompileCached is Compile.

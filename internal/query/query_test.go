@@ -226,6 +226,17 @@ func TestProjectValidatesColumns(t *testing.T) {
 	if _, err := p.Project(bad); !errors.Is(err, ErrMalformedRecord) {
 		t.Fatalf("Project(short record): err=%v, want ErrMalformedRecord", err)
 	}
+	// So must a record naming no cell of the campaign.
+	for _, cell := range []int{-1, len(e.Cells)} {
+		foreign := good
+		foreign.Cell = cell
+		if _, err := p.Project(foreign); !errors.Is(err, ErrMalformedRecord) {
+			t.Fatalf("Project(cell %d): err=%v, want ErrMalformedRecord", cell, err)
+		}
+		if k := p.ProjectColumn(cell); k != -1 {
+			t.Fatalf("ProjectColumn(%d) = %d, want -1", cell, k)
+		}
+	}
 	// Without a projection the record passes through untouched.
 	all, err := Compile(e, Query{To: NoLimit})
 	if err != nil {

@@ -45,14 +45,66 @@ func ParseJSONL(line []byte) (PointResult, error) {
 
 // parseJSONLDirect is ParseJSONL's direct path; ok is false for a line
 // outside AppendJSONL's layout.
-func parseJSONLDirect(line []byte) (r PointResult, ok bool) {
-	c := jsonl.NewCursor(line)
-	c.Lit(`{"index":`)
-	r.Index = c.Int()
-	c.Lit(`,"cell":`)
-	r.Cell = c.Int()
-	c.Lit(`,`)
-	r.Name, r.Unfairness, r.Makespan, r.Rel = c.Measurement()
-	c.Lit(`}`)
-	return r, c.End()
+func parseJSONLDirect(line []byte) (PointResult, bool) {
+	h := ParseHead(line)
+	return h.Keep(AllColumns)
+}
+
+// What RecordHead.Keep keeps besides a single strategy column k ≥ 0.
+const (
+	// AllColumns keeps every column and the name: ParseJSONL's record.
+	AllColumns = -1
+	// NoColumn keeps only the index and the cell, and converts no float.
+	NoColumn = -2
+)
+
+// A RecordHead is a record line read through its index and cell — the
+// projected direct path's first half, for a reader that decides from
+// those two what to keep of the rest (RecordHead.Keep).
+type RecordHead struct {
+	Index, Cell int
+	c           jsonl.Cursor
+}
+
+// ParseHead starts the projected direct path on line. Index and Cell are
+// what the line holds when Keep later accepts it, and meaningless when
+// Keep refuses it.
+func ParseHead(line []byte) RecordHead {
+	h := RecordHead{c: jsonl.NewCursor(line)}
+	h.c.Lit(`{"index":`)
+	h.Index = h.c.Int()
+	h.c.Lit(`,"cell":`)
+	h.Cell = h.c.Int()
+	h.c.Lit(`,`)
+	return h
+}
+
+// Keep finishes the direct path, once per head. With col ≥ 0 it converts
+// only strategy column col of each list and returns the record
+// query.Plan.Project would cut from ParseJSONL's (lists of length 1); with AllColumns it returns
+// ParseJSONL's record; with NoColumn it returns the index and cell alone.
+// Every number it does not convert is still held to ParseJSONL's grammar
+// and range. ok is false for a line outside AppendJSONL's layout, or
+// without column col in some list: the caller then falls back to
+// ParseJSONL (and Project), which give the verdict and the error.
+func (h *RecordHead) Keep(col int) (r PointResult, ok bool) {
+	r.Index, r.Cell = h.Index, h.Cell
+	var kept [3]float64
+	switch {
+	case col == AllColumns:
+		r.Name, r.Unfairness, r.Makespan, r.Rel = h.c.Measurement()
+	case col >= 0:
+		r.Name, kept = h.c.MeasurementColumn(col)
+	default:
+		h.c.MeasurementColumn(NoColumn)
+	}
+	h.c.Lit(`}`)
+	if !h.c.End() {
+		return PointResult{}, false
+	}
+	if col >= 0 {
+		lists := append(make([]float64, 0, len(kept)), kept[:]...)
+		r.Unfairness, r.Makespan, r.Rel = lists[0:1:1], lists[1:2:2], lists[2:3:3]
+	}
+	return r, true
 }

@@ -624,15 +624,13 @@ func (s *Service) JobResults(id string, q ResultQuery, w io.Writer) error {
 				continue
 			}
 			if p.ProjectColumn(h.e.CellOf(i)) >= 0 {
-				r, err := scenario.ParseJSONL(line)
-				if err != nil {
-					return err
-				}
-				// Project validates the record's column count before
-				// slicing: a malformed spool record (torn, foreign, or
-				// short) surfaces as query.ErrMalformedRecord instead of
+				// Parse converts only the projected column, and validates
+				// the record's cell and column count before slicing: a
+				// malformed spool record (torn, foreign, or short)
+				// surfaces as query.ErrMalformedRecord instead of
 				// panicking mid-stream.
-				if r, err = p.Project(r); err != nil {
+				r, err := p.Parse(line)
+				if err != nil {
 					return err
 				}
 				if line, err = scenario.AppendJSONL(line[:0], r); err != nil {

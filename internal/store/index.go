@@ -334,7 +334,7 @@ func OpenRead(dir string, e *scenario.Expansion) (*Store, error) {
 				s.rebuilt++
 			}
 		}
-		good, _, err := s.scanSegment(i, cover, func(r scenario.PointResult, lineStart, lineEnd int64) error {
+		good, _, err := s.scanSegment(i, cover, scenario.NoColumn, func(r scenario.PointResult, lineStart, lineEnd int64) error {
 			seg.idx.add(r.Index, s.e.CellOf(r.Index), lineStart, lineEnd)
 			return nil
 		})
@@ -366,8 +366,9 @@ type QueryStats struct {
 	// BytesRead is the bytes fetched from matching runs; BytesTotal is
 	// every segment's valid extent.
 	BytesRead, BytesTotal int64
-	// LinesDecoded counts records unmarshalled; Emitted counts records
-	// that survived the residual filter and reached the caller.
+	// LinesDecoded counts lines read and validated, converted or not;
+	// Emitted counts records that survived the residual filter and
+	// reached the caller.
 	LinesDecoded, Emitted int64
 }
 
@@ -450,24 +451,37 @@ func (s *Store) emitRun(p *query.Plan, segIdx int, r run, b []byte, st *QuerySta
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		rec, err := scenario.ParseJSONL(line)
-		if err != nil {
-			return fmt.Errorf("store: %s: corrupt record inside indexed run [%d,%d): %w (delete the .idx sidecar to force a rebuild)",
-				segmentPath(s.dir, segIdx), r.off, r.off+r.len, err)
+		// The projected direct path converts only what is emitted: the
+		// projected column of a matching record, nothing of a neighbor.
+		// A line it refuses takes the full decode and Project, whose
+		// errors are the reader's.
+		h := scenario.ParseHead(line)
+		col := scenario.NoColumn
+		if p.Matches(h.Index) {
+			col = p.ProjectColumn(h.Cell)
+		}
+		rec, direct := h.Keep(col)
+		var err error
+		if !direct {
+			if rec, err = scenario.ParseJSONL(line); err != nil {
+				return fmt.Errorf("store: %s: corrupt record inside indexed run [%d,%d): %w (delete the .idx sidecar to force a rebuild)",
+					segmentPath(s.dir, segIdx), r.off, r.off+r.len, err)
+			}
 		}
 		st.LinesDecoded++
-		if err := s.validate(rec, segIdx); err != nil {
+		if err = s.validate(rec, segIdx); err != nil {
 			return fmt.Errorf("store: %s: %w", segmentPath(s.dir, segIdx), err)
 		}
 		if !p.Matches(rec.Index) {
 			continue
 		}
-		out, err := p.Project(rec)
-		if err != nil {
-			return err
+		if !direct {
+			if rec, err = p.Project(rec); err != nil {
+				return err
+			}
 		}
 		st.Emitted++
-		if err := fn(out); err != nil {
+		if err := fn(rec); err != nil {
 			return err
 		}
 	}
@@ -492,7 +506,7 @@ func (s *Store) QueryFullScan(p *query.Plan, fn func(scenario.PointResult) error
 		st.RunsMatched += len(runs)
 		st.BytesTotal += end
 		st.BytesRead += end
-		_, _, err := s.scanSegment(i, 0, func(r scenario.PointResult, lineStart, lineEnd int64) error {
+		_, _, err := s.scanSegment(i, 0, scenario.AllColumns, func(r scenario.PointResult, lineStart, lineEnd int64) error {
 			if lineEnd > end {
 				return nil // appended after the snapshot; keep parity with Query
 			}

@@ -341,10 +341,14 @@ func (s *Store) openSegments() error {
 // tail — skipped, with the offset of the last good byte returned — while
 // a malformed line before the end is real corruption and fails. A
 // missing segment (a shard that never started) scans as empty. fn
-// receives each record with its byte extent [lineStart, lineEnd).
+// receives each record with its byte extent [lineStart, lineEnd), read
+// through the projected direct path keeping col: scenario.AllColumns for
+// readers of the results, scenario.NoColumn for the index rebuilds, which
+// need only each record's index, cell and verdict. A line the direct path
+// refuses goes to scenario.ParseJSONL, whose verdict classifies it.
 // goodEnd is the byte offset just past the last valid record; size is
 // the segment's total length. All offsets are absolute.
-func (s *Store) scanSegment(idx int, from int64, fn func(r scenario.PointResult, lineStart, lineEnd int64) error) (goodEnd, size int64, err error) {
+func (s *Store) scanSegment(idx int, from int64, col int, fn func(r scenario.PointResult, lineStart, lineEnd int64) error) (goodEnd, size int64, err error) {
 	path := segmentPath(s.dir, idx)
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -379,7 +383,11 @@ func (s *Store) scanSegment(idx int, from int64, fn func(r scenario.PointResult,
 			off = size
 			continue
 		}
-		r, err := scenario.ParseJSONL(text)
+		h := scenario.ParseHead(text)
+		r, ok := h.Keep(col)
+		if !ok {
+			r, err = scenario.ParseJSONL(text)
+		}
 		if err != nil {
 			// Peek: if nothing follows this line, it is the final line and
 			// parsed as garbage — a torn write (crashed between the payload
@@ -417,7 +425,7 @@ type recoveredSegment struct {
 // segment.truncateAt).
 func (s *Store) recoverSegment(idx int, trunc map[int]int64, rec *recoveredSegment) error {
 	path := segmentPath(s.dir, idx)
-	good, size, err := s.scanSegment(idx, 0, func(r scenario.PointResult, lineStart, lineEnd int64) error {
+	good, size, err := s.scanSegment(idx, 0, scenario.NoColumn, func(r scenario.PointResult, lineStart, lineEnd int64) error {
 		if s.done.Set(r.Index) {
 			return fmt.Errorf("store: %s: duplicate result for point %d", path, r.Index)
 		}
@@ -586,7 +594,7 @@ func (s *Store) Progress() Progress {
 // Open's recovery classifies it.
 func (s *Store) Each(fn func(scenario.PointResult) error) error {
 	for i := 0; i < s.man.Shards; i++ {
-		if _, _, err := s.scanSegment(i, 0, func(r scenario.PointResult, _, _ int64) error {
+		if _, _, err := s.scanSegment(i, 0, scenario.AllColumns, func(r scenario.PointResult, _, _ int64) error {
 			return fn(r)
 		}); err != nil {
 			return err
