@@ -4,10 +4,10 @@ package main
 // through the indexed query path instead of re-scanning every segment.
 // The predicate — family, strategy, point-index range — compiles to a
 // plan that resolves to the minimal segment byte runs via the per-segment
-// sparse indexes; only those runs are read and decoded. stdout carries
+// sparse indexes, which the read-only open builds by scanning each
+// segment once; only those runs are read and decoded. stdout carries
 // exactly the deliverable (JSONL records or the aggregate table); the
-// pushdown evidence (bytes read vs total, lines decoded, rebuilt
-// sidecars) goes to stderr.
+// pushdown evidence (bytes read vs total, lines decoded) goes to stderr.
 
 import (
 	"bufio"
@@ -51,9 +51,6 @@ func queryMode(w io.Writer, specPath, dir string, q queryOpts) error {
 		return err
 	}
 	defer st.Close()
-	if n := st.RebuiltSegments(); n > 0 {
-		fmt.Fprintf(os.Stderr, "ptgbench: query: rebuilt the index of %d segment(s) by scan (missing or inconsistent .idx sidecars)\n", n)
-	}
 
 	to := q.to
 	if to < 0 {

@@ -1,10 +1,8 @@
 package store
 
-// Failure-path coverage: what a store does when its own files fail under
-// it — a segment write (the store poisons itself: ErrFailed until
-// reopened) and a sidecar write (the index degrades: idxDead, the sidecar
-// lags, readers scan the rest) — and lines longer than the recovery
-// scan's read buffer.
+// Failure-path coverage: what a store does when a segment write fails
+// under it (the store poisons itself: ErrFailed until reopened), and
+// lines longer than the recovery scan's read buffer.
 
 import (
 	"bytes"
@@ -74,71 +72,6 @@ func TestFailedAppendPoisonsStore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatal("resumed store's tables differ from an uncrashed run's")
-	}
-}
-
-// TestFailedSidecarWriteDegrades closes a live store's sidecar files
-// under it: appends keep succeeding while the sidecars lag (idxDead), and
-// OpenRead's indexed queries stay byte-identical to full scans.
-func TestFailedSidecarWriteDegrades(t *testing.T) {
-	e := expand(t, twoFamilySpec)
-	dir := filepath.Join(t.TempDir(), "store")
-	s, err := Create(dir, e, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := e.NumPoints() / 2
-	for i := 0; i < half; i++ {
-		if err := s.Append(synth(e, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, seg := range s.segs {
-		seg.idxf.Close()
-	}
-	for i := half; i < e.NumPoints(); i++ {
-		if err := s.Append(synth(e, i)); err != nil {
-			t.Fatalf("Append(%d) with a failed sidecar: %v", i, err)
-		}
-	}
-	for i, seg := range s.segs {
-		if !seg.idxDead {
-			t.Fatalf("segment %d: sidecar write failed, yet idxDead is unset", i)
-		}
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatalf("Sync with a dead sidecar: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close with a dead sidecar: %v", err)
-	}
-	for i := range s.segs {
-		runs, cover, ok := s.loadSidecar(i)
-		size, err := os.Stat(segmentPath(dir, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok || len(runs) == 0 || cover >= size.Size() {
-			t.Fatalf("segment %d: sidecar ok=%v covers %d of %d bytes, want a lagging prefix", i, ok, cover, size.Size())
-		}
-	}
-
-	r, err := OpenRead(dir, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for _, q := range []query.Query{
-		{To: query.NoLimit},
-		{Family: "fft", Strategy: "PS-work", To: query.NoLimit},
-		{Family: "strassen", From: half - 5, To: half + 40},
-	} {
-		p := compile(t, e, q)
-		ist, indexed := runQuery(t, r, p, false)
-		_, scanned := runQuery(t, r, p, true)
-		if indexed != scanned || ist.Emitted != int64(p.NumSelected()) {
-			t.Fatalf("%s: indexed query (%d records) differs from full scan", q, ist.Emitted)
-		}
 	}
 }
 

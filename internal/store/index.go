@@ -1,46 +1,25 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"ptgsched/internal/query"
 	"ptgsched/internal/scenario"
 )
 
-// This file is the store's sparse segment index: per-segment sidecar
-// files mapping point-index runs to byte-offset runs, so a selective
-// query reads only the byte ranges whose runs can match its predicate
-// instead of decoding every segment line.
+// This file is the store's sparse segment index: per segment, an
+// in-memory list of runs mapping point-index spans to byte-offset spans,
+// so a selective query reads only the byte ranges whose runs can match
+// its predicate instead of decoding every segment line.
 //
-// On-disk format: segment-NNNN.idx sits next to segment-NNNN.jsonl, one
-// JSON entry per line — {"off","len","n","lo","hi"} — describing a run
-// of n consecutive records occupying segment bytes [off, off+len) whose
-// point indices all lie in [lo, hi]. Entries tile the segment from byte
-// 0 upward (entry k starts where entry k-1 ended), so sidecar coverage
-// is a byte prefix of the segment. Entries are appended with one
-// write(2) each, after the records they describe are on the segment —
-// the same crash discipline as segments, with the same consequence: a
-// crash tears at most the sidecar's final line, and a sidecar can only
-// ever lag its segment (cover less), never lead it.
-//
-// Recovery: readers validate a sidecar structurally (parse, tiling,
-// index bounds, shard congruence) and against the segment's length.
-// A torn final line is dropped; coverage short of the segment means the
-// uncovered tail is scanned and indexed on the fly; any inconsistency —
-// mid-file garbage, coverage past the segment, overlap — discards the
-// sidecar and rebuilds the index by a full segment scan. A sidecar can
-// therefore never make a store unopenable or a query wrong; the worst a
-// bad one costs is the scan the index would have saved. Writers never
-// trust sidecars at all: Open's recovery scan rebuilds the index, and
-// the first append to a segment rewrites its sidecar wholesale
-// (deferred, like torn-tail truncation, so opening a shared store never
-// mutates sidecars of segments owned by other live shard processes).
+// The index lives in memory only. Both opens build it from the one
+// recovery scan that also rebuilds the done bitmap (recoverSegment), and
+// a writer extends it on every append under the segment lock, so its
+// runs tile exactly the segment's valid records: run k starts where run
+// k-1 ended, and the last run ends at the segment's valid extent.
 //
 // Runs are kept sparse by construction (see runIndex.add): a run seals
 // at maxRunRecords and at every cell boundary — so with cell-ordered
@@ -74,25 +53,13 @@ type run struct {
 	lo, hi   int
 }
 
-// runEntry is run's sidecar wire form.
-type runEntry struct {
-	Off int64 `json:"off"`
-	Len int64 `json:"len"`
-	N   int   `json:"n"`
-	Lo  int   `json:"lo"`
-	Hi  int   `json:"hi"`
-}
-
 // runIndex is one segment's in-memory index: runs in byte order, the
-// last one still open (absorbing appends) until seal.
+// last one open (absorbing appends) until a record of another cell, the
+// run's size cap or a compaction seals it.
 type runIndex struct {
 	runs     []run
 	open     bool
 	lastCell int
-	// compacted flips when compact() rewrote runs that may already have
-	// flushed sidecar entries; the store resets its flush state and
-	// re-reconciles the sidecar when it sees this.
-	compacted bool
 }
 
 // add absorbs one record occupying [lineStart, lineEnd) with point index
@@ -145,212 +112,18 @@ func (ix *runIndex) compact() {
 	}
 	ix.runs = merged
 	ix.open = false
-	ix.compacted = true
 }
 
-// seal closes the open run so it becomes flushable; the next add starts
-// a fresh run.
-func (ix *runIndex) seal() { ix.open = false }
-
-// closed returns how many runs are sealed (flushable to the sidecar).
-func (ix *runIndex) closed() int {
-	if ix.open {
-		return len(ix.runs) - 1
-	}
-	return len(ix.runs)
-}
-
-// sidecarPath names segment i's index sidecar.
-func sidecarPath(dir string, i int) string {
-	return segmentPath(dir, i) + ".idx"
-}
-
-func encodeRun(r run) []byte {
-	b, err := json.Marshal(runEntry{Off: r.off, Len: r.len, N: r.n, Lo: r.lo, Hi: r.hi})
-	if err != nil {
-		panic(err) // fixed struct of ints cannot fail to marshal
-	}
-	return append(b, '\n')
-}
-
-// flushIndex writes the segment's newly sealed runs to its sidecar. Only
-// segments this process appended to are touched (seg.dirty); the first
-// flush reconciles the sidecar wholesale — rewriting it from the
-// authoritative in-memory index via temp+rename — which is also how a
-// stale or torn sidecar heals. A sidecar write failure marks the sidecar
-// dead and degrades silently: the index is derived data, and the next
-// open rebuilds it by scan, so it must never fail a sweep. Callers hold
-// seg.mu.
-func (s *Store) flushIndex(i int, seg *segment) {
-	if !seg.dirty || seg.idxDead {
-		return
-	}
-	if seg.idx.compacted {
-		// Compaction rewrote runs whose entries may already be on disk;
-		// drop the flush state so the sidecar is reconciled from scratch.
-		seg.idx.compacted = false
-		seg.reconciled = false
-		seg.idxFlushed = 0
-		if seg.idxf != nil {
-			seg.idxf.Close()
-			seg.idxf = nil
-		}
-	}
-	closed := seg.idx.closed()
-	if !seg.reconciled {
-		if err := s.reconcileSidecar(i, seg, closed); err != nil {
-			seg.idxDead = true
-			return
-		}
-		seg.reconciled = true
-		seg.idxFlushed = closed
-		return
-	}
-	for ; seg.idxFlushed < closed; seg.idxFlushed++ {
-		if _, err := seg.idxf.Write(encodeRun(seg.idx.runs[seg.idxFlushed])); err != nil {
-			seg.idxDead = true
-			return
-		}
-	}
-}
-
-// reconcileSidecar rewrites segment i's sidecar to exactly the first
-// closed runs of the in-memory index, atomically (temp file + rename),
-// and leaves the renamed file open for appending further entries.
-func (s *Store) reconcileSidecar(i int, seg *segment, closed int) error {
-	path := sidecarPath(s.dir, i)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	for _, r := range seg.idx.runs[:closed] {
-		buf.Write(encodeRun(r))
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	idxf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	seg.idxf = idxf
-	return nil
-}
-
-// loadSidecar reads and validates segment i's sidecar. ok reports a
-// structurally valid sidecar; runs are its entries and cover is the byte
-// offset its tiling reaches. A torn final line is dropped (the segment
-// crash rule, applied to the sidecar); any other inconsistency returns
-// ok == false, sending the caller to the rebuild-by-scan path.
-func (s *Store) loadSidecar(i int) (runs []run, cover int64, ok bool) {
-	f, err := os.Open(sidecarPath(s.dir, i))
-	if err != nil {
-		return nil, 0, false
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 64*1024)
-	for {
-		line, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			// Trailing bytes without a newline: torn sidecar tail, drop.
-			return runs, cover, true
-		}
-		if err != nil {
-			return nil, 0, false
-		}
-		text := bytes.TrimSpace(line)
-		if len(text) == 0 {
-			continue
-		}
-		var e runEntry
-		if err := json.Unmarshal(text, &e); err != nil {
-			// Unparsable final line is a torn tail; anything after it is
-			// corruption — either way the entry is unusable, and only a
-			// clean EOF next keeps the prefix trustworthy.
-			if _, peekErr := br.Peek(1); peekErr == io.EOF {
-				return runs, cover, true
-			}
-			return nil, 0, false
-		}
-		if e.Off != cover || e.Len <= 0 || e.N <= 0 ||
-			e.Lo < 0 || e.Hi < e.Lo || e.Hi >= s.man.Points ||
-			e.Lo%s.man.Shards != i || e.Hi%s.man.Shards != i {
-			return nil, 0, false
-		}
-		runs = append(runs, run{off: e.Off, len: e.Len, n: e.N, lo: e.Lo, hi: e.Hi})
-		cover = e.Off + e.Len
-	}
-}
-
-// OpenRead opens a store for querying without scanning segments whose
-// sidecar already indexes them: the manifest is validated exactly as
-// Open does, then each segment's index loads from its sidecar, scanning
-// only the bytes the sidecar does not cover (none, after a clean close;
-// the unindexed tail, after a crash; the whole segment when the sidecar
-// is missing, stale or corrupt — including stores written before
-// sidecars existed). Nothing on disk is modified, no done bitmap is
-// recovered, and mutating methods return ErrReadOnly: the handle serves
-// Query, QueryFullScan, AggregateWhere, Each and Results.
+// OpenRead opens a store for querying. It validates the manifest and
+// recovers every segment by the same scan Open runs, so it accepts
+// exactly the stores Open accepts and its done bitmap, Progress and index
+// equal a writer's. It holds no write descriptor, leaves a torn tail in
+// place (the segment may belong to a live shard process), and its
+// mutating methods return ErrReadOnly: the handle serves Query,
+// QueryFullScan, AggregateWhere, Each and the progress readers.
 func OpenRead(dir string, e *scenario.Expansion) (*Store, error) {
-	man, err := readManifest(dir, e)
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{dir: dir, man: man, e: e, readOnly: true}
-	s.segs = make([]*segment, man.Shards)
-	for i := range s.segs {
-		seg := &segment{truncateAt: -1}
-		s.segs[i] = seg
-		runs, cover, ok := s.loadSidecar(i)
-		var size int64
-		if st, err := os.Stat(segmentPath(s.dir, i)); err == nil {
-			size = st.Size()
-		}
-		if ok && cover <= size {
-			seg.idx.runs = runs
-			seg.end = cover
-			if cover == size {
-				continue
-			}
-		} else {
-			// Missing, torn-beyond-repair or stale-past-the-segment
-			// sidecar: rebuild this segment's index by a full scan.
-			seg.idx = runIndex{}
-			seg.end = 0
-			cover = 0
-			if size > 0 || ok {
-				s.rebuilt++
-			}
-		}
-		good, _, err := s.scanSegment(i, cover, scenario.NoColumn, func(r scenario.PointResult, lineStart, lineEnd int64) error {
-			seg.idx.add(r.Index, s.e.CellOf(r.Index), lineStart, lineEnd)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		seg.end = good
-	}
-	return s, nil
+	return open(dir, e, true)
 }
-
-// RebuiltSegments reports how many segments OpenRead had to re-index by
-// scanning because their sidecar was missing, stale or corrupt. Zero
-// after a clean close; always zero on write-mode handles (the writer
-// rebuilds every index from its recovery scan regardless).
-func (s *Store) RebuiltSegments() int { return s.rebuilt }
 
 // QueryStats accounts one query execution — the evidence that pushdown
 // pruned: BytesRead/LinesDecoded cover only the byte runs whose index
@@ -444,7 +217,7 @@ func (s *Store) emitRun(p *query.Plan, segIdx int, r run, b []byte, st *QuerySta
 		nl := bytes.IndexByte(b, '\n')
 		var line []byte
 		if nl < 0 {
-			line, b = b, nil // sidecar runs end on record boundaries; tolerate anyway
+			line, b = b, nil // runs end on record boundaries; tolerate anyway
 		} else {
 			line, b = b[:nl], b[nl+1:]
 		}
@@ -464,7 +237,7 @@ func (s *Store) emitRun(p *query.Plan, segIdx int, r run, b []byte, st *QuerySta
 		var err error
 		if !direct {
 			if rec, err = scenario.ParseJSONL(line); err != nil {
-				return fmt.Errorf("store: %s: corrupt record inside indexed run [%d,%d): %w (delete the .idx sidecar to force a rebuild)",
+				return fmt.Errorf("store: %s: corrupt record inside indexed run [%d,%d): %w",
 					segmentPath(s.dir, segIdx), r.off, r.off+r.len, err)
 			}
 		}
@@ -506,7 +279,7 @@ func (s *Store) QueryFullScan(p *query.Plan, fn func(scenario.PointResult) error
 		st.RunsMatched += len(runs)
 		st.BytesTotal += end
 		st.BytesRead += end
-		_, _, err := s.scanSegment(i, 0, scenario.AllColumns, func(r scenario.PointResult, lineStart, lineEnd int64) error {
+		_, _, err := s.scanSegment(i, scenario.AllColumns, func(r scenario.PointResult, lineStart, lineEnd int64) error {
 			if lineEnd > end {
 				return nil // appended after the snapshot; keep parity with Query
 			}

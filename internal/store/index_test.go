@@ -1,11 +1,10 @@
 package store
 
-// Index sidecar coverage: sidecar roundtrip through close/reopen, the
-// OpenRead fast path, crash injection against both the segment and its
-// sidecar (stale, torn, corrupt — every case must fall back to
-// rebuild-from-segments, never error or serve wrong ranges), and the
-// query-equivalence property suite (indexed Query ≡ naive full scan,
-// byte-identically, for seeded random specs and predicates).
+// Index coverage: the in-memory index built by OpenRead's recovery scan,
+// compatibility with the .idx sidecars older builds wrote next to each
+// segment (ignored, whatever their state), and the query-equivalence
+// property suite (indexed Query ≡ naive full scan, byte-identically, for
+// seeded random specs and predicates).
 
 import (
 	"bytes"
@@ -14,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -110,30 +110,43 @@ func compile(t *testing.T, e *scenario.Expansion, q query.Query) *query.Plan {
 	return p
 }
 
+// assertNoSidecars fails if anything wrote an .idx file into dir.
+func assertNoSidecars(t *testing.T, dir string) {
+	t.Helper()
+	idx, err := filepath.Glob(filepath.Join(dir, "*.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx) > 0 {
+		t.Fatalf("the store wrote index files: %v", idx)
+	}
+}
+
 func TestSidecarRoundTripAndOpenReadFastPath(t *testing.T) {
 	e := expand(t, twoFamilySpec)
 	dir := filepath.Join(t.TempDir(), "store")
 	s := fillStore(t, dir, e, 3, nil)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := os.Stat(sidecarPath(dir, i)); err != nil {
-			t.Fatalf("sidecar %d missing after close: %v", i, err)
-		}
-	}
+	assertNoSidecars(t, dir)
 
 	r, err := OpenRead(dir, e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if n := r.RebuiltSegments(); n != 0 {
-		t.Fatalf("clean close, yet OpenRead rebuilt %d segments", n)
-	}
 	for _, seg := range r.segs {
 		if len(seg.idx.runs) == 0 || !sort.SliceIsSorted(seg.idx.runs, func(i, j int) bool { return seg.idx.runs[i].off < seg.idx.runs[j].off }) {
 			t.Fatalf("segment index empty or out of order: %+v", seg.idx.runs)
+		}
+	}
+	for i, seg := range r.segs {
+		if !reflect.DeepEqual(seg.idx.runs, s.segs[i].idx.runs) {
+			t.Fatalf("segment %d: OpenRead's index differs from the one the writer built by appending", i)
 		}
 	}
 	if err := r.Append(synth(e, 0)); err != ErrReadOnly {
@@ -143,7 +156,7 @@ func TestSidecarRoundTripAndOpenReadFastPath(t *testing.T) {
 		t.Fatalf("Sweep on read-only handle: %v, want ErrReadOnly", err)
 	}
 
-	// The fast path must serve the same records a full scan does.
+	// The index must serve the same records a full scan does.
 	p := compile(t, e, query.Query{Family: "fft", Strategy: "PS-work", To: query.NoLimit})
 	ist, indexed := runQuery(t, r, p, false)
 	fst, scanned := runQuery(t, r, p, true)
@@ -159,6 +172,7 @@ func TestSidecarRoundTripAndOpenReadFastPath(t *testing.T) {
 	if ist.LinesDecoded >= fst.LinesDecoded {
 		t.Fatalf("pushdown decoded %d lines, full scan %d — no pruning", ist.LinesDecoded, fst.LinesDecoded)
 	}
+	assertNoSidecars(t, dir)
 }
 
 func TestOpenReadWithoutSidecarsRebuildsByScan(t *testing.T) {
@@ -168,194 +182,125 @@ func TestOpenReadWithoutSidecarsRebuildsByScan(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a store written before sidecars existed.
-	for i := 0; i < 2; i++ {
-		if err := os.Remove(sidecarPath(dir, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	r, err := OpenRead(dir, e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if n := r.RebuiltSegments(); n != 2 {
-		t.Fatalf("RebuiltSegments = %d, want 2", n)
-	}
 	p := compile(t, e, query.Query{Family: "strassen", To: query.NoLimit})
 	_, indexed := runQuery(t, r, p, false)
 	_, scanned := runQuery(t, r, p, true)
 	if indexed != scanned || indexed == "" {
-		t.Fatal("rebuilt index serves different records than full scan")
+		t.Fatal("the scanned index serves different records than full scan")
 	}
+	assertNoSidecars(t, dir)
 }
 
-// TestSidecarCrashInjection tears the store down mid-write in every way a
-// crash can — stale sidecar (records landed, entries did not), torn
-// sidecar final line, corrupt sidecar mid-file, torn segment tail with a
-// sidecar that still covers the dropped record — and checks both Open
-// and OpenRead recover: fall back to scan where needed, never serve a
-// wrong range, never error.
+// legacySidecar encodes runs in the .idx sidecar format older builds
+// wrote next to each segment: one {"off","len","n","lo","hi"} entry per
+// line.
+func legacySidecar(runs []run) []byte {
+	var b []byte
+	for _, r := range runs {
+		b = fmt.Appendf(b, `{"off":%d,"len":%d,"n":%d,"lo":%d,"hi":%d}`+"\n", r.off, r.len, r.n, r.lo, r.hi)
+	}
+	return b
+}
+
+// TestSidecarCrashInjection plants .idx sidecars as older builds left
+// them — well-formed, and in every damaged state a crash or a bug could
+// leave: stale (records landed, entries did not), a torn final entry,
+// garbage mid-file, coverage past a torn segment tail, an entry lying
+// about its index span. This build ignores them: every Query,
+// QueryFullScan and Open result must equal the result with no sidecar
+// present, and the planted bytes must stay as they were.
 func TestSidecarCrashInjection(t *testing.T) {
 	e := expand(t, twoFamilySpec)
 	n := e.NumPoints()
-
-	build := func(t *testing.T) string {
-		dir := filepath.Join(t.TempDir(), "store")
-		s := fillStore(t, dir, e, 2, nil)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir
+	queries := []query.Query{
+		{To: query.NoLimit},
+		{Family: "fft", To: query.NoLimit},
+		{Family: "strassen", Strategy: "ES", From: n / 4, To: 3 * n / 4},
 	}
-	check := func(t *testing.T, dir string, wantRebuilt bool) {
+
+	// results renders everything the store answers: both query paths for
+	// every predicate, and the writer's recovered progress.
+	results := func(t *testing.T, dir string) string {
 		t.Helper()
 		r, err := OpenRead(dir, e)
 		if err != nil {
-			t.Fatalf("OpenRead after injection: %v", err)
+			t.Fatalf("OpenRead: %v", err)
 		}
 		defer r.Close()
-		if wantRebuilt && r.RebuiltSegments() == 0 {
-			t.Fatal("expected at least one rebuilt segment")
-		}
-		for _, q := range []query.Query{
-			{To: query.NoLimit},
-			{Family: "fft", To: query.NoLimit},
-			{Family: "strassen", Strategy: "ES", From: n / 4, To: 3 * n / 4},
-		} {
+		var out bytes.Buffer
+		for _, q := range queries {
 			p := compile(t, e, q)
-			_, indexed := runQuery(t, r, p, false)
-			_, scanned := runQuery(t, r, p, true)
-			if indexed != scanned {
-				t.Fatalf("%s: indexed ≠ full scan after injection", q)
-			}
+			ist, indexed := runQuery(t, r, p, false)
+			fst, scanned := runQuery(t, r, p, true)
+			fmt.Fprintf(&out, "%s\n%+v\n%s%+v\n%s", q, ist, indexed, fst, scanned)
 		}
-		// The writer path must also recover (it rescans regardless) and
-		// heal the sidecar on its next append-capable open.
 		w, err := Open(dir, e)
 		if err != nil {
-			t.Fatalf("Open after injection: %v", err)
+			t.Fatalf("Open: %v", err)
 		}
 		defer w.Close()
-		if got := w.Progress(); got.Completed == 0 {
-			t.Fatal("writer recovered nothing")
-		}
+		fmt.Fprintf(&out, "%+v\n", w.Progress())
+		return out.String()
 	}
 
-	t.Run("stale", func(t *testing.T) {
-		// A crash window between record write and entry write: the
-		// sidecar legitimately lags. Emulate by chopping whole entries
-		// off the sidecar (coverage < segment, tiling intact).
-		dir := build(t)
-		idx := sidecarPath(dir, 0)
-		data, err := os.ReadFile(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := bytes.SplitAfter(data, []byte("\n"))
-		if len(lines) < 2 {
-			t.Skip("sidecar has a single entry; stale case needs two")
-		}
-		if err := os.WriteFile(idx, bytes.Join(lines[:1], nil), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(t, dir, false) // a lagging sidecar is normal, not a rebuild
-	})
-	t.Run("torn-entry", func(t *testing.T) {
-		dir := build(t)
-		truncateTail(t, sidecarPath(dir, 0), 7) // mid-entry: torn final line
-		check(t, dir, false)
-	})
-	t.Run("corrupt-midfile", func(t *testing.T) {
-		dir := build(t)
-		idx := sidecarPath(dir, 1)
-		data, err := os.ReadFile(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[0] = '{' + 1 // first entry no longer parses; rest follows
-		if err := os.WriteFile(idx, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(t, dir, true)
-	})
-	t.Run("sidecar-past-segment", func(t *testing.T) {
-		// Segment torn back below sidecar coverage: entries point past
-		// the file. Must rebuild, not serve ranges beyond EOF.
-		dir := build(t)
-		truncateTail(t, segmentPath(dir, 0), 30)
-		check(t, dir, true)
-	})
-	t.Run("lying-entry", func(t *testing.T) {
-		// An entry whose index span violates shard congruence fails
-		// validation and sends the whole sidecar to the scan path.
-		dir := build(t)
-		idx := sidecarPath(dir, 0)
-		data, err := os.ReadFile(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nl := bytes.IndexByte(data, '\n')
-		var entry runEntry
-		if err := json.Unmarshal(data[:nl], &entry); err != nil {
-			t.Fatal(err)
-		}
-		entry.Lo++ // now congruent to the wrong shard
-		fixed, err := json.Marshal(entry)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := append(append([]byte{}, fixed...), data[nl:]...)
-		if err := os.WriteFile(idx, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(t, dir, true)
-	})
-}
+	for _, tc := range []struct {
+		name string
+		// sidecar returns the bytes to plant next to a segment whose
+		// index is runs.
+		sidecar func(runs []run) []byte
+		// tear chops this many bytes off segment 0 first.
+		tear int64
+	}{
+		{"well-formed", legacySidecar, 0},
+		{"stale", func(runs []run) []byte { return legacySidecar(runs[:1]) }, 0},
+		{"torn-entry", func(runs []run) []byte {
+			good := legacySidecar(runs)
+			return good[:len(good)-7]
+		}, 0},
+		{"corrupt-midfile", func(runs []run) []byte {
+			bad := legacySidecar(runs)
+			bad[0] = '{' + 1 // first entry no longer parses; rest follows
+			return bad
+		}, 0},
+		{"sidecar-past-segment", legacySidecar, 30},
+		{"lying-entry", func(runs []run) []byte {
+			lie := append([]run(nil), runs...)
+			lie[0].lo++ // now congruent to the wrong shard
+			return legacySidecar(lie)
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			s := fillStore(t, dir, e, 2, nil)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.tear > 0 {
+				truncateTail(t, segmentPath(dir, 0), tc.tear)
+			}
+			want := results(t, dir)
 
-// TestWriterHealsSidecarOnAppend: after injection, a write-mode open plus
-// one append must rewrite the sidecar so the next OpenRead is clean.
-func TestWriterHealsSidecarOnAppend(t *testing.T) {
-	e := expand(t, twoFamilySpec)
-	dir := filepath.Join(t.TempDir(), "store")
-	s, err := Create(dir, e, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < e.NumPoints()-1; i++ {
-		if err := s.Append(synth(e, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the sidecar wholesale.
-	if err := os.WriteFile(sidecarPath(dir, 0), []byte("garbage\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err := Open(dir, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(synth(e, e.NumPoints()-1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenRead(dir, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if n := r.RebuiltSegments(); n != 0 {
-		t.Fatalf("sidecar not healed by append: %d segments rebuilt", n)
-	}
-	p := compile(t, e, query.Query{To: query.NoLimit})
-	st, _ := runQuery(t, r, p, false)
-	if st.Emitted != int64(e.NumPoints()) {
-		t.Fatalf("healed store emitted %d of %d", st.Emitted, e.NumPoints())
+			planted := make([][]byte, len(s.segs))
+			for i, seg := range s.segs {
+				planted[i] = tc.sidecar(seg.idx.runs)
+				if err := os.WriteFile(segmentPath(dir, i)+".idx", planted[i], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := results(t, dir); got != want {
+				t.Fatalf("with a %s sidecar the store answers\n%s\nwithout one\n%s", tc.name, got, want)
+			}
+			for i := range s.segs {
+				if b, err := os.ReadFile(segmentPath(dir, i) + ".idx"); err != nil || !bytes.Equal(b, planted[i]) {
+					t.Fatalf("sidecar %d changed (%v)", i, err)
+				}
+			}
+		})
 	}
 }
 

@@ -71,11 +71,13 @@ func queryStraddle(t *testing.T, p *query.Plan, seg string) ([]scenario.PointRes
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.RebuiltSegments() != 0 {
-		t.Fatal("the sidecar was rebuilt; the damage must leave every line's length as it was")
-	}
+	return queryRecords(s, p)
+}
+
+// queryRecords runs p through an open store's Query.
+func queryRecords(s *Store, p *query.Plan) ([]scenario.PointResult, error) {
 	var got []scenario.PointResult
-	_, err = s.Query(p, func(r scenario.PointResult) error {
+	_, err := s.Query(p, func(r scenario.PointResult) error {
 		got = append(got, r)
 		return nil
 	})
@@ -102,8 +104,10 @@ func TestQueryStraddlingRunEmitsProjectedColumns(t *testing.T) {
 }
 
 // TestQueryStraddlingRunKeepsFullDecodeErrors damages non-matching
-// records in columns no reader converts: Query must still fail, with the
-// error the full decode gives for the line.
+// records in columns no query converts. Damaged before the open, the
+// store is refused by the recovery scan; damaged after it, keeping every
+// line's length, Query meets the line inside an indexed run. Either way
+// the error carries the full decode's for the line.
 func TestQueryStraddlingRunKeepsFullDecodeErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -126,15 +130,35 @@ func TestQueryStraddlingRunKeepsFullDecodeErrors(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, seg, lines := straddleStore(t, nil)
+			intact := bytes.Join(lines, nil)
 			lines[tc.record] = tc.damage(lines[tc.record])
-			if err := os.WriteFile(seg, bytes.Join(lines, nil), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			damaged := bytes.Join(lines, nil)
 			_, perr := scenario.ParseJSONL(bytes.TrimSuffix(lines[tc.record], []byte("\n")))
 			if perr == nil {
 				t.Fatalf("the damage left %q readable", lines[tc.record])
 			}
-			_, err := queryStraddle(t, p, seg)
+
+			if err := os.WriteFile(seg, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenRead(filepath.Dir(seg), p.Expansion())
+			if err == nil || !strings.Contains(err.Error(), "corrupt record before end of segment") ||
+				!strings.Contains(err.Error(), perr.Error()) {
+				t.Fatalf("OpenRead error %v, want the full decode's %q", err, perr)
+			}
+
+			if err := os.WriteFile(seg, intact, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenRead(filepath.Dir(seg), p.Expansion())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := os.WriteFile(seg, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = queryRecords(s, p)
 			if err == nil || !strings.Contains(err.Error(), "corrupt record inside indexed run") ||
 				!strings.Contains(err.Error(), perr.Error()) {
 				t.Fatalf("Query error %v, want the full decode's %q", err, perr)

@@ -190,8 +190,10 @@ func TestRacedWritersRefusedOnReopen(t *testing.T) {
 	a.Close()
 	b.Close()
 
-	if _, err := Open(dir, e); err == nil {
-		t.Fatal("reopen accepted a store with a raced (duplicated) point")
+	for _, o := range opens {
+		if _, err := o.open(dir, e); err == nil {
+			t.Fatalf("%s accepted a store with a raced (duplicated) point", o.name)
+		}
 	}
 }
 
@@ -218,6 +220,10 @@ func TestForeignInFlightAppendReadsAsTornTail(t *testing.T) {
 		}
 	}
 	w.Close()
+	whole, err := os.ReadFile(segmentPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// A foreign writer is mid-append of point 4: half its line, no newline.
 	var line []byte
@@ -231,37 +237,46 @@ func TestForeignInFlightAppendReadsAsTornTail(t *testing.T) {
 		}
 	}
 	seg := segmentPath(dir, 0)
-	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(line[:len(line)/2]); err != nil {
-		t.Fatal(err)
-	}
+	for _, o := range opens {
+		t.Run(o.name, func(t *testing.T) {
+			f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write(line[:len(line)/2]); err != nil {
+				t.Fatal(err)
+			}
 
-	r, err := Open(dir, e)
-	if err != nil {
-		t.Fatalf("open with a foreign in-flight append: %v", err)
-	}
-	defer r.Close()
-	n := 0
-	if err := r.Each(func(scenario.PointResult) error { n++; return nil }); err != nil {
-		t.Fatalf("scan with a foreign in-flight append: %v", err)
-	}
-	if n != 2 {
-		t.Fatalf("scanned %d records, want 2 (the in-flight line skipped)", n)
-	}
+			r, err := o.open(dir, e)
+			if err != nil {
+				t.Fatalf("open with a foreign in-flight append: %v", err)
+			}
+			defer r.Close()
+			n := 0
+			if err := r.Each(func(scenario.PointResult) error { n++; return nil }); err != nil {
+				t.Fatalf("scan with a foreign in-flight append: %v", err)
+			}
+			if n != 2 {
+				t.Fatalf("scanned %d records, want 2 (the in-flight line skipped)", n)
+			}
 
-	// The foreign append completes; the reader must NOT have truncated it.
-	if _, err := f.Write(line[len(line)/2:]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	n = 0
-	if err := r.Each(func(scenario.PointResult) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("scanned %d records after the append completed, want 3", n)
+			// The foreign append completes; the reader must NOT have truncated it.
+			if _, err := f.Write(line[len(line)/2:]); err != nil {
+				t.Fatal(err)
+			}
+			n = 0
+			if err := r.Each(func(scenario.PointResult) error { n++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if n != 3 {
+				t.Fatalf("scanned %d records after the append completed, want 3", n)
+			}
+
+			// Retract the completed line for the next open.
+			if err := os.Truncate(seg, int64(len(whole))); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

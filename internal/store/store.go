@@ -104,8 +104,9 @@ type Progress struct {
 	Shards    []ShardState `json:"shards"`
 }
 
-// Store is an open campaign result store. Create and Open are the two
-// constructors; Close releases the segment files. During Sweep the handle
+// Store is an open campaign result store. Create and Open are the
+// constructors of a writer, OpenRead of a read-only handle; Close releases
+// the segment files. During Sweep the handle
 // holds exactly one bit of per-point state (the done bitmap); completed
 // results are never resident — Results and Aggregate re-scan the segments.
 type Store struct {
@@ -128,12 +129,9 @@ type Store struct {
 	// results.
 	memo scenario.Memo
 
-	// readOnly marks a handle from OpenRead: no write fds are held, no
-	// done bitmap was recovered, and mutations return ErrReadOnly.
+	// readOnly marks a handle from OpenRead: no write fds are held, a
+	// torn tail stays on disk, and mutations return ErrReadOnly.
 	readOnly bool
-	// rebuilt counts segments OpenRead re-indexed by scanning because
-	// their sidecar was unusable (see RebuiltSegments).
-	rebuilt int
 }
 
 // segment is one append-only JSONL file.
@@ -153,26 +151,9 @@ type segment struct {
 	// the next append lands at (the torn tail, if any, is above it and
 	// gone before the write). Maintained under mu.
 	end int64
-	// idx is the segment's sparse byte-run index (see index.go): the
-	// authoritative in-memory form, rebuilt from the segment scan or the
-	// sidecar at open and extended on every append. The sidecar file on
-	// disk may lag behind it (entries flush when runs close); never ahead.
+	// idx is the segment's sparse byte-run index (see index.go), built
+	// by the recovery scan at open and extended on every append.
 	idx runIndex
-	// idxFlushed counts idx runs whose entries are durably in the sidecar
-	// file. reconciled flips when this process first rewrites the sidecar
-	// (deferred to the first append, like truncateAt, so opening a shared
-	// store never touches sidecars of segments owned by other processes).
-	idxFlushed int
-	reconciled bool
-	// idxf is the open sidecar file once reconciled. idxDead marks a
-	// sidecar whose write failed: the index is derived data, so a failed
-	// sidecar write degrades (the next open rebuilds by scan) instead of
-	// poisoning the sweep.
-	idxf    *os.File
-	idxDead bool
-	// dirty flips on this process's first append to the segment; only
-	// dirty segments ever have their sidecar reconciled or flushed.
-	dirty bool
 }
 
 // segmentPath names segment i of a store directory.
@@ -236,6 +217,7 @@ func Create(dir string, e *scenario.Expansion, shards int) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{dir: dir, man: man, e: e, done: bitset.New(e.NumPoints())}
+	s.makeSegments()
 	if err := s.openSegments(); err != nil {
 		s.Close()
 		return nil, err
@@ -252,31 +234,28 @@ func Create(dir string, e *scenario.Expansion, shards int) (*Store, error) {
 // spec digest, same cardinality — so stale or foreign directories fail
 // instead of resuming the wrong sweep.
 func Open(dir string, e *scenario.Expansion) (*Store, error) {
+	return open(dir, e, false)
+}
+
+// open is Open and OpenRead: it validates the manifest and recovers every
+// segment before a writer opens any file for writing.
+func open(dir string, e *scenario.Expansion, readOnly bool) (*Store, error) {
 	man, err := readManifest(dir, e)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, man: man, e: e, done: bitset.New(e.NumPoints())}
-	trunc := make(map[int]int64)
-	recov := make([]recoveredSegment, man.Shards)
-	for i := 0; i < man.Shards; i++ {
-		if err := s.recoverSegment(i, trunc, &recov[i]); err != nil {
-			s.Close()
+	s := &Store{dir: dir, man: man, e: e, done: bitset.New(e.NumPoints()), readOnly: readOnly}
+	s.makeSegments()
+	for i := range s.segs {
+		if err := s.recoverSegment(i); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.openSegments(); err != nil {
-		s.Close()
-		return nil, err
-	}
-	// idxFlushed stays 0: whatever the on-disk sidecar holds, the first
-	// append reconciles it wholesale from the scan-derived index.
-	for i := range s.segs {
-		s.segs[i].idx = recov[i].idx
-		s.segs[i].end = recov[i].end
-	}
-	for i, off := range trunc {
-		s.segs[i].truncateAt = off
+	if !readOnly {
+		if err := s.openSegments(); err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -309,33 +288,36 @@ func readManifest(dir string, e *scenario.Expansion) (Manifest, error) {
 	return man, nil
 }
 
-// openSegments opens every segment file for append — creating any that do
-// not exist yet, e.g. the segment of a shard that never started — and
-// counts the expansion points each segment owns.
-func (s *Store) openSegments() error {
-	s.segs = make([]*segment, s.man.Shards)
+// makeSegments allocates the segment table and counts the expansion
+// points each segment owns: segment k owns the points congruent to k
+// modulo Shards, counted arithmetically instead of enumerating the (lazy)
+// point set.
+func (s *Store) makeSegments() {
+	n, shards := s.e.NumPoints(), s.man.Shards
+	s.segs = make([]*segment, shards)
 	for i := range s.segs {
+		s.segs[i] = &segment{points: n / shards, truncateAt: -1}
+		if i < n%shards {
+			s.segs[i].points++
+		}
+	}
+}
+
+// openSegments opens every segment file for append — creating any that do
+// not exist yet, e.g. the segment of a shard that never started.
+func (s *Store) openSegments() error {
+	for i, seg := range s.segs {
 		f, err := os.OpenFile(segmentPath(s.dir, i), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 		if err != nil {
 			return err
 		}
-		s.segs[i] = &segment{f: f, truncateAt: -1}
-	}
-	// Segment k owns the points congruent to k modulo Shards; count them
-	// arithmetically instead of enumerating the (lazy) point set.
-	n, shards := s.e.NumPoints(), s.man.Shards
-	for i := range s.segs {
-		s.segs[i].points = n / shards
-		if i < n%shards {
-			s.segs[i].points++
-		}
+		seg.f = f
 	}
 	return nil
 }
 
 // scanSegment streams one segment's records through fn in a single
-// buffered pass starting at byte offset from (0 for the whole segment),
-// without ever holding the segment resident. It applies the
+// buffered pass, without ever holding the segment resident. It applies the
 // crash-recovery classification shared by Open and the re-scan readers:
 // a final line without a newline, or an unparsable final line, is a torn
 // tail — skipped, with the offset of the last good byte returned — while
@@ -343,12 +325,12 @@ func (s *Store) openSegments() error {
 // missing segment (a shard that never started) scans as empty. fn
 // receives each record with its byte extent [lineStart, lineEnd), read
 // through the projected direct path keeping col: scenario.AllColumns for
-// readers of the results, scenario.NoColumn for the index rebuilds, which
-// need only each record's index, cell and verdict. A line the direct path
+// readers of the results, scenario.NoColumn for the recovery scan, which
+// needs only each record's index, cell and verdict. A line the direct path
 // refuses goes to scenario.ParseJSONL, whose verdict classifies it.
 // goodEnd is the byte offset just past the last valid record; size is
-// the segment's total length. All offsets are absolute.
-func (s *Store) scanSegment(idx int, from int64, col int, fn func(r scenario.PointResult, lineStart, lineEnd int64) error) (goodEnd, size int64, err error) {
+// the segment's total length.
+func (s *Store) scanSegment(idx, col int, fn func(r scenario.PointResult, lineStart, lineEnd int64) error) (goodEnd, size int64, err error) {
 	path := segmentPath(s.dir, idx)
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -358,14 +340,9 @@ func (s *Store) scanSegment(idx int, from int64, col int, fn func(r scenario.Poi
 		return 0, 0, err
 	}
 	defer f.Close()
-	if from > 0 {
-		if _, err := f.Seek(from, io.SeekStart); err != nil {
-			return from, from, err
-		}
-	}
 
 	br := bufio.NewReaderSize(f, 256*1024)
-	off := from
+	var off int64
 	var long []byte
 	for {
 		line, err := jsonl.ReadLine(br, &long)
@@ -408,37 +385,28 @@ func (s *Store) scanSegment(idx int, from int64, col int, fn func(r scenario.Poi
 	}
 }
 
-// recoveredSegment carries what one segment's recovery scan derived: its
-// rebuilt sparse index and the offset just past the last valid record.
-type recoveredSegment struct {
-	idx runIndex
-	end int64
-}
-
 // recoverSegment replays one segment's records into the done bitmap —
-// records themselves are not retained — and rebuilds the segment's
-// sparse index from the same pass (the on-disk sidecar is ignored by the
-// writer: the scan is authoritative, and the first append rewrites the
-// sidecar from it, which is also how a stale or torn sidecar heals). A
-// torn tail is dropped from the recovered state and its offset recorded
-// in trunc; the physical truncation is deferred to the first append (see
-// segment.truncateAt).
-func (s *Store) recoverSegment(idx int, trunc map[int]int64, rec *recoveredSegment) error {
+// records themselves are not retained — and builds the segment's sparse
+// index and valid extent from the same pass. A torn tail is dropped from
+// the recovered state; a writer truncates it just before its first append
+// to the segment (see segment.truncateAt), a reader never does.
+func (s *Store) recoverSegment(idx int) error {
 	path := segmentPath(s.dir, idx)
-	good, size, err := s.scanSegment(idx, 0, scenario.NoColumn, func(r scenario.PointResult, lineStart, lineEnd int64) error {
+	seg := s.segs[idx]
+	good, size, err := s.scanSegment(idx, scenario.NoColumn, func(r scenario.PointResult, lineStart, lineEnd int64) error {
 		if s.done.Set(r.Index) {
 			return fmt.Errorf("store: %s: duplicate result for point %d", path, r.Index)
 		}
 		s.completed++
-		rec.idx.add(r.Index, s.e.CellOf(r.Index), lineStart, lineEnd)
+		seg.idx.add(r.Index, s.e.CellOf(r.Index), lineStart, lineEnd)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	rec.end = good
+	seg.end = good
 	if good < size {
-		trunc[idx] = good
+		seg.truncateAt = good
 	}
 	return nil
 }
@@ -524,13 +492,10 @@ func (s *Store) append(r scenario.PointResult, buf *[]byte) error {
 	_, err = seg.f.Write(line)
 	if err == nil {
 		// Extend the sparse index under the same lock that ordered the
-		// write, so run offsets mirror the file exactly; sealed runs
-		// flush to the sidecar here too (best-effort — see flushIndex).
-		seg.dirty = true
+		// write, so run offsets mirror the file exactly.
 		lineStart := seg.end
 		seg.end += int64(len(line))
 		seg.idx.add(r.Index, r.Cell, lineStart, seg.end)
-		s.flushIndex(r.Index%s.man.Shards, seg)
 	}
 	seg.mu.Unlock()
 	if err != nil {
@@ -594,7 +559,7 @@ func (s *Store) Progress() Progress {
 // Open's recovery classifies it.
 func (s *Store) Each(fn func(scenario.PointResult) error) error {
 	for i := 0; i < s.man.Shards; i++ {
-		if _, _, err := s.scanSegment(i, 0, scenario.AllColumns, func(r scenario.PointResult, _, _ int64) error {
+		if _, _, err := s.scanSegment(i, scenario.AllColumns, func(r scenario.PointResult, _, _ int64) error {
 			return fn(r)
 		}); err != nil {
 			return err
@@ -686,25 +651,13 @@ func (s *Store) Sweep(set scenario.IndexSet, workers int) (ran, skipped int, err
 // Sync flushes every segment to stable storage (fsync). Append itself does
 // not fsync — a SIGKILL'd process loses nothing because the page cache
 // survives it — so callers that must survive machine crashes call Sync at
-// checkpoints. The index sidecars flush too: each segment's open run is
-// sealed and written, so a sidecar read after Sync covers everything the
-// segment holds (sealing keeps the sidecar append-only — a flushed entry
-// is never extended in place).
+// checkpoints.
 func (s *Store) Sync() error {
-	for i, seg := range s.segs {
-		if seg == nil || seg.f == nil {
-			continue
-		}
+	for _, seg := range s.segs {
 		seg.mu.Lock()
-		err := seg.f.Sync()
-		if err == nil && seg.dirty {
-			seg.idx.seal()
-			s.flushIndex(i, seg)
-			if seg.idxf != nil && !seg.idxDead {
-				if serr := seg.idxf.Sync(); serr != nil {
-					seg.idxDead = true
-				}
-			}
+		var err error
+		if seg.f != nil {
+			err = seg.f.Sync()
 		}
 		seg.mu.Unlock()
 		if err != nil {
@@ -714,29 +667,17 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// Close releases the segment files, sealing and flushing each segment's
-// index sidecar first. The store's data is already on disk; Close only
-// drops the handles.
+// Close releases the segment files. The store's data is already on disk;
+// Close only drops the handles.
 func (s *Store) Close() error {
 	var first error
-	for i, seg := range s.segs {
-		if seg == nil {
-			continue
-		}
+	for _, seg := range s.segs {
 		seg.mu.Lock()
 		if seg.f != nil {
-			if seg.dirty {
-				seg.idx.seal()
-				s.flushIndex(i, seg)
-			}
 			if err := seg.f.Close(); err != nil && first == nil {
 				first = err
 			}
 			seg.f = nil
-		}
-		if seg.idxf != nil {
-			seg.idxf.Close()
-			seg.idxf = nil
 		}
 		seg.mu.Unlock()
 	}

@@ -8,6 +8,7 @@ package store
 // reference the scenario acceptance test uses) when run without -short.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -254,6 +255,13 @@ func TestOpenLeavesForeignSegmentsUntouched(t *testing.T) {
 	}
 }
 
+// opens are the two ways to open an existing store. They accept exactly
+// the same stores, and neither mutates a segment.
+var opens = []struct {
+	name string
+	open func(string, *scenario.Expansion) (*Store, error)
+}{{"Open", Open}, {"OpenRead", OpenRead}}
+
 func TestOpenRejectsForeignAndCorruptStores(t *testing.T) {
 	e := expand(t, smokeSpec)
 	dir := filepath.Join(t.TempDir(), "store")
@@ -269,8 +277,10 @@ func TestOpenRejectsForeignAndCorruptStores(t *testing.T) {
 	// A different spec (different seed → different digest) must be refused.
 	other := expand(t, `{"name":"smoke","seed":10,"reps":2,"nptgs":[2,3],
 		"platforms":["lille","rennes"],"families":[{"family":"strassen"}]}`)
-	if _, err := Open(dir, other); err == nil {
-		t.Error("store opened against a different campaign spec")
+	for _, o := range opens {
+		if _, err := o.open(dir, other); err == nil {
+			t.Errorf("%s: store opened against a different campaign spec", o.name)
+		}
 	}
 
 	// Corruption before the end of a segment is an error, not a recovery.
@@ -283,8 +293,13 @@ func TestOpenRejectsForeignAndCorruptStores(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, e); err == nil {
-		t.Error("store with mid-segment corruption opened cleanly")
+	for _, o := range opens {
+		if _, err := o.open(dir, e); err == nil {
+			t.Errorf("%s: store with mid-segment corruption opened cleanly", o.name)
+		}
+		if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s changed the corrupt segment (%v)", o.name, err)
+		}
 	}
 
 	// Creating over an existing store must be refused — and still refused
@@ -301,8 +316,57 @@ func TestOpenRejectsForeignAndCorruptStores(t *testing.T) {
 	}
 
 	// A directory without a manifest is not a store.
-	if _, err := Open(t.TempDir(), e); err == nil {
-		t.Error("empty directory opened as a store")
+	for _, o := range opens {
+		if _, err := o.open(t.TempDir(), e); err == nil {
+			t.Errorf("%s: empty directory opened as a store", o.name)
+		}
+	}
+}
+
+// TestOpenReadReportsWriterProgress: a read-only handle recovers the done
+// bitmap by the writer's own scan, so its progress readers answer as a
+// writer's do — on a partial store whose last record is torn.
+func TestOpenReadReportsWriterProgress(t *testing.T) {
+	e := expand(t, twoFamilySpec)
+	dir := filepath.Join(t.TempDir(), "store")
+	s, err := Create(dir, e, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < e.NumPoints(); i += 2 {
+		if err := s.Append(synth(e, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	truncateTail(t, segmentPath(dir, 0), 5)
+
+	w, err := Open(dir, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	r, err := OpenRead(dir, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, want := r.Progress(), w.Progress(); !reflect.DeepEqual(got, want) || want.Completed == 0 {
+		t.Fatalf("OpenRead progress %+v, writer's %+v", got, want)
+	}
+	for i := 0; i < e.NumPoints(); i++ {
+		if r.IsDone(i) != w.IsDone(i) {
+			t.Fatalf("point %d: IsDone %v on the read handle, %v on the writer", i, r.IsDone(i), w.IsDone(i))
+		}
+	}
+	for k := 0; k < 3; k++ {
+		set, err := e.Shard(k, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.CountDone(set), w.CountDone(set); got != want {
+			t.Fatalf("shard %d: CountDone %d on the read handle, %d on the writer", k, got, want)
+		}
 	}
 }
 

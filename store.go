@@ -44,12 +44,11 @@ var (
 	CampaignSpecDigest = scenario.SpecDigest
 )
 
-// Query layer: each segment carries a sparse byte-offset index in a
-// sidecar file (segment-NNNN.jsonl.idx, built incrementally at append
-// time and reconstructed by a one-time scan for stores that predate it),
-// and a compiled CampaignQueryPlan resolves a predicate — family,
-// strategy, point-index range — to the minimal set of segment byte runs
-// whose records can match. CampaignStore.Query reads and decodes only
+// Query layer: each segment gets a sparse byte-offset index, held in
+// memory and built by the scan that opens the store (then extended by
+// every append), and a compiled CampaignQueryPlan resolves a predicate
+// — family, strategy, point-index range — to the minimal set of segment
+// byte runs whose records can match. CampaignStore.Query reads and decodes only
 // those runs; QueryStats reports the bytes and lines that pruning saved.
 // This is the engine behind `ptgbench -query` and the service's
 // GET /v1/jobs/{id}/results filters.
@@ -75,10 +74,11 @@ const CampaignQueryNoLimit = query.NoLimit
 
 // Query entry points.
 var (
-	// OpenCampaignStoreRead opens a store read-only for querying: index
-	// sidecars are loaded (or rebuilt by scanning) but never written, no
-	// write descriptors are held, and Append/Sweep are refused — safe
-	// against a store another process is still sweeping into.
+	// OpenCampaignStoreRead opens a store read-only for querying: it
+	// recovers every segment by OpenCampaignStore's own scan, so it
+	// accepts the same stores, but holds no write descriptors, leaves a
+	// torn tail in place and refuses Append/Sweep — safe against a store
+	// another process is still sweeping into.
 	OpenCampaignStoreRead = store.OpenRead
 	// CompileCampaignQuery validates a predicate against an expansion and
 	// compiles it into a plan.
