@@ -1,11 +1,13 @@
 // Package jsonl holds the canonical forms of the campaign record format —
 // the string and float encodings encoding/json produces — and a cursor
-// that reads back exactly those forms. The record codecs (scenario's
-// PointResult, the cache's record and key identity) are built on it: they
-// append through AppendString, AppendFloat and AppendMeasurement, parse
-// through a Cursor, and hand every line the cursor rejects to
-// encoding/json, so their decoders agree with json.Unmarshal on every
-// input and their encoders with json.Marshal.
+// that reads back exactly those forms. The cursor gives every number the
+// value and verdict of strconv.ParseFloat(s, 64), computed by its exact
+// paths (atof.go), with ParseFloat as their fallback. The record codecs
+// (scenario's PointResult, the cache's record and key identity) are built
+// on it: they append through AppendString, AppendFloat and
+// AppendMeasurement, parse through a Cursor, and hand every line the
+// cursor rejects to encoding/json, so their decoders agree with
+// json.Unmarshal on every input and their encoders with json.Marshal.
 package jsonl
 
 import (
@@ -116,9 +118,10 @@ func (c *Cursor) End() bool {
 	return !c.bad && c.i == len(c.b)
 }
 
-// skip consumes lit if it comes next.
+// skip consumes lit if it comes next. Cut to len(lit), the line compares
+// to a short constant lit in one load instead of a call.
 func (c *Cursor) skip(lit string) bool {
-	if c.bad || len(c.b)-c.i < len(lit) || string(c.b[c.i:c.i+len(lit)]) != lit {
+	if c.bad || len(c.b)-c.i < len(lit) || string(c.b[c.i:][:len(lit)]) != lit {
 		return false
 	}
 	c.i += len(lit)
@@ -135,9 +138,9 @@ func (c *Cursor) Lit(lit string) {
 // Int reads an integer that fits an int, converted by strconv.ParseInt
 // as encoding/json converts one.
 func (c *Cursor) Int() int {
-	num, frac, exp := c.number()
-	n, err := strconv.ParseInt(string(num), 10, 0)
-	if frac || exp || err != nil {
+	d := c.number()
+	n, err := strconv.ParseInt(string(c.b[c.i-d.n:c.i]), 10, 0)
+	if d.frac || d.exp || err != nil {
 		c.bad = true
 		return 0
 	}
@@ -219,9 +222,8 @@ func (c *Cursor) MeasurementColumn(k int) (name string, col [3]float64) {
 }
 
 // floats reads a float list, `null` or `[n,…]`, appending its numbers to
-// nums, each converted by strconv.ParseFloat(s, 64) as encoding/json
-// converts one (a range error is a mismatch). It returns where the list
-// ends in nums, or -1 for null.
+// nums, each converted by float (a range error is a mismatch). It returns
+// where the list ends in nums, or -1 for null.
 func (c *Cursor) floats(nums []float64) ([]float64, int) {
 	if c.skip("null") {
 		return nums, -1
@@ -231,8 +233,7 @@ func (c *Cursor) floats(nums []float64) ([]float64, int) {
 		return nums, len(nums)
 	}
 	for !c.bad {
-		num, _, _ := c.number()
-		f := c.float(num)
+		f := c.float(c.number())
 		if c.bad {
 			break
 		}
@@ -257,11 +258,10 @@ func (c *Cursor) column(k int) (f float64, found bool) {
 		return 0, false
 	}
 	for j := 0; !c.bad; j++ {
-		num, _, exp := c.number()
-		if j == k {
-			f, found = c.float(num), true
+		if d := c.number(); j == k {
+			f, found = c.float(d), true
 		} else {
-			c.skipFloat(num, exp)
+			c.skipFloat(d)
 		}
 		if !c.skip(",") {
 			c.Lit("]")
@@ -271,74 +271,106 @@ func (c *Cursor) column(k int) (f float64, found bool) {
 	return f, found
 }
 
-// float converts num by strconv.ParseFloat(s, 64), as encoding/json
-// converts a number; a syntax or range error is a mismatch.
-func (c *Cursor) float(num []byte) float64 {
-	f, err := strconv.ParseFloat(string(num), 64)
+// float converts d, the number just read, to the value and verdict of
+// strconv.ParseFloat(s, 64), as encoding/json converts a number: computed
+// by d's exact paths (atof.go), with ParseFloat as their fallback. A
+// syntax or range error is a mismatch.
+func (c *Cursor) float(d decimal) float64 {
+	if f, ok := d.exact(); ok {
+		return f
+	}
+	f, err := parseFloat(string(c.b[c.i-d.n:c.i]), 64)
 	if err != nil {
 		c.bad = true
 	}
 	return f
 }
 
+// parseFloat is float's fallback (a variable so a test can count calls).
+var parseFloat = strconv.ParseFloat
+
 // maxPlain is the longest number skipFloat passes without converting it.
 const maxPlain = 300
 
-// skipFloat gives num, which has an exponent if exp, float's verdict
-// without converting it where it can. A number of JSON's grammar with no
-// exponent and at most maxPlain characters is below 1e300 in magnitude,
-// and a plain decimal never fails by underflow (ParseFloat rounds it to
-// zero), so ParseFloat can only reject a number with an exponent or a
-// longer one (1e400): those still go through float.
-func (c *Cursor) skipFloat(num []byte, exp bool) {
-	if exp || len(num) > maxPlain {
-		c.float(num)
+// skipFloat gives d, the number just read, float's verdict without
+// converting it where it can. A number of JSON's grammar with no exponent
+// and at most maxPlain characters is below 1e300 in magnitude, and a
+// plain decimal never fails by underflow (ParseFloat rounds it to zero),
+// so float can only reject a number with an exponent or a longer one
+// (1e400): those it converts.
+func (c *Cursor) skipFloat(d decimal) {
+	if d.exp || d.n > maxPlain {
+		c.float(d)
 	}
 }
 
 // number scans a number of JSON's grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether it
-// has a fraction and whether it has an exponent.
-func (c *Cursor) number() (num []byte, frac, exp bool) {
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reads its decimal in
+// the same pass, as strconv's readFloat does: leading zeros of a fraction
+// move the point, and the exponent stops growing at maxExp.
+func (c *Cursor) number() (d decimal) {
 	if c.bad {
-		return nil, false, false
+		return d
 	}
-	b, i, ok := c.b, c.i, true
+	b, i := c.b, c.i
 	if i < len(b) && b[i] == '-' {
-		i++
+		d.neg, i = true, i+1
 	}
+	start, dp := i, 0 // dp: the point's place, in significant digits
 	if i < len(b) && b[i] == '0' {
 		i++
 	} else {
-		i, ok = digits(b, i)
+		i, d.man = fold(b, i, 0)
+		dp = i - start
 	}
+	ok, nd := i > start, dp // nd: significant digits
 	if ok && i < len(b) && b[i] == '.' {
-		frac = true
-		i, ok = digits(b, i+1)
+		d.frac, i, start = true, i+1, i+1
+		for d.man == 0 && i < len(b) && b[i] == '0' {
+			i, dp = i+1, dp-1
+		}
+		j := i
+		i, d.man = fold(b, i, d.man)
+		ok, nd = i > start, nd+i-j
 	}
 	if ok && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i, exp = i+1, true
+		d.exp, i = true, i+1
+		sign, e := 1, 0
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			if b[i] == '-' {
+				sign = -1
+			}
 			i++
 		}
-		i, ok = digits(b, i)
+		for start = i; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < maxExp {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		ok, dp = i > start, dp+sign*e
 	}
 	if !ok {
 		c.bad = true
-		return nil, false, false
+		return decimal{}
 	}
-	num, c.i = b[c.i:i], i
-	return num, frac, exp
+	if d.long = nd > 19; d.man != 0 {
+		d.exp10 = dp - nd
+	}
+	d.n, c.i = i-c.i, i
+	return d
 }
 
-// digits returns the index past the run of decimal digits at i, and
-// whether the run is not empty.
-func digits(b []byte, i int) (int, bool) {
-	j := i
-	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
-		j++
+// fold returns the index past the run of decimal digits at i, and man
+// with the run's digits appended (modulo 2^64).
+func fold(b []byte, i int, man uint64) (int, uint64) {
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			break
+		}
+		man = man*10 + uint64(d)
 	}
-	return j, j > i
+	return i, man
 }
 
 // ReadLine returns the next line of br through its '\n' (or the

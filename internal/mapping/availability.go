@@ -54,10 +54,6 @@ func (a *Availability) Load(times []float64) {
 	a.slots = append(a.slots, later...)
 }
 
-// Earliest returns the time at which q processors are free: the q-th
-// smallest availability, 1 ≤ q ≤ the cluster's size.
-func (a *Availability) Earliest(q int) float64 { return a.slots[q-1].time }
-
 // Best is the paper's §5 placement step on one cluster, the one both mappers
 // evaluate a cluster through: task t, whose data is there at ready, takes the
 // want earliest processors of a cluster of the given speed, and with packing

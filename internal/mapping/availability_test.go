@@ -100,3 +100,7 @@ func FuzzAvailabilityMatchesStableSort(f *testing.F) {
 		checkAvailabilityProgram(t, 1+int(procs), int(steps), rand.New(rand.NewSource(seed)))
 	})
 }
+
+// Earliest returns the time at which q processors are free: the q-th
+// smallest availability, 1 ≤ q ≤ the cluster's size.
+func (a *Availability) Earliest(q int) float64 { return a.slots[q-1].time }

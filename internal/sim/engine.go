@@ -157,17 +157,6 @@ func (e *Engine) Run() float64 {
 	return e.now
 }
 
-// Pending reports the number of not-yet-cancelled events in the queue.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
 // Event is a scheduled callback. It can be cancelled before it fires.
 type Event struct {
 	time      float64

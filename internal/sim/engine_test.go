@@ -131,3 +131,14 @@ func TestEngineOrderingProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Pending reports the number of not-yet-cancelled events in the queue.
+func (e *Engine) Pending() int {
+	n := 0
+	for _, ev := range e.queue {
+		if !ev.cancelled {
+			n++
+		}
+	}
+	return n
+}

@@ -270,15 +270,6 @@ func (n *FlowNet) flowsStarted(f *Flow) {
 	}
 }
 
-// ActiveFlows returns the number of flows currently transferring bytes.
-func (n *FlowNet) ActiveFlows() int {
-	total := 0
-	for _, c := range n.solver.live {
-		total += n.solver.classes[c].count
-	}
-	return total
-}
-
 // advance progresses every active flow's remaining bytes to the current
 // simulation time using the rates computed at the last reshare. Every
 // member of a class subtracts the same amount, and rounding and the snap

@@ -1074,3 +1074,12 @@ func BenchmarkReshareCrowded(b *testing.B) {
 		e.Run()
 	}
 }
+
+// ActiveFlows returns the number of flows currently transferring bytes.
+func (n *FlowNet) ActiveFlows() int {
+	total := 0
+	for _, c := range n.solver.live {
+		total += n.solver.classes[c].count
+	}
+	return total
+}
