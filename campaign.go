@@ -35,7 +35,7 @@ type (
 	// predicate (limit/offset/stride) instead of a materialized slice.
 	CampaignIndexSet = scenario.IndexSet
 	// CampaignSweepOptions shapes a sweep over an expansion — workers,
-	// memo, panic isolation, skip predicate, cancellation — for its Sweep
+	// memo, skip predicate, cancellation — for its Sweep
 	// method and the Each (streaming) and Run (ordered slice) shapes.
 	CampaignSweepOptions = scenario.SweepOptions
 	// CampaignAggregator is the incremental, order-insensitive reduction:

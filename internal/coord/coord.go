@@ -12,6 +12,12 @@ import (
 	"ptgsched/internal/service"
 )
 
+// maxShardAttempts bounds how many times one shard may *fail* (failed job,
+// evicted job, stall) before the campaign errors out — a poisoned shard
+// must not ping-pong across the fleet forever. Worker deaths do not count:
+// they are the fleet's fault, not the shard's.
+const maxShardAttempts = 3
+
 // Options configures a Coordinator.
 type Options struct {
 	// Shards is the number of leases the campaign is split into; default
@@ -28,12 +34,6 @@ type Options struct {
 	// count has not moved for this long: the job is canceled best-effort
 	// and the lease reassigned. Default 2m.
 	StallTimeout time.Duration
-	// MaxShardAttempts bounds how many times one shard may *fail*
-	// (failed job, evicted job, stall) before the campaign errors out —
-	// a poisoned shard must not ping-pong across the fleet forever.
-	// Worker deaths do not count: they are the fleet's fault, not the
-	// shard's. Default 3.
-	MaxShardAttempts int
 	// Client configures every per-worker client (timeouts, retry policy,
 	// fault-injection transport). Transport applies to all workers; use
 	// TransportFor for per-worker injection.
@@ -68,9 +68,6 @@ func (o Options) withDefaults(workers, points int) Options {
 	}
 	if o.StallTimeout <= 0 {
 		o.StallTimeout = 2 * time.Minute
-	}
-	if o.MaxShardAttempts <= 0 {
-		o.MaxShardAttempts = 3
 	}
 	return o
 }
@@ -262,7 +259,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 
 // Run drives every lease to completion and returns the aggregated tables,
 // bit-identical to an unsharded local run. It returns an error when the
-// context dies, when a shard exhausts MaxShardAttempts, or when every
+// context dies, when a shard exhausts maxShardAttempts, or when every
 // worker is unreachable and a probe round revives none — never by
 // hanging. Call it once per Coordinator.
 func (c *Coordinator) Run(ctx context.Context) ([]scenario.Table, error) {
@@ -419,7 +416,7 @@ func (c *Coordinator) poll(ctx context.Context) error {
 				return err
 			}
 			c.requeue(l, "shard %d failed on %s (attempt %d/%d): %s",
-				l.shard, w.addr, l.attempts, c.opts.MaxShardAttempts, st.Error)
+				l.shard, w.addr, l.attempts, maxShardAttempts, st.Error)
 		case service.JobCanceled:
 			l.attempts++
 			if err := c.checkAttempts(l, fmt.Errorf("job canceled externally")); err != nil {
@@ -524,7 +521,7 @@ func (c *Coordinator) merge(ctx context.Context, l *lease, st *service.JobStatus
 
 // checkAttempts fails the campaign once a shard burned its attempts.
 func (c *Coordinator) checkAttempts(l *lease, cause error) error {
-	if l.attempts >= c.opts.MaxShardAttempts {
+	if l.attempts >= maxShardAttempts {
 		return fmt.Errorf("coord: shard %d/%d failed %d times, giving up: %w",
 			l.shard, len(c.leases), l.attempts, cause)
 	}

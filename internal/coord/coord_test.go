@@ -231,6 +231,46 @@ func TestCoordinatorStalledLease(t *testing.T) {
 	}
 }
 
+// failingWorker is a fake ptgserve that accepts every job and then reports
+// it failed — a poisoned shard, as far as the coordinator can tell.
+func failingWorker(t *testing.T) string {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(service.JobStatus{ID: "poison-1", State: service.JobQueued, Points: 4})
+	})
+	mux.HandleFunc("GET /v1/jobs/poison-1", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(service.JobStatus{ID: "poison-1", State: service.JobFailed, Points: 4, Error: "point 0 panicked"})
+	})
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(service.Health{Status: "ok"})
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestCoordinatorGivesUpOnFailingShard: a shard whose job fails on every
+// dispatch is retried until it has failed maxShardAttempts times, then
+// fails the campaign instead of cycling forever.
+func TestCoordinatorGivesUpOnFailingShard(t *testing.T) {
+	c, err := New([]byte(fleetSpec), []string{failingWorker(t)}, Options{
+		PollInterval: time.Millisecond,
+		Client:       fastClient,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := c.Run(ctx); err == nil || !strings.Contains(err.Error(), "failed 3 times, giving up") {
+		t.Fatalf("err = %v, want the shard given up after 3 failures", err)
+	}
+	if cs := c.Counters(); cs.Dispatches != 3 || cs.Reassignments != 2 {
+		t.Fatalf("counters %+v, want 3 dispatches and 2 reassignments", cs)
+	}
+}
+
 // TestCoordinatorFullyPartitioned requires a fleet with every worker
 // unreachable to fail fast with a clear verdict — never hang.
 func TestCoordinatorFullyPartitioned(t *testing.T) {

@@ -80,10 +80,9 @@ func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Resu
 // times — alone for M_own, then under each strategy — computes each
 // distinct (graph, reference cluster, β, procedure) once and starts a
 // graph's run under a new β from the growth steps its runs under other β
-// already made. Callers moving on to other graphs call ForgetAllocations;
-// graphs' task costs must not be edited while their traces are kept
-// (appending tasks or edges is detected). Release ends a scratch's use for
-// one piece of work altogether.
+// already made. Graphs' task costs must not be edited while their traces
+// are kept (appending tasks or edges is detected); Release ends a piece of
+// work and forgets them.
 type Scratch struct {
 	exec   *simexec.Scratch
 	apps   []*alloc.Allocation
@@ -98,10 +97,6 @@ func NewScratch() *Scratch {
 	return &Scratch{exec: simexec.NewScratch()}
 }
 
-// ForgetAllocations drops the traces and the allocations kept with them,
-// releasing their graphs. Call it between batches of different graphs.
-func (sc *Scratch) ForgetAllocations() { sc.traces.Forget() }
-
 // Release drops everything the scratch still references of the batches it
 // scheduled — the last Result, the allocation traces, the
 // executor's schedule — keeping only buffers, so a scratch parked between
@@ -109,7 +104,7 @@ func (sc *Scratch) ForgetAllocations() { sc.traces.Forget() }
 // the previous one's graphs. Results the scratch returned are invalid after
 // it.
 func (sc *Scratch) Release() {
-	sc.ForgetAllocations()
+	sc.traces.Forget()
 	clear(sc.apps[:cap(sc.apps)])
 	sc.alone[0] = nil
 	sc.res = Result{}

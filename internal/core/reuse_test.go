@@ -84,9 +84,9 @@ func TestScratchRemembersAllocationsUntilForgotten(t *testing.T) {
 	if a := core.New(platform.Nancy()).ScheduleWith(sc, gs, strategy.S()).Allocations[0]; a == alone {
 		t.Error("an allocation was served for a different platform")
 	}
-	sc.ForgetAllocations()
+	sc.Release()
 	if again := sched.ScheduleWith(sc, gs, strategy.S()).Allocations[0]; again == alone {
-		t.Error("allocation survived ForgetAllocations")
+		t.Error("allocation survived Release")
 	}
 }
 
@@ -149,7 +149,7 @@ func TestPointOnCarriedScratchMatchesFreshSchedules(t *testing.T) {
 			for i := range gs {
 				gs[i] = daggen.Generate(family, r)
 			}
-			sc.ForgetAllocations()
+			sc.Release()
 			for i, g := range gs {
 				if got, want := sched.ScheduleAloneWith(sc, g), sched.ScheduleAlone(g); got != want {
 					t.Fatalf("%s %v: app %d alone: %g on the carried scratch, %g fresh", pf.Name, proc, i, got, want)

@@ -7,7 +7,7 @@
 // Concurrency: Run fans the campaign's runs out over a fixed pool of
 // Config.Workers goroutines (default GOMAXPROCS); Workers ≤ 1 runs inline
 // on the calling goroutine. Results are bit-identical at every worker
-// count: each run derives its scenario from a deterministic seed (runSeed),
+// count: each run derives its scenario from a deterministic seed (RunSeed),
 // writes only its own output slot, and the aggregation pass reduces those
 // slots in a fixed order, so no floating-point operation depends on
 // execution interleaving. Runs share only immutable state (platforms,
@@ -118,19 +118,20 @@ type Result struct {
 // grid is never materialized: the worker pool is driven by a bare index
 // generator (ForEachWorker), and each index is decomposed arithmetically
 // into its (point, rep, platform) key — the same lazy-enumeration
-// discipline the scenario layer's PointAt uses. Each pool slot owns one Scratch, so
-// the simulation state is reused across all the runs a worker executes.
+// discipline the scenario layer's PointAt uses. Each pool slot owns one
+// core.Scratch, so the simulation state is reused across all the runs a
+// worker executes.
 func Run(cfg Config) *Result {
 	cfg = cfg.Defaults()
 
 	perPoint := cfg.Reps * len(cfg.Platforms)
 	total := len(cfg.NPTGs) * perPoint
 	outs := make([]Measurement, total)
-	scratches := make([]*Scratch, Workers(total, cfg.Workers))
+	scratches := make([]*core.Scratch, Workers(total, cfg.Workers))
 	ForEachWorker(total, cfg.Workers, func(w, i int) {
 		sc := scratches[w]
 		if sc == nil {
-			sc = NewScratch()
+			sc = core.NewScratch()
 			scratches[w] = sc
 		}
 		// Decompose i along the (point, rep, platform) enumeration order.
@@ -256,53 +257,31 @@ type Measurement struct {
 	Rel []float64
 }
 
-// Scratch amortizes one worker's per-run state — the core scheduler
-// scratch (simulation engine, flow net, executor buffers) plus the run's
-// graph and M_own slices — across the many runs a pool slot executes. A
-// Scratch must be confined to one goroutine. The Measurements RunOneWith
-// returns are NOT scratch-owned: their slices are freshly allocated, so
-// results may be retained and batched freely.
-type Scratch struct {
-	core   *core.Scratch
-	graphs []*dag.Graph
-	own    []float64
-}
-
-// NewScratch returns an empty scratch ready for RunOneWith.
-func NewScratch() *Scratch {
-	return &Scratch{core: core.NewScratch()}
-}
-
 // RunOneWith executes the single campaign run identified by (point, rep,
 // platform) — indices into cfg.NPTGs and cfg.Platforms — on the calling
 // goroutine, on a worker-owned scratch: the simulation and scheduling state
-// is recycled across calls, so a worker sweeping thousands of runs
-// allocates only what escapes into the Measurement. Run is exactly an
-// aggregation of RunOneWith over the full key grid; the scenario package
-// calls it directly to sweep spec-driven expansions point by point. The
-// scratch changes where buffers live, never what is computed: a run on a
-// carried scratch is bit-identical to one on NewScratch().
-func RunOneWith(cfg Config, point, rep, pfIdx int, sc *Scratch) Measurement {
+// is recycled across calls, and the run releases the scratch when it ends,
+// so the allocations it remembered of the run's graphs serve no later run.
+// Run is exactly an aggregation of RunOneWith over the full key grid; the
+// scenario package calls it directly to sweep spec-driven expansions point
+// by point. The scratch changes where buffers live, never what is computed:
+// a run on a carried scratch is bit-identical to one on core.NewScratch().
+// The Measurement's slices are the run's own, never the scratch's.
+func RunOneWith(cfg Config, point, rep, pfIdx int, sc *core.Scratch) Measurement {
+	defer sc.Release()
 	r := rand.New(rand.NewSource(RunSeed(cfg.Seed, point, rep)))
-	n := cfg.NPTGs[point]
 	gen := cfg.Gen
 	if gen == nil {
 		gen = func(r *rand.Rand) *dag.Graph { return daggen.Generate(cfg.Family, r) }
 	}
-	sc.graphs = growSlice(sc.graphs, n)
-	graphs := sc.graphs
+	graphs := make([]*dag.Graph, cfg.NPTGs[point])
 	for i := range graphs {
 		graphs[i] = gen(r)
 	}
 	sched := core.New(cfg.Platforms[pfIdx])
-	// The run's graphs are new: the allocations the scratch remembers from
-	// the slot's previous run serve nothing here and would pin its graphs.
-	sc.core.ForgetAllocations()
-
-	sc.own = growSlice(sc.own, n)
-	own := sc.own
+	own := make([]float64, len(graphs))
 	for i, g := range graphs {
-		own[i] = sched.ScheduleAloneWith(sc.core, g)
+		own[i] = sched.ScheduleAloneWith(sc, g)
 	}
 
 	m := Measurement{
@@ -310,22 +289,13 @@ func RunOneWith(cfg Config, point, rep, pfIdx int, sc *Scratch) Measurement {
 		Makespan:   make([]float64, len(cfg.Strategies)),
 	}
 	for s, strat := range cfg.Strategies {
-		res := sched.ScheduleWith(sc.core, graphs, strat)
-		ev := res.EvaluateWith(sc.core, own)
+		res := sched.ScheduleWith(sc, graphs, strat)
+		ev := res.EvaluateWith(sc, own)
 		m.Unfairness[s] = ev.Unfairness
 		m.Makespan[s] = ev.Makespan
 	}
 	m.Rel = metrics.RelativeMakespans(m.Makespan)
 	return m
-}
-
-// growSlice resizes s to length n, reusing capacity when possible. The
-// returned slice's contents are unspecified; callers overwrite them.
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // String summarizes a result compactly.

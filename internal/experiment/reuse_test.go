@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ptgsched/internal/core"
 	"ptgsched/internal/dag"
 	"ptgsched/internal/daggen"
 	"ptgsched/internal/platform"
@@ -22,11 +23,11 @@ func TestRunOneWithMatchesRunOne(t *testing.T) {
 			Platforms: []*platform.Platform{platform.Lille(), platform.Sophia()},
 			Seed:      23,
 		}.Defaults()
-		sc := NewScratch()
+		sc := core.NewScratch()
 		for point := range cfg.NPTGs {
 			for rep := 0; rep < cfg.Reps; rep++ {
 				for pfIdx := range cfg.Platforms {
-					got, want := RunOneWith(cfg, point, rep, pfIdx, sc), RunOneWith(cfg, point, rep, pfIdx, NewScratch())
+					got, want := RunOneWith(cfg, point, rep, pfIdx, sc), RunOneWith(cfg, point, rep, pfIdx, core.NewScratch())
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%v point %d rep %d platform %d: on a shared scratch\n%+v\nfresh\n%+v",
 							family, point, rep, pfIdx, got, want)
@@ -59,7 +60,7 @@ func TestRunOneWithForgetsAllocationsBetweenRuns(t *testing.T) {
 			return g
 		},
 	}.Defaults()
-	sc := NewScratch()
+	sc := core.NewScratch()
 	for rep := 0; rep < cfg.Reps; rep++ {
 		for _, g := range pool {
 			for _, task := range g.Tasks {
@@ -67,7 +68,7 @@ func TestRunOneWithForgetsAllocationsBetweenRuns(t *testing.T) {
 				task.Alpha = 0.25 * r.Float64()
 			}
 		}
-		got, want := RunOneWith(cfg, 0, rep, 0, sc), RunOneWith(cfg, 0, rep, 0, NewScratch())
+		got, want := RunOneWith(cfg, 0, rep, 0, sc), RunOneWith(cfg, 0, rep, 0, core.NewScratch())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("rep %d: the shared scratch served allocations of the previous run's costs\n%+v\nfresh\n%+v", rep, got, want)
 		}

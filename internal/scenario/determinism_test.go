@@ -75,14 +75,34 @@ func TestRunEachBatchWorkerAndBatchInvariance(t *testing.T) {
 				if isolated {
 					name += "/isolated"
 				}
-				o := SweepOptions{Workers: workers, Isolate: isolated}
+				o := SweepOptions{Workers: workers}
 				t.Run(name, func(t *testing.T) {
+					// The isolated variant runs a sibling sweep whose every
+					// point panics alongside the healthy one: its panics
+					// must come back as its own error and leave the healthy
+					// sweep's results untouched.
+					var badErr chan error
+					if isolated {
+						bad := mustExpand(t, mustParse(t, determinismSpec))
+						for _, c := range bad.Cells {
+							c.Config.Gen = func(*rand.Rand) *dag.Graph { panic("degenerate scenario") }
+						}
+						badErr = make(chan error, 1)
+						go func() {
+							badErr <- bad.each(bad.All(), o, batch, func(PointResult) error { return nil })
+						}()
+					}
 					var got []PointResult
 					if err := e.each(set, o, batch, func(r PointResult) error {
 						got = append(got, r)
 						return nil
 					}); err != nil {
 						t.Fatal(err)
+					}
+					if isolated {
+						if err := <-badErr; err == nil || !strings.Contains(err.Error(), "panicked") {
+							t.Fatalf("sibling sweep err = %v, want a panic conversion", err)
+						}
 					}
 					if len(got) != set.Len() {
 						t.Fatalf("emitted %d results, want %d", len(got), set.Len())
@@ -142,7 +162,7 @@ func TestRunEachBatchFirstErrorStops(t *testing.T) {
 }
 
 // TestRunEachIsolatedBatchPanicIsolation: a panicking point must surface
-// as an error from an isolated sweep (not unwind a worker goroutine), at
+// as an error from the sweep (not unwind a worker goroutine), at
 // every worker count and batch size, and name the point's global index —
 // checked on a strided set, where set position and global index differ.
 func TestRunEachIsolatedBatchPanicIsolation(t *testing.T) {
@@ -154,7 +174,7 @@ func TestRunEachIsolatedBatchPanicIsolation(t *testing.T) {
 			e.Cells[0].Config.Gen = func(*rand.Rand) *dag.Graph {
 				panic("degenerate scenario")
 			}
-			err := e.each(e.All(), SweepOptions{Workers: workers, Isolate: true}, batch, func(PointResult) error { return nil })
+			err := e.each(e.All(), SweepOptions{Workers: workers}, batch, func(PointResult) error { return nil })
 			if err == nil || !strings.Contains(err.Error(), "panicked") {
 				t.Fatalf("workers=%d batch=%d: err = %v, want a panic conversion", workers, batch, err)
 			}
@@ -173,7 +193,6 @@ func TestRunEachIsolatedBatchPanicIsolation(t *testing.T) {
 		}
 		err = e.Sweep(set, SweepOptions{
 			Workers: workers,
-			Isolate: true,
 			Skip:    func(i int) bool { return e.CellOf(i) == 0 && i != 4 },
 		}, func(int, PointResult) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "point 4 panicked") {

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ptgsched/internal/core"
 	"ptgsched/internal/dag"
 	"ptgsched/internal/experiment"
 	"ptgsched/internal/metrics"
@@ -38,20 +39,27 @@ type PointResult struct {
 	Rel []float64 `json:"rel"`
 }
 
-// Scratch amortizes one sweep worker's per-point state across the points a
-// pool slot executes: the experiment layer's simulation and scheduling
-// buffers for static cells, the online engine's allocation traces and
-// buffers for online and dynamic ones. It must be confined to one
-// goroutine. The PointResults produced through it are never scratch-owned:
-// their slices escape, so results batch and aggregate freely.
+// Scratch is what one worker owns across the units of work it runs — the
+// points of a sweep, the requests of a service worker: the offline
+// pipeline's scheduling and simulation state (Core) and the online engine's
+// (Online). It must be confined to one goroutine. Each unit of work ends
+// with Release, so a parked scratch pins none of the last one's graphs;
+// the PointResults computed through it are never scratch-owned.
 type Scratch struct {
-	exp    *experiment.Scratch
-	online *online.Scratch
+	Core   *core.Scratch
+	Online *online.Scratch
 }
 
 // NewScratch returns an empty scratch ready for ComputePointScratch.
 func NewScratch() *Scratch {
-	return &Scratch{exp: experiment.NewScratch(), online: online.NewScratch()}
+	return &Scratch{Core: core.NewScratch(), Online: online.NewScratch()}
+}
+
+// Release ends the scratch's current unit of work: both engines drop what
+// they remember of its graphs and keep only their buffers.
+func (sc *Scratch) Release() {
+	sc.Core.Release()
+	sc.Online.Release()
 }
 
 // RunPoint executes one scenario point on the calling goroutine.
@@ -65,9 +73,9 @@ func (e *Expansion) runPoint(p Point, sc *Scratch) PointResult {
 		sc = NewScratch()
 	}
 	if c.Online != nil || c.Policy != "" {
-		return e.runDynamicPoint(c, p, sc.online)
+		return e.runDynamicPoint(c, p, sc.Online)
 	}
-	m := experiment.RunOneWith(c.Config, p.NIdx, p.Rep, p.Platform, sc.exp)
+	m := experiment.RunOneWith(c.Config, p.NIdx, p.Rep, p.Platform, sc.Core)
 	return PointResult{
 		Index: p.Index, Cell: p.Cell, Name: p.Name,
 		Unfairness: m.Unfairness, Makespan: m.Makespan, Rel: m.Rel,
@@ -186,10 +194,6 @@ type SweepOptions struct {
 	// Memo, when non-nil, is asked for each point before it is computed and
 	// offered each computed miss (see Memo).
 	Memo Memo
-	// Isolate converts a panicking point (a degenerate generated scenario)
-	// into the sweep's returned error instead of unwinding a pool
-	// goroutine: one bad point fails one request, not the process.
-	Isolate bool
 	// Skip, when non-nil, is asked with each global point index before
 	// anything else happens to it; a skipped point is neither looked up,
 	// computed nor visited. It is called from the pool goroutines.
@@ -226,8 +230,9 @@ func (o SweepOptions) Slots(n int) int { return experiment.Workers(n, o.Workers)
 //
 // The first error stops the sweep — points already running finish, no
 // further point is started — and is returned: an error from visit, the
-// Context's error once it is cancelled, or, with Isolate, a panicking
-// point's conversion, which names the point's global index.
+// Context's error once it is cancelled, or a panicking point (a degenerate
+// generated scenario) converted into an error naming its global index, so
+// one bad point fails one sweep, never unwinds a pool goroutine.
 func (e *Expansion) Sweep(set IndexSet, o SweepOptions, visit func(slot int, r PointResult) error) error {
 	n := set.Len()
 	scratches := make([]*Scratch, o.Slots(n))
@@ -258,13 +263,11 @@ func (e *Expansion) Sweep(set IndexSet, o SweepOptions, visit func(slot int, r P
 		if o.Skip != nil && o.Skip(i) {
 			return
 		}
-		if o.Isolate {
-			defer func() {
-				if r := recover(); r != nil {
-					fail(fmt.Errorf("scenario: point %d panicked: %v", i, r))
-				}
-			}()
-		}
+		defer func() {
+			if r := recover(); r != nil {
+				fail(fmt.Errorf("scenario: point %d panicked: %v", i, r))
+			}
+		}()
 		if scratches[slot] == nil {
 			scratches[slot] = NewScratch()
 		}
@@ -347,9 +350,9 @@ func (e *Expansion) RunEach(set IndexSet, workers int, emit func(PointResult) er
 	return e.Each(set, SweepOptions{Workers: workers}, emit)
 }
 
-// RunEachIsolated is RunEach with per-point panic isolation.
+// RunEachIsolated is RunEach: every sweep isolates its points' panics.
 func (e *Expansion) RunEachIsolated(set IndexSet, workers int, emit func(PointResult) error) error {
-	return e.Each(set, SweepOptions{Workers: workers, Isolate: true}, emit)
+	return e.RunEach(set, workers, emit)
 }
 
 // WriteJSONL streams results as JSON Lines: one compact PointResult object

@@ -248,13 +248,12 @@ func (s *Service) Campaign(ctx context.Context, req CampaignRequest) (*CampaignR
 }
 
 func (s *Service) campaign(ctx context.Context, cs campaignScenario) (*CampaignResponse, error) {
-	return submit[CampaignResponse](ctx, s, "campaign", func(*scratch) (any, error) {
+	return submit[CampaignResponse](ctx, s, "campaign", func(*scenario.Scratch) (any, error) {
 		started := time.Now()
-		// Isolate: with workers > 1 the points run on the sweep pool's
-		// goroutines, outside runSafely's recover, where a panicking point
-		// (a degenerate generated scenario) would kill the whole process
-		// instead of failing the one request.
-		o := scenario.SweepOptions{Workers: cs.workers, Memo: s.memoFor(cs.expansion), Isolate: true}
+		// With workers > 1 the points run on the sweep pool's goroutines,
+		// outside runSafely's recover; the sweep itself turns a panicking
+		// point into the request's error.
+		o := scenario.SweepOptions{Workers: cs.workers, Memo: s.memoFor(cs.expansion)}
 		out := &CampaignResponse{
 			Name:      cs.expansion.Spec.Name,
 			Points:    cs.expansion.NumPoints(),

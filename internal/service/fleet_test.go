@@ -160,7 +160,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 // request must not block shutdown forever, and the blocked request is
 // reported; once it finishes, a second drain is clean.
 func TestCloseGrace(t *testing.T) {
-	s := New(Options{Workers: 1, NoTimeout: true})
+	s := New(Options{Workers: 1, RequestTimeout: time.Hour})
 	release := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() { errc <- s.SubmitTestJob(context.Background(), release) }()

@@ -446,7 +446,7 @@ func (s *Service) SubmitJob(req JobRequest) (*JobStatus, error) {
 // collects its outcome in the background. Jobs run without the per-request
 // timeout: their lifetime is governed by their own context.
 func (s *Service) enqueueJob(h *jobHandle) error {
-	pj := &job{ctx: h.ctx, kind: "job", enqueued: time.Now(), run: func(*scratch) (any, error) {
+	pj := &job{ctx: h.ctx, kind: "job", enqueued: time.Now(), run: func(*scenario.Scratch) (any, error) {
 		return nil, s.runJob(h)
 	}, done: make(chan outcome, 1)}
 
@@ -470,14 +470,12 @@ func (s *Service) enqueueJob(h *jobHandle) error {
 
 // runJob executes the sweep on a pool worker, fanning points over the
 // job's intra-run workers and spooling each result as it completes.
-// Isolate: with worker > 1 the points run on the sweep pool's goroutines,
-// outside runSafely's recover, where an unrecovered panic would kill the
-// whole process instead of failing the job. A panicking point or a failed
-// spool append fails the job; cancellation ends it with the context's
-// error.
+// A panicking point (which the sweep converts into an error, on whichever
+// pool goroutine ran it) or a failed spool append fails the job;
+// cancellation ends it with the context's error.
 func (s *Service) runJob(h *jobHandle) error {
 	h.setState(JobRunning, nil)
-	o := scenario.SweepOptions{Workers: h.worker, Memo: s.memoFor(h.e), Isolate: true, Context: h.ctx}
+	o := scenario.SweepOptions{Workers: h.worker, Memo: s.memoFor(h.e), Context: h.ctx}
 	bufs := make([][]byte, o.Slots(h.set.Len()))
 	err := h.e.Sweep(h.set, o, func(slot int, r scenario.PointResult) error {
 		return h.record(r, &bufs[slot])

@@ -13,16 +13,16 @@
 // platform.Platform and its sim.Links are immutable after construction, the
 // strategy/alloc/mapping pipeline keeps all mutable state in per-call
 // values, and the only caching mutable structure — dag.Graph's analysis
-// caches — is confined to graphs generated privately per request. The
-// simulated executor's reusable state and the allocation traces live in one
-// scratch per worker (a core.Scratch for the offline pipeline, an
-// online.Scratch for /v1/online): the worker goroutine creates it, hands it
-// to each request it runs (one at a time, so the scratch never leaves that
-// goroutine) and releases it when the request ends, so a parked scratch
-// pins nothing of the last request; everything a response carries is copied
-// out of scratch-owned results before then. Nothing is shared between two
-// in-flight requests except immutable platforms, so requests never contend
-// on scheduling state, only on the queue and the stats counters.
+// caches — is confined to graphs generated privately per request. Each
+// worker owns one scenario.Scratch, the same type a sweep slot owns: it
+// lends it to each request it runs (one at a time, so the scratch never
+// leaves that goroutine) — /v1/schedule schedules on its Core, /v1/online
+// on its Online — and calls Release when the request ends, so a parked
+// scratch pins nothing of the last request; everything a response carries
+// is copied out of scratch-owned results before then. Nothing is shared
+// between two in-flight requests except immutable platforms, so requests
+// never contend on scheduling state, only on the queue and the stats
+// counters.
 package service
 
 import (
@@ -88,12 +88,8 @@ type Options struct {
 	// default 64. Submissions beyond it fail fast with ErrQueueFull.
 	QueueDepth int
 	// RequestTimeout caps the time a request may spend queued plus
-	// executing; default 60s. Zero or negative values use the default; use
-	// NoTimeout to disable.
+	// executing; default 60s. Zero or negative values use the default.
 	RequestTimeout time.Duration
-	// NoTimeout disables the per-request timeout (contexts passed by the
-	// caller still apply).
-	NoTimeout bool
 	// Limits tunes the campaign and job admission caps; zero fields take
 	// the Default* values (see Limits).
 	Limits Limits
@@ -145,7 +141,7 @@ type job struct {
 	enqueued time.Time
 	// run executes the request on the worker's scratch, which is the
 	// request's alone until run returns.
-	run  func(sc *scratch) (any, error)
+	run  func(sc *scenario.Scratch) (any, error)
 	done chan outcome
 	// settled arbitrates the accounting between the worker and the
 	// submitter: whoever swaps it first counts the job's fate, so
@@ -239,22 +235,11 @@ func (s *Service) CloseGrace(grace time.Duration) int {
 	return 0
 }
 
-// scratch is what one worker owns and lends to the request it is running.
-type scratch struct {
-	core   *core.Scratch
-	online *online.Scratch
-}
-
-func (sc *scratch) release() {
-	sc.core.Release()
-	sc.online.Release()
-}
-
 // worker executes queued jobs until the queue closes, all on the one
 // scratch it owns.
 func (s *Service) worker() {
 	defer s.wg.Done()
-	sc := &scratch{core: core.NewScratch(), online: online.NewScratch()}
+	sc := scenario.NewScratch()
 	for j := range s.queue {
 		if err := j.ctx.Err(); err != nil {
 			// The client gave up while the job was queued; don't burn a
@@ -268,7 +253,7 @@ func (s *Service) worker() {
 		s.stats.inFlight.Add(1)
 		started := time.Now()
 		resp, err := runSafely(j.run, sc)
-		sc.release()
+		sc.Release()
 		elapsed := time.Since(started)
 		s.stats.inFlight.Add(-1)
 		s.stats.busyNanos.Add(elapsed.Nanoseconds())
@@ -295,7 +280,7 @@ func (s *Service) worker() {
 // scenario) into an error, so one bad request cannot take down a worker.
 // The scratch stays usable: every call on it rebuilds its state from the
 // call's inputs.
-func runSafely(run func(*scratch) (any, error), sc *scratch) (resp any, err error) {
+func runSafely(run func(*scenario.Scratch) (any, error), sc *scenario.Scratch) (resp any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("service: request panicked: %v", r)
@@ -327,12 +312,9 @@ func (s *Service) admit(j *job) error {
 // the response back — for a validated request whose run returns a *T. It
 // waits for the outcome or the context. Requests abandoned at a timeout
 // keep their queue slot until a worker pops and discards them.
-func submit[T any](ctx context.Context, s *Service, kind string, run func(*scratch) (any, error)) (*T, error) {
-	if !s.opts.NoTimeout {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
-	}
+func submit[T any](ctx context.Context, s *Service, kind string, run func(*scenario.Scratch) (any, error)) (*T, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
+	defer cancel()
 	j := &job{ctx: ctx, kind: kind, enqueued: time.Now(), run: run, done: make(chan outcome, 1)}
 	if err := s.admit(j); err != nil {
 		return nil, err
@@ -493,7 +475,7 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[ScheduleResponse](ctx, s, "schedule", func(ws *scratch) (any, error) {
+	return submit[ScheduleResponse](ctx, s, "schedule", func(ws *scenario.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		graphs := make([]*dag.Graph, sc.count)
@@ -507,12 +489,12 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 		if req.ComputeOwn {
 			own = make([]float64, len(graphs))
 			for i, g := range graphs {
-				own[i] = sched.ScheduleAloneWith(ws.core, g)
+				own[i] = sched.ScheduleAloneWith(ws.Core, g)
 			}
 		}
 		// res is scratch-owned. Betas is the strategy's fresh slice; the
 		// makespans live in the executor's buffers and are copied out.
-		res := sched.ScheduleWith(ws.core, graphs, sc.strat)
+		res := sched.ScheduleWith(ws.Core, graphs, sc.strat)
 		out := &ScheduleResponse{
 			Platform:     sc.pf.Name,
 			Strategy:     sc.strat.Name(),
@@ -576,11 +558,11 @@ func (s *Service) Online(ctx context.Context, req OnlineRequest) (*OnlineRespons
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[OnlineResponse](ctx, s, "online", func(ws *scratch) (any, error) {
+	return submit[OnlineResponse](ctx, s, "online", func(ws *scenario.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		arrivals := workload.Generate(spec, r)
-		res := online.ScheduleWith(ws.online, pf, arrivals, online.Options{
+		res := online.ScheduleWith(ws.Online, pf, arrivals, online.Options{
 			Strategy:                strat,
 			NoRebalanceOnCompletion: req.NoRebalanceOnCompletion,
 		})
@@ -678,7 +660,7 @@ func (s *Service) Workload(ctx context.Context, req WorkloadRequest) (*WorkloadR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[WorkloadResponse](ctx, s, "workload", func(*scratch) (any, error) {
+	return submit[WorkloadResponse](ctx, s, "workload", func(*scenario.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		arrivals := workload.Generate(spec, r)
