@@ -8,6 +8,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"regexp"
@@ -108,18 +109,25 @@ func TestServeHealthzAndCleanDrain(t *testing.T) {
 	}
 }
 
-// TestServeDrainTimeoutForceClose wedges the single worker on a fat
-// synchronous campaign (the pipeline is not preemptible mid-request),
-// then signals shutdown with a short -drain-timeout: run() must return
-// within the budget — not hang on the wedged worker — and report the
-// abandoned request as expired.
+// TestServeDrainTimeoutForceClose wedges the single worker on one fat
+// campaign point (a point is not preemptible mid-run; a campaign stops
+// only between points), then signals shutdown with a short
+// -drain-timeout: run() must return within the budget — not hang on the
+// wedged worker — and report the abandoned request as expired.
 func TestServeDrainTimeoutForceClose(t *testing.T) {
 	base, sigCh, done, out := startServe(t, "-workers", "1", "-drain-timeout", "2s")
 
-	// ~1000 heavy points on one worker: many tens of seconds of work, far
-	// beyond the drain budget on any machine.
-	spec := `{"spec": {"name": "wedge", "seed": 1, "reps": 500, "nptgs": [10],
-		"platforms": ["lille", "sophia"], "families": [{"family": "random"}]}}`
+	// One point of 64 PTGs of 50 tasks on 16 clusters × 4,096 processors,
+	// every grid axis pinned: well over ten seconds of work, far beyond
+	// the drain budget, yet within every service cap.
+	clusters := make([]string, 16)
+	for i := range clusters {
+		clusters[i] = fmt.Sprintf(`{"name": "c%d", "procs": 4096, "speed": %d}`, i, i+1)
+	}
+	spec := `{"spec": {"name": "wedge", "seed": 1, "reps": 1, "nptgs": [64],
+		"platform_specs": [{"name": "big", "clusters": [` + strings.Join(clusters, ", ") + `]}],
+		"families": [{"family": "random", "tasks": [50], "widths": [0.5], "regularities": [0.5],
+			"densities": [0.5], "jumps": [2], "complexities": ["mixed"]}]}}`
 	go func() {
 		c := &http.Client{Timeout: 500 * time.Millisecond}
 		resp, err := c.Post(base+"/v1/campaign", "application/json", strings.NewReader(spec))

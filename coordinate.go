@@ -14,14 +14,13 @@ type (
 	// FleetCoordinator drives one campaign over a worker fleet; create
 	// with NewFleetCoordinator, run once with its Run method.
 	FleetCoordinator = coord.Coordinator
-	// FleetOptions shapes the coordination: shard count, poll cadence,
-	// stall and retry budgets, per-worker client options.
+	// FleetOptions shapes the coordination: shard count, job
+	// parallelism, poll cadence, stall timeout, logging, the shared cache
+	// and the per-worker client's test seams.
 	FleetOptions = coord.Options
-	// FleetClientOptions configures the hardened per-worker HTTP client
-	// (timeouts, retry policy, the fault-injection transport hook).
+	// FleetClientOptions holds the hardened per-worker HTTP client's
+	// test seams (the fault-injection transport and the backoff sleep).
 	FleetClientOptions = coord.ClientOptions
-	// FleetRetryPolicy is the capped-exponential-backoff retry shape.
-	FleetRetryPolicy = coord.RetryPolicy
 	// FleetCounters snapshots the robustness counters (dispatches,
 	// retries, reassignments, worker deaths, deduplicated points).
 	FleetCounters = coord.CountersSnapshot

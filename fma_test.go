@@ -2,6 +2,7 @@ package ptgsched_test
 
 import (
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -14,10 +15,11 @@ import (
 )
 
 // resultPackages are the packages whose float arithmetic reaches a
-// result, a digest or a cache key.
+// result, a digest, a cache key or a wire response.
 var resultPackages = []string{
 	"alloc", "core", "cost", "dag", "daggen", "events", "experiment", "mapping",
-	"metrics", "online", "platform", "scenario", "sim", "simexec", "strategy", "workload",
+	"metrics", "online", "platform", "query", "scenario", "service", "sim", "simexec",
+	"strategy", "trace", "workload",
 }
 
 // TestNoFusableMultiplyAdd keeps results bit-identical across
@@ -29,6 +31,12 @@ var resultPackages = []string{
 // included) with an operand that is an unconverted float product, or a
 // variable some assignment gives one — the spec's "t = x*y; r = t + z".
 func TestNoFusableMultiplyAdd(t *testing.T) {
+	// The source importer type-checks the standard library through
+	// build.Default. Without cgo, net (which service reaches through
+	// net/http) type-checks from its pure-Go files, which declare the same
+	// API; with it, a GOARCH=386 run on an amd64 host needs a 32-bit C
+	// toolchain.
+	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "source", nil)
 	for _, pkg := range resultPackages {

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"testing"
 
 	"ptgsched/internal/cost"
 	"ptgsched/internal/dag"
@@ -42,7 +43,7 @@ func oracleCompute(g *dag.Graph, ref platform.Reference, beta float64, proc Proc
 			if !marks[t.ID] || saturated[t.ID] || a.Procs[t.ID] >= ref.Procs {
 				continue
 			}
-			gain := cost.MarginalGain(t, ref.Speed, a.Procs[t.ID])
+			gain := oracleMarginalGain(t, ref.Speed, a.Procs[t.ID])
 			if gain > bestGain {
 				bestGain = gain
 				best = t.ID
@@ -59,6 +60,30 @@ func oracleCompute(g *dag.Graph, ref platform.Reference, beta float64, proc Proc
 			saturated[best] = true
 			continue
 		}
+	}
+}
+
+// oracleMarginalGain is the reduction in execution time obtained by
+// growing an allocation from p to p+1 processors of the given speed: the
+// quantity the growth loop maximizes when choosing which critical-path
+// task to widen (§4).
+func oracleMarginalGain(v *dag.Task, speedGFlops float64, p int) float64 {
+	return cost.TaskTime(v, speedGFlops, p) - cost.TaskTime(v, speedGFlops, p+1)
+}
+
+func TestMarginalGainPositiveAndDiminishing(t *testing.T) {
+	g := dag.New("g")
+	v := g.AddTask("v", 1e6, 100, 0.1)
+	prev := oracleMarginalGain(v, 1, 1)
+	for p := 2; p < 32; p++ {
+		gain := oracleMarginalGain(v, 1, p)
+		if gain <= 0 {
+			t.Fatalf("gain at p=%d is %g, want > 0", p, gain)
+		}
+		if gain >= prev {
+			t.Fatalf("gain not diminishing at p=%d: %g >= %g", p, gain, prev)
+		}
+		prev = gain
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
@@ -32,48 +33,27 @@ import (
 	"ptgsched/internal/service"
 )
 
-// RetryPolicy shapes the client's transient-failure handling: capped
-// exponential backoff with jitter, bounded attempts.
-type RetryPolicy struct {
-	// MaxAttempts bounds the tries per request (first call included);
-	// default 4.
-	MaxAttempts int
-	// BaseDelay seeds the exponential backoff (BaseDelay × 2^attempt);
-	// default 200ms.
-	BaseDelay time.Duration
-	// MaxDelay caps one backoff sleep — including a server's Retry-After
-	// ask, so a hostile or confused header cannot stall the coordinator;
-	// default 5s.
-	MaxDelay time.Duration
-}
+// The retry policy: capped exponential backoff with jitter over a bounded
+// number of attempts, each under its own timeout.
+const (
+	// maxAttempts bounds the tries per request, the first included.
+	maxAttempts = 4
+	// baseDelay seeds the backoff: baseDelay × 2^attempt, jittered into
+	// [50%, 150%).
+	baseDelay = 200 * time.Millisecond
+	// maxDelay caps one backoff sleep, a server's Retry-After ask
+	// included, so a hostile or confused header cannot stall the
+	// coordinator.
+	maxDelay = 5 * time.Second
+	// attemptTimeout bounds each attempt, not the whole retry loop.
+	attemptTimeout = 10 * time.Second
+)
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 200 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 5 * time.Second
-	}
-	return p
-}
-
-// ClientOptions configures a worker client.
+// ClientOptions holds a worker client's test seams.
 type ClientOptions struct {
-	// RequestTimeout bounds each attempt (not the whole retry loop);
-	// default 10s.
-	RequestTimeout time.Duration
-	// Retry is the transient-failure policy.
-	Retry RetryPolicy
 	// Transport overrides the HTTP transport — the fault-injection hook;
 	// default http.DefaultTransport.
 	Transport http.RoundTripper
-	// JitterSeed makes the backoff jitter deterministic; 0 uses a fixed
-	// seed (tests that need divergent jitter across clients pass their
-	// own).
-	JitterSeed int64
 	// Sleep replaces the backoff sleep, so tests assert on requested
 	// delays instead of waiting them out. Nil sleeps for real.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -86,6 +66,9 @@ type StatusError struct {
 	// Code and Message are the envelope fields ({"error","code"}).
 	Code    string
 	Message string
+
+	// retryAfter echoes a throttled response's Retry-After header.
+	retryAfter time.Duration
 }
 
 func (e *StatusError) Error() string {
@@ -95,17 +78,32 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("coord: worker answered %d", e.Status)
 }
 
+// statusError decodes a non-2xx response: the service's error envelope
+// and a throttled response's Retry-After ask.
+func statusError(resp *http.Response) *StatusError {
+	se := &StatusError{Status: resp.StatusCode}
+	var envelope struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
+	}
+	if b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16)); err == nil && json.Unmarshal(b, &envelope) == nil {
+		se.Message, se.Code = envelope.Error, envelope.Code
+	}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		se.retryAfter = time.Duration(secs) * time.Second
+	}
+	return se
+}
+
 // Client is the hardened HTTP client to one ptgserve worker: every call
 // gets a per-attempt timeout, transient failures (network errors, 429,
 // 502/503/504) are retried with capped exponential backoff and jitter,
 // and a Retry-After header on a throttled response is honored (capped at
-// RetryPolicy.MaxDelay). Safe for concurrent use.
+// maxDelay). Safe for concurrent use.
 type Client struct {
-	base    string
-	hc      *http.Client
-	timeout time.Duration
-	policy  RetryPolicy
-	sleep   func(ctx context.Context, d time.Duration) error
+	base  string
+	hc    *http.Client
+	sleep func(ctx context.Context, d time.Duration) error
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -116,7 +114,9 @@ type Client struct {
 }
 
 // NewClient returns a client for the worker at base (scheme optional;
-// "host:port" is normalized to "http://host:port").
+// "host:port" is normalized to "http://host:port"). Its backoff jitter is
+// seeded by the normalized address: deterministic per worker, distinct
+// across a fleet.
 func NewClient(base string, opts ClientOptions) (*Client, error) {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -125,9 +125,7 @@ func NewClient(base string, opts ClientOptions) (*Client, error) {
 	if err != nil || u.Host == "" {
 		return nil, fmt.Errorf("coord: invalid worker address %q", base)
 	}
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = 10 * time.Second
-	}
+	base = strings.TrimRight(u.String(), "/")
 	transport := opts.Transport
 	if transport == nil {
 		transport = http.DefaultTransport
@@ -143,17 +141,13 @@ func NewClient(base string, opts ClientOptions) (*Client, error) {
 			}
 		}
 	}
-	seed := opts.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
+	seed := fnv.New64a()
+	seed.Write([]byte(base))
 	return &Client{
-		base:    strings.TrimRight(u.String(), "/"),
+		base:    base,
 		hc:      &http.Client{Transport: transport},
-		timeout: opts.RequestTimeout,
-		policy:  opts.Retry.withDefaults(),
 		sleep:   sleep,
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     rand.New(rand.NewSource(int64(seed.Sum64()))),
 		retries: func() {},
 	}, nil
 }
@@ -173,18 +167,18 @@ func retryableStatus(status int) bool {
 }
 
 // backoff computes the sleep before retry number attempt (0-based):
-// BaseDelay × 2^attempt, capped at MaxDelay, jittered into [50%, 150%) —
-// then raised to the server's Retry-After ask, itself capped at MaxDelay.
+// baseDelay × 2^attempt, capped at maxDelay, jittered into [50%, 150%) —
+// then raised to the server's Retry-After ask, itself capped at maxDelay.
 func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
-	d := c.policy.BaseDelay << uint(attempt)
-	if d > c.policy.MaxDelay || d <= 0 {
-		d = c.policy.MaxDelay
+	d := baseDelay << uint(attempt)
+	if d > maxDelay || d <= 0 {
+		d = maxDelay
 	}
 	c.mu.Lock()
 	d = d/2 + time.Duration(c.rng.Int63n(int64(d)))
 	c.mu.Unlock()
-	if retryAfter > c.policy.MaxDelay {
-		retryAfter = c.policy.MaxDelay
+	if retryAfter > maxDelay {
+		retryAfter = maxDelay
 	}
 	if retryAfter > d {
 		d = retryAfter
@@ -192,10 +186,77 @@ func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 	return d
 }
 
-// do runs one JSON request with the retry loop. A nil out discards the
-// response body.
+// retry is the one retry loop: it runs try up to attempts times, each
+// under attemptTimeout, backing off between tries. A dead parent context,
+// a non-retryable status, or a failure try reports as final ends the
+// loop; only transport errors and retryable statuses continue. verb and
+// path name the request in the exhausted-budget error.
+func (c *Client) retry(ctx context.Context, verb, path string, attempts int, try func(ctx context.Context) (final bool, err error)) error {
+	var lastErr error
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			c.retries()
+		}
+		actx, cancel := context.WithTimeout(ctx, attemptTimeout)
+		final, err := try(actx)
+		cancel()
+		if err == nil {
+			return nil
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if final {
+			return err
+		}
+		var retryAfter time.Duration
+		var se *StatusError
+		if errors.As(err, &se) {
+			if !retryableStatus(se.Status) {
+				return err
+			}
+			retryAfter = se.retryAfter
+		}
+		lastErr = err
+		if attempt+1 < attempts {
+			if err := c.sleep(ctx, c.backoff(attempt, retryAfter)); err != nil {
+				return err
+			}
+		}
+	}
+	return fmt.Errorf("coord: %s %s%s failed after %d attempts: %w",
+		verb, c.base, path, attempts, lastErr)
+}
+
+// send issues one request and turns a non-2xx answer into its
+// *StatusError. A nil body sends none.
+func (c *Client) send(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		defer resp.Body.Close()
+		return nil, statusError(resp)
+	}
+	return resp, nil
+}
+
+// do runs one JSON request through the retry loop with the full attempt
+// budget. A nil out discards the response body.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	return c.doAttempts(ctx, method, path, in, out, c.policy.MaxAttempts)
+	return c.doAttempts(ctx, method, path, in, out, maxAttempts)
 }
 
 // doAttempts is do with an explicit attempt budget (probes pass 1).
@@ -207,82 +268,22 @@ func (c *Client) doAttempts(ctx context.Context, method, path string, in, out an
 			return fmt.Errorf("coord: encoding request: %w", err)
 		}
 	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			c.retries()
+	return c.retry(ctx, method, path, attempts, func(ctx context.Context) (bool, error) {
+		resp, err := c.send(ctx, method, path, body)
+		if err != nil {
+			return false, err
 		}
-		var retryAfter time.Duration
-		lastErr, retryAfter = c.once(ctx, method, path, body, out)
-		if lastErr == nil {
-			return nil
-		}
-		// Permanent failures and a dead parent context end the loop; only
-		// transport errors and retryable statuses continue.
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		var se *StatusError
-		if errors.As(lastErr, &se) && !retryableStatus(se.Status) {
-			return lastErr
-		}
-		if attempt+1 < attempts {
-			if err := c.sleep(ctx, c.backoff(attempt, retryAfter)); err != nil {
-				return err
+		defer func() {
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+			resp.Body.Close()
+		}()
+		if out != nil {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				return false, fmt.Errorf("coord: decoding response: %w", err)
 			}
 		}
-	}
-	return fmt.Errorf("coord: %s %s%s failed after %d attempts: %w",
-		method, c.base, path, attempts, lastErr)
-}
-
-// once runs a single attempt. retryAfter echoes a throttled response's
-// Retry-After header.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) (err error, retryAfter time.Duration) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
-		return err, 0
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err, 0
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		se := &StatusError{Status: resp.StatusCode}
-		var envelope struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		if b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16)); err == nil {
-			if json.Unmarshal(b, &envelope) == nil {
-				se.Message, se.Code = envelope.Error, envelope.Code
-			}
-		}
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-		return se, retryAfter
-	}
-	if out == nil {
-		return nil, 0
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("coord: decoding response: %w", err), 0
-	}
-	return nil, 0
+		return false, nil
+	})
 }
 
 // Probe is a single-attempt health check — the cheap "is it back?"
@@ -321,74 +322,20 @@ func (c *Client) CancelJob(ctx context.Context, id string) error {
 // (results already delivered stay delivered).
 func (c *Client) JobResults(ctx context.Context, id string, fn func(scenario.PointResult) error) error {
 	path := "/v1/jobs/" + url.PathEscape(id) + "/results"
-	var lastErr error
-	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			c.retries()
+	return c.retry(ctx, "streaming", path, maxAttempts, func(ctx context.Context) (bool, error) {
+		resp, err := c.send(ctx, http.MethodGet, path, nil)
+		if err != nil {
+			return false, err
 		}
-		var retryAfter time.Duration
-		var streamed bool
-		streamed, lastErr, retryAfter = c.streamOnce(ctx, path, fn)
-		if lastErr == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if streamed {
-			// Bytes already reached fn: this is a mid-stream cut, not a
-			// connect failure — surface it so the caller's dedup logic,
-			// not a blind retry, decides.
-			return lastErr
-		}
-		var se *StatusError
-		if errors.As(lastErr, &se) && !retryableStatus(se.Status) {
-			return lastErr
-		}
-		if attempt+1 < c.policy.MaxAttempts {
-			if err := c.sleep(ctx, c.backoff(attempt, retryAfter)); err != nil {
-				return err
-			}
-		}
-	}
-	return fmt.Errorf("coord: streaming %s%s failed after %d attempts: %w",
-		c.base, path, c.policy.MaxAttempts, lastErr)
-}
-
-// streamOnce is one streaming attempt; streamed reports whether any line
-// was decoded before the failure.
-func (c *Client) streamOnce(ctx context.Context, path string, fn func(scenario.PointResult) error) (streamed bool, err error, retryAfter time.Duration) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return false, err, 0
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return false, err, 0
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		se := &StatusError{Status: resp.StatusCode}
-		var envelope struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		if b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16)); err == nil {
-			if json.Unmarshal(b, &envelope) == nil {
-				se.Message, se.Code = envelope.Error, envelope.Code
-			}
-		}
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-		return false, se, retryAfter
-	}
-	n := 0
-	err = scenario.ReadJSONLFunc(resp.Body, func(r scenario.PointResult) error {
-		n++
-		return fn(r)
+		defer resp.Body.Close()
+		n := 0
+		err = scenario.ReadJSONLFunc(resp.Body, func(r scenario.PointResult) error {
+			n++
+			return fn(r)
+		})
+		// Once a record has reached fn a failure is a mid-stream cut, not
+		// a connect failure: surface it so the caller's dedup logic, not a
+		// blind retry, decides.
+		return n > 0, err
 	})
-	return n > 0, err, 0
 }

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"ptgsched/internal/faultinject"
+	"ptgsched/internal/scenario"
 )
 
 // recordedSleep replaces the backoff sleep and logs requested delays.
@@ -127,5 +129,92 @@ func TestClientNormalizesAddress(t *testing.T) {
 	}
 	if _, err := NewClient("://", ClientOptions{}); err == nil {
 		t.Fatal("invalid address accepted")
+	}
+}
+
+// streamingClient is faultyClient over a stub worker that streams the
+// given JSONL from /v1/jobs/x/results.
+func streamingClient(t *testing.T, stream []byte, plan faultinject.Plan, delays *[]time.Duration) *Client {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/jobs/x/results" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write(stream)
+	}))
+	t.Cleanup(ts.Close)
+	c, err := NewClient(ts.URL, ClientOptions{
+		Transport: &faultinject.Transport{Base: ts.Client().Transport, Plan: plan},
+		Sleep:     recordedSleep(delays),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestClientJobResultsRetry drives JobResults, the streaming branch of the
+// retry loop: a failure before the first record is retried like any
+// request, a cut after it is final, a 400 is permanent, and a worker that
+// drops everything exhausts the attempt budget.
+func TestClientJobResultsRetry(t *testing.T) {
+	var stream bytes.Buffer
+	if err := scenario.WriteJSONL(&stream, []scenario.PointResult{
+		{Index: 0, Name: "a"}, {Index: 1, Name: "b"}, {Index: 2, Name: "c"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	firstLine := int64(bytes.IndexByte(stream.Bytes(), '\n') + 1)
+	for _, tc := range []struct {
+		name    string
+		plan    faultinject.Plan
+		records int
+		sleeps  int
+		check   func(t *testing.T, err error)
+	}{
+		{"dropped first attempt", faultinject.NewScript(faultinject.Action{Kind: faultinject.Drop}),
+			3, 1, func(t *testing.T, err error) {
+				if err != nil {
+					t.Fatalf("retried stream failed: %v", err)
+				}
+			}},
+		{"severed after first line", faultinject.NewScript(faultinject.Action{Kind: faultinject.Sever, After: firstLine}),
+			1, 0, func(t *testing.T, err error) {
+				if !errors.Is(err, faultinject.ErrInjected) || strings.Contains(err.Error(), "attempts") {
+					t.Fatalf("err %v, want the cut itself, unretried", err)
+				}
+			}},
+		{"permanent 400", faultinject.NewScript(faultinject.Action{Kind: faultinject.Status, Code: http.StatusBadRequest}),
+			0, 0, func(t *testing.T, err error) {
+				var se *StatusError
+				if !errors.As(err, &se) || se.Status != http.StatusBadRequest {
+					t.Fatalf("err %v, want StatusError 400", err)
+				}
+			}},
+		{"four drops", faultinject.NewScript().Then(faultinject.Action{Kind: faultinject.Drop}),
+			0, 3, func(t *testing.T, err error) {
+				if err == nil || !strings.Contains(err.Error(), "streaming ") ||
+					!strings.Contains(err.Error(), "failed after 4 attempts") {
+					t.Fatalf("err %v, want streaming … failed after 4 attempts", err)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var delays []time.Duration
+			c := streamingClient(t, stream.Bytes(), tc.plan, &delays)
+			var got []string
+			err := c.JobResults(context.Background(), "x", func(r scenario.PointResult) error {
+				got = append(got, r.Name)
+				return nil
+			})
+			tc.check(t, err)
+			if len(got) != tc.records {
+				t.Fatalf("delivered %v, want %d records", got, tc.records)
+			}
+			if len(delays) != tc.sleeps {
+				t.Fatalf("slept %d times (%v), want %d", len(delays), delays, tc.sleeps)
+			}
+		})
 	}
 }

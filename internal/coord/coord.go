@@ -34,14 +34,10 @@ type Options struct {
 	// count has not moved for this long: the job is canceled best-effort
 	// and the lease reassigned. Default 2m.
 	StallTimeout time.Duration
-	// Client configures every per-worker client (timeouts, retry policy,
-	// fault-injection transport). Transport applies to all workers; use
-	// TransportFor for per-worker injection.
+	// Client holds every per-worker client's test seams: the
+	// fault-injection transport (one for the whole fleet, which may route
+	// by request host) and the backoff sleep.
 	Client ClientOptions
-	// TransportFor, when set, supplies each worker's transport by
-	// address, overriding Client.Transport — the per-worker
-	// fault-injection hook.
-	TransportFor func(worker string) ClientOptions
 	// Logf, when set, receives progress and failure-handling notes
 	// (dispatches, deaths, reassignments). Nil is silent.
 	Logf func(format string, args ...any)
@@ -165,8 +161,7 @@ type Coordinator struct {
 
 	agg *scenario.Aggregator
 
-	// progress mirrors for concurrent readers
-	mergedPoints atomic.Int64
+	// leasesMerged mirrors merged lease states for concurrent readers.
 	leasesMerged atomic.Int64
 }
 
@@ -196,15 +191,8 @@ func New(specJSON []byte, workers []string, opts Options) (*Coordinator, error) 
 	if opts.Cache != nil {
 		c.memo = opts.Cache.Bind(e)
 	}
-	for i, addr := range workers {
-		co := opts.Client
-		if opts.TransportFor != nil {
-			co = opts.TransportFor(addr)
-		}
-		if co.JitterSeed == 0 {
-			co.JitterSeed = int64(i + 1) // decorrelate worker backoffs
-		}
-		cl, err := NewClient(addr, co)
+	for _, addr := range workers {
+		cl, err := NewClient(addr, opts.Client)
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +233,7 @@ type Progress struct {
 func (c *Coordinator) Progress() Progress {
 	return Progress{
 		Points:       c.e.NumPoints(),
-		MergedPoints: int(c.mergedPoints.Load()),
+		MergedPoints: int(c.counters.merged.Load() + c.counters.cacheSeeded.Load()),
 		Shards:       len(c.leases),
 		MergedShards: int(c.leasesMerged.Load()),
 	}
@@ -308,7 +296,6 @@ func (c *Coordinator) seedFromCache() error {
 				return err
 			}
 			c.counters.cacheSeeded.Add(1)
-			c.mergedPoints.Add(1)
 			cached++
 		}
 		if cached == l.set.Len() {
@@ -464,7 +451,6 @@ func (c *Coordinator) merge(ctx context.Context, l *lease, st *service.JobStatus
 			return addErr
 		}
 		c.counters.merged.Add(1)
-		c.mergedPoints.Add(1)
 		if c.memo != nil {
 			c.memo.Publish(c.e.PointAt(r.Index), r)
 		}
@@ -515,7 +501,7 @@ func (c *Coordinator) merge(ctx context.Context, l *lease, st *service.JobStatus
 	l.worker = nil
 	c.leasesMerged.Add(1)
 	c.logf("coord: shard %d/%d merged (%d/%d points)",
-		l.shard, len(c.leases), c.mergedPoints.Load(), c.e.NumPoints())
+		l.shard, len(c.leases), c.counters.merged.Load()+c.counters.cacheSeeded.Load(), c.e.NumPoints())
 	return nil
 }
 

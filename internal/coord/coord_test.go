@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,9 +29,45 @@ const fleetSpec = `{
 	"families": [{"family": "strassen"}]
 }`
 
-// fastClient keeps retry loops snappy for tests that sleep for real.
-var fastClient = ClientOptions{
-	Retry: RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+// fastClient keeps retry loops snappy for tests that sleep for real: it
+// waits 1/200 of every backoff the client asks for (1ms for the 200ms
+// base, 25ms for the 5s cap).
+var fastClient = ClientOptions{Sleep: func(ctx context.Context, d time.Duration) error {
+	select {
+	case <-time.After(d / 200):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}}
+
+// hostRoutes is the fleet's one fault-injection transport: it sends each
+// request through the fault transport of the worker it is addressed to,
+// by request host; workers without one pass.
+type hostRoutes map[string]http.RoundTripper
+
+func (r hostRoutes) RoundTrip(req *http.Request) (*http.Response, error) {
+	if t, ok := r[req.URL.Host]; ok {
+		return t.RoundTrip(req)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// withFaults is fastClient with per-worker fault plans, keyed by worker
+// URL.
+func withFaults(t *testing.T, plans map[string]faultinject.Plan) ClientOptions {
+	t.Helper()
+	routes := hostRoutes{}
+	for addr, plan := range plans {
+		u, err := url.Parse(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes[u.Host] = &faultinject.Transport{Plan: plan}
+	}
+	co := fastClient
+	co.Transport = routes
+	return co
 }
 
 // newFleet starts n in-process ptgserve workers and returns their URLs.
@@ -154,18 +191,10 @@ func TestCoordinatorDeadWorkerReassignment(t *testing.T) {
 
 	// Only worker 0 — the first dispatch target, which deterministically
 	// gets shard 0 — carries the fault plan; the others stay healthy.
-	nth := 0
-	c, got := runCoordinator(t, []byte(fleetSpec), newFleet(t, 3), Options{
+	workers := newFleet(t, 3)
+	c, got := runCoordinator(t, []byte(fleetSpec), workers, Options{
 		PollInterval: 10 * time.Millisecond,
-		Client:       fastClient,
-		TransportFor: func(addr string) ClientOptions {
-			co := fastClient
-			if nth == 0 {
-				co.Transport = &faultinject.Transport{Plan: plan}
-			}
-			nth++
-			return co
-		},
+		Client:       withFaults(t, map[string]faultinject.Plan{workers[0]: plan}),
 	})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("tables after mid-stream worker death differ from the direct run")
@@ -274,18 +303,16 @@ func TestCoordinatorGivesUpOnFailingShard(t *testing.T) {
 // TestCoordinatorFullyPartitioned requires a fleet with every worker
 // unreachable to fail fast with a clear verdict — never hang.
 func TestCoordinatorFullyPartitioned(t *testing.T) {
+	workers := newFleet(t, 3)
+	plans := map[string]faultinject.Plan{}
+	for _, w := range workers {
+		plans[w] = faultinject.NewScript().Then(faultinject.Action{Kind: faultinject.Drop})
+	}
 	opts := Options{
 		PollInterval: 10 * time.Millisecond,
-		Client:       fastClient,
-		TransportFor: func(addr string) ClientOptions {
-			co := fastClient
-			co.Transport = &faultinject.Transport{
-				Plan: faultinject.NewScript().Then(faultinject.Action{Kind: faultinject.Drop}),
-			}
-			return co
-		},
+		Client:       withFaults(t, plans),
 	}
-	c, err := New([]byte(fleetSpec), newFleet(t, 3), opts)
+	c, err := New([]byte(fleetSpec), workers, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,18 +339,14 @@ func TestCoordinatorFullyPartitioned(t *testing.T) {
 // results. Same seeds, same schedule, same outcome — re-runnable forever.
 func TestCoordinatorSeededChaos(t *testing.T) {
 	want, e := directTables(t, []byte(fleetSpec))
-	seed := int64(0)
-	c, got := runCoordinator(t, []byte(fleetSpec), newFleet(t, 3), Options{
+	workers := newFleet(t, 3)
+	plans := map[string]faultinject.Plan{}
+	for i, w := range workers {
+		plans[w] = faultinject.NewSeeded(int64(i+1), 0.10, 0.20, 0.20)
+	}
+	c, got := runCoordinator(t, []byte(fleetSpec), workers, Options{
 		PollInterval: 10 * time.Millisecond,
-		Client:       fastClient,
-		TransportFor: func(addr string) ClientOptions {
-			seed++
-			co := fastClient
-			co.Transport = &faultinject.Transport{
-				Plan: faultinject.NewSeeded(seed, 0.10, 0.20, 0.20),
-			}
-			return co
-		},
+		Client:       withFaults(t, plans),
 	})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("tables under seeded chaos differ from the direct run")
@@ -375,19 +398,11 @@ func TestCoordinatorFig3Acceptance(t *testing.T) {
 		faultinject.Action{}, faultinject.Action{}, faultinject.Action{},
 		faultinject.Action{}, faultinject.Action{},
 	).Then(faultinject.Action{Kind: faultinject.Drop})
-	first := true
-	c, got := runCoordinator(t, specJSON, newFleet(t, 3), Options{
+	workers := newFleet(t, 3)
+	c, got := runCoordinator(t, specJSON, workers, Options{
 		PollInterval: 50 * time.Millisecond,
 		JobWorkers:   2,
-		Client:       fastClient,
-		TransportFor: func(addr string) ClientOptions {
-			co := fastClient
-			if first {
-				first = false
-				co.Transport = &faultinject.Transport{Plan: plan}
-			}
-			return co
-		},
+		Client:       withFaults(t, map[string]faultinject.Plan{workers[0]: plan}),
 	})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("coordinated Figure 3 tables differ from the unsharded golden")

@@ -117,11 +117,3 @@ func TaskTime(v *dag.Task, speedGFlops float64, p int) float64 {
 func Speedup(alpha float64, p int) float64 {
 	return 1 / (alpha + (1-alpha)/float64(p))
 }
-
-// MarginalGain returns the reduction in execution time obtained by growing
-// an allocation from p to p+1 processors of the given speed: the quantity
-// the allocation procedures maximize when choosing which critical-path task
-// to widen (§4).
-func MarginalGain(v *dag.Task, speedGFlops float64, p int) float64 {
-	return TaskTime(v, speedGFlops, p) - TaskTime(v, speedGFlops, p+1)
-}

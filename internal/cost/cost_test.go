@@ -108,22 +108,6 @@ func TestAreaConstantWhenPerfectlyParallel(t *testing.T) {
 	}
 }
 
-func TestMarginalGainPositiveAndDiminishing(t *testing.T) {
-	g := dag.New("g")
-	v := g.AddTask("v", 1e6, 100, 0.1)
-	prev := MarginalGain(v, 1, 1)
-	for p := 2; p < 32; p++ {
-		gain := MarginalGain(v, 1, p)
-		if gain <= 0 {
-			t.Fatalf("gain at p=%d is %g, want > 0", p, gain)
-		}
-		if gain >= prev {
-			t.Fatalf("gain not diminishing at p=%d: %g >= %g", p, gain, prev)
-		}
-		prev = gain
-	}
-}
-
 func TestSpeedupBounds(t *testing.T) {
 	if s := Speedup(0, 8); s != 8 {
 		t.Errorf("perfect speedup = %g, want 8", s)

@@ -116,9 +116,6 @@ func TestFFTTaskCounts(t *testing.T) {
 	// 39 for the 8-point case.)
 	want := map[int]int{2: 15, 3: 39, 4: 95}
 	for k, n := range want {
-		if got := FFTTaskCount(k); got != n {
-			t.Errorf("FFTTaskCount(%d) = %d, want %d", k, got, n)
-		}
 		g := FFT(k, rand.New(rand.NewSource(1)))
 		if len(g.Tasks) != n {
 			t.Errorf("FFT(%d) has %d tasks, want %d", k, len(g.Tasks), n)

@@ -72,10 +72,3 @@ func FFT(k int, r *rand.Rand) *dag.Graph {
 	}
 	return g
 }
-
-// FFTTaskCount returns the number of tasks of FFT(k) without generating it:
-// 2·2^k − 1 splitting-tree tasks plus k·2^k butterfly tasks.
-func FFTTaskCount(k int) int {
-	n := 1 << k
-	return (2*n - 1) + k*n
-}

@@ -162,17 +162,6 @@ func (p *Platform) Heterogeneity() float64 {
 	return max/min - 1
 }
 
-// FastestSpeed returns the highest per-processor speed in GFlop/s.
-func (p *Platform) FastestSpeed() float64 {
-	max := p.Clusters[0].Speed
-	for _, c := range p.Clusters[1:] {
-		if c.Speed > max {
-			max = c.Speed
-		}
-	}
-	return max
-}
-
 // Route returns the sequence of links traversed by a data redistribution
 // from cluster src to cluster dst. Within one cluster the route is the
 // cluster's intra link; between clusters it is the two uplinks, plus the

@@ -154,12 +154,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestFastestSpeed(t *testing.T) {
-	if got := Rennes().FastestSpeed(); !almost(got, 4.603, 1e-12) {
-		t.Fatalf("Rennes fastest speed = %g, want 4.603", got)
-	}
-}
-
 // Property: for any valid random platform, the reference cluster preserves
 // total power and heterogeneity is non-negative.
 func TestReferenceProperty(t *testing.T) {

@@ -248,12 +248,13 @@ func (s *Service) Campaign(ctx context.Context, req CampaignRequest) (*CampaignR
 }
 
 func (s *Service) campaign(ctx context.Context, cs campaignScenario) (*CampaignResponse, error) {
-	return submit[CampaignResponse](ctx, s, "campaign", func(*scenario.Scratch) (any, error) {
+	return submit[CampaignResponse](ctx, s, "campaign", func(ctx context.Context, _ *scenario.Scratch) (any, error) {
 		started := time.Now()
 		// With workers > 1 the points run on the sweep pool's goroutines,
 		// outside runSafely's recover; the sweep itself turns a panicking
-		// point into the request's error.
-		o := scenario.SweepOptions{Workers: cs.workers, Memo: s.memoFor(cs.expansion)}
+		// point into the request's error. The request deadline stops the
+		// sweep, so a client that gave up does not keep the worker.
+		o := scenario.SweepOptions{Workers: cs.workers, Memo: s.memoFor(cs.expansion), Context: ctx}
 		out := &CampaignResponse{
 			Name:      cs.expansion.Spec.Name,
 			Points:    cs.expansion.NumPoints(),

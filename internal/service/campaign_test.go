@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ptgsched/internal/scenario"
 	"ptgsched/internal/service"
@@ -139,6 +140,27 @@ func TestCampaignPanickingPointFailsOnlyItsRequest(t *testing.T) {
 				t.Fatalf("workers=%d shard=%q: request after the panic: %v", workers, shard, err)
 			}
 		}
+	}
+}
+
+// A synchronous campaign past its request deadline stops sweeping at the
+// next point boundary: it answers DeadlineExceeded, is counted expired
+// once, and hands the worker back, so the schedule request queued right
+// behind it is served within its own deadline instead of timing out too.
+func TestCampaignStopsSweepingAtItsDeadline(t *testing.T) {
+	s := newService(t, service.Options{Workers: 1, RequestTimeout: time.Second})
+	// 500 random-family points: several seconds of work on one worker.
+	long := `{"name": "long", "seed": 1, "reps": 250, "nptgs": [10],
+		"platforms": ["lille", "sophia"], "families": [{"family": "random"}]}`
+	_, err := s.Campaign(context.Background(), service.CampaignRequest{Spec: json.RawMessage(long)})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("campaign past its deadline: err = %v, want DeadlineExceeded", err)
+	}
+	if _, err := s.Schedule(context.Background(), smallReq(1)); err != nil {
+		t.Fatalf("schedule behind the expired campaign: %v", err)
+	}
+	if st := s.Stats(); st.Expired != 1 || st.Completed != 1 || st.Failed != 0 {
+		t.Fatalf("accounting %+v, want 1 expired campaign and 1 completed schedule", st)
 	}
 }
 

@@ -25,7 +25,7 @@ func (s *Service) CampaignWithPanickingCell0(ctx context.Context, req CampaignRe
 // tests saturate the worker pool and queue deterministically, without
 // depending on how fast the real pipeline runs.
 func (s *Service) SubmitTestJob(ctx context.Context, release <-chan struct{}) error {
-	_, err := submit[ScheduleResponse](ctx, s, "schedule", func(*scenario.Scratch) (any, error) {
+	_, err := submit[ScheduleResponse](ctx, s, "schedule", func(context.Context, *scenario.Scratch) (any, error) {
 		<-release
 		return &ScheduleResponse{}, nil
 	})
@@ -36,7 +36,7 @@ func (s *Service) SubmitTestJob(ctx context.Context, release <-chan struct{}) er
 // worker's own scratch, under the same panic recovery and Release as a real
 // request. It lets tests leave a worker's scratch in any state they like.
 func (s *Service) RunOnWorkerScratch(ctx context.Context, fn func(*core.Scratch)) error {
-	_, err := submit[ScheduleResponse](ctx, s, "schedule", func(sc *scenario.Scratch) (any, error) {
+	_, err := submit[ScheduleResponse](ctx, s, "schedule", func(_ context.Context, sc *scenario.Scratch) (any, error) {
 		fn(sc.Core)
 		return &ScheduleResponse{}, nil
 	})

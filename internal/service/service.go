@@ -139,9 +139,9 @@ type job struct {
 	ctx      context.Context
 	kind     string
 	enqueued time.Time
-	// run executes the request on the worker's scratch, which is the
-	// request's alone until run returns.
-	run  func(sc *scenario.Scratch) (any, error)
+	// run executes the request under ctx on the worker's scratch, which
+	// is the request's alone until run returns.
+	run  func(ctx context.Context, sc *scenario.Scratch) (any, error)
 	done chan outcome
 	// settled arbitrates the accounting between the worker and the
 	// submitter: whoever swaps it first counts the job's fate, so
@@ -252,7 +252,7 @@ func (s *Service) worker() {
 		}
 		s.stats.inFlight.Add(1)
 		started := time.Now()
-		resp, err := runSafely(j.run, sc)
+		resp, err := runSafely(j, sc)
 		sc.Release()
 		elapsed := time.Since(started)
 		s.stats.inFlight.Add(-1)
@@ -276,17 +276,19 @@ func (s *Service) worker() {
 	}
 }
 
-// runSafely converts a panic in the pipeline (e.g. a degenerate generated
-// scenario) into an error, so one bad request cannot take down a worker.
-// The scratch stays usable: every call on it rebuilds its state from the
+// runSafely runs the job under its own context — the request deadline of
+// a synchronous request, the job's context for an async job — and
+// converts a panic in the pipeline (e.g. a degenerate generated scenario)
+// into an error, so one bad request cannot take down a worker. The
+// scratch stays usable: every call on it rebuilds its state from the
 // call's inputs.
-func runSafely(run func(*scenario.Scratch) (any, error), sc *scenario.Scratch) (resp any, err error) {
+func runSafely(j *job, sc *scenario.Scratch) (resp any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("service: request panicked: %v", r)
 		}
 	}()
-	return run(sc)
+	return j.run(j.ctx, sc)
 }
 
 // admit is the one door onto the queue: it refuses a closed service or a
@@ -312,7 +314,7 @@ func (s *Service) admit(j *job) error {
 // the response back — for a validated request whose run returns a *T. It
 // waits for the outcome or the context. Requests abandoned at a timeout
 // keep their queue slot until a worker pops and discards them.
-func submit[T any](ctx context.Context, s *Service, kind string, run func(*scenario.Scratch) (any, error)) (*T, error) {
+func submit[T any](ctx context.Context, s *Service, kind string, run func(context.Context, *scenario.Scratch) (any, error)) (*T, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
 	defer cancel()
 	j := &job{ctx: ctx, kind: kind, enqueued: time.Now(), run: run, done: make(chan outcome, 1)}
@@ -475,7 +477,7 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[ScheduleResponse](ctx, s, "schedule", func(ws *scenario.Scratch) (any, error) {
+	return submit[ScheduleResponse](ctx, s, "schedule", func(_ context.Context, ws *scenario.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		graphs := make([]*dag.Graph, sc.count)
@@ -558,7 +560,7 @@ func (s *Service) Online(ctx context.Context, req OnlineRequest) (*OnlineRespons
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[OnlineResponse](ctx, s, "online", func(ws *scenario.Scratch) (any, error) {
+	return submit[OnlineResponse](ctx, s, "online", func(_ context.Context, ws *scenario.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		arrivals := workload.Generate(spec, r)
@@ -660,7 +662,7 @@ func (s *Service) Workload(ctx context.Context, req WorkloadRequest) (*WorkloadR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[WorkloadResponse](ctx, s, "workload", func(*scenario.Scratch) (any, error) {
+	return submit[WorkloadResponse](ctx, s, "workload", func(context.Context, *scenario.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
 		arrivals := workload.Generate(spec, r)

@@ -27,7 +27,7 @@ func Utilization(s *mapping.Schedule) []ClusterUtilization {
 	horizon := s.GlobalMakespan()
 	busy := make(map[string]float64)
 	for _, p := range s.Placements {
-		busy[p.Cluster.Name] += float64(len(p.Procs)) * p.Duration()
+		busy[p.Cluster.Name] += float64(float64(len(p.Procs)) * p.Duration())
 	}
 	out := make([]ClusterUtilization, 0, len(s.Platform.Clusters))
 	for _, c := range s.Platform.Clusters {
@@ -66,7 +66,7 @@ func Efficiencies(s *mapping.Schedule) []AppEfficiency {
 	for _, p := range s.Placements {
 		e := &out[p.App]
 		e.SeqWorkSeconds += p.Task.SeqGFlop / p.Cluster.Speed
-		e.ConsumedProcSeconds += float64(len(p.Procs)) * p.Duration()
+		e.ConsumedProcSeconds += float64(float64(len(p.Procs)) * p.Duration())
 	}
 	for i := range out {
 		if out[i].ConsumedProcSeconds > 0 {
