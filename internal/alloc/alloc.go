@@ -319,24 +319,6 @@ func (s *Traces) grow(g *dag.Graph, ref platform.Reference, beta float64, proc P
 	}
 }
 
-// TranslateBatch translates a whole reference allocation vector (indexed by
-// task ID) into per-cluster concrete widths in one pass: the result is
-// indexed [cluster][taskID]. The mapper evaluates every (task, cluster)
-// candidate, so batching the translation hoists the rounding and clamping
-// out of its innermost loop while producing exactly Translate's values.
-func TranslateBatch(procs []int, ref platform.Reference, clusters []*platform.Cluster) [][]int {
-	out := make([][]int, len(clusters))
-	flat := make([]int, len(clusters)*len(procs))
-	for k, c := range clusters {
-		row := flat[k*len(procs) : (k+1)*len(procs)]
-		for i, p := range procs {
-			row[i] = Translate(p, ref, c)
-		}
-		out[k] = row
-	}
-	return out
-}
-
 // Translate converts a reference allocation of p processors into an
 // allocation on cluster c of (approximately) equivalent processing power,
 // as HCPA does on heterogeneous platforms: round(p·s_ref/s_c), clamped to

@@ -33,10 +33,12 @@ type trace struct {
 	limit float64
 	steps
 	done []*Allocation
-	// tasks and edges are the size the graph had when the steps and the
-	// allocations were made; the store drops both for a graph that has
-	// grown since.
-	tasks, edges int
+	// gen is the graph's generation (dag.Graph.Generation) when the steps
+	// and the allocations were made; the store drops both for a graph that
+	// has changed since — grown, or reset and regenerated in place. A trace
+	// no graph generation has been recorded for yet is stale.
+	gen   uint64
+	stale bool
 }
 
 // steps are growth steps in two parallel slices.
@@ -70,9 +72,10 @@ func (tr *trace) shared(limit float64) int {
 // cluster failures and comes back with recoveries).
 //
 // The zero value is an empty store. A store belongs to one goroutine, like
-// the graphs it traces. It detects a graph that gained tasks or edges since
-// its trace was recorded, but not edited task costs: those must stay as they
-// are until Forget.
+// the graphs it traces. It detects a graph changed through AddTask, AddEdge
+// or Reset since its trace was recorded — a pooled graph regenerated in
+// place is a new graph to it — but not task costs edited in place: those
+// must stay as they are until Forget.
 type Traces struct {
 	byKey map[traceKey]*trace
 	// free holds the traces of forgotten keys, whose step storage the next
@@ -104,15 +107,15 @@ func (s *Traces) Compute(g *dag.Graph, ref platform.Reference, beta float64, pro
 		if n := len(s.free); n > 0 {
 			tr, s.free = s.free[n-1], s.free[:n-1]
 		} else {
-			tr = &trace{tasks: -1}
+			tr = &trace{stale: true}
 		}
 		if s.byKey == nil {
 			s.byKey = make(map[traceKey]*trace)
 		}
 		s.byKey[key] = tr
 	}
-	if tr.tasks != len(g.Tasks) || tr.edges != len(g.Edges) {
-		*tr = trace{steps: steps{tr.task[:0], tr.q[:0]}, done: tr.done[:0], tasks: len(g.Tasks), edges: len(g.Edges)}
+	if tr.stale || tr.gen != g.Generation() {
+		*tr = trace{steps: steps{tr.task[:0], tr.q[:0]}, done: tr.done[:0], gen: g.Generation()}
 	}
 	for _, a := range tr.done {
 		if a.Beta == beta {
@@ -129,7 +132,7 @@ func (s *Traces) Compute(g *dag.Graph, ref platform.Reference, beta float64, pro
 // graphs, and keeps the storage for the traces to come.
 func (s *Traces) Forget() {
 	for _, tr := range s.byKey {
-		tr.tasks = -1
+		tr.stale = true
 		clear(tr.done)
 		s.free = append(s.free, tr)
 	}

@@ -177,6 +177,41 @@ func TestTraceDroppedWhenGraphGrows(t *testing.T) {
 	}
 }
 
+// A graph reset and regenerated in place under a live store — the same
+// object, the same task and edge counts, other costs: what a worker's
+// pooled graph is between two units of work if nothing forgets its traces
+// — is a new graph to the store. Every β it is computed under, including
+// ones computed on its earlier content, equals a fresh Compute.
+func TestTracesNeverReplayRegeneratedGraph(t *testing.T) {
+	rf := ref(64, 3)
+	for _, proc := range procedures {
+		for seed := int64(1); seed <= 20; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			cfg := daggen.RandomConfig{Tasks: 20, Width: 0.5, Regularity: 1, Density: 0.8, Jump: 2, Complexity: daggen.Mixed}
+			g := daggen.Random(cfg, r)
+			var s Traces
+			for _, beta := range []float64{1, 0.4, 0.15} {
+				s.Compute(g, rf, beta, proc)
+			}
+			tasks, edges := len(g.Tasks), len(g.Edges)
+			// Regenerate until the content has the old shape with new costs.
+			for {
+				daggen.RandomInto(g, cfg, r)
+				if len(g.Tasks) == tasks && len(g.Edges) == edges {
+					break
+				}
+			}
+			for _, beta := range []float64{0.15, 1, 0.4, 0.7} {
+				got, want := s.Compute(g, rf, beta, proc), Compute(g, rf, beta, proc)
+				if !slices.Equal(got.Procs, want.Procs) {
+					t.Fatalf("%v seed %d β=%g: the store served the earlier content's allocation\n%v\nfresh\n%v",
+						proc, seed, beta, got.Procs, want.Procs)
+				}
+			}
+		}
+	}
+}
+
 // SCRAP-MAX returns one processor per task without entering the loop when
 // a level is over budget at the minimal allocation. Such a run has no steps:
 // it must neither consume a trace nor leave one that a larger β would take

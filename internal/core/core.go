@@ -68,12 +68,14 @@ func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Resu
 	return s.ScheduleWith(NewScratch(), graphs, strat)
 }
 
-// Scratch amortizes a scheduler's per-call state — most importantly the
-// simulated executor's engine, flow net and buffers — across the many
-// batches one worker schedules. A Scratch must be confined to one
-// goroutine; the Result ScheduleWith returns (and the Evaluation slices
-// EvaluateWith fills) are scratch-owned and overwritten by the next call
-// on the same Scratch, so callers consume them before scheduling again.
+// Scratch is what one worker owns to schedule one unit of work after
+// another — a campaign point, a service request — and amortizes across
+// them: the simulated executor's engine, flow net and buffers, the mapper's
+// (mapping.Scratch), and the graphs the unit of work generates (Graphs).
+// A Scratch must be confined to one goroutine; the Result ScheduleWith
+// returns (and the Evaluation slices EvaluateWith fills) are scratch-owned
+// and overwritten by the next call on the same Scratch, so callers consume
+// them before scheduling again.
 //
 // A Scratch also computes its allocations through a store of allocation
 // traces (alloc.Traces), so that one batch of graphs scheduled several
@@ -81,15 +83,20 @@ func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Resu
 // distinct (graph, reference cluster, β, procedure) once and starts a
 // graph's run under a new β from the growth steps its runs under other β
 // already made. Graphs' task costs must not be edited while their traces
-// are kept (appending tasks or edges is detected); Release ends a piece of
-// work and forgets them.
+// are kept (a graph changed through AddTask, AddEdge or Reset is
+// detected); Release ends a unit of work and forgets them.
 type Scratch struct {
 	exec   *simexec.Scratch
+	maps   mapping.Scratch
 	apps   []*alloc.Allocation
 	alone  [1]*dag.Graph
 	slow   []float64
 	res    Result
 	traces alloc.Traces
+	// graphs is the pool Graphs hands out from; the first used are the
+	// current unit of work's.
+	graphs []*dag.Graph
+	used   int
 }
 
 // NewScratch returns an empty scratch ready for ScheduleWith.
@@ -97,18 +104,37 @@ func NewScratch() *Scratch {
 	return &Scratch{exec: simexec.NewScratch()}
 }
 
-// Release drops everything the scratch still references of the batches it
-// scheduled — the last Result, the allocation traces, the
-// executor's schedule — keeping only buffers, so a scratch parked between
-// unrelated pieces of work (a service worker between requests) pins none of
-// the previous one's graphs. Results the scratch returned are invalid after
-// it.
+// Graphs returns n graphs for the current unit of work to generate into
+// (daggen.GenerateInto and the other Into generators reset them first).
+// They are the scratch's own: storage of graphs a released unit of work
+// generated, or new graphs while the pool grows. Graphs handed out since
+// the last Release are never handed out again before the next one, so a
+// unit of work may call Graphs more than once; after Release they are
+// recycled and must no longer be used.
+func (sc *Scratch) Graphs(n int) []*dag.Graph {
+	for len(sc.graphs) < sc.used+n {
+		sc.graphs = append(sc.graphs, new(dag.Graph))
+	}
+	gs := sc.graphs[sc.used : sc.used+n : sc.used+n]
+	sc.used += n
+	return gs
+}
+
+// Release ends a unit of work. It drops everything the scratch still
+// references of the caller's graphs — the last Result, the allocation
+// traces, the mapper's and the executor's schedule — so a scratch parked
+// between unrelated pieces of work (a service worker between requests)
+// pins none of them, and it takes back the graphs Graphs handed out, whose
+// storage the next unit of work regenerates into. Results the scratch
+// returned, and graphs it handed out, are invalid after it.
 func (sc *Scratch) Release() {
 	sc.traces.Forget()
 	clear(sc.apps[:cap(sc.apps)])
 	sc.alone[0] = nil
 	sc.res = Result{}
+	sc.maps.Release()
 	sc.exec.Release()
+	sc.used = 0
 }
 
 // ScheduleWith is Schedule on a reusable worker-owned scratch. The
@@ -128,7 +154,7 @@ func (s *Scheduler) ScheduleWith(sc *Scratch, graphs []*dag.Graph, strat strateg
 	for i, g := range graphs {
 		apps[i] = sc.traces.Compute(g, ref, betas[i], s.Procedure)
 	}
-	sched := mapping.Map(s.Platform, apps, s.MapOptions)
+	sched := sc.maps.Map(s.Platform, apps, s.MapOptions)
 	sc.res = Result{
 		Strategy:    strat,
 		Betas:       betas,

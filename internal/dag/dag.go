@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Task is a data-parallel (moldable) task: a node of a PTG. Its sequential
@@ -58,51 +59,104 @@ type Edge struct {
 // callers must treat them as read-only — and a Graph must not be analyzed
 // from multiple goroutines concurrently (scheduling pipelines own their
 // graphs, so this matches how every caller in this module behaves).
+//
+// Reset empties a graph for new content and keeps its storage: the Task and
+// Edge objects, their adjacency lists and the analyses' buffers are reused
+// by the AddTask, AddEdge and analysis calls that follow, so a worker that
+// regenerates its graphs in place allocates only while they outgrow the
+// largest content they held. Every *Task and *Edge obtained before a Reset
+// is recycled by it.
 type Graph struct {
 	Name  string
 	Tasks []*Task
 	Edges []*Edge
 
-	// Caches of structure-only analyses; valid while the corresponding
-	// slice is non-nil.
+	// gen counts the structural changes: AddTask, AddEdge and Reset each
+	// increment it.
+	gen uint64
+	// spareTasks and spareEdges hold the objects of the largest content
+	// since the first Reset, in ID and edge order; AddTask and AddEdge take
+	// the one at their index instead of allocating.
+	spareTasks []*Task
+	spareEdges []*Edge
+
+	// Caches of structure-only analyses; a cache is valid while its bit is
+	// set in cached, and its buffer is kept across invalidations.
+	cached    analysis
 	topo      []*Task
 	levels    []int
 	levelSets [][]*Task
+	levelFlat []*Task
 	entries   []*Task
 	exits     []*Task
+	// counts is the integer scratch of TopoOrder and LevelSets.
+	counts []int
 	// tracker is the incremental level tracker handed out by Levels; it
-	// caches the graph's structure, so a mutation drops it.
+	// caches the graph's structure, so a mutation rebuilds it.
 	tracker *Levels
 	// Scratch for bottom levels whose values are not returned to callers
 	// (CriticalPathLength, CriticalPath).
 	scratchBL []float64
 }
 
-// invalidate drops the structural caches after a mutation.
+// analysis names one cached analysis of a Graph.
+type analysis uint8
+
+const (
+	hasTopo analysis = 1 << iota
+	hasLevels
+	hasLevelSets
+	hasEntries
+	hasExits
+	hasTracker
+)
+
+// invalidate records a structural change: it drops the cached analyses
+// (keeping their buffers) and advances the generation.
 func (g *Graph) invalidate() {
-	g.topo = nil
-	g.levels = nil
-	g.levelSets = nil
-	g.entries = nil
-	g.exits = nil
-	g.tracker = nil
+	g.cached = 0
+	g.gen++
 }
+
+// Generation returns a counter that every AddTask, AddEdge and Reset on g
+// advances: two equal readings bracket no structural change. Stores keyed
+// by a graph's identity (alloc.Traces) compare it to tell a graph they
+// have seen from one regenerated in place.
+func (g *Graph) Generation() uint64 { return g.gen }
 
 // New returns an empty graph with the given name.
 func New(name string) *Graph {
 	return &Graph{Name: name}
 }
 
+// Reset empties g and renames it, keeping its storage for the content that
+// follows (see Graph). Apart from Generation, a reset graph behaves as
+// New(name) does.
+func (g *Graph) Reset(name string) {
+	if len(g.Tasks) > len(g.spareTasks) {
+		g.spareTasks = g.Tasks
+	}
+	if len(g.Edges) > len(g.spareEdges) {
+		g.spareEdges = g.Edges
+	}
+	g.Name = name
+	g.Tasks = g.spareTasks[:0]
+	g.Edges = g.spareEdges[:0]
+	g.invalidate()
+}
+
 // AddTask appends a task to the graph and returns it. The task's ID is its
 // position in g.Tasks.
 func (g *Graph) AddTask(name string, dataElems, seqGFlop, alpha float64) *Task {
-	t := &Task{
-		ID:        len(g.Tasks),
-		Name:      name,
-		DataElems: dataElems,
-		SeqGFlop:  seqGFlop,
-		Alpha:     alpha,
+	id := len(g.Tasks)
+	var t *Task
+	if id < len(g.spareTasks) {
+		t = g.spareTasks[id]
+		*t = Task{in: t.in[:0], out: t.out[:0]}
+	} else {
+		t = new(Task)
 	}
+	t.ID, t.Name, t.DataElems, t.SeqGFlop, t.Alpha = id, name, dataElems, seqGFlop, alpha
 	g.Tasks = append(g.Tasks, t)
 	g.invalidate()
 	return t
@@ -123,7 +177,13 @@ func (g *Graph) AddEdge(from, to *Task, bytes float64) (*Edge, error) {
 			return nil, fmt.Errorf("dag: duplicate edge %q->%q", from.Name, to.Name)
 		}
 	}
-	e := &Edge{From: from, To: to, Bytes: bytes}
+	var e *Edge
+	if i := len(g.Edges); i < len(g.spareEdges) {
+		e = g.spareEdges[i]
+	} else {
+		e = new(Edge)
+	}
+	*e = Edge{From: from, To: to, Bytes: bytes}
 	g.Edges = append(g.Edges, e)
 	from.out = append(from.out, e)
 	to.in = append(to.in, e)
@@ -150,14 +210,15 @@ func (t *Task) Out() []*Edge { return t.out }
 // Entries returns the tasks with no predecessors. The slice is cached;
 // treat it as read-only.
 func (g *Graph) Entries() []*Task {
-	if g.entries == nil {
-		es := make([]*Task, 0, 1)
+	if g.cached&hasEntries == 0 {
+		es := g.entries[:0]
 		for _, t := range g.Tasks {
 			if len(t.in) == 0 {
 				es = append(es, t)
 			}
 		}
 		g.entries = es
+		g.cached |= hasEntries
 	}
 	return g.entries
 }
@@ -165,14 +226,15 @@ func (g *Graph) Entries() []*Task {
 // Exits returns the tasks with no successors. The slice is cached; treat it
 // as read-only.
 func (g *Graph) Exits() []*Task {
-	if g.exits == nil {
-		xs := make([]*Task, 0, 1)
+	if g.cached&hasExits == 0 {
+		xs := g.exits[:0]
 		for _, t := range g.Tasks {
 			if len(t.out) == 0 {
 				xs = append(xs, t)
 			}
 		}
 		g.exits = xs
+		g.cached |= hasExits
 	}
 	return g.exits
 }
@@ -185,45 +247,42 @@ var ErrCycle = errors.New("dag: graph contains a cycle")
 // ID, so the order is deterministic), or ErrCycle. The order is cached
 // while the graph is unmodified; treat the slice as read-only.
 func (g *Graph) TopoOrder() ([]*Task, error) {
-	if g.topo != nil {
-		return g.topo, nil
+	if g.cached&hasTopo == 0 {
+		if err := g.topoOrder(); err != nil {
+			return nil, err
+		}
+		g.cached |= hasTopo
 	}
-	order, err := g.topoOrderUncached()
-	if err != nil {
-		return nil, err
-	}
-	g.topo = order
-	return order, nil
+	return g.topo, nil
 }
 
-func (g *Graph) topoOrderUncached() ([]*Task, error) {
-	indeg := make([]int, len(g.Tasks))
+// topoOrder computes the order into g.topo by Kahn's algorithm with an
+// ID-ordered frontier for determinism. The frontier is a FIFO queue whose
+// pops are the order itself, so the order's tail beyond the task being
+// expanded is the queue.
+func (g *Graph) topoOrder() error {
+	n := len(g.Tasks)
+	indeg := slices.Grow(g.counts[:0], n)[:n]
+	order := slices.Grow(g.topo[:0], n)
 	for _, t := range g.Tasks {
 		indeg[t.ID] = len(t.in)
-	}
-	// Kahn's algorithm with an ID-ordered frontier for determinism.
-	var frontier []*Task
-	for _, t := range g.Tasks {
-		if indeg[t.ID] == 0 {
-			frontier = append(frontier, t)
+		if len(t.in) == 0 {
+			order = append(order, t)
 		}
 	}
-	order := make([]*Task, 0, len(g.Tasks))
-	for len(frontier) > 0 {
-		t := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, t)
-		for _, e := range t.out {
+	for i := 0; i < len(order); i++ {
+		for _, e := range order[i].out {
 			indeg[e.To.ID]--
 			if indeg[e.To.ID] == 0 {
-				frontier = append(frontier, e.To)
+				order = append(order, e.To)
 			}
 		}
 	}
-	if len(order) != len(g.Tasks) {
-		return nil, ErrCycle
+	g.counts, g.topo = indeg, order
+	if len(order) != n {
+		return ErrCycle
 	}
-	return order, nil
+	return nil
 }
 
 // Validate checks structural invariants: at least one task, acyclicity,

@@ -279,3 +279,31 @@ func TestWriteDOT(t *testing.T) {
 		}
 	}
 }
+
+// Every structural change advances the generation, decoding into a graph
+// included: a store keyed by the graph's identity must never take new
+// content for the content it recorded.
+func TestGenerationAdvancesOnEveryStructuralChange(t *testing.T) {
+	g, a, _, _, d := diamond(t, 8)
+	data, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := g.Generation()
+	step := func(what string, change func()) {
+		t.Helper()
+		change()
+		if g.Generation() <= last {
+			t.Fatalf("%s: generation %d after %d", what, g.Generation(), last)
+		}
+		last = g.Generation()
+	}
+	step("AddTask", func() { g.AddTask("E", 1e6, 1, 0) })
+	step("AddEdge", func() { g.MustAddEdge(a, d, 1) })
+	step("Reset", func() { g.Reset("empty") })
+	step("UnmarshalJSON", func() {
+		if err := json.Unmarshal(data, g); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -1,5 +1,7 @@
 package dag
 
+import "slices"
+
 // Levels maintains a graph's bottom levels, top levels and critical path
 // length (communication ignored) under per-task times of which one changes
 // at a time — the shape of the allocation procedures' growth loop, where
@@ -47,8 +49,12 @@ type Levels struct {
 // gives. The tracker is valid until the next Levels call on g or the next
 // mutation of g.
 func (g *Graph) Levels(timeOf TimeFunc) *Levels {
-	if g.tracker == nil {
-		g.tracker = newLevels(g)
+	if g.cached&hasTracker == 0 {
+		if g.tracker == nil {
+			g.tracker = new(Levels)
+		}
+		g.tracker.build(g)
+		g.cached |= hasTracker
 	}
 	lv := g.tracker
 	for id, t := range g.Tasks {
@@ -59,21 +65,25 @@ func (g *Graph) Levels(timeOf TimeFunc) *Levels {
 	return lv
 }
 
-func newLevels(g *Graph) *Levels {
+// build lays out g's structure in the tracker, reusing the buffers of the
+// structure it held before.
+func (lv *Levels) build(g *Graph) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		panic(err)
 	}
 	n, m, k := len(g.Tasks), len(g.Edges), len(g.Entries())
-	ints := make([]int32, 3*n+2+2*m+k)
-	floats := make([]float64, 5*n)
-	lv := &Levels{
+	ints := slices.Grow(lv.pos[:0], 3*n+2+2*m+k)[:3*n+2+2*m+k]
+	floats := slices.Grow(lv.time[:0], 5*n)[:5*n]
+	aux := lv.aux
+	*lv = Levels{
 		pos:     ints[:n],
 		succOff: ints[n : 2*n+1], predOff: ints[2*n+1 : 3*n+2],
 		succ: ints[3*n+2 : 3*n+2+m], pred: ints[3*n+2+m : 3*n+2+2*m],
 		entries: ints[3*n+2+2*m:],
 		time:    floats[:n], bl: floats[n : 2*n], tl: floats[2*n : 3*n],
 		fin: floats[3*n : 4*n], saved: floats[4*n:],
+		aux: aux,
 	}
 	for i, t := range order {
 		lv.pos[t.ID] = int32(i)
@@ -94,7 +104,6 @@ func newLevels(g *Graph) *Levels {
 	for i, t := range g.Entries() {
 		lv.entries[i] = lv.pos[t.ID]
 	}
-	return lv
 }
 
 // Time returns the current time of task id.

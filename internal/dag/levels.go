@@ -1,6 +1,9 @@
 package dag
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PrecedenceLevels returns, for each task (indexed by ID), its precedence
 // level as defined in §4 of the paper: a task is at level a ≥ 0 if all its
@@ -9,14 +12,15 @@ import "fmt"
 // task counted in edges. The result is cached while the graph is
 // unmodified; treat it as read-only.
 func (g *Graph) PrecedenceLevels() []int {
-	if g.levels != nil {
+	if g.cached&hasLevels != 0 {
 		return g.levels
 	}
 	order, err := g.TopoOrder()
 	if err != nil {
 		panic(err)
 	}
-	levels := make([]int, len(g.Tasks))
+	// Every entry is written, in topological order, before it is read.
+	levels := slices.Grow(g.levels[:0], len(g.Tasks))[:len(g.Tasks)]
 	for _, t := range order {
 		lvl := 0
 		for _, e := range t.in {
@@ -27,29 +31,43 @@ func (g *Graph) PrecedenceLevels() []int {
 		levels[t.ID] = lvl
 	}
 	g.levels = levels
+	g.cached |= hasLevels
 	return levels
 }
 
-// LevelSets groups tasks by precedence level, ordered by level. The result
-// is cached while the graph is unmodified; treat it as read-only. The
-// constrained allocation procedures test the per-level power budget on
-// every growth step, so this cache takes LevelSets off their hot path.
+// LevelSets groups tasks by precedence level, ordered by level, each level
+// in ID order. The result is cached while the graph is unmodified; treat it
+// as read-only. The constrained allocation procedures test the per-level
+// power budget on every growth step, so this cache takes LevelSets off
+// their hot path.
 func (g *Graph) LevelSets() [][]*Task {
-	if g.levelSets != nil {
+	if g.cached&hasLevelSets != 0 {
 		return g.levelSets
 	}
 	levels := g.PrecedenceLevels()
-	max := 0
+	depth := 1
 	for _, l := range levels {
-		if l > max {
-			max = l
-		}
+		depth = max(depth, l+1)
 	}
-	sets := make([][]*Task, max+1)
+	// A counting sort: the sets are consecutive runs of one flat slice.
+	counts := slices.Grow(g.counts[:0], depth)[:depth]
+	clear(counts)
+	for _, l := range levels {
+		counts[l]++
+	}
+	flat := slices.Grow(g.levelFlat[:0], len(g.Tasks))[:len(g.Tasks)]
+	sets := slices.Grow(g.levelSets[:0], depth)[:depth]
+	off := 0
+	for l, c := range counts {
+		sets[l] = flat[off : off : off+c]
+		off += c
+	}
 	for _, t := range g.Tasks {
-		sets[levels[t.ID]] = append(sets[levels[t.ID]], t)
+		l := levels[t.ID]
+		sets[l] = append(sets[l], t)
 	}
-	g.levelSets = sets
+	g.counts, g.levelFlat, g.levelSets = counts, flat, sets
+	g.cached |= hasLevelSets
 	return sets
 }
 
@@ -82,11 +100,11 @@ type (
 // ZeroComm is a CommFunc that ignores communication.
 func ZeroComm(*Edge) float64 { return 0 }
 
-// bottomLevelsInto computes bottom levels into bl, which must have length
-// len(g.Tasks). It backs both the exported BottomLevels (fresh slice, the
-// caller keeps it) and the scratch-buffer paths of CriticalPathLength and
-// CriticalPath.
-func (g *Graph) bottomLevelsInto(bl []float64, timeOf TimeFunc, commOf CommFunc) {
+// BottomLevelsInto is BottomLevels writing into bl, which must have length
+// len(g.Tasks). It backs BottomLevels (fresh slice, the caller keeps it),
+// the mapper's per-batch buffer and the scratch-buffer paths of
+// CriticalPathLength and CriticalPath.
+func (g *Graph) BottomLevelsInto(bl []float64, timeOf TimeFunc, commOf CommFunc) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		panic(err)
@@ -107,9 +125,7 @@ func (g *Graph) bottomLevelsInto(bl []float64, timeOf TimeFunc, commOf CommFunc)
 // scratchLevels returns the graph-owned bottom-level scratch buffer,
 // allocating it on first use.
 func (g *Graph) scratchLevels() []float64 {
-	if len(g.scratchBL) != len(g.Tasks) {
-		g.scratchBL = make([]float64, len(g.Tasks))
-	}
+	g.scratchBL = slices.Grow(g.scratchBL[:0], len(g.Tasks))[:len(g.Tasks)]
 	return g.scratchBL
 }
 
@@ -119,7 +135,7 @@ func (g *Graph) scratchLevels() []float64 {
 // (§5). The mapper sorts ready tasks by decreasing bottom level.
 func (g *Graph) BottomLevels(timeOf TimeFunc, commOf CommFunc) []float64 {
 	bl := make([]float64, len(g.Tasks))
-	g.bottomLevelsInto(bl, timeOf, commOf)
+	g.BottomLevelsInto(bl, timeOf, commOf)
 	return bl
 }
 
@@ -161,7 +177,7 @@ func (g *Graph) maxEntryLevel(bl []float64) float64 {
 // used by the PS-cp and WPS-cp strategies (§6).
 func (g *Graph) CriticalPathLength(timeOf TimeFunc, commOf CommFunc) float64 {
 	bl := g.scratchLevels()
-	g.bottomLevelsInto(bl, timeOf, commOf)
+	g.BottomLevelsInto(bl, timeOf, commOf)
 	return g.maxEntryLevel(bl)
 }
 
@@ -170,7 +186,7 @@ func (g *Graph) CriticalPathLength(timeOf TimeFunc, commOf CommFunc) float64 {
 // by task ID for determinism.
 func (g *Graph) CriticalPath(timeOf TimeFunc, commOf CommFunc) []*Task {
 	bl := g.scratchLevels()
-	g.bottomLevelsInto(bl, timeOf, commOf)
+	g.BottomLevelsInto(bl, timeOf, commOf)
 	var cur *Task
 	for _, t := range g.Entries() {
 		if cur == nil || bl[t.ID] > bl[cur.ID] {

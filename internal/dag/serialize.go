@@ -46,7 +46,9 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jg); err != nil {
 		return err
 	}
-	*g = Graph{Name: jg.Name}
+	// Fresh storage, but the generation moves on: a store that traced the
+	// graph's earlier content must not take the decoded one for it.
+	*g = Graph{Name: jg.Name, gen: g.gen + 1}
 	for _, jt := range jg.Tasks {
 		g.AddTask(jt.Name, jt.DataElems, jt.SeqGFlop, jt.Alpha)
 	}

@@ -140,16 +140,28 @@ func drawTaskParams(mode ComplexityMode, r *rand.Rand) (dataElems, seqGFlop, alp
 // level and at least one successor, so precedence levels match the intended
 // level structure.
 func Random(cfg RandomConfig, r *rand.Rand) *dag.Graph {
+	g := new(dag.Graph)
+	RandomInto(g, cfg, r)
+	return g
+}
+
+// RandomInto is Random generating into g, which it resets first (see
+// dag.Graph.Reset): the same draws from r give the same graph, in storage
+// g already holds.
+func RandomInto(g *dag.Graph, cfg RandomConfig, r *rand.Rand) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	g := dag.New(fmt.Sprintf("random-n%d-w%.1f-r%.1f-d%.1f-j%d",
+	g.Reset(fmt.Sprintf("random-n%d-w%.1f-r%.1f-d%.1f-j%d",
 		cfg.Tasks, cfg.Width, cfg.Regularity, cfg.Density, cfg.Jump))
 
 	// Level sizes: entry level of 1, then levels of ~Tasks^Width tasks
-	// jittered by (1-regularity), then an exit level of 1.
+	// jittered by (1-regularity), then an exit level of 1. Tasks are
+	// created level by level, so level l is the run of g.Tasks between
+	// bounds[l] and bounds[l+1].
 	perfect := math.Pow(float64(cfg.Tasks), cfg.Width)
-	sizes := []int{1}
+	var buf [64]int
+	bounds := append(buf[:0], 0, 1)
 	remaining := cfg.Tasks - 2
 	for remaining > 0 {
 		jitter := 1 + float64((1-cfg.Regularity)*(float64(2*r.Float64())-1))
@@ -160,35 +172,30 @@ func Random(cfg RandomConfig, r *rand.Rand) *dag.Graph {
 		if s > remaining {
 			s = remaining
 		}
-		sizes = append(sizes, s)
+		bounds = append(bounds, bounds[len(bounds)-1]+s)
 		remaining -= s
 	}
-	sizes = append(sizes, 1)
-
-	// Create tasks level by level.
-	levels := make([][]*dag.Task, len(sizes))
-	id := 0
-	for l, s := range sizes {
-		for i := 0; i < s; i++ {
-			d, w, alpha := drawTaskParams(cfg.Complexity, r)
-			levels[l] = append(levels[l], g.AddTask(fmt.Sprintf("t%d", id), d, w, alpha))
-			id++
-		}
+	bounds = append(bounds, bounds[len(bounds)-1]+1)
+	for id := 0; id < bounds[len(bounds)-1]; id++ {
+		d, w, alpha := drawTaskParams(cfg.Complexity, r)
+		g.AddTask(taskName(id), d, w, alpha)
 	}
+	nLevels := len(bounds) - 1
+	level := func(l int) []*dag.Task { return g.Tasks[bounds[l]:bounds[l+1]] }
 
 	// Wire parents. Every non-entry task gets one forced parent in the
 	// previous level (preserving the level structure), then extra parents
 	// according to density, possibly jumping up to cfg.Jump levels back.
-	for l := 1; l < len(levels); l++ {
-		for _, t := range levels[l] {
-			prev := levels[l-1]
+	for l := 1; l < nLevels; l++ {
+		for _, t := range level(l) {
+			prev := level(l - 1)
 			first := prev[r.Intn(len(prev))]
 			g.MustAddEdge(first, t, cost.EdgeBytes(first.DataElems))
 
 			extra := int(r.Float64() * cfg.Density * float64(len(prev)))
 			for k := 0; k < extra; k++ {
 				j := 1 + r.Intn(min(cfg.Jump, l))
-				src := levels[l-j]
+				src := level(l - j)
 				cand := src[r.Intn(len(src))]
 				if cand == t || hasEdge(cand, t) {
 					continue
@@ -200,10 +207,10 @@ func Random(cfg RandomConfig, r *rand.Rand) *dag.Graph {
 
 	// Every non-exit task must reach the exit: childless tasks get an edge
 	// to a random task in the next level.
-	for l := 0; l < len(levels)-1; l++ {
-		for _, t := range levels[l] {
+	for l := 0; l < nLevels-1; l++ {
+		for _, t := range level(l) {
 			if len(t.Out()) == 0 {
-				next := levels[l+1]
+				next := level(l + 1)
 				dst := next[r.Intn(len(next))]
 				g.MustAddEdge(t, dst, cost.EdgeBytes(t.DataElems))
 			}
@@ -213,7 +220,25 @@ func Random(cfg RandomConfig, r *rand.Rand) *dag.Graph {
 	if err := g.Validate(true); err != nil {
 		panic(fmt.Sprintf("daggen: generated invalid graph: %v", err))
 	}
-	return g
+}
+
+// taskNames are the random generator's first task names, "t0", "t1", …,
+// made once: a graph regenerated in place then names its tasks without
+// allocating. Larger IDs are formatted per task.
+var taskNames = func() []string {
+	names := make([]string, 256)
+	for id := range names {
+		names[id] = fmt.Sprintf("t%d", id)
+	}
+	return names
+}()
+
+// taskName is the name of the random generator's task id.
+func taskName(id int) string {
+	if id < len(taskNames) {
+		return taskNames[id]
+	}
+	return fmt.Sprintf("t%d", id)
 }
 
 func hasEdge(from, to *dag.Task) bool {

@@ -21,26 +21,33 @@ import (
 // the a·d complexity class with one coefficient and one Amdahl fraction
 // drawn per graph.
 func FFT(k int, r *rand.Rand) *dag.Graph {
+	g := new(dag.Graph)
+	FFTInto(g, k, r)
+	return g
+}
+
+// FFTInto is FFT generating into g, which it resets first: the same draws
+// from r give the same graph, in storage g already holds.
+func FFTInto(g *dag.Graph, k int, r *rand.Rand) {
 	if k < 1 || k > 20 {
 		panic(fmt.Sprintf("daggen: FFT exponent %d outside [1,20]", k))
 	}
 	n := 1 << k
-	g := dag.New(fmt.Sprintf("fft-%dpt", n))
+	g.Reset(fmt.Sprintf("fft-%dpt", n))
 
 	d0 := cost.MinDataElems + float64(r.Float64()*(cost.MaxDataElems-cost.MinDataElems))
 	a := float64(cost.MinCoeff + r.Intn(cost.MaxCoeff-cost.MinCoeff+1))
 	alpha := r.Float64() * cost.AlphaMax
 	work := func(d float64) float64 { return cost.GFlop(cost.Flops(cost.Linear, a, d)) }
 
-	// Recursive splitting tree: level l has 2^l tasks on d0/2^l elements.
-	tree := make([][]*dag.Task, k+1)
+	// Recursive splitting tree: level l has 2^l tasks on d0/2^l elements,
+	// task i of level l has ID 2^l−1+i.
 	for l := 0; l <= k; l++ {
 		d := d0 / float64(int(1)<<l)
 		for i := 0; i < 1<<l; i++ {
 			t := g.AddTask(fmt.Sprintf("split-%d-%d", l, i), d, work(d), alpha)
-			tree[l] = append(tree[l], t)
 			if l > 0 {
-				parent := tree[l-1][i/2]
+				parent := g.Tasks[1<<(l-1)-1+i/2]
 				g.MustAddEdge(parent, t, cost.EdgeBytes(d))
 			}
 		}
@@ -50,17 +57,18 @@ func FFT(k int, r *rand.Rand) *dag.Graph {
 	// stage s depends on tasks i and i XOR 2^s of the previous row (the
 	// leaves of the tree for s = 0).
 	dLeaf := d0 / float64(n)
-	prev := tree[k]
+	prevStart := n - 1
 	for s := 0; s < k; s++ {
-		row := make([]*dag.Task, n)
+		start := len(g.Tasks)
 		for i := 0; i < n; i++ {
-			row[i] = g.AddTask(fmt.Sprintf("bfly-%d-%d", s, i), dLeaf, work(dLeaf), alpha)
+			g.AddTask(fmt.Sprintf("bfly-%d-%d", s, i), dLeaf, work(dLeaf), alpha)
 		}
+		prev, row := g.Tasks[prevStart:prevStart+n], g.Tasks[start:start+n]
 		for i := 0; i < n; i++ {
 			g.MustAddEdge(prev[i], row[i], cost.EdgeBytes(dLeaf))
 			g.MustAddEdge(prev[i^(1<<s)], row[i], cost.EdgeBytes(dLeaf))
 		}
-		prev = row
+		prevStart = start
 	}
 
 	// The last butterfly row is the exit row (n exits). The single-exit
@@ -70,5 +78,4 @@ func FFT(k int, r *rand.Rand) *dag.Graph {
 	if err := g.Validate(false); err != nil {
 		panic(fmt.Sprintf("daggen: invalid FFT graph: %v", err))
 	}
-	return g
 }

@@ -77,13 +77,21 @@ func FamilyByName(name string) (Family, error) {
 // grids: a PaperRandomConfig graph, an FFT of a random paper size, or a
 // Strassen graph.
 func Generate(f Family, r *rand.Rand) *dag.Graph {
+	g := new(dag.Graph)
+	GenerateInto(g, f, r)
+	return g
+}
+
+// GenerateInto is Generate generating into g, which it resets first: the
+// same draws from r give the same graph, in storage g already holds.
+func GenerateInto(g *dag.Graph, f Family, r *rand.Rand) {
 	switch f {
 	case FamilyRandom:
-		return Random(PaperRandomConfig(r), r)
+		RandomInto(g, PaperRandomConfig(r), r)
 	case FamilyFFT:
-		return FFT(PaperFFTExponents[r.Intn(len(PaperFFTExponents))], r)
+		FFTInto(g, PaperFFTExponents[r.Intn(len(PaperFFTExponents))], r)
 	case FamilyStrassen:
-		return Strassen(r)
+		StrassenInto(g, r)
 	default:
 		panic("daggen: unknown family")
 	}

@@ -29,7 +29,15 @@ import (
 // raw quadrant are modelled as copies with the same addition cost, keeping
 // the graph regular as in the literature.
 func Strassen(r *rand.Rand) *dag.Graph {
-	g := dag.New("strassen")
+	g := new(dag.Graph)
+	StrassenInto(g, r)
+	return g
+}
+
+// StrassenInto is Strassen generating into g, which it resets first: the
+// same draws from r give the same graph, in storage g already holds.
+func StrassenInto(g *dag.Graph, r *rand.Rand) {
+	g.Reset("strassen")
 
 	d := cost.MinDataElems + float64(r.Float64()*(cost.MaxDataElems-cost.MinDataElems))
 	q := d / 4 // elements per quadrant
@@ -41,7 +49,7 @@ func Strassen(r *rand.Rand) *dag.Graph {
 	split := g.AddTask("split", d, moveWork, alpha())
 
 	// Level 1: the ten operand tasks.
-	s := make([]*dag.Task, 10)
+	var s [10]*dag.Task
 	for i := range s {
 		s[i] = g.AddTask(fmt.Sprintf("S%d", i+1), q, addWork, alpha())
 		g.MustAddEdge(split, s[i], cost.EdgeBytes(q))
@@ -57,7 +65,7 @@ func Strassen(r *rand.Rand) *dag.Graph {
 		{6, 7}, // P6 = S7·S8
 		{8, 9}, // P7 = S9·S10
 	}
-	p := make([]*dag.Task, 7)
+	var p [7]*dag.Task
 	for i := range p {
 		p[i] = g.AddTask(fmt.Sprintf("P%d", i+1), q, mulWork, alpha())
 		a, b := operands[i][0], operands[i][1]
@@ -68,7 +76,7 @@ func Strassen(r *rand.Rand) *dag.Graph {
 	}
 
 	// Level 3: six pairwise combinations.
-	combos := []struct {
+	combos := [...]struct {
 		name string
 		a, b int // product indices (0-based)
 	}{
@@ -79,7 +87,7 @@ func Strassen(r *rand.Rand) *dag.Graph {
 		{"V1", 0, 1}, // P1−P2
 		{"V2", 2, 5}, // P3+P6
 	}
-	level3 := make([]*dag.Task, len(combos))
+	var level3 [len(combos)]*dag.Task
 	for i, c := range combos {
 		t := g.AddTask(c.name, q, addWork, alpha())
 		g.MustAddEdge(p[c.a], t, cost.EdgeBytes(q))
@@ -95,7 +103,6 @@ func Strassen(r *rand.Rand) *dag.Graph {
 	if err := g.Validate(true); err != nil {
 		panic(fmt.Sprintf("daggen: invalid Strassen graph: %v", err))
 	}
-	return g
 }
 
 // StrassenTaskCount is the fixed size of a Strassen PTG.

@@ -47,11 +47,14 @@ type Config struct {
 	Labels     []string
 	// Seed makes the campaign deterministic.
 	Seed int64
-	// Gen overrides the per-graph generator. When nil, graphs are drawn
-	// with daggen.Generate(Family, r) — the paper's random parameter
-	// grids. The scenario package sets it to pin one explicit grid cell
-	// (e.g. a fixed RandomConfig or FFT size) per campaign.
-	Gen func(r *rand.Rand) *dag.Graph `json:"-"`
+	// Gen overrides the per-graph generator: it generates one graph into
+	// g, resetting it first, as daggen.GenerateInto does (g is a fresh
+	// graph or one recycled from an earlier run on the same scratch). When
+	// nil, graphs are drawn with daggen.GenerateInto(g, Family, r) — the
+	// paper's random parameter grids. The scenario package sets it to pin
+	// one explicit grid cell (e.g. a fixed RandomConfig or FFT size) per
+	// campaign.
+	Gen func(g *dag.Graph, r *rand.Rand) `json:"-"`
 	// Workers is the number of goroutines runs are fanned out over;
 	// default GOMAXPROCS. 1 (or negative) runs the campaign sequentially
 	// on the calling goroutine. Results are identical for any value.
@@ -259,9 +262,11 @@ type Measurement struct {
 
 // RunOneWith executes the single campaign run identified by (point, rep,
 // platform) — indices into cfg.NPTGs and cfg.Platforms — on the calling
-// goroutine, on a worker-owned scratch: the simulation and scheduling state
-// is recycled across calls, and the run releases the scratch when it ends,
-// so the allocations it remembered of the run's graphs serve no later run.
+// goroutine, on a worker-owned scratch: the run's graphs are generated into
+// the scratch's pool (core.Scratch.Graphs), the simulation and scheduling
+// state is recycled across calls, and the run releases the scratch when it
+// ends, so the allocations it remembered of the run's graphs serve no later
+// run and the graphs' storage serves the next run's.
 // Run is exactly an aggregation of RunOneWith over the full key grid; the
 // scenario package calls it directly to sweep spec-driven expansions point
 // by point. The scratch changes where buffers live, never what is computed:
@@ -272,11 +277,11 @@ func RunOneWith(cfg Config, point, rep, pfIdx int, sc *core.Scratch) Measurement
 	r := rand.New(rand.NewSource(RunSeed(cfg.Seed, point, rep)))
 	gen := cfg.Gen
 	if gen == nil {
-		gen = func(r *rand.Rand) *dag.Graph { return daggen.Generate(cfg.Family, r) }
+		gen = func(g *dag.Graph, r *rand.Rand) { daggen.GenerateInto(g, cfg.Family, r) }
 	}
-	graphs := make([]*dag.Graph, cfg.NPTGs[point])
-	for i := range graphs {
-		graphs[i] = gen(r)
+	graphs := sc.Graphs(cfg.NPTGs[point])
+	for _, g := range graphs {
+		gen(g, r)
 	}
 	sched := core.New(cfg.Platforms[pfIdx])
 	own := make([]float64, len(graphs))

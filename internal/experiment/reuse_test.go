@@ -38,10 +38,11 @@ func TestRunOneWithMatchesRunOne(t *testing.T) {
 	}
 }
 
-// The remembered allocations do not outlive a run. A generator that hands
-// every run the same graph objects with other task costs is the one caller
-// that could tell: an allocation kept across the boundary would be served
-// for costs it was not computed for.
+// The remembered allocations do not outlive a run. Every run on one scratch
+// regenerates into the same pooled graph objects; a generator that gives
+// them the same shapes with other task costs is the caller that could
+// tell: an allocation kept across the boundary would be served for costs
+// it was not computed for.
 func TestRunOneWithForgetsAllocationsBetweenRuns(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	pool := make([]*dag.Graph, 3)
@@ -54,10 +55,16 @@ func TestRunOneWithForgetsAllocationsBetweenRuns(t *testing.T) {
 		Reps:      3,
 		Platforms: []*platform.Platform{platform.Rennes()},
 		Seed:      1,
-		Gen: func(r *rand.Rand) *dag.Graph {
-			g := pool[next%len(pool)]
+		Gen: func(g *dag.Graph, _ *rand.Rand) {
+			src := pool[next%len(pool)]
 			next++
-			return g
+			g.Reset(src.Name)
+			for _, t := range src.Tasks {
+				g.AddTask(t.Name, t.DataElems, t.SeqGFlop, t.Alpha)
+			}
+			for _, e := range src.Edges {
+				g.MustAddEdge(g.Tasks[e.From.ID], g.Tasks[e.To.ID], e.Bytes)
+			}
 		},
 	}.Defaults()
 	sc := core.NewScratch()

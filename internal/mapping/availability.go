@@ -91,7 +91,14 @@ func (a *Availability) Best(t *dag.Task, speed float64, want int, ready float64,
 // set is identical.
 func (a *Availability) Reserve(q int, end float64) []int {
 	procs := make([]int, q)
-	for i := 0; i < q; i++ {
+	a.reserve(procs, end)
+	return procs
+}
+
+// reserve is Reserve writing the len(procs) indices into procs.
+func (a *Availability) reserve(procs []int, end float64) {
+	q := len(procs)
+	for i := range procs {
 		procs[i] = a.slots[i].proc
 	}
 	slices.Sort(procs)
@@ -117,5 +124,4 @@ func (a *Availability) Reserve(q int, end float64) []int {
 	}
 	a.scratch = a.slots[:0]
 	a.slots = merged
-	return procs
 }

@@ -3,7 +3,7 @@ package mapping
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ptgsched/internal/alloc"
 	"ptgsched/internal/dag"
@@ -13,18 +13,85 @@ import (
 
 // Map schedules the tasks of all allocated applications onto pf. All
 // applications are submitted at time 0 (the paper's model; different
-// submission times are future work in §8).
+// submission times are future work in §8). It is Scratch.Map on a fresh
+// scratch, so the schedule it returns is the caller's.
 func Map(pf *platform.Platform, apps []*alloc.Allocation, opts Options) *Schedule {
-	m := newMapper(pf, apps, opts)
+	return new(Scratch).Map(pf, apps, opts)
+}
+
+// Scratch is the mapper's state, kept across the batches one worker maps:
+// the placements and their processor lists, the task→placement index, the
+// translated widths and bottom levels, both heaps. Its buffers grow to the
+// largest batch mapped and are reused after, so mapping on a warm scratch
+// allocates only while the batches it maps outgrow the ones before. The
+// zero value is ready for Map; a Scratch must be confined to one goroutine.
+type Scratch struct {
+	pf    *platform.Platform
+	apps  []*alloc.Allocation
+	opts  Options
+	sched Schedule
+
+	// placements is the storage of the schedule's placements, sized for the
+	// batch before the first is recorded, so a *Placement stays valid for
+	// the whole call; procs is the arena their processor lists are cut from,
+	// sized to the widest the translated widths allow.
+	placements []Placement
+	procs      []int
+
+	// avail[k] is the availability view of cluster k, free the all-zero
+	// times vector every cluster is loaded from.
+	avail []Availability
+	free  []float64
+	// first[app] is the offset of the application's tasks in the per-task
+	// vectors below, which hold the batch's tasks back to back, by task ID
+	// within an application; first[len(apps)] is the batch's task count.
+	first []int
+	// want[k·n + first[app] + id] is the translated allocation width of the
+	// task on cluster k, for n tasks in the batch.
+	want []int
+	// bl is each task's bottom level under its reference allocation
+	// (computation only, per §5); preds counts its unfinished predecessors
+	// while the ready-task procedure runs.
+	bl    []float64
+	preds []int
+	// feeds is the per-task data-ready buffer, refilled before the cluster
+	// scan of each placement.
+	feeds []feed
+
+	ready       pq.Heap[taskRef]
+	completions pq.Heap[completion]
+	all         []taskRef
+}
+
+// Map is the package-level Map on the scratch's buffers. The returned
+// Schedule belongs to the scratch: it is valid until the next Map or
+// Release on sc. The schedule is the one Map computes, placement for
+// placement.
+func (sc *Scratch) Map(pf *platform.Platform, apps []*alloc.Allocation, opts Options) *Schedule {
+	sc.load(pf, apps, opts)
 	switch opts.Ordering {
 	case ReadyTasks:
-		m.runReady()
+		sc.runReady()
 	case Global:
-		m.runGlobal()
+		sc.runGlobal()
 	default:
 		panic(fmt.Sprintf("mapping: unknown ordering %d", int(opts.Ordering)))
 	}
-	return m.sched
+	return &sc.sched
+}
+
+// Release drops everything the scratch references of the last batch — its
+// schedule, the placements' tasks, the applications — keeping only
+// buffers, so a parked scratch pins none of the batch's graphs. The
+// Schedule Map returned is invalid after it.
+func (sc *Scratch) Release() {
+	clear(sc.placements[:cap(sc.placements)])
+	clear(sc.sched.byTask)
+	sc.sched = Schedule{Placements: sc.sched.Placements[:0], byTask: sc.sched.byTask}
+	clear(sc.ready.Items[:cap(sc.ready.Items)])
+	clear(sc.completions.Items[:cap(sc.completions.Items)])
+	clear(sc.all[:cap(sc.all)])
+	sc.pf, sc.apps = nil, nil
 }
 
 // taskRef is one task of one application, with the bottom level the ready
@@ -55,63 +122,69 @@ type feed struct {
 	bytes float64
 }
 
-type mapper struct {
-	pf    *platform.Platform
-	apps  []*alloc.Allocation
-	opts  Options
-	sched *Schedule
-
-	// avail[k] is the availability view of cluster k.
-	avail []Availability
-	// want[app][k][taskID] is the translated allocation width of the task
-	// on cluster k, precomputed in one batch per application.
-	want [][][]int
-	// bl[app][taskID] is the task's bottom level under its reference
-	// allocation (computation only, per §5).
-	bl [][]float64
-	// feeds is the per-task data-ready scratch buffer, refilled before the
-	// cluster scan of each placement instead of rebuilding a closure.
-	feeds []feed
-}
-
-func newMapper(pf *platform.Platform, apps []*alloc.Allocation, opts Options) *mapper {
-	total := 0
+// load readies the scratch for one batch: every processor free at 0, the
+// schedule empty, the widths and bottom levels computed.
+func (sc *Scratch) load(pf *platform.Platform, apps []*alloc.Allocation, opts Options) {
+	sc.pf, sc.apps, sc.opts = pf, apps, opts
+	sc.first = slices.Grow(sc.first[:0], len(apps)+1)
+	n := 0
 	for _, a := range apps {
-		total += len(a.Graph.Tasks)
+		sc.first = append(sc.first, n)
+		n += len(a.Graph.Tasks)
 	}
-	m := &mapper{
-		pf:   pf,
-		apps: apps,
-		opts: opts,
-		sched: &Schedule{
-			Platform:   pf,
-			Apps:       apps,
-			Placements: make([]*Placement, 0, total),
-			byTask:     make(map[*dag.Task]*Placement, total),
-		},
-	}
+	sc.first = append(sc.first, n)
+
 	// Every processor is free at 0: one zero vector loads every cluster.
 	largest := 0
 	for _, c := range pf.Clusters {
 		largest = max(largest, c.Procs)
 	}
-	free := make([]float64, largest)
-	m.avail = make([]Availability, len(pf.Clusters))
+	sc.free = grown(sc.free, largest)
+	clear(sc.free)
+	sc.avail = grown(sc.avail, len(pf.Clusters))
 	for k, c := range pf.Clusters {
-		m.avail[k].Load(free[:c.Procs])
+		sc.avail[k].Load(sc.free[:c.Procs])
 	}
-	m.want = make([][][]int, len(apps))
-	m.bl = make([][]float64, len(apps))
+
+	// A placement takes at most its widest translation: the arena holds
+	// every task at that width.
+	sc.want = grown(sc.want, len(pf.Clusters)*n)
+	sc.bl = grown(sc.bl, n)
+	width := 0
 	for i, a := range apps {
-		m.want[i] = alloc.TranslateBatch(a.Procs, a.Ref, pf.Clusters)
-		m.bl[i] = a.Graph.BottomLevels(a.TimeOf, dag.ZeroComm)
+		base := sc.first[i]
+		for id, p := range a.Procs[:len(a.Graph.Tasks)] {
+			widest := 0
+			for k, c := range pf.Clusters {
+				q := alloc.Translate(p, a.Ref, c)
+				sc.want[k*n+base+id] = q
+				widest = max(widest, q)
+			}
+			width += widest
+		}
+		a.Graph.BottomLevelsInto(sc.bl[base:base+len(a.Graph.Tasks)], a.TimeOf, dag.ZeroComm)
 	}
-	return m
+	sc.procs = slices.Grow(sc.procs[:0], width)
+	sc.placements = slices.Grow(sc.placements[:0], n)
+
+	sc.sched.Platform, sc.sched.Apps = pf, apps
+	sc.sched.Placements = slices.Grow(sc.sched.Placements[:0], n)
+	if sc.sched.byTask == nil {
+		sc.sched.byTask = make(map[*dag.Task]*Placement, n)
+	} else {
+		clear(sc.sched.byTask)
+	}
+}
+
+// grown returns s resized to n, reusing its storage when large enough; the
+// contents are unspecified.
+func grown[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // ref returns task t of application app under its ready priority.
-func (m *mapper) ref(app int, t *dag.Task) taskRef {
-	return taskRef{bl: m.bl[app][t.ID], app: app, task: t}
+func (sc *Scratch) ref(app int, t *dag.Task) taskRef {
+	return taskRef{bl: sc.bl[sc.first[app]+t.ID], app: app, task: t}
 }
 
 // candidate is one (cluster, width) option for a task.
@@ -125,14 +198,15 @@ type candidate struct {
 // place maps task t of application app, choosing the earliest-finish
 // candidate across clusters (ties: earlier start, then fewer processors,
 // then cluster index). It reserves the processors and records the
-// placement. m.feeds must already hold the task's predecessor feeds.
-func (m *mapper) place(app int, t *dag.Task) *Placement {
+// placement. sc.feeds must already hold the task's predecessor feeds.
+func (sc *Scratch) place(app int, t *dag.Task) *Placement {
 	var best candidate
 	found := false
-	for _, c := range m.pf.Clusters {
+	n, i := sc.first[len(sc.apps)], sc.first[app]+t.ID
+	for _, c := range sc.pf.Clusters {
 		cand := candidate{cluster: c}
-		cand.procs, cand.start, cand.end = m.avail[c.Index].Best(
-			t, c.Speed, m.want[app][c.Index][t.ID], m.dataReady(c), !m.opts.NoPacking)
+		cand.procs, cand.start, cand.end = sc.avail[c.Index].Best(
+			t, c.Speed, sc.want[c.Index*n+i], sc.dataReady(c), !sc.opts.NoPacking)
 		if !found || better(cand, best) {
 			best = cand
 			found = true
@@ -142,19 +216,23 @@ func (m *mapper) place(app int, t *dag.Task) *Placement {
 		panic("mapping: no cluster available")
 	}
 
-	procs := m.avail[best.cluster.Index].Reserve(best.procs, best.end)
+	used := len(sc.procs)
+	sc.procs = sc.procs[:used+best.procs]
+	procs := sc.procs[used:len(sc.procs):len(sc.procs)]
+	sc.avail[best.cluster.Index].reserve(procs, best.end)
 
-	p := &Placement{
+	sc.placements = append(sc.placements, Placement{
 		App:     app,
-		Index:   len(m.sched.Placements),
+		Index:   len(sc.sched.Placements),
 		Task:    t,
 		Cluster: best.cluster,
 		Procs:   procs,
 		Start:   best.start,
 		End:     best.end,
-	}
-	m.sched.Placements = append(m.sched.Placements, p)
-	m.sched.byTask[t] = p
+	})
+	p := &sc.placements[len(sc.placements)-1]
+	sc.sched.Placements = append(sc.sched.Placements, p)
+	sc.sched.byTask[t] = p
 	return p
 }
 
@@ -172,26 +250,26 @@ func better(a, b candidate) bool {
 	return a.cluster.Index < b.cluster.Index
 }
 
-// loadFeeds fills m.feeds with the placements of t's predecessors: for each
-// candidate cluster, dataReady then yields the latest predecessor end plus
-// the (contention-free) redistribution estimate.
-func (m *mapper) loadFeeds(t *dag.Task) {
-	m.feeds = m.feeds[:0]
+// loadFeeds fills sc.feeds with the placements of t's predecessors: for
+// each candidate cluster, dataReady then yields the latest predecessor end
+// plus the (contention-free) redistribution estimate.
+func (sc *Scratch) loadFeeds(t *dag.Task) {
+	sc.feeds = sc.feeds[:0]
 	for _, e := range t.In() {
-		p := m.sched.byTask[e.From]
+		p := sc.sched.byTask[e.From]
 		if p == nil {
 			panic(fmt.Sprintf("mapping: predecessor %q not yet placed", e.From.Name))
 		}
-		m.feeds = append(m.feeds, feed{end: p.End, from: p.Cluster, bytes: e.Bytes})
+		sc.feeds = append(sc.feeds, feed{end: p.End, from: p.Cluster, bytes: e.Bytes})
 	}
 }
 
 // dataReady returns the earliest time all predecessor data can be at c,
 // given the feeds loaded by loadFeeds.
-func (m *mapper) dataReady(c *platform.Cluster) float64 {
+func (sc *Scratch) dataReady(c *platform.Cluster) float64 {
 	ready := 0.0
-	for _, f := range m.feeds {
-		at := f.end + m.pf.TransferTime(f.from, c, f.bytes)
+	for _, f := range sc.feeds {
+		at := f.end + sc.pf.TransferTime(f.from, c, f.bytes)
 		if at > ready {
 			ready = at
 		}
@@ -205,63 +283,64 @@ func (m *mapper) dataReady(c *platform.Cluster) float64 {
 // ready set is a priority heap keyed by the same order the seed sorted by,
 // so tasks are placed in an identical sequence without re-sorting the list
 // at every instant.
-func (m *mapper) runReady() {
-	// remainingPreds[app][taskID] counts unfinished predecessors.
-	remainingPreds := make([][]int, len(m.apps))
-	total := 0
-	for i, a := range m.apps {
-		remainingPreds[i] = make([]int, len(a.Graph.Tasks))
+func (sc *Scratch) runReady() {
+	total := sc.first[len(sc.apps)]
+	sc.preds = grown(sc.preds, total)
+	for i, a := range sc.apps {
 		for _, t := range a.Graph.Tasks {
-			remainingPreds[i][t.ID] = len(t.In())
+			sc.preds[sc.first[i]+t.ID] = len(t.In())
 		}
-		total += len(a.Graph.Tasks)
 	}
 
-	ready := pq.Heap[taskRef]{Items: make([]taskRef, 0, total), Less: before}
-	for i, a := range m.apps {
+	sc.ready = pq.Heap[taskRef]{Items: sc.ready.Items[:0], Less: before}
+	for i, a := range sc.apps {
 		for _, t := range a.Graph.Tasks {
 			if len(t.In()) == 0 {
-				ready.Push(m.ref(i, t))
+				sc.ready.Push(sc.ref(i, t))
 			}
 		}
 	}
 	// completions orders mapped-but-not-finished tasks by end time. Tasks
 	// ending at one instant are all released before the next is mapped, so
 	// their order among themselves changes nothing.
-	completions := pq.Heap[completion]{
-		Items: make([]completion, 0, total),
+	sc.completions = pq.Heap[completion]{
+		Items: sc.completions.Items[:0],
 		Less:  func(a, b *completion) bool { return a.end < b.end },
-	}
-	release := func(c completion) {
-		for _, e := range c.task.Out() {
-			succ := e.To
-			remainingPreds[c.app][succ.ID]--
-			if remainingPreds[c.app][succ.ID] == 0 {
-				ready.Push(m.ref(c.app, succ))
-			}
-		}
 	}
 
 	mapped := 0
 	for mapped < total {
-		if ready.Len() == 0 {
-			if completions.Len() == 0 {
+		if sc.ready.Len() == 0 {
+			if sc.completions.Len() == 0 {
 				panic("mapping: no ready tasks and no pending completions")
 			}
 			// Advance the clock to the next completion (and all
 			// completions at the same instant) to release successors.
-			c := completions.Pop()
-			release(c)
-			for completions.Len() > 0 && completions.Items[0].end == c.end {
-				release(completions.Pop())
+			c := sc.completions.Pop()
+			sc.release(c)
+			for sc.completions.Len() > 0 && sc.completions.Items[0].end == c.end {
+				sc.release(sc.completions.Pop())
 			}
 			continue
 		}
-		ref := ready.Pop()
-		m.loadFeeds(ref.task)
-		p := m.place(ref.app, ref.task)
-		completions.Push(completion{app: ref.app, task: ref.task, end: p.End})
+		ref := sc.ready.Pop()
+		sc.loadFeeds(ref.task)
+		p := sc.place(ref.app, ref.task)
+		sc.completions.Push(completion{app: ref.app, task: ref.task, end: p.End})
 		mapped++
+	}
+}
+
+// release marks a completed task's successors as one predecessor closer to
+// ready, pushing those it frees.
+func (sc *Scratch) release(c completion) {
+	for _, e := range c.task.Out() {
+		succ := e.To
+		i := sc.first[c.app] + succ.ID
+		sc.preds[i]--
+		if sc.preds[i] == 0 {
+			sc.ready.Push(sc.ref(c.app, succ))
+		}
 	}
 }
 
@@ -276,16 +355,22 @@ type completion struct {
 // applications are sorted once by decreasing bottom level and mapped in
 // that order (predecessors always precede successors since bottom levels
 // strictly decrease along edges).
-func (m *mapper) runGlobal() {
-	var all []taskRef
-	for i, a := range m.apps {
+func (sc *Scratch) runGlobal() {
+	all := sc.all[:0]
+	for i, a := range sc.apps {
 		for _, t := range a.Graph.Tasks {
-			all = append(all, m.ref(i, t))
+			all = append(all, sc.ref(i, t))
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return before(&all[i], &all[j]) })
+	slices.SortFunc(all, func(a, b taskRef) int {
+		if before(&a, &b) {
+			return -1
+		}
+		return 1
+	})
+	sc.all = all
 	for _, ref := range all {
-		m.loadFeeds(ref.task)
-		m.place(ref.app, ref.task)
+		sc.loadFeeds(ref.task)
+		sc.place(ref.app, ref.task)
 	}
 }

@@ -10,11 +10,12 @@
 // finishes no later. A global-ordering variant (the classical approach the
 // paper argues against, Fig. 1) is provided for comparison.
 //
-// Concurrency: Map keeps the whole mapper state in per-call values and
-// only reads the platform, so independent Map calls run concurrently; the
-// input allocations' graphs carry cached analyses, so two concurrent calls
-// must not share graphs. A returned Schedule is mutable (Add) and must be
-// confined or frozen before sharing.
+// Concurrency: Map keeps the whole mapper state in a Scratch of its own —
+// a worker that maps batch after batch keeps one and calls its Map — and
+// only reads the platform, so independent Map calls (and calls on distinct
+// scratches) run concurrently; the input allocations' graphs carry cached
+// analyses, so two concurrent calls must not share graphs. A returned
+// Schedule is mutable (Add) and must be confined or frozen before sharing.
 package mapping
 
 import (

@@ -85,7 +85,7 @@ func TestRunEachBatchWorkerAndBatchInvariance(t *testing.T) {
 					if isolated {
 						bad := mustExpand(t, mustParse(t, determinismSpec))
 						for _, c := range bad.Cells {
-							c.Config.Gen = func(*rand.Rand) *dag.Graph { panic("degenerate scenario") }
+							c.Config.Gen = func(*dag.Graph, *rand.Rand) { panic("degenerate scenario") }
 						}
 						badErr = make(chan error, 1)
 						go func() {
@@ -171,7 +171,7 @@ func TestRunEachIsolatedBatchPanicIsolation(t *testing.T) {
 			e := mustExpand(t, mustParse(t, determinismSpec))
 			// Every point of cell 0 panics inside its generator; cell 1
 			// stays healthy, so workers cross the failure mid-sweep.
-			e.Cells[0].Config.Gen = func(*rand.Rand) *dag.Graph {
+			e.Cells[0].Config.Gen = func(*dag.Graph, *rand.Rand) {
 				panic("degenerate scenario")
 			}
 			err := e.each(e.All(), SweepOptions{Workers: workers}, batch, func(PointResult) error { return nil })
@@ -183,7 +183,7 @@ func TestRunEachIsolatedBatchPanicIsolation(t *testing.T) {
 		// Shard(1,3) holds global index 4 at position 1; skipping every
 		// other cell-0 point leaves it the only one that panics.
 		e := mustExpand(t, mustParse(t, determinismSpec))
-		e.Cells[0].Config.Gen = func(*rand.Rand) *dag.Graph { panic("degenerate scenario") }
+		e.Cells[0].Config.Gen = func(*dag.Graph, *rand.Rand) { panic("degenerate scenario") }
 		set, err := e.Shard(1, 3)
 		if err != nil {
 			t.Fatal(err)

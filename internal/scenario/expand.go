@@ -449,7 +449,7 @@ func (e *Expansion) GroupSlots() int { return e.reps * len(e.Platforms) }
 type gridCell struct {
 	family daggen.Family
 	label  string
-	gen    func(r *rand.Rand) *dag.Graph
+	gen    func(g *dag.Graph, r *rand.Rand)
 }
 
 // expandFamily enumerates a family entry's parameter grid. Ungridded
@@ -476,7 +476,7 @@ func expandFamily(f FamilySpec) ([]gridCell, error) {
 			cells = append(cells, gridCell{
 				family: fam,
 				label:  fmt.Sprintf("fft[k=%d]", k),
-				gen:    func(r *rand.Rand) *dag.Graph { return daggen.FFT(k, r) },
+				gen:    func(g *dag.Graph, r *rand.Rand) { daggen.FFTInto(g, k, r) },
 			})
 		}
 		return cells, nil
@@ -529,7 +529,7 @@ func expandFamily(f FamilySpec) ([]gridCell, error) {
 								family: fam,
 								label: fmt.Sprintf("random[t=%d w=%g r=%g d=%g j=%d %s]",
 									t, w, reg, d, j, mode),
-								gen: func(r *rand.Rand) *dag.Graph { return daggen.Random(cfg, r) },
+								gen: func(g *dag.Graph, r *rand.Rand) { daggen.RandomInto(g, cfg, r) },
 							})
 						}
 					}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ptgsched/internal/dag"
 	"ptgsched/internal/experiment"
 )
 
@@ -139,8 +140,9 @@ func TestGridExpansionCartesianProduct(t *testing.T) {
 		}
 	}
 	// A pinned generator must be deterministic given the seed.
-	g1 := e.Cells[0].Config.Gen(rand.New(rand.NewSource(7)))
-	g2 := e.Cells[0].Config.Gen(rand.New(rand.NewSource(7)))
+	g1, g2 := new(dag.Graph), new(dag.Graph)
+	e.Cells[0].Config.Gen(g1, rand.New(rand.NewSource(7)))
+	e.Cells[0].Config.Gen(g2, rand.New(rand.NewSource(7)))
 	if g1.Name != g2.Name || len(g1.Tasks) != len(g2.Tasks) {
 		t.Fatal("pinned generator is not deterministic")
 	}

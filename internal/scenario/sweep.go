@@ -41,10 +41,14 @@ type PointResult struct {
 
 // Scratch is what one worker owns across the units of work it runs — the
 // points of a sweep, the requests of a service worker: the offline
-// pipeline's scheduling and simulation state (Core) and the online engine's
-// (Online). It must be confined to one goroutine. Each unit of work ends
-// with Release, so a parked scratch pins none of the last one's graphs;
-// the PointResults computed through it are never scratch-owned.
+// pipeline's scheduling and simulation state (Core), which also holds the
+// pool a static point's or a schedule request's graphs are generated into
+// and the mapper's buffers, and the online engine's state (Online). It
+// must be confined to one goroutine. Each unit of work ends with Release,
+// which takes the pooled graphs back for the next unit to regenerate and
+// drops everything else the unit left, so a parked scratch pins none of
+// the last one's input graphs; the PointResults computed through it are
+// never scratch-owned.
 type Scratch struct {
 	Core   *core.Scratch
 	Online *online.Scratch
@@ -56,7 +60,8 @@ func NewScratch() *Scratch {
 }
 
 // Release ends the scratch's current unit of work: both engines drop what
-// they remember of its graphs and keep only their buffers.
+// they remember of its graphs and keep only their buffers, and the graphs
+// Core handed out return to its pool.
 func (sc *Scratch) Release() {
 	sc.Core.Release()
 	sc.Online.Release()

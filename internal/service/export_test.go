@@ -17,7 +17,7 @@ func (s *Service) CampaignWithPanickingCell0(ctx context.Context, req CampaignRe
 	if err != nil {
 		return nil, err
 	}
-	cs.expansion.Cells[0].Config.Gen = func(*rand.Rand) *dag.Graph { panic("degenerate scenario") }
+	cs.expansion.Cells[0].Config.Gen = func(*dag.Graph, *rand.Rand) { panic("degenerate scenario") }
 	return s.campaign(ctx, cs)
 }
 

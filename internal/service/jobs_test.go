@@ -142,7 +142,7 @@ func TestJobPanickingPointFailsOnlyItsJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.e.Cells[0].Config.Gen = func(*rand.Rand) *dag.Graph { panic("degenerate scenario") }
+		h.e.Cells[0].Config.Gen = func(*dag.Graph, *rand.Rand) { panic("degenerate scenario") }
 		close(release)
 		if err := <-held; err != nil {
 			t.Fatal(err)

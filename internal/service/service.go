@@ -17,9 +17,11 @@
 // worker owns one scenario.Scratch, the same type a sweep slot owns: it
 // lends it to each request it runs (one at a time, so the scratch never
 // leaves that goroutine) — /v1/schedule schedules on its Core, /v1/online
-// on its Online — and calls Release when the request ends, so a parked
-// scratch pins nothing of the last request; everything a response carries
-// is copied out of scratch-owned results before then. Nothing is shared
+// on its Online, generating a schedule request's batch into graphs from
+// the scratch's pool — and calls Release when the request ends, which
+// takes those graphs back for the next request to regenerate into and
+// drops everything else of the last request; everything a response
+// carries is copied out of scratch-owned results before then. Nothing is shared
 // between two in-flight requests except immutable platforms, so requests
 // never contend on scheduling state, only on the queue and the stats
 // counters.
@@ -39,7 +41,6 @@ import (
 
 	"ptgsched/internal/cache"
 	"ptgsched/internal/core"
-	"ptgsched/internal/dag"
 	"ptgsched/internal/daggen"
 	"ptgsched/internal/mapping"
 	"ptgsched/internal/online"
@@ -478,44 +479,51 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 		return nil, s.invalid(err)
 	}
 	return submit[ScheduleResponse](ctx, s, "schedule", func(_ context.Context, ws *scenario.Scratch) (any, error) {
-		started := time.Now()
-		r := rand.New(rand.NewSource(req.Seed))
-		graphs := make([]*dag.Graph, sc.count)
-		for i := range graphs {
-			graphs[i] = daggen.Generate(sc.family, r)
-		}
-		sched := core.New(sc.pf)
-		sched.MapOptions = sc.opts
-
-		var own []float64
-		if req.ComputeOwn {
-			own = make([]float64, len(graphs))
-			for i, g := range graphs {
-				own[i] = sched.ScheduleAloneWith(ws.Core, g)
-			}
-		}
-		// res is scratch-owned. Betas is the strategy's fresh slice; the
-		// makespans live in the executor's buffers and are copied out.
-		res := sched.ScheduleWith(ws.Core, graphs, sc.strat)
-		out := &ScheduleResponse{
-			Platform:     sc.pf.Name,
-			Strategy:     sc.strat.Name(),
-			Count:        sc.count,
-			Betas:        res.Betas,
-			AppMakespans: slices.Clone(res.Exec.AppMakespans),
-			Makespan:     res.GlobalMakespan(),
-			Summary:      trace.Summarize(res.Schedule),
-			Utilization:  trace.Utilization(res.Schedule),
-		}
-		if own != nil {
-			ev := res.Evaluate(own)
-			out.Slowdowns = ev.Slowdowns
-			unf := ev.Unfairness
-			out.Unfairness = &unf
-		}
-		out.ElapsedMS = float64(time.Since(started).Microseconds()) / 1e3
-		return out, nil
+		return sc.run(req, ws.Core), nil
 	})
+}
+
+// run computes a schedule request on a worker's scratch: the batch is
+// generated into graphs from the scratch's pool, which the worker's
+// Release takes back once the response — built of values only — is out.
+func (sc scheduleScenario) run(req ScheduleRequest, ws *core.Scratch) *ScheduleResponse {
+	started := time.Now()
+	r := rand.New(rand.NewSource(req.Seed))
+	graphs := ws.Graphs(sc.count)
+	for _, g := range graphs {
+		daggen.GenerateInto(g, sc.family, r)
+	}
+	sched := core.New(sc.pf)
+	sched.MapOptions = sc.opts
+
+	var own []float64
+	if req.ComputeOwn {
+		own = make([]float64, len(graphs))
+		for i, g := range graphs {
+			own[i] = sched.ScheduleAloneWith(ws, g)
+		}
+	}
+	// res is scratch-owned. Betas is the strategy's fresh slice; the
+	// makespans live in the executor's buffers and are copied out.
+	res := sched.ScheduleWith(ws, graphs, sc.strat)
+	out := &ScheduleResponse{
+		Platform:     sc.pf.Name,
+		Strategy:     sc.strat.Name(),
+		Count:        sc.count,
+		Betas:        res.Betas,
+		AppMakespans: slices.Clone(res.Exec.AppMakespans),
+		Makespan:     res.GlobalMakespan(),
+		Summary:      trace.Summarize(res.Schedule),
+		Utilization:  trace.Utilization(res.Schedule),
+	}
+	if own != nil {
+		ev := res.Evaluate(own)
+		out.Slowdowns = ev.Slowdowns
+		unf := ev.Unfairness
+		out.Unfairness = &unf
+	}
+	out.ElapsedMS = float64(time.Since(started).Microseconds()) / 1e3
+	return out
 }
 
 // OnlineRequest describes one online (dynamic-arrivals) scheduling request:

@@ -32,10 +32,11 @@ type Spec struct {
 	// Rate is the arrival rate in applications per second (Poisson and
 	// Uniform processes). Ignored for Burst.
 	Rate float64
-	// Gen overrides the per-application generator. When nil, applications
-	// are drawn with daggen.Generate(Family, r); the scenario package sets
-	// it to pin one explicit parameter-grid cell.
-	Gen func(r *rand.Rand) *dag.Graph
+	// Gen overrides the per-application generator: it generates one graph
+	// into g, resetting it first, as daggen.GenerateInto does. When nil,
+	// applications are drawn with daggen.GenerateInto(g, Family, r); the
+	// scenario package sets it to pin one explicit parameter-grid cell.
+	Gen func(g *dag.Graph, r *rand.Rand)
 }
 
 // Process is an arrival process kind.
@@ -93,7 +94,7 @@ func Generate(spec Spec, r *rand.Rand) []online.Arrival {
 	}
 	gen := spec.Gen
 	if gen == nil {
-		gen = func(r *rand.Rand) *dag.Graph { return daggen.Generate(spec.Family, r) }
+		gen = func(g *dag.Graph, r *rand.Rand) { daggen.GenerateInto(g, spec.Family, r) }
 	}
 	arrivals := make([]online.Arrival, spec.Count)
 	t := 0.0
@@ -110,7 +111,9 @@ func Generate(spec Spec, r *rand.Rand) []online.Arrival {
 		default:
 			panic(fmt.Sprintf("workload: unknown process %d", int(spec.Process)))
 		}
-		arrivals[i] = online.Arrival{Graph: gen(r), At: t}
+		g := new(dag.Graph)
+		gen(g, r)
+		arrivals[i] = online.Arrival{Graph: g, At: t}
 	}
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
 	return arrivals
