@@ -9,10 +9,11 @@ import (
 // a scenario space — platforms (presets or inline heterogeneous cluster
 // specs), PTG families with explicit parameter grids, strategy sets,
 // replication counts, seeds and online arrival processes — expands into a
-// deterministic cartesian sweep that runs over the experiment worker pool,
-// optionally partitioned into shards whose JSONL outputs recombine
-// bit-identically. The checked-in examples/campaign.json reproduces the
-// paper's Figure 3 campaign through this path.
+// deterministic cartesian sweep that runs over the module's one worker
+// pool (the expansion's Sweep), optionally partitioned into shards whose
+// JSONL outputs recombine bit-identically. The paper's figures run
+// through this path (PaperCampaignSpec, MuSweepCampaignSpec); the
+// checked-in examples/campaign.json is the Figure 3 campaign.
 type (
 	// CampaignSpec is a parsed declarative campaign.
 	CampaignSpec = scenario.Spec
@@ -95,6 +96,9 @@ var (
 	// PaperCampaignSpec returns the spec-driven form of a paper figure
 	// campaign ("fig2" … "fig5").
 	PaperCampaignSpec = scenario.PaperSpec
+	// MuSweepCampaignSpec returns the spec-driven form of one µ
+	// calibration sweep (MuCalibrationConfig).
+	MuSweepCampaignSpec = scenario.MuSweepSpec
 	// ParseCampaignShard parses a shard selector "i/n".
 	ParseCampaignShard = scenario.ParseShard
 	// WriteCampaignJSONL / ReadCampaignJSONL stream per-point results in

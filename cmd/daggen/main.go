@@ -12,27 +12,51 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
 
 	"ptgsched"
+	"ptgsched/internal/cli"
 )
 
-func main() {
+func main() { cli.Main("daggen", run) }
+
+// run executes one daggen invocation, writing the graph to w or to -out.
+// The family and the format are checked before -out is created, so a bad
+// invocation leaves no file behind.
+func run(argv []string, w io.Writer) (err error) {
+	fs := flag.NewFlagSet("daggen", flag.ContinueOnError)
 	var (
-		family     = flag.String("family", "random", "random, fft or strassen")
-		tasks      = flag.Int("tasks", 20, "task count (random family)")
-		width      = flag.Float64("width", 0.5, "width parameter (random family)")
-		regularity = flag.Float64("regularity", 0.8, "regularity parameter (random family)")
-		density    = flag.Float64("density", 0.2, "density parameter (random family)")
-		jump       = flag.Int("jump", 1, "jump parameter (random family)")
-		k          = flag.Int("k", 3, "FFT exponent: 2^k points (fft family)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		format     = flag.String("format", "json", "output format: json or dot")
-		out        = flag.String("out", "", "output file (default stdout)")
+		family     = fs.String("family", "random", "random, fft or strassen")
+		tasks      = fs.Int("tasks", 20, "task count (random family)")
+		width      = fs.Float64("width", 0.5, "width parameter (random family)")
+		regularity = fs.Float64("regularity", 0.8, "regularity parameter (random family)")
+		density    = fs.Float64("density", 0.2, "density parameter (random family)")
+		jump       = fs.Int("jump", 1, "jump parameter (random family)")
+		k          = fs.Int("k", 3, "FFT exponent: 2^k points (fft family)")
+		seed       = fs.Int64("seed", 1, "random seed")
+		format     = fs.String("format", "json", "output format: json or dot")
+		out        = fs.String("out", "", "output file (default stdout)")
 	)
-	flag.Parse()
+	if ok, err := cli.Parse(fs, argv, w); !ok {
+		return err
+	}
+
+	var write func(w io.Writer, g *ptgsched.Graph) error
+	switch strings.ToLower(*format) {
+	case "json":
+		write = func(w io.Writer, g *ptgsched.Graph) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(g)
+		}
+	case "dot":
+		write = func(w io.Writer, g *ptgsched.Graph) error { return g.WriteDOT(w) }
+	default:
+		return fmt.Errorf("unknown format %q", *format)
+	}
 
 	r := rand.New(rand.NewSource(*seed))
 	var g *ptgsched.Graph
@@ -47,36 +71,20 @@ func main() {
 	case "strassen":
 		g = ptgsched.StrassenPTG(r)
 	default:
-		fatal(fmt.Errorf("unknown family %q", *family))
+		return fmt.Errorf("unknown family %q", *family)
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
+	if *out == "" {
+		return write(w, g)
 	}
-
-	switch strings.ToLower(*format) {
-	case "json":
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(g); err != nil {
-			fatal(err)
-		}
-	case "dot":
-		if err := g.WriteDOT(w); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown format %q", *format))
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "daggen:", err)
-	os.Exit(1)
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return write(f, g)
 }

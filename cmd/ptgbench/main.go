@@ -189,19 +189,19 @@ func run(argv []string, w io.Writer) error {
 	case "fig1":
 		return fig1(w)
 	case "fig2":
-		return campaign(w, ptgsched.Fig2Config(*seed, *reps), *workers, *csvPath,
+		return figure(w, "fig2", *seed, *reps, *workers, *csvPath,
 			"Figure 2: µ sweep of WPS-work on random PTGs",
 			ptgsched.MetricUnfairness, ptgsched.MetricAvgMakespan)
 	case "fig3":
-		return campaign(w, ptgsched.Fig3Config(*seed, *reps), *workers, *csvPath,
+		return figure(w, "fig3", *seed, *reps, *workers, *csvPath,
 			"Figure 3: 8 strategies on random PTGs",
 			ptgsched.MetricUnfairness, ptgsched.MetricRelMakespan)
 	case "fig4":
-		return campaign(w, ptgsched.Fig4Config(*seed, *reps), *workers, *csvPath,
+		return figure(w, "fig4", *seed, *reps, *workers, *csvPath,
 			"Figure 4: 8 strategies on FFT PTGs",
 			ptgsched.MetricUnfairness, ptgsched.MetricRelMakespan)
 	case "fig5":
-		return campaign(w, ptgsched.Fig5Config(*seed, *reps), *workers, *csvPath,
+		return figure(w, "fig5", *seed, *reps, *workers, *csvPath,
 			"Figure 5: 6 strategies on Strassen PTGs",
 			ptgsched.MetricUnfairness, ptgsched.MetricRelMakespan)
 	case "mu-calibration":
@@ -776,12 +776,38 @@ func fig1(w io.Writer) error {
 	return nil
 }
 
-func campaign(w io.Writer, cfg ptgsched.ExperimentConfig, workers int, csvPath, title string, metricsToShow ...ptgsched.ExperimentMetric) error {
-	cfg.Workers = workers
+// sweepFigure runs a one-cell paper campaign through the campaign engine
+// — the spec's points swept over the worker pool into the aggregator —
+// and returns the cell's aggregated result.
+func sweepFigure(spec *ptgsched.CampaignSpec, workers int) (*ptgsched.ExperimentResult, error) {
+	e, err := ptgsched.ExpandCampaign(spec)
+	if err != nil {
+		return nil, err
+	}
+	agg := e.NewAggregator()
+	if err := e.Each(e.All(), ptgsched.CampaignSweepOptions{Workers: workers}, agg.Add); err != nil {
+		return nil, err
+	}
+	tables, err := agg.Tables()
+	if err != nil {
+		return nil, err
+	}
+	return tables[0].Result, nil
+}
+
+// figure prints one of the paper's figure campaigns (PaperCampaignSpec).
+func figure(w io.Writer, name string, seed int64, reps, workers int, csvPath, title string, metricsToShow ...ptgsched.ExperimentMetric) error {
+	spec, err := ptgsched.PaperCampaignSpec(name, seed, reps)
+	if err != nil {
+		return err
+	}
+	res, err := sweepFigure(spec, workers)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "(%d combinations × %d platforms = %d runs per point)\n\n",
-		cfg.Reps, 4, cfg.Reps*4)
-	res := ptgsched.RunExperiment(cfg)
+		reps, 4, reps*4)
 	for _, m := range metricsToShow {
 		if err := res.RenderTable(w, m); err != nil {
 			return err
@@ -815,11 +841,12 @@ func muCalibration(w io.Writer, seed int64, reps, workers int) error {
 		{ptgsched.Width, ptgsched.FamilyFFT},
 	}
 	for _, c := range cases {
-		cfg := ptgsched.MuCalibrationConfig(c.char, c.family, seed, reps)
-		cfg.Workers = workers
+		res, err := sweepFigure(ptgsched.MuSweepCampaignSpec(c.char, c.family, seed, reps), workers)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "µ calibration: WPS-%s on %s PTGs (paper's choice: µ=%.1f)\n",
 			c.char, c.family, ptgsched.DefaultMu(c.char, c.family))
-		res := ptgsched.RunExperiment(cfg)
 		if err := res.RenderTable(w, ptgsched.MetricUnfairness); err != nil {
 			return err
 		}

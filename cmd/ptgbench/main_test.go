@@ -30,6 +30,36 @@ func TestGoldenTable1(t *testing.T) {
 	clitest.CheckGolden(t, "table1.golden", runCLI(t, "-experiment", "table1"))
 }
 
+// The paper's figure campaigns at one combination per point, under two
+// worker counts: the printed tables depend on -seed and -reps only.
+func TestGoldenFigures(t *testing.T) {
+	for _, name := range []string{"fig2", "fig3", "fig4", "fig5", "mu-calibration"} {
+		t.Run(name, func(t *testing.T) {
+			out := runCLI(t, "-experiment", name, "-reps", "1", "-workers", "1")
+			// Every figure report ends in a blank line, which golden hygiene
+			// forbids: the golden holds the report less its last newline.
+			body, ok := bytes.CutSuffix(out, []byte("\n"))
+			if !ok || !bytes.HasSuffix(body, []byte("\n")) {
+				t.Fatalf("report does not end in a blank line:\n%s", out)
+			}
+			clitest.CheckGolden(t, name+".golden", body)
+			if par := runCLI(t, "-experiment", name, "-reps", "1", "-workers", "2"); !bytes.Equal(par, out) {
+				t.Errorf("-workers 2 differs from -workers 1\n--- 2 ---\n%s\n--- 1 ---\n%s", par, out)
+			}
+		})
+	}
+}
+
+func TestGoldenFigureCSV(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fig3.csv")
+	runCLI(t, "-experiment", "fig3", "-reps", "1", "-csv", path)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clitest.CheckGolden(t, "fig3-csv.golden", got)
+}
+
 func TestGoldenCampaign(t *testing.T) {
 	clitest.CheckGolden(t, "campaign.golden",
 		runCLI(t, "-campaign", "testdata/smoke-campaign.json", "-workers", "2"))

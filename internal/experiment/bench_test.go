@@ -9,7 +9,7 @@ import (
 )
 
 // The paper-figure campaigns at benchmark size: 1 combination per point
-// on one platform, one worker. Each measures the complete pipeline that
+// on one platform. Each measures the complete pipeline that
 // produces the figure (the full 25×4 campaigns are `ptgbench -experiment
 // fig2..fig5`) — the profile targets for end-to-end pipeline work.
 func BenchmarkFigureCampaigns(b *testing.B) {
@@ -26,7 +26,6 @@ func BenchmarkFigureCampaigns(b *testing.B) {
 		cfg := c.cfg
 		cfg.NPTGs = []int{2, 6, 10}
 		cfg.Platforms = []*platform.Platform{platform.Rennes()}
-		cfg.Workers = 1
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

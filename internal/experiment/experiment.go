@@ -4,21 +4,22 @@
 // (= 100 runs per point) under every strategy, simulate the executions, and
 // aggregate unfairness, average makespan and average relative makespan.
 //
-// Concurrency: Run fans the campaign's runs out over a fixed pool of
-// Config.Workers goroutines (default GOMAXPROCS); Workers ≤ 1 runs inline
-// on the calling goroutine. Results are bit-identical at every worker
-// count: each run derives its scenario from a deterministic seed (RunSeed),
-// writes only its own output slot, and the aggregation pass reduces those
-// slots in a fixed order, so no floating-point operation depends on
-// execution interleaving. Runs share only immutable state (platforms,
-// strategy values); every dag.Graph is generated privately per run.
+// Run is the protocol's sequential reference: it executes every run in key
+// order on the calling goroutine and starts no other. The parallel form of
+// the same campaign is the scenario package's sweep over the figure's
+// spec, whose reduction the scenario and store acceptance tests compare
+// bit for bit against Run. The sweep's results are the same at every
+// worker count because each run derives its scenario from a deterministic
+// seed (RunSeed) and the reduction visits runs in a fixed order, so no
+// floating-point operation depends on execution interleaving. RunOneWith
+// is safe to call concurrently on distinct scratches: runs share only
+// immutable state (platforms, strategy values), and every dag.Graph is
+// generated privately per run.
 package experiment
 
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"ptgsched/internal/core"
 	"ptgsched/internal/dag"
@@ -55,10 +56,6 @@ type Config struct {
 	// one explicit grid cell (e.g. a fixed RandomConfig or FFT size) per
 	// campaign.
 	Gen func(g *dag.Graph, r *rand.Rand) `json:"-"`
-	// Workers is the number of goroutines runs are fanned out over;
-	// default GOMAXPROCS. 1 (or negative) runs the campaign sequentially
-	// on the calling goroutine. Results are identical for any value.
-	Workers int
 }
 
 // Defaults returns cfg with unset fields filled with the paper's protocol.
@@ -83,9 +80,6 @@ func (cfg Config) Defaults() Config {
 	}
 	if len(cfg.Labels) != len(cfg.Strategies) {
 		panic("experiment: Labels not aligned with Strategies")
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	return cfg
 }
@@ -117,47 +111,29 @@ type Result struct {
 	Points []Point
 }
 
-// Run executes the campaign and aggregates the paper's metrics. The run
-// grid is never materialized: the worker pool is driven by a bare index
-// generator (ForEachWorker), and each index is decomposed arithmetically
-// into its (point, rep, platform) key — the same lazy-enumeration
-// discipline the scenario layer's PointAt uses. Each pool slot owns one
-// core.Scratch, so the simulation state is reused across all the runs a
-// worker executes.
+// Run executes the campaign and aggregates the paper's metrics: every
+// (point, rep, platform) run in key order, on one core.Scratch, each
+// point's runs reduced in that same order. The run grid is never
+// materialized — the same lazy-enumeration discipline the scenario layer's
+// PointAt uses.
 func Run(cfg Config) *Result {
 	cfg = cfg.Defaults()
 
-	perPoint := cfg.Reps * len(cfg.Platforms)
-	total := len(cfg.NPTGs) * perPoint
-	outs := make([]Measurement, total)
-	scratches := make([]*core.Scratch, Workers(total, cfg.Workers))
-	ForEachWorker(total, cfg.Workers, func(w, i int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = core.NewScratch()
-			scratches[w] = sc
-		}
-		// Decompose i along the (point, rep, platform) enumeration order.
-		pi := i / perPoint
-		rem := i % perPoint
-		outs[i] = RunOneWith(cfg, pi, rem/len(cfg.Platforms), rem%len(cfg.Platforms), sc)
-	})
-
 	res := &Result{Config: cfg}
 	ns := len(cfg.Strategies)
+	sc := core.NewScratch()
 	for pi, n := range cfg.NPTGs {
 		perStratUnf := make([][]float64, ns)
 		perStratMak := make([][]float64, ns)
 		perStratRel := make([][]float64, ns)
-		runs := 0
-		// The point's runs occupy a contiguous index block, in exactly the
-		// order the materialized key slice used to enumerate them.
-		for _, out := range outs[pi*perPoint : (pi+1)*perPoint] {
-			runs++
-			for s := 0; s < ns; s++ {
-				perStratUnf[s] = append(perStratUnf[s], out.Unfairness[s])
-				perStratMak[s] = append(perStratMak[s], out.Makespan[s])
-				perStratRel[s] = append(perStratRel[s], out.Rel[s])
+		for rep := 0; rep < cfg.Reps; rep++ {
+			for pf := range cfg.Platforms {
+				out := RunOneWith(cfg, pi, rep, pf, sc)
+				for s := 0; s < ns; s++ {
+					perStratUnf[s] = append(perStratUnf[s], out.Unfairness[s])
+					perStratMak[s] = append(perStratMak[s], out.Makespan[s])
+					perStratRel[s] = append(perStratRel[s], out.Rel[s])
+				}
 			}
 		}
 		pt := Point{
@@ -167,7 +143,7 @@ func Run(cfg Config) *Result {
 			RelMakespan:    make([]float64, ns),
 			UnfairnessStd:  make([]float64, ns),
 			RelMakespanStd: make([]float64, ns),
-			Runs:           runs,
+			Runs:           cfg.Reps * len(cfg.Platforms),
 		}
 		for s := 0; s < ns; s++ {
 			pt.Unfairness[s] = metrics.Mean(perStratUnf[s])
@@ -179,63 +155,6 @@ func Run(cfg Config) *Result {
 		res.Points = append(res.Points, pt)
 	}
 	return res
-}
-
-// Workers resolves the effective pool size ForEachWorker uses for n jobs:
-// 0 means GOMAXPROCS, anything ≤ 1 means inline, and the pool never
-// exceeds the job count. Callers sizing per-worker state (scratch
-// arenas, emit batches) allocate exactly Workers(n, workers) slots.
-func Workers(n, workers int) int {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// ForEachWorker runs fn(worker, i) for every i in [0, n) over a fixed pool
-// of workers goroutines (workers ≤ 1 runs inline on the calling goroutine;
-// workers = 0 uses GOMAXPROCS) and returns when every call has finished.
-// It is the campaign worker pool shared by Run and scenario's Sweep.
-// worker ∈ [0, Workers(n, workers)) names the goroutine executing the
-// call. A slot runs its calls strictly sequentially, so per-worker state
-// indexed by the slot — scratch arenas, result batches — needs no
-// synchronization of its own. Which indices land on which slot is
-// scheduling-dependent; fn must write only state owned by its index or
-// its slot, so results are independent of the fan-out.
-func ForEachWorker(n, workers int, fn func(worker, i int)) {
-	workers = Workers(n, workers)
-	if workers <= 1 {
-		// Sequential reference path: no goroutines at all.
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	// Fixed worker pool over an index feed. Each worker touches only the
-	// indices it consumes; deterministic per-index work makes the fan-out
-	// invisible in the results.
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				fn(w, i)
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // RunSeed derives a deterministic seed for one run, independent of

@@ -20,7 +20,6 @@ func smallConfig(family daggen.Family) Config {
 		Reps:      2,
 		Platforms: []*platform.Platform{platform.Lille()},
 		Seed:      7,
-		Workers:   4,
 	}
 }
 
@@ -51,24 +50,6 @@ func TestRunProducesAlignedPoints(t *testing.T) {
 			}
 			if pt.RelMakespan[s] < 1 {
 				t.Errorf("relative makespan %g < 1", pt.RelMakespan[s])
-			}
-		}
-	}
-}
-
-func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	cfg := smallConfig(daggen.FamilyStrassen)
-	cfg.Workers = 1
-	seq := Run(cfg)
-	cfg.Workers = 8
-	par := Run(cfg)
-	for p := range seq.Points {
-		for s := range seq.Points[p].Unfairness {
-			if seq.Points[p].Unfairness[s] != par.Points[p].Unfairness[s] {
-				t.Fatalf("unfairness differs across worker counts at point %d strategy %d", p, s)
-			}
-			if seq.Points[p].AvgMakespan[s] != par.Points[p].AvgMakespan[s] {
-				t.Fatalf("makespan differs across worker counts")
 			}
 		}
 	}

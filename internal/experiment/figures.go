@@ -15,12 +15,7 @@ var MuSweep = []float64{0, 0.3, 0.5, 0.7, 0.8, 0.9, 1}
 // reporting unfairness and (absolute) average makespan per number of
 // concurrent PTGs.
 func Fig2Config(seed int64, reps int) Config {
-	cfg := Config{Family: daggen.FamilyRandom, Seed: seed, Reps: reps}
-	for _, mu := range MuSweep {
-		cfg.Strategies = append(cfg.Strategies, strategy.WPS(strategy.Work, mu))
-		cfg.Labels = append(cfg.Labels, fmt.Sprintf("mu=%.1f", mu))
-	}
-	return cfg
+	return MuCalibrationConfig(strategy.Work, daggen.FamilyRandom, seed, reps)
 }
 
 // MuCalibrationConfig returns the analogous sweep for any WPS variant and

@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
+	"ptgsched/internal/core"
 	"ptgsched/internal/daggen"
 	"ptgsched/internal/platform"
 )
@@ -18,46 +20,51 @@ func parallelTestConfig() Config {
 		Reps:      2,
 		Platforms: []*platform.Platform{platform.Rennes(), platform.Nancy()},
 		Seed:      17,
-	}
+	}.Defaults()
 }
 
-// TestRunParallelMatchesSequential is the acceptance test for the parallel
-// campaign engine: fanning the runs out over workers must leave every
-// aggregated figure value bit-identical to the sequential runner — not
-// approximately equal, identical, because neither the per-run seeds nor
-// the aggregation order depend on the interleaving.
+// TestRunParallelMatchesSequential pins the contract the parallel sweeps
+// build on: RunOneWith fanned out over goroutines, one scratch each and
+// one shared Config, measures every (point, rep, platform) run exactly as
+// the sequential reference does — bit-identical, because neither the
+// per-run seed nor the run itself depends on the interleaving.
 func TestRunParallelMatchesSequential(t *testing.T) {
-	seq := parallelTestConfig()
-	seq.Workers = 1
-	want := Run(seq)
-
-	for _, workers := range []int{2, 8, 16} {
-		cfg := parallelTestConfig()
-		cfg.Workers = workers
-		got := Run(cfg)
-		if !reflect.DeepEqual(want.Points, got.Points) {
-			t.Errorf("Workers=%d diverges from the sequential runner:\nseq: %+v\npar: %+v",
-				workers, want.Points, got.Points)
+	cfg := parallelTestConfig()
+	type key struct{ point, rep, pf int }
+	var keys []key
+	for point := range cfg.NPTGs {
+		for rep := 0; rep < cfg.Reps; rep++ {
+			for pf := range cfg.Platforms {
+				keys = append(keys, key{point, rep, pf})
+			}
 		}
 	}
-}
-
-// TestRunParallelRepeatable re-runs the same parallel campaign twice: the
-// fan-out must also be reproducible against itself.
-func TestRunParallelRepeatable(t *testing.T) {
-	cfg := parallelTestConfig()
-	cfg.Workers = 8
-	a := Run(cfg)
-	b := Run(cfg)
-	if !reflect.DeepEqual(a.Points, b.Points) {
-		t.Fatal("two identical parallel campaigns diverged")
+	want := make([]Measurement, len(keys))
+	sc := core.NewScratch()
+	for i, k := range keys {
+		want[i] = RunOneWith(cfg, k.point, k.rep, k.pf, sc)
 	}
-}
 
-// TestWorkersDefaultsToGOMAXPROCS pins the documented default.
-func TestWorkersDefaultsToGOMAXPROCS(t *testing.T) {
-	cfg := Config{}.Defaults()
-	if cfg.Workers < 1 {
-		t.Fatalf("default workers = %d", cfg.Workers)
+	for _, workers := range []int{2, 8, 16} {
+		got := make([]Measurement, len(keys))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				sc := core.NewScratch()
+				for i := w; i < len(keys); i += workers {
+					k := keys[i]
+					got[i] = RunOneWith(cfg, k.point, k.rep, k.pf, sc)
+				}
+			}(w)
+		}
+		wg.Wait()
+		for i, k := range keys {
+			if !reflect.DeepEqual(want[i], got[i]) {
+				t.Errorf("workers %d, point %d rep %d platform %d diverges from the sequential run:\nseq: %+v\npar: %+v",
+					workers, k.point, k.rep, k.pf, want[i], got[i])
+			}
+		}
 	}
 }

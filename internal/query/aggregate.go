@@ -1,8 +1,11 @@
 package query
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
+	"ptgsched/internal/experiment"
 	"ptgsched/internal/metrics"
 	"ptgsched/internal/scenario"
 )
@@ -22,77 +25,45 @@ type GroupRow struct {
 }
 
 // GroupAggregator reduces a filtered result stream into per-(cell, NPTGs)
-// summary rows. Unlike scenario.Aggregator it tolerates partial groups —
-// a predicate that cuts a cell's index range mid-group still reduces
-// deterministically, because slots are filled by position and the final
-// means visit filled slots in global point order regardless of arrival
-// order. Feed it records already passed through the plan's Project.
+// summary rows. The reduction is a scenario.Aggregator sized to the
+// plan's projection; what is the query's own is the plan's selection
+// check, the projection's column count, and the shaping of rows. Partial
+// groups are tolerated — a predicate that cuts a cell's index range
+// mid-group still reduces deterministically, because the aggregator fills
+// slots by position and its partial view visits them in global point
+// order regardless of arrival order. Feed it records already passed
+// through the plan's Project.
 //
 // Not synchronized: stream into it from one goroutine.
 type GroupAggregator struct {
-	p *Plan
-	// groups[g], g = cell*numNPTGs + nidx, is a flat [metric][col][slot]
-	// block like scenario.Aggregator's, where col counts the projected
-	// columns (1 under a strategy projection, the cell's strategy count
-	// otherwise). filled[g] marks which slots hold a result.
-	groups [][]float64
-	filled [][]bool
+	p   *Plan
+	agg *scenario.Aggregator
 }
 
 // NewGroupAggregator returns an empty filtered reduction under the plan.
 func NewGroupAggregator(p *Plan) *GroupAggregator {
-	e := p.Expansion()
-	n := len(e.Cells) * e.NumNPTGs()
-	return &GroupAggregator{p: p, groups: make([][]float64, n), filled: make([][]bool, n)}
+	return &GroupAggregator{p: p, agg: p.e.NewProjectedAggregator(p.stratCol)}
 }
 
-// cols returns how many strategy columns cell ci's records carry after
-// the plan's projection.
-func (a *GroupAggregator) cols(ci int) int {
-	if a.p.ProjectColumn(ci) >= 0 {
-		return 1
-	}
-	return len(a.p.Expansion().Cells[ci].Config.Strategies)
-}
-
-// Add absorbs one projected point result. Records outside the plan,
-// duplicates, and records whose column count contradicts the projection
-// are rejected.
+// Add absorbs one projected point result. Its checks run in a fixed
+// order — index in range, in the plan's selection, cell the expansion's,
+// column count the projection's (ErrMalformedRecord), not a duplicate —
+// and the query makes only the second and the fourth: the aggregator
+// makes the rest, and its errors are reported under this package's name.
 func (a *GroupAggregator) Add(r scenario.PointResult) error {
 	e := a.p.Expansion()
-	if r.Index < 0 || r.Index >= e.NumPoints() {
-		return fmt.Errorf("query: result index %d outside expansion", r.Index)
-	}
 	if !a.p.Matches(r.Index) {
-		return fmt.Errorf("query: result %d outside the plan's selection (%s)", r.Index, a.p.Query())
+		if r.Index >= 0 && r.Index < e.NumPoints() {
+			return fmt.Errorf("query: result %d outside the plan's selection (%s)", r.Index, a.p.Query())
+		}
+	} else if r.Cell == e.CellOf(r.Index) {
+		if nc := a.agg.Columns(r.Cell); len(r.Unfairness) != nc || len(r.Makespan) != nc || len(r.Rel) != nc {
+			return fmt.Errorf("%w: point %d carries %d/%d/%d strategy columns, group wants %d",
+				ErrMalformedRecord, r.Index, len(r.Unfairness), len(r.Makespan), len(r.Rel), nc)
+		}
 	}
-	cell, nidx, rep, pf := e.CoordsOf(r.Index)
-	if r.Cell != cell {
-		return fmt.Errorf("query: result %d is for cell %d, expansion says %d (stale shard?)",
-			r.Index, r.Cell, cell)
-	}
-	nc := a.cols(cell)
-	if len(r.Unfairness) != nc || len(r.Makespan) != nc || len(r.Rel) != nc {
-		return fmt.Errorf("%w: point %d carries %d/%d/%d strategy columns, group wants %d",
-			ErrMalformedRecord, r.Index, len(r.Unfairness), len(r.Makespan), len(r.Rel), nc)
-	}
-
-	slots := e.GroupSlots()
-	slot := rep*len(e.Platforms) + pf
-	g := cell*e.NumNPTGs() + nidx
-	if a.groups[g] == nil {
-		a.groups[g] = make([]float64, 3*nc*slots)
-		a.filled[g] = make([]bool, slots)
-	}
-	if a.filled[g][slot] {
-		return fmt.Errorf("query: duplicate result for point %d", r.Index)
-	}
-	a.filled[g][slot] = true
-	buf := a.groups[g]
-	for s := 0; s < nc; s++ {
-		buf[(0*nc+s)*slots+slot] = r.Unfairness[s]
-		buf[(1*nc+s)*slots+slot] = r.Makespan[s]
-		buf[(2*nc+s)*slots+slot] = r.Rel[s]
+	if err := a.agg.Add(r); err != nil {
+		return errors.New("query" + strings.TrimPrefix(err.Error(), "scenario"))
 	}
 	return nil
 }
@@ -105,58 +76,33 @@ func (a *GroupAggregator) Add(r scenario.PointResult) error {
 func (a *GroupAggregator) Rows() []GroupRow {
 	e := a.p.Expansion()
 	var rows []GroupRow
-	vals := make([]float64, 0, e.GroupSlots())
+	var vals []float64
 	for _, ci := range a.p.Cells() {
 		c := e.Cells[ci]
-		nc := a.cols(ci)
-		slots := e.GroupSlots()
-		for ni := 0; ni < e.NumNPTGs(); ni++ {
-			g := ci*e.NumNPTGs() + ni
-			buf, fill := a.groups[g], a.filled[g]
-			if buf == nil {
-				continue
-			}
-			count := 0
-			for _, ok := range fill {
-				if ok {
-					count++
-				}
-			}
+		for ni, n := range c.Config.NPTGs {
+			count := a.agg.Filled(ci, ni)
 			if count == 0 {
 				continue
 			}
-			for s := 0; s < nc; s++ {
+			if cap(vals) < count {
+				vals = make([]float64, 0, count)
+			}
+			for s := 0; s < a.agg.Columns(ci); s++ {
 				label := a.p.Query().Strategy
 				if label == "" {
 					label = c.Config.Labels[s]
 				}
-				row := GroupRow{
+				rows = append(rows, GroupRow{
 					Cell:     ci,
 					Label:    c.Label,
 					Family:   c.Family.String(),
-					NPTGs:    e.NPTGsAt(ni),
+					NPTGs:    n,
 					Strategy: label,
 					Count:    count,
-				}
-				for m := 0; m < 3; m++ {
-					vals = vals[:0]
-					col := buf[(m*nc+s)*slots : (m*nc+s)*slots+slots]
-					for slot, ok := range fill {
-						if ok {
-							vals = append(vals, col[slot])
-						}
-					}
-					mean := metrics.Mean(vals)
-					switch m {
-					case 0:
-						row.Unfair = mean
-					case 1:
-						row.Makespan = mean
-					case 2:
-						row.Rel = mean
-					}
-				}
-				rows = append(rows, row)
+					Unfair:   metrics.Mean(a.agg.Values(vals[:0], ci, ni, experiment.Unfairness, s)),
+					Makespan: metrics.Mean(a.agg.Values(vals[:0], ci, ni, experiment.AvgMakespan, s)),
+					Rel:      metrics.Mean(a.agg.Values(vals[:0], ci, ni, experiment.RelMakespan, s)),
+				})
 			}
 		}
 	}

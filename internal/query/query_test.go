@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -366,8 +367,8 @@ func TestGroupAggregatorPartialAndOrderInsensitive(t *testing.T) {
 		}
 	}
 	// From=1 cut the first group: its count must be short of a full group.
-	if a[0].Count >= e.GroupSlots() {
-		t.Errorf("first row count %d, want partial group (< %d)", a[0].Count, e.GroupSlots())
+	if full := e.NumPoints() / (len(e.Cells) * len(e.Cells[0].Config.NPTGs)); a[0].Count >= full {
+		t.Errorf("first row count %d, want partial group (< %d)", a[0].Count, full)
 	}
 	// Duplicates, out-of-plan records and short records are rejected.
 	if err := fwd.Add(mk(sel[0])); err == nil {
@@ -379,5 +380,98 @@ func TestGroupAggregatorPartialAndOrderInsensitive(t *testing.T) {
 	outside := fullResult(e, 0) // index 0 is below From=1
 	if err := fwd.Add(outside); err == nil {
 		t.Error("Add outside plan: want error")
+	}
+}
+
+// Every rejection keeps its verdict and its text, whichever check makes
+// it: the plan's selection, the projection's column count, or the
+// expansion's placement of the record (range, cell, duplicate).
+func TestGroupAggregatorRejections(t *testing.T) {
+	e := expand(t)
+	p, err := Compile(e, Query{Family: "fft", From: 1, To: NoLimit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, _ := e.CellRange(p.Cells()[0])
+	agg := NewGroupAggregator(p)
+	if err := agg.Add(fullResult(e, lo+1)); err != nil {
+		t.Fatal(err)
+	}
+	with := func(i int, edit func(*scenario.PointResult)) scenario.PointResult {
+		r := fullResult(e, i)
+		edit(&r)
+		return r
+	}
+	short := func(r *scenario.PointResult) { r.Rel = r.Rel[1:] }
+	stale := func(r *scenario.PointResult) { r.Cell = 0 }
+	for _, c := range []struct {
+		r         scenario.PointResult
+		want      string
+		malformed bool
+	}{
+		{with(0, func(r *scenario.PointResult) { r.Index = -1 }), "query: result index -1 outside expansion", false},
+		{with(0, func(r *scenario.PointResult) { r.Index = e.NumPoints() }),
+			"query: result index " + strconv.Itoa(e.NumPoints()) + " outside expansion", false},
+		{fullResult(e, 0), "query: result 0 outside the plan's selection (family=fft range=[1,end))", false},
+		{with(0, stale), "query: result 0 outside the plan's selection (family=fft range=[1,end))", false},
+		{with(lo, stale), "query: result " + strconv.Itoa(lo) + " is for cell 0, expansion says 1 (stale shard?)", false},
+		{with(lo, func(r *scenario.PointResult) { stale(r); short(r) }),
+			"query: result " + strconv.Itoa(lo) + " is for cell 0, expansion says 1 (stale shard?)", false},
+		{with(lo, short), "query: malformed result record: point " + strconv.Itoa(lo) +
+			" carries 8/8/7 strategy columns, group wants 8", true},
+		{fullResult(e, lo+1), "query: duplicate result for point " + strconv.Itoa(lo+1), false},
+	} {
+		err := agg.Add(c.r)
+		if err == nil || err.Error() != c.want || errors.Is(err, ErrMalformedRecord) != c.malformed {
+			t.Errorf("Add(point %d cell %d): got %v, want %q (malformed %v)", c.r.Index, c.r.Cell, err, c.want, c.malformed)
+		}
+	}
+	if rows := agg.Rows(); len(rows) != 8 || rows[0].Count != 1 {
+		t.Errorf("rejected records reached the rows: %+v", rows)
+	}
+}
+
+// A plan that selects one group of a many-group expansion allocates for
+// that group only: the reduction's storage is per touched group.
+func TestGroupAggregatorAllocatesPerTouchedGroup(t *testing.T) {
+	spec, err := scenario.ParseSpec([]byte(`{"seed":1,"reps":4,"nptgs":[2,4,6,8,10],` +
+		`"families":[{"family":"fft","k":[2,3,4,5,6,7,8]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := scenario.Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const group = 17 // cell 3, its third NPTGs value
+	size := e.NumPoints() / (len(e.Cells) * 5)
+	p, err := Compile(e, Query{Strategy: "ES", From: group * size, To: (group + 1) * size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]scenario.PointResult, size)
+	for j := range recs {
+		if recs[j], err = p.Project(fullResult(e, group*size+j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rows []GroupRow
+	allocs := testing.AllocsPerRun(20, func() {
+		agg := NewGroupAggregator(p)
+		for _, r := range recs {
+			if err := agg.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows = agg.Rows()
+	})
+	if len(rows) != 1 || rows[0].Count != size {
+		t.Fatalf("rows %+v, want one full group of %d", rows, size)
+	}
+	// The ceiling is what this took while query kept slot storage of its
+	// own beside the scenario aggregator's.
+	t.Logf("%.0f allocations for %d groups, %d records", allocs, len(e.Cells)*5, size)
+	if allocs > 6 {
+		t.Errorf("%.0f allocations, want at most 6", allocs)
 	}
 }

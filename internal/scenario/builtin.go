@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"ptgsched/internal/daggen"
 	"ptgsched/internal/experiment"
+	"ptgsched/internal/strategy"
 )
 
 // PaperSpec returns the declarative spec of one of the paper's evaluation
@@ -13,18 +15,12 @@ import (
 // campaign bit-identically; the checked-in examples/campaign.json is the
 // serialized PaperSpec("fig3", 42, 25).
 func PaperSpec(name string, seed int64, reps int) (*Spec, error) {
-	s := &Spec{Name: strings.ToLower(name), Seed: seed, Reps: reps}
-	switch s.Name {
+	s := &Spec{Seed: seed, Reps: reps}
+	switch strings.ToLower(name) {
 	case "fig2":
 		// Figure 2: the µ parameter of WPS-work swept over the paper's
 		// grid on random PTGs.
-		s.Families = []FamilySpec{{Family: "random"}}
-		for _, mu := range experiment.MuSweep {
-			mu := mu
-			s.Strategies = append(s.Strategies, StrategySpec{
-				Name: "WPS-work", Mu: &mu, Label: fmt.Sprintf("mu=%.1f", mu),
-			})
-		}
+		s = MuSweepSpec(strategy.Work, daggen.FamilyRandom, seed, reps)
 	case "fig3":
 		// Figure 3: the eight strategies on random PTGs.
 		s.Families = []FamilySpec{{Family: "random"}}
@@ -37,5 +33,21 @@ func PaperSpec(name string, seed int64, reps int) (*Spec, error) {
 	default:
 		return nil, fmt.Errorf("scenario: unknown paper campaign %q (want fig2, fig3, fig4 or fig5)", name)
 	}
+	s.Name = strings.ToLower(name)
 	return s, nil
+}
+
+// MuSweepSpec returns the spec of one µ calibration sweep (§7): WPS-char
+// at every µ of experiment.MuSweep, labelled "mu=0.0" … "mu=1.0", on the
+// paper's PTGs of one family — the spec-driven form of
+// experiment.MuCalibrationConfig. Figure 2 is the sweep of WPS-work on
+// random PTGs.
+func MuSweepSpec(char strategy.Characteristic, family daggen.Family, seed int64, reps int) *Spec {
+	s := &Spec{Seed: seed, Reps: reps, Families: []FamilySpec{{Family: family.String()}}}
+	for _, mu := range experiment.MuSweep {
+		s.Strategies = append(s.Strategies, StrategySpec{
+			Name: "WPS-" + char.String(), Mu: &mu, Label: fmt.Sprintf("mu=%.1f", mu),
+		})
+	}
+	return s
 }

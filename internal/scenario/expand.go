@@ -417,34 +417,6 @@ func (e *Expansion) CellRange(ci int) (lo, hi int) {
 	return ci * e.perCell, (ci + 1) * e.perCell
 }
 
-// CoordsOf decomposes point i into its (cell, NPTGs-index, repetition,
-// platform) coordinates without formatting a name — the O(1) arithmetic
-// PointAt builds on, exposed for group-by reductions that only need the
-// coordinates.
-func (e *Expansion) CoordsOf(i int) (cell, nidx, rep, pf int) {
-	if i < 0 || i >= e.numPoints {
-		panic(fmt.Sprintf("scenario: point index %d outside [0,%d)", i, e.numPoints))
-	}
-	cell = i / e.perCell
-	rem := i % e.perCell
-	nPf := len(e.Platforms)
-	nidx = rem / (e.reps * nPf)
-	rem %= e.reps * nPf
-	return cell, nidx, rem / nPf, rem % nPf
-}
-
-// NPTGsAt returns the resolved NPTGs value of NPTGs-axis index ni.
-func (e *Expansion) NPTGsAt(ni int) int { return e.nptgs[ni] }
-
-// NumNPTGs returns the length of the NPTGs axis.
-func (e *Expansion) NumNPTGs() int { return len(e.nptgs) }
-
-// GroupSlots returns the number of points per (cell, NPTGs) aggregation
-// group: repetitions × platforms. Within a group, point i occupies slot
-// rep*len(Platforms)+platform — exactly the global enumeration order, so
-// slot-ordered reductions are arrival-order independent.
-func (e *Expansion) GroupSlots() int { return e.reps * len(e.Platforms) }
-
 // gridCell is one family grid point before strategy/arrival resolution.
 type gridCell struct {
 	family daggen.Family

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -196,8 +197,9 @@ func TestInlineHeterogeneousPlatform(t *testing.T) {
 
 // TestAggregateBitIdenticalToExperimentRun is the heart of the engine: a
 // spec mirroring Figure 3 must aggregate to exactly the numbers the
-// experiment package computes for Fig3Config — same seeds, same reduction
-// order, bit-identical floats.
+// experiment package's sequential reference computes for Fig3Config —
+// same seeds, same reduction order, bit-identical floats — at every
+// worker count the sweep fans out over.
 func TestAggregateBitIdenticalToExperimentRun(t *testing.T) {
 	const seed, reps = 42, 2
 	spec, err := PaperSpec("fig3", seed, reps)
@@ -205,20 +207,41 @@ func TestAggregateBitIdenticalToExperimentRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := mustExpand(t, spec)
-	tables, err := e.Aggregate(mustRun(t, e, e.All(), 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 {
-		t.Fatalf("%d tables, want 1", len(tables))
-	}
 	want := experiment.Run(experiment.Fig3Config(seed, reps))
-	if !reflect.DeepEqual(tables[0].Result.Points, want.Points) {
-		t.Fatalf("aggregated points differ from experiment.Run:\n got %+v\nwant %+v",
-			tables[0].Result.Points, want.Points)
+	for _, workers := range []int{1, 2, 8, 16} {
+		tables, err := e.Aggregate(mustRun(t, e, e.All(), workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tables) != 1 {
+			t.Fatalf("%d tables, want 1", len(tables))
+		}
+		if !reflect.DeepEqual(tables[0].Result.Points, want.Points) {
+			t.Fatalf("workers %d: aggregated points differ from experiment.Run:\n got %+v\nwant %+v",
+				workers, tables[0].Result.Points, want.Points)
+		}
+		if !reflect.DeepEqual(tables[0].Result.Config.Labels, want.Config.Labels) {
+			t.Fatalf("labels differ: %v vs %v", tables[0].Result.Config.Labels, want.Config.Labels)
+		}
 	}
-	if !reflect.DeepEqual(tables[0].Result.Config.Labels, want.Config.Labels) {
-		t.Fatalf("labels differ: %v vs %v", tables[0].Result.Config.Labels, want.Config.Labels)
+}
+
+// The pool size: GOMAXPROCS by default, inline at 1 or below, never more
+// slots than points.
+func TestSlotsDefaultsToGOMAXPROCS(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ workers, n, want int }{
+		{0, 1 << 20, procs},
+		{0, 1, 1},
+		{-3, 10, 1},
+		{1, 10, 1},
+		{8, 3, 3},
+		{8, 0, 1},
+		{4, 10, 4},
+	} {
+		if got := (SweepOptions{Workers: c.workers}).Slots(c.n); got != c.want {
+			t.Errorf("Slots(%d) at %d workers = %d, want %d", c.n, c.workers, got, c.want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -209,9 +210,47 @@ type SweepOptions struct {
 }
 
 // Slots returns the number of pool slots a sweep of n points uses under
-// these options: the slot argument of Sweep's visit ranges over
-// [0, Slots(n)), so callers size their per-slot state with it.
-func (o SweepOptions) Slots(n int) int { return experiment.Workers(n, o.Workers) }
+// these options: 0 workers means GOMAXPROCS, anything ≤ 1 means inline,
+// and the pool never exceeds the point count. The slot argument of
+// Sweep's visit ranges over [0, Slots(n)), so callers size their per-slot
+// state with it.
+func (o SweepOptions) Slots(n int) int {
+	workers := o.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(min(workers, n), 1)
+}
+
+// forEachSlot runs fn(slot, j) for every j in [0, n) over Slots(n) pool
+// goroutines — inline on the calling goroutine when that is one — and
+// returns when every call has finished. A slot runs its calls strictly
+// sequentially; which j lands on which slot is scheduling-dependent.
+func (o SweepOptions) forEachSlot(n int, fn func(slot, j int)) {
+	slots := o.Slots(n)
+	if slots == 1 {
+		for j := 0; j < n; j++ {
+			fn(0, j)
+		}
+		return
+	}
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(slots)
+	for slot := 0; slot < slots; slot++ {
+		go func(slot int) {
+			defer wg.Done()
+			for j := range jobs {
+				fn(slot, j)
+			}
+		}(slot)
+	}
+	for j := 0; j < n; j++ {
+		jobs <- j
+	}
+	close(jobs)
+	wg.Wait()
+}
 
 // Sweep is the one loop every point of every sweep runs through: it fans
 // the set's points over the worker pool, computes each on a lazily created
@@ -254,7 +293,7 @@ func (e *Expansion) Sweep(set IndexSet, o SweepOptions, visit func(slot int, r P
 		mu.Unlock()
 		stop.Store(true)
 	}
-	experiment.ForEachWorker(n, o.Workers, func(slot, j int) {
+	o.forEachSlot(n, func(slot, j int) {
 		if stop.Load() {
 			return
 		}

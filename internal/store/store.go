@@ -34,7 +34,7 @@
 //
 // Concurrency: one Store may be appended to by any number of goroutines
 // (appends to the same segment serialize on a per-segment mutex); Sweep
-// fans pending points over the experiment worker pool and appends each
+// fans pending points over the scenario sweep's pool and appends each
 // result as it completes. Multiple *processes* may share one store
 // directory only if they write disjoint shards (the ptgbench -shard
 // workflow); the manifest is written once by whoever creates the store.

@@ -35,8 +35,10 @@
 // starts a bounded worker pool multiplexing many
 // schedule/online/workload/campaign requests through one shared server
 // core, and Serve exposes it over HTTP+JSON (the cmd/ptgserve surface).
-// RunExperiment fans campaign runs out over Config.Workers goroutines with
-// results bit-identical to the sequential runner.
+// RunExperiment is the evaluation protocol's sequential reference: it runs
+// a campaign on the calling goroutine. Its parallel form is the figure's
+// PaperCampaignSpec (or MuSweepCampaignSpec) expanded and swept through
+// the campaign engine below, whose tables are bit-identical to it.
 //
 // Arbitrary scenario spaces are described declaratively: ParseCampaignSpec
 // reads a JSON campaign spec (platforms including inline heterogeneous
@@ -52,7 +54,7 @@
 // immutable configuration whose Schedule calls keep all mutable state
 // per-call; a Graph carries cached analyses and must be confined to one
 // scheduling pipeline at a time. Independent runs over distinct graphs
-// therefore parallelize without locks — the Service and the experiment
+// therefore parallelize without locks — the Service and the campaign
 // engine are built exactly on that rule. Each internal package's godoc
 // states its own contract.
 package ptgsched
@@ -241,7 +243,7 @@ type (
 
 // Experiment entry points.
 var (
-	// RunExperiment executes a campaign.
+	// RunExperiment executes a campaign sequentially.
 	RunExperiment = experiment.Run
 	// Fig2Config …Fig5Config regenerate the paper's figures.
 	Fig2Config = experiment.Fig2Config
