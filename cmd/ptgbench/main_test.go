@@ -50,6 +50,17 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
+// The sequential experiments: the two-PTG illustration and, at one
+// combination per point, the mapper ablation and the dynamic-submission
+// study. Their reports depend on -seed and -reps only.
+func TestGoldenSequentialExperiments(t *testing.T) {
+	for _, name := range []string{"fig1", "ablation", "dynamic"} {
+		t.Run(name, func(t *testing.T) {
+			clitest.CheckGolden(t, name+".golden", runCLI(t, "-experiment", name, "-reps", "1"))
+		})
+	}
+}
+
 func TestGoldenFigureCSV(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fig3.csv")
 	runCLI(t, "-experiment", "fig3", "-reps", "1", "-csv", path)
