@@ -96,8 +96,8 @@ var (
 	// PaperCampaignSpec returns the spec-driven form of a paper figure
 	// campaign ("fig2" … "fig5").
 	PaperCampaignSpec = scenario.PaperSpec
-	// MuSweepCampaignSpec returns the spec-driven form of one µ
-	// calibration sweep (MuCalibrationConfig).
+	// MuSweepCampaignSpec returns the spec of one µ calibration sweep:
+	// one WPS variant at every µ of Figure 2's grid, on one family.
 	MuSweepCampaignSpec = scenario.MuSweepSpec
 	// ParseCampaignShard parses a shard selector "i/n".
 	ParseCampaignShard = scenario.ParseShard

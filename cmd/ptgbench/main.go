@@ -108,7 +108,7 @@ func run(argv []string, w io.Writer) error {
 		reps         = fs.Int("reps", 25, "random PTG combinations per point (paper: 25)")
 		seed         = fs.Int64("seed", 42, "base random seed")
 		workers      = fs.Int("workers", 0, "concurrent runs (default: GOMAXPROCS) of fig2-fig5, mu-calibration, -campaign sweeps and each -coordinate job; table1, fig1, ablation and dynamic are sequential")
-		csvPath      = fs.String("csv", "", "also write the aggregated results to this CSV file")
+		csvPath      = fs.String("csv", "", "fig2-fig5: also write the aggregated results to this CSV file")
 		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile   = fs.String("memprofile", "", "write a pprof allocation profile (after a final GC) to this file on exit")
 	)
@@ -177,33 +177,27 @@ func run(argv []string, w io.Writer) error {
 		return fmt.Errorf("-fleet-shards, -poll, -stall-timeout and -stats-addr require -coordinate")
 	}
 	if *campaignPath != "" {
+		if *csvPath != "" {
+			return fmt.Errorf("-csv requires -experiment fig2, fig3, fig4 or fig5 (a campaign prints one table per cell)")
+		}
 		return campaignMode(w, *campaignPath, *shard, *jsonl, *merge, *storeDir, *resume, *workers, *cacheDir)
 	}
 	if *shard != "" || *jsonl != "" || *merge != "" || *storeDir != "" || *resume || *cacheDir != "" {
 		return fmt.Errorf("-shard, -jsonl, -merge, -store, -resume and -cache require -campaign")
 	}
 
-	switch strings.ToLower(*name) {
+	exp := strings.ToLower(*name)
+	if fig, ok := figures[exp]; ok {
+		return figure(w, exp, *seed, *reps, *workers, *csvPath, fig.title, fig.metrics...)
+	}
+	if *csvPath != "" {
+		return fmt.Errorf("-csv requires -experiment fig2, fig3, fig4 or fig5, not %q", *name)
+	}
+	switch exp {
 	case "table1":
 		return table1(w)
 	case "fig1":
 		return fig1(w)
-	case "fig2":
-		return figure(w, "fig2", *seed, *reps, *workers, *csvPath,
-			"Figure 2: µ sweep of WPS-work on random PTGs",
-			ptgsched.MetricUnfairness, ptgsched.MetricAvgMakespan)
-	case "fig3":
-		return figure(w, "fig3", *seed, *reps, *workers, *csvPath,
-			"Figure 3: 8 strategies on random PTGs",
-			ptgsched.MetricUnfairness, ptgsched.MetricRelMakespan)
-	case "fig4":
-		return figure(w, "fig4", *seed, *reps, *workers, *csvPath,
-			"Figure 4: 8 strategies on FFT PTGs",
-			ptgsched.MetricUnfairness, ptgsched.MetricRelMakespan)
-	case "fig5":
-		return figure(w, "fig5", *seed, *reps, *workers, *csvPath,
-			"Figure 5: 6 strategies on Strassen PTGs",
-			ptgsched.MetricUnfairness, ptgsched.MetricRelMakespan)
 	case "mu-calibration":
 		return muCalibration(w, *seed, *reps, *workers)
 	case "ablation":
@@ -213,6 +207,23 @@ func run(argv []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", *name)
 	}
+}
+
+// figures are the paper's figure campaigns (PaperCampaignSpec): each
+// report's title and the metrics it tabulates. Only these have one table
+// to write as CSV.
+var figures = map[string]struct {
+	title   string
+	metrics []ptgsched.ExperimentMetric
+}{
+	"fig2": {"Figure 2: µ sweep of WPS-work on random PTGs",
+		[]ptgsched.ExperimentMetric{ptgsched.MetricUnfairness, ptgsched.MetricAvgMakespan}},
+	"fig3": {"Figure 3: 8 strategies on random PTGs",
+		[]ptgsched.ExperimentMetric{ptgsched.MetricUnfairness, ptgsched.MetricRelMakespan}},
+	"fig4": {"Figure 4: 8 strategies on FFT PTGs",
+		[]ptgsched.ExperimentMetric{ptgsched.MetricUnfairness, ptgsched.MetricRelMakespan}},
+	"fig5": {"Figure 5: 6 strategies on Strassen PTGs",
+		[]ptgsched.ExperimentMetric{ptgsched.MetricUnfairness, ptgsched.MetricRelMakespan}},
 }
 
 // progressInterval paces the stderr progress reports of long sweeps; a
@@ -806,8 +817,9 @@ func figure(w io.Writer, name string, seed int64, reps, workers int, csvPath, ti
 		return err
 	}
 	fmt.Fprintln(w, title)
+	combos, sites := res.Config.Reps, len(res.Config.Platforms)
 	fmt.Fprintf(w, "(%d combinations × %d platforms = %d runs per point)\n\n",
-		reps, 4, reps*4)
+		combos, sites, combos*sites)
 	for _, m := range metricsToShow {
 		if err := res.RenderTable(w, m); err != nil {
 			return err

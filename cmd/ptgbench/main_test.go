@@ -61,6 +61,39 @@ func TestGoldenSequentialExperiments(t *testing.T) {
 	}
 }
 
+// TestFigureHeaderCountsDefaultedRuns: -reps 0 runs the protocol's 25
+// combinations, and the header says so rather than echoing the flag.
+func TestFigureHeaderCountsDefaultedRuns(t *testing.T) {
+	out := runCLI(t, "-experiment", "fig5", "-reps", "0")
+	const want = "(25 combinations × 4 platforms = 100 runs per point)\n"
+	if _, rest, _ := strings.Cut(string(out), "\n"); !strings.HasPrefix(rest, want) {
+		t.Fatalf("header of -reps 0 is not %q:\n%s", want, out)
+	}
+}
+
+// TestCSVRefusedWithoutFigureTable: only fig2–fig5 print one table to
+// write as CSV; every other report, and campaign mode, refuses -csv
+// instead of silently writing nothing.
+func TestCSVRefusedWithoutFigureTable(t *testing.T) {
+	for _, args := range [][]string{
+		{"-experiment", "table1"},
+		{"-experiment", "fig1"},
+		{"-experiment", "mu-calibration", "-reps", "1"},
+		{"-experiment", "ablation", "-reps", "1"},
+		{"-experiment", "dynamic", "-reps", "1"},
+		{"-campaign", "testdata/smoke-campaign.json"},
+	} {
+		path := filepath.Join(t.TempDir(), "out.csv")
+		err := run(append(args, "-csv", path), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-csv requires") {
+			t.Errorf("%v -csv: got %v, want a \"-csv requires\" error", args, err)
+		}
+		if _, statErr := os.Stat(path); statErr == nil {
+			t.Errorf("%v -csv wrote %s", args, path)
+		}
+	}
+}
+
 func TestGoldenFigureCSV(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fig3.csv")
 	runCLI(t, "-experiment", "fig3", "-reps", "1", "-csv", path)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"testing"
 
 	"ptgsched/internal/daggen"
@@ -17,11 +18,11 @@ func BenchmarkFigureCampaigns(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"Fig2MuSweepWPSWork", Fig2Config(42, 1)},
-		{"Fig3RandomPTGs", Fig3Config(42, 1)},
-		{"Fig4FFTPTGs", Fig4Config(42, 1)},
-		{"Fig5StrassenPTGs", Fig5Config(42, 1)},
-		{"MuCalibration", MuCalibrationConfig(strategy.Width, daggen.FamilyFFT, 42, 1)},
+		{"Fig2MuSweepWPSWork", muSweep(strategy.Work, daggen.FamilyRandom)},
+		{"Fig3RandomPTGs", Config{Family: daggen.FamilyRandom, Seed: 42, Reps: 1}},
+		{"Fig4FFTPTGs", Config{Family: daggen.FamilyFFT, Seed: 42, Reps: 1}},
+		{"Fig5StrassenPTGs", Config{Family: daggen.FamilyStrassen, Seed: 42, Reps: 1}},
+		{"MuCalibration", muSweep(strategy.Width, daggen.FamilyFFT)},
 	} {
 		cfg := c.cfg
 		cfg.NPTGs = []int{2, 6, 10}
@@ -35,4 +36,15 @@ func BenchmarkFigureCampaigns(b *testing.B) {
 			}
 		})
 	}
+}
+
+// muSweep is one µ calibration campaign at benchmark size: WPS-char at
+// every µ of MuSweep on one family.
+func muSweep(char strategy.Characteristic, family daggen.Family) Config {
+	cfg := Config{Family: family, Seed: 42, Reps: 1}
+	for _, mu := range MuSweep {
+		cfg.Strategies = append(cfg.Strategies, strategy.WPS(char, mu))
+		cfg.Labels = append(cfg.Labels, fmt.Sprintf("mu=%.1f", mu))
+	}
+	return cfg
 }

@@ -3,6 +3,9 @@
 // combinations, schedule each combination on the four Grid'5000 platforms
 // (= 100 runs per point) under every strategy, simulate the executions, and
 // aggregate unfairness, average makespan and average relative makespan.
+// Config.Defaults is the one statement of that protocol; the paper's
+// figures are described once, as specs (scenario.PaperSpec and
+// scenario.MuSweepSpec), whose every cell runs a defaulted Config.
 //
 // Run is the protocol's sequential reference: it executes every run in key
 // order on the calling goroutine and starts no other. The parallel form of
@@ -41,9 +44,9 @@ type Config struct {
 	Reps int
 	// Platforms are the target sites; default the four Grid'5000 subsets.
 	Platforms []*platform.Platform
-	// Strategies to compare; default strategy.PaperSet(Family). Labels, if
-	// set, must be aligned with Strategies and override display names
-	// (used by the µ sweep).
+	// Strategies to compare; default the family's paper set, labelled by
+	// name. Labels, if set, must be aligned with Strategies and override
+	// display names (used by the µ sweep).
 	Strategies []strategy.Strategy
 	Labels     []string
 	// Seed makes the campaign deterministic.
@@ -58,21 +61,26 @@ type Config struct {
 	Gen func(g *dag.Graph, r *rand.Rand) `json:"-"`
 }
 
-// Defaults returns cfg with unset fields filled with the paper's protocol.
+// MuSweep is the µ grid of Figure 2 and of the per-variant µ calibration.
+var MuSweep = []float64{0, 0.3, 0.5, 0.7, 0.8, 0.9, 1}
+
+// Defaults returns cfg with unset (nil or empty) fields filled with the
+// paper's protocol. It is the one statement of the run grid's defaults:
+// the scenario package builds every cell's Config through it.
 func (cfg Config) Defaults() Config {
-	if cfg.NPTGs == nil {
+	if len(cfg.NPTGs) == 0 {
 		cfg.NPTGs = []int{2, 4, 6, 8, 10}
 	}
 	if cfg.Reps == 0 {
 		cfg.Reps = 25
 	}
-	if cfg.Platforms == nil {
+	if len(cfg.Platforms) == 0 {
 		cfg.Platforms = platform.Grid5000Sites()
 	}
-	if cfg.Strategies == nil {
+	if len(cfg.Strategies) == 0 {
 		cfg.Strategies = strategy.PaperSet(cfg.Family)
 	}
-	if cfg.Labels == nil {
+	if len(cfg.Labels) == 0 {
 		cfg.Labels = make([]string, len(cfg.Strategies))
 		for i, s := range cfg.Strategies {
 			cfg.Labels[i] = s.Name()

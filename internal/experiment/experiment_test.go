@@ -8,7 +8,6 @@ import (
 
 	"ptgsched/internal/daggen"
 	"ptgsched/internal/platform"
-	"ptgsched/internal/strategy"
 )
 
 // smallConfig keeps campaign tests fast: one platform, few reps, two
@@ -62,40 +61,6 @@ func TestSameCombinationAcrossPlatforms(t *testing.T) {
 	}
 	if RunSeed(42, 0, 3) == RunSeed(42, 0, 4) {
 		t.Fatal("different reps share a seed")
-	}
-}
-
-func TestFig2ConfigShape(t *testing.T) {
-	cfg := Fig2Config(1, 5).Defaults()
-	if len(cfg.Strategies) != len(MuSweep) {
-		t.Fatalf("%d strategies, want %d", len(cfg.Strategies), len(MuSweep))
-	}
-	for i, s := range cfg.Strategies {
-		if s.Kind != strategy.WeightedProportionalShare || s.Char != strategy.Work {
-			t.Errorf("strategy %d is %s, want WPS-work", i, s)
-		}
-		if s.Mu != MuSweep[i] {
-			t.Errorf("mu[%d] = %g, want %g", i, s.Mu, MuSweep[i])
-		}
-		if !strings.HasPrefix(cfg.Labels[i], "mu=") {
-			t.Errorf("label %q lacks mu prefix", cfg.Labels[i])
-		}
-	}
-}
-
-func TestFigConfigsFamilies(t *testing.T) {
-	if Fig3Config(1, 1).Family != daggen.FamilyRandom {
-		t.Error("Fig3 family")
-	}
-	if Fig4Config(1, 1).Family != daggen.FamilyFFT {
-		t.Error("Fig4 family")
-	}
-	cfg := Fig5Config(1, 1).Defaults()
-	if cfg.Family != daggen.FamilyStrassen {
-		t.Error("Fig5 family")
-	}
-	if len(cfg.Strategies) != 6 {
-		t.Errorf("Fig5 has %d strategies, want 6", len(cfg.Strategies))
 	}
 }
 

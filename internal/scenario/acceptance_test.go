@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ptgsched/internal/daggen"
 	"ptgsched/internal/experiment"
 )
 
@@ -63,7 +64,8 @@ func TestCheckedInSpecsMatchPaperSpecs(t *testing.T) {
 
 // TestExampleCampaignReproducesFig3 is the acceptance criterion: the
 // checked-in examples/campaign.json, swept through the declarative engine,
-// reproduces experiment.Run(Fig3Config(42, 25)) bit-identically — once as
+// reproduces experiment.Run of Fig. 3 (random PTGs, seed 42, 25
+// combinations) bit-identically — once as
 // a single unsharded run and once recombined from four independently-run
 // shards.
 func TestExampleCampaignReproducesFig3(t *testing.T) {
@@ -75,7 +77,7 @@ func TestExampleCampaignReproducesFig3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := experiment.Run(experiment.Fig3Config(42, 25))
+	want := experiment.Run(experiment.Config{Family: daggen.FamilyRandom, Seed: 42, Reps: 25})
 
 	// Unsharded, streamed through the incremental aggregator exactly as
 	// ptgbench's campaign mode runs it.

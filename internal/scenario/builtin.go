@@ -10,12 +10,12 @@ import (
 )
 
 // PaperSpec returns the declarative spec of one of the paper's evaluation
-// campaigns ("fig2" … "fig5"): the spec-driven form of the corresponding
-// experiment.FigNConfig. Expanding and running it reproduces that figure's
-// campaign bit-identically; the checked-in examples/campaign.json is the
-// serialized PaperSpec("fig3", 42, 25).
+// campaigns ("fig2" … "fig5"), the one description of each figure.
+// Expanding and running it reproduces that figure's campaign; the
+// checked-in examples/campaign.json is the serialized
+// PaperSpec("fig3", 42, 25).
 func PaperSpec(name string, seed int64, reps int) (*Spec, error) {
-	s := &Spec{Seed: seed, Reps: reps}
+	var s *Spec
 	switch strings.ToLower(name) {
 	case "fig2":
 		// Figure 2: the µ parameter of WPS-work swept over the paper's
@@ -23,13 +23,14 @@ func PaperSpec(name string, seed int64, reps int) (*Spec, error) {
 		s = MuSweepSpec(strategy.Work, daggen.FamilyRandom, seed, reps)
 	case "fig3":
 		// Figure 3: the eight strategies on random PTGs.
-		s.Families = []FamilySpec{{Family: "random"}}
+		s = familySpec(daggen.FamilyRandom, seed, reps)
 	case "fig4":
 		// Figure 4: the eight strategies on FFT PTGs.
-		s.Families = []FamilySpec{{Family: "fft"}}
+		s = familySpec(daggen.FamilyFFT, seed, reps)
 	case "fig5":
-		// Figure 5: the six applicable strategies on Strassen PTGs.
-		s.Families = []FamilySpec{{Family: "strassen"}}
+		// Figure 5: the six applicable strategies on Strassen PTGs (the
+		// width-based strategies coincide with ES there).
+		s = familySpec(daggen.FamilyStrassen, seed, reps)
 	default:
 		return nil, fmt.Errorf("scenario: unknown paper campaign %q (want fig2, fig3, fig4 or fig5)", name)
 	}
@@ -37,13 +38,18 @@ func PaperSpec(name string, seed int64, reps int) (*Spec, error) {
 	return s, nil
 }
 
+// familySpec is the paper's protocol on one PTG family: every other axis
+// and the strategy set take their defaults.
+func familySpec(family daggen.Family, seed int64, reps int) *Spec {
+	return &Spec{Seed: seed, Reps: reps, Families: []FamilySpec{{Family: family.String()}}}
+}
+
 // MuSweepSpec returns the spec of one µ calibration sweep (§7): WPS-char
 // at every µ of experiment.MuSweep, labelled "mu=0.0" … "mu=1.0", on the
-// paper's PTGs of one family — the spec-driven form of
-// experiment.MuCalibrationConfig. Figure 2 is the sweep of WPS-work on
-// random PTGs.
+// paper's PTGs of one family. Figure 2 is the sweep of WPS-work on random
+// PTGs; the others justify the paper's per-variant µ defaults.
 func MuSweepSpec(char strategy.Characteristic, family daggen.Family, seed int64, reps int) *Spec {
-	s := &Spec{Seed: seed, Reps: reps, Families: []FamilySpec{{Family: family.String()}}}
+	s := familySpec(family, seed, reps)
 	for _, mu := range experiment.MuSweep {
 		s.Strategies = append(s.Strategies, StrategySpec{
 			Name: "WPS-" + char.String(), Mu: &mu, Label: fmt.Sprintf("mu=%.1f", mu),

@@ -115,160 +115,202 @@ const (
 	MaxPoints = 100_000_000
 )
 
-// EstimatePoints computes the expansion cardinality of a spec — cells and
-// points — without materializing it, mirroring Expand's enumeration
-// arithmetic. Callers with tighter budgets than the engine caps (the
-// service endpoint) reject oversized specs before Expand allocates.
-// Name resolution is not performed; invalid names still fail in Expand.
-func EstimatePoints(spec *Spec) (cells, points int, err error) {
-	if err := spec.validate(); err != nil {
-		return 0, 0, err
-	}
-	reps := spec.Reps
-	if reps == 0 {
-		reps = 25
-	}
-	nptgs := len(spec.NPTGs)
-	if nptgs == 0 {
-		nptgs = 5
-	}
-	platforms := len(spec.Platforms) + len(spec.PlatformSpecs)
-	if platforms == 0 {
-		platforms = 4
-	}
+// sweepAxes is a spec with every default applied: the run grid all cells
+// share, and the lists Expand crosses into cells. EstimatePoints counts
+// exactly these lists, so the count and the enumeration cannot disagree.
+type sweepAxes struct {
+	// grid is the defaulted experiment.Config every cell copies: its
+	// NPTGs, Reps, Platforms and Seed. The platform slots of a spec that
+	// names platforms are nil until Expand resolves them; a spec naming
+	// none gets the protocol's sites.
+	grid experiment.Config
+	// families are the spec's family entries, random grids completed with
+	// the paper's lists.
+	families []FamilySpec
+	// processes and rates are the arrival axis; processes is nil for an
+	// offline spec.
+	processes []string
+	rates     []float64
+	// policies is the rescheduling-policy axis: {""} for a static spec.
+	policies []string
+}
 
-	onlineCells := 1
+// axesOf applies the defaults to a validated spec.
+func axesOf(spec *Spec) *sweepAxes {
+	a := &sweepAxes{
+		grid: experiment.Config{
+			NPTGs:     spec.NPTGs,
+			Reps:      spec.Reps,
+			Platforms: make([]*platform.Platform, len(spec.Platforms)+len(spec.PlatformSpecs)),
+			Seed:      spec.Seed,
+		}.Defaults(),
+		families: []FamilySpec{{Family: "random"}},
+		policies: []string{""},
+	}
+	if len(spec.Families) > 0 {
+		a.families = make([]FamilySpec, len(spec.Families))
+		for i, f := range spec.Families {
+			a.families[i] = f.withPaperAxes()
+		}
+	}
 	if o := spec.Online; o != nil {
-		procs := o.Processes
-		if len(procs) == 0 {
-			procs = []string{"poisson"}
+		a.processes, a.rates = o.Processes, o.Rates
+		if len(a.processes) == 0 {
+			a.processes = []string{"poisson"}
 		}
-		rates := len(o.Rates)
-		if rates == 0 {
-			rates = 1
-		}
-		onlineCells = 0
-		for _, p := range procs {
-			if strings.EqualFold(p, "burst") {
-				onlineCells++ // burst collapses the rate axis
-			} else {
-				onlineCells += rates
-			}
+		if len(a.rates) == 0 {
+			a.rates = []float64{0.25}
 		}
 	}
-
 	// A non-empty events axis crosses every cell with the rescheduling
-	// policies (default: restart only); an empty or absent one adds no
-	// axis at all, keeping the expansion identical to a spec without the
-	// field.
-	policyCells := 1
-	if !spec.Events.Empty() && len(spec.Events.Policies) > 0 {
-		policyCells = len(spec.Events.Policies)
-	}
-
-	families := spec.Families
-	if len(families) == 0 {
-		families = []FamilySpec{{Family: "random"}}
-	}
-	axis := func(set, def int) int {
-		if set > 0 {
-			return set
+	// policies; an empty or absent one adds no axis at all, keeping the
+	// expansion identical to a spec without the field.
+	if !spec.Events.Empty() {
+		a.policies = spec.Events.Policies
+		if len(a.policies) == 0 {
+			a.policies = []string{"restart"}
 		}
-		return def
 	}
-	// mulCap multiplies with saturation just above the caps, so absurd
-	// axis cardinalities cannot overflow int before the bound checks.
+	return a
+}
+
+// withPaperAxes returns the entry with each absent axis of a random grid
+// set to the paper's full list (§2); any other entry is returned as is.
+func (f FamilySpec) withPaperAxes() FamilySpec {
+	if !f.gridded() {
+		return f
+	}
+	if len(f.Tasks) == 0 {
+		f.Tasks = daggen.PaperTaskCounts
+	}
+	if len(f.Widths) == 0 {
+		f.Widths = daggen.PaperWidths
+	}
+	if len(f.Regularities) == 0 {
+		f.Regularities = daggen.PaperRegularities
+	}
+	if len(f.Densities) == 0 {
+		f.Densities = daggen.PaperDensities
+	}
+	if len(f.Jumps) == 0 {
+		f.Jumps = daggen.PaperJumps
+	}
+	if len(f.Complexities) == 0 {
+		f.Complexities = []string{"mixed"}
+	}
+	return f
+}
+
+// arrival resolves one arrival process and the rates it sweeps: burst
+// ignores the rate, so it sweeps one cell at rate 0.
+func (a *sweepAxes) arrival(name string) (workload.Process, []float64, error) {
+	p, err := workload.ProcessByName(name)
+	if err == nil && p == workload.Burst {
+		return p, []float64{0}, nil
+	}
+	return p, a.rates, err
+}
+
+// count computes the expansion's cells and points arithmetically and
+// refuses a sweep over the engine caps.
+func (a *sweepAxes) count() (cells, points int, err error) {
+	// mul multiplies with saturation just above the caps, so absurd axis
+	// cardinalities cannot overflow int before the bound checks.
 	const sat = MaxPoints + 1
-	mulCap := func(a, b int) int {
+	mul := func(a, b int) int {
 		if a >= sat || b >= sat || a*b >= sat {
 			return sat
 		}
 		return a * b
 	}
-	for _, f := range families {
-		grid := 1
-		if f.gridded() {
-			switch strings.ToLower(f.Family) {
-			case "fft":
-				grid = len(f.K)
-			case "random":
-				grid = axis(len(f.Tasks), len(daggen.PaperTaskCounts))
-				grid = mulCap(grid, axis(len(f.Widths), len(daggen.PaperWidths)))
-				grid = mulCap(grid, axis(len(f.Regularities), len(daggen.PaperRegularities)))
-				grid = mulCap(grid, axis(len(f.Densities), len(daggen.PaperDensities)))
-				grid = mulCap(grid, axis(len(f.Jumps), len(daggen.PaperJumps)))
-				grid = mulCap(grid, axis(len(f.Complexities), 1))
-			}
+	arrivals := 1
+	if a.processes != nil {
+		arrivals = 0
+		for _, name := range a.processes {
+			// An unknown process counts its rates; Expand reports the name.
+			_, rates, _ := a.arrival(name)
+			arrivals += len(rates)
 		}
-		cells += mulCap(mulCap(grid, onlineCells), policyCells)
+	}
+	for _, f := range a.families {
+		// The entry's grid cells: the product of its axis lengths, an
+		// absent axis counting once.
+		grid := 1
+		for _, n := range []int{len(f.Tasks), len(f.Widths), len(f.Regularities),
+			len(f.Densities), len(f.Jumps), len(f.Complexities), len(f.K)} {
+			grid = mul(grid, max(n, 1))
+		}
+		cells += mul(mul(grid, arrivals), len(a.policies))
 		if cells > MaxCells {
 			return 0, 0, fmt.Errorf("scenario: spec expands to over %d cells", MaxCells)
 		}
 	}
-	points = mulCap(mulCap(mulCap(cells, nptgs), reps), platforms)
+	points = mul(mul(mul(cells, len(a.grid.NPTGs)), a.grid.Reps), len(a.grid.Platforms))
 	if points > MaxPoints {
 		return 0, 0, fmt.Errorf("scenario: spec expands to over %d points", MaxPoints)
 	}
 	return cells, points, nil
 }
 
+// EstimatePoints computes the expansion cardinality of a spec — cells and
+// points — without materializing it: it counts the defaulted axes Expand
+// enumerates. Callers with tighter budgets than the engine caps (the
+// service endpoint) reject oversized specs before Expand allocates.
+// Name resolution is not performed; invalid names still fail in Expand.
+func EstimatePoints(spec *Spec) (cells, points int, err error) {
+	if err := spec.validate(); err != nil {
+		return 0, 0, err
+	}
+	return axesOf(spec).count()
+}
+
 // Expand resolves a spec against the platform/family/strategy registries
 // and enumerates its full scenario sweep.
 func Expand(spec *Spec) (*Expansion, error) {
-	if _, _, err := EstimatePoints(spec); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	e := &Expansion{Spec: spec}
-
-	reps := spec.Reps
-	if reps == 0 {
-		reps = 25
+	a := axesOf(spec)
+	if _, _, err := a.count(); err != nil {
+		return nil, err
 	}
-	nptgs := spec.NPTGs
-	if len(nptgs) == 0 {
-		nptgs = []int{2, 4, 6, 8, 10}
+	e := &Expansion{Spec: spec, Platforms: a.grid.Platforms}
+
+	// Platforms: named presets, then inline specs, into the grid's slots.
+	for i, name := range spec.Platforms {
+		pf, err := platform.ByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		e.Platforms[i] = pf
+	}
+	for i, ps := range spec.PlatformSpecs {
+		specs := make([]platform.ClusterSpec, len(ps.Clusters))
+		for j, c := range ps.Clusters {
+			specs[j] = platform.ClusterSpec{Name: c.Name, Procs: c.Procs, Speed: c.Speed}
+		}
+		e.Platforms[len(spec.Platforms)+i] = platform.New(ps.Name, ps.SharedSwitch, specs...)
 	}
 
-	// Platforms: named presets, then inline specs.
-	if len(spec.Platforms) == 0 && len(spec.PlatformSpecs) == 0 {
-		e.Platforms = platform.Grid5000Sites()
-	} else {
-		for _, name := range spec.Platforms {
-			pf, err := platform.ByName(name)
+	// Arrivals: the one offline cell, or each process at each of its rates.
+	arrivals := []*OnlineCell{nil}
+	if a.processes != nil {
+		arrivals = nil
+		for _, name := range a.processes {
+			p, rates, err := a.arrival(name)
 			if err != nil {
-				return nil, fmt.Errorf("scenario: %w", err)
+				return nil, err
 			}
-			e.Platforms = append(e.Platforms, pf)
-		}
-		for _, ps := range spec.PlatformSpecs {
-			specs := make([]platform.ClusterSpec, len(ps.Clusters))
-			for i, c := range ps.Clusters {
-				specs[i] = platform.ClusterSpec{Name: c.Name, Procs: c.Procs, Speed: c.Speed}
+			for _, r := range rates {
+				arrivals = append(arrivals, &OnlineCell{Process: p, Rate: r})
 			}
-			e.Platforms = append(e.Platforms, platform.New(ps.Name, ps.SharedSwitch, specs...))
 		}
 	}
 
-	families := spec.Families
-	if len(families) == 0 {
-		families = []FamilySpec{{Family: "random"}}
-	}
-
-	onlineCells, err := expandOnline(spec.Online)
-	if err != nil {
-		return nil, err
-	}
-
-	// The rescheduling-policy axis of a non-empty events timeline. A point
-	// must always be able to finish, so a spec whose scripted permanent
-	// failures cover every cluster of some platform is rejected here, with
-	// the platforms resolved.
-	policies := []string{""}
+	// A point must always be able to finish, so a spec whose scripted
+	// permanent failures cover every cluster of some platform is rejected
+	// here, with the platforms resolved.
 	if !spec.Events.Empty() {
-		policies = spec.Events.Policies
-		if len(policies) == 0 {
-			policies = []string{"restart"}
-		}
 		for _, pf := range e.Platforms {
 			if len(spec.Events.PermanentDowns(len(pf.Clusters))) == len(pf.Clusters) {
 				return nil, fmt.Errorf("scenario: events fail every cluster of platform %q permanently; points there could never finish", pf.Name)
@@ -278,18 +320,20 @@ func Expand(spec *Spec) (*Expansion, error) {
 
 	// Cells: family entries × grid points × arrival points × rescheduling
 	// policies, in spec order.
-	for _, f := range families {
+	for _, f := range a.families {
 		gridCells, err := expandFamily(f)
 		if err != nil {
 			return nil, err
 		}
 		for _, gc := range gridCells {
-			strats, labels, err := resolveStrategies(spec.Strategies, gc.family)
-			if err != nil {
+			cfg := a.grid
+			cfg.Family, cfg.Gen = gc.family, gc.gen
+			if cfg.Strategies, cfg.Labels, err = resolveStrategies(spec.Strategies, gc.family); err != nil {
 				return nil, err
 			}
-			for _, oc := range onlineCells {
-				for _, pol := range policies {
+			cfg = cfg.Defaults()
+			for _, oc := range arrivals {
+				for _, pol := range a.policies {
 					label := gc.label
 					if oc != nil {
 						label += "+" + oc.Process.String()
@@ -300,24 +344,14 @@ func Expand(spec *Spec) (*Expansion, error) {
 					if pol != "" {
 						label += fmt.Sprintf("+dyn[%s]", pol)
 					}
-					cell := &Cell{
+					e.Cells = append(e.Cells, &Cell{
 						Index:  len(e.Cells),
 						Label:  label,
 						Family: gc.family,
 						Online: oc,
 						Policy: pol,
-						Config: experiment.Config{
-							Family:     gc.family,
-							NPTGs:      nptgs,
-							Reps:       reps,
-							Platforms:  e.Platforms,
-							Strategies: strats,
-							Labels:     labels,
-							Seed:       spec.Seed,
-							Gen:        gc.gen,
-						},
-					}
-					e.Cells = append(e.Cells, cell)
+						Config: cfg,
+					})
 				}
 			}
 		}
@@ -326,9 +360,9 @@ func Expand(spec *Spec) (*Expansion, error) {
 	// Points are not materialized: the global enumeration the shard
 	// partition and aggregation are defined over is arithmetic — PointAt
 	// decomposes any index into (cell, nidx, rep, platform) in O(1).
-	e.nptgs = nptgs
-	e.reps = reps
-	e.perCell = len(nptgs) * reps * len(e.Platforms)
+	e.nptgs = a.grid.NPTGs
+	e.reps = a.grid.Reps
+	e.perCell = len(e.nptgs) * e.reps * len(e.Platforms)
 	e.numPoints = len(e.Cells) * e.perCell
 	e.digest = SpecDigest(spec)
 	return e, nil
@@ -424,68 +458,35 @@ type gridCell struct {
 	gen    func(g *dag.Graph, r *rand.Rand)
 }
 
-// expandFamily enumerates a family entry's parameter grid. Ungridded
-// entries produce one cell drawing every parameter per graph (the paper's
-// protocol, gen nil); gridded entries cartesian-expand their axes, absent
-// random axes defaulting to the paper's full value lists.
+// expandFamily enumerates a family entry whose axes axesOf completed: an
+// entry with no axis is one cell drawing every parameter per graph (the
+// paper's protocol, gen nil), an fft entry gets one cell per k and a
+// random grid the cartesian product of its axes.
 func expandFamily(f FamilySpec) ([]gridCell, error) {
 	fam, err := daggen.FamilyByName(f.Family)
 	if err != nil {
 		return nil, err
 	}
-	if !f.gridded() {
+	if len(f.K) == 0 && !f.gridded() {
 		return []gridCell{{family: fam, label: fam.String()}}, nil
 	}
-	switch fam {
-	case daggen.FamilyStrassen:
-		return nil, fmt.Errorf("scenario: the strassen family has no grid axes")
-	case daggen.FamilyFFT:
-		var cells []gridCell
-		for _, k := range f.K {
-			if k < 1 || k > 10 {
-				return nil, fmt.Errorf("scenario: fft exponent k=%d outside [1,10]", k)
-			}
-			cells = append(cells, gridCell{
-				family: fam,
-				label:  fmt.Sprintf("fft[k=%d]", k),
-				gen:    func(g *dag.Graph, r *rand.Rand) { daggen.FFTInto(g, k, r) },
-			})
-		}
-		return cells, nil
-	}
-
-	// Random family: absent axes take the paper's full lists.
-	tasks := []int(f.Tasks)
-	if len(tasks) == 0 {
-		tasks = daggen.PaperTaskCounts
-	}
-	widths := []float64(f.Widths)
-	if len(widths) == 0 {
-		widths = daggen.PaperWidths
-	}
-	regs := []float64(f.Regularities)
-	if len(regs) == 0 {
-		regs = daggen.PaperRegularities
-	}
-	dens := []float64(f.Densities)
-	if len(dens) == 0 {
-		dens = daggen.PaperDensities
-	}
-	jumps := []int(f.Jumps)
-	if len(jumps) == 0 {
-		jumps = daggen.PaperJumps
-	}
-	complexities := f.Complexities
-	if len(complexities) == 0 {
-		complexities = []string{"mixed"}
-	}
 	var cells []gridCell
-	for _, t := range tasks {
-		for _, w := range widths {
-			for _, reg := range regs {
-				for _, d := range dens {
-					for _, j := range jumps {
-						for _, cname := range complexities {
+	for _, k := range f.K {
+		if k < 1 || k > 10 {
+			return nil, fmt.Errorf("scenario: fft exponent k=%d outside [1,10]", k)
+		}
+		cells = append(cells, gridCell{
+			family: fam,
+			label:  fmt.Sprintf("fft[k=%d]", k),
+			gen:    func(g *dag.Graph, r *rand.Rand) { daggen.FFTInto(g, k, r) },
+		})
+	}
+	for _, t := range f.Tasks {
+		for _, w := range f.Widths {
+			for _, reg := range f.Regularities {
+				for _, d := range f.Densities {
+					for _, j := range f.Jumps {
+						for _, cname := range f.Complexities {
 							mode, err := daggen.ComplexityByName(cname)
 							if err != nil {
 								return nil, err
@@ -512,49 +513,10 @@ func expandFamily(f FamilySpec) ([]gridCell, error) {
 	return cells, nil
 }
 
-// expandOnline enumerates the arrival-process axis; a nil spec yields the
-// single offline cell (nil OnlineCell).
-func expandOnline(o *OnlineSpec) ([]*OnlineCell, error) {
-	if o == nil {
-		return []*OnlineCell{nil}, nil
-	}
-	procs := o.Processes
-	if len(procs) == 0 {
-		procs = []string{"poisson"}
-	}
-	rates := []float64(o.Rates)
-	if len(rates) == 0 {
-		rates = []float64{0.25}
-	}
-	var cells []*OnlineCell
-	for _, pname := range procs {
-		p, err := workload.ProcessByName(pname)
-		if err != nil {
-			return nil, err
-		}
-		if p == workload.Burst {
-			// Burst ignores the rate; one cell regardless of the axis.
-			cells = append(cells, &OnlineCell{Process: p})
-			continue
-		}
-		for _, r := range rates {
-			cells = append(cells, &OnlineCell{Process: p, Rate: r})
-		}
-	}
-	return cells, nil
-}
-
-// resolveStrategies resolves the spec's strategy set (default: the paper's
-// set for the family) into aligned strategy and label slices.
+// resolveStrategies resolves the spec's strategy set into aligned strategy
+// and label slices; an empty set stays empty, and the cell's
+// Config.Defaults fills in the family's paper set.
 func resolveStrategies(specs []StrategySpec, fam daggen.Family) ([]strategy.Strategy, []string, error) {
-	if len(specs) == 0 {
-		set := strategy.PaperSet(fam)
-		labels := make([]string, len(set))
-		for i, s := range set {
-			labels[i] = s.Name()
-		}
-		return set, labels, nil
-	}
 	strats := make([]strategy.Strategy, len(specs))
 	labels := make([]string, len(specs))
 	for i, ss := range specs {

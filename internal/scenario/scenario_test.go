@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -10,7 +11,9 @@ import (
 	"time"
 
 	"ptgsched/internal/dag"
+	"ptgsched/internal/daggen"
 	"ptgsched/internal/experiment"
+	"ptgsched/internal/strategy"
 )
 
 func mustParse(t *testing.T, src string) *Spec {
@@ -197,7 +200,7 @@ func TestInlineHeterogeneousPlatform(t *testing.T) {
 
 // TestAggregateBitIdenticalToExperimentRun is the heart of the engine: a
 // spec mirroring Figure 3 must aggregate to exactly the numbers the
-// experiment package's sequential reference computes for Fig3Config —
+// experiment package's sequential reference computes for Fig. 3 —
 // same seeds, same reduction order, bit-identical floats — at every
 // worker count the sweep fans out over.
 func TestAggregateBitIdenticalToExperimentRun(t *testing.T) {
@@ -207,7 +210,7 @@ func TestAggregateBitIdenticalToExperimentRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := mustExpand(t, spec)
-	want := experiment.Run(experiment.Fig3Config(seed, reps))
+	want := experiment.Run(experiment.Config{Family: daggen.FamilyRandom, Seed: seed, Reps: reps})
 	for _, workers := range []int{1, 2, 8, 16} {
 		tables, err := e.Aggregate(mustRun(t, e, e.All(), workers))
 		if err != nil {
@@ -506,8 +509,83 @@ func TestPaperSpecFig2MuSweepLabels(t *testing.T) {
 	if len(labels) != len(experiment.MuSweep) || labels[0] != "mu=0.0" {
 		t.Fatalf("fig2 labels = %v", labels)
 	}
-	cfgWant := experiment.Fig2Config(42, 1).Defaults()
-	if !reflect.DeepEqual(e.Cells[0].Config.Strategies, cfgWant.Strategies) {
-		t.Fatalf("fig2 strategies differ: %v vs %v", e.Cells[0].Config.Strategies, cfgWant.Strategies)
+	var want []strategy.Strategy
+	for _, mu := range []float64{0, 0.3, 0.5, 0.7, 0.8, 0.9, 1} {
+		want = append(want, strategy.WPS(strategy.Work, mu))
+	}
+	if !reflect.DeepEqual(e.Cells[0].Config.Strategies, want) {
+		t.Fatalf("fig2 strategies differ: %v vs %v", e.Cells[0].Config.Strategies, want)
+	}
+}
+
+// TestPaperSpecFig2Shape: Figure 2's one cell sweeps WPS-work over the µ
+// grid on random PTGs under the protocol's run grid, each strategy
+// labelled by its µ.
+func TestPaperSpecFig2Shape(t *testing.T) {
+	s, err := PaperSpec("fig2", 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mustExpand(t, s)
+	if len(e.Cells) != 1 {
+		t.Fatalf("%d cells, want 1", len(e.Cells))
+	}
+	cfg := e.Cells[0].Config
+	if cfg.Family != daggen.FamilyRandom || cfg.Reps != 5 || cfg.Seed != 1 {
+		t.Errorf("family %s, reps %d, seed %d; want random, 5, 1", cfg.Family, cfg.Reps, cfg.Seed)
+	}
+	if !reflect.DeepEqual(cfg.NPTGs, []int{2, 4, 6, 8, 10}) || len(cfg.Platforms) != 4 {
+		t.Errorf("run grid %v × %d platforms, want [2 4 6 8 10] × 4", cfg.NPTGs, len(cfg.Platforms))
+	}
+	mus := []float64{0, 0.3, 0.5, 0.7, 0.8, 0.9, 1}
+	if len(cfg.Strategies) != len(mus) {
+		t.Fatalf("%d strategies, want %d", len(cfg.Strategies), len(mus))
+	}
+	for i, s := range cfg.Strategies {
+		if s.Kind != strategy.WeightedProportionalShare || s.Char != strategy.Work {
+			t.Errorf("strategy %d is %s, want WPS-work", i, s)
+		}
+		if s.Mu != mus[i] {
+			t.Errorf("mu[%d] = %g, want %g", i, s.Mu, mus[i])
+		}
+		if want := fmt.Sprintf("mu=%.1f", mus[i]); cfg.Labels[i] != want {
+			t.Errorf("label %d = %q, want %q", i, cfg.Labels[i], want)
+		}
+	}
+}
+
+// TestPaperSpecFamilies: Figures 3–5 are one cell each, on their family,
+// comparing that family's paper strategy set (8, 8 and 6 strategies),
+// labelled by name.
+func TestPaperSpecFamilies(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		family     daggen.Family
+		strategies int
+	}{
+		{"fig3", daggen.FamilyRandom, 8},
+		{"fig4", daggen.FamilyFFT, 8},
+		{"fig5", daggen.FamilyStrassen, 6},
+	} {
+		s, err := PaperSpec(c.name, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := mustExpand(t, s)
+		if len(e.Cells) != 1 {
+			t.Fatalf("%s: %d cells, want 1", c.name, len(e.Cells))
+		}
+		cfg := e.Cells[0].Config
+		if cfg.Family != c.family {
+			t.Errorf("%s family %s, want %s", c.name, cfg.Family, c.family)
+		}
+		if len(cfg.Strategies) != c.strategies {
+			t.Errorf("%s has %d strategies, want %d", c.name, len(cfg.Strategies), c.strategies)
+		}
+		for i, st := range cfg.Strategies {
+			if cfg.Labels[i] != st.Name() {
+				t.Errorf("%s label %d = %q, want %q", c.name, i, cfg.Labels[i], st.Name())
+			}
+		}
 	}
 }

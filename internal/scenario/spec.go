@@ -3,8 +3,8 @@
 // cluster specs), PTG families with explicit parameter grids, strategy
 // sets, replication counts, seeds and online arrival processes — is
 // expanded into a deterministic cartesian sweep of scenario points, run
-// over internal/experiment's worker pool (optionally partitioned into
-// shards), streamed as JSONL per-point results, and aggregated back into
+// over the sweep's worker pool (optionally partitioned into shards),
+// streamed as JSONL per-point results, and aggregated back into
 // the paper's summary metrics. The sweep is lazy end to end: only the
 // aggregation cells are materialized — points are generated in O(1) from
 // their global index (Expansion.PointAt), selections are IndexSet
@@ -113,10 +113,11 @@ type FamilySpec struct {
 	K Ints `json:"k,omitempty"`
 }
 
-// gridded reports whether the family entry pins any explicit axis.
+// gridded reports whether the entry pins any random-family grid axis (the
+// fft family's one axis, K, is tested by its length).
 func (f FamilySpec) gridded() bool {
 	return len(f.Tasks) > 0 || len(f.Widths) > 0 || len(f.Regularities) > 0 ||
-		len(f.Densities) > 0 || len(f.Jumps) > 0 || len(f.Complexities) > 0 || len(f.K) > 0
+		len(f.Densities) > 0 || len(f.Jumps) > 0 || len(f.Complexities) > 0
 }
 
 // StrategySpec names one strategy of the campaign's comparison set.
@@ -274,9 +275,7 @@ func (s *Spec) validate() error {
 		if fam != "random" && fam != "fft" && fam != "strassen" {
 			return fmt.Errorf("scenario: families[%d]: unknown family %q (want random, fft or strassen)", i, f.Family)
 		}
-		randomAxes := len(f.Tasks) > 0 || len(f.Widths) > 0 || len(f.Regularities) > 0 ||
-			len(f.Densities) > 0 || len(f.Jumps) > 0 || len(f.Complexities) > 0
-		if randomAxes && fam != "random" {
+		if f.gridded() && fam != "random" {
 			return fmt.Errorf("scenario: families[%d]: random-grid axes on family %q", i, f.Family)
 		}
 		if len(f.K) > 0 && fam != "fft" {

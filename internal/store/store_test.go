@@ -4,8 +4,9 @@ package store
 // mid-record (the exact footprint of a SIGKILL during an append), reopened,
 // resumed, and their final aggregates compared bit-identically against
 // uninterrupted references — on a small spec for the fast path, and against
-// the unsharded Fig. 3 golden (experiment.Run(Fig3Config(42,25)), the same
-// reference the scenario acceptance test uses) when run without -short.
+// the unsharded Fig. 3 golden (experiment.Run of random PTGs at seed 42, 25
+// combinations: the same reference the scenario acceptance test uses) when
+// run without -short.
 
 import (
 	"bytes"
@@ -15,6 +16,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ptgsched/internal/daggen"
 	"ptgsched/internal/experiment"
 	"ptgsched/internal/scenario"
 )
@@ -401,7 +403,7 @@ func TestAppendRejectsDuplicatesAndForeignPoints(t *testing.T) {
 // TestCrashResumeReproducesFig3Golden is the acceptance criterion at paper
 // scale: the Fig. 3 campaign, killed mid-run (a segment torn mid-record)
 // and resumed from its store, aggregates bit-identically to the unsharded
-// golden experiment.Run(Fig3Config(42, 25)) — both as a 1-segment store and
+// golden experiment.Run of Fig. 3 (random PTGs, seed 42, 25 combinations) — both as a 1-segment store and
 // recombined from a 4-shard store. Skipped under -short like the scenario
 // acceptance sweep it mirrors.
 func TestCrashResumeReproducesFig3Golden(t *testing.T) {
@@ -420,7 +422,7 @@ func TestCrashResumeReproducesFig3Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := experiment.Run(experiment.Fig3Config(42, 25))
+	want := experiment.Run(experiment.Config{Family: daggen.FamilyRandom, Seed: 42, Reps: 25})
 
 	for _, shards := range []int{1, 4} {
 		dir := filepath.Join(t.TempDir(), fmt.Sprintf("store%d", shards))

@@ -27,9 +27,10 @@
 //	res := sched.Schedule(graphs, ptgsched.WPS(ptgsched.Width, 0.5))
 //	fmt.Println(res.GlobalMakespan())
 //
-// The experiment sub-API (RunExperiment with Fig2Config … Fig5Config)
-// regenerates every figure of the paper's evaluation; see the cmd/ptgbench
-// doc comment for the command-line entry points.
+// Every figure of the paper's evaluation is a campaign spec
+// (PaperCampaignSpec "fig2" … "fig5", MuSweepCampaignSpec for the µ
+// calibration) that regenerates it; see the cmd/ptgbench doc comment for
+// the command-line entry points.
 //
 // Above the per-batch pipeline sits the concurrency layer: NewService
 // starts a bounded worker pool multiplexing many
@@ -245,13 +246,6 @@ type (
 var (
 	// RunExperiment executes a campaign sequentially.
 	RunExperiment = experiment.Run
-	// Fig2Config …Fig5Config regenerate the paper's figures.
-	Fig2Config = experiment.Fig2Config
-	Fig3Config = experiment.Fig3Config
-	Fig4Config = experiment.Fig4Config
-	Fig5Config = experiment.Fig5Config
-	// MuCalibrationConfig sweeps µ for any WPS variant and family.
-	MuCalibrationConfig = experiment.MuCalibrationConfig
 )
 
 // Experiment metrics.
