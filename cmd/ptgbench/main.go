@@ -186,9 +186,14 @@ func run(argv []string, w io.Writer) error {
 		return fmt.Errorf("-shard, -jsonl, -merge, -store, -resume and -cache require -campaign")
 	}
 
+	// -reps 0 takes the run grid's default for every experiment.
+	if *reps < 0 {
+		return fmt.Errorf("-reps %d must be non-negative", *reps)
+	}
+	r := ptgsched.ExperimentConfig{Reps: *reps}.Defaults().Reps
 	exp := strings.ToLower(*name)
 	if fig, ok := figures[exp]; ok {
-		return figure(w, exp, *seed, *reps, *workers, *csvPath, fig.title, fig.metrics...)
+		return figure(w, exp, *seed, r, *workers, *csvPath, fig.title, fig.metrics...)
 	}
 	if *csvPath != "" {
 		return fmt.Errorf("-csv requires -experiment fig2, fig3, fig4 or fig5, not %q", *name)
@@ -199,11 +204,11 @@ func run(argv []string, w io.Writer) error {
 	case "fig1":
 		return fig1(w)
 	case "mu-calibration":
-		return muCalibration(w, *seed, *reps, *workers)
+		return muCalibration(w, *seed, r, *workers)
 	case "ablation":
-		return ablation(w, *seed, *reps)
+		return ablation(w, *seed, r)
 	case "dynamic":
-		return dynamic(w, *seed, *reps)
+		return dynamic(w, *seed, r)
 	default:
 		return fmt.Errorf("unknown experiment %q", *name)
 	}

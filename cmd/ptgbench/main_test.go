@@ -71,6 +71,19 @@ func TestFigureHeaderCountsDefaultedRuns(t *testing.T) {
 	}
 }
 
+// TestNegativeRepsRefusedByEveryExperiment: a negative -reps is an error
+// for every experiment that runs combinations, not a report of NaN means
+// over zero runs.
+func TestNegativeRepsRefusedByEveryExperiment(t *testing.T) {
+	for _, name := range []string{"fig3", "mu-calibration", "ablation", "dynamic"} {
+		var out bytes.Buffer
+		err := run([]string{"-experiment", name, "-reps", "-1"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "must be non-negative") {
+			t.Errorf("%s -reps -1: got %v, want a non-negative error\n%s", name, err, out.String())
+		}
+	}
+}
+
 // TestCSVRefusedWithoutFigureTable: only fig2–fig5 print one table to
 // write as CSV; every other report, and campaign mode, refuses -csv
 // instead of silently writing nothing.

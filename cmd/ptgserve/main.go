@@ -10,18 +10,17 @@
 // Usage:
 //
 //	ptgserve -addr :8080 -workers 8 -queue 128 -timeout 60s \
-//	         -name worker-1 -drain-timeout 30s \
-//	         -max-campaign-points 16384 -max-job-points 1048576
+//	         -name worker-1 -drain-timeout 30s
 //
 // Endpoints:
 //
 //	POST /v1/schedule  {"platform":"rennes","family":"random","count":6,"strategy":"WPS-work","seed":7}
 //	POST /v1/online    {"platform":"sophia","count":8,"process":"poisson","rate":0.25,"seed":1}
 //	POST /v1/workload  {"family":"fft","count":10,"process":"uniform","rate":0.5}
-//	POST /v1/campaign  {"spec":{...declarative campaign spec...},"shard":"0/4"}
-//	POST   /v1/jobs               {"spec":{...},"shards":4,"shard":"1/3"}  → 202 + job id (async)
+//	POST /v1/campaign  {"spec":{...declarative campaign spec...}}  → aggregated tables
+//	POST   /v1/jobs               {"spec":{...},"shard":"1/3","workers":2}  → 202 + job id (async)
 //	GET    /v1/jobs               all jobs' status
-//	GET    /v1/jobs/{id}          progress: state, completed/total, per-shard counts
+//	GET    /v1/jobs/{id}          progress: state, completed/total points
 //	GET    /v1/jobs/{id}/results  completed results as JSONL; ?family=&strategy=&from=&to=
 //	DELETE /v1/jobs/{id}          cancel via context and forget
 //	GET  /v1/healthz   health snapshot as JSON (status, name, load) — the fleet probe
@@ -29,13 +28,15 @@
 //	GET  /metrics      the same counters in Prometheus text format
 //	GET  /healthz      liveness probe
 //
-// A full queue answers 429 with a Retry-After hint derived from the queue
-// depth and measured latency; a request exceeding the timeout answers
-// 504; an unknown job id answers 404. Every error response carries the
-// JSON envelope {"error": ..., "code": ...}. SIGINT/SIGTERM cancel
-// running jobs and drain in-flight requests; a drain still not finished
-// after -drain-timeout is force-closed, with the abandoned requests
-// counted as expired.
+// A campaign may expand to at most 16,384 points and a job to 2^20; live
+// jobs hold at most 2^21 points between them. A full queue answers 429
+// with a Retry-After hint derived from the queue depth and measured
+// latency; a request exceeding the timeout answers 504; an unknown job
+// id answers 404. Every error response carries the JSON envelope
+// {"error": ..., "code": ...}. SIGINT/SIGTERM cancel running jobs and
+// drain in-flight requests; a drain still not finished after
+// -drain-timeout is force-closed, with the abandoned requests counted as
+// expired.
 package main
 
 import (
@@ -69,17 +70,13 @@ func main() {
 func run(argv []string, w io.Writer, sigCh <-chan os.Signal) error {
 	fs := flag.NewFlagSet("ptgserve", flag.ContinueOnError)
 	var (
-		addr      = fs.String("addr", ":8080", "listen address")
-		name      = fs.String("name", "", "worker name reported by /v1/healthz (default: unnamed)")
-		workers   = fs.Int("workers", 0, "scheduling workers (default: GOMAXPROCS)")
-		queue     = fs.Int("queue", 0, "request queue depth (default: 64)")
-		timeout   = fs.Duration("timeout", 0, "per-request timeout (default: 60s)")
-		drain     = fs.Duration("drain-timeout", 30*time.Second, "shutdown: force-close after draining this long")
-		maxPoints = fs.Int("max-campaign-points", 0, "points one synchronous campaign may execute (default: 16384)")
-		maxExpand = fs.Int("max-campaign-expansion", 0, "total expansion a campaign request may address (default: 2^24)")
-		maxJob    = fs.Int("max-job-points", 0, "points one async job may execute (default: 2^20)")
-		maxBack   = fs.Int("max-job-backlog", 0, "total points across live jobs (default: 2^21)")
-		cacheDir  = fs.String("cache", "", "content-addressed result cache directory (created if missing); campaign and job points are served from verified cache entries and published back — point a fleet's workers at one shared directory")
+		addr     = fs.String("addr", ":8080", "listen address")
+		name     = fs.String("name", "", "worker name reported by /v1/healthz (default: unnamed)")
+		workers  = fs.Int("workers", 0, "scheduling workers (default: GOMAXPROCS)")
+		queue    = fs.Int("queue", 0, "request queue depth (default: 64)")
+		timeout  = fs.Duration("timeout", 0, "per-request timeout (default: 60s)")
+		drain    = fs.Duration("drain-timeout", 30*time.Second, "shutdown: force-close after draining this long")
+		cacheDir = fs.String("cache", "", "content-addressed result cache directory (created if missing); campaign and job points are served from verified cache entries and published back — point a fleet's workers at one shared directory")
 	)
 	if ok, err := cli.Parse(fs, argv, w); !ok {
 		return err
@@ -110,12 +107,6 @@ func run(argv []string, w io.Writer, sigCh <-chan os.Signal) error {
 		QueueDepth:     *queue,
 		RequestTimeout: *timeout,
 		Cache:          ch,
-		Limits: ptgsched.ServiceLimits{
-			CampaignPoints:    *maxPoints,
-			CampaignExpansion: *maxExpand,
-			JobPoints:         *maxJob,
-			JobBacklog:        *maxBack,
-		},
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -163,12 +163,11 @@ func ExampleService_SubmitJob() {
 			"name": "demo", "seed": 9, "reps": 2, "nptgs": [2, 3],
 			"platforms": ["lille"], "families": [{"family": "strassen"}]
 		}`),
-		Shards: 2,
 	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("submitted: %d points in %d shards\n", st.Points, len(st.Shards))
+	fmt.Printf("submitted: %d points\n", st.Points)
 
 	// Poll (WaitJob blocks; a remote client polls GET /v1/jobs/{id}).
 	final, err := svc.WaitJob(context.Background(), st.ID)
@@ -188,7 +187,7 @@ func ExampleService_SubmitJob() {
 	}
 	fmt.Printf("streamed %d results; first: %s\n", len(results), results[0].Name)
 	// Output:
-	// submitted: 4 points in 2 shards
+	// submitted: 4 points
 	// state done: 4/4 points
 	// streamed 4 results; first: strassen/n=2/rep=0/Lille
 }

@@ -85,12 +85,13 @@ func (e Event) String() string {
 	}
 }
 
-// rank orders same-instant events deterministically: completions are
-// handled by the scheduler first (outside this package), then recoveries
-// (capacity returns before anything is decided), speed changes, failures
-// (a task finishing exactly at the failure instant survives), cancels and
-// resubmissions.
-func (k Kind) rank() int {
+// Rank orders same-instant events deterministically, the one statement of
+// that order: recoveries first (capacity returns before anything is
+// decided), then speed changes, failures, cancels and resubmissions. The
+// online scheduler places its own two kinds around it: completions before
+// every timeline event (a task finishing exactly at the failure instant
+// survives), arrivals after.
+func (k Kind) Rank() int {
 	switch k {
 	case ClusterUp:
 		return 0
@@ -118,7 +119,7 @@ func (tl Timeline) Sort() {
 		if tl[i].At != tl[j].At {
 			return tl[i].At < tl[j].At
 		}
-		return tl[i].Kind.rank() < tl[j].Kind.rank()
+		return tl[i].Kind.Rank() < tl[j].Kind.Rank()
 	})
 }
 

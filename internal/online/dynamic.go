@@ -113,35 +113,22 @@ func (s *scheduler) pushTimeline(tl events.Timeline) {
 		if e.At < 0 {
 			panic(fmt.Sprintf("online: negative event time %g", e.At))
 		}
-		ev := event{at: e.At, cluster: e.Cluster, factor: e.Factor, app: e.App}
 		switch e.Kind {
-		case events.ClusterDown:
-			ev.kind = evClusterDown
-		case events.ClusterUp:
-			ev.kind = evClusterUp
-		case events.SpeedChange:
-			ev.kind = evSpeedChange
-			if e.Factor <= 0 {
-				panic(fmt.Sprintf("online: speed change factor %g", e.Factor))
-			}
-		case events.Cancel:
-			ev.kind = evCancel
-		case events.Resubmit:
-			ev.kind = evResubmit
-		default:
-			panic(fmt.Sprintf("online: unknown event kind %v", e.Kind))
-		}
-		switch ev.kind {
-		case evClusterDown, evClusterUp, evSpeedChange:
+		case events.ClusterDown, events.ClusterUp, events.SpeedChange:
 			if e.Cluster < 0 || e.Cluster >= len(s.pf.Clusters) {
 				panic(fmt.Sprintf("online: event cluster %d outside platform of %d clusters", e.Cluster, len(s.pf.Clusters)))
 			}
-		default:
+			if e.Kind == events.SpeedChange && e.Factor <= 0 {
+				panic(fmt.Sprintf("online: speed change factor %g", e.Factor))
+			}
+		case events.Cancel, events.Resubmit:
 			if e.App < 0 || e.App >= len(s.arrivals) {
 				panic(fmt.Sprintf("online: event application %d outside arrival set of %d", e.App, len(s.arrivals)))
 			}
+		default:
+			panic(fmt.Sprintf("online: unknown event kind %v", e.Kind))
 		}
-		s.events.Push(ev)
+		s.events.Push(event{at: e.At, kind: e.Kind, cluster: e.Cluster, factor: e.Factor, app: e.App})
 	}
 }
 

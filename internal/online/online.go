@@ -359,19 +359,19 @@ func (s *scheduler) handle(ev event) {
 		s.onArrival(ev.app)
 	case evCompletion:
 		s.onCompletion(ev.ot)
-	case evClusterDown:
+	case events.ClusterDown:
 		s.result.EventsApplied++
 		s.onClusterDown(ev.cluster)
-	case evClusterUp:
+	case events.ClusterUp:
 		s.result.EventsApplied++
 		s.onClusterUp(ev.cluster)
-	case evSpeedChange:
+	case events.SpeedChange:
 		s.result.EventsApplied++
 		s.onSpeedChange(ev.cluster, ev.factor)
-	case evCancel:
+	case events.Cancel:
 		s.result.EventsApplied++
 		s.onCancel(ev.app)
-	case evResubmit:
+	case events.Resubmit:
 		s.result.EventsApplied++
 		s.onResubmit(ev.app)
 	}
@@ -608,46 +608,32 @@ func (s *scheduler) commit(ot *onlineTask) {
 
 // Event plumbing.
 
-type eventKind int
-
+// The driver's own two event kinds, beside the timeline's.
 const (
-	evArrival eventKind = iota
-	evCompletion
-	evClusterDown
-	evClusterUp
-	evSpeedChange
-	evCancel
-	evResubmit
+	evCompletion events.Kind = -1 - iota
+	evArrival
 )
 
 // rank orders same-instant events: completions first (a task finishing
 // exactly when its cluster fails survives, and a finishing application
-// releases its share before anyone decides), then recoveries, speed
-// changes, failures, cancellations, resubmissions, and arrivals last (a
-// newcomer sees the platform state of its instant). Same-kind pairs
-// compare equal, preserving the static path's heap order exactly.
-func (k eventKind) rank() int {
+// releases its share before anyone decides), then the timeline's kinds in
+// their own order (events.Kind.Rank), and arrivals last (a newcomer sees
+// the platform state of its instant). Same-kind pairs compare equal,
+// preserving the static path's heap order exactly.
+func rank(k events.Kind) int {
 	switch k {
 	case evCompletion:
-		return 0
-	case evClusterUp:
-		return 1
-	case evSpeedChange:
-		return 2
-	case evClusterDown:
-		return 3
-	case evCancel:
-		return 4
-	case evResubmit:
-		return 5
-	default: // evArrival
-		return 6
+		return -1
+	case evArrival:
+		return math.MaxInt
+	default:
+		return k.Rank()
 	}
 }
 
 type event struct {
 	at   float64
-	kind eventKind
+	kind events.Kind
 	app  int
 	ot   *onlineTask
 	// placement identifies which commitment a completion event belongs
@@ -666,5 +652,5 @@ func eventBefore(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.kind.rank() < b.kind.rank()
+	return rank(a.kind) < rank(b.kind)
 }

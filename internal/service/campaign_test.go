@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -33,11 +34,11 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Name != "smoke" || resp.Points != 4 || resp.RunPoints != 4 {
+	if resp.Name != "smoke" || resp.Points != 4 {
 		t.Fatalf("bad response header: %+v", resp)
 	}
-	if len(resp.Tables) != 1 || len(resp.Results) != 0 {
-		t.Fatalf("unsharded campaign: %d tables, %d results", len(resp.Tables), len(resp.Results))
+	if len(resp.Tables) != 1 {
+		t.Fatalf("campaign: %d tables, want 1", len(resp.Tables))
 	}
 	tb := resp.Tables[0]
 	if tb.Family != "strassen" || len(tb.Rows) != 2 || len(tb.Labels) != 6 {
@@ -66,6 +67,10 @@ func TestCampaignEndToEnd(t *testing.T) {
 	}
 }
 
+// A campaign's per-point records come from jobs: two shard jobs, at one
+// and at four sweep workers, stream the records a scratch-less, memo-less
+// RunPoint computes, in point order, and together aggregate to the
+// synchronous campaign's tables.
 func TestCampaignShardsRecombineThroughService(t *testing.T) {
 	s := newService(t, service.Options{Workers: 2})
 	full, err := s.Campaign(context.Background(), service.CampaignRequest{
@@ -83,10 +88,12 @@ func TestCampaignShardsRecombineThroughService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	for _, workers := range []int{1, 4} {
 		var merged []scenario.PointResult
 		for _, shard := range []string{"1/2", "0/2"} {
-			resp, err := s.Campaign(context.Background(), service.CampaignRequest{
+			st, err := s.SubmitJob(service.JobRequest{
 				Spec:    json.RawMessage(smallCampaignSpec),
 				Shard:   shard,
 				Workers: workers,
@@ -94,52 +101,70 @@ func TestCampaignShardsRecombineThroughService(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(resp.Tables) != 0 || len(resp.Results) == 0 || resp.Shard != shard {
-				t.Fatalf("shard response shape: %+v", resp)
+			if st, err = s.WaitJob(ctx, st.ID); err != nil || st.State != service.JobDone {
+				t.Fatalf("workers=%d shard %s: %+v, %v", workers, shard, st, err)
 			}
-			// A sharded response is an ordered sink: point order, each
-			// record what a scratch-less, memo-less RunPoint computes.
-			for k, r := range resp.Results {
+			var buf bytes.Buffer
+			if err := s.JobResults(st.ID, service.ResultQuery{}, &buf); err != nil {
+				t.Fatal(err)
+			}
+			results, err := scenario.ReadJSONL(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != st.Points {
+				t.Fatalf("workers=%d shard %s: %d results, want %d", workers, shard, len(results), st.Points)
+			}
+			for k, r := range results {
 				if want := e.RunPoint(e.PointAt(r.Index)); !reflect.DeepEqual(r, want) {
 					t.Fatalf("workers=%d shard %s: result %d differs from RunPoint", workers, shard, r.Index)
 				}
-				if k > 0 && resp.Results[k-1].Index >= r.Index {
+				if k > 0 && results[k-1].Index >= r.Index {
 					t.Fatalf("workers=%d shard %s: results out of point order", workers, shard)
 				}
 			}
-			merged = append(merged, resp.Results...)
+			merged = append(merged, results...)
 		}
 		tables, err := e.Aggregate(merged)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(tables[0].Result.Points[0].Unfairness, full.Tables[0].Rows[0].Unfairness) {
-			t.Fatal("recombined shards differ from the unsharded service run")
+		if len(tables) != len(full.Tables) {
+			t.Fatalf("workers=%d: %d recombined tables, campaign has %d", workers, len(tables), len(full.Tables))
+		}
+		for i, tb := range tables {
+			for j, pt := range tb.Result.Points {
+				row := full.Tables[i].Rows[j]
+				got := service.CampaignRow{
+					NPTGs:          pt.NPTGs,
+					Runs:           pt.Runs,
+					Unfairness:     pt.Unfairness,
+					AvgMakespan:    pt.AvgMakespan,
+					RelMakespan:    pt.RelMakespan,
+					UnfairnessStd:  pt.UnfairnessStd,
+					RelMakespanStd: pt.RelMakespanStd,
+				}
+				if !reflect.DeepEqual(got, row) {
+					t.Fatalf("workers=%d table %d row %d: recombined shards %+v, campaign %+v", workers, i, j, got, row)
+				}
+			}
 		}
 	}
 }
 
-// A point whose generator panics fails its own request — sharded or not,
-// inline or on the sweep pool's goroutines — naming the point, and the
-// service keeps serving.
+// A point whose generator panics fails its own request, naming the point,
+// and the service keeps serving. The sweep runs inline on the request's
+// worker, so the first point is the one that fails; the sweep pool's
+// goroutines are covered by the job test of the same name.
 func TestCampaignPanickingPointFailsOnlyItsRequest(t *testing.T) {
 	s := newService(t, service.Options{Workers: 1})
-	for _, workers := range []int{1, 4} {
-		for shard, first := range map[string]string{"": "point 0 panicked", "1/2": "point 1 panicked"} {
-			req := service.CampaignRequest{Spec: json.RawMessage(smallCampaignSpec), Shard: shard, Workers: workers}
-			_, err := s.CampaignWithPanickingCell0(context.Background(), req)
-			if err == nil || !strings.Contains(err.Error(), "panicked") {
-				t.Fatalf("workers=%d shard=%q: err = %v, want a panic conversion", workers, shard, err)
-			}
-			// Inline, the first point of the set is the one that fails;
-			// the error names its global index, not its position.
-			if workers == 1 && !strings.Contains(err.Error(), first) {
-				t.Fatalf("shard=%q: err = %v, want %q", shard, err, first)
-			}
-			if _, err := s.Campaign(context.Background(), req); err != nil {
-				t.Fatalf("workers=%d shard=%q: request after the panic: %v", workers, shard, err)
-			}
-		}
+	req := service.CampaignRequest{Spec: json.RawMessage(smallCampaignSpec)}
+	_, err := s.CampaignWithPanickingCell0(context.Background(), req)
+	if err == nil || !strings.Contains(err.Error(), "point 0 panicked") {
+		t.Fatalf("err = %v, want the panic of point 0", err)
+	}
+	if _, err := s.Campaign(context.Background(), req); err != nil {
+		t.Fatalf("request after the panic: %v", err)
 	}
 }
 
@@ -164,85 +189,65 @@ func TestCampaignStopsSweepingAtItsDeadline(t *testing.T) {
 	}
 }
 
-func TestCampaignValidation(t *testing.T) {
-	// Tight admission limits so the cardinality cases exercise rejection
-	// without queuing real work; the structural caps are constants.
-	s := newService(t, service.Options{Workers: 1, Limits: service.Limits{
-		CampaignPoints:    2048,
-		CampaignExpansion: 65536,
-	}})
-	cases := []struct {
-		name string
-		req  service.CampaignRequest
-	}{
-		{"missing spec", service.CampaignRequest{}},
-		{"unknown field", service.CampaignRequest{Spec: json.RawMessage(`{"repz": 1}`)}},
-		{"bad family", service.CampaignRequest{Spec: json.RawMessage(`{"families": [{"family": "weird"}]}`)}},
-		{"nptgs cap", service.CampaignRequest{Spec: json.RawMessage(`{"nptgs": [65]}`)}},
-		{"points cap", service.CampaignRequest{Spec: json.RawMessage(`{"reps": 200}`)}},
-		{"grid explosion", service.CampaignRequest{Spec: json.RawMessage(
-			`{"families": [{"family": "random", "tasks": {"from": 1, "to": 5000, "step": 1}, "widths": {"from": 0.001, "to": 1, "step": 0.001}}]}`)}},
-		{"procs cap", service.CampaignRequest{Spec: json.RawMessage(
-			`{"platform_specs": [{"name": "x", "clusters": [{"name": "c", "procs": 2000000000, "speed": 1}]}]}`)}},
-		{"bad shard", service.CampaignRequest{Spec: json.RawMessage(smallCampaignSpec), Shard: "9/4"}},
-		{"expansion cap even sharded", service.CampaignRequest{
-			Spec: json.RawMessage(`{"reps": 4000}`), Shard: "0/100"}},
-		{"strategy cap", service.CampaignRequest{Spec: json.RawMessage(
-			`{"reps": 1, "nptgs": [2], "platforms": ["lille"], "strategies": [` +
-				strings.Repeat(`{"name": "S"},`, 70) + `{"name": "ES"}]}`)}},
-		{"trailing shard garbage", service.CampaignRequest{Spec: json.RawMessage(smallCampaignSpec), Shard: "0/2junk"}},
-		{"events budget cap", service.CampaignRequest{Spec: json.RawMessage(
-			`{"reps": 1, "nptgs": [2], "events": {"failures": [{"cluster": 0, "mttf": 10, "mttr": 2, "count": 200}]}}`)}},
-		{"unknown reschedule policy", service.CampaignRequest{Spec: json.RawMessage(
-			`{"reps": 1, "nptgs": [2], "events": {"cancels": [{"app": 0, "at": 1}], "policies": ["optimist"]}}`)}},
-	}
-	for _, tc := range cases {
-		_, err := s.Campaign(context.Background(), tc.req)
-		var verr *service.ValidationError
-		if !errors.As(err, &verr) {
-			t.Errorf("%s: error %v, want ValidationError", tc.name, err)
-		}
-	}
-}
-
-// TestCampaignLimitsDefaultAndOverride pins the streaming-era admission
-// model: the default caps sit far above the old materialize-everything
-// values (a 4000-point expansion is admissible by default), and a service
-// can still be configured down to a tight budget.
+// TestCampaignLimitsDefaultAndOverride pins the admission caps: a
+// 4,000-point expansion (reps 200, paper defaults) is admissible as a job
+// shard, and a campaign over MaxCampaignPoints (reps 1000, 20,000 points)
+// or a job over MaxJobPoints, sharded or not, is refused by the arithmetic
+// count before anything is expanded.
 func TestCampaignLimitsDefaultAndOverride(t *testing.T) {
+	if service.MaxCampaignPoints != 16_384 || service.MaxJobPoints != 1<<20 || service.MaxJobBacklog != 2<<20 {
+		t.Fatalf("caps %d/%d/%d moved", service.MaxCampaignPoints, service.MaxJobPoints, service.MaxJobBacklog)
+	}
 	s := newService(t, service.Options{Workers: 1})
-	lim := s.Options().Limits
-	if lim.CampaignPoints != service.DefaultMaxCampaignPoints ||
-		lim.CampaignExpansion != service.DefaultMaxCampaignExpansion ||
-		lim.JobPoints != service.DefaultMaxJobPoints ||
-		lim.JobBacklog != service.DefaultMaxJobBacklog {
-		t.Fatalf("default limits not applied: %+v", lim)
-	}
-	if service.DefaultMaxCampaignPoints < 4000 {
-		t.Fatalf("default campaign cap %d regressed below the old 2048-era scale", service.DefaultMaxCampaignPoints)
-	}
-	// A 4000-point expansion (reps 200, paper defaults) is admissible now;
-	// run only a 1/1000 shard of it so the test stays fast.
-	resp, err := s.Campaign(context.Background(), service.CampaignRequest{
+	// Run only a 1/1000 shard of it so the test stays fast.
+	st, err := s.SubmitJob(service.JobRequest{
 		Spec:  json.RawMessage(`{"seed": 1, "reps": 200}`),
 		Shard: "0/1000",
 	})
 	if err != nil {
-		t.Fatalf("4000-point campaign rejected under default limits: %v", err)
+		t.Fatalf("4000-point job shard rejected: %v", err)
 	}
-	if resp.Points != 4000 || resp.RunPoints != 4 {
-		t.Fatalf("shard response %+v, want 4000 points / 4 run", resp)
+	if st.Points != 4 {
+		t.Fatalf("shard status %+v, want 4 points", st)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if st, err = s.WaitJob(ctx, st.ID); err != nil || st.State != service.JobDone || st.Completed != 4 {
+		t.Fatalf("shard job %+v, %v", st, err)
 	}
 
-	// The same spec against a tight configured cap is refused up front.
-	tight := newService(t, service.Options{Workers: 1, Limits: service.Limits{CampaignExpansion: 100}})
-	_, err = tight.Campaign(context.Background(), service.CampaignRequest{
-		Spec:  json.RawMessage(`{"seed": 1, "reps": 200}`),
-		Shard: "0/1000",
-	})
 	var verr *service.ValidationError
-	if !errors.As(err, &verr) {
-		t.Fatalf("tight expansion cap not enforced: %v", err)
+	_, err = s.Campaign(context.Background(), service.CampaignRequest{Spec: json.RawMessage(`{"seed": 1, "reps": 1000}`)})
+	if !errors.As(err, &verr) || !strings.Contains(err.Error(), "expands to 20000 points, server cap is 16384") {
+		t.Fatalf("20,000-point campaign: %v, want the arithmetic cap", err)
+	}
+	_, err = s.SubmitJob(service.JobRequest{Spec: json.RawMessage(`{"seed": 1, "reps": 100000}`), Shard: "0/1000"})
+	if !errors.As(err, &verr) || !strings.Contains(err.Error(), "expands to 2000000 points, server cap is 1048576") {
+		t.Fatalf("2,000,000-point job shard: %v, want the arithmetic cap", err)
+	}
+}
+
+// A campaign carries no shard selector or worker count and a job no
+// progress partition: on the wire those are unknown fields, refused as bad
+// requests before they reach the service.
+func TestRemovedRequestKnobsAreBadRequests(t *testing.T) {
+	s := newService(t, service.Options{Workers: 1})
+	h := service.Handler(s)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/campaign", `{"spec": ` + smallCampaignSpec + `, "shard": "0/2"}`},
+		{"/v1/campaign", `{"spec": ` + smallCampaignSpec + `, "workers": 2}`},
+		{"/v1/jobs", `{"spec": ` + smallCampaignSpec + `, "shards": 2}`},
+	} {
+		w := do(h, http.MethodPost, tc.path, tc.body)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("POST %s %s: status %d, want 400", tc.path, tc.body, w.Code)
+		}
+		if msg, code := errorEnvelope(t, w); code != service.CodeBadRequest || !strings.Contains(msg, "unknown field") {
+			t.Fatalf("POST %s: %s %q, want %s naming the unknown field", tc.path, code, msg, service.CodeBadRequest)
+		}
+	}
+	if st := s.Stats(); st.Completed+st.Failed != 0 || len(s.Jobs()) != 0 {
+		t.Fatalf("a refused request ran: %+v", st)
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 // expansion's first cell replaced by one that panics: a degenerate
 // generated scenario, which no JSON spec can ask for.
 func (s *Service) CampaignWithPanickingCell0(ctx context.Context, req CampaignRequest) (*CampaignResponse, error) {
-	cs, err := req.resolve(s.opts.Limits)
+	e, err := req.resolve()
 	if err != nil {
 		return nil, err
 	}
-	cs.expansion.Cells[0].Config.Gen = func(*dag.Graph, *rand.Rand) { panic("degenerate scenario") }
-	return s.campaign(ctx, cs)
+	e.Cells[0].Config.Gen = func(*dag.Graph, *rand.Rand) { panic("degenerate scenario") }
+	return s.campaign(ctx, e)
 }
 
 // SubmitTestJob enqueues a job that blocks until release is closed. It lets

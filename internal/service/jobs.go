@@ -4,14 +4,13 @@ package service
 // synchronous HTTP request is submitted as a *job* — the submission
 // validates and expands the spec, enqueues one execution onto the same
 // bounded worker pool every other request shares, and returns immediately
-// with a job id. The job's progress (completed/total points, per-shard
-// state) is polled, its completed per-point results are streamed as JSONL
-// with simple query filters while it runs, and a delete cancels it through
-// its context. Results are never resident: each completed point is
+// with a job id. The job's progress (completed/total points) is polled,
+// its completed per-point results are streamed as JSONL with simple query
+// filters while it runs, and a delete cancels it through its context. Results are never resident: each completed point is
 // appended to a per-job spool file (one JSONL line per point, the
 // campaign wire format), and the handle keeps only the line's offset and
 // length plus a ready bit — 13 bytes per point — so job size is bounded
-// by the admission limits and spool disk, not server memory. The durable,
+// by the admission caps and spool disk, not server memory. The durable,
 // resumable on-disk counterpart of this subsystem is internal/store,
 // which ptgbench drives for kill/resume workflows.
 
@@ -23,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -42,17 +42,11 @@ var (
 	ErrTooManyJobs = errors.New("service: too many active jobs")
 )
 
-const (
-	// MaxJobs bounds the job registry: terminal jobs are evicted
-	// oldest-first to admit new ones, but live jobs are never evicted.
-	MaxJobs = 64
-	// MaxJobShards bounds the progress-reporting partition of a job.
-	MaxJobShards = 256
-)
-
-// The job size and backlog caps are configurable per Service — see
-// Limits.JobPoints / Limits.JobBacklog and the DefaultMaxJob* constants
+// MaxJobs bounds the job registry: terminal jobs are evicted oldest-first
+// to admit new ones, but live jobs are never evicted. The job size and
+// backlog caps, MaxJobPoints and MaxJobBacklog, sit with the campaign caps
 // in campaign.go.
+const MaxJobs = 64
 
 // Job states.
 const (
@@ -72,19 +66,9 @@ type JobRequest struct {
 	// lease a fleet coordinator dispatches to one worker. Empty runs the
 	// whole expansion.
 	Shard string `json:"shard,omitempty"`
-	// Shards partitions progress reporting: point i belongs to shard
-	// i mod Shards, exactly the scenario/store partition. Default 1.
-	Shards int `json:"shards,omitempty"`
 	// Workers bounds the job's intra-run parallelism; default 1 (a job
 	// occupies one service worker). The server clamps it to GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
-}
-
-// JobShardState reports one shard's progress.
-type JobShardState struct {
-	Index     int `json:"index"`
-	Points    int `json:"points"`
-	Completed int `json:"completed"`
 }
 
 // JobStatus is a point-in-time snapshot of one job, the payload of
@@ -104,8 +88,6 @@ type JobStatus struct {
 	// Completed the number measured so far.
 	Points    int `json:"points"`
 	Completed int `json:"completed"`
-	// Shards breaks Completed down by the modulo partition.
-	Shards []JobShardState `json:"shards"`
 	// Error carries the failure reason of a failed job.
 	Error string `json:"error,omitempty"`
 	// ElapsedMS is time spent executing so far (0 while queued).
@@ -123,7 +105,6 @@ type jobHandle struct {
 	e        *scenario.Expansion
 	set      scenario.IndexSet // the points this job executes
 	shardSel string            // the request's shard selector, "" for all
-	shards   int
 	worker   int
 
 	ctx    context.Context
@@ -136,9 +117,7 @@ type jobHandle struct {
 	started  time.Time
 	finished time.Time
 
-	completed  atomic.Int64
-	perShard   []atomic.Int64
-	shardSizes []int
+	completed atomic.Int64
 
 	// The result spool: completed points are appended as JSONL lines to a
 	// temp file instead of being held resident. offs/lens locate point
@@ -180,7 +159,6 @@ func (h *jobHandle) record(r scenario.PointResult, buf *[]byte) error {
 	h.spoolMu.Unlock()
 
 	h.ready[r.Index].Store(true) // release: readers Load before ReadAt
-	h.perShard[r.Index%h.shards].Add(1)
 	h.completed.Add(1)
 	return nil
 }
@@ -244,13 +222,6 @@ func (h *jobHandle) status() *JobStatus {
 	case !started.IsZero():
 		st.ElapsedMS = float64(time.Since(started).Microseconds()) / 1e3
 	}
-	for i := 0; i < h.shards; i++ {
-		st.Shards = append(st.Shards, JobShardState{
-			Index:     i,
-			Points:    h.shardSizes[i],
-			Completed: int(h.perShard[i].Load()),
-		})
-	}
 	return st
 }
 
@@ -295,8 +266,8 @@ type jobRegistry struct {
 
 // add registers a handle under a fresh id, evicting the oldest terminal
 // job (and its spool) if the registry is full; a registry full of live
-// jobs, or one whose live jobs already hold backlogCap points, refuses.
-func (reg *jobRegistry) add(h *jobHandle, backlogCap int) (string, error) {
+// jobs, or one whose live jobs already hold MaxJobBacklog points, refuses.
+func (reg *jobRegistry) add(h *jobHandle) (string, error) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	if reg.byID == nil {
@@ -308,9 +279,9 @@ func (reg *jobRegistry) add(h *jobHandle, backlogCap int) (string, error) {
 			live += j.set.Len()
 		}
 	}
-	if live+h.set.Len() > backlogCap {
+	if live+h.set.Len() > MaxJobBacklog {
 		return "", fmt.Errorf("%w: %d points already queued or running, backlog cap is %d",
-			ErrTooManyJobs, live, backlogCap)
+			ErrTooManyJobs, live, MaxJobBacklog)
 	}
 	if len(reg.byID) >= MaxJobs {
 		var oldest *jobHandle
@@ -365,23 +336,15 @@ func (reg *jobRegistry) list() []*jobHandle {
 	return hs
 }
 
-// resolve validates a job request against the campaign caps (minus the
-// synchronous per-request point cap: jobs are bounded by
-// Limits.JobPoints, which applies to the whole expansion even for a
-// sharded job — the handle's per-point arrays are sized by the expansion).
-func (r JobRequest) resolve(lim Limits) (*scenario.Expansion, scenario.IndexSet, int, int, error) {
-	e, set, err := resolveSweep("job", r.Spec, r.Shard, lim.JobPoints, lim.JobPoints)
+// resolve validates a job request against the structural caps and
+// MaxJobPoints, and clamps its intra-run parallelism: default 1 (a job
+// occupies one service worker), at most GOMAXPROCS.
+func (r JobRequest) resolve() (*scenario.Expansion, scenario.IndexSet, int, error) {
+	e, set, err := resolveSweep("job", r.Spec, r.Shard, MaxJobPoints)
 	if err != nil {
-		return nil, set, 0, 0, err
+		return nil, set, 0, err
 	}
-	shards := r.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	if shards < 1 || shards > MaxJobShards || shards > set.Len() {
-		return nil, scenario.IndexSet{}, 0, 0, fmt.Errorf("service: %d shards for %d points (cap %d)", shards, set.Len(), MaxJobShards)
-	}
-	return e, set, shards, clampWorkers(r.Workers), nil
+	return e, set, min(max(r.Workers, 1), runtime.GOMAXPROCS(0)), nil
 }
 
 // SubmitJob validates, expands and enqueues an asynchronous campaign job
@@ -391,7 +354,7 @@ func (r JobRequest) resolve(lim Limits) (*scenario.Expansion, scenario.IndexSet,
 // or a registry full of live jobs refuses the submission. Safe for
 // concurrent use.
 func (s *Service) SubmitJob(req JobRequest) (*JobStatus, error) {
-	e, set, shards, workers, err := req.resolve(s.opts.Limits)
+	e, set, workers, err := req.resolve()
 	if err != nil {
 		return nil, s.invalid(err)
 	}
@@ -401,31 +364,22 @@ func (s *Service) SubmitJob(req JobRequest) (*JobStatus, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &jobHandle{
-		name:       e.Spec.Name,
-		digest:     e.Digest(),
-		e:          e,
-		set:        set,
-		shardSel:   req.Shard,
-		shards:     shards,
-		worker:     workers,
-		ctx:        ctx,
-		cancel:     cancel,
-		done:       make(chan struct{}),
-		state:      JobQueued,
-		perShard:   make([]atomic.Int64, shards),
-		shardSizes: make([]int, shards),
-		spool:      spool,
-		offs:       make([]int64, e.NumPoints()),
-		lens:       make([]int32, e.NumPoints()),
-		ready:      make([]atomic.Bool, e.NumPoints()),
+		name:     e.Spec.Name,
+		digest:   e.Digest(),
+		e:        e,
+		set:      set,
+		shardSel: req.Shard,
+		worker:   workers,
+		ctx:      ctx,
+		cancel:   cancel,
+		done:     make(chan struct{}),
+		state:    JobQueued,
+		spool:    spool,
+		offs:     make([]int64, e.NumPoints()),
+		lens:     make([]int32, e.NumPoints()),
+		ready:    make([]atomic.Bool, e.NumPoints()),
 	}
-	// Progress shards partition the *executed* set by global index modulo
-	// Shards — for a whole-expansion job this is exactly the n/shards
-	// (+1 for the first n mod shards) split of the stride partition.
-	for j := 0; j < set.Len(); j++ {
-		h.shardSizes[set.At(j)%shards]++
-	}
-	if _, err := s.jobs.add(h, s.opts.Limits.JobBacklog); err != nil {
+	if _, err := s.jobs.add(h); err != nil {
 		cancel()
 		h.release()
 		// A full registry or backlog is a rejection like a full queue:

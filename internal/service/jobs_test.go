@@ -27,14 +27,9 @@ const jobSpec = `{
 	"families": [{"family": "strassen"}]
 }`
 
-func submitSmokeJob(t *testing.T, s *Service, shards int) *JobStatus {
+func submitSmokeJob(t *testing.T, s *Service, workers int) *JobStatus {
 	t.Helper()
-	return submitSmokeJobWorkers(t, s, shards, 0)
-}
-
-func submitSmokeJobWorkers(t *testing.T, s *Service, shards, workers int) *JobStatus {
-	t.Helper()
-	st, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(jobSpec), Shards: shards, Workers: workers})
+	st, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(jobSpec), Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +46,7 @@ func testJobRoundTrip(t *testing.T, workers int) {
 	s := New(Options{Workers: 2})
 	defer s.Close()
 
-	st := submitSmokeJobWorkers(t, s, 2, workers)
+	st := submitSmokeJob(t, s, workers)
 	if st.ID == "" || st.Points != 8 {
 		t.Fatalf("initial status %+v", st)
 	}
@@ -63,9 +58,6 @@ func testJobRoundTrip(t *testing.T, workers int) {
 	}
 	if final.State != JobDone || final.Completed != 8 {
 		t.Fatalf("final status %+v", final)
-	}
-	if len(final.Shards) != 2 || final.Shards[0].Completed != 4 || final.Shards[1].Completed != 4 {
-		t.Fatalf("per-shard state %+v", final.Shards)
 	}
 
 	// The streamed results must aggregate bit-identically to a direct run.
@@ -137,7 +129,7 @@ func TestJobPanickingPointFailsOnlyItsJob(t *testing.T) {
 		for s.Stats().InFlight == 0 {
 			time.Sleep(time.Millisecond)
 		}
-		st := submitSmokeJobWorkers(t, s, 1, workers)
+		st := submitSmokeJob(t, s, workers)
 		h, err := s.jobs.get(st.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +150,7 @@ func TestJobPanickingPointFailsOnlyItsJob(t *testing.T) {
 		if workers == 1 && !strings.Contains(final.Error, "point 0 panicked") {
 			t.Fatalf("inline job error %q does not name point 0", final.Error)
 		}
-		again := submitSmokeJob(t, s, 1)
+		again := submitSmokeJob(t, s, 0)
 		if final, err := s.WaitJob(context.Background(), again.ID); err != nil || final.State != JobDone {
 			t.Fatalf("workers=%d: job after the panic: %+v, %v", workers, final, err)
 		}
@@ -169,7 +161,7 @@ func TestJobPanickingPointFailsOnlyItsJob(t *testing.T) {
 func TestJobResultFilters(t *testing.T) {
 	s := New(Options{Workers: 2})
 	defer s.Close()
-	st := submitSmokeJob(t, s, 1)
+	st := submitSmokeJob(t, s, 0)
 	if _, err := s.WaitJob(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +221,8 @@ func TestJobCancelWhileQueued(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
 
-	j1 := submitSmokeJob(t, s, 1)
-	j2 := submitSmokeJob(t, s, 1)
+	j1 := submitSmokeJob(t, s, 0)
+	j2 := submitSmokeJob(t, s, 0)
 
 	st, err := s.CancelJob(j2.ID)
 	if err != nil {
@@ -247,18 +239,22 @@ func TestJobCancelWhileQueued(t *testing.T) {
 	}
 }
 
+// invalidJobRequests are refused by JobRequest.resolve; they also seed
+// FuzzAdmission.
+var invalidJobRequests = []JobRequest{
+	{},                                     // no spec
+	{Spec: json.RawMessage(`{"bogus":1}`)}, // unknown field
+	{Spec: json.RawMessage(`{"seed":1,"reps":100000}`)},                 // 2M points, over MaxJobPoints
+	{Spec: json.RawMessage(`{"seed":1,"reps":100000}`), Shard: "0/100"}, // the cap bounds the expansion, not the shard
+	{Spec: json.RawMessage(jobSpec), Shard: "9/4"},                      // shard out of range
+	{Spec: json.RawMessage(jobSpec), Shard: "0/2junk"},                  // trailing garbage
+}
+
 func TestJobValidation(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
 
-	cases := []JobRequest{
-		{},                                     // no spec
-		{Spec: json.RawMessage(`{"bogus":1}`)}, // unknown field
-		{Spec: json.RawMessage(jobSpec), Shards: -1},
-		{Spec: json.RawMessage(jobSpec), Shards: 100},       // > points
-		{Spec: json.RawMessage(`{"seed":1,"reps":100000}`)}, // 2M points, over Limits.JobPoints
-	}
-	for i, req := range cases {
+	for i, req := range invalidJobRequests {
 		if _, err := s.SubmitJob(req); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
@@ -278,7 +274,7 @@ func TestJobHTTPRoundTrip(t *testing.T) {
 	defer srv.Close()
 
 	// Submit.
-	body := `{"spec": ` + jobSpec + `, "shards": 2}`
+	body := `{"spec": ` + jobSpec + `, "workers": 2}`
 	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +377,7 @@ func TestJobQueueFullRefusesSubmission(t *testing.T) {
 	defer s.Close()
 
 	// One running, one queued: the queue is now full.
-	submitSmokeJob(t, s, 1)
+	submitSmokeJob(t, s, 0)
 	waitForQueueFull := func() bool {
 		for i := 0; i < 100; i++ {
 			if _, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(jobSpec)}); err == nil {
@@ -403,7 +399,7 @@ func TestJobQueueFullRefusesSubmission(t *testing.T) {
 func TestJobStatsKind(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
-	st := submitSmokeJob(t, s, 1)
+	st := submitSmokeJob(t, s, 0)
 	if _, err := s.WaitJob(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +433,7 @@ func TestJobRegistryOrdersPastAMillionJobs(t *testing.T) {
 	var ids []string
 	add := func() string {
 		t.Helper()
-		id, err := reg.add(&jobHandle{state: JobDone, done: make(chan struct{})}, 0)
+		id, err := reg.add(&jobHandle{state: JobDone, done: make(chan struct{})})
 		if err != nil {
 			t.Fatal(err)
 		}

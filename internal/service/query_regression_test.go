@@ -33,7 +33,7 @@ import (
 func TestJobResultsMalformedSpoolRecordClassifies(t *testing.T) {
 	s := New(Options{Workers: 2})
 	defer s.Close()
-	st := submitSmokeJob(t, s, 1)
+	st := submitSmokeJob(t, s, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := s.WaitJob(ctx, st.ID); err != nil {
@@ -77,7 +77,7 @@ func TestJobResultsExplicitEmptyRangeAndFromBeyondEnd(t *testing.T) {
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
 
-	st := submitSmokeJob(t, s, 1)
+	st := submitSmokeJob(t, s, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := s.WaitJob(ctx, st.ID); err != nil {
@@ -153,7 +153,7 @@ const dynJobSpec = `{
 func TestJobResultsWhileAppendingDynamicCells(t *testing.T) {
 	s := New(Options{Workers: 2})
 	defer s.Close()
-	st, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(dynJobSpec), Shards: 2})
+	st, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(dynJobSpec)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,8 @@ func (s *Service) invalid(err error) error {
 
 // Options configures a Service. The zero value is production-reasonable:
 // one worker per GOMAXPROCS, a 64-request queue, a 60-second per-request
-// timeout, and the default campaign/job admission limits.
+// timeout. The campaign and job admission caps are constants
+// (MaxCampaignPoints, MaxJobPoints, MaxJobBacklog).
 type Options struct {
 	// Name identifies this service instance to fleet tooling (the
 	// ptgserve -name flag): it is echoed by GET /v1/healthz so a
@@ -91,9 +92,6 @@ type Options struct {
 	// RequestTimeout caps the time a request may spend queued plus
 	// executing; default 60s. Zero or negative values use the default.
 	RequestTimeout time.Duration
-	// Limits tunes the campaign and job admission caps; zero fields take
-	// the Default* values (see Limits).
-	Limits Limits
 	// Cache, when set, memoizes campaign and job points through a shared
 	// content-addressed cache (the ptgserve -cache flag): every sweep
 	// consults it before computing and publishes after, and its
@@ -114,7 +112,6 @@ func (o Options) withDefaults() Options {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 60 * time.Second
 	}
-	o.Limits = o.Limits.withDefaults()
 	return o
 }
 

@@ -18,12 +18,9 @@ type (
 	// Service is a concurrent scheduling service; create one with
 	// NewService and release it with its Close method.
 	Service = service.Service
-	// ServiceOptions sizes the worker pool, the request queue, the
-	// per-request timeout and the campaign/job admission limits.
+	// ServiceOptions sizes the worker pool, the request queue and the
+	// per-request timeout.
 	ServiceOptions = service.Options
-	// ServiceLimits tunes the campaign and job admission caps
-	// (ServiceOptions.Limits); zero fields take the service defaults.
-	ServiceLimits = service.Limits
 	// ServiceStats is a point-in-time snapshot of the service counters.
 	ServiceStats = service.Stats
 	// ScheduleServiceRequest is one offline batch-scheduling request.
@@ -39,17 +36,18 @@ type (
 	// WorkloadServiceResponse reports one generated workload.
 	WorkloadServiceResponse = service.WorkloadResponse
 	// CampaignServiceRequest is one declarative campaign sweep request
-	// (an inline scenario spec, optionally one shard of it).
+	// (an inline scenario spec), answered with aggregated tables.
 	CampaignServiceRequest = service.CampaignRequest
-	// CampaignServiceResponse reports one campaign sweep.
+	// CampaignServiceResponse reports one campaign sweep's tables.
 	CampaignServiceResponse = service.CampaignResponse
 	// CampaignJobRequest is one asynchronous campaign job submission:
 	// Service.SubmitJob returns immediately with a job id, progress is
 	// polled with JobStatusByID, completed results stream through
-	// JobResults, and CancelJob cancels via context.
+	// JobResults, and CancelJob cancels via context. A job may run one
+	// shard of the expansion.
 	CampaignJobRequest = service.JobRequest
 	// CampaignJobStatus is a point-in-time job snapshot (state,
-	// completed/total points, per-shard progress).
+	// completed/total points).
 	CampaignJobStatus = service.JobStatus
 	// CampaignJobResultQuery filters a job's streamed JSONL results by
 	// family, strategy label and point-index range.
