@@ -15,6 +15,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 
 	"ptgsched"
@@ -24,8 +25,8 @@ import (
 func main() { cli.Main("daggen", run) }
 
 // run executes one daggen invocation, writing the graph to w or to -out.
-// The family and the format are checked before -out is created, so a bad
-// invocation leaves no file behind.
+// The format, the family and the flags it reads are checked before -out
+// is created, so a bad invocation leaves no file behind.
 func run(argv []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("daggen", flag.ContinueOnError)
 	var (
@@ -58,21 +59,29 @@ func run(argv []string, w io.Writer) (err error) {
 		return fmt.Errorf("unknown format %q", *format)
 	}
 
-	r := rand.New(rand.NewSource(*seed))
-	var g *ptgsched.Graph
-	switch strings.ToLower(*family) {
-	case "random":
-		g = ptgsched.RandomPTG(ptgsched.RandomConfig{
-			Tasks: *tasks, Width: *width, Regularity: *regularity,
-			Density: *density, Jump: *jump,
-		}, r)
-	case "fft":
-		g = ptgsched.FFTPTG(*k, r)
-	case "strassen":
-		g = ptgsched.StrassenPTG(r)
-	default:
+	// Each family reads only its own shape flags.
+	families := map[string]struct {
+		reads []string
+		gen   func(r *rand.Rand) *ptgsched.Graph
+	}{
+		"random": {[]string{"tasks", "width", "regularity", "density", "jump"}, func(r *rand.Rand) *ptgsched.Graph {
+			return ptgsched.RandomPTG(ptgsched.RandomConfig{
+				Tasks: *tasks, Width: *width, Regularity: *regularity,
+				Density: *density, Jump: *jump,
+			}, r)
+		}},
+		"fft":      {[]string{"k"}, func(r *rand.Rand) *ptgsched.Graph { return ptgsched.FFTPTG(*k, r) }},
+		"strassen": {nil, ptgsched.StrassenPTG},
+	}
+	name := strings.ToLower(*family)
+	fam, ok := families[name]
+	if !ok {
 		return fmt.Errorf("unknown family %q", *family)
 	}
+	if err := cli.Scope(fs, "-family "+name, slices.Concat(fam.reads, []string{"family", "seed", "format", "out"})...); err != nil {
+		return err
+	}
+	g := fam.gen(rand.New(rand.NewSource(*seed)))
 
 	if *out == "" {
 		return write(w, g)

@@ -57,6 +57,27 @@ func TestRejectsBeforeCreatingOut(t *testing.T) {
 	}
 }
 
+// TestFlagsOutsideTheirFamilyAreRefused: a shape flag of another family is
+// an error naming it (cli.Scope), and no -out file is created.
+func TestFlagsOutsideTheirFamilyAreRefused(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-family", "fft", "-tasks", "50"}, "-tasks"},
+		{[]string{"-family", "strassen", "-k", "5"}, "-k"},
+	} {
+		path := filepath.Join(t.TempDir(), "g")
+		err := run(append(c.args, "-out", path), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" requires") {
+			t.Errorf("%v: got %v, want a %q error", c.args, err, c.flag+" requires")
+		}
+		if _, serr := os.Stat(path); !errors.Is(serr, os.ErrNotExist) {
+			t.Errorf("%v: -out file left behind (stat: %v)", c.args, serr)
+		}
+	}
+}
+
 func TestHelpExitsCleanly(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-h"}, &buf); err != nil {

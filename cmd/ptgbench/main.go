@@ -56,11 +56,10 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -68,7 +67,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -76,6 +75,7 @@ import (
 
 	"ptgsched"
 	"ptgsched/internal/cli"
+	"ptgsched/internal/metrics"
 )
 
 func main() { cli.Main("ptgbench", run) }
@@ -116,6 +116,31 @@ func run(argv []string, w io.Writer) error {
 		return err
 	}
 
+	// The run's mode is the first campaign mode whose flag is set, else
+	// the named experiment, and it reads only its own flags.
+	exp := strings.ToLower(*name)
+	mode, reads := "-experiment "+exp, []string{"experiment", "reps", "seed"}
+	if _, ok := figures[exp]; ok {
+		reads = append(reads, "workers", "csv")
+	} else if exp == "mu-calibration" {
+		reads = append(reads, "workers")
+	}
+	if *queryFlag && (*campaignPath == "" || *storeDir == "") {
+		return fmt.Errorf("-query requires -campaign and -store")
+	}
+	for _, m := range campaignModes {
+		if f := fs.Lookup(m.flag); f.Value.String() != f.DefValue {
+			if *campaignPath == "" {
+				return fmt.Errorf("-%s requires -campaign", m.flag)
+			}
+			mode, reads = "-"+m.flag, m.reads
+			break
+		}
+	}
+	if err := cli.Scope(fs, mode, slices.Concat(reads, []string{"cpuprofile", "memprofile"})...); err != nil {
+		return err
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -150,40 +175,16 @@ func run(argv []string, w io.Writer) error {
 	}
 
 	if *queryFlag {
-		if *campaignPath == "" || *storeDir == "" {
-			return fmt.Errorf("-query requires -campaign and -store")
-		}
-		if *shard != "" || *jsonl != "" || *merge != "" || *resume || *coordinate != "" || *cacheDir != "" {
-			return fmt.Errorf("-query is exclusive with -shard, -jsonl, -merge, -resume, -coordinate and -cache (it only reads the store back)")
-		}
 		return queryMode(w, *campaignPath, *storeDir, queryOpts{
 			family: *qFamily, strategy: *qStrategy, from: *qFrom, to: *qTo,
 			format: *qFormat, fullScan: *qFullScan,
 		})
 	}
-	if *qFamily != "" || *qStrategy != "" || *qFrom != 0 || *qTo != -1 || *qFormat != "table" || *qFullScan {
-		return fmt.Errorf("-family, -strategy, -from, -to, -format and -fullscan require -query")
-	}
 	if *coordinate != "" {
-		if *campaignPath == "" {
-			return fmt.Errorf("-coordinate requires -campaign")
-		}
-		if *shard != "" || *jsonl != "" || *merge != "" || *storeDir != "" || *resume {
-			return fmt.Errorf("-coordinate is exclusive with -shard, -jsonl, -merge, -store and -resume (the fleet merge is streaming and in-memory)")
-		}
 		return coordinateMode(w, *campaignPath, *coordinate, *fleetShards, *workers, *pollEvery, *stallAfter, *statsAddr, *cacheDir)
 	}
-	if *fleetShards != 0 || *pollEvery != 0 || *stallAfter != 0 || *statsAddr != "" {
-		return fmt.Errorf("-fleet-shards, -poll, -stall-timeout and -stats-addr require -coordinate")
-	}
 	if *campaignPath != "" {
-		if *csvPath != "" {
-			return fmt.Errorf("-csv requires -experiment fig2, fig3, fig4 or fig5 (a campaign prints one table per cell)")
-		}
 		return campaignMode(w, *campaignPath, *shard, *jsonl, *merge, *storeDir, *resume, *workers, *cacheDir)
-	}
-	if *shard != "" || *jsonl != "" || *merge != "" || *storeDir != "" || *resume || *cacheDir != "" {
-		return fmt.Errorf("-shard, -jsonl, -merge, -store, -resume and -cache require -campaign")
 	}
 
 	// -reps 0 takes the run grid's default for every experiment.
@@ -191,12 +192,8 @@ func run(argv []string, w io.Writer) error {
 		return fmt.Errorf("-reps %d must be non-negative", *reps)
 	}
 	r := ptgsched.ExperimentConfig{Reps: *reps}.Defaults().Reps
-	exp := strings.ToLower(*name)
 	if fig, ok := figures[exp]; ok {
 		return figure(w, exp, *seed, r, *workers, *csvPath, fig.title, fig.metrics...)
-	}
-	if *csvPath != "" {
-		return fmt.Errorf("-csv requires -experiment fig2, fig3, fig4 or fig5, not %q", *name)
 	}
 	switch exp {
 	case "table1":
@@ -212,6 +209,22 @@ func run(argv []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", *name)
 	}
+}
+
+// campaignModes are the campaign modes in precedence order, each with the
+// flags it reads: a run is in the first mode whose flag is set. So a mode
+// flag that a higher mode does not read is refused beside it — -merge
+// beside -store, -shard beside -merge — by the one scope rule.
+var campaignModes = []struct {
+	flag  string
+	reads []string
+}{
+	{"query", []string{"query", "campaign", "store", "family", "strategy", "from", "to", "format", "fullscan"}},
+	{"coordinate", []string{"coordinate", "campaign", "workers", "cache", "fleet-shards", "poll", "stall-timeout", "stats-addr"}},
+	{"store", []string{"store", "campaign", "workers", "cache", "shard", "resume"}},
+	{"merge", []string{"merge", "campaign", "jsonl"}},
+	{"shard", []string{"shard", "campaign", "workers", "cache", "jsonl"}},
+	{"campaign", []string{"campaign", "workers", "cache", "jsonl"}},
 }
 
 // figures are the paper's figure campaigns (PaperCampaignSpec): each
@@ -352,25 +365,10 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 	// sees its size immediately.
 	name := campaignTitle(e, specPath)
 	fmt.Fprintf(os.Stderr, "ptgbench: campaign %s: %d cells, %d points\n", name, len(e.Cells), e.NumPoints())
-	if resume && storeDir == "" {
-		return fmt.Errorf("-resume requires -store")
-	}
-	if storeDir != "" && merge != "" {
-		return fmt.Errorf("-store and -merge are mutually exclusive (merge reads the store directory directly)")
-	}
-	if storeDir != "" && jsonlPath != "" {
-		return fmt.Errorf("-store already persists per-point JSONL; use -merge %s to read it back instead of -jsonl", storeDir)
-	}
 
-	var mergePaths []string
+	var sources []recordSource
 	if merge != "" {
-		if shard != "" {
-			return fmt.Errorf("-merge and -shard are mutually exclusive")
-		}
-		if cacheDir != "" {
-			return fmt.Errorf("-merge and -cache are mutually exclusive (merging only re-reads results)")
-		}
-		if mergePaths, err = mergeInputs(merge, e.Digest()); err != nil {
+		if sources, err = mergeInputs(merge, e); err != nil {
 			return err
 		}
 	}
@@ -438,7 +436,11 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 		return agg.Add(r)
 	}
 	if merge != "" {
-		err = readRecords(mergePaths, tee)
+		for _, src := range sources {
+			if err = src(tee); err != nil {
+				break
+			}
+		}
 	} else {
 		set := e.All()
 		var done atomic.Int64
@@ -531,53 +533,53 @@ func coordinateMode(w io.Writer, specPath, workerList string, shards, jobWorkers
 	return renderCampaign(w, specPath, e, tables)
 }
 
-// readRecords streams every record of the merge inputs (files, or the
-// segments of directories) through emit — a multi-million-point store
-// directory merges without the result set ever being resident.
-func readRecords(paths []string, emit func(ptgsched.CampaignPointResult) error) error {
-	for _, path := range paths {
+// recordSource streams the records of one -merge input through emit — a
+// multi-million-point store directory merges without the result set ever
+// being resident.
+type recordSource func(emit func(ptgsched.CampaignPointResult) error) error
+
+// jsonlSource is the recordSource of the JSONL file at path.
+func jsonlSource(path string) recordSource {
+	return func(emit func(ptgsched.CampaignPointResult) error) error {
 		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
-		err = ptgsched.ReadCampaignJSONLFunc(f, emit)
-		f.Close()
-		if err != nil {
+		defer f.Close()
+		if err := ptgsched.ReadCampaignJSONLFunc(f, emit); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
+		return nil
 	}
-	return nil
 }
 
-// mergeInputs expands the -merge argument: each comma-separated entry is
-// either one JSONL file or a directory whose *.jsonl segments (a store
-// directory, or any folder of shard outputs) are merged in name order —
-// aggregation reorders by point index, so segment order never matters.
-// Empty entries (a trailing or doubled comma) are skipped. A directory
-// carrying a store manifest must have been written by the same
-// campaign spec: two specs can share an expansion's shape (e.g. differ
-// only in seed), so the aggregate-time congruence checks alone cannot
-// catch results belonging to a different sweep.
-func mergeInputs(merge, specDigest string) ([]string, error) {
-	var paths []string
+// mergeInputs expands the -merge argument into record sources: each
+// comma-separated entry is a JSONL file, a store directory, or a
+// directory of *.jsonl files (any folder of shard outputs), merged in
+// name order — aggregation reorders by point index, so order never
+// matters. A store directory is read through the store, opened read-only
+// (it holds no file between scans, so there is nothing to close): the
+// store refuses one written by another campaign spec (two specs can share
+// an expansion's shape, e.g. differ only in seed, so the aggregate-time
+// congruence checks alone cannot catch it) and applies its torn-tail rule
+// and per-record validation. Empty entries (a trailing or doubled comma)
+// are skipped.
+func mergeInputs(merge string, e *ptgsched.CampaignExpansion) ([]recordSource, error) {
+	var sources []recordSource
 	for _, entry := range splitList(merge) {
 		fi, err := os.Stat(entry)
 		if err != nil {
 			return nil, err
 		}
 		if !fi.IsDir() {
-			paths = append(paths, entry)
+			sources = append(sources, jsonlSource(entry))
 			continue
 		}
-		if mb, err := os.ReadFile(filepath.Join(entry, "manifest.json")); err == nil {
-			var man ptgsched.CampaignStoreManifest
-			if err := json.Unmarshal(mb, &man); err != nil {
-				return nil, fmt.Errorf("%s: invalid store manifest: %w", entry, err)
-			}
-			if man.SpecDigest != specDigest {
-				return nil, fmt.Errorf("store %s was written by a different campaign spec (digest %.12s, this spec has %.12s)",
-					entry, man.SpecDigest, specDigest)
-			}
+		if st, err := ptgsched.OpenCampaignStoreRead(entry, e); err == nil {
+			sources = append(sources, st.Each)
+			continue
+		} else if !errors.Is(err, os.ErrNotExist) { // a store, but not this campaign's
+			return nil, err
 		}
 		// ReadDir + suffix filter, not Glob: the directory name is user
 		// input and may contain glob metacharacters.
@@ -585,22 +587,20 @@ func mergeInputs(merge, specDigest string) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		var segs []string
-		for _, ent := range entries {
+		n := len(sources)
+		for _, ent := range entries { // ReadDir sorts by name
 			if !ent.IsDir() && strings.HasSuffix(ent.Name(), ".jsonl") {
-				segs = append(segs, filepath.Join(entry, ent.Name()))
+				sources = append(sources, jsonlSource(filepath.Join(entry, ent.Name())))
 			}
 		}
-		if len(segs) == 0 {
+		if len(sources) == n {
 			return nil, fmt.Errorf("%s: no *.jsonl segments to merge", entry)
 		}
-		sort.Strings(segs)
-		paths = append(paths, segs...)
 	}
-	if len(paths) == 0 {
+	if len(sources) == 0 {
 		return nil, fmt.Errorf("-merge %q names no inputs", merge)
 	}
-	return paths, nil
+	return sources, nil
 }
 
 // splitList splits a comma-separated flag value, trimming blanks and
@@ -900,8 +900,7 @@ func ablation(w io.Writer, seed int64, reps int) error {
 }
 
 func ablationPoint(opts ptgsched.MapOptions, n int, seed int64, reps int) (unfairness, makespan float64) {
-	var unfSum, makSum float64
-	count := 0
+	var unf, mak []float64
 	for rep := 0; rep < reps; rep++ {
 		for _, pf := range ptgsched.Grid5000Sites() {
 			r := rand.New(rand.NewSource(seed + int64(rep)*1009 + int64(n)))
@@ -917,12 +916,11 @@ func ablationPoint(opts ptgsched.MapOptions, n int, seed int64, reps int) (unfai
 			}
 			res := sched.Schedule(graphs, ptgsched.ES())
 			ev := res.Evaluate(own)
-			unfSum += ev.Unfairness
-			makSum += ev.Makespan
-			count++
+			unf = append(unf, ev.Unfairness)
+			mak = append(mak, ev.Makespan)
 		}
 	}
-	return unfSum / float64(count), makSum / float64(count)
+	return metrics.Mean(unf), metrics.Mean(mak)
 }
 
 // dynamic explores the paper's future-work direction (§8): applications
@@ -965,24 +963,9 @@ func dynamic(w io.Writer, seed int64, reps int) error {
 					rebal += res.Rebalances
 				}
 			}
-			mean, sd := meanStd(flows)
-			fmt.Fprintf(w, "%-18s %6d %16.1f %18.1f %12d\n", st.label, n, mean, sd, rebal)
+			fmt.Fprintf(w, "%-18s %6d %16.1f %18.1f %12d\n",
+				st.label, n, metrics.Mean(flows), metrics.StdDev(flows), rebal)
 		}
 	}
 	return nil
-}
-
-func meanStd(xs []float64) (mean, sd float64) {
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if len(xs) > 1 {
-		v := 0.0
-		for _, x := range xs {
-			v += (x - mean) * (x - mean)
-		}
-		sd = math.Sqrt(v / float64(len(xs)-1))
-	}
-	return mean, sd
 }

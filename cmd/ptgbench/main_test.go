@@ -312,6 +312,29 @@ func TestMergeRejectsStoreOfDifferentSpec(t *testing.T) {
 	}
 }
 
+// TestFlagsOutsideTheirModeAreRefused: a flag the run's mode does not
+// read is an error naming it (cli.Scope), not a silent no-op — a campaign
+// takes its seed from the spec, a fleet writes no CSV, a query runs no
+// sweep and ablation runs sequentially.
+func TestFlagsOutsideTheirModeAreRefused(t *testing.T) {
+	spec := "testdata/smoke-campaign.json"
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-campaign", spec, "-seed", "7"}, "-seed"},
+		{[]string{"-campaign", spec, "-coordinate", "127.0.0.1:1", "-csv", "x"}, "-csv"},
+		{[]string{"-campaign", spec, "-store", t.TempDir(), "-query", "-workers", "2"}, "-workers"},
+		{[]string{"-experiment", "ablation", "-reps", "1", "-workers", "4"}, "-workers"},
+	} {
+		var out bytes.Buffer
+		err := run(c.args, &out)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" requires") {
+			t.Errorf("%v: got %v, want a %q error\n%s", c.args, err, c.flag+" requires", out.String())
+		}
+	}
+}
+
 func TestHelpExitsCleanly(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-h"}, &buf); err != nil {

@@ -43,11 +43,16 @@ func run(argv []string, w io.Writer) error {
 		return err
 	}
 
+	// A run is one batch, or one point of a -campaign spec; each reads
+	// only its own flags.
 	if *campaignPath != "" {
+		if err := cli.Scope(fs, "-campaign", "campaign", "point", "list", "gantt"); err != nil {
+			return err
+		}
 		return campaignPoint(w, *campaignPath, *point, *list, *gantt)
 	}
-	if *point != "" || *list {
-		return fmt.Errorf("-point and -list require -campaign")
+	if err := cli.Scope(fs, "a batch", "platform", "family", "n", "strategy", "mu", "seed", "gantt", "json"); err != nil {
+		return err
 	}
 
 	pf, err := ptgsched.PlatformByName(*platformName)

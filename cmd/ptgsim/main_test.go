@@ -61,6 +61,24 @@ func TestHelpExitsCleanly(t *testing.T) {
 	}
 }
 
+// TestFlagsOutsideTheirModeAreRefused: a flag the run's mode does not
+// read is an error naming it (cli.Scope) — a campaign point prints no
+// schedule JSON.
+func TestFlagsOutsideTheirModeAreRefused(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-campaign", "testdata/smoke-campaign.json", "-point", "0", "-json"}, "-json"},
+	} {
+		var out bytes.Buffer
+		err := run(c.args, &out)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" requires") {
+			t.Errorf("%v: got %v, want a %q error", c.args, err, c.flag+" requires")
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-platform", "mars"}, &buf); err == nil {

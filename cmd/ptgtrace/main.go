@@ -18,6 +18,7 @@ import (
 
 	"ptgsched"
 	"ptgsched/internal/cli"
+	"ptgsched/internal/metrics"
 )
 
 func main() { cli.Main("ptgtrace", run) }
@@ -43,16 +44,27 @@ func run(argv []string, w io.Writer) error {
 		return err
 	}
 
-	switch strings.ToLower(*mode) {
-	case "generate":
-		return generate(w, *familyName, *count, *processName, *rate, *seed, *out)
-	case "inspect":
-		return inspect(w, *in)
-	case "replay":
-		return replay(w, *in, *platformName, *strategyName, *mu, *familyName)
-	default:
+	// Each mode reads only its own flags.
+	modes := map[string]struct {
+		reads []string
+		run   func() error
+	}{
+		"generate": {[]string{"mode", "family", "count", "process", "rate", "seed", "out"},
+			func() error { return generate(w, *familyName, *count, *processName, *rate, *seed, *out) }},
+		"inspect": {[]string{"mode", "in"},
+			func() error { return inspect(w, *in) }},
+		"replay": {[]string{"mode", "in", "platform", "strategy", "mu", "family"},
+			func() error { return replay(w, *in, *platformName, *strategyName, *mu, *familyName) }},
+	}
+	name := strings.ToLower(*mode)
+	m, ok := modes[name]
+	if !ok {
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
+	if err := cli.Scope(fs, "-mode "+name, m.reads...); err != nil {
+		return err
+	}
+	return m.run()
 }
 
 func generate(w io.Writer, familyName string, count int, processName string, rate float64, seed int64, out string) error {
@@ -131,13 +143,13 @@ func replay(w io.Writer, in, platformName, strategyName string, mu float64, fami
 	res := ptgsched.ScheduleOnline(pf, arrivals, ptgsched.OnlineOptions{Strategy: strat})
 	fmt.Fprintf(w, "platform: %s, strategy: %s\n\n", pf, strat)
 	fmt.Fprintf(w, "%-4s %10s %10s %12s %12s\n", "app", "arrival", "start", "completion", "flow (s)")
-	var sum float64
+	flows := make([]float64, len(res.Apps))
 	for i, app := range res.Apps {
+		flows[i] = app.FlowTime()
 		fmt.Fprintf(w, "%-4d %10.1f %10.1f %12.1f %12.1f\n",
-			i, app.SubmittedAt, app.StartedAt, app.CompletedAt, app.FlowTime())
-		sum += app.FlowTime()
+			i, app.SubmittedAt, app.StartedAt, app.CompletedAt, flows[i])
 	}
 	fmt.Fprintf(w, "\nmean flow time: %.1f s, last completion: %.1f s, rebalances: %d\n",
-		sum/float64(len(res.Apps)), res.Makespan, res.Rebalances)
+		metrics.Mean(flows), res.Makespan, res.Rebalances)
 	return nil
 }

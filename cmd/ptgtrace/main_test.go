@@ -64,6 +64,28 @@ func TestHelpExitsCleanly(t *testing.T) {
 	}
 }
 
+// TestFlagsOutsideTheirModeAreRefused: a flag the run's mode does not
+// read is an error naming it (cli.Scope), and nothing is written — inspect
+// writes no trace file.
+func TestFlagsOutsideTheirModeAreRefused(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "g.json")
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-mode", "inspect", "-in", "testdata/trace.golden.json", "-out", out}, "-out"},
+	} {
+		var buf bytes.Buffer
+		err := run(c.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" requires") {
+			t.Errorf("%v: got %v, want a %q error", c.args, err, c.flag+" requires")
+		}
+		if _, serr := os.Stat(out); serr == nil {
+			t.Errorf("%v wrote %s", c.args, out)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-mode", "bogus"}, &buf); err == nil {

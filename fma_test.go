@@ -14,12 +14,16 @@ import (
 	"testing"
 )
 
-// resultPackages are the packages whose float arithmetic reaches a
-// result, a digest, a cache key or a wire response.
+// resultPackages are the directories of the packages whose float
+// arithmetic reaches a result, a digest, a cache key, a wire response or a
+// command's report.
 var resultPackages = []string{
-	"alloc", "core", "cost", "dag", "daggen", "events", "experiment", "mapping",
-	"metrics", "online", "platform", "query", "scenario", "service", "sim", "simexec",
-	"strategy", "trace", "workload",
+	"internal/alloc", "internal/core", "internal/cost", "internal/dag", "internal/daggen",
+	"internal/events", "internal/experiment", "internal/mapping", "internal/metrics",
+	"internal/online", "internal/platform", "internal/query", "internal/scenario",
+	"internal/service", "internal/sim", "internal/simexec", "internal/strategy",
+	"internal/trace", "internal/workload",
+	"cmd/daggen", "cmd/ptgbench", "cmd/ptgsim", "cmd/ptgtrace",
 }
 
 // TestNoFusableMultiplyAdd keeps results bit-identical across
@@ -39,8 +43,7 @@ func TestNoFusableMultiplyAdd(t *testing.T) {
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "source", nil)
-	for _, pkg := range resultPackages {
-		dir := filepath.Join("internal", pkg)
+	for _, dir := range resultPackages {
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -63,8 +66,8 @@ func TestNoFusableMultiplyAdd(t *testing.T) {
 			Uses:  make(map[*ast.Ident]types.Object),
 		}
 		conf := types.Config{Importer: imp}
-		if _, err := conf.Check("ptgsched/internal/"+pkg, fset, files, info); err != nil {
-			t.Fatalf("type-checking %s: %v", pkg, err)
+		if _, err := conf.Check("ptgsched/"+dir, fset, files, info); err != nil {
+			t.Fatalf("type-checking %s: %v", dir, err)
 		}
 		for _, pos := range fusable(files, info) {
 			t.Errorf("%s: float multiply-add may fuse; write float64(x*y)", fset.Position(pos))

@@ -1,6 +1,8 @@
 // Package cli is the skeleton the ptg* commands share: the main wrapper
-// around a testable run function, the flag-parse protocol, and the one way
-// a campaign spec file becomes an expansion.
+// around a testable run function, the flag-parse protocol, the scope rule
+// (Scope: a flag set on the command line that the chosen mode does not
+// read is an error, never a silent no-op), and the one way a campaign spec
+// file becomes an expansion.
 package cli
 
 import (
@@ -9,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"ptgsched/internal/scenario"
 )
@@ -43,6 +46,20 @@ func Parse(fs *flag.FlagSet, argv []string, w io.Writer) (ok bool, err error) {
 	default:
 		return false, errUsage
 	}
+}
+
+// Scope is the scope rule: once a command has picked its mode, any flag
+// set on the command line that the mode does not read — reads names the
+// flags it does, without their dash — is refused, naming the mode. Flags
+// are visited in name order, so the error is the same on every run.
+func Scope(fs *flag.FlagSet, mode string, reads ...string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !slices.Contains(reads, f.Name) {
+			err = fmt.Errorf("-%s requires a mode that reads it; %s does not", f.Name, mode)
+		}
+	})
+	return err
 }
 
 // LoadCampaign reads, parses and expands the campaign spec file at path.

@@ -45,6 +45,28 @@ func TestParseProtocol(t *testing.T) {
 	}
 }
 
+func TestScopeRefusesFlagsTheModeDoesNotRead(t *testing.T) {
+	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	fs.Int("n", 4, "")
+	fs.Int("k", 3, "")
+	fs.Int("seed", 1, "")
+	if err := fs.Parse([]string{"-seed", "2", "-n", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	// An unset flag is never refused, whatever its default.
+	if err := Scope(fs, "-mode a", "n", "seed"); err != nil {
+		t.Errorf("every set flag read: %v", err)
+	}
+	err := Scope(fs, "-mode b", "k", "n")
+	if err == nil || err.Error() != "-seed requires a mode that reads it; -mode b does not" {
+		t.Errorf("-seed outside its mode: got %v", err)
+	}
+	// The first refused flag in name order is the one named.
+	if err := Scope(fs, "-mode c"); err == nil || !strings.HasPrefix(err.Error(), "-n requires") {
+		t.Errorf("no flag read: got %v, want -n named first", err)
+	}
+}
+
 func TestLoadCampaign(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.json")

@@ -198,20 +198,10 @@ func TestTopLevelsDiamond(t *testing.T) {
 }
 
 func TestCriticalPathDiamond(t *testing.T) {
-	g, a, _, c, d := diamond(t, 8)
+	g, _, _, _, _ := diamond(t, 8)
 	timeOf := func(t *Task) float64 { return t.SeqGFlop }
 	if cp := g.CriticalPathLength(timeOf, ZeroComm); cp != 5 {
 		t.Fatalf("critical path length = %g, want 5", cp)
-	}
-	path := g.CriticalPath(timeOf, ZeroComm)
-	want := []*Task{a, c, d}
-	if len(path) != len(want) {
-		t.Fatalf("critical path %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("critical path task %d = %s, want %s", i, path[i].Name, want[i].Name)
-		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package dag
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // PrecedenceLevels returns, for each task (indexed by ID), its precedence
 // level as defined in §4 of the paper: a task is at level a ≥ 0 if all its
@@ -179,42 +176,4 @@ func (g *Graph) CriticalPathLength(timeOf TimeFunc, commOf CommFunc) float64 {
 	bl := g.scratchLevels()
 	g.BottomLevelsInto(bl, timeOf, commOf)
 	return g.maxEntryLevel(bl)
-}
-
-// CriticalPath returns one maximal-length chain of tasks from an entry to
-// an exit under the given time and communication estimates. Ties are broken
-// by task ID for determinism.
-func (g *Graph) CriticalPath(timeOf TimeFunc, commOf CommFunc) []*Task {
-	bl := g.scratchLevels()
-	g.BottomLevelsInto(bl, timeOf, commOf)
-	var cur *Task
-	for _, t := range g.Entries() {
-		if cur == nil || bl[t.ID] > bl[cur.ID] {
-			cur = t
-		}
-	}
-	if cur == nil {
-		return nil
-	}
-	path := []*Task{cur}
-	for len(cur.out) > 0 {
-		var next *Task
-		var nextVal float64
-		for _, e := range cur.out {
-			v := commOf(e) + bl[e.To.ID]
-			if next == nil || v > nextVal {
-				next, nextVal = e.To, v
-			}
-		}
-		const tol = 1e-12
-		if bl[cur.ID]-timeOf(cur) > nextVal+tol {
-			// The chain through successors is shorter than the recorded
-			// bottom level: numerical inconsistency in the caller's
-			// estimates.
-			panic(fmt.Sprintf("dag: inconsistent bottom levels at %q", cur.Name))
-		}
-		path = append(path, next)
-		cur = next
-	}
-	return path
 }

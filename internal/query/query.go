@@ -33,7 +33,8 @@ import (
 var ErrMalformedRecord = errors.New("query: malformed result record")
 
 // Query is the normalized predicate over a campaign's point results.
-// The zero value selects everything.
+// The zero value selects nothing — its range is [0,0) — and
+// Query{To: NoLimit} selects every point to the end of the expansion.
 type Query struct {
 	// Family keeps only points of cells with this PTG family (random,
 	// fft, strassen). Empty keeps all families.

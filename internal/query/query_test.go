@@ -85,6 +85,24 @@ func naive(e *scenario.Expansion, q Query, i int) bool {
 	return true
 }
 
+// TestZeroQuerySelectsNothing pins the range's two ends: the zero Query
+// is the empty range [0,0), and To: NoLimit runs to the end.
+func TestZeroQuerySelectsNothing(t *testing.T) {
+	e := expand(t)
+	for _, c := range []struct {
+		q    Query
+		want int
+	}{{Query{}, 0}, {Query{To: NoLimit}, e.NumPoints()}} {
+		p, err := Compile(e, c.q)
+		if err != nil {
+			t.Fatalf("Compile(%+v): %v", c.q, err)
+		}
+		if got := p.NumSelected(); got != c.want || p.Matches(0) != (c.want > 0) {
+			t.Errorf("%+v selects %d points (point 0: %v), want %d", c.q, got, p.Matches(0), c.want)
+		}
+	}
+}
+
 func TestPlanMatchesNaivePredicate(t *testing.T) {
 	e := expand(t)
 	queries := []Query{

@@ -152,7 +152,7 @@ func FuzzScheduleInvariants(f *testing.F) {
 				t.Fatalf("registry broke: %v", err)
 			}
 			res := online.Schedule(pf, arrivals, online.Options{Strategy: strat})
-			if err := trace.ValidatePlacements(pf, onGraphs, res.Placements, releases); err != nil {
+			if err := trace.ValidateDynamic(pf, onGraphs, res.Placements, trace.Dynamic{Releases: releases}); err != nil {
 				t.Fatalf("online %s on %s (fam=%s n=%d proc=%s rate=%g seed=%d): %v",
 					name, pf.Name, fam, n, process, rate, seed, err)
 			}

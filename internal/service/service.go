@@ -43,6 +43,7 @@ import (
 	"ptgsched/internal/core"
 	"ptgsched/internal/daggen"
 	"ptgsched/internal/mapping"
+	"ptgsched/internal/metrics"
 	"ptgsched/internal/online"
 	"ptgsched/internal/platform"
 	"ptgsched/internal/scenario"
@@ -583,10 +584,9 @@ func (s *Service) Online(ctx context.Context, req OnlineRequest) (*OnlineRespons
 		}
 		for i, app := range res.Apps {
 			out.FlowTimes[i] = app.FlowTime()
-			out.MeanFlowTime += app.FlowTime()
 		}
 		if len(res.Apps) > 0 {
-			out.MeanFlowTime /= float64(len(res.Apps))
+			out.MeanFlowTime = metrics.Mean(out.FlowTimes)
 		}
 		out.ElapsedMS = float64(time.Since(started).Microseconds()) / 1e3
 		return out, nil

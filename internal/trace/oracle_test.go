@@ -1,9 +1,10 @@
 package trace_test
 
-// Tests of the extended schedule-invariant oracle: the bare placement-list
-// entry point, release-time respect, and the per-cluster capacity sweep
-// (exercised through the exported test hook, since exclusivity over valid
-// processor indices subsumes it on well-formed placements).
+// Tests of the schedule-invariant oracle over bare placement lists
+// (ValidateDynamic): static schedules, release-time respect, and the
+// per-cluster capacity sweep (exercised through the exported test hook,
+// since exclusivity over valid processor indices subsumes it on
+// well-formed placements).
 
 import (
 	"strings"
@@ -15,20 +16,26 @@ import (
 	"ptgsched/internal/trace"
 )
 
-func TestValidatePlacementsAcceptsMapperOutput(t *testing.T) {
-	s := validSchedule(t)
+// validateWith runs the oracle over s's placement list under releases
+// (nil: a static schedule), graphs optionally cut to the first apps.
+func validateWith(s *mapping.Schedule, apps int, releases []float64) error {
 	graphs := make([]*dag.Graph, len(s.Apps))
 	for i, app := range s.Apps {
 		graphs[i] = app.Graph
 	}
-	if err := trace.ValidatePlacements(s.Platform, graphs, s.Placements, nil); err != nil {
+	return trace.ValidateDynamic(s.Platform, graphs[:apps], s.Placements, trace.Dynamic{Releases: releases})
+}
+
+func TestValidatePlacementsAcceptsMapperOutput(t *testing.T) {
+	s := validSchedule(t)
+	if err := validateWith(s, len(s.Apps), nil); err != nil {
 		t.Fatalf("mapper output rejected: %v", err)
 	}
 }
 
 func TestValidateReleasesAcceptsZeroReleases(t *testing.T) {
 	s := validSchedule(t)
-	if err := trace.ValidateReleases(s, make([]float64, len(s.Apps))); err != nil {
+	if err := validateWith(s, len(s.Apps), make([]float64, len(s.Apps))); err != nil {
 		t.Fatalf("zero releases rejected: %v", err)
 	}
 }
@@ -37,7 +44,7 @@ func TestValidateReleasesDetectsEarlyStart(t *testing.T) {
 	s := validSchedule(t)
 	releases := make([]float64, len(s.Apps))
 	releases[0] = 1e9 // app 0 supposedly arrives far in the future
-	err := trace.ValidateReleases(s, releases)
+	err := validateWith(s, len(s.Apps), releases)
 	if err == nil || !strings.Contains(err.Error(), "release") {
 		t.Fatalf("early start not detected: %v", err)
 	}
@@ -45,19 +52,14 @@ func TestValidateReleasesDetectsEarlyStart(t *testing.T) {
 
 func TestValidateReleasesRejectsMismatchedLength(t *testing.T) {
 	s := validSchedule(t)
-	if err := trace.ValidateReleases(s, []float64{0}); err == nil {
+	if err := validateWith(s, len(s.Apps), []float64{0}); err == nil {
 		t.Fatal("mismatched release vector accepted")
 	}
 }
 
 func TestValidatePlacementsDetectsUnknownApp(t *testing.T) {
 	s := validSchedule(t)
-	graphs := make([]*dag.Graph, len(s.Apps))
-	for i, app := range s.Apps {
-		graphs[i] = app.Graph
-	}
-	err := trace.ValidatePlacements(s.Platform, graphs[:1], s.Placements, nil)
-	if err == nil {
+	if err := validateWith(s, 1, nil); err == nil {
 		t.Fatal("placements referencing dropped applications accepted")
 	}
 }

@@ -35,58 +35,32 @@ const tol = 1e-9
 //  4. placements use at least one processor, at most the cluster's size,
 //     and have non-negative spans.
 //
-// It returns the first violation found, or nil.
+// It returns the first violation found, or nil. It is ValidateDynamic
+// under the zero Dynamic, after checking the schedule's task→placement
+// index against its placement list.
 func Validate(s *mapping.Schedule) error {
-	return ValidateReleases(s, nil)
-}
-
-// ValidateReleases checks the same invariants as Validate plus, when
-// releases is non-nil, release-time respect: no placement of application i
-// may start before releases[i], the application's submission time. It is
-// the oracle for online (dynamic arrival) schedules, whose placements
-// carry App indices into the arrival order.
-func ValidateReleases(s *mapping.Schedule, releases []float64) error {
 	graphs := make([]*dag.Graph, len(s.Apps))
 	for i, app := range s.Apps {
 		graphs[i] = app.Graph
 	}
-	// The schedule's task→placement index must agree with the placement
-	// list before the list-level oracle applies.
 	for _, p := range s.Placements {
 		if s.PlacementOf(p.Task) != p {
 			return fmt.Errorf("trace: placement index out of sync for task %q", p.Task.Name)
 		}
 	}
-	return ValidatePlacements(s.Platform, graphs, s.Placements, releases)
+	return ValidateDynamic(s.Platform, graphs, s.Placements, Dynamic{})
 }
 
-// ValidatePlacements is the full schedule-invariant oracle over a bare
-// placement list: graphs[i] is application i's PTG (matched against each
-// placement's App field), and releases, when non-nil, gives per-application
-// submission times that no placement may precede. It validates placement
-// uniqueness, allotment bounds (1..cluster size, distinct in-range
-// processor indices), per-processor exclusivity, an explicit per-cluster
-// capacity sweep, precedence with contention-free redistribution estimates,
-// and release-time respect. It returns the first violation found, or nil.
-//
-// Validate and ValidateReleases are thin wrappers for *mapping.Schedule
-// values; the online scheduler's results are validated directly from their
-// placement lists. ValidateDynamic extends the oracle to dynamic
-// scenarios.
-func ValidatePlacements(pf *platform.Platform, graphs []*dag.Graph, placements []*mapping.Placement, releases []float64) error {
-	return ValidateDynamic(pf, graphs, placements, Dynamic{Releases: releases})
-}
-
-// Dynamic is the dynamic-scenario context the extended oracle validates a
-// placement list against. The zero value reduces ValidateDynamic to the
-// static ValidatePlacements checks.
+// Dynamic is the dynamic-scenario context the oracle validates a
+// placement list against. The zero value is a static schedule: no
+// release times and no events.
 type Dynamic struct {
 	// DownIntervals gives, per platform cluster index, the outage windows
 	// of the run's event timeline (events.Timeline.DownIntervals); no
 	// surviving placement may overlap a down window of its cluster.
 	DownIntervals [][]events.Interval
-	// Releases are per-application submission times, as in
-	// ValidatePlacements.
+	// Releases, when non-nil, are per-application submission times that
+	// no placement of the application may precede.
 	Releases []float64
 	// Cancelled marks applications withdrawn and never resubmitted; a
 	// cancelled application must have no placements at all, and its tasks
@@ -99,10 +73,17 @@ type Dynamic struct {
 }
 
 // ValidateDynamic is the schedule-invariant oracle over a bare placement
-// list under a dynamic scenario: all the ValidatePlacements checks, plus
-// no placement overlapping a down window of its cluster, no placement of a
+// list: graphs[i] is application i's PTG (matched against each
+// placement's App field). It validates placement uniqueness and
+// completeness, allotment bounds (1..cluster size, distinct in-range
+// processor indices), per-processor exclusivity, an explicit per-cluster
+// capacity sweep, precedence with contention-free redistribution
+// estimates and release-time respect; under a dynamic scenario also no
+// placement overlapping a down window of its cluster, no placement of a
 // cancelled application, and restart-time respect (releases carried across
-// reschedules). It returns the first violation found, or nil.
+// reschedules). The online scheduler's results are validated directly
+// from their placement lists. It returns the first violation found, or
+// nil.
 func ValidateDynamic(pf *platform.Platform, graphs []*dag.Graph, placements []*mapping.Placement, dyn Dynamic) error {
 	releases := dyn.Releases
 	if releases != nil && len(releases) != len(graphs) {

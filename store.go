@@ -53,9 +53,9 @@ var (
 // This is the engine behind `ptgbench -query` and the service's
 // GET /v1/jobs/{id}/results filters.
 type (
-	// CampaignQuery is a declarative result predicate. A zero To means
-	// "end of the expansion" only via CampaignQueryNoLimit; To: 0 is the
-	// legal empty range.
+	// CampaignQuery is a declarative result predicate. Its zero value
+	// selects nothing (To: 0 is the legal empty range [0,0)); To:
+	// CampaignQueryNoLimit selects to the end of the expansion.
 	CampaignQuery = query.Query
 	// CampaignQueryPlan is a compiled, validated predicate bound to one
 	// expansion; build with CompileCampaignQuery.
