@@ -205,3 +205,18 @@ func TestDynamicFig3CampaignMatchesGolden(t *testing.T) {
 	}
 	clitest.CheckGolden(t, "dynamic-fig3.golden", buf.Bytes())
 }
+
+// TestFailureExampleCampaignMatchesGolden pins examples/campaigns/failure.json,
+// the only checked-in spec with process-driven failures (MTTF/MTTR, two
+// cycles), a cancel with resubmit and both rescheduling policies: its JSONL
+// records in point order must reproduce testdata/failure-example.golden
+// byte for byte. The campaign runs in well under a second, so it is not
+// skipped under -short.
+func TestFailureExampleCampaignMatchesGolden(t *testing.T) {
+	e := mustExpand(t, readSpec(t, "examples/campaigns/failure.json"))
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, mustRun(t, e, e.All(), 0)); err != nil {
+		t.Fatal(err)
+	}
+	clitest.CheckGolden(t, "failure-example.golden", buf.Bytes())
+}
