@@ -83,7 +83,7 @@ func (a *Allocation) PowerOf(t *dag.Task) float64 {
 // the current allocation, ignoring communication (allocation, like CPA,
 // reasons on computation only; the mapper accounts for redistribution).
 func (a *Allocation) CriticalPathLength() float64 {
-	return a.Graph.CriticalPathLength(a.TimeOf, dag.ZeroComm)
+	return a.Graph.CriticalPathLength(a.TimeOf)
 }
 
 // TotalArea returns the summed area (execution time × consumed power) of

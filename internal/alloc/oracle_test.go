@@ -36,7 +36,7 @@ func oracleCompute(g *dag.Graph, ref platform.Reference, beta float64, proc Proc
 	saturated := make([]bool, len(g.Tasks))
 
 	for {
-		marks := oracleOnCriticalPath(g, a.TimeOf, dag.ZeroComm)
+		marks := oracleOnCriticalPath(g, a.TimeOf, oracleZeroComm)
 		best := -1
 		bestGain := 0.0
 		for _, t := range g.Tasks {
@@ -103,7 +103,7 @@ func oracleViolates(a *Allocation, proc Procedure) bool {
 	switch proc {
 	case SCRAP:
 		bl := make([]float64, len(a.Graph.Tasks))
-		oracleBottomLevelsInto(a.Graph, bl, a.TimeOf, dag.ZeroComm)
+		oracleBottomLevelsInto(a.Graph, bl, a.TimeOf, oracleZeroComm)
 		cp := oracleMaxEntryLevel(a.Graph, bl)
 		if cp <= 0 {
 			return false
@@ -129,7 +129,14 @@ func oracleViolates(a *Allocation, proc Procedure) bool {
 	}
 }
 
-func oracleBottomLevelsInto(g *dag.Graph, bl []float64, timeOf dag.TimeFunc, commOf dag.CommFunc) {
+// oracleCommFunc and oracleZeroComm keep the frozen passes' edge-cost term:
+// package dag's levels are communication-free, and the oracle adds a zero
+// edge cost exactly as the loop it freezes did.
+type oracleCommFunc func(*dag.Edge) float64
+
+func oracleZeroComm(*dag.Edge) float64 { return 0 }
+
+func oracleBottomLevelsInto(g *dag.Graph, bl []float64, timeOf dag.TimeFunc, commOf oracleCommFunc) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		panic(err)
@@ -147,7 +154,7 @@ func oracleBottomLevelsInto(g *dag.Graph, bl []float64, timeOf dag.TimeFunc, com
 	}
 }
 
-func oracleTopLevelsInto(g *dag.Graph, tl []float64, timeOf dag.TimeFunc, commOf dag.CommFunc) {
+func oracleTopLevelsInto(g *dag.Graph, tl []float64, timeOf dag.TimeFunc, commOf oracleCommFunc) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		panic(err)
@@ -174,7 +181,7 @@ func oracleMaxEntryLevel(g *dag.Graph, bl []float64) float64 {
 	return best
 }
 
-func oracleOnCriticalPath(g *dag.Graph, timeOf dag.TimeFunc, commOf dag.CommFunc) []bool {
+func oracleOnCriticalPath(g *dag.Graph, timeOf dag.TimeFunc, commOf oracleCommFunc) []bool {
 	bl, tl := make([]float64, len(g.Tasks)), make([]float64, len(g.Tasks))
 	oracleBottomLevelsInto(g, bl, timeOf, commOf)
 	oracleTopLevelsInto(g, tl, timeOf, commOf)

@@ -78,7 +78,7 @@ func MHEFT(pf *platform.Platform, g *dag.Graph) *mapping.Schedule {
 	}
 
 	seq := func(t *dag.Task) float64 { return cost.SeqTime(t.SeqGFlop, ref.Speed) }
-	bl := g.BottomLevels(seq, dag.ZeroComm)
+	bl := g.BottomLevels(seq)
 	order := make([]*dag.Task, len(g.Tasks))
 	copy(order, g.Tasks)
 	sort.Slice(order, func(i, j int) bool {

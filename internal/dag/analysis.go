@@ -31,7 +31,7 @@ func (g *Graph) ComputeStats() Stats {
 		s.MeanOutDegree = float64(len(g.Edges)) / float64(len(g.Tasks))
 	}
 	seq := func(t *Task) float64 { return t.SeqGFlop }
-	s.CPWorkG = g.CriticalPathLength(seq, ZeroComm)
+	s.CPWorkG = g.CriticalPathLength(seq)
 	if s.TotalWorkG > 0 {
 		s.SerialFraction = s.CPWorkG / s.TotalWorkG
 	}

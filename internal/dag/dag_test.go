@@ -164,7 +164,7 @@ func TestMaxWidthAndDepth(t *testing.T) {
 func TestBottomLevelsDiamond(t *testing.T) {
 	g, a, b, c, d := diamond(t, 8)
 	timeOf := func(t *Task) float64 { return t.SeqGFlop } // 1 GFlop/s
-	bl := g.BottomLevels(timeOf, ZeroComm)
+	bl := g.BottomLevels(timeOf)
 	// d=1; b=2+1=3; c=3+1=4; a=1+max(3,4)=5.
 	want := map[*Task]float64{d: 1, b: 3, c: 4, a: 5}
 	for task, w := range want {
@@ -174,21 +174,10 @@ func TestBottomLevelsDiamond(t *testing.T) {
 	}
 }
 
-func TestBottomLevelsWithComm(t *testing.T) {
-	g, a, _, _, _ := diamond(t, 8)
-	timeOf := func(t *Task) float64 { return t.SeqGFlop }
-	commOf := func(e *Edge) float64 { return 0.5 }
-	bl := g.BottomLevels(timeOf, commOf)
-	// d=1; b=2+0.5+1=3.5; c=3+0.5+1=4.5; a=1+0.5+4.5=6.
-	if bl[a.ID] != 6 {
-		t.Fatalf("a bottom level = %g, want 6", bl[a.ID])
-	}
-}
-
 func TestTopLevelsDiamond(t *testing.T) {
 	g, a, b, c, d := diamond(t, 8)
 	timeOf := func(t *Task) float64 { return t.SeqGFlop }
-	tl := g.TopLevels(timeOf, ZeroComm)
+	tl := g.TopLevels(timeOf)
 	want := map[*Task]float64{a: 0, b: 1, c: 1, d: 4} // d: via c = 1+3
 	for task, w := range want {
 		if tl[task.ID] != w {
@@ -200,7 +189,7 @@ func TestTopLevelsDiamond(t *testing.T) {
 func TestCriticalPathDiamond(t *testing.T) {
 	g, _, _, _, _ := diamond(t, 8)
 	timeOf := func(t *Task) float64 { return t.SeqGFlop }
-	if cp := g.CriticalPathLength(timeOf, ZeroComm); cp != 5 {
+	if cp := g.CriticalPathLength(timeOf); cp != 5 {
 		t.Fatalf("critical path length = %g, want 5", cp)
 	}
 }

@@ -70,8 +70,8 @@ func (c *trackerCheck) reset() {
 
 func (c *trackerCheck) check(when string) {
 	c.t.Helper()
-	bl, tl := c.g.BottomLevels(c.timeOf, dag.ZeroComm), c.g.TopLevels(c.timeOf, dag.ZeroComm)
-	cp := c.g.CriticalPathLength(c.timeOf, dag.ZeroComm)
+	bl, tl := c.g.BottomLevels(c.timeOf), c.g.TopLevels(c.timeOf)
+	cp := c.g.CriticalPathLength(c.timeOf)
 	gotBL, gotTL, length := c.lv.ByID()
 	if !sameBits(gotBL, bl) || !sameBits(gotTL, tl) {
 		c.t.Fatalf("%s: levels diverge from the full passes\nbl %v\n   %v\ntl %v\n   %v", when, gotBL, bl, gotTL, tl)
@@ -98,7 +98,7 @@ func (c *trackerCheck) step(id int, v float64, op int) {
 		c.check(fmt.Sprintf("after Update(%d, %g)", id, v))
 		return
 	}
-	got, want := c.lv.Set(id, v), c.g.CriticalPathLength(c.timeOf, dag.ZeroComm)
+	got, want := c.lv.Set(id, v), c.g.CriticalPathLength(c.timeOf)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		c.t.Fatalf("Set(%d, %g) returned length %g, full pass %g", id, v, got, want)
 	}

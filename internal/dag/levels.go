@@ -85,23 +85,17 @@ func (g *Graph) MaxWidth() int {
 func (g *Graph) Depth() int { return len(g.LevelSets()) }
 
 // TimeFunc gives the (estimated) execution time of a task in seconds under
-// some allocation; CommFunc gives the (estimated) transfer time of an edge.
-// They parameterize bottom levels and critical paths so the same analyses
-// serve the allocator (reference-cluster times) and the mapper (placed
-// times).
-type (
-	TimeFunc func(*Task) float64
-	CommFunc func(*Edge) float64
-)
-
-// ZeroComm is a CommFunc that ignores communication.
-func ZeroComm(*Edge) float64 { return 0 }
+// some allocation. It parameterizes bottom levels and critical paths so the
+// same analyses serve the allocator (reference-cluster times) and the
+// mapper (placed times). The levels are communication-free: an edge adds
+// no cost of its own, as in the paper's §4–§5 rankings.
+type TimeFunc func(*Task) float64
 
 // BottomLevelsInto is BottomLevels writing into bl, which must have length
 // len(g.Tasks). It backs BottomLevels (fresh slice, the caller keeps it),
-// the mapper's per-batch buffer and the scratch-buffer paths of
-// CriticalPathLength and CriticalPath.
-func (g *Graph) BottomLevelsInto(bl []float64, timeOf TimeFunc, commOf CommFunc) {
+// the mapper's per-batch buffer and the scratch-buffer path of
+// CriticalPathLength.
+func (g *Graph) BottomLevelsInto(bl []float64, timeOf TimeFunc) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		panic(err)
@@ -110,8 +104,7 @@ func (g *Graph) BottomLevelsInto(bl []float64, timeOf TimeFunc, commOf CommFunc)
 		t := order[i]
 		best := 0.0
 		for _, e := range t.out {
-			v := commOf(e) + bl[e.To.ID]
-			if v > best {
+			if v := bl[e.To.ID]; v > best {
 				best = v
 			}
 		}
@@ -127,18 +120,18 @@ func (g *Graph) scratchLevels() []float64 {
 }
 
 // BottomLevels returns, indexed by task ID, each task's bottom level: its
-// execution time plus the maximum over successors of edge cost plus the
-// successor's bottom level — the distance to the end of the application
-// (§5). The mapper sorts ready tasks by decreasing bottom level.
-func (g *Graph) BottomLevels(timeOf TimeFunc, commOf CommFunc) []float64 {
+// execution time plus the maximum of its successors' bottom levels — the
+// distance to the end of the application (§5). The mapper sorts ready
+// tasks by decreasing bottom level.
+func (g *Graph) BottomLevels(timeOf TimeFunc) []float64 {
 	bl := make([]float64, len(g.Tasks))
-	g.BottomLevelsInto(bl, timeOf, commOf)
+	g.BottomLevelsInto(bl, timeOf)
 	return bl
 }
 
 // TopLevels returns, indexed by task ID, the length of the longest path
 // from an entry task to the task, excluding the task's own time.
-func (g *Graph) TopLevels(timeOf TimeFunc, commOf CommFunc) []float64 {
+func (g *Graph) TopLevels(timeOf TimeFunc) []float64 {
 	order, err := g.TopoOrder()
 	if err != nil {
 		panic(err)
@@ -147,8 +140,7 @@ func (g *Graph) TopLevels(timeOf TimeFunc, commOf CommFunc) []float64 {
 	for _, t := range order {
 		best := 0.0
 		for _, e := range t.in {
-			v := tl[e.From.ID] + timeOf(e.From) + commOf(e)
-			if v > best {
+			if v := tl[e.From.ID] + timeOf(e.From); v > best {
 				best = v
 			}
 		}
@@ -172,8 +164,8 @@ func (g *Graph) maxEntryLevel(bl []float64) float64 {
 // CriticalPathLength returns the length of the critical path: the maximal
 // bottom level over entry tasks. This is the "critical path" characteristic
 // used by the PS-cp and WPS-cp strategies (§6).
-func (g *Graph) CriticalPathLength(timeOf TimeFunc, commOf CommFunc) float64 {
+func (g *Graph) CriticalPathLength(timeOf TimeFunc) float64 {
 	bl := g.scratchLevels()
-	g.BottomLevelsInto(bl, timeOf, commOf)
+	g.BottomLevelsInto(bl, timeOf)
 	return g.maxEntryLevel(bl)
 }

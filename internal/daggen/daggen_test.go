@@ -293,8 +293,8 @@ func TestGeneratedBottomLevelProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := Generate(Family(fam%3), r)
 		timeOf := func(task *dag.Task) float64 { return task.SeqGFlop }
-		bl := g.BottomLevels(timeOf, dag.ZeroComm)
-		cp := g.CriticalPathLength(timeOf, dag.ZeroComm)
+		bl := g.BottomLevels(timeOf)
+		cp := g.CriticalPathLength(timeOf)
 		best := 0.0
 		for _, task := range g.Tasks {
 			if bl[task.ID] <= 0 {

@@ -69,7 +69,7 @@ func graphDiff(a, b *dag.Graph) string {
 	if !slices.Equal(ids(a.Entries()), ids(b.Entries())) || !slices.Equal(ids(a.Exits()), ids(b.Exits())) {
 		return "entries or exits differ"
 	}
-	if !same(a.CriticalPathLength(seqTime, dag.ZeroComm), b.CriticalPathLength(seqTime, dag.ZeroComm)) {
+	if !same(a.CriticalPathLength(seqTime), b.CriticalPathLength(seqTime)) {
 		return "critical path lengths differ"
 	}
 	la, lb := a.Levels(seqTime), b.Levels(seqTime)
@@ -88,7 +88,7 @@ func analyze(g *dag.Graph) {
 	g.LevelSets()
 	g.Entries()
 	g.Exits()
-	g.CriticalPathLength(seqTime, dag.ZeroComm)
+	g.CriticalPathLength(seqTime)
 	g.Levels(seqTime)
 }
 

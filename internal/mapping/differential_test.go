@@ -88,7 +88,7 @@ func seedMap(pf *platform.Platform, apps []*alloc.Allocation, opts mapping.Optio
 	}
 	m.bl = make([][]float64, len(apps))
 	for i, a := range apps {
-		m.bl[i] = a.Graph.BottomLevels(a.TimeOf, dag.ZeroComm)
+		m.bl[i] = a.Graph.BottomLevels(a.TimeOf)
 	}
 	switch opts.Ordering {
 	case mapping.ReadyTasks:

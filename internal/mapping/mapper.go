@@ -162,7 +162,7 @@ func (sc *Scratch) load(pf *platform.Platform, apps []*alloc.Allocation, opts Op
 			}
 			width += widest
 		}
-		a.Graph.BottomLevelsInto(sc.bl[base:base+len(a.Graph.Tasks)], a.TimeOf, dag.ZeroComm)
+		a.Graph.BottomLevelsInto(sc.bl[base:base+len(a.Graph.Tasks)], a.TimeOf)
 	}
 	sc.procs = slices.Grow(sc.procs[:0], width)
 	sc.placements = slices.Grow(sc.placements[:0], n)

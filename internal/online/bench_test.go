@@ -44,7 +44,7 @@ func BenchmarkScheduleDynamic(b *testing.B) {
 	// The failure hits the cluster of the run's middle placement halfway
 	// through it, so there is in-flight work to kill.
 	timeline := events.Timeline{{At: 40, Kind: events.SpeedChange, Cluster: 1, Factor: 0.5}}
-	opts := Options{Strategy: strategy.ES(), Timeline: timeline, Policy: CheckpointPolicy()}
+	opts := Options{Strategy: strategy.ES(), Timeline: timeline, Policy: Checkpoint}
 	undisturbed := Schedule(pf, arrivals, opts).Placements
 	hit := undisturbed[len(undisturbed)/2]
 	failAt := (hit.Start + hit.End) / 2

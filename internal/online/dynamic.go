@@ -1,18 +1,18 @@
 // Dynamic scenarios: the event-timeline machinery that lets the online
 // scheduler run under cluster failures, recoveries, speed changes, and
-// application cancellation/resubmission (events.Timeline), and the
-// rescheduling policies that decide how much of an application's work an
-// invalidating event throws away.
+// application cancellation/resubmission (events.Timeline), and the two
+// rescheduling policies that decide how much of an application's work a
+// failure throws away.
 //
 // Semantics, in timeline order at each instant (completions first, then
 // recoveries, speed changes, failures, cancels, resubmissions, arrivals):
 //
 //   - ClusterDown kills every running and committed placement on the
-//     cluster; the killed task IDs are handed per application to the
-//     rescheduling policy, which returns the full set of tasks to
-//     invalidate. When that set discards completed work, the application
-//     restarts from scratch and a Restart record is emitted for the
-//     oracle. A β rebalance follows.
+//     cluster. Each application with a killed placement then resets every
+//     task under Restart and exactly the killed tasks under Checkpoint.
+//     When that discards completed work, the application restarts from
+//     scratch and a Restart record is emitted for the oracle. A β
+//     rebalance follows.
 //   - ClusterUp returns the cluster to service and rebalances; tasks left
 //     ready because no cluster was available are committed at this
 //     instant.
@@ -39,70 +39,49 @@ import (
 	"fmt"
 	"math"
 
-	"ptgsched/internal/dag"
 	"ptgsched/internal/events"
 	"ptgsched/internal/platform"
 )
 
-// ReschedulePolicy decides which tasks of an application are invalidated
-// when an event kills some of its in-flight placements. Implementations
-// must be stateless and deterministic.
-type ReschedulePolicy interface {
-	// Name is the policy's registry key.
-	Name() string
-	// Invalidate returns the IDs of the tasks to reset, given the killed
-	// in-flight task IDs and the per-task completion mask. The result must
-	// be a superset of killed (the engine enforces the union).
-	Invalidate(g *dag.Graph, killed []int, done []bool) []int
-}
+// Policy decides which tasks of an application are invalidated when a
+// cluster failure kills some of its in-flight placements.
+type Policy int
 
-// restartPolicy is the resubmit-from-scratch baseline: any kill discards
-// the whole application, completed work included.
-type restartPolicy struct{}
+const (
+	// Restart is the resubmit-from-scratch baseline and the zero value: any
+	// kill discards the whole application, completed work included.
+	Restart Policy = iota
+	// Checkpoint is the checkpoint-aware remap: completed tasks' outputs
+	// are durable, so only the killed tasks themselves rerun; their
+	// successors' precedence constraints are served from the checkpointed
+	// predecessors.
+	Checkpoint
+)
 
-func (restartPolicy) Name() string { return "restart" }
-
-func (restartPolicy) Invalidate(g *dag.Graph, killed []int, done []bool) []int {
-	ids := make([]int, len(g.Tasks))
-	for i := range ids {
-		ids[i] = i
+// String returns the policy's registry key.
+func (p Policy) String() string {
+	switch p {
+	case Restart:
+		return "restart"
+	case Checkpoint:
+		return "checkpoint"
+	default:
+		return fmt.Sprintf("Policy(%d)", int(p))
 	}
-	return ids
 }
 
-// checkpointPolicy is the checkpoint-aware remap: completed tasks'
-// outputs are durable, so only the killed tasks themselves rerun; their
-// successors' precedence constraints are served from the checkpointed
-// predecessors.
-type checkpointPolicy struct{}
-
-func (checkpointPolicy) Name() string { return "checkpoint" }
-
-func (checkpointPolicy) Invalidate(g *dag.Graph, killed []int, done []bool) []int {
-	return append([]int(nil), killed...)
-}
-
-// RestartPolicy returns the resubmit-from-scratch baseline policy, the
-// default when a timeline is given without an explicit policy.
-func RestartPolicy() ReschedulePolicy { return restartPolicy{} }
-
-// CheckpointPolicy returns the checkpoint-aware remap policy.
-func CheckpointPolicy() ReschedulePolicy { return checkpointPolicy{} }
-
-// PolicyNames lists the registered rescheduling policies in registry
+// PolicyNames lists the rescheduling policies' registry keys in registry
 // order.
-func PolicyNames() []string { return []string{"restart", "checkpoint"} }
+func PolicyNames() []string { return []string{Restart.String(), Checkpoint.String()} }
 
 // PolicyByName resolves a rescheduling policy by its registry key.
-func PolicyByName(name string) (ReschedulePolicy, error) {
-	switch name {
-	case "restart":
-		return restartPolicy{}, nil
-	case "checkpoint":
-		return checkpointPolicy{}, nil
-	default:
-		return nil, fmt.Errorf("online: unknown rescheduling policy %q (have %v)", name, PolicyNames())
+func PolicyByName(name string) (Policy, error) {
+	for _, p := range []Policy{Restart, Checkpoint} {
+		if p.String() == name {
+			return p, nil
+		}
 	}
+	return 0, fmt.Errorf("online: unknown rescheduling policy %q (have %v)", name, PolicyNames())
 }
 
 // pushTimeline enqueues the timeline's events. Entries referencing
@@ -161,23 +140,24 @@ func (s *scheduler) onClusterDown(k int) {
 	s.refreshRef()
 
 	// Kill every in-flight placement on the failed cluster, application by
-	// application: the policy sees one application's killed tasks and
-	// completion mask, in scratch buffers the next application overwrites.
+	// application, in a scratch buffer the next application overwrites. An
+	// application the failure touched loses every task under Restart and
+	// exactly the killed ones under Checkpoint.
 	for app, tasks := range s.tasks {
 		killed := s.sc.killed[:0]
-		done := resized(s.sc.done, len(tasks))
-		for id, ot := range tasks {
+		for _, ot := range tasks {
 			if (ot.state == taskRunning || ot.state == taskCommitted) && ot.placement.Cluster.Index == k {
-				killed = append(killed, id)
+				killed = append(killed, ot)
 			}
-			done[id] = ot.state == taskDone
 		}
-		s.sc.killed, s.sc.done = killed, done
+		s.sc.killed = killed
 		if len(killed) == 0 {
 			continue
 		}
-		ids := s.policy.Invalidate(s.arrivals[app].Graph, killed, done)
-		s.invalidate(app, s.union(ids, killed, len(tasks)))
+		if s.opts.Policy == Restart {
+			killed = tasks
+		}
+		s.invalidate(app, killed)
 		s.result.Reschedules++
 	}
 	s.rebalance()
@@ -251,11 +231,10 @@ func (s *scheduler) onResubmit(app int) {
 // invalidate resets the given tasks of app (in-flight ones lose their
 // placements, completed ones their results), recomputes readiness, and —
 // when completed work was discarded — records the from-scratch restart.
-func (s *scheduler) invalidate(app int, ids []int) {
+func (s *scheduler) invalidate(app int, reset []*onlineTask) {
 	tasks := s.tasks[app]
 	discardedDone := false
-	for _, id := range ids {
-		ot := tasks[id]
+	for _, ot := range reset {
 		if ot.state == taskDone {
 			s.done[app]--
 			discardedDone = true
@@ -307,25 +286,4 @@ func (s *scheduler) dropDiscarded() {
 	}
 	clear(ps[len(kept):])
 	s.result.Placements = kept
-}
-
-// union merges two sets of IDs below n into a sorted, duplicate-free slice,
-// in a scratch buffer the next call overwrites.
-func (s *scheduler) union(a, b []int, n int) []int {
-	member := resized(s.sc.member, n)
-	clear(member)
-	for _, id := range a {
-		member[id] = true
-	}
-	for _, id := range b {
-		member[id] = true
-	}
-	out := s.sc.invalid[:0]
-	for id, in := range member {
-		if in {
-			out = append(out, id)
-		}
-	}
-	s.sc.member, s.sc.invalid = member, out
-	return out
 }

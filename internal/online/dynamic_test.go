@@ -67,7 +67,7 @@ func TestEmptyTimelineIsBitIdenticalToStatic(t *testing.T) {
 		dyn := online.Schedule(pf, arrivals, online.Options{
 			Strategy: strategy.ES(),
 			Timeline: events.Timeline{},
-			Policy:   online.RestartPolicy(),
+			Policy:   online.Restart,
 		})
 		if static.Makespan != dyn.Makespan {
 			t.Fatalf("makespans differ: %v vs %v", static.Makespan, dyn.Makespan)
@@ -93,16 +93,16 @@ func TestFailureKillsAndReschedules(t *testing.T) {
 	failAt := baseline.Makespan * 0.5
 	tl := events.Timeline{{At: failAt, Kind: events.ClusterDown, Cluster: 0}}
 
-	for _, policy := range []online.ReschedulePolicy{online.RestartPolicy(), online.CheckpointPolicy()} {
+	for _, policy := range []online.Policy{online.Restart, online.Checkpoint} {
 		res := online.Schedule(pf, arrivals, online.Options{
 			Strategy: strategy.ES(), Timeline: tl, Policy: policy,
 		})
 		if res.Makespan < baseline.Makespan {
-			t.Fatalf("%s: failure improved makespan %g -> %g", policy.Name(), baseline.Makespan, res.Makespan)
+			t.Fatalf("%s: failure improved makespan %g -> %g", policy, baseline.Makespan, res.Makespan)
 		}
 		for _, p := range res.Placements {
 			if p.Cluster.Index == 0 && p.End > failAt+1e-9 {
-				t.Fatalf("%s: surviving placement %v overlaps the outage from %g", policy.Name(), p, failAt)
+				t.Fatalf("%s: surviving placement %v overlaps the outage from %g", policy, p, failAt)
 			}
 		}
 		err := trace.ValidateDynamic(pf, []*dag.Graph{g}, res.Placements, trace.Dynamic{
@@ -112,7 +112,7 @@ func TestFailureKillsAndReschedules(t *testing.T) {
 			Restarts:      res.Restarts,
 		})
 		if err != nil {
-			t.Fatalf("%s: oracle rejected rescheduled run: %v", policy.Name(), err)
+			t.Fatalf("%s: oracle rejected rescheduled run: %v", policy, err)
 		}
 	}
 }
@@ -132,10 +132,10 @@ func TestCheckpointKeepsCompletedWork(t *testing.T) {
 		{At: (half.Start + half.End) / 2, Kind: events.ClusterDown, Cluster: half.Cluster.Index},
 	}
 	restart := online.Schedule(pf, arrivals, online.Options{
-		Strategy: strategy.ES(), Timeline: tl, Policy: online.RestartPolicy(),
+		Strategy: strategy.ES(), Timeline: tl, Policy: online.Restart,
 	})
 	checkpoint := online.Schedule(pf, arrivals, online.Options{
-		Strategy: strategy.ES(), Timeline: tl, Policy: online.CheckpointPolicy(),
+		Strategy: strategy.ES(), Timeline: tl, Policy: online.Checkpoint,
 	})
 	if len(restart.Restarts) == 0 {
 		t.Fatal("restart policy discarded completed work without a restart record")
@@ -159,7 +159,7 @@ func TestRecoveryRestoresCapacity(t *testing.T) {
 	}
 	tl.Sort()
 	res := online.Schedule(pf, []online.Arrival{{Graph: chain("w", 4), At: 0}}, online.Options{
-		Strategy: strategy.ES(), Timeline: tl, Policy: online.RestartPolicy(),
+		Strategy: strategy.ES(), Timeline: tl, Policy: online.Restart,
 	})
 	if res.Apps[0].StartedAt < 7 {
 		t.Fatalf("work started at %g during the outage [0, 7)", res.Apps[0].StartedAt)
@@ -176,7 +176,7 @@ func TestSpeedChangeSlowsSubsequentWork(t *testing.T) {
 	fast := online.Schedule(pf, []online.Arrival{{Graph: chain("x", 6), At: 1}}, online.Options{})
 	tl := events.Timeline{{At: 0.5, Kind: events.SpeedChange, Cluster: 0, Factor: 0.5}}
 	slow := online.Schedule(pf, []online.Arrival{{Graph: chain("x", 6), At: 1}}, online.Options{
-		Timeline: tl, Policy: online.RestartPolicy(),
+		Timeline: tl, Policy: online.Restart,
 	})
 	if math.Abs(slow.Makespan-(1+2*(fast.Makespan-1))) > 1e-9 {
 		t.Fatalf("halved speed: makespan %g, want %g", slow.Makespan, 1+2*(fast.Makespan-1))
@@ -192,7 +192,7 @@ func TestCancelRemovesApplication(t *testing.T) {
 	arrivals := []online.Arrival{{Graph: a, At: 0}, {Graph: b, At: 0}}
 	tl := events.Timeline{{At: 5, Kind: events.Cancel, App: 0}}
 	res := online.Schedule(pf, arrivals, online.Options{
-		Strategy: strategy.ES(), Timeline: tl, Policy: online.RestartPolicy(),
+		Strategy: strategy.ES(), Timeline: tl, Policy: online.Restart,
 	})
 	if !res.Cancelled[0] || res.Cancelled[1] {
 		t.Fatalf("cancel marks wrong: %v", res.Cancelled)
@@ -210,7 +210,7 @@ func TestCancelRemovesApplication(t *testing.T) {
 	late := online.Schedule(pf, arrivals, online.Options{
 		Strategy: strategy.ES(),
 		Timeline: events.Timeline{{At: 1e6, Kind: events.Cancel, App: 0}},
-		Policy:   online.RestartPolicy(),
+		Policy:   online.Restart,
 	})
 	if late.Cancelled[0] {
 		t.Fatal("cancel of a completed application took effect")
@@ -229,7 +229,7 @@ func TestResubmitRerunsFromScratch(t *testing.T) {
 	}
 	tl.Sort()
 	res := online.Schedule(pf, []online.Arrival{{Graph: g, At: 0}}, online.Options{
-		Strategy: strategy.ES(), Timeline: tl, Policy: online.RestartPolicy(),
+		Strategy: strategy.ES(), Timeline: tl, Policy: online.Restart,
 	})
 	if res.Cancelled[0] {
 		t.Fatal("resubmitted application still marked cancelled")
@@ -261,8 +261,8 @@ func TestPolicyRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("registered policy %q: %v", name, err)
 		}
-		if p.Name() != name {
-			t.Fatalf("policy %q reports name %q", name, p.Name())
+		if p.String() != name {
+			t.Fatalf("policy %q reports name %q", name, p.String())
 		}
 	}
 	if _, err := online.PolicyByName("nope"); err == nil {

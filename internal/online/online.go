@@ -79,9 +79,9 @@ type Options struct {
 	// run; see dynamic.go for the semantics. An empty timeline reproduces
 	// the static run bit for bit.
 	Timeline events.Timeline
-	// Policy decides how much of an application an invalidating event
-	// discards; nil defaults to RestartPolicy. Ignored without a Timeline.
-	Policy ReschedulePolicy
+	// Policy decides how much of an application a cluster failure
+	// discards; the zero value is Restart. Ignored without a Timeline.
+	Policy Policy
 }
 
 // AppResult reports one application's outcome.
@@ -160,7 +160,6 @@ type scheduler struct {
 	// is present; the static path never consults downC/cancelled and keeps
 	// speed equal to the configured cluster speeds.
 	dyn       bool
-	policy    ReschedulePolicy
 	speed     []float64 // effective per-cluster speed
 	downC     []bool    // cluster currently failed
 	cancelled []bool    // application currently withdrawn
@@ -190,8 +189,8 @@ type scheduler struct {
 // replay each other's growth steps, and the driver's working buffers: the
 // active set and its graphs, the ready list, every cluster's processor
 // availability (the sorted structure the offline mapper runs on too) with
-// the times vectors rebuildAvail reloads it from, and the task-ID sets a
-// cluster failure hands the rescheduling policy. Only the traces carry
+// the times vectors rebuildAvail reloads it from, and the tasks a cluster
+// failure kills in one application. Only the traces carry
 // anything from one run to the next; a run overwrites the rest before it
 // reads it. A Scratch must be confined to one goroutine. The arrival graphs'
 // task costs must not be edited between runs that share traces (appended
@@ -208,9 +207,8 @@ type Scratch struct {
 	avail []mapping.Availability
 	times [][]float64
 
-	// onClusterDown's per-application sets, indexed or valued by task ID.
-	killed, invalid []int
-	done, member    []bool
+	// onClusterDown's per-application killed tasks.
+	killed []*onlineTask
 }
 
 // NewScratch returns an empty scratch ready for ScheduleWith.
@@ -222,6 +220,7 @@ func (sc *Scratch) Release() {
 	sc.traces.Forget()
 	clear(sc.graphs[:cap(sc.graphs)])
 	clear(sc.ready[:cap(sc.ready)])
+	clear(sc.killed[:cap(sc.killed)])
 }
 
 // Schedule runs the online scheduler over the given arrivals.
@@ -289,11 +288,10 @@ func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts O
 	s.cancelled = make([]bool, len(arrivals))
 
 	if len(opts.Timeline) > 0 {
-		s.dyn = true
-		s.policy = opts.Policy
-		if s.policy == nil {
-			s.policy = RestartPolicy()
+		if opts.Policy != Restart && opts.Policy != Checkpoint {
+			panic(fmt.Sprintf("online: unknown rescheduling policy %v", opts.Policy))
 		}
+		s.dyn = true
 		s.result.Cancelled = make([]bool, len(arrivals))
 		s.pushTimeline(opts.Timeline)
 	}
@@ -455,7 +453,7 @@ func (s *scheduler) rebalance() {
 		} else {
 			s.allocs[app] = s.sc.traces.Compute(graphs[i], s.ref, betas[i], s.opts.Procedure)
 		}
-		s.bl[app] = graphs[i].BottomLevels(s.allocs[app].TimeOf, dag.ZeroComm)
+		s.bl[app] = graphs[i].BottomLevels(s.allocs[app].TimeOf)
 		for _, ot := range s.tasks[app] {
 			if ot.state == taskCommitted && ot.placement.Start > s.now {
 				ot.state = taskReady

@@ -9,6 +9,7 @@ import (
 
 	"ptgsched/internal/dag"
 	"ptgsched/internal/daggen"
+	"ptgsched/internal/events"
 	"ptgsched/internal/online"
 	"ptgsched/internal/platform"
 	"ptgsched/internal/strategy"
@@ -220,6 +221,18 @@ func TestNegativeArrivalPanics(t *testing.T) {
 		}
 	}()
 	online.Schedule(singleCluster(1, 1), []online.Arrival{{Graph: chain("x", 1), At: -1}}, online.Options{})
+}
+
+func TestUnknownPolicyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on an unknown rescheduling policy")
+		}
+	}()
+	online.Schedule(singleCluster(1, 1), []online.Arrival{{Graph: chain("x", 1), At: 0}}, online.Options{
+		Timeline: events.Timeline{{At: 1, Kind: events.ClusterDown, Cluster: 0}},
+		Policy:   online.Policy(2),
+	})
 }
 
 // Property: every application completes, flow times are positive, tasks of

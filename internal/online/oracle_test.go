@@ -185,7 +185,7 @@ func TestCommitMatchesSortOracle(t *testing.T) {
 		strategies := strategy.PaperSet(family)
 		for name, timeline := range timelineShapes(3+float64(si), pf, len(arrivals)) {
 			n := 0 // a shape's eight combinations walk the strategy set
-			for _, policy := range []ReschedulePolicy{RestartPolicy(), CheckpointPolicy()} {
+			for _, policy := range []Policy{Restart, Checkpoint} {
 				for _, noPacking := range []bool{false, true} {
 					for _, proc := range []alloc.Procedure{alloc.SCRAP, alloc.SCRAPMAX} {
 						opts := Options{
@@ -196,7 +196,7 @@ func TestCommitMatchesSortOracle(t *testing.T) {
 							Policy:    policy,
 						}
 						n++
-						what := fmt.Sprintf("%s %s %s %v packing=%v %s", pf.Name, name, opts.Strategy.Name(), proc, !noPacking, policy.Name())
+						what := fmt.Sprintf("%s %s %s %v packing=%v %s", pf.Name, name, opts.Strategy.Name(), proc, !noPacking, policy)
 						sameRun(t, what, Schedule(pf, arrivals, opts), oracleRun(pf, arrivals, opts))
 					}
 				}

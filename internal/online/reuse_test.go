@@ -89,9 +89,9 @@ func TestKeptAllocationsChangeNothing(t *testing.T) {
 		{At: 70, Kind: events.Resubmit, App: 1},
 	}
 	timeline.Sort()
-	for _, policy := range []ReschedulePolicy{RestartPolicy(), CheckpointPolicy()} {
+	for _, policy := range []Policy{Restart, Checkpoint} {
 		for _, strat := range []strategy.Strategy{strategy.S(), strategy.ES()} {
-			res := runBoth(t, "dynamic "+strat.Name()+" "+policy.Name(), pf, arrivals,
+			res := runBoth(t, "dynamic "+strat.Name()+" "+policy.String(), pf, arrivals,
 				Options{Strategy: strat, Timeline: timeline, Policy: policy})
 			if res.EventsApplied != len(timeline) {
 				t.Fatalf("%d of %d timeline events applied", res.EventsApplied, len(timeline))
@@ -147,11 +147,11 @@ func TestTracedRunsMatchRecompute(t *testing.T) {
 		arrivals := fourArrivals(int64(500+si), family)
 		for name, timeline := range timelineShapes(3+float64(si), pf, len(arrivals)) {
 			for _, proc := range []alloc.Procedure{alloc.SCRAP, alloc.SCRAPMAX} {
-				policy := []ReschedulePolicy{RestartPolicy(), CheckpointPolicy()}[(si+int(proc))%2]
+				policy := []Policy{Restart, Checkpoint}[(si+int(proc))%2]
 				sc := NewScratch()
 				for _, strat := range strategy.PaperSet(family) {
 					opts := Options{Strategy: strat, Procedure: proc, Timeline: timeline, Policy: policy}
-					what := pf.Name + " " + name + " " + proc.String() + " " + strat.Name() + " " + policy.Name()
+					what := pf.Name + " " + name + " " + proc.String() + " " + strat.Name() + " " + policy.String()
 					sameRun(t, what, ScheduleWith(sc, pf, arrivals, opts), recomputed(pf, arrivals, opts))
 				}
 				if sc.traces.Replayed+sc.traces.Repeated == 0 {

@@ -173,7 +173,7 @@ func FuzzScheduleInvariants(f *testing.F) {
 				hasCancel = true
 			}
 		}
-		policies := []online.ReschedulePolicy{online.RestartPolicy(), online.CheckpointPolicy()}
+		policies := []online.Policy{online.Restart, online.Checkpoint}
 		for _, name := range strategy.Names() {
 			strat, err := strategy.ByName(name, -1, fam)
 			if err != nil {
@@ -191,12 +191,12 @@ func FuzzScheduleInvariants(f *testing.F) {
 				})
 				if err != nil {
 					t.Fatalf("dynamic %s/%s on %s (fam=%s n=%d ev=%d at=%g seed=%d): %v",
-						name, policy.Name(), pf.Name, fam, n, evSel%6, evAt, seed, err)
+						name, policy, pf.Name, fam, n, evSel%6, evAt, seed, err)
 				}
 				for i, c := range res.Cancelled {
 					if c && !hasCancel {
 						t.Fatalf("dynamic %s/%s: app %d cancelled by a timeline with no cancel events",
-							name, policy.Name(), i)
+							name, policy, i)
 					}
 				}
 			}

@@ -153,7 +153,7 @@ func TestAddingClusterNeverWorsensBestMakespan(t *testing.T) {
 // onlineBestMakespan runs the batch as a concurrent burst through the
 // online engine under every registered strategy and returns the best
 // global makespan.
-func onlineBestMakespan(t *testing.T, pf *platform.Platform, graphs []*dag.Graph, fam daggen.Family, tl events.Timeline, policy online.ReschedulePolicy) float64 {
+func onlineBestMakespan(t *testing.T, pf *platform.Platform, graphs []*dag.Graph, fam daggen.Family, tl events.Timeline, policy online.Policy) float64 {
 	t.Helper()
 	arrivals := make([]online.Arrival, len(graphs))
 	for i, g := range graphs {
@@ -182,11 +182,11 @@ func onlineBestMakespan(t *testing.T, pf *platform.Platform, graphs []*dag.Graph
 func TestInjectingFailureNeverImprovesBestMakespan(t *testing.T) {
 	const tol = 1e-9
 	pf := platform.Rennes()
-	policies := []online.ReschedulePolicy{online.RestartPolicy(), online.CheckpointPolicy()}
+	policies := []online.Policy{online.Restart, online.Checkpoint}
 	for _, fam := range []daggen.Family{daggen.FamilyRandom, daggen.FamilyStrassen} {
 		for _, seed := range []int64{1, 2} {
 			graphs := batch(t, fam, 3, seed)
-			baseline := onlineBestMakespan(t, pf, graphs, fam, nil, nil)
+			baseline := onlineBestMakespan(t, pf, graphs, fam, nil, online.Restart)
 			if baseline <= 0 {
 				t.Fatalf("family %s seed %d: degenerate baseline makespan %g", fam, seed, baseline)
 			}
@@ -201,7 +201,7 @@ func TestInjectingFailureNeverImprovesBestMakespan(t *testing.T) {
 					failed := onlineBestMakespan(t, pf, graphs, fam, tl, policy)
 					if failed < baseline*(1-tol) {
 						t.Errorf("family %s seed %d frac %g policy %s: failure improved best makespan %g → %g",
-							fam, seed, frac, policy.Name(), baseline, failed)
+							fam, seed, frac, policy, baseline, failed)
 					}
 				}
 			}

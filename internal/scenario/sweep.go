@@ -102,7 +102,7 @@ func arrivalsFor(c *Cell, p Point) []online.Arrival {
 // runDynamicPoint measures every point that runs through the online
 // engine: the point's workload replayed per strategy under the point's
 // event timeline and the cell's rescheduling policy. An online cell of a
-// spec without events is the same run with a nil timeline and a nil
+// spec without events is the same run with a nil timeline and the zero
 // policy, which the online engine executes as the static online run bit
 // for bit. The strategies share sc: each replays the allocation steps the
 // earlier ones made on the point's graphs, which the scratch forgets when
@@ -113,7 +113,7 @@ func (e *Expansion) runDynamicPoint(c *Cell, p Point, sc *online.Scratch) PointR
 	defer sc.Release()
 	arrivals := arrivalsFor(c, p)
 	timeline := e.TimelineFor(p)
-	var policy online.ReschedulePolicy
+	var policy online.Policy
 	if c.Policy != "" {
 		var err error
 		if policy, err = online.PolicyByName(c.Policy); err != nil {

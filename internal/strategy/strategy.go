@@ -63,7 +63,7 @@ func Gamma(c Characteristic, g *dag.Graph, ref platform.Reference) float64 {
 	switch c {
 	case CriticalPath:
 		seq := func(t *dag.Task) float64 { return cost.SeqTime(t.SeqGFlop, ref.Speed) }
-		return g.CriticalPathLength(seq, dag.ZeroComm)
+		return g.CriticalPathLength(seq)
 	case Width:
 		return float64(g.MaxWidth())
 	case Work:

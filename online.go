@@ -24,15 +24,19 @@ type (
 	// ReschedulePolicy decides which work a platform failure invalidates:
 	// the restart baseline discards everything, the checkpoint-aware policy
 	// keeps completed tasks that survived.
-	ReschedulePolicy = online.ReschedulePolicy
+	ReschedulePolicy = online.Policy
 )
 
 // Rescheduling policies for dynamic (event-timeline) runs.
-var (
+const (
 	// RestartPolicy re-executes every affected application from scratch.
-	RestartPolicy = online.RestartPolicy
+	RestartPolicy = online.Restart
 	// CheckpointPolicy re-executes only the work a failure actually killed.
-	CheckpointPolicy = online.CheckpointPolicy
+	CheckpointPolicy = online.Checkpoint
+)
+
+// Rescheduling policies by name.
+var (
 	// ReschedulePolicyByName resolves "restart" or "checkpoint".
 	ReschedulePolicyByName = online.PolicyByName
 	// ReschedulePolicyNames lists the registered policy names.
