@@ -98,3 +98,21 @@ func TestRunErrors(t *testing.T) {
 		t.Error("unknown family accepted")
 	}
 }
+
+// TestEmptyTraceIsAnError: a trace without arrivals (`[]` or `null`) is
+// refused by the reader, so replay returns an error instead of panicking
+// in the scheduler, and inspect does not print an empty table.
+func TestEmptyTraceIsAnError(t *testing.T) {
+	for _, body := range []string{"[]", "null"} {
+		in := filepath.Join(t.TempDir(), "empty.json")
+		if err := os.WriteFile(in, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []string{"replay", "inspect"} {
+			var buf bytes.Buffer
+			if err := run([]string{"-mode", mode, "-in", in}, &buf); err == nil || !strings.Contains(err.Error(), "no arrivals") {
+				t.Errorf("-mode %s on %s: err = %v, want a no-arrivals error", mode, body, err)
+			}
+		}
+	}
+}

@@ -249,10 +249,3 @@ func hasEdge(from, to *dag.Task) bool {
 	}
 	return false
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -171,13 +171,6 @@ func (p *Plan) Matches(i int) bool {
 	return i >= p.From && i < p.To && p.cellSet[p.e.CellOf(i)]
 }
 
-// IndexRangeMatches reports whether any index in the closed interval
-// [lo, hi] can match the plan's From/To range — the O(1) pruning test for
-// an index run that records its min/max point index.
-func (p *Plan) IndexRangeMatches(lo, hi int) bool {
-	return lo < p.To && hi >= p.From
-}
-
 // OverlapsSelection reports whether any index of the closed interval
 // [lo, hi] belongs to the plan's selection — the exact pruning test for
 // an index run that records its min/max point index: the interval is
@@ -185,7 +178,7 @@ func (p *Plan) IndexRangeMatches(lo, hi int) bool {
 // over the cell span the clamped interval covers (cells are contiguous
 // index ranges, so interval-to-cell-span is O(1)).
 func (p *Plan) OverlapsSelection(lo, hi int) bool {
-	if !p.IndexRangeMatches(lo, hi) {
+	if lo >= p.To || hi < p.From {
 		return false
 	}
 	if lo < p.From {

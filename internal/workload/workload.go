@@ -9,6 +9,7 @@ package workload
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -140,11 +141,15 @@ func WriteTrace(w io.Writer, arrivals []online.Arrival) error {
 	return enc.Encode(entries)
 }
 
-// ReadTrace loads a workload saved by WriteTrace.
+// ReadTrace loads a workload saved by WriteTrace. A trace without arrivals
+// (`[]` or `null`) is refused: there is nothing to schedule.
 func ReadTrace(rd io.Reader) ([]online.Arrival, error) {
 	var entries []traceEntry
 	if err := json.NewDecoder(rd).Decode(&entries); err != nil {
 		return nil, err
+	}
+	if len(entries) == 0 {
+		return nil, errors.New("workload: trace holds no arrivals")
 	}
 	arrivals := make([]online.Arrival, len(entries))
 	for i, e := range entries {

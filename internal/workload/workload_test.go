@@ -97,6 +97,8 @@ func TestTraceRoundTrip(t *testing.T) {
 func TestReadTraceRejectsInvalid(t *testing.T) {
 	cases := []string{
 		`not json`,
+		`[]`,
+		`null`,
 		`[{"at": -5, "graph": {"name":"x","tasks":[{"name":"a"}],"edges":[]}}]`,
 		`[{"at": 1, "graph": {"name":"x","tasks":[{"name":"a"}],"edges":[{"from":0,"to":9}]}}]`,
 	}
