@@ -190,9 +190,8 @@ type scheduler struct {
 // active set and its graphs, the ready list, every cluster's processor
 // availability (the sorted structure the offline mapper runs on too) with
 // the times vectors rebuildAvail reloads it from, and the tasks a cluster
-// failure kills in one application. Only the traces carry
-// anything from one run to the next; a run overwrites the rest before it
-// reads it. A Scratch must be confined to one goroutine. The arrival graphs'
+// failure kills in one application. Only the traces carry anything from
+// one run to the next; a run overwrites the rest before it reads it. A Scratch must be confined to one goroutine. The arrival graphs'
 // task costs must not be edited between runs that share traces (appended
 // tasks or edges are detected); Release before moving on to other graphs.
 type Scratch struct {
