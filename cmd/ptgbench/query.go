@@ -24,7 +24,7 @@ type queryOpts struct {
 	family   string
 	strategy string
 	from     int
-	to       int // negative: end of the expansion
+	to       int // ptgsched.CampaignQueryNoLimit: end of the expansion
 	format   string
 	fullScan bool
 }
@@ -52,12 +52,8 @@ func queryMode(w io.Writer, specPath, dir string, q queryOpts) error {
 	}
 	defer st.Close()
 
-	to := q.to
-	if to < 0 {
-		to = ptgsched.CampaignQueryNoLimit
-	}
 	plan, err := ptgsched.CompileCampaignQuery(e, ptgsched.CampaignQuery{
-		Family: q.family, Strategy: q.strategy, From: q.from, To: to,
+		Family: q.family, Strategy: q.strategy, From: q.from, To: q.to,
 	})
 	if err != nil {
 		return err

@@ -121,6 +121,9 @@ func TestQueryFlagValidation(t *testing.T) {
 		{"unknown family", []string{"-campaign", querySpec, "-store", dir, "-query", "-family", "nope"}},
 		{"unknown strategy", []string{"-campaign", querySpec, "-store", dir, "-query", "-strategy", "nope"}},
 		{"from beyond expansion", []string{"-campaign", querySpec, "-store", dir, "-query", "-from", "48"}},
+		// -1 is the default, the end of the expansion; below it nothing
+		// is a bound, so it must not silently select to the end.
+		{"to below -1", []string{"-campaign", querySpec, "-store", dir, "-query", "-to", "-5"}},
 	} {
 		if err := run(c.args, &buf); err == nil {
 			t.Errorf("%s accepted", c.name)

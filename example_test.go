@@ -178,7 +178,7 @@ func ExampleService_SubmitJob() {
 
 	// Stream completed results, projected to the ES strategy column.
 	var buf bytes.Buffer
-	if err := svc.JobResults(st.ID, ptgsched.CampaignJobResultQuery{Strategy: "ES"}, &buf); err != nil {
+	if err := svc.JobResults(st.ID, ptgsched.CampaignQuery{Strategy: "ES", To: ptgsched.CampaignQueryNoLimit}, &buf); err != nil {
 		panic(err)
 	}
 	results, err := ptgsched.ReadCampaignJSONL(&buf)

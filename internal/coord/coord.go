@@ -151,7 +151,7 @@ type worker struct {
 // run with Run. The stats accessors (Counters, Progress) are safe to call
 // concurrently with Run; everything else is Run's.
 type Coordinator struct {
-	e        *Expansion
+	e        *scenario.Expansion
 	specJSON []byte
 	opts     Options
 	workers  []*worker
@@ -164,10 +164,6 @@ type Coordinator struct {
 	// leasesMerged mirrors merged lease states for concurrent readers.
 	leasesMerged atomic.Int64
 }
-
-// Expansion aliases the scenario expansion so callers of the root package
-// see one type.
-type Expansion = scenario.Expansion
 
 // New validates the campaign spec, expands it locally (the coordinator
 // needs the expansion for lease arithmetic and the final aggregation) and
@@ -214,7 +210,7 @@ func (c *Coordinator) NumPoints() int { return c.e.NumPoints() }
 
 // Expansion returns the locally-expanded campaign (for rendering the
 // final tables the same way an unsharded run would).
-func (c *Coordinator) Expansion() *Expansion { return c.e }
+func (c *Coordinator) Expansion() *scenario.Expansion { return c.e }
 
 // Counters snapshots the robustness counters.
 func (c *Coordinator) Counters() CountersSnapshot { return c.counters.Snapshot() }

@@ -27,21 +27,19 @@ import (
 	"ptgsched/internal/strategy"
 )
 
-// Scheduler schedules batches of PTGs on one multi-cluster platform. The
-// zero value of Options selects the paper's configuration: SCRAP-MAX
-// allocation, ready-task ordering, allocation packing on.
+// Scheduler schedules batches of PTGs on one multi-cluster platform. It
+// always allocates with SCRAP-MAX, the only procedure the paper evaluates;
+// the zero MapOptions selects the paper's mapping: ready-task ordering,
+// allocation packing on.
 type Scheduler struct {
 	Platform *platform.Platform
-	// Procedure is the allocation procedure (default SCRAPMAX; the paper
-	// only evaluates SCRAP-MAX, SCRAP is kept for ablation).
-	Procedure alloc.Procedure
 	// MapOptions tunes the mapping step.
 	MapOptions mapping.Options
 }
 
 // New returns a scheduler for pf in the paper's configuration.
 func New(pf *platform.Platform) *Scheduler {
-	return &Scheduler{Platform: pf, Procedure: alloc.SCRAPMAX}
+	return &Scheduler{Platform: pf}
 }
 
 // Result is the outcome of scheduling one batch of PTGs: the β constraints
@@ -80,11 +78,11 @@ func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Resu
 // A Scratch also computes its allocations through a store of allocation
 // traces (alloc.Traces), so that one batch of graphs scheduled several
 // times — alone for M_own, then under each strategy — computes each
-// distinct (graph, reference cluster, β, procedure) once and starts a
-// graph's run under a new β from the growth steps its runs under other β
-// already made. Graphs' task costs must not be edited while their traces
-// are kept (a graph changed through AddTask, AddEdge or Reset is
-// detected); Release ends a unit of work and forgets them.
+// distinct (graph, reference cluster, β) once and starts a graph's run
+// under a new β from the growth steps its runs under other β already made.
+// Graphs' task costs must not be edited while their traces are kept (a
+// graph changed through AddTask, AddEdge or Reset is detected); Release
+// ends a unit of work and forgets them.
 type Scratch struct {
 	exec   *simexec.Scratch
 	maps   mapping.Scratch
@@ -152,7 +150,7 @@ func (s *Scheduler) ScheduleWith(sc *Scratch, graphs []*dag.Graph, strat strateg
 	}
 	apps := sc.apps[:len(graphs)]
 	for i, g := range graphs {
-		apps[i] = sc.traces.Compute(g, ref, betas[i], s.Procedure)
+		apps[i] = sc.traces.Compute(g, ref, betas[i], alloc.SCRAPMAX)
 	}
 	sched := sc.maps.Map(s.Platform, apps, s.MapOptions)
 	sc.res = Result{

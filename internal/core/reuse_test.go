@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ptgsched/internal/alloc"
 	"ptgsched/internal/core"
 	"ptgsched/internal/dag"
 	"ptgsched/internal/daggen"
@@ -74,13 +73,8 @@ func TestScratchRemembersAllocationsUntilForgotten(t *testing.T) {
 	if shared := sched.ScheduleWith(sc, gs, strategy.ES()).Allocations[0]; shared == alone {
 		t.Error("an allocation was served for a different β")
 	}
-	// The procedure is part of what an allocation is remembered for.
-	other := *sched
-	other.Procedure = 1 - sched.Procedure
-	if a := other.ScheduleWith(sc, gs, strategy.S()).Allocations[0]; a == alone {
-		t.Error("an allocation was served for a different procedure")
-	}
-	// So is the reference cluster.
+	// The reference cluster is part of what an allocation is remembered
+	// for.
 	if a := core.New(platform.Nancy()).ScheduleWith(sc, gs, strategy.S()).Allocations[0]; a == alone {
 		t.Error("an allocation was served for a different platform")
 	}
@@ -136,14 +130,12 @@ func TestScratchReleaseForgetsTheBatch(t *testing.T) {
 // each graph from the trace its earlier β left (the β = 1 dedicated run
 // comes first, so every constrained run replays a prefix of it), in step
 // storage recycled from the point before. Each result equals a fresh
-// Schedule call's, under both procedures.
+// Schedule call's, for every family on every site.
 func TestPointOnCarriedScratchMatchesFreshSchedules(t *testing.T) {
 	sc := core.NewScratch()
 	for si, pf := range platform.Grid5000Sites() {
-		for _, proc := range []alloc.Procedure{alloc.SCRAPMAX, alloc.SCRAP} {
-			sched := core.New(pf)
-			sched.Procedure = proc
-			family := daggen.Family((si + int(proc)) % 3)
+		sched := core.New(pf)
+		for _, family := range []daggen.Family{daggen.FamilyRandom, daggen.FamilyFFT, daggen.FamilyStrassen} {
 			r := rand.New(rand.NewSource(int64(70 + si)))
 			gs := make([]*dag.Graph, 2+2*si)
 			for i := range gs {
@@ -152,11 +144,11 @@ func TestPointOnCarriedScratchMatchesFreshSchedules(t *testing.T) {
 			sc.Release()
 			for i, g := range gs {
 				if got, want := sched.ScheduleAloneWith(sc, g), sched.ScheduleAlone(g); got != want {
-					t.Fatalf("%s %v: app %d alone: %g on the carried scratch, %g fresh", pf.Name, proc, i, got, want)
+					t.Fatalf("%s %s: app %d alone: %g on the carried scratch, %g fresh", pf.Name, family, i, got, want)
 				}
 			}
 			for _, strat := range strategy.PaperSet(family) {
-				sameResult(t, pf.Name+" "+proc.String()+" "+strat.Name(), sched.ScheduleWith(sc, gs, strat), sched.Schedule(gs, strat))
+				sameResult(t, pf.Name+" "+family.String()+" "+strat.Name(), sched.ScheduleWith(sc, gs, strat), sched.Schedule(gs, strat))
 			}
 		}
 	}

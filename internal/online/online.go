@@ -53,14 +53,15 @@ type Arrival struct {
 }
 
 // Options tunes the online scheduler. The zero value selects the selfish
-// strategy, SCRAP allocation, packing on, and rebalancing on both arrivals
-// and completions. That is not the offline configuration: core.New
-// allocates with SCRAP-MAX, the only procedure the paper evaluates, while
-// the zero Procedure here is alloc.SCRAP and no caller in this module
-// (scenario sweeps, the service's /v1/online, ptgsim) sets it — every
-// online and dynamic result is a SCRAP result. Switching the default moves
-// every online golden and is tracked in ROADMAP item 1; allocation traces
-// are kept per procedure and replay either, so the switch keeps the replay.
+// strategy, SCRAP allocation and rebalancing on both arrivals and
+// completions; the mapping always packs allocations (§5). That is not the
+// offline configuration: core.New allocates with SCRAP-MAX, the only
+// procedure the paper evaluates, while the zero Procedure here is
+// alloc.SCRAP and no caller in this module (scenario sweeps, the service's
+// /v1/online, ptgsim) sets it — every online and dynamic result is a SCRAP
+// result. Switching the default moves every online golden and is tracked
+// in ROADMAP item 1; allocation traces are kept per procedure and replay
+// either, so the switch keeps the replay.
 type Options struct {
 	// Strategy determines β over the set of *active* applications at each
 	// rebalance point. The zero value is the selfish strategy.
@@ -68,8 +69,6 @@ type Options struct {
 	// Procedure is the allocation procedure. The zero value is alloc.SCRAP
 	// (the global area test), not the SCRAP-MAX of the offline scheduler.
 	Procedure alloc.Procedure
-	// NoPacking disables allocation packing during mapping.
-	NoPacking bool
 	// NoRebalanceOnCompletion keeps the constraints computed at the last
 	// arrival until the next arrival, instead of redistributing a finished
 	// application's share immediately (§8 mentions both directions).
@@ -566,7 +565,7 @@ func (s *scheduler) commit(ot *onlineTask) {
 		speed := s.speed[c.Index]
 		want := alloc.TranslateTo(a.Procs[ot.task.ID], a.Ref, c.Procs, speed)
 		cc := cand{cluster: c}
-		cc.procs, cc.start, cc.end = s.sc.avail[c.Index].Best(ot.task, speed, want, s.dataReady(ot, c), !s.opts.NoPacking)
+		cc.procs, cc.start, cc.end = s.sc.avail[c.Index].Best(ot.task, speed, want, s.dataReady(ot, c), true)
 		if !found || cc.end < best.end ||
 			(cc.end == best.end && cc.start < best.start) ||
 			(cc.end == best.end && cc.start == best.start && cc.procs < best.procs) {

@@ -110,15 +110,13 @@ func (o *sortOracle) commit(ot *onlineTask) {
 		}
 		start, end := eval(want)
 		cc := cand{cluster: c, procs: want, start: start, end: end}
-		if !s.opts.NoPacking {
-			for q := want - 1; q >= 1; q-- {
-				st, en := eval(q)
-				if st >= cc.start {
-					break
-				}
-				if en <= cc.end {
-					cc = cand{cluster: c, procs: q, start: st, end: en}
-				}
+		for q := want - 1; q >= 1; q-- {
+			st, en := eval(q)
+			if st >= cc.start {
+				break
+			}
+			if en <= cc.end {
+				cc = cand{cluster: c, procs: q, start: st, end: en}
 			}
 		}
 		if !found || cc.end < best.end ||
@@ -171,7 +169,8 @@ func (o *sortOracle) commit(ot *onlineTask) {
 // Every placement of a run on the sorted availability structure — cluster,
 // processor set, start, end — is the placement the seed's sort-per-task
 // mapper makes: across the dynamic fuzz corpus' timeline shapes and a double
-// failure, every site, both policies, packing on and off, both procedures.
+// failure, every site, both policies, both procedures, each with two
+// strategies.
 // Availabilities go stale below the clock between rebalances; the oracle
 // carries the same stale values, so their order is compared too.
 func TestCommitMatchesSortOracle(t *testing.T) {
@@ -184,19 +183,18 @@ func TestCommitMatchesSortOracle(t *testing.T) {
 		arrivals := fourArrivals(int64(900+si), family)
 		strategies := strategy.PaperSet(family)
 		for name, timeline := range timelineShapes(3+float64(si), pf, len(arrivals)) {
-			n := 0 // a shape's eight combinations walk the strategy set
+			n := 0 // a shape's eight runs walk the strategy set
 			for _, policy := range []Policy{Restart, Checkpoint} {
-				for _, noPacking := range []bool{false, true} {
-					for _, proc := range []alloc.Procedure{alloc.SCRAP, alloc.SCRAPMAX} {
+				for _, proc := range []alloc.Procedure{alloc.SCRAP, alloc.SCRAPMAX} {
+					for range 2 {
 						opts := Options{
 							Strategy:  strategies[n%len(strategies)],
 							Procedure: proc,
-							NoPacking: noPacking,
 							Timeline:  timeline,
 							Policy:    policy,
 						}
 						n++
-						what := fmt.Sprintf("%s %s %s %v packing=%v %s", pf.Name, name, opts.Strategy.Name(), proc, !noPacking, policy)
+						what := fmt.Sprintf("%s %s %s %v %s", pf.Name, name, opts.Strategy.Name(), proc, policy)
 						sameRun(t, what, Schedule(pf, arrivals, opts), oracleRun(pf, arrivals, opts))
 					}
 				}

@@ -16,16 +16,14 @@ import (
 )
 
 // release0Diff schedules one batch offline (core: SCRAP-MAX, the ready-task
-// mapper) and online with every application released at 0, no timeline, the
-// procedure set to SCRAP-MAX explicitly and no rebalance on completion (a
-// completion rebalance re-allocates, which offline never does), and
-// describes the first difference: a task's allocation in the reference
-// cluster, or its placement's cluster, processors, start or end. "" means
-// §8's driver makes §5's schedule.
-func release0Diff(pf *platform.Platform, graphs []*dag.Graph, strat strategy.Strategy, noPacking bool) string {
-	offline := core.New(pf)
-	offline.MapOptions.NoPacking = noPacking
-	want := offline.Schedule(graphs, strat)
+// mapper, packing on) and online with every application released at 0, no
+// timeline, the procedure set to SCRAP-MAX explicitly and no rebalance on
+// completion (a completion rebalance re-allocates, which offline never
+// does), and describes the first difference: a task's allocation in the
+// reference cluster, or its placement's cluster, processors, start or end.
+// "" means §8's driver makes §5's schedule.
+func release0Diff(pf *platform.Platform, graphs []*dag.Graph, strat strategy.Strategy) string {
+	want := core.New(pf).Schedule(graphs, strat)
 
 	arrivals := make([]Arrival, len(graphs))
 	for i, g := range graphs {
@@ -34,7 +32,6 @@ func release0Diff(pf *platform.Platform, graphs []*dag.Graph, strat strategy.Str
 	s := newScheduler(NewScratch(), pf, arrivals, Options{
 		Strategy:                strat,
 		Procedure:               alloc.SCRAPMAX,
-		NoPacking:               noPacking,
 		NoRebalanceOnCompletion: true,
 	})
 	s.run()
@@ -87,7 +84,7 @@ func TestOfflineEqualsOnlineAtRelease0(t *testing.T) {
 				for _, pf := range cfg.Platforms {
 					for _, strat := range cfg.Strategies {
 						compared++
-						if diff := release0Diff(pf, graphs, strat, false); diff != "" {
+						if diff := release0Diff(pf, graphs, strat); diff != "" {
 							differing++
 							t.Errorf("%s, %d PTGs, rep %d, %s, %s: %s", family, n, rep, pf.Name, strat.Name(), diff)
 						}
@@ -100,11 +97,11 @@ func TestOfflineEqualsOnlineAtRelease0(t *testing.T) {
 }
 
 func FuzzOfflineEqualsOnlineAtRelease0(f *testing.F) {
-	f.Add(int64(42), uint8(2), uint8(0), uint8(0), uint8(0), true)
-	f.Add(int64(7), uint8(10), uint8(1), uint8(3), uint8(5), false)
-	f.Add(int64(301), uint8(6), uint8(2), uint8(2), uint8(7), true)
+	f.Add(int64(42), uint8(2), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(10), uint8(1), uint8(3), uint8(5))
+	f.Add(int64(301), uint8(6), uint8(2), uint8(2), uint8(7))
 	sites := platform.Grid5000Sites()
-	f.Fuzz(func(t *testing.T, seed int64, n, family, site, strat uint8, packing bool) {
+	f.Fuzz(func(t *testing.T, seed int64, n, family, site, strat uint8) {
 		fam := daggen.Family(family % 3)
 		r := rand.New(rand.NewSource(seed))
 		graphs := make([]*dag.Graph, 1+n%10)
@@ -114,8 +111,8 @@ func FuzzOfflineEqualsOnlineAtRelease0(f *testing.F) {
 		strategies := strategy.PaperSet(fam)
 		pf := sites[int(site)%len(sites)]
 		s := strategies[int(strat)%len(strategies)]
-		if diff := release0Diff(pf, graphs, s, !packing); diff != "" {
-			t.Fatalf("seed %d, %d %s PTGs, %s, %s, packing=%v: %s", seed, len(graphs), fam, pf.Name, s.Name(), packing, diff)
+		if diff := release0Diff(pf, graphs, s); diff != "" {
+			t.Fatalf("seed %d, %d %s PTGs, %s, %s: %s", seed, len(graphs), fam, pf.Name, s.Name(), diff)
 		}
 	})
 }

@@ -1,9 +1,9 @@
-// Package query is the result-store query layer: it compiles a
-// ResultQuery-shaped predicate (family, strategy projection, index range)
-// against a campaign expansion into a Plan — the set of matching cells,
-// their contiguous global-index ranges, and the per-cell projection
-// column — so readers can push the predicate down to segment byte ranges
-// instead of decoding every record and filtering afterwards.
+// Package query is the result-store query layer: it compiles a predicate
+// (family, strategy projection, index range) against a campaign expansion
+// into a Plan — the set of matching cells, their contiguous global-index
+// ranges, and the per-cell projection column — so readers can push the
+// predicate down to segment byte ranges instead of decoding every record
+// and filtering afterwards.
 //
 // The enumeration arithmetic makes pushdown exact: the global order is
 // cell-major, so every cell (and therefore every family and strategy
@@ -45,9 +45,9 @@ type Query struct {
 	Strategy string
 	// From is the inclusive lower bound on global point indices.
 	From int
-	// To is the exclusive upper bound; negative means the end of the
-	// expansion. Zero is a real bound: [0,0) is the empty range, not a
-	// request for everything — callers encoding "unset" use -1 (NoLimit).
+	// To is the exclusive upper bound, or NoLimit for the end of the
+	// expansion; a To below NoLimit is refused. Zero is a real bound:
+	// [0,0) is the empty range, not a request for everything.
 	To int
 }
 
@@ -93,9 +93,10 @@ type Plan struct {
 }
 
 // Compile validates the query against the expansion and derives the plan.
-// Unknown families or strategy labels, negative or inverted ranges, and a
-// From at or beyond the expansion are errors — a selective query that can
-// only ever match nothing is a client mistake, not an empty stream.
+// Unknown families or strategy labels, negative or inverted ranges (a To
+// below NoLimit included), and a From at or beyond the expansion are
+// errors — a selective query that can only ever match nothing is a client
+// mistake, not an empty stream.
 func Compile(e *scenario.Expansion, q Query) (*Plan, error) {
 	n := e.NumPoints()
 	if q.From < 0 {
@@ -104,8 +105,11 @@ func Compile(e *scenario.Expansion, q Query) (*Plan, error) {
 	if q.From > 0 && q.From >= n {
 		return nil, fmt.Errorf("query: from %d outside expansion [0,%d)", q.From, n)
 	}
+	if q.To < NoLimit {
+		return nil, fmt.Errorf("query: to %d is neither a bound ≥ 0 nor %d (the end of the expansion)", q.To, NoLimit)
+	}
 	to := q.To
-	if to < 0 || to > n {
+	if to == NoLimit || to > n {
 		to = n
 	}
 	if to < q.From {

@@ -185,6 +185,8 @@ func TestCompileRejectsBadQueries(t *testing.T) {
 		{Query{Family: "strassen", Strategy: "PS-width", To: NoLimit}, "no strategy labeled"},
 		{Query{From: -1, To: NoLimit}, "negative"},
 		{Query{From: 3, To: 2}, "invalid"},
+		{Query{To: NoLimit - 1}, "neither a bound"},
+		{Query{From: 2, To: -5}, "neither a bound"},
 		{Query{From: e.NumPoints(), To: NoLimit}, "outside expansion"},
 		{Query{From: e.NumPoints() + 5, To: NoLimit}, "outside expansion"},
 	} {

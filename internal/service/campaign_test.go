@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ptgsched/internal/query"
 	"ptgsched/internal/scenario"
 	"ptgsched/internal/service"
 )
@@ -105,7 +106,7 @@ func TestCampaignShardsRecombineThroughService(t *testing.T) {
 				t.Fatalf("workers=%d shard %s: %+v, %v", workers, shard, st, err)
 			}
 			var buf bytes.Buffer
-			if err := s.JobResults(st.ID, service.ResultQuery{}, &buf); err != nil {
+			if err := s.JobResults(st.ID, query.Query{To: query.NoLimit}, &buf); err != nil {
 				t.Fatal(err)
 			}
 			results, err := scenario.ReadJSONL(&buf)

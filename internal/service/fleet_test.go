@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ptgsched/internal/query"
 	"ptgsched/internal/scenario"
 )
 
@@ -57,7 +58,7 @@ func TestJobShardExecution(t *testing.T) {
 			t.Fatalf("shard %s final status %+v", shard, final)
 		}
 		var buf bytes.Buffer
-		if err := s.JobResults(st.ID, ResultQuery{}, &buf); err != nil {
+		if err := s.JobResults(st.ID, query.Query{To: query.NoLimit}, &buf); err != nil {
 			t.Fatal(err)
 		}
 		set, err := e.Shard(i, 2)

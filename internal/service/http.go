@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"ptgsched/internal/query"
 )
 
 // Handler exposes a Service over HTTP+JSON, the wire surface of the
@@ -128,11 +130,15 @@ func (c *countingWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// parseResultQuery reads the results endpoint's filter parameters.
-func parseResultQuery(r *http.Request) (ResultQuery, error) {
-	q := ResultQuery{
+// parseResultQuery reads the results endpoint's filter parameters. An
+// absent to means the end of the expansion (query.NoLimit); an explicit
+// one — to=0, the empty range, included — is a real bound, so a negative
+// to is refused rather than read as "unbounded".
+func parseResultQuery(r *http.Request) (query.Query, error) {
+	q := query.Query{
 		Family:   r.URL.Query().Get("family"),
 		Strategy: r.URL.Query().Get("strategy"),
+		To:       query.NoLimit,
 	}
 	var err error
 	if v := r.URL.Query().Get("from"); v != "" {
@@ -144,9 +150,9 @@ func parseResultQuery(r *http.Request) (ResultQuery, error) {
 		if q.To, err = strconv.Atoi(v); err != nil {
 			return q, fmt.Errorf("invalid to=%q: %w", v, err)
 		}
-		// An explicit to — including to=0, the empty range — is a real
-		// bound; only an absent parameter means "end of the expansion".
-		q.ToSet = true
+		if q.To < 0 {
+			return q, fmt.Errorf("service: result range [%d,%d) is invalid", q.From, q.To)
+		}
 	}
 	return q, nil
 }

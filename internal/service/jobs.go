@@ -501,66 +501,29 @@ func (s *Service) WaitJob(ctx context.Context, id string) (*JobStatus, error) {
 	}
 }
 
-// ResultQuery filters a job's streamed results.
-type ResultQuery struct {
-	// Family keeps only points of cells with this PTG family (random, fft,
-	// strassen). Empty keeps all.
-	Family string
-	// Strategy projects every result down to the single named strategy
-	// column (matching the cell's labels). Empty keeps all columns.
-	Strategy string
-	// From/To keep only points with From ≤ index < To. A zero To means
-	// the end of the expansion UNLESS ToSet is true — a client explicitly
-	// asking for the empty range [x,x) must get nothing, not everything.
-	From, To int
-	// ToSet marks To as explicitly provided. The HTTP layer sets it when
-	// the `to` parameter is present, so `to=0` and an absent `to` stop
-	// conflating. Struct literals that set a positive To without ToSet
-	// keep their historical meaning (an explicit bound).
-	ToSet bool
-}
-
-// plan compiles the query against an expansion, normalizing the
-// unset-vs-zero To distinction into the query package's NoLimit sentinel.
-func (q ResultQuery) plan(e *scenario.Expansion) (*query.Plan, error) {
-	to := q.To
-	if to == 0 && !q.ToSet {
-		to = query.NoLimit
-	}
-	return query.Compile(e, query.Query{
-		Family:   q.Family,
-		Strategy: q.Strategy,
-		From:     q.From,
-		To:       to,
-	})
-}
-
 // JobResults streams the job's completed results as JSONL — one
 // scenario.PointResult per line, in global point order — applying the
-// query's filters. The query compiles to a plan (internal/query) that
-// resolves the family/strategy/range predicate to the minimal contiguous
-// index ranges, so the walk visits only selected indices instead of every
-// point of the expansion. Lines are read back
-// from the job's result spool file (nothing is resident server-side);
-// records needing no projection are relayed byte-for-byte, and the
-// strategy projection re-marshals through the same bit-exact wire
-// encoding, so a client can resume aggregation later. It may be called
-// while the job is still running: it streams whatever has completed so
-// far. Safe for concurrent use.
-func (s *Service) JobResults(id string, q ResultQuery, w io.Writer) error {
+// query's filters (query.Query{To: query.NoLimit} selects them all). The
+// query compiles to a plan (internal/query) that resolves the
+// family/strategy/range predicate to the minimal contiguous index ranges,
+// so the walk visits only selected indices instead of every point of the
+// expansion. Lines are read back from the job's result spool file
+// (nothing is resident server-side); records needing no projection are
+// relayed byte-for-byte, and the strategy projection re-marshals through
+// the same bit-exact wire encoding, so a client can resume aggregation
+// later. It may be called while the job is still running: it streams
+// whatever has completed so far. Safe for concurrent use.
+func (s *Service) JobResults(id string, q query.Query, w io.Writer) error {
 	h, err := s.jobs.get(id)
 	if err != nil {
 		return err
 	}
-	if q.To < 0 {
-		// Reject before plan() could read a negative To as "unbounded".
-		return s.invalid(fmt.Errorf("service: result range [%d,%d) is invalid", q.From, q.To))
-	}
-	p, err := q.plan(h.e)
+	p, err := query.Compile(h.e, q)
 	if err != nil {
-		// Every compile failure — unknown family or strategy, inverted or
-		// out-of-range bounds (including From ≥ NumPoints) — is a bad
-		// request, not an empty 200 stream.
+		// Every compile failure — unknown family or strategy, inverted,
+		// negative or out-of-range bounds (including From ≥ NumPoints
+		// and a To below NoLimit) — is a bad request, not an empty 200
+		// stream.
 		return s.invalid(err)
 	}
 	return p.EachRange(func(lo, hi int) error {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ptgsched/internal/dag"
+	"ptgsched/internal/query"
 	"ptgsched/internal/scenario"
 )
 
@@ -62,7 +63,7 @@ func testJobRoundTrip(t *testing.T, workers int) {
 
 	// The streamed results must aggregate bit-identically to a direct run.
 	var buf bytes.Buffer
-	if err := s.JobResults(st.ID, ResultQuery{}, &buf); err != nil {
+	if err := s.JobResults(st.ID, query.Query{To: query.NoLimit}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	spooled := append([]byte(nil), buf.Bytes()...)
@@ -166,7 +167,7 @@ func TestJobResultFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	count := func(q ResultQuery) int {
+	count := func(q query.Query) int {
 		var buf bytes.Buffer
 		if err := s.JobResults(st.ID, q, &buf); err != nil {
 			t.Fatal(err)
@@ -178,16 +179,16 @@ func TestJobResultFilters(t *testing.T) {
 		}
 		return n
 	}
-	if n := count(ResultQuery{From: 2, To: 5}); n != 3 {
+	if n := count(query.Query{From: 2, To: 5}); n != 3 {
 		t.Errorf("range filter kept %d, want 3", n)
 	}
-	if n := count(ResultQuery{Family: "strassen"}); n != 8 {
+	if n := count(query.Query{Family: "strassen", To: query.NoLimit}); n != 8 {
 		t.Errorf("family filter kept %d, want 8", n)
 	}
 
 	// Strategy projection keeps one column per record.
 	var buf bytes.Buffer
-	if err := s.JobResults(st.ID, ResultQuery{Strategy: "ES"}, &buf); err != nil {
+	if err := s.JobResults(st.ID, query.Query{Strategy: "ES", To: query.NoLimit}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	results, err := scenario.ReadJSONL(&buf)
@@ -204,14 +205,18 @@ func TestJobResultFilters(t *testing.T) {
 	}
 
 	// Unknown filter values are validation errors.
-	if err := s.JobResults(st.ID, ResultQuery{Family: "fft"}, &bytes.Buffer{}); err == nil {
+	if err := s.JobResults(st.ID, query.Query{Family: "fft", To: query.NoLimit}, &bytes.Buffer{}); err == nil {
 		t.Error("family absent from the campaign accepted")
 	}
-	if err := s.JobResults(st.ID, ResultQuery{Strategy: "nope"}, &bytes.Buffer{}); err == nil {
+	if err := s.JobResults(st.ID, query.Query{Strategy: "nope", To: query.NoLimit}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown strategy label accepted")
 	}
-	if err := s.JobResults(st.ID, ResultQuery{From: 5, To: 2}, &bytes.Buffer{}); err == nil {
+	if err := s.JobResults(st.ID, query.Query{From: 5, To: 2}, &bytes.Buffer{}); err == nil {
 		t.Error("inverted range accepted")
+	}
+	var ve *ValidationError
+	if err := s.JobResults(st.ID, query.Query{To: query.NoLimit - 1}, &bytes.Buffer{}); !errors.As(err, &ve) {
+		t.Errorf("To below NoLimit: %v, want a validation error", err)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestJobResultsMalformedSpoolRecordClassifies(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	err = s.JobResults(st.ID, ResultQuery{Strategy: "ES"}, &buf)
+	err = s.JobResults(st.ID, query.Query{Strategy: "ES", To: query.NoLimit}, &buf)
 	if err == nil {
 		t.Fatal("JobResults streamed a projection over a malformed record without error")
 	}
@@ -64,7 +64,7 @@ func TestJobResultsMalformedSpoolRecordClassifies(t *testing.T) {
 	}
 	// Unprojected streaming relays raw lines and is unaffected.
 	buf.Reset()
-	if err := s.JobResults(st.ID, ResultQuery{}, &buf); err != nil {
+	if err := s.JobResults(st.ID, query.Query{To: query.NoLimit}, &buf); err != nil {
 		t.Fatalf("unprojected JobResults: %v", err)
 	}
 }
@@ -109,8 +109,8 @@ func TestJobResultsExplicitEmptyRangeAndFromBeyondEnd(t *testing.T) {
 	}
 	// And the same through the Go API with a literal.
 	var buf bytes.Buffer
-	if err := s.JobResults(st.ID, ResultQuery{To: 0, ToSet: true}, &buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("ResultQuery{To:0,ToSet:true}: err=%v, %d bytes", err, buf.Len())
+	if err := s.JobResults(st.ID, query.Query{To: 0}, &buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("query.Query{To:0}: err=%v, %d bytes", err, buf.Len())
 	}
 	// from at/beyond the expansion is a client error: 400, not empty 200.
 	for _, p := range []string{"?from=8", "?from=9999"} {
@@ -171,7 +171,7 @@ func TestJobResultsWhileAppendingDynamicCells(t *testing.T) {
 	}
 	// Select the second dynamic cell by index range.
 	lo, hi := e.CellRange(1)
-	rq := ResultQuery{From: lo, To: hi}
+	rq := query.Query{From: lo, To: hi}
 
 	var wg sync.WaitGroup
 	var streamErr error

@@ -164,7 +164,7 @@ func TestFairShareSolverReuse(t *testing.T) {
 		ends = make([]float64, len(routes))
 		for i, route := range routes {
 			i := i
-			n.Start("f", route, 1e8*float64(i+1), func(at float64) { ends[i] = at })
+			n.Start(route, 1e8*float64(i+1), func(at float64) { ends[i] = at })
 		}
 		e.Run()
 		return ends

@@ -28,9 +28,8 @@ type Engine struct {
 	// queue is a binary min-heap on (time, seq). Sequence numbers are
 	// unique, so the order events pop in is fixed by their keys alone,
 	// whatever the heap's internal layout.
-	queue   []*Event
-	seq     int64 // tie-breaker for deterministic ordering
-	stopped bool
+	queue []*Event
+	seq   int64 // tie-breaker for deterministic ordering
 
 	// Event arena: At hands events out of fixed-size blocks and Reset
 	// recycles the blocks wholesale, so replaying many schedules on one
@@ -56,7 +55,6 @@ func (e *Engine) Reset() {
 	e.queue = e.queue[:0]
 	e.now = 0
 	e.seq = 0
-	e.stopped = false
 	e.evBlock = 0
 	e.evUsed = 0
 }
@@ -84,21 +82,18 @@ func (e *Engine) newEvent() *Event {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Stop aborts the simulation after the current event callback returns.
-func (e *Engine) Stop() { e.stopped = true }
-
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is an error that panics: it always indicates a simulator bug, not a user
 // input problem.
-func (e *Engine) At(t float64, label string, fn func()) *Event {
+func (e *Engine) At(t float64, fn func()) *Event {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event %q at %g before now %g", label, t, e.now))
+		panic(fmt.Sprintf("sim: scheduling an event at %g before now %g", t, e.now))
 	}
 	if math.IsNaN(t) {
-		panic(fmt.Sprintf("sim: scheduling event %q at NaN", label))
+		panic("sim: scheduling an event at NaN")
 	}
 	ev := e.newEvent()
-	ev.time, ev.seq, ev.label, ev.fn = t, e.seq, label, fn
+	ev.time, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
 	e.queue = append(e.queue, ev)
 	e.up(len(e.queue)-1, ev)
@@ -106,11 +101,11 @@ func (e *Engine) At(t float64, label string, fn func()) *Event {
 }
 
 // After schedules fn to run delay seconds from now.
-func (e *Engine) After(delay float64, label string, fn func()) *Event {
+func (e *Engine) After(delay float64, fn func()) *Event {
 	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %g for event %q", delay, label))
+		panic(fmt.Sprintf("sim: negative event delay %g", delay))
 	}
-	return e.At(e.now+delay, label, fn)
+	return e.At(e.now+delay, fn)
 }
 
 // Reschedule moves the pending event ev to absolute virtual time t, in
@@ -124,10 +119,10 @@ func (e *Engine) After(delay float64, label string, fn func()) *Event {
 // panics, as does a time in the past or NaN.
 func (e *Engine) Reschedule(ev *Event, t float64) {
 	if ev.cancelled || ev.index < 0 {
-		panic(fmt.Sprintf("sim: rescheduling event %q that is no longer pending", ev.label))
+		panic("sim: rescheduling an event that is no longer pending")
 	}
 	if t < e.now || math.IsNaN(t) {
-		panic(fmt.Sprintf("sim: rescheduling event %q to %g at now %g", ev.label, t, e.now))
+		panic(fmt.Sprintf("sim: rescheduling an event to %g at now %g", t, e.now))
 	}
 	ev.time, ev.seq = t, e.seq
 	e.seq++
@@ -138,16 +133,16 @@ func (e *Engine) Reschedule(ev *Event, t float64) {
 	}
 }
 
-// Run processes events until the queue is empty or Stop is called. It
-// returns the final virtual time.
+// Run processes events until the queue is empty. It returns the final
+// virtual time.
 func (e *Engine) Run() float64 {
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 {
 		ev := e.pop()
 		if ev.cancelled {
 			continue
 		}
 		if ev.time < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: %g -> %g (%s)", e.now, ev.time, ev.label))
+			panic(fmt.Sprintf("sim: time went backwards: %g -> %g", e.now, ev.time))
 		}
 		e.now = ev.time
 		if ev.fn != nil {
@@ -161,7 +156,6 @@ func (e *Engine) Run() float64 {
 type Event struct {
 	time      float64
 	seq       int64
-	label     string
 	fn        func()
 	cancelled bool
 	index     int // position in the queue; -1 once popped

@@ -10,9 +10,9 @@ import (
 func TestEngineRunsEventsInOrder(t *testing.T) {
 	e := NewEngine()
 	var got []float64
-	e.At(3, "c", func() { got = append(got, e.Now()) })
-	e.At(1, "a", func() { got = append(got, e.Now()) })
-	e.At(2, "b", func() { got = append(got, e.Now()) })
+	e.At(3, func() { got = append(got, e.Now()) })
+	e.At(1, func() { got = append(got, e.Now()) })
+	e.At(2, func() { got = append(got, e.Now()) })
 	end := e.Run()
 	if end != 3 {
 		t.Fatalf("final time = %g, want 3", end)
@@ -33,7 +33,7 @@ func TestEngineTieBreakIsFIFO(t *testing.T) {
 	var got []string
 	for _, name := range []string{"first", "second", "third"} {
 		name := name
-		e.At(5, name, func() { got = append(got, name) })
+		e.At(5, func() { got = append(got, name) })
 	}
 	e.Run()
 	want := []string{"first", "second", "third"}
@@ -47,8 +47,8 @@ func TestEngineTieBreakIsFIFO(t *testing.T) {
 func TestEngineAfterAccumulates(t *testing.T) {
 	e := NewEngine()
 	var at float64
-	e.After(2, "outer", func() {
-		e.After(3, "inner", func() { at = e.Now() })
+	e.After(2, func() {
+		e.After(3, func() { at = e.Now() })
 	})
 	e.Run()
 	if at != 5 {
@@ -59,7 +59,7 @@ func TestEngineAfterAccumulates(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.At(1, "x", func() { fired = true })
+	ev := e.At(1, func() { fired = true })
 	ev.Cancel()
 	e.Run()
 	if fired {
@@ -67,26 +67,15 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.At(1, "a", func() { count++; e.Stop() })
-	e.At(2, "b", func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Fatalf("ran %d events after Stop, want 1", count)
-	}
-}
-
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(5, "later", func() {
+	e.At(5, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(1, "past", nil)
+		e.At(1, nil)
 	})
 	e.Run()
 }
@@ -97,13 +86,13 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	NewEngine().After(-1, "bad", nil)
+	NewEngine().After(-1, nil)
 }
 
 func TestEnginePending(t *testing.T) {
 	e := NewEngine()
-	a := e.At(1, "a", nil)
-	e.At(2, "b", nil)
+	a := e.At(1, nil)
+	e.At(2, nil)
 	if got := e.Pending(); got != 2 {
 		t.Fatalf("Pending = %d, want 2", got)
 	}
@@ -122,7 +111,7 @@ func TestEngineOrderingProperty(t *testing.T) {
 		count := int(n%50) + 1
 		var fired []float64
 		for i := 0; i < count; i++ {
-			e.At(r.Float64()*100, "ev", func() { fired = append(fired, e.Now()) })
+			e.At(r.Float64()*100, func() { fired = append(fired, e.Now()) })
 		}
 		e.Run()
 		return sort.Float64sAreSorted(fired) && len(fired) == count

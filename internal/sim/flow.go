@@ -31,7 +31,6 @@ func NewLink(name string, capacity, latency float64) *Link {
 // Flow is a data transfer over a route of links. Flows are created through
 // FlowNet.Start and must not be constructed directly.
 type Flow struct {
-	Label string
 	route []*Link
 	class int // route class within the owning FlowNet's solver
 	// remaining is the bytes to transfer; once the flow is active its
@@ -55,9 +54,6 @@ type Flow struct {
 func NewTestFlow(route []*Link, remaining float64) *Flow {
 	return &Flow{route: route, remaining: remaining}
 }
-
-// Done reports whether the flow has completed.
-func (f *Flow) Done() bool { return f.done }
 
 // FlowNet manages the set of active flows on a network and drives their
 // progress on an Engine using a bounded max-min fair-share bandwidth model:
@@ -207,13 +203,13 @@ func (n *FlowNet) newFlow() *Flow {
 // route latency alone. An empty route models a purely local exchange and
 // completes immediately: no network or engine involvement at all, so the
 // flow is finished — and onDone has fired — before Start returns.
-func (n *FlowNet) Start(label string, route []*Link, bytes float64, onDone func(endTime float64)) *Flow {
+func (n *FlowNet) Start(route []*Link, bytes float64, onDone func(endTime float64)) *Flow {
 	// Not "bytes < 0", which NaN passes: the class vectors are ordered.
 	if !(bytes >= 0) || math.IsInf(bytes, 1) {
-		panic(fmt.Sprintf("sim: flow %q with size %g, want a finite non-negative one", label, bytes))
+		panic(fmt.Sprintf("sim: flow with size %g, want a finite non-negative one", bytes))
 	}
 	f := n.newFlow()
-	f.Label, f.route, f.remaining, f.onDone = label, route, bytes, onDone
+	f.route, f.remaining, f.onDone = route, bytes, onDone
 	if len(route) == 0 {
 		n.finish(f)
 		return f
@@ -233,7 +229,7 @@ func (n *FlowNet) Start(label string, route []*Link, bytes float64, onDone func(
 		if f.startFn == nil {
 			f.startFn = func() { n.flowsStarted(f) }
 		}
-		n.group = n.eng.After(lat, label, f.startFn)
+		n.group = n.eng.After(lat, f.startFn)
 	}
 	n.groupTail, n.groupSeq = f, n.eng.seq
 	return f
@@ -332,7 +328,7 @@ func (n *FlowNet) reshare() {
 	}
 	n.nextDone = first
 	if n.completion == nil {
-		n.completion = n.eng.After(next, "flow-completion", n.completionFn)
+		n.completion = n.eng.After(next, n.completionFn)
 	} else {
 		n.eng.Reschedule(n.completion, n.eng.Now()+next)
 	}

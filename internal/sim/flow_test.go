@@ -20,7 +20,7 @@ func TestSingleFlowTransferTime(t *testing.T) {
 	n := NewFlowNet(e)
 	link := NewLink("l", 1e9, 1e-4) // 1 GB/s, 100 us
 	var end float64
-	n.Start("f", []*Link{link}, 1e9, func(tEnd float64) { end = tEnd })
+	n.Start([]*Link{link}, 1e9, func(tEnd float64) { end = tEnd })
 	e.Run()
 	want := 1e-4 + 1.0
 	if !approx(end, want) {
@@ -33,8 +33,8 @@ func TestTwoFlowsShareLink(t *testing.T) {
 	n := NewFlowNet(e)
 	link := NewLink("l", 1e9, 0)
 	var end1, end2 float64
-	n.Start("f1", []*Link{link}, 1e9, func(tEnd float64) { end1 = tEnd })
-	n.Start("f2", []*Link{link}, 1e9, func(tEnd float64) { end2 = tEnd })
+	n.Start([]*Link{link}, 1e9, func(tEnd float64) { end1 = tEnd })
+	n.Start([]*Link{link}, 1e9, func(tEnd float64) { end2 = tEnd })
 	e.Run()
 	// Both share 1 GB/s: each gets 0.5 GB/s, both finish at t=2.
 	if !approx(end1, 2) || !approx(end2, 2) {
@@ -47,8 +47,8 @@ func TestFlowRateRecomputedOnDeparture(t *testing.T) {
 	n := NewFlowNet(e)
 	link := NewLink("l", 1e9, 0)
 	var endBig float64
-	n.Start("small", []*Link{link}, 0.5e9, nil)
-	n.Start("big", []*Link{link}, 1.5e9, func(tEnd float64) { endBig = tEnd })
+	n.Start([]*Link{link}, 0.5e9, nil)
+	n.Start([]*Link{link}, 1.5e9, func(tEnd float64) { endBig = tEnd })
 	e.Run()
 	// Shared until small done: small has 0.5 GB at 0.5 GB/s -> t=1.
 	// Big transferred 0.5 GB by then; remaining 1.0 GB at full rate -> t=2.
@@ -62,9 +62,9 @@ func TestFlowLateArrivalShares(t *testing.T) {
 	n := NewFlowNet(e)
 	link := NewLink("l", 1e9, 0)
 	var endA, endB float64
-	n.Start("a", []*Link{link}, 2e9, func(tEnd float64) { endA = tEnd })
-	e.After(1, "launch-b", func() {
-		n.Start("b", []*Link{link}, 0.5e9, func(tEnd float64) { endB = tEnd })
+	n.Start([]*Link{link}, 2e9, func(tEnd float64) { endA = tEnd })
+	e.After(1, func() {
+		n.Start([]*Link{link}, 0.5e9, func(tEnd float64) { endB = tEnd })
 	})
 	e.Run()
 	// a alone for 1 s (1 GB done). Then share: a rate 0.5, b rate 0.5.
@@ -84,7 +84,7 @@ func TestFlowMultiLinkRouteLatencyAdds(t *testing.T) {
 	l1 := NewLink("l1", 1e9, 1e-3)
 	l2 := NewLink("l2", 2e9, 1e-3)
 	var end float64
-	n.Start("f", []*Link{l1, l2}, 1e9, func(tEnd float64) { end = tEnd })
+	n.Start([]*Link{l1, l2}, 1e9, func(tEnd float64) { end = tEnd })
 	e.Run()
 	// Bottleneck is l1 at 1 GB/s; latency 2 ms.
 	want := 2e-3 + 1.0
@@ -98,7 +98,7 @@ func TestZeroByteFlowTakesLatencyOnly(t *testing.T) {
 	n := NewFlowNet(e)
 	link := NewLink("l", 1e9, 0.25)
 	var end float64
-	n.Start("f", []*Link{link}, 0, func(tEnd float64) { end = tEnd })
+	n.Start([]*Link{link}, 0, func(tEnd float64) { end = tEnd })
 	e.Run()
 	if !approx(end, 0.25) {
 		t.Fatalf("end = %g, want 0.25", end)
@@ -109,7 +109,7 @@ func TestEmptyRouteFlowIsImmediate(t *testing.T) {
 	e := NewEngine()
 	n := NewFlowNet(e)
 	var end = -1.0
-	n.Start("local", nil, 42, func(tEnd float64) { end = tEnd })
+	n.Start(nil, 42, func(tEnd float64) { end = tEnd })
 	e.Run()
 	if end != 0 {
 		t.Fatalf("local flow ended at %g, want 0", end)
@@ -124,7 +124,7 @@ func TestEmptyRouteFlowCompletesSynchronously(t *testing.T) {
 	e := NewEngine()
 	n := NewFlowNet(e)
 	end := -1.0
-	f := n.Start("local", nil, 42, func(tEnd float64) { end = tEnd })
+	f := n.Start(nil, 42, func(tEnd float64) { end = tEnd })
 	if !f.Done() {
 		t.Fatal("empty-route flow not done when Start returned")
 	}
@@ -137,8 +137,8 @@ func TestEmptyRouteFlowCompletesSynchronously(t *testing.T) {
 
 	// Mid-simulation the completion time is the current virtual instant.
 	at := -1.0
-	e.At(3, "go", func() {
-		n.Start("local2", nil, 7, func(tEnd float64) { at = tEnd })
+	e.At(3, func() {
+		n.Start(nil, 7, func(tEnd float64) { at = tEnd })
 	})
 	e.Run()
 	if at != 3 {
@@ -152,7 +152,7 @@ func TestZeroByteEmptyRouteFlow(t *testing.T) {
 	e := NewEngine()
 	n := NewFlowNet(e)
 	end := -1.0
-	f := n.Start("null", nil, 0, func(tEnd float64) { end = tEnd })
+	f := n.Start(nil, 0, func(tEnd float64) { end = tEnd })
 	if !f.Done() || end != 0 {
 		t.Fatalf("zero-byte empty-route flow: done=%v end=%g, want done at 0", f.Done(), end)
 	}
@@ -165,7 +165,7 @@ func TestZeroByteFlowNotDoneBeforeLatency(t *testing.T) {
 	e := NewEngine()
 	n := NewFlowNet(e)
 	link := NewLink("l", 1e9, 0.5)
-	f := n.Start("f", []*Link{link}, 0, nil)
+	f := n.Start([]*Link{link}, 0, nil)
 	if f.Done() {
 		t.Fatal("zero-byte routed flow done before its latency elapsed")
 	}
@@ -185,7 +185,7 @@ func TestNegativeFlowSizePanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	NewFlowNet(e).Start("bad", []*Link{NewLink("l", 1, 0)}, -1, nil)
+	NewFlowNet(e).Start([]*Link{NewLink("l", 1, 0)}, -1, nil)
 }
 
 // A class's vector is ordered by remaining bytes: it must never be handed a
@@ -194,7 +194,7 @@ func TestNonFiniteFlowSizePanics(t *testing.T) {
 	n := NewFlowNet(NewEngine())
 	for _, size := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		requirePanic(t, fmt.Sprintf("flow of %g bytes", size), func() {
-			n.Start("bad", []*Link{NewLink("l", 1, 0)}, size, nil)
+			n.Start([]*Link{NewLink("l", 1, 0)}, size, nil)
 		})
 	}
 }
@@ -332,8 +332,8 @@ func TestFlowNoStallAtLargeClockValues(t *testing.T) {
 	const total = 40
 	for i := 0; i < total; i++ {
 		at := 1e5 + r.Float64()*10
-		e.At(at, "go", func() {
-			n.Start("f", []*Link{link}, 1e8*(1+r.Float64()), func(float64) { finished++ })
+		e.At(at, func() {
+			n.Start([]*Link{link}, 1e8*(1+r.Float64()), func(float64) { finished++ })
 		})
 	}
 	doneBy := make(chan struct{})
@@ -364,7 +364,7 @@ func TestManyConcurrentFlowsDeterministic(t *testing.T) {
 			if i%2 == 0 {
 				route = []*Link{b, backbone, a}
 			}
-			n.Start("f", route, 1e6+r.Float64()*1e8, nil)
+			n.Start(route, 1e6+r.Float64()*1e8, nil)
 		}
 		return e.Run()
 	}
@@ -375,3 +375,6 @@ func TestManyConcurrentFlowsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Done reports whether the flow has completed.
+func (f *Flow) Done() bool { return f.done }

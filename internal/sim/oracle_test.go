@@ -392,7 +392,7 @@ func (n *oracleNet) Start(route []*Link, bytes float64, onDone func(float64)) {
 	for _, l := range route {
 		lat += l.Latency
 	}
-	n.eng.After(lat, "flow-start", func() {
+	n.eng.After(lat, func() {
 		if f.remaining <= 0 {
 			n.finish(f)
 			return
@@ -445,7 +445,7 @@ func (n *oracleNet) reshare() {
 		panic("sim: active flows with no progress possible")
 	}
 	n.nextDone = first
-	n.completion = n.eng.After(next, "flow-completion", n.onCompletion)
+	n.completion = n.eng.After(next, n.onCompletion)
 }
 
 func (n *oracleNet) onCompletion() {
@@ -520,7 +520,7 @@ func play(eng *Engine, launches []launch, start func([]*Link, float64, func(floa
 	}
 	for _, l := range launches {
 		l := l
-		eng.At(l.at, "launch", func() {
+		eng.At(l.at, func() {
 			for _, tr := range l.transfers {
 				begin(tr)
 			}
@@ -586,7 +586,7 @@ func requireSameCompletions(t testing.TB, what string, eng *Engine, net *FlowNet
 	want := play(ref.eng, launches, ref.Start)
 	endWant := ref.eng.Run()
 
-	start := func(route []*Link, bytes float64, onDone func(float64)) { net.Start("", route, bytes, onDone) }
+	start := func(route []*Link, bytes float64, onDone func(float64)) { net.Start(route, bytes, onDone) }
 	compare := func(how string, got []completionRecord, end float64) {
 		t.Helper()
 		if len(got) != len(*want) {
@@ -875,7 +875,7 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 			at := float64(r.Intn(4))
 			switch k := r.Intn(5); {
 			case k < 2 || len(pending) == 0:
-				ev := e.At(at, "ev", nil)
+				ev := e.At(at, nil)
 				mirror[ev] = &refEvent{time: ev.time, seq: ev.seq}
 				heap.Push(&ref, mirror[ev])
 				pending = append(pending, ev)
@@ -950,17 +950,17 @@ func TestRescheduleMatchesCancelAndAt(t *testing.T) {
 					e.Reschedule(ev[mv.m], base+mv.to)
 				} else {
 					ev[mv.m].Cancel()
-					ev[mv.m] = e.At(base+mv.to, "movable", fn[mv.m])
+					ev[mv.m] = e.At(base+mv.to, fn[mv.m])
 				}
 			}
 			for m := range ev {
 				m := m
 				fn[m] = func() { fired = append(fired, fmt.Sprintf("m%d", m)); ev[m] = nil }
-				ev[m] = e.At(movableAt[m], "movable", fn[m])
+				ev[m] = e.At(movableAt[m], fn[m])
 			}
 			for i := range plainAt {
 				i := i
-				e.At(plainAt[i], "plain", func() {
+				e.At(plainAt[i], func() {
 					fired = append(fired, fmt.Sprintf("e%d", i))
 					apply(onFire[i], e.Now())
 				})
@@ -995,13 +995,13 @@ func requirePanic(t *testing.T, what string, fn func()) {
 func TestRescheduleRejectsEventsNoLongerPending(t *testing.T) {
 	e := NewEngine()
 	var self *Event
-	self = e.At(1, "self", func() {
+	self = e.At(1, func() {
 		requirePanic(t, "reschedule from the event's own callback", func() { e.Reschedule(self, 2) })
 	})
-	cancelled := e.At(1, "cancelled", nil)
+	cancelled := e.At(1, nil)
 	cancelled.Cancel()
-	late := e.At(5, "late", nil)
-	e.At(3, "mover", func() {
+	late := e.At(5, nil)
+	e.At(3, func() {
 		requirePanic(t, "reschedule into the past", func() { e.Reschedule(late, 2) })
 		requirePanic(t, "reschedule to NaN", func() { e.Reschedule(late, math.NaN()) })
 		e.Reschedule(late, 3) // now is allowed
@@ -1023,7 +1023,7 @@ func TestCompletionEventIsReplacedAfterItFires(t *testing.T) {
 	l := NewLink("l", 1e6, 0)
 	var ends []float64
 	for i := 1; i <= 3; i++ {
-		n.Start("f", []*Link{l}, 1e6*float64(i), func(at float64) { ends = append(ends, at) })
+		n.Start([]*Link{l}, 1e6*float64(i), func(at float64) { ends = append(ends, at) })
 	}
 	e.Run()
 	// Shared three ways, then two, then alone: 3 s, 5 s, 6 s.
@@ -1058,7 +1058,7 @@ func BenchmarkReshareCrowded(b *testing.B) {
 	started := 0
 	launch = func(float64) {
 		if started < flows {
-			n.Start("", routes[started%len(routes)], sizes[started], launch)
+			n.Start(routes[started%len(routes)], sizes[started], launch)
 			started++
 		}
 	}

@@ -328,7 +328,7 @@ func (sc *Scratch) finishTask(i int) {
 	for k := sc.flowStart[i]; k < sc.flowStart[i+1]; k++ {
 		to := sc.flowTo[k]
 		route := pf.Route(et.p.Cluster, sc.tasks[to].p.Cluster)
-		sc.net.Start("redistribution", route, sc.flowBytes[k], sc.arriveFns[to])
+		sc.net.Start(route, sc.flowBytes[k], sc.arriveFns[to])
 	}
 }
 
@@ -341,7 +341,7 @@ func (sc *Scratch) tryStart(i int) {
 	}
 	et.start = sc.eng.Now()
 	dur := cost.TaskTime(et.p.Task, et.p.Cluster.Speed, len(et.p.Procs))
-	sc.eng.After(dur, "compute", sc.computeFns[i])
+	sc.eng.After(dur, sc.computeFns[i])
 }
 
 // growSlice resizes s to length n, reusing capacity when possible. The

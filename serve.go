@@ -43,15 +43,12 @@ type (
 	// CampaignJobRequest is one asynchronous campaign job submission:
 	// Service.SubmitJob returns immediately with a job id, progress is
 	// polled with JobStatusByID, completed results stream through
-	// JobResults, and CancelJob cancels via context. A job may run one
-	// shard of the expansion.
+	// JobResults, filtered by a CampaignQuery, and CancelJob cancels via
+	// context. A job may run one shard of the expansion.
 	CampaignJobRequest = service.JobRequest
 	// CampaignJobStatus is a point-in-time job snapshot (state,
 	// completed/total points).
 	CampaignJobStatus = service.JobStatus
-	// CampaignJobResultQuery filters a job's streamed JSONL results by
-	// family, strategy label and point-index range.
-	CampaignJobResultQuery = service.ResultQuery
 )
 
 // Service errors.
@@ -76,18 +73,9 @@ func NewService(opts ServiceOptions) *Service { return service.New(opts) }
 // the asynchronous job routes (POST/GET /v1/jobs, GET /v1/jobs/{id} and
 // /v1/jobs/{id}/results, DELETE /v1/jobs/{id}), plus GET /v1/stats,
 // /metrics and /healthz. Every error response carries the JSON envelope
-// {"error", "code"}.
+// {"error", "code"}. Serve it with http.ListenAndServe(addr,
+// ServiceHandler(svc)); cmd/ptgserve adds flags and a graceful drain.
 func ServiceHandler(s *Service) http.Handler { return service.Handler(s) }
-
-// Serve starts a scheduling service with the given options and serves its
-// HTTP surface on addr. It blocks until the listener fails, like
-// http.ListenAndServe; cmd/ptgserve wraps it with flags and graceful
-// shutdown.
-func Serve(addr string, opts ServiceOptions) error {
-	s := service.New(opts)
-	defer s.Close()
-	return http.ListenAndServe(addr, service.Handler(s))
-}
 
 // Name registries shared by the CLIs and the service wire format.
 var (

@@ -69,7 +69,7 @@ type (
 )
 
 // CampaignQueryNoLimit marks a CampaignQuery.To meaning "to the end of
-// the expansion" (any negative value does).
+// the expansion"; a To below it is refused.
 const CampaignQueryNoLimit = query.NoLimit
 
 // Query entry points.
