@@ -85,18 +85,12 @@ func (a *Availability) Best(t *dag.Task, speed float64, want int, ready float64,
 	return procs, start, end
 }
 
-// Reserve books the q earliest-available processors until end and returns
-// their indices in ascending order. The (time, proc) order matches the
-// seed's stable sort of processor indices by availability, so the chosen
-// set is identical.
-func (a *Availability) Reserve(q int, end float64) []int {
-	procs := make([]int, q)
-	a.reserve(procs, end)
-	return procs
-}
-
-// reserve is Reserve writing the len(procs) indices into procs.
-func (a *Availability) reserve(procs []int, end float64) {
+// Reserve books the len(procs) earliest-available processors until end and
+// writes their indices into procs in ascending order; the caller owns the
+// storage (both mappers hand out pieces of blocks they allocate in bulk).
+// The (time, proc) order matches the seed's stable sort of processor
+// indices by availability, so the chosen set is identical.
+func (a *Availability) Reserve(procs []int, end float64) {
 	q := len(procs)
 	for i := range procs {
 		procs[i] = a.slots[i].proc

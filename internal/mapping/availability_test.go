@@ -70,7 +70,8 @@ func checkAvailabilityProgram(t *testing.T, procs int, steps int, r *rand.Rand) 
 		// Any end, ties with other processors' times included: the merge
 		// does not need the mappers' end > Earliest(q).
 		end := float64(r.Intn(10)) / 2
-		got := a.Reserve(q, end)
+		got := make([]int, q)
+		a.Reserve(got, end)
 		if !slices.Equal(got, want) {
 			t.Fatalf("step %d: Reserve(%d, %g) = %v, the stable sort selects %v", step, q, end, got, want)
 		}

@@ -219,7 +219,7 @@ func (sc *Scratch) place(app int, t *dag.Task) *Placement {
 	used := len(sc.procs)
 	sc.procs = sc.procs[:used+best.procs]
 	procs := sc.procs[used:len(sc.procs):len(sc.procs)]
-	sc.avail[best.cluster.Index].reserve(procs, best.end)
+	sc.avail[best.cluster.Index].Reserve(procs, best.end)
 
 	sc.placements = append(sc.placements, Placement{
 		App:     app,

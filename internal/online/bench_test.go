@@ -19,16 +19,16 @@ type countingMapper struct {
 func (c *countingMapper) rebuildAvail()         { c.scheduler.rebuildAvail() }
 func (c *countingMapper) commit(ot *onlineTask) { c.commits++; c.scheduler.commit(ot) }
 
-// BenchmarkScheduleDynamic is the profile target for the online driver: one
-// campaign_dynamic-like run per iteration — 8 Poisson arrivals (rate 0.05)
-// of 20-task PTGs on rennes under a speed change and a failure with its
-// repair, ES shares — on one carried Scratch, as a sweep worker runs them.
-// After the first iteration every allocation is a full replay of its trace,
-// so what ns/op and allocs/op show is the driver: event queue, rebalance
-// bookkeeping, rebuildAvail and commit (commits/op of them).
-func BenchmarkScheduleDynamic(b *testing.B) {
-	r := rand.New(rand.NewSource(301))
-	arrivals := make([]Arrival, 8)
+// dynamicShape draws a campaign_dynamic-like run from seed: n Poisson
+// arrivals (rate 0.05) of 20-task PTGs on rennes, cluster 1 slowed to factor
+// × its speed at speedAt, and a failure that hits the cluster of the
+// placement at fraction hit of the undisturbed run's completion order
+// halfway through it, repaired repairAfter seconds later, so there is
+// in-flight work to kill. opts gives the strategy and the policy; the
+// returned options carry the timeline.
+func dynamicShape(seed int64, n int, opts Options, speedAt, factor, hit, repairAfter float64) (*platform.Platform, []Arrival, Options) {
+	r := rand.New(rand.NewSource(seed))
+	arrivals := make([]Arrival, n)
 	at := 0.0
 	for i := range arrivals {
 		arrivals[i] = Arrival{Graph: daggen.Random(daggen.RandomConfig{
@@ -41,18 +41,33 @@ func BenchmarkScheduleDynamic(b *testing.B) {
 		at += r.ExpFloat64() / 0.05
 	}
 	pf := platform.Rennes()
-	// The failure hits the cluster of the run's middle placement halfway
-	// through it, so there is in-flight work to kill.
-	timeline := events.Timeline{{At: 40, Kind: events.SpeedChange, Cluster: 1, Factor: 0.5}}
-	opts := Options{Strategy: strategy.ES(), Timeline: timeline, Policy: Checkpoint}
+	timeline := events.Timeline{{At: speedAt, Kind: events.SpeedChange, Cluster: 1, Factor: factor}}
+	opts.Timeline = timeline
 	undisturbed := Schedule(pf, arrivals, opts).Placements
-	hit := undisturbed[len(undisturbed)/2]
-	failAt := (hit.Start + hit.End) / 2
+	struck := undisturbed[min(int(hit*float64(len(undisturbed))), len(undisturbed)-1)]
+	failAt := (struck.Start + struck.End) / 2
 	opts.Timeline = append(timeline,
-		events.Event{At: failAt, Kind: events.ClusterDown, Cluster: hit.Cluster.Index},
-		events.Event{At: failAt + 40, Kind: events.ClusterUp, Cluster: hit.Cluster.Index})
+		events.Event{At: failAt, Kind: events.ClusterDown, Cluster: struck.Cluster.Index},
+		events.Event{At: failAt + repairAfter, Kind: events.ClusterUp, Cluster: struck.Cluster.Index})
 	opts.Timeline.Sort()
+	return pf, arrivals, opts
+}
 
+// benchShape is BenchmarkScheduleDynamic's run: 8 arrivals of seed 301
+// under ES shares and Checkpoint, a halving at 40 s, and a failure in the
+// middle of the run repaired 40 s later.
+func benchShape() (*platform.Platform, []Arrival, Options) {
+	return dynamicShape(301, 8, Options{Strategy: strategy.ES(), Policy: Checkpoint}, 40, 0.5, 0.5, 40)
+}
+
+// BenchmarkScheduleDynamic is the profile target for the online driver: one
+// campaign_dynamic-like run per iteration (benchShape) on one carried
+// Scratch, as a sweep worker runs them. After the first iteration every
+// allocation is a full replay of its trace, so what ns/op and allocs/op
+// show is the driver: event queue, rebalance bookkeeping, rebuildAvail and
+// commit (commits/op of them).
+func BenchmarkScheduleDynamic(b *testing.B) {
+	pf, arrivals, opts := benchShape()
 	sc := NewScratch()
 	counted := &countingMapper{scheduler: newScheduler(sc, pf, arrivals, opts)}
 	counted.sortMapper = counted

@@ -5,14 +5,20 @@
 // strategy, the allocations of their not-yet-started tasks are rebuilt
 // under the new constraints, and committed-but-not-started placements are
 // revoked and remapped ("the schedules of the already running applications
-// may have to be reconsidered"). Every rebalance allocates through the
-// run's store of allocation traces (alloc.Traces, in the Scratch): an
-// arrival or a completion only rescales β, so an application's growth steps
-// under its previous shares are replayed as far as the new share decides
-// them alike (a share it already had returns the allocation computed then),
-// and a platform event that returns to an earlier reference cluster finds
-// that reference's traces again. Allocations use the procedure in Options,
-// whose zero value is SCRAP — see Options.
+// may have to be reconsidered"). A rebalance records each active
+// application's β and the reference cluster in force and drops its
+// allocation; the allocation is computed when a decision first reads it —
+// at the first dispatch that finds a ready task of the application — so an
+// application whose unfinished tasks are all running or waiting on
+// predecessors when the next rebalance comes is not allocated at all. It
+// allocates through the run's store of allocation traces (alloc.Traces, in
+// the Scratch): an arrival or a completion only rescales β, so an
+// application's growth steps under its previous shares are replayed as far
+// as the new share decides them alike (a share it already had returns the
+// allocation computed then), and a platform event that returns to an
+// earlier reference cluster finds that reference's traces again.
+// Allocations use the procedure in Options, whose zero value is SCRAP — see
+// Options.
 //
 // The driver is an event-driven scheduler over the mapper's cost model:
 // decision instants are application arrivals and task completions; at each
@@ -149,11 +155,21 @@ type scheduler struct {
 
 	arrivals []Arrival
 	tasks    [][]*onlineTask // [app][taskID]
-	allocs   []*alloc.Allocation
-	bl       [][]float64
-	arrived  []bool
-	done     []int // finished task count per app
-	result   *Result
+	// shares[app] is the β and the reference cluster the last rebalance set
+	// for the application; allocs[app] is its allocation under them, nil
+	// until allocate computes it, and bl[app] its bottom levels.
+	shares  []share
+	allocs  []*alloc.Allocation
+	bl      [][]float64
+	arrived []bool
+	done    []int // finished task count per app
+	result  *Result
+
+	// The run's placements and their processor lists are cut from blocks the
+	// run allocates: they end up in the Result, which the caller owns, so
+	// they are not the scratch's.
+	placements block[mapping.Placement]
+	procs      block[int]
 
 	// Dynamic-scenario state (see dynamic.go). dyn is set when a timeline
 	// is present; the static path never consults downC/cancelled and keeps
@@ -168,9 +184,9 @@ type scheduler struct {
 
 	sc *Scratch
 
-	// recompute makes every rebalance allocate with plain alloc.Compute
-	// instead of through the scratch's traces. Tests set it to check that
-	// replaying changes nothing.
+	// recompute makes every allocation use plain alloc.Compute instead of
+	// the scratch's traces. Tests set it to check that replaying changes
+	// nothing.
 	recompute bool
 	// sortMapper, when set, stands in for rebuildAvail and commit. Tests set
 	// it to the seed's mapper, which copies and sorts every cluster's
@@ -246,6 +262,7 @@ func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts O
 	s.result = &Result{Apps: make([]AppResult, len(arrivals))}
 
 	s.tasks = make([][]*onlineTask, len(arrivals))
+	s.shares = make([]share, len(arrivals))
 	s.allocs = make([]*alloc.Allocation, len(arrivals))
 	s.bl = make([][]float64, len(arrivals))
 	s.arrived = make([]bool, len(arrivals))
@@ -260,19 +277,25 @@ func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts O
 		}
 		total += len(a.Graph.Tasks)
 	}
-	// One slab holds every application's tasks.
+	// One slab holds every application's tasks, one their task pointers and
+	// one their bottom levels.
 	slab := make([]onlineTask, total)
+	ptrs := make([]*onlineTask, total)
+	bl := make([]float64, total)
 	for i, a := range s.arrivals {
 		n := len(a.Graph.Tasks)
-		s.tasks[i] = make([]*onlineTask, n)
+		s.tasks[i] = ptrs[:n:n]
+		s.bl[i] = bl[:n:n]
 		for _, t := range a.Graph.Tasks {
 			slab[t.ID] = onlineTask{app: i, task: t, remainingPreds: len(t.In())}
 			s.tasks[i][t.ID] = &slab[t.ID]
 		}
-		slab = slab[n:]
+		slab, ptrs, bl = slab[n:], ptrs[n:], bl[n:]
 		s.result.Apps[i] = AppResult{SubmittedAt: a.At, StartedAt: math.Inf(1)}
 		s.events.Push(event{at: a.At, kind: evArrival, app: i})
 	}
+	s.placements.next, s.procs.next = total, total
+	s.result.Placements = make([]*mapping.Placement, 0, total)
 
 	sc.avail = resized(sc.avail, len(pf.Clusters))
 	sc.times = resized(sc.times, len(pf.Clusters))
@@ -330,6 +353,15 @@ func stale(ev event) bool {
 }
 
 func (s *scheduler) run() {
+	for s.advance() {
+		s.dispatch()
+	}
+}
+
+// advance moves the clock to the next instant with a live event and handles
+// every event of that instant, so that decisions see all of them; it
+// reports false once the queue is drained.
+func (s *scheduler) advance() bool {
 	for s.events.Len() > 0 {
 		ev := s.events.Pop()
 		if stale(ev) {
@@ -337,7 +369,6 @@ func (s *scheduler) run() {
 		}
 		s.now = ev.at
 		s.handle(ev)
-		// Drain all events at the same instant before making decisions.
 		for s.events.Len() > 0 && s.events.Items[0].at == s.now {
 			nxt := s.events.Pop()
 			if stale(nxt) {
@@ -345,8 +376,9 @@ func (s *scheduler) run() {
 			}
 			s.handle(nxt)
 		}
-		s.dispatch()
+		return true
 	}
+	return false
 }
 
 func (s *scheduler) handle(ev event) {
@@ -428,9 +460,16 @@ func (s *scheduler) activeApps() []int {
 	return ids
 }
 
-// rebalance recomputes β over the active set, reallocates every active
-// application's unfinished-and-not-running tasks, and revokes committed
-// placements so dispatch can remap them under the new allocations.
+// share is what an application's allocation is computed from.
+type share struct {
+	beta float64
+	ref  platform.Reference
+}
+
+// rebalance recomputes β over the active set, drops every active
+// application's allocation so that the next dispatch that reads it
+// computes it under the new β, and revokes committed placements so
+// dispatch can remap them under the new allocations.
 func (s *scheduler) rebalance() {
 	active := s.activeApps()
 	if len(active) == 0 {
@@ -446,12 +485,8 @@ func (s *scheduler) rebalance() {
 	betas := s.opts.Strategy.Betas(graphs, s.ref)
 
 	for i, app := range active {
-		if s.recompute {
-			s.allocs[app] = alloc.Compute(graphs[i], s.ref, betas[i], s.opts.Procedure)
-		} else {
-			s.allocs[app] = s.sc.traces.Compute(graphs[i], s.ref, betas[i], s.opts.Procedure)
-		}
-		s.bl[app] = graphs[i].BottomLevels(s.allocs[app].TimeOf)
+		s.shares[app] = share{beta: betas[i], ref: s.ref}
+		s.allocs[app] = nil
 		for _, ot := range s.tasks[app] {
 			if ot.state == taskCommitted && ot.placement.Start > s.now {
 				ot.state = taskReady
@@ -494,14 +529,30 @@ func (s *scheduler) rebuildAvail() {
 	}
 }
 
+// allocate computes app's allocation and bottom levels under the share the
+// last rebalance set.
+func (s *scheduler) allocate(app int) {
+	g, sh := s.arrivals[app].Graph, s.shares[app]
+	if s.recompute {
+		s.allocs[app] = alloc.Compute(g, sh.ref, sh.beta, s.opts.Procedure)
+	} else {
+		s.allocs[app] = s.sc.traces.Compute(g, sh.ref, sh.beta, s.opts.Procedure)
+	}
+	g.BottomLevelsInto(s.bl[app], s.allocs[app].TimeOf)
+}
+
 // dispatch maps every ready task of every active application at the current
 // instant, in decreasing bottom-level order, exactly like the offline
-// ready-task mapper.
+// ready-task mapper. An application's allocation is computed here, when the
+// first of its ready tasks is collected.
 func (s *scheduler) dispatch() {
 	ready := s.sc.ready[:0]
 	for _, app := range s.activeApps() {
 		for _, ot := range s.tasks[app] {
 			if ot.state == taskReady {
+				if s.allocs[app] == nil {
+					s.allocate(app)
+				}
 				ready = append(ready, ot)
 			}
 		}
@@ -584,9 +635,11 @@ func (s *scheduler) commit(ot *onlineTask) {
 
 	// The earliest-free processors of the winner, the lowest index first
 	// among equally free ones.
-	procs := s.sc.avail[best.cluster.Index].Reserve(best.procs, best.end)
+	procs := s.procs.take(best.procs)
+	s.sc.avail[best.cluster.Index].Reserve(procs, best.end)
 
-	ot.placement = &mapping.Placement{
+	ot.placement = &s.placements.take(1)[0]
+	*ot.placement = mapping.Placement{
 		App:     ot.app,
 		Task:    ot.task,
 		Cluster: best.cluster,
@@ -600,6 +653,26 @@ func (s *scheduler) commit(ot *onlineTask) {
 		ot.state = taskCommitted
 	}
 	s.events.Push(event{at: best.end, kind: evCompletion, ot: ot, placement: ot.placement})
+}
+
+// block hands out pieces of arrays it allocates in bulk, each new array
+// twice as long as the one before, so a run allocates logarithmically many.
+// A piece stays valid for as long as anything references it.
+type block[E any] struct {
+	free []E
+	next int // the length of the next array
+}
+
+// take cuts the next n elements off the block, with capacity n so that no
+// append through the piece reaches its neighbours.
+func (b *block[E]) take(n int) []E {
+	if len(b.free) < n {
+		b.free = make([]E, max(n, b.next))
+		b.next *= 2
+	}
+	piece := b.free[:n:n]
+	b.free = b.free[n:]
+	return piece
 }
 
 // Event plumbing.

@@ -253,6 +253,45 @@ func TestSweepCancelledContextStops(t *testing.T) {
 	}
 }
 
+// TestSweepPoolVisitsEveryIndexOnce: the pool's shared cursor hands every
+// index to exactly one call, with fewer points than slots, as many, and
+// many more; every slot is in [0, Slots(n)) and never runs two calls at
+// once. Under -race the cursor and the per-slot state are checked too.
+func TestSweepPoolVisitsEveryIndexOnce(t *testing.T) {
+	const workers = 4
+	o := SweepOptions{Workers: workers}
+	for _, n := range []int{0, 1, workers - 1, workers, 1000} {
+		slots := o.Slots(n)
+		visits := make([]atomic.Int32, n)
+		busy := make([]atomic.Bool, slots)
+		perSlot := make([]int, slots) // written by its slot only
+		o.forEachSlot(n, func(slot, j int) {
+			if slot < 0 || slot >= slots {
+				t.Errorf("n=%d: slot %d outside [0, %d)", n, slot, slots)
+				return
+			}
+			if !busy[slot].CompareAndSwap(false, true) {
+				t.Errorf("n=%d: slot %d runs two calls at once", n, slot)
+			}
+			perSlot[slot]++
+			visits[j].Add(1)
+			busy[slot].Store(false)
+		})
+		total := 0
+		for _, c := range perSlot {
+			total += c
+		}
+		if total != n {
+			t.Errorf("n=%d: %d calls", n, total)
+		}
+		for j := range visits {
+			if v := visits[j].Load(); v != 1 {
+				t.Errorf("n=%d: index %d visited %d times", n, j, v)
+			}
+		}
+	}
+}
+
 // TestSweepFirstVisitErrorIsReturned: the first visit error stops the
 // sweep and is the one returned, even when later visits fail differently.
 func TestSweepFirstVisitErrorIsReturned(t *testing.T) {

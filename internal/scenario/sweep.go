@@ -79,7 +79,7 @@ func (e *Expansion) runPoint(p Point, sc *Scratch) PointResult {
 		sc = NewScratch()
 	}
 	if c.Online != nil || c.Policy != "" {
-		return e.runDynamicPoint(c, p, sc.Online)
+		return e.runDynamicPoint(c, p, sc)
 	}
 	m := experiment.RunOneWith(c.Config, p.NIdx, p.Rep, p.Platform, sc.Core)
 	return PointResult{
@@ -88,15 +88,16 @@ func (e *Expansion) runPoint(p Point, sc *Scratch) PointResult {
 	}
 }
 
-// arrivalsFor draws point p's workload from its seed: the cell's arrival
-// process, or a concurrent burst for offline-style cells — the same draws,
-// in the same order, as the static path makes.
-func arrivalsFor(c *Cell, p Point) []online.Arrival {
+// pointWorkload is what point p's workload is drawn with: the cell's
+// arrival process, or a concurrent burst for offline-style cells, and a
+// source seeded with the point's seed — the same draws, in the same order,
+// as the static path makes.
+func pointWorkload(c *Cell, p Point) (workload.Spec, *rand.Rand) {
 	spec := workload.Spec{Family: c.Family, Count: p.NPTGs, Process: workload.Burst, Gen: c.Config.Gen}
 	if c.Online != nil {
 		spec.Process, spec.Rate = c.Online.Process, c.Online.Rate
 	}
-	return workload.Generate(spec, rand.New(rand.NewSource(p.Seed)))
+	return spec, rand.New(rand.NewSource(p.Seed))
 }
 
 // runDynamicPoint measures every point that runs through the online
@@ -104,14 +105,17 @@ func arrivalsFor(c *Cell, p Point) []online.Arrival {
 // event timeline and the cell's rescheduling policy. An online cell of a
 // spec without events is the same run with a nil timeline and the zero
 // policy, which the online engine executes as the static online run bit
-// for bit. The strategies share sc: each replays the allocation steps the
-// earlier ones made on the point's graphs, which the scratch forgets when
-// the point ends. Cancelled applications are excluded from the flow-time
-// metrics; the relative makespans are guarded, since a point whose
-// applications are all cancelled has no positive makespan.
-func (e *Expansion) runDynamicPoint(c *Cell, p Point, sc *online.Scratch) PointResult {
+// for bit. The point's graphs are generated into sc.Core's pool, and the
+// strategies share sc.Online: each replays the allocation steps the earlier
+// ones made on the point's graphs; Release takes the graphs back and
+// forgets the steps when the point ends. Cancelled applications are
+// excluded from the flow-time metrics; the relative makespans are guarded,
+// since a point whose applications are all cancelled has no positive
+// makespan.
+func (e *Expansion) runDynamicPoint(c *Cell, p Point, sc *Scratch) PointResult {
 	defer sc.Release()
-	arrivals := arrivalsFor(c, p)
+	spec, r := pointWorkload(c, p)
+	arrivals := workload.GenerateInto(spec, r, sc.Core.Graphs(p.NPTGs))
 	timeline := e.TimelineFor(p)
 	var policy online.Policy
 	if c.Policy != "" {
@@ -130,7 +134,7 @@ func (e *Expansion) runDynamicPoint(c *Cell, p Point, sc *online.Scratch) PointR
 	}
 	pf := e.Platforms[p.Platform]
 	for s, strat := range c.Config.Strategies {
-		res := online.ScheduleWith(sc, pf, arrivals, online.Options{
+		res := online.ScheduleWith(sc.Online, pf, arrivals, online.Options{
 			Strategy: strat,
 			Timeline: timeline,
 			Policy:   policy,
@@ -225,7 +229,9 @@ func (o SweepOptions) Slots(n int) int {
 // forEachSlot runs fn(slot, j) for every j in [0, n) over Slots(n) pool
 // goroutines — inline on the calling goroutine when that is one — and
 // returns when every call has finished. A slot runs its calls strictly
-// sequentially; which j lands on which slot is scheduling-dependent.
+// sequentially; which j lands on which slot is scheduling-dependent. Slots
+// claim indices from one shared cursor, so a cheap point costs an atomic
+// add, not a goroutine handoff.
 func (o SweepOptions) forEachSlot(n int, fn func(slot, j int)) {
 	slots := o.Slots(n)
 	if slots == 1 {
@@ -234,21 +240,23 @@ func (o SweepOptions) forEachSlot(n int, fn func(slot, j int)) {
 		}
 		return
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
 	wg.Add(slots)
 	for slot := 0; slot < slots; slot++ {
 		go func(slot int) {
 			defer wg.Done()
-			for j := range jobs {
+			for {
+				j := int(next.Add(1) - 1)
+				if j >= n {
+					return
+				}
 				fn(slot, j)
 			}
 		}(slot)
 	}
-	for j := 0; j < n; j++ {
-		jobs <- j
-	}
-	close(jobs)
 	wg.Wait()
 }
 
@@ -567,7 +575,7 @@ func (e *Expansion) findPointByName(key string) (Point, bool) {
 // in depth. The graphs are fresh instances owned by the caller; the cell
 // (strategies, labels, family) is e.Cells[p.Cell].
 func (e *Expansion) Materialize(p Point) (pf *platform.Platform, graphs []*dag.Graph, releases []float64) {
-	arrivals := arrivalsFor(e.Cells[p.Cell], p)
+	arrivals := workload.Generate(pointWorkload(e.Cells[p.Cell], p))
 	graphs = make([]*dag.Graph, len(arrivals))
 	releases = make([]float64, len(arrivals))
 	for i, a := range arrivals {

@@ -569,7 +569,7 @@ func (s *Service) Online(ctx context.Context, req OnlineRequest) (*OnlineRespons
 	return submit[OnlineResponse](ctx, s, "online", func(_ context.Context, ws *scenario.Scratch) (any, error) {
 		started := time.Now()
 		r := rand.New(rand.NewSource(req.Seed))
-		arrivals := workload.Generate(spec, r)
+		arrivals := workload.GenerateInto(spec, r, ws.Core.Graphs(spec.Count))
 		res := online.ScheduleWith(ws.Online, pf, arrivals, online.Options{
 			Strategy:                strat,
 			NoRebalanceOnCompletion: req.NoRebalanceOnCompletion,

@@ -2,9 +2,10 @@
 // bursts, Poisson arrival processes and fixed-interval streams of PTGs, plus
 // a JSON trace format so workloads can be saved and replayed.
 //
-// Concurrency: Generate is pure given its *rand.Rand (not safe for
-// concurrent use — one source per caller); the trace readers/writers are
-// plain streaming functions over caller-owned data.
+// Concurrency: Generate and GenerateInto are pure given their *rand.Rand
+// (not safe for concurrent use — one source per caller) and the graphs
+// they write; the trace readers/writers are plain streaming functions over
+// caller-owned data.
 package workload
 
 import (
@@ -85,10 +86,26 @@ func ProcessByName(name string) (Process, error) {
 }
 
 // Generate draws a workload: Count applications of the family with arrival
-// times from the chosen process, sorted by arrival time.
+// times from the chosen process, sorted by arrival time. It is GenerateInto
+// on fresh graphs.
 func Generate(spec Spec, r *rand.Rand) []online.Arrival {
+	graphs := make([]*dag.Graph, max(spec.Count, 0))
+	for i := range graphs {
+		graphs[i] = new(dag.Graph)
+	}
+	return GenerateInto(spec, r, graphs)
+}
+
+// GenerateInto is Generate drawing the i-th application into graphs[i],
+// which it resets first (a worker passes graphs of its pool). graphs must
+// hold exactly Count graphs; the arrivals reference them, sorted by
+// arrival time.
+func GenerateInto(spec Spec, r *rand.Rand, graphs []*dag.Graph) []online.Arrival {
 	if spec.Count <= 0 {
 		panic(fmt.Sprintf("workload: count %d", spec.Count))
+	}
+	if len(graphs) != spec.Count {
+		panic(fmt.Sprintf("workload: %d graphs for %d applications", len(graphs), spec.Count))
 	}
 	if spec.Process != Burst && spec.Rate <= 0 {
 		panic(fmt.Sprintf("workload: rate %g for a timed process", spec.Rate))
@@ -112,9 +129,8 @@ func Generate(spec Spec, r *rand.Rand) []online.Arrival {
 		default:
 			panic(fmt.Sprintf("workload: unknown process %d", int(spec.Process)))
 		}
-		g := new(dag.Graph)
-		gen(g, r)
-		arrivals[i] = online.Arrival{Graph: g, At: t}
+		gen(graphs[i], r)
+		arrivals[i] = online.Arrival{Graph: graphs[i], At: t}
 	}
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
 	return arrivals
