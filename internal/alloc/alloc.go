@@ -29,6 +29,7 @@ package alloc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ptgsched/internal/cost"
 	"ptgsched/internal/dag"
@@ -175,16 +176,18 @@ func (a *Allocation) Respected(proc Procedure) bool { return !a.violates(proc) }
 // oracle in oracle_test.go).
 //
 // Compute is that loop on an empty trace in a store it throws away; callers
-// that allocate one graph again and again keep a Traces store.
+// that allocate one graph again and again keep a Traces store. The
+// allocation it returns is the caller's.
 func Compute(g *dag.Graph, ref platform.Reference, beta float64, proc Procedure) *Allocation {
 	var s Traces
 	// No limit exceeds +Inf, so nothing is recorded either.
-	return s.grow(g, ref, beta, proc, &trace{limit: math.Inf(1)})
+	return s.grow(g, ref, beta, proc, &trace{limit: math.Inf(1)}, new(Allocation))
 }
 
 // grow is the growth loop, started from what tr holds of an earlier run on
-// the same (graph, reference, procedure) — see trace.
-func (s *Traces) grow(g *dag.Graph, ref platform.Reference, beta float64, proc Procedure, tr *trace) *Allocation {
+// the same (graph, reference, procedure) — see trace. It overwrites a, whose
+// Procs storage it reuses, and returns it.
+func (s *Traces) grow(g *dag.Graph, ref platform.Reference, beta float64, proc Procedure, tr *trace, a *Allocation) *Allocation {
 	if beta <= 0 || beta > 1 {
 		panic(fmt.Sprintf("alloc: beta %g outside (0,1]", beta))
 	}
@@ -195,7 +198,7 @@ func (s *Traces) grow(g *dag.Graph, ref platform.Reference, beta float64, proc P
 		panic(fmt.Sprintf("alloc: invalid graph: %v", err))
 	}
 	n := len(g.Tasks)
-	a := &Allocation{Graph: g, Ref: ref, Beta: beta, Procs: make([]int, n)}
+	*a = Allocation{Graph: g, Ref: ref, Beta: beta, Procs: slices.Grow(a.Procs[:0], n)[:n]}
 	for i := range a.Procs {
 		a.Procs[i] = 1
 	}

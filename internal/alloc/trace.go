@@ -28,7 +28,9 @@ import (
 //
 // A trace also keeps the allocation every run returned, one per β: a run
 // under a β already seen on the key is answered with that allocation
-// instead of being replayed.
+// instead of being replayed. The allocations are the trace's own storage:
+// past len(done), done's array holds those of the key the trace served
+// before it was forgotten, which the next runs overwrite.
 type trace struct {
 	limit float64
 	steps
@@ -67,7 +69,8 @@ func (tr *trace) shared(limit float64) int {
 // returns the earlier *Allocation itself: the β = 1 dedicated run is the
 // selfish strategy's allocation, strategies often resolve a graph to the
 // same β, and an online rebalance often leaves a share where it was.
-// Callers must not modify the allocations a store returns. A graph may be
+// The allocations a store returns are its own, valid until Forget, which
+// recycles their storage; callers must not modify them. A graph may be
 // traced under several references at once (the online reference moves with
 // cluster failures and comes back with recoveries).
 //
@@ -115,6 +118,11 @@ func (s *Traces) Compute(g *dag.Graph, ref platform.Reference, beta float64, pro
 		s.byKey[key] = tr
 	}
 	if tr.stale || tr.gen != g.Generation() {
+		if !tr.stale {
+			// The graph changed under a live key, whose allocations the
+			// caller may still hold: they are dropped, not recycled.
+			clear(tr.done[:cap(tr.done)])
+		}
 		*tr = trace{steps: steps{tr.task[:0], tr.q[:0]}, done: tr.done[:0], gen: g.Generation()}
 	}
 	for _, a := range tr.done {
@@ -123,17 +131,27 @@ func (s *Traces) Compute(g *dag.Graph, ref platform.Reference, beta float64, pro
 			return a
 		}
 	}
-	a := s.grow(g, ref, beta, proc, tr)
+	var a *Allocation
+	if n := len(tr.done); n < cap(tr.done) {
+		a = tr.done[:n+1][n]
+	}
+	if a == nil {
+		a = new(Allocation)
+	}
+	a = s.grow(g, ref, beta, proc, tr, a)
 	tr.done = append(tr.done, a)
 	return a
 }
 
-// Forget drops every trace and the allocations kept with it, releasing the
-// graphs, and keeps the storage for the traces to come.
+// Forget drops every trace and invalidates the allocations kept with it,
+// releasing the graphs, and keeps the storage of both for the traces to
+// come.
 func (s *Traces) Forget() {
 	for _, tr := range s.byKey {
 		tr.stale = true
-		clear(tr.done)
+		for _, a := range tr.done {
+			a.Graph = nil
+		}
 		s.free = append(s.free, tr)
 	}
 	clear(s.byKey)

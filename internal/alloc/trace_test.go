@@ -323,10 +323,44 @@ func TestTracesAnswerRepeats(t *testing.T) {
 		}
 		oracle("after AddEdge", grownEdge, g, rf, 0.3, proc)
 
+		// Forget recycles the allocations' storage, so the one computed
+		// next may sit where grownEdge did; what proves it is not served
+		// again is that it is grown in full, as a new store grows it.
 		s.Forget()
-		repeated := s.Repeated
-		if a := s.Compute(g, rf, 0.3, proc); a == grownEdge || s.Repeated != repeated {
-			t.Fatalf("%v: an allocation survived Forget", proc)
+		var fresh Traces
+		fresh.Compute(g, rf, 0.3, proc)
+		grown, replayed, repeated := s.Grown, s.Replayed, s.Repeated
+		a := s.Compute(g, rf, 0.3, proc)
+		if s.Grown-grown != fresh.Grown || s.Replayed != replayed || s.Repeated != repeated {
+			t.Fatalf("%v: an allocation survived Forget: %d steps grown (a new store grows %d), %d replayed, %d calls repeated",
+				proc, s.Grown-grown, fresh.Grown, s.Replayed-replayed, s.Repeated-repeated)
+		}
+		if fresh.Grown == 0 {
+			t.Fatalf("%v: the run grows no step: the check proves nothing", proc)
+		}
+		oracle("after Forget", a, g, rf, 0.3, proc)
+	}
+}
+
+// The allocation the package-level Compute returns is the caller's: no
+// later call on any store — on the same graph, through Forget and the
+// storage it recycles — changes it.
+func TestComputeResultOutlivesTraces(t *testing.T) {
+	for _, proc := range procedures {
+		g, rf := forkJoin(8, 40, 0.1), ref(64, 3)
+		kept := Compute(g, rf, 0.4, proc)
+		want := *kept
+		want.Procs = slices.Clone(kept.Procs)
+		var s Traces
+		for round := 0; round < 3; round++ {
+			for _, beta := range []float64{1, 0.4, 0.2} {
+				s.Compute(g, rf, beta, proc)
+			}
+			s.Forget()
+		}
+		Compute(g, rf, 0.2, proc)
+		if kept.Graph != want.Graph || kept.Ref != want.Ref || kept.Beta != want.Beta || !slices.Equal(kept.Procs, want.Procs) {
+			t.Fatalf("%v: the allocation Compute returned changed to %+v, was %+v", proc, *kept, want)
 		}
 	}
 }

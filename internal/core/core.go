@@ -71,9 +71,9 @@ func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Resu
 // them: the simulated executor's engine, flow net and buffers, the mapper's
 // (mapping.Scratch), and the graphs the unit of work generates (Graphs).
 // A Scratch must be confined to one goroutine; the Result ScheduleWith
-// returns (and the Evaluation slices EvaluateWith fills) are scratch-owned
-// and overwritten by the next call on the same Scratch, so callers consume
-// them before scheduling again.
+// returns — its β vector and allocations included — and the Evaluation
+// slices EvaluateWith fills are scratch-owned and overwritten by the next
+// call on the same Scratch, so callers consume them before scheduling again.
 //
 // A Scratch also computes its allocations through a store of allocation
 // traces (alloc.Traces), so that one batch of graphs scheduled several
@@ -86,6 +86,7 @@ func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Resu
 type Scratch struct {
 	exec   *simexec.Scratch
 	maps   mapping.Scratch
+	betas  []float64
 	apps   []*alloc.Allocation
 	alone  [1]*dag.Graph
 	slow   []float64
@@ -144,7 +145,8 @@ func (s *Scheduler) ScheduleWith(sc *Scratch, graphs []*dag.Graph, strat strateg
 		panic("core: empty batch")
 	}
 	ref := s.Platform.ReferenceCluster()
-	betas := strat.Betas(graphs, ref)
+	sc.betas = strat.BetasInto(sc.betas, graphs, ref)
+	betas := sc.betas
 	if cap(sc.apps) < len(graphs) {
 		sc.apps = make([]*alloc.Allocation, len(graphs))
 	}

@@ -79,9 +79,33 @@ func TestScratchRemembersAllocationsUntilForgotten(t *testing.T) {
 		t.Error("an allocation was served for a different platform")
 	}
 	sc.Release()
-	if again := sched.ScheduleWith(sc, gs, strategy.S()).Allocations[0]; again == alone {
-		t.Error("allocation survived Release")
+	after := scheduledAfresh(t, sc, func(sc *core.Scratch) *core.Result { return sched.ScheduleWith(sc, gs, strategy.S()) })
+	sameResult(t, "after Release", after, sched.Schedule(gs, strategy.S()))
+}
+
+// scheduledAfresh requires schedule on sc to compute every allocation the
+// way it does on a new scratch: as many steps grown, none replayed and no
+// call answered with an earlier allocation. A released scratch recycles
+// its allocations' storage, so an allocation computed before Release may
+// share its address with one computed after it; what proves that none was
+// served again is that the β = 1 runs are grown again in full. It returns
+// the result schedule gave on sc.
+func scheduledAfresh(t *testing.T, sc *core.Scratch, schedule func(*core.Scratch) *core.Result) *core.Result {
+	t.Helper()
+	fresh := core.NewScratch()
+	schedule(fresh)
+	want, _, _ := fresh.TraceCounters()
+	grown, replayed, repeated := sc.TraceCounters()
+	res := schedule(sc)
+	g, rp, rt := sc.TraceCounters()
+	if g-grown != want || rp != replayed || rt != repeated {
+		t.Errorf("allocation survived Release: %d steps grown, %d replayed, %d calls repeated; a new scratch grows %d",
+			g-grown, rp-replayed, rt-repeated, want)
 	}
+	if want == 0 {
+		t.Fatal("the batch grows no step: the check proves nothing")
+	}
+	return res
 }
 
 // A graph that grew between two calls on one scratch is allocated afresh.
@@ -116,12 +140,9 @@ func TestScratchReleaseForgetsTheBatch(t *testing.T) {
 	gs := batch(4, 21)
 	sc := core.NewScratch()
 	sched.ScheduleAloneWith(sc, gs[0])
-	before := sched.ScheduleWith(sc, gs, strategy.S()).Allocations[0]
+	sched.ScheduleWith(sc, gs, strategy.S())
 	sc.Release()
-	after := sched.ScheduleWith(sc, gs, strategy.S())
-	if after.Allocations[0] == before {
-		t.Error("allocation survived Release")
-	}
+	after := scheduledAfresh(t, sc, func(sc *core.Scratch) *core.Result { return sched.ScheduleWith(sc, gs, strategy.S()) })
 	sameResult(t, "after Release", after, sched.Schedule(gs, strategy.S()))
 }
 

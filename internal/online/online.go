@@ -147,7 +147,9 @@ type onlineTask struct {
 	placement      *mapping.Placement
 }
 
-// scheduler is the online driver's mutable state.
+// scheduler is the online driver's mutable state. It lives on the Scratch,
+// and a run keeps the storage of the run before it: newScheduler overwrites
+// every field, and only what a Result holds is allocated per run.
 type scheduler struct {
 	pf   *platform.Platform
 	opts Options
@@ -155,12 +157,18 @@ type scheduler struct {
 
 	arrivals []Arrival
 	tasks    [][]*onlineTask // [app][taskID]
+	// The arrays tasks and bl are cut from, one element per task of every
+	// application: the tasks, the tasks' pointers and their bottom levels.
+	taskSlab []onlineTask
+	ptrSlab  []*onlineTask
+	blSlab   []float64
 	// shares[app] is the β and the reference cluster the last rebalance set
 	// for the application; allocs[app] is its allocation under them, nil
 	// until allocate computes it, and bl[app] its bottom levels.
 	shares  []share
 	allocs  []*alloc.Allocation
 	bl      [][]float64
+	betas   []float64 // the last rebalance's, one per active application
 	arrived []bool
 	done    []int // finished task count per app
 	result  *Result
@@ -201,16 +209,19 @@ type scheduler struct {
 // Scratch carries what one worker's online runs share: the allocation
 // traces of the arrival graphs, which outlive a run so that a campaign
 // point's strategies — the same arrivals under the same platform events —
-// replay each other's growth steps, and the driver's working buffers: the
-// active set and its graphs, the ready list, every cluster's processor
-// availability (the sorted structure the offline mapper runs on too) with
-// the times vectors rebuildAvail reloads it from, and the tasks a cluster
-// failure kills in one application. Only the traces carry anything from
-// one run to the next; a run overwrites the rest before it reads it. A Scratch must be confined to one goroutine. The arrival graphs'
-// task costs must not be edited between runs that share traces (appended
-// tasks or edges are detected); Release before moving on to other graphs.
+// replay each other's growth steps, the driver's run state (its per-task
+// and per-application vectors and its event queue), and its working
+// buffers: the active set and its graphs, the ready list, every cluster's
+// processor availability (the sorted structure the offline mapper runs on
+// too) with the times vectors rebuildAvail reloads it from, and the tasks a
+// cluster failure kills in one application. Only the traces carry anything
+// from one run to the next; a run overwrites the rest before it reads it.
+// A Scratch must be confined to one goroutine. The arrival graphs' task
+// costs must not be edited between runs that share traces (appended tasks
+// or edges are detected); Release before moving on to other graphs.
 type Scratch struct {
 	traces alloc.Traces
+	run    scheduler
 
 	active []int
 	graphs []*dag.Graph
@@ -228,13 +239,20 @@ type Scratch struct {
 // NewScratch returns an empty scratch ready for ScheduleWith.
 func NewScratch() *Scratch { return new(Scratch) }
 
-// Release drops the traces and every graph and task the scratch still
-// references, keeping only buffers.
+// Release drops the traces and every graph, task, allocation and result the
+// scratch still references, keeping only buffers.
 func (sc *Scratch) Release() {
 	sc.traces.Forget()
 	clear(sc.graphs[:cap(sc.graphs)])
 	clear(sc.ready[:cap(sc.ready)])
 	clear(sc.killed[:cap(sc.killed)])
+	s := &sc.run
+	clear(s.arrivals[:cap(s.arrivals)])
+	clear(s.allocs[:cap(s.allocs)])
+	clear(s.taskSlab[:cap(s.taskSlab)])
+	clear(s.events.Items[:cap(s.events.Items)])
+	s.pf, s.opts, s.result = nil, Options{}, nil
+	s.placements, s.procs = block[mapping.Placement]{}, block[int]{}
 }
 
 // Schedule runs the online scheduler over the given arrivals.
@@ -257,18 +275,8 @@ func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts O
 	if len(arrivals) == 0 {
 		panic("online: no arrivals")
 	}
-	s := &scheduler{pf: pf, opts: opts, ref: pf.ReferenceCluster(), sc: sc, events: pq.Heap[event]{Less: eventBefore}}
-	s.arrivals = append([]Arrival(nil), arrivals...)
-	s.result = &Result{Apps: make([]AppResult, len(arrivals))}
-
-	s.tasks = make([][]*onlineTask, len(arrivals))
-	s.shares = make([]share, len(arrivals))
-	s.allocs = make([]*alloc.Allocation, len(arrivals))
-	s.bl = make([][]float64, len(arrivals))
-	s.arrived = make([]bool, len(arrivals))
-	s.done = make([]int, len(arrivals))
 	total := 0
-	for i, a := range s.arrivals {
+	for i, a := range arrivals {
 		if a.At < 0 {
 			panic(fmt.Sprintf("online: negative arrival time %g", a.At))
 		}
@@ -277,11 +285,29 @@ func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts O
 		}
 		total += len(a.Graph.Tasks)
 	}
-	// One slab holds every application's tasks, one their task pointers and
-	// one their bottom levels.
-	slab := make([]onlineTask, total)
-	ptrs := make([]*onlineTask, total)
-	bl := make([]float64, total)
+	s, n := &sc.run, len(arrivals)
+	*s = scheduler{
+		pf: pf, opts: opts, ref: pf.ReferenceCluster(), sc: sc,
+		arrivals: append(s.arrivals[:0], arrivals...),
+		tasks:    resized(s.tasks, n),
+		// One slab holds every application's tasks, one their task
+		// pointers and one their bottom levels.
+		taskSlab:  resized(s.taskSlab, total),
+		ptrSlab:   resized(s.ptrSlab, total),
+		blSlab:    resized(s.blSlab, total),
+		shares:    resized(s.shares, n),
+		allocs:    zeroed(s.allocs, n),
+		bl:        resized(s.bl, n),
+		betas:     s.betas,
+		arrived:   zeroed(s.arrived, n),
+		done:      zeroed(s.done, n),
+		speed:     resized(s.speed, len(pf.Clusters)),
+		downC:     zeroed(s.downC, len(pf.Clusters)),
+		cancelled: zeroed(s.cancelled, n),
+		events:    pq.Heap[event]{Items: s.events.Items[:0], Less: eventBefore},
+		result:    &Result{Apps: make([]AppResult, n)},
+	}
+	slab, ptrs, bl := s.taskSlab, s.ptrSlab, s.blSlab
 	for i, a := range s.arrivals {
 		n := len(a.Graph.Tasks)
 		s.tasks[i] = ptrs[:n:n]
@@ -299,14 +325,11 @@ func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts O
 
 	sc.avail = resized(sc.avail, len(pf.Clusters))
 	sc.times = resized(sc.times, len(pf.Clusters))
-	s.speed = make([]float64, len(pf.Clusters))
-	s.downC = make([]bool, len(pf.Clusters))
 	for k, c := range pf.Clusters {
 		sc.times[k] = resized(sc.times[k], c.Procs)
 		s.speed[k] = c.Speed
 	}
 	s.rebuildAvail() // every processor free at 0
-	s.cancelled = make([]bool, len(arrivals))
 
 	if len(opts.Timeline) > 0 {
 		if opts.Policy != Restart && opts.Policy != Checkpoint {
@@ -323,6 +346,13 @@ func newScheduler(sc *Scratch, pf *platform.Platform, arrivals []Arrival, opts O
 // enough; the elements keep whatever an earlier use left in them.
 func resized[S ~[]E, E any](s S, n int) S {
 	return slices.Grow(s[:0], n)[:n]
+}
+
+// zeroed is resized with every element set to its zero value.
+func zeroed[S ~[]E, E any](s S, n int) S {
+	s = resized(s, n)
+	clear(s)
+	return s
 }
 
 // finish checks the run drained completely and normalizes the records of
@@ -482,10 +512,10 @@ func (s *scheduler) rebalance() {
 		graphs = append(graphs, s.arrivals[app].Graph)
 	}
 	s.sc.graphs = graphs
-	betas := s.opts.Strategy.Betas(graphs, s.ref)
+	s.betas = s.opts.Strategy.BetasInto(s.betas, graphs, s.ref)
 
 	for i, app := range active {
-		s.shares[app] = share{beta: betas[i], ref: s.ref}
+		s.shares[app] = share{beta: s.betas[i], ref: s.ref}
 		s.allocs[app] = nil
 		for _, ot := range s.tasks[app] {
 			if ot.state == taskCommitted && ot.placement.Start > s.now {

@@ -68,6 +68,57 @@ func (sc *Scratch) Release() {
 	sc.Online.Release()
 }
 
+// idle holds the scratches of finished sweeps, released, for the slots of
+// the sweeps to come to start from: a store sweep, a service campaign or
+// job, a fleet lease and every campaign pass after the first start with
+// their graph pools, engine arenas and trace storage grown. It keeps at
+// most GOMAXPROCS scratches — as many as can run at once — and drops the
+// surplus, so how much a sweep allocates does not depend on how many
+// sweeps ran before it (a sync.Pool, which empties itself across garbage
+// collections, would make it depend on when the collector ran). built
+// counts the scratches borrowScratches had to make because none was idle.
+var idle struct {
+	sync.Mutex
+	scratches []*Scratch
+	built     int
+}
+
+// borrowScratches returns n scratches: idle ones first, new ones once none
+// is idle.
+func borrowScratches(n int) []*Scratch {
+	scs := make([]*Scratch, n)
+	idle.Lock()
+	defer idle.Unlock()
+	for i := range scs {
+		if k := len(idle.scratches); k > 0 {
+			scs[i] = idle.scratches[k-1]
+			idle.scratches[k-1] = nil
+			idle.scratches = idle.scratches[:k-1]
+		} else {
+			scs[i] = NewScratch()
+			idle.built++
+		}
+	}
+	return scs
+}
+
+// parkScratches releases the scratches a sweep borrowed (nil entries are
+// dropped ones) and parks them in the idle set while it has room.
+func parkScratches(scs []*Scratch) {
+	for _, sc := range scs {
+		if sc != nil {
+			sc.Release()
+		}
+	}
+	idle.Lock()
+	defer idle.Unlock()
+	for _, sc := range scs {
+		if sc != nil && len(idle.scratches) < runtime.GOMAXPROCS(0) {
+			idle.scratches = append(idle.scratches, sc)
+		}
+	}
+}
+
 // RunPoint executes one scenario point on the calling goroutine.
 func (e *Expansion) RunPoint(p Point) PointResult {
 	return e.runPoint(p, nil)
@@ -261,9 +312,11 @@ func (o SweepOptions) forEachSlot(n int, fn func(slot, j int)) {
 }
 
 // Sweep is the one loop every point of every sweep runs through: it fans
-// the set's points over the worker pool, computes each on a lazily created
-// per-slot Scratch behind the memo (lookup before, publish after), and
-// hands each result to visit on the goroutine that computed it.
+// the set's points over the worker pool, computes each on a per-slot
+// Scratch behind the memo (lookup before, publish after), and hands each
+// result to visit on the goroutine that computed it. Sweep borrows one
+// scratch per slot from the idle set when it starts and parks them again
+// when it returns; a slot that panicked drops its scratch instead.
 //
 // visit receives the pool slot executing the call. A slot runs its points
 // strictly sequentially, so state indexed by slot — encode buffers, result
@@ -287,7 +340,8 @@ func (o SweepOptions) forEachSlot(n int, fn func(slot, j int)) {
 // one bad point fails one sweep, never unwinds a pool goroutine.
 func (e *Expansion) Sweep(set IndexSet, o SweepOptions, visit func(slot int, r PointResult) error) error {
 	n := set.Len()
-	scratches := make([]*Scratch, o.Slots(n))
+	scratches := borrowScratches(o.Slots(n))
+	defer parkScratches(scratches)
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -317,12 +371,11 @@ func (e *Expansion) Sweep(set IndexSet, o SweepOptions, visit func(slot int, r P
 		}
 		defer func() {
 			if r := recover(); r != nil {
+				// The sweep stops here, so the slot needs no scratch again.
+				scratches[slot] = nil
 				fail(fmt.Errorf("scenario: point %d panicked: %v", i, r))
 			}
 		}()
-		if scratches[slot] == nil {
-			scratches[slot] = NewScratch()
-		}
 		if err := visit(slot, e.ComputePointScratch(scratches[slot], e.PointAt(i), o.Memo)); err != nil {
 			fail(err)
 		}

@@ -130,6 +130,32 @@ func TestScheduleResponsesDoNotAliasTheScratch(t *testing.T) {
 	}
 }
 
+// A schedule response's β vector is copied out of the worker's scratch,
+// where the scheduler computes it: under every strategy, the next request
+// on the worker — the same batch size under another strategy, which
+// computes its β into the same storage — leaves it as it was.
+func TestScheduleResponseBetasSurviveTheNextRequest(t *testing.T) {
+	s := newService(t, service.Options{Workers: 1})
+	names := strategy.Names()
+	for i, name := range names {
+		req := service.ScheduleRequest{Platform: "lille", Family: "random", Strategy: name, Count: 5, Seed: int64(40 + i)}
+		first, err := s.Schedule(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		betas := append([]float64(nil), first.Betas...)
+		next := req
+		next.Strategy, next.Seed = names[(i+1)%len(names)], req.Seed+100
+		if _, err := s.Schedule(context.Background(), next); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first.Betas, betas) {
+			t.Fatalf("%s: β changed under the next request from %v to %v", name, betas, first.Betas)
+		}
+		requireReference(t, name, req, first)
+	}
+}
+
 // A request that panics half way — after scheduling on the worker's scratch,
 // inside a second scheduling call — fails alone: the worker, and its
 // scratch, serve the next request as if nothing had happened.

@@ -501,14 +501,14 @@ func (sc scheduleScenario) run(req ScheduleRequest, ws *core.Scratch) *ScheduleR
 			own[i] = sched.ScheduleAloneWith(ws, g)
 		}
 	}
-	// res is scratch-owned. Betas is the strategy's fresh slice; the
-	// makespans live in the executor's buffers and are copied out.
+	// res is scratch-owned: the β vector and the makespans live in the
+	// scratch's buffers and are copied out.
 	res := sched.ScheduleWith(ws, graphs, sc.strat)
 	out := &ScheduleResponse{
 		Platform:     sc.pf.Name,
 		Strategy:     sc.strat.Name(),
 		Count:        sc.count,
-		Betas:        res.Betas,
+		Betas:        slices.Clone(res.Betas),
 		AppMakespans: slices.Clone(res.Exec.AppMakespans),
 		Makespan:     res.GlobalMakespan(),
 		Summary:      trace.Summarize(res.Schedule),

@@ -20,6 +20,7 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ptgsched/internal/cost"
@@ -136,13 +137,20 @@ func (s Strategy) Name() string {
 func (s Strategy) String() string { return s.Name() }
 
 // Betas computes the per-PTG resource constraints for the given set of
-// applications on the given reference cluster.
+// applications on the given reference cluster, into a new slice.
 func (s Strategy) Betas(graphs []*dag.Graph, ref platform.Reference) []float64 {
+	return s.BetasInto(nil, graphs, ref)
+}
+
+// BetasInto is Betas computed into dst's storage, which it grows if it is
+// too short; it returns the constraints, and the γ vector the PS and WPS
+// strategies compute them from lives in the same storage.
+func (s Strategy) BetasInto(dst []float64, graphs []*dag.Graph, ref platform.Reference) []float64 {
 	n := len(graphs)
 	if n == 0 {
-		return nil
+		return dst[:0]
 	}
-	betas := make([]float64, n)
+	betas := slices.Grow(dst[:0], n)[:n]
 	switch s.Kind {
 	case Selfish:
 		for i := range betas {
@@ -153,7 +161,8 @@ func (s Strategy) Betas(graphs []*dag.Graph, ref platform.Reference) []float64 {
 			betas[i] = 1 / float64(n)
 		}
 	case ProportionalShare, WeightedProportionalShare:
-		gammas := make([]float64, n)
+		// Each β replaces its own γ.
+		gammas := betas
 		sum := 0.0
 		for i, g := range graphs {
 			gammas[i] = Gamma(s.Char, g, ref)
