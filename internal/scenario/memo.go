@@ -21,7 +21,7 @@ type Memo interface {
 }
 
 // ComputePointScratch is RunPoint behind a memo, drawing per-point working
-// state from a worker-owned scratch (nil computes without one): a Lookup
+// state from sc, a borrowed scratch (nil computes on a new one): a Lookup
 // hit is returned as-is, a miss is computed and offered back via Publish.
 // A nil memo degenerates to RunPoint exactly. Sweep funnels every point
 // through this, so "consult the cache before computing, publish after"

@@ -40,22 +40,22 @@ type PointResult struct {
 	Rel []float64 `json:"rel"`
 }
 
-// Scratch is what one worker owns across the units of work it runs — the
-// points of a sweep, the requests of a service worker: the offline
-// pipeline's scheduling and simulation state (Core), which also holds the
-// pool a static point's or a schedule request's graphs are generated into
-// and the mapper's buffers, and the online engine's state (Online). It
-// must be confined to one goroutine. Each unit of work ends with Release,
-// which takes the pooled graphs back for the next unit to regenerate and
-// drops everything else the unit left, so a parked scratch pins none of
-// the last one's input graphs; the PointResults computed through it are
-// never scratch-owned.
+// Scratch is the state the units of work — sweep points, schedule and
+// online requests — run on: the offline pipeline's (Core), which also
+// holds the pool a static point's or a schedule request's graphs are
+// generated into and the mapper's buffers, and the online engine's
+// (Online). Its one owner is the idle set: Borrow lends it to one
+// goroutine — a sweep slot for the sweep, a service worker until its
+// service closes — each unit of work on it ends with Release, which takes
+// the pooled graphs back and drops everything else the unit left, and
+// Park gives it back. A unit that panics never reaches Park, so its scratch is
+// dropped. The PointResults computed through it are never scratch-owned.
 type Scratch struct {
 	Core   *core.Scratch
 	Online *online.Scratch
 }
 
-// NewScratch returns an empty scratch ready for ComputePointScratch.
+// NewScratch returns an empty scratch outside the idle set.
 func NewScratch() *Scratch {
 	return &Scratch{Core: core.NewScratch(), Online: online.NewScratch()}
 }
@@ -68,54 +68,40 @@ func (sc *Scratch) Release() {
 	sc.Online.Release()
 }
 
-// idle holds the scratches of finished sweeps, released, for the slots of
-// the sweeps to come to start from: a store sweep, a service campaign or
-// job, a fleet lease and every campaign pass after the first start with
-// their graph pools, engine arenas and trace storage grown. It keeps at
-// most GOMAXPROCS scratches — as many as can run at once — and drops the
-// surplus, so how much a sweep allocates does not depend on how many
-// sweeps ran before it (a sync.Pool, which empties itself across garbage
-// collections, would make it depend on when the collector ran). built
-// counts the scratches borrowScratches had to make because none was idle.
+// idle holds the parked scratches, so sweeps and service workers start
+// with graph pools, engine arenas and trace storage grown. It keeps at
+// most GOMAXPROCS — as many as can run at once — and drops the surplus, so
+// what a sweep allocates does not depend on how many sweeps ran before it
+// (a sync.Pool, emptied across garbage collections, would make it depend
+// on when the collector ran). built counts the scratches Borrow made.
 var idle struct {
 	sync.Mutex
 	scratches []*Scratch
 	built     int
 }
 
-// borrowScratches returns n scratches: idle ones first, new ones once none
-// is idle.
-func borrowScratches(n int) []*Scratch {
-	scs := make([]*Scratch, n)
+// Borrow returns an idle scratch, or a new one when none is idle.
+func Borrow() *Scratch {
 	idle.Lock()
 	defer idle.Unlock()
-	for i := range scs {
-		if k := len(idle.scratches); k > 0 {
-			scs[i] = idle.scratches[k-1]
-			idle.scratches[k-1] = nil
-			idle.scratches = idle.scratches[:k-1]
-		} else {
-			scs[i] = NewScratch()
-			idle.built++
-		}
+	if k := len(idle.scratches); k > 0 {
+		sc := idle.scratches[k-1]
+		idle.scratches[k-1] = nil
+		idle.scratches = idle.scratches[:k-1]
+		return sc
 	}
-	return scs
+	idle.built++
+	return NewScratch()
 }
 
-// parkScratches releases the scratches a sweep borrowed (nil entries are
-// dropped ones) and parks them in the idle set while it has room.
-func parkScratches(scs []*Scratch) {
-	for _, sc := range scs {
-		if sc != nil {
-			sc.Release()
-		}
-	}
+// Park releases sc and keeps it in the idle set while the set holds fewer
+// than GOMAXPROCS scratches; the caller must not use it again.
+func (sc *Scratch) Park() {
+	sc.Release()
 	idle.Lock()
 	defer idle.Unlock()
-	for _, sc := range scs {
-		if sc != nil && len(idle.scratches) < runtime.GOMAXPROCS(0) {
-			idle.scratches = append(idle.scratches, sc)
-		}
+	if len(idle.scratches) < runtime.GOMAXPROCS(0) {
+		idle.scratches = append(idle.scratches, sc)
 	}
 }
 
@@ -340,8 +326,10 @@ func (o SweepOptions) forEachSlot(n int, fn func(slot, j int)) {
 // one bad point fails one sweep, never unwinds a pool goroutine.
 func (e *Expansion) Sweep(set IndexSet, o SweepOptions, visit func(slot int, r PointResult) error) error {
 	n := set.Len()
-	scratches := borrowScratches(o.Slots(n))
-	defer parkScratches(scratches)
+	scratches := make([]*Scratch, o.Slots(n))
+	for slot := range scratches {
+		scratches[slot] = Borrow()
+	}
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -371,7 +359,7 @@ func (e *Expansion) Sweep(set IndexSet, o SweepOptions, visit func(slot int, r P
 		}
 		defer func() {
 			if r := recover(); r != nil {
-				// The sweep stops here, so the slot needs no scratch again.
+				// The sweep stops here; a scratch left mid-point is dropped.
 				scratches[slot] = nil
 				fail(fmt.Errorf("scenario: point %d panicked: %v", i, r))
 			}
@@ -380,6 +368,11 @@ func (e *Expansion) Sweep(set IndexSet, o SweepOptions, visit func(slot int, r P
 			fail(err)
 		}
 	})
+	for _, sc := range scratches {
+		if sc != nil {
+			sc.Park()
+		}
+	}
 	return firstErr
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -20,9 +21,11 @@ var invalidCampaignRequests = []struct {
 	{"unknown field", CampaignRequest{Spec: json.RawMessage(`{"repz": 1}`)}},
 	{"bad family", CampaignRequest{Spec: json.RawMessage(`{"families": [{"family": "weird"}]}`)}},
 	{"nptgs cap", CampaignRequest{Spec: json.RawMessage(`{"nptgs": [65]}`)}},
+	{"tasks cap", CampaignRequest{Spec: json.RawMessage(
+		`{"reps": 1, "nptgs": [2], "platforms": ["lille"], "families": [{"family": "random", "tasks": [200000]}], "strategies": [{"name": "S"}]}`)}},
 	{"points cap", CampaignRequest{Spec: json.RawMessage(`{"reps": 1000}`)}},
 	{"grid explosion", CampaignRequest{Spec: json.RawMessage(
-		`{"families": [{"family": "random", "tasks": {"from": 1, "to": 5000, "step": 1}, "widths": {"from": 0.001, "to": 1, "step": 0.001}}]}`)}},
+		`{"families": [{"family": "random", "tasks": {"from": 1, "to": 1000, "step": 1}, "widths": {"from": 0.001, "to": 1, "step": 0.001}}]}`)}},
 	{"procs cap", CampaignRequest{Spec: json.RawMessage(
 		`{"platform_specs": [{"name": "x", "clusters": [{"name": "c", "procs": 2000000000, "speed": 1}]}]}`)}},
 	{"strategy cap", CampaignRequest{Spec: json.RawMessage(
@@ -43,6 +46,11 @@ func TestCampaignValidation(t *testing.T) {
 		var verr *ValidationError
 		if !errors.As(err, &verr) {
 			t.Errorf("%s: error %v, want ValidationError", tc.name, err)
+		}
+		// Every structural cap admits the grid explosion; the cell count
+		// must refuse it before it is expanded.
+		if tc.name == "grid explosion" && !strings.Contains(fmt.Sprint(err), "expands to over") {
+			t.Errorf("%s: error %v, want the expansion refused", tc.name, err)
 		}
 	}
 	if st := s.Stats(); st.Invalid != uint64(len(invalidCampaignRequests)) || st.Completed+st.Failed != 0 {

@@ -17,6 +17,8 @@ const (
 	// MaxCampaignNPTGs bounds the per-point batch size, matching the
 	// schedule endpoint's count cap.
 	MaxCampaignNPTGs = 64
+	// MaxCampaignTasks bounds a random graph's tasks (the paper's: ≤ 50).
+	MaxCampaignTasks = 1000
 	// MaxCampaignProcs bounds one inline cluster's processor count (the
 	// mapper allocates per-processor state for every run).
 	MaxCampaignProcs = 4096

@@ -561,8 +561,8 @@ func (s *Service) JobResults(id string, q query.Query, w io.Writer) error {
 }
 
 // resolveSpecCaps parses the spec and applies the structural caps (NPTGs,
-// strategy count, platform sizes, event budget) the synchronous campaign
-// endpoint and the job subsystem share.
+// random-family tasks, strategy count, platform sizes, event budget) that
+// the synchronous campaign endpoint and the job subsystem share.
 func resolveSpecCaps(raw json.RawMessage) (*scenario.Spec, error) {
 	spec, err := scenario.ParseSpec(raw)
 	if err != nil {
@@ -571,6 +571,13 @@ func resolveSpecCaps(raw json.RawMessage) (*scenario.Spec, error) {
 	for _, n := range spec.NPTGs {
 		if n > MaxCampaignNPTGs {
 			return nil, fmt.Errorf("service: nptgs value %d above cap %d", n, MaxCampaignNPTGs)
+		}
+	}
+	for _, f := range spec.Families {
+		for _, n := range f.Tasks {
+			if n > MaxCampaignTasks {
+				return nil, fmt.Errorf("service: tasks value %d above cap %d", n, MaxCampaignTasks)
+			}
 		}
 	}
 	if len(spec.Strategies) > MaxCampaignStrategies {

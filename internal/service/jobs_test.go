@@ -253,6 +253,8 @@ var invalidJobRequests = []JobRequest{
 	{Spec: json.RawMessage(`{"seed":1,"reps":100000}`), Shard: "0/100"}, // the cap bounds the expansion, not the shard
 	{Spec: json.RawMessage(jobSpec), Shard: "9/4"},                      // shard out of range
 	{Spec: json.RawMessage(jobSpec), Shard: "0/2junk"},                  // trailing garbage
+	// one point whose graphs are over MaxCampaignTasks
+	{Spec: json.RawMessage(`{"reps":1,"nptgs":[2],"platforms":["lille"],"families":[{"family":"random","tasks":[200000]}]}`)},
 }
 
 func TestJobValidation(t *testing.T) {

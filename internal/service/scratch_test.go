@@ -1,16 +1,22 @@
 package service_test
 
-// Tests of the worker-owned scratch: one core.Scratch and one
-// online.Scratch per worker serve every schedule and online request that
-// worker runs, so responses must own their slices, a request must leave
-// nothing behind for the next, and the results must stay those of a
-// scheduler that starts from nothing.
+// Tests of the worker's scratch: each worker borrows one scenario.Scratch
+// from the idle set that sweep slots also borrow from, and its core and
+// online state serve every schedule and online request that worker runs,
+// so responses must own their slices, a request must leave nothing behind
+// for the next, and the results must stay those of a scheduler that starts
+// from nothing.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"ptgsched/internal/core"
@@ -18,6 +24,8 @@ import (
 	"ptgsched/internal/daggen"
 	"ptgsched/internal/online"
 	"ptgsched/internal/platform"
+	"ptgsched/internal/query"
+	"ptgsched/internal/scenario"
 	"ptgsched/internal/service"
 	"ptgsched/internal/strategy"
 	"ptgsched/internal/workload"
@@ -156,13 +164,18 @@ func TestScheduleResponseBetasSurviveTheNextRequest(t *testing.T) {
 	}
 }
 
-// A request that panics half way — after scheduling on the worker's scratch,
-// inside a second scheduling call — fails alone: the worker, and its
-// scratch, serve the next request as if nothing had happened.
-func TestPanickingRequestLeavesWorkerScratchUsable(t *testing.T) {
+// A request that panics half way — after scheduling on the worker's
+// scratch, inside a second scheduling call — fails alone, and the worker
+// drops that scratch for another borrowed one, as a sweep drops the
+// scratch of a slot that panicked: the next requests equal the reference,
+// and no later request or borrow straight from the idle set sees that
+// scratch again.
+func TestPanickingRequestDropsItsScratch(t *testing.T) {
 	s := newService(t, service.Options{Workers: 1})
 	req := seededRequest(3)
+	var panicked *core.Scratch
 	err := s.RunOnWorkerScratch(context.Background(), func(sc *core.Scratch) {
+		panicked = sc
 		pf, graphs, strat := materialize(t, req)
 		sched := core.New(pf)
 		sched.ScheduleAloneWith(sc, graphs[0])
@@ -179,9 +192,73 @@ func TestPanickingRequestLeavesWorkerScratchUsable(t *testing.T) {
 		}
 		requireReference(t, "after a panic", again, resp)
 	}
-	if st := s.Stats(); st.Failed != 1 || st.Completed != 2 {
-		t.Fatalf("stats %+v, want 1 failed and 2 completed", st)
+	var later []*core.Scratch
+	for i := 0; i < 2; i++ {
+		if err := s.RunOnWorkerScratch(context.Background(), func(sc *core.Scratch) {
+			later = append(later, sc)
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	var held []*scenario.Scratch
+	for i := 0; i <= runtime.GOMAXPROCS(0); i++ {
+		sc := scenario.Borrow()
+		held, later = append(held, sc), append(later, sc.Core)
+	}
+	for _, sc := range held {
+		sc.Park()
+	}
+	for i, sc := range later {
+		if sc == panicked {
+			t.Fatalf("borrow %d after the panic handed out the panicked request's scratch", i)
+		}
+	}
+	if st := s.Stats(); st.Failed != 1 || st.Completed != 4 {
+		t.Fatalf("stats %+v, want 1 failed and 4 completed", st)
+	}
+}
+
+// requireOnlineReference requires resp to equal, bit for bit, what
+// online.Schedule computes for req on a scratch of its own.
+func requireOnlineReference(t *testing.T, what string, req service.OnlineRequest, resp *service.OnlineResponse) {
+	t.Helper()
+	pf, err := platform.ByName(req.Platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam, err := daggen.FamilyByName(req.Family)
+	if err != nil {
+		t.Fatal(err)
+	}
+	process, err := workload.ProcessByName(req.Process)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, err := strategy.ByName(req.Strategy, -1, fam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := workload.Generate(workload.Spec{Family: fam, Count: req.Count, Process: process, Rate: req.Rate},
+		rand.New(rand.NewSource(req.Seed)))
+	want := online.Schedule(pf, arrivals, online.Options{Strategy: strat, NoRebalanceOnCompletion: req.NoRebalanceOnCompletion})
+	if resp.Makespan != want.Makespan || resp.Rebalances != want.Rebalances {
+		t.Fatalf("%s: makespan %g after %d rebalances on the worker's scratch, %g after %d on a new one",
+			what, resp.Makespan, resp.Rebalances, want.Makespan, want.Rebalances)
+	}
+	for a, app := range want.Apps {
+		if resp.FlowTimes[a] != app.FlowTime() {
+			t.Fatalf("%s: app %d flow time %g, want %g", what, a, resp.FlowTimes[a], app.FlowTime())
+		}
+	}
+}
+
+// onlineRequests are online requests over both arrival processes with a
+// rate, two families and both completion rules; the first and last repeat.
+var onlineRequests = []service.OnlineRequest{
+	{Platform: "rennes", Family: "random", Count: 4, Process: "poisson", Rate: 0.2, Strategy: "ES", Seed: 5},
+	{Platform: "rennes", Family: "random", Count: 4, Process: "poisson", Rate: 0.2, Strategy: "WPS-work", Seed: 5},
+	{Platform: "lille", Family: "fft", Count: 3, Process: "uniform", Rate: 0.5, Strategy: "PS-cp", Seed: 6, NoRebalanceOnCompletion: true},
+	{Platform: "rennes", Family: "random", Count: 4, Process: "poisson", Rate: 0.2, Strategy: "ES", Seed: 5},
 }
 
 // /v1/online runs on the worker's online scratch, whose allocation traces
@@ -190,44 +267,117 @@ func TestPanickingRequestLeavesWorkerScratchUsable(t *testing.T) {
 // a scratch of its own.
 func TestOnlineOnWorkerScratchMatchesFreshRun(t *testing.T) {
 	s := newService(t, service.Options{Workers: 1})
-	reqs := []service.OnlineRequest{
-		{Platform: "rennes", Family: "random", Count: 4, Process: "poisson", Rate: 0.2, Strategy: "ES", Seed: 5},
-		{Platform: "rennes", Family: "random", Count: 4, Process: "poisson", Rate: 0.2, Strategy: "WPS-work", Seed: 5},
-		{Platform: "lille", Family: "fft", Count: 3, Process: "uniform", Rate: 0.5, Strategy: "PS-cp", Seed: 6, NoRebalanceOnCompletion: true},
-		{Platform: "rennes", Family: "random", Count: 4, Process: "poisson", Rate: 0.2, Strategy: "ES", Seed: 5},
-	}
-	for i, req := range reqs {
+	for i, req := range onlineRequests {
 		resp, err := s.Online(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf, err := platform.ByName(req.Platform)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fam, err := daggen.FamilyByName(req.Family)
-		if err != nil {
-			t.Fatal(err)
-		}
-		process, err := workload.ProcessByName(req.Process)
-		if err != nil {
-			t.Fatal(err)
-		}
-		strat, err := strategy.ByName(req.Strategy, -1, fam)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrivals := workload.Generate(workload.Spec{Family: fam, Count: req.Count, Process: process, Rate: req.Rate},
-			rand.New(rand.NewSource(req.Seed)))
-		want := online.Schedule(pf, arrivals, online.Options{Strategy: strat, NoRebalanceOnCompletion: req.NoRebalanceOnCompletion})
-		if resp.Makespan != want.Makespan || resp.Rebalances != want.Rebalances {
-			t.Fatalf("request %d: makespan %g after %d rebalances on the worker's scratch, %g after %d on a new one",
-				i, resp.Makespan, resp.Rebalances, want.Makespan, want.Rebalances)
-		}
-		for a, app := range want.Apps {
-			if resp.FlowTimes[a] != app.FlowTime() {
-				t.Fatalf("request %d: app %d flow time %g, want %g", i, a, resp.FlowTimes[a], app.FlowTime())
+		requireOnlineReference(t, fmt.Sprintf("request %d", i), req, resp)
+	}
+}
+
+// sharedIdleSpec is a job of 800 static points on two sites and two
+// families, far more than its two sweep slots finish while the requests
+// beside it run; it is canceled once they are answered.
+const sharedIdleSpec = `{"name":"shared-idle","seed":17,"reps":100,"nptgs":[3,6],"platforms":["lille","rennes"],
+	"families":[{"family":"random"},{"family":"strassen"}]}`
+
+// Requests and sweeps borrow from, and park into, one idle set: in each of
+// two rounds, a two-worker service runs a two-slot job on one worker while
+// schedule and online requests run on the other, and closing the service
+// parks its workers' scratches beside the ones the sweep parked, for the
+// next round's workers and slots to borrow. Every response equals a fresh
+// scheduler's and every job record equals RunPoint's; under -race this
+// also checks that a scratch parked on one goroutine is handed safely to
+// another.
+func TestRequestsAndSweepsShareTheIdleSet(t *testing.T) {
+	spec, err := scenario.ParseSpec([]byte(sharedIdleSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := scenario.Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		s := service.New(service.Options{Workers: 2})
+		requestsBesideAJob(t, s, e)
+		s.Close()
+	}
+}
+
+// requestsBesideAJob runs sharedIdleSpec (expanded as e) as a job on s
+// while schedule and online requests run, requires the job to be still
+// running when the last request is answered, and checks every response and
+// every record the job has streamed by then; then it cancels the job.
+func requestsBesideAJob(t *testing.T, s *service.Service, e *scenario.Expansion) {
+	t.Helper()
+	st, err := s.SubmitJob(service.JobRequest{Spec: json.RawMessage(sharedIdleSpec), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg        sync.WaitGroup
+		schedules []*service.ScheduleResponse
+		onlines   []*service.OnlineResponse
+		errs      = make(chan error, 2)
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 8; i++ {
+			resp, err := s.Schedule(context.Background(), seededRequest(i))
+			if err != nil {
+				errs <- err
+				return
 			}
+			schedules = append(schedules, resp)
 		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2*len(onlineRequests); i++ {
+			resp, err := s.Online(context.Background(), onlineRequests[i%len(onlineRequests)])
+			if err != nil {
+				errs <- err
+				return
+			}
+			onlines = append(onlines, resp)
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if now, err := s.JobStatusByID(st.ID); err != nil || now.State != service.JobRunning {
+		t.Fatalf("the job is %+v (%v) when the requests are answered; they ran beside no sweep", now, err)
+	}
+	for i, resp := range schedules {
+		requireReference(t, fmt.Sprintf("schedule request %d", i), seededRequest(i), resp)
+	}
+	for i, resp := range onlines {
+		requireOnlineReference(t, fmt.Sprintf("online request %d", i), onlineRequests[i%len(onlineRequests)], resp)
+	}
+
+	var buf bytes.Buffer
+	if err := s.JobResults(st.ID, query.Query{To: query.NoLimit}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	results, err := scenario.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) == 0 {
+		t.Fatal("the job streamed no record beside the requests")
+	}
+	t.Logf("%d of the job's %d points ran beside the requests", len(results), e.NumPoints())
+	for _, r := range results {
+		if want := e.RunPoint(e.PointAt(r.Index)); !reflect.DeepEqual(r, want) {
+			t.Fatalf("job record %d is %+v, RunPoint gives %+v", r.Index, r, want)
+		}
+	}
+	if _, err := s.CancelJob(st.ID); err != nil {
+		t.Fatal(err)
 	}
 }

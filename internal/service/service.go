@@ -5,8 +5,8 @@
 // scheduling, workload generation, synchronous campaign sweeps and
 // asynchronous campaign *jobs* (submit, poll progress, stream results,
 // cancel; see jobs.go) — are queued onto a bounded worker pool; each
-// worker executes one request at a time on a private Scheduler instance
-// over shared read-only platform state.
+// worker executes one request at a time over shared read-only platform
+// state.
 //
 // Concurrency: the Service is safe for use by any number of goroutines.
 // The safety argument mirrors how the rest of the module is built: a
@@ -14,15 +14,8 @@
 // strategy/alloc/mapping pipeline keeps all mutable state in per-call
 // values, and the only caching mutable structure — dag.Graph's analysis
 // caches — is confined to graphs generated privately per request. Each
-// worker owns one scenario.Scratch, the same type a sweep slot owns: it
-// lends it to each request it runs (one at a time, so the scratch never
-// leaves that goroutine) — /v1/schedule schedules on its Core, /v1/online
-// on its Online, generating a schedule request's batch into graphs from
-// the scratch's pool — and calls Release when the request ends, which
-// takes those graphs back for the next request to regenerate into and
-// drops everything else of the last request; everything a response
-// carries is copied out of scratch-owned results before then. Nothing is shared
-// between two in-flight requests except immutable platforms, so requests
+// worker borrows a scenario.Scratch from scenario's idle set, as a sweep
+// slot does, and lends it to one request at a time (see worker). Requests
 // never contend on scheduling state, only on the queue and the stats
 // counters.
 package service
@@ -70,7 +63,7 @@ func (e *ValidationError) Error() string { return e.Err.Error() }
 // Unwrap exposes the underlying resolution error to errors.Is/As.
 func (e *ValidationError) Unwrap() error { return e.Err }
 
-// invalidf marks err as a validation failure and counts it.
+// invalid marks err as a validation failure and counts it.
 func (s *Service) invalid(err error) error {
 	s.stats.invalid.Add(1)
 	return &ValidationError{Err: err}
@@ -234,11 +227,12 @@ func (s *Service) CloseGrace(grace time.Duration) int {
 	return 0
 }
 
-// worker executes queued jobs until the queue closes, all on the one
-// scratch it owns.
+// worker executes queued jobs until the queue closes, on a scratch it
+// borrows from scenario's idle set and parks then; a job that panicked
+// left the scratch mid-request, so it is dropped for another.
 func (s *Service) worker() {
 	defer s.wg.Done()
-	sc := scenario.NewScratch()
+	sc := scenario.Borrow()
 	for j := range s.queue {
 		if err := j.ctx.Err(); err != nil {
 			// The client gave up while the job was queued; don't burn a
@@ -252,6 +246,9 @@ func (s *Service) worker() {
 		s.stats.inFlight.Add(1)
 		started := time.Now()
 		resp, err := runSafely(j, sc)
+		if errors.Is(err, errPanicked) {
+			sc = scenario.Borrow()
+		}
 		sc.Release()
 		elapsed := time.Since(started)
 		s.stats.inFlight.Add(-1)
@@ -273,18 +270,19 @@ func (s *Service) worker() {
 		}
 		j.done <- outcome{value: resp, err: err}
 	}
+	sc.Park()
 }
+
+var errPanicked = errors.New("service: request panicked")
 
 // runSafely runs the job under its own context — the request deadline of
 // a synchronous request, the job's context for an async job — and
 // converts a panic in the pipeline (e.g. a degenerate generated scenario)
-// into an error, so one bad request cannot take down a worker. The
-// scratch stays usable: every call on it rebuilds its state from the
-// call's inputs.
+// into an errPanicked error, so one bad request cannot take down a worker.
 func runSafely(j *job, sc *scenario.Scratch) (resp any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("service: request panicked: %v", r)
+			err = fmt.Errorf("%w: %v", errPanicked, r)
 		}
 	}()
 	return j.run(j.ctx, sc)

@@ -1,6 +1,9 @@
 package service
 
 import (
+	"context"
+	"runtime"
+	"sync"
 	"testing"
 
 	"ptgsched/internal/scenario"
@@ -45,4 +48,101 @@ func TestScheduleRequestAllocsOnWarmScratch(t *testing.T) {
 	if allocs > ceiling {
 		t.Errorf("a request on a warm worker scratch allocates %.0f objects, ceiling %d", allocs, ceiling)
 	}
+}
+
+// The same steady state through the public API, at one and two workers:
+// Service.Schedule on a warm service, whose workers keep the scratch they
+// borrowed across requests. On top of the run above, a request allocates
+// its job, its closure, its outcome channel and its deadline context;
+// ≈ 310 objects per request. The ceiling is twice that. A worker that
+// built or borrowed a cold scratch per request would read ≈ 16k objects.
+// Every worker runs every request once before the count, so no worker's
+// first request, on a scratch that may be new, is counted.
+func TestScheduleAllocsThroughWarmService(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not comparable")
+	}
+	var reqs []ScheduleRequest
+	for i, site := range []string{"lille", "nancy", "rennes", "sophia"} {
+		reqs = append(reqs, ScheduleRequest{Platform: site, Family: "random", Count: 64, Strategy: "ES", Seed: int64(301 + i)})
+	}
+	for _, workers := range []int{1, 2} {
+		s := New(Options{Workers: workers})
+		for _, req := range reqs {
+			onEveryWorker(t, s, workers, req)
+		}
+		next := 0
+		schedule := func() {
+			if _, err := s.Schedule(context.Background(), reqs[next%len(reqs)]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		allocs := testing.AllocsPerRun(8, schedule)
+		s.Close()
+		const ceiling = 620
+		t.Logf("%d workers: %.0f allocations per request", workers, allocs)
+		if allocs > ceiling {
+			t.Errorf("%d workers: a request on a warm service allocates %.0f objects, ceiling %d", workers, allocs, ceiling)
+		}
+	}
+}
+
+// Concurrent requests on more workers than GOMAXPROCS, the most scratches
+// the idle set keeps, run as warm as sequential ones: each worker keeps
+// the scratch it borrowed across requests, so no burst of requests drops
+// scratches into a full idle set for the next burst to build cold (≈ 16k
+// objects for each). Every burst holds each worker in one schedule
+// request at once, so all of them are in flight together; the first burst
+// warms every worker's scratch.
+func TestConcurrentRequestsOnMoreWorkersThanGOMAXPROCSStayWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not comparable")
+	}
+	req := ScheduleRequest{Platform: "rennes", Family: "random", Count: 64, Strategy: "ES", Seed: 301}
+	workers := runtime.GOMAXPROCS(0) + 2
+	s := New(Options{Workers: workers})
+	defer s.Close()
+	onEveryWorker(t, s, workers, req)
+
+	const bursts = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b := 0; b < bursts; b++ {
+		onEveryWorker(t, s, workers, req)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(bursts*workers)
+	const ceiling = 620
+	t.Logf("%d workers: %.0f allocations per request", workers, allocs)
+	if allocs > ceiling {
+		t.Errorf("%d workers: a concurrent request allocates %.0f objects, ceiling %d", workers, allocs, ceiling)
+	}
+}
+
+// onEveryWorker runs req once on each of s's workers, holding all of them
+// in it at once, as a schedule request runs on a worker.
+func onEveryWorker(t *testing.T, s *Service, workers int, req ScheduleRequest) {
+	t.Helper()
+	sc, err := req.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done, inside sync.WaitGroup
+	inside.Add(workers)
+	for i := 0; i < workers; i++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			_, err := submit[ScheduleResponse](context.Background(), s, "schedule", func(_ context.Context, ws *scenario.Scratch) (any, error) {
+				inside.Done()
+				inside.Wait()
+				return sc.run(req, ws.Core), nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	done.Wait()
 }
