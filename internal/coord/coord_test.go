@@ -379,6 +379,28 @@ func TestCoordinatorRejectsBadInput(t *testing.T) {
 	}
 }
 
+// dieHoldingLease passes everything until the worker has been granted a
+// lease: its first request about a job (the coordinator polls only a job
+// it submitted, and merges it only after a poll) drops, and so does every
+// request after it — a host that dies while its lease is running, whatever
+// the timing of the job.
+type dieHoldingLease struct {
+	mu   sync.Mutex
+	dead bool
+}
+
+func (p *dieHoldingLease) Next(req *http.Request) faultinject.Action {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if strings.HasPrefix(req.URL.Path, "/v1/jobs/") {
+		p.dead = true
+	}
+	if p.dead {
+		return faultinject.Action{Kind: faultinject.Drop}
+	}
+	return faultinject.Action{Kind: faultinject.Pass}
+}
+
 // TestCoordinatorFig3Acceptance is the paper-scale end: the checked-in
 // Figure 3 campaign over three workers, one killed mid-campaign, must
 // come out bit-identical to the unsharded golden. ~100 scheduling runs
@@ -393,16 +415,12 @@ func TestCoordinatorFig3Acceptance(t *testing.T) {
 	}
 	want, e := directTables(t, specJSON)
 
-	// Worker 0 serves its first five requests, then its host dies.
-	plan := faultinject.NewScript(
-		faultinject.Action{}, faultinject.Action{}, faultinject.Action{},
-		faultinject.Action{}, faultinject.Action{},
-	).Then(faultinject.Action{Kind: faultinject.Drop})
+	// Worker 0's host dies while it holds a lease.
 	workers := newFleet(t, 3)
 	c, got := runCoordinator(t, specJSON, workers, Options{
 		PollInterval: 50 * time.Millisecond,
 		JobWorkers:   2,
-		Client:       withFaults(t, map[string]faultinject.Plan{workers[0]: plan}),
+		Client:       withFaults(t, map[string]faultinject.Plan{workers[0]: new(dieHoldingLease)}),
 	})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("coordinated Figure 3 tables differ from the unsharded golden")

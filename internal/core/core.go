@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 
 	"ptgsched/internal/alloc"
 	"ptgsched/internal/dag"
@@ -83,6 +84,9 @@ func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Resu
 // Graphs' task costs must not be edited while their traces are kept (a
 // graph changed through AddTask, AddEdge or Reset is detected); Release
 // ends a unit of work and forgets them.
+//
+// A Scratch owns one seeded random source (Rand), reseeded per use, so a
+// unit of work draws its inputs without making a source of its own.
 type Scratch struct {
 	exec   *simexec.Scratch
 	maps   mapping.Scratch
@@ -96,6 +100,7 @@ type Scratch struct {
 	// current unit of work's.
 	graphs []*dag.Graph
 	used   int
+	rng    *rand.Rand
 }
 
 // NewScratch returns an empty scratch ready for ScheduleWith.
@@ -117,6 +122,19 @@ func (sc *Scratch) Graphs(n int) []*dag.Graph {
 	gs := sc.graphs[sc.used : sc.used+n : sc.used+n]
 	sc.used += n
 	return gs
+}
+
+// Rand returns the scratch's random source seeded with seed. Seeding resets
+// the source's whole state, so it draws what rand.New(rand.NewSource(seed))
+// draws, whatever the scratch drew before. The source is the scratch's: the
+// next Rand call on sc reseeds it.
+func (sc *Scratch) Rand(seed int64) *rand.Rand {
+	if sc.rng == nil {
+		sc.rng = rand.New(rand.NewSource(seed))
+	} else {
+		sc.rng.Seed(seed)
+	}
+	return sc.rng
 }
 
 // Release ends a unit of work. It drops everything the scratch still

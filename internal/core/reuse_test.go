@@ -174,3 +174,33 @@ func TestPointOnCarriedScratchMatchesFreshSchedules(t *testing.T) {
 		}
 	}
 }
+
+// A scratch's seeded source, reseeded after earlier use, draws what a fresh
+// source with the same seed draws: 10k values of each kind a unit of work
+// draws, interleaved, with the scratch's earlier draws left unfinished.
+func TestScratchRandMatchesFreshSource(t *testing.T) {
+	sc := core.NewScratch()
+	for _, seed := range []int64{1, -7, 42, 1 << 40, 0} {
+		used := sc.Rand(seed ^ 0x5bd1e995)
+		used.Perm(33)
+		used.NormFloat64()
+		used.ExpFloat64()
+		got, want := sc.Rand(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 10000; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d draw %d: Int63 %d, want %d", seed, i, g, w)
+			}
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d draw %d: Float64 %g, want %g", seed, i, g, w)
+			}
+			if g, w := got.Intn(1+i), want.Intn(1+i); g != w {
+				t.Fatalf("seed %d draw %d: Intn %d, want %d", seed, i, g, w)
+			}
+			if i%100 == 0 {
+				if g, w := got.Perm(1+i%17), want.Perm(1+i%17); !reflect.DeepEqual(g, w) {
+					t.Fatalf("seed %d draw %d: Perm %v, want %v", seed, i, g, w)
+				}
+			}
+		}
+	}
+}

@@ -147,13 +147,13 @@ func Random(cfg RandomConfig, r *rand.Rand) *dag.Graph {
 
 // RandomInto is Random generating into g, which it resets first (see
 // dag.Graph.Reset): the same draws from r give the same graph, in storage
-// g already holds.
+// g already holds. A shape on the paper grid takes its graph name from a
+// table made once (randomNames), so regenerating it allocates no name.
 func RandomInto(g *dag.Graph, cfg RandomConfig, r *rand.Rand) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	g.Reset(fmt.Sprintf("random-n%d-w%.1f-r%.1f-d%.1f-j%d",
-		cfg.Tasks, cfg.Width, cfg.Regularity, cfg.Density, cfg.Jump))
+	g.Reset(randomName(cfg))
 
 	// Level sizes: entry level of 1, then levels of ~Tasks^Width tasks
 	// jittered by (1-regularity), then an exit level of 1. Tasks are
@@ -220,6 +220,45 @@ func RandomInto(g *dag.Graph, cfg RandomConfig, r *rand.Rand) {
 	if err := g.Validate(true); err != nil {
 		panic(fmt.Sprintf("daggen: generated invalid graph: %v", err))
 	}
+}
+
+// shape is the part of a RandomConfig a random graph's name spells out.
+type shape struct {
+	tasks                      int
+	width, regularity, density float64
+	jump                       int
+}
+
+// randomNames are the names of the paper grid's random shapes
+// (PaperTaskCounts × PaperWidths × PaperRegularities × PaperDensities ×
+// PaperJumps), made once by the expression randomName formats off-grid
+// shapes with, so a table name and a formatted one are the same string.
+var randomNames = func() map[shape]string {
+	names := make(map[shape]string)
+	for _, n := range PaperTaskCounts {
+		for _, w := range PaperWidths {
+			for _, r := range PaperRegularities {
+				for _, d := range PaperDensities {
+					for _, j := range PaperJumps {
+						names[shape{n, w, r, d, j}] = formatRandomName(n, w, r, d, j)
+					}
+				}
+			}
+		}
+	}
+	return names
+}()
+
+// randomName is the name of a random graph of shape cfg.
+func randomName(cfg RandomConfig) string {
+	if name, ok := randomNames[shape{cfg.Tasks, cfg.Width, cfg.Regularity, cfg.Density, cfg.Jump}]; ok {
+		return name
+	}
+	return formatRandomName(cfg.Tasks, cfg.Width, cfg.Regularity, cfg.Density, cfg.Jump)
+}
+
+func formatRandomName(tasks int, width, regularity, density float64, jump int) string {
+	return fmt.Sprintf("random-n%d-w%.1f-r%.1f-d%.1f-j%d", tasks, width, regularity, density, jump)
 }
 
 // taskNames are the random generator's first task names, "t0", "t1", …,

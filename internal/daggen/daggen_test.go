@@ -1,6 +1,7 @@
 package daggen
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -308,5 +309,74 @@ func TestGeneratedBottomLevelProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Graph names come from tables made once, for the paper grid's random
+// shapes and every FFT exponent; they must be the strings the generators
+// formatted per graph before, and an off-grid shape must still get its
+// formatted name.
+func TestGraphNamesMatchFormat(t *testing.T) {
+	format := func(c RandomConfig) string {
+		return fmt.Sprintf("random-n%d-w%.1f-r%.1f-d%.1f-j%d", c.Tasks, c.Width, c.Regularity, c.Density, c.Jump)
+	}
+	var shapes []RandomConfig
+	for _, n := range PaperTaskCounts {
+		for _, w := range PaperWidths {
+			for _, r := range PaperRegularities {
+				for _, d := range PaperDensities {
+					for _, j := range PaperJumps {
+						shapes = append(shapes, RandomConfig{Tasks: n, Width: w, Regularity: r, Density: d, Jump: j})
+					}
+				}
+			}
+		}
+	}
+	if len(shapes) != 108 || len(randomNames) != len(shapes) {
+		t.Fatalf("%d grid shapes, %d table names; want 108 of each", len(shapes), len(randomNames))
+	}
+	shapes = append(shapes,
+		RandomConfig{Tasks: 7, Width: 0.35, Regularity: 0, Density: 1, Jump: 3},
+		RandomConfig{Tasks: 100, Width: 0.5, Regularity: 0.2, Density: 0.8, Jump: 2},
+		RandomConfig{Tasks: 20, Width: 0.25, Regularity: 0.8, Density: 0.2, Jump: 1},
+		RandomConfig{Tasks: 50, Width: 1, Regularity: 0.05, Density: 0.5, Jump: 9},
+	)
+	g := new(dag.Graph)
+	r := rand.New(rand.NewSource(3))
+	for _, c := range shapes {
+		RandomInto(g, c, r)
+		if want := format(c); g.Name != want {
+			t.Errorf("%+v: named %q, want %q", c, g.Name, want)
+		}
+	}
+	for k := 1; k <= 20; k++ {
+		if want := fmt.Sprintf("fft-%dpt", 1<<k); fftNames[k] != want {
+			t.Errorf("k=%d: table name %q, want %q", k, fftNames[k], want)
+		}
+	}
+	for _, k := range append([]int{1, 5}, PaperFFTExponents...) {
+		FFTInto(g, k, r)
+		if want := fmt.Sprintf("fft-%dpt", 1<<k); g.Name != want {
+			t.Errorf("k=%d: named %q, want %q", k, g.Name, want)
+		}
+	}
+}
+
+// A paper-grid random shape regenerated into a warm graph, one of 16 seeds
+// per iteration: the graph has held each seed's draw before, so neither
+// its storage nor its name allocates (0 allocs/op).
+func BenchmarkRandomIntoWarm(b *testing.B) {
+	cfg := RandomConfig{Tasks: 50, Width: 0.5, Regularity: 0.2, Density: 0.8, Jump: 2, Complexity: Mixed}
+	g := new(dag.Graph)
+	r := rand.New(rand.NewSource(0))
+	for seed := int64(0); seed < 16; seed++ {
+		r.Seed(seed)
+		RandomInto(g, cfg, r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Seed(int64(i % 16))
+		RandomInto(g, cfg, r)
 	}
 }

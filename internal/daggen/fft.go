@@ -26,14 +26,25 @@ func FFT(k int, r *rand.Rand) *dag.Graph {
 	return g
 }
 
+// fftNames[k] is the name of the 2^k-point FFT graph, for every exponent
+// FFTInto accepts.
+var fftNames = func() []string {
+	names := make([]string, 21)
+	for k := 1; k < len(names); k++ {
+		names[k] = fmt.Sprintf("fft-%dpt", 1<<k)
+	}
+	return names
+}()
+
 // FFTInto is FFT generating into g, which it resets first: the same draws
-// from r give the same graph, in storage g already holds.
+// from r give the same graph, in storage g already holds. Its graph name
+// comes from a table made once (fftNames).
 func FFTInto(g *dag.Graph, k int, r *rand.Rand) {
 	if k < 1 || k > 20 {
 		panic(fmt.Sprintf("daggen: FFT exponent %d outside [1,20]", k))
 	}
 	n := 1 << k
-	g.Reset(fmt.Sprintf("fft-%dpt", n))
+	g.Reset(fftNames[k])
 
 	d0 := cost.MinDataElems + float64(r.Float64()*(cost.MaxDataElems-cost.MinDataElems))
 	a := float64(cost.MinCoeff + r.Intn(cost.MaxCoeff-cost.MinCoeff+1))

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -115,12 +116,19 @@ type Timeline []Event
 
 // Sort orders the timeline in place into its canonical order.
 func (tl Timeline) Sort() {
-	sort.SliceStable(tl, func(i, j int) bool {
-		if tl[i].At != tl[j].At {
-			return tl[i].At < tl[j].At
+	slices.SortStableFunc(tl, compareEvents)
+}
+
+// compareEvents orders two events by time, then by kind rank: it is
+// negative exactly when a sorts before b.
+func compareEvents(a, b Event) int {
+	if a.At != b.At {
+		if a.At < b.At {
+			return -1
 		}
-		return tl[i].Kind.Rank() < tl[j].Kind.Rank()
-	})
+		return 1
+	}
+	return a.Kind.Rank() - b.Kind.Rank()
 }
 
 // Interval is a half-open time window [From, To); To is +Inf for a window
@@ -381,7 +389,7 @@ func (s *Spec) Generate(nClusters, nApps int, r *rand.Rand) Timeline {
 	if s.Empty() {
 		return nil
 	}
-	var tl Timeline
+	tl := make(Timeline, 0, s.Count())
 	for _, f := range s.Failures {
 		// Process draws consume r even for dropped clusters, so the draws
 		// of later entries do not depend on the point's platform size.
@@ -425,6 +433,9 @@ func (s *Spec) Generate(nClusters, nApps int, r *rand.Rand) Timeline {
 		if c.ResubmitAfter > 0 {
 			tl = append(tl, Event{At: c.At + c.ResubmitAfter, Kind: Resubmit, App: c.App})
 		}
+	}
+	if len(tl) == 0 {
+		return nil
 	}
 	tl.Sort()
 	return tl

@@ -189,11 +189,12 @@ type Measurement struct {
 
 // RunOneWith executes the single campaign run identified by (point, rep,
 // platform) — indices into cfg.NPTGs and cfg.Platforms — on the calling
-// goroutine, on a worker-owned scratch: the run's graphs are generated into
-// the scratch's pool (core.Scratch.Graphs), the simulation and scheduling
-// state is recycled across calls, and the run releases the scratch when it
-// ends, so the allocations it remembered of the run's graphs serve no later
-// run and the graphs' storage serves the next run's.
+// goroutine, on a worker-owned scratch: the run's graphs are drawn from the
+// scratch's seeded source (core.Scratch.Rand) into the scratch's pool
+// (core.Scratch.Graphs), the simulation and scheduling state is recycled
+// across calls, and the run releases the scratch when it ends, so the
+// allocations it remembered of the run's graphs serve no later run and the
+// graphs' storage serves the next run's.
 // Run is exactly an aggregation of RunOneWith over the full key grid; the
 // scenario package calls it directly to sweep spec-driven expansions point
 // by point. The scratch changes where buffers live, never what is computed:
@@ -201,7 +202,7 @@ type Measurement struct {
 // The Measurement's slices are the run's own, never the scratch's.
 func RunOneWith(cfg Config, point, rep, pfIdx int, sc *core.Scratch) Measurement {
 	defer sc.Release()
-	r := rand.New(rand.NewSource(RunSeed(cfg.Seed, point, rep)))
+	r := sc.Rand(RunSeed(cfg.Seed, point, rep))
 	gen := cfg.Gen
 	if gen == nil {
 		gen = func(g *dag.Graph, r *rand.Rand) { daggen.GenerateInto(g, cfg.Family, r) }

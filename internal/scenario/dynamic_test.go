@@ -7,6 +7,8 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -116,6 +118,44 @@ func TestTimelineForDeterministicAndShardInvariant(t *testing.T) {
 	}
 	if !sawDistinct {
 		t.Fatal("every point drew the identical timeline; seeds are not per-point")
+	}
+}
+
+// eventSeed is FNV-64a (hash/fnv) over the digest and the index's eight
+// little-endian bytes, the hash every timeline on disk was drawn from.
+func TestEventSeedIsFNV64a(t *testing.T) {
+	for _, digest := range []string{"", "a", "0123456789abcdef", strings.Repeat("f", 64)} {
+		for _, index := range []int{0, 1, 255, 256, 1<<31 - 1, -1} {
+			h := fnv.New64a()
+			h.Write([]byte(digest))
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], uint64(index))
+			h.Write(b[:])
+			if got, want := eventSeed(digest, index), int64(h.Sum64()); got != want {
+				t.Fatalf("eventSeed(%q, %d) = %d, want %d", digest, index, got, want)
+			}
+		}
+	}
+}
+
+// A dynamic point draws its timeline from its scratch's source, after the
+// scratch drew that point's arrivals and other points' timelines: every
+// timeline equals TimelineFor's, drawn from a fresh source.
+func TestTimelineOnScratchMatchesTimelineFor(t *testing.T) {
+	e := mustExpand(t, mustParse(t, `{
+	  "seed": 11, "reps": 3, "nptgs": [2, 5], "platforms": ["sophia", "rennes"],
+	  "events": {"failures": [{"cluster": 1, "mttf": 200, "mttr": 50, "count": 2}],
+	    "cancels": [{"app": 1, "at": 30, "resubmit_after": 10}]}
+	}`))
+	sc := NewScratch()
+	for round := 0; round < 2; round++ {
+		for i := 0; i < e.NumPoints(); i++ {
+			p := e.PointAt(i)
+			sc.Core.Rand(p.Seed).Perm(7)
+			if got, want := e.timelineOn(sc.Core, p), e.TimelineFor(p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("point %d: timeline on a scratch %v, want %v", i, got, want)
+			}
+		}
 	}
 }
 

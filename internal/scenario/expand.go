@@ -1,14 +1,12 @@
 package scenario
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math/rand"
 	"strconv"
 	"strings"
 
+	"ptgsched/internal/core"
 	"ptgsched/internal/dag"
 	"ptgsched/internal/daggen"
 	"ptgsched/internal/events"
@@ -377,24 +375,44 @@ func (e *Expansion) Digest() string { return e.digest }
 // on any shard, at any worker count, in any execution order. Static specs
 // (absent or empty events axis) yield nil.
 func (e *Expansion) TimelineFor(p Point) events.Timeline {
+	return e.timelineOn(nil, p)
+}
+
+// timelineOn is TimelineFor drawing from sc's seeded source
+// (core.Scratch.Rand), the same draws as a fresh source's; a nil sc draws
+// from a fresh source.
+func (e *Expansion) timelineOn(sc *core.Scratch, p Point) events.Timeline {
 	if e.Spec.Events.Empty() {
 		return nil
 	}
+	seed := eventSeed(e.digest, p.Index)
+	var r *rand.Rand
+	if sc != nil {
+		r = sc.Rand(seed)
+	} else {
+		r = rand.New(rand.NewSource(seed))
+	}
 	pf := e.Platforms[p.Platform]
-	r := rand.New(rand.NewSource(eventSeed(e.digest, p.Index)))
 	return e.Spec.Events.Generate(len(pf.Clusters), p.NPTGs, r)
 }
 
 // eventSeed hashes the spec digest and a point index into the timeline
-// seed (FNV-64a; any stable mixing works, it only has to be deterministic
-// and spread).
+// seed: FNV-64a over the digest's bytes, then the index's eight
+// little-endian bytes (any stable mixing works, it only has to be
+// deterministic and spread). It is hash/fnv's New64a over those bytes,
+// computed in place so that a point allocates no hasher.
 func eventSeed(digest string, index int) int64 {
-	h := fnv.New64a()
-	io.WriteString(h, digest)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(index))
-	h.Write(b[:])
-	return int64(h.Sum64())
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(digest); i++ {
+		h ^= uint64(digest[i])
+		h *= prime64
+	}
+	for i, x := 0, uint64(index); i < 8; i, x = i+1, x>>8 {
+		h ^= x & 0xff
+		h *= prime64
+	}
+	return int64(h)
 }
 
 // NumPoints returns the expansion cardinality: the number of scenario

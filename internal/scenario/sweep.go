@@ -126,15 +126,15 @@ func (e *Expansion) runPoint(p Point, sc *Scratch) PointResult {
 }
 
 // pointWorkload is what point p's workload is drawn with: the cell's
-// arrival process, or a concurrent burst for offline-style cells, and a
-// source seeded with the point's seed — the same draws, in the same order,
-// as the static path makes.
-func pointWorkload(c *Cell, p Point) (workload.Spec, *rand.Rand) {
+// arrival process, or a concurrent burst for offline-style cells. It is
+// drawn from a source seeded with the point's seed, p.Seed — the same
+// draws, in the same order, as the static path makes.
+func pointWorkload(c *Cell, p Point) workload.Spec {
 	spec := workload.Spec{Family: c.Family, Count: p.NPTGs, Process: workload.Burst, Gen: c.Config.Gen}
 	if c.Online != nil {
 		spec.Process, spec.Rate = c.Online.Process, c.Online.Rate
 	}
-	return spec, rand.New(rand.NewSource(p.Seed))
+	return spec
 }
 
 // runDynamicPoint measures every point that runs through the online
@@ -142,7 +142,8 @@ func pointWorkload(c *Cell, p Point) (workload.Spec, *rand.Rand) {
 // event timeline and the cell's rescheduling policy. An online cell of a
 // spec without events is the same run with a nil timeline and the zero
 // policy, which the online engine executes as the static online run bit
-// for bit. The point's graphs are generated into sc.Core's pool, and the
+// for bit. The point's workload and timeline are drawn from sc.Core's
+// seeded source, its graphs generated into sc.Core's pool, and the
 // strategies share sc.Online: each replays the allocation steps the earlier
 // ones made on the point's graphs; Release takes the graphs back and
 // forgets the steps when the point ends. Cancelled applications are
@@ -151,9 +152,8 @@ func pointWorkload(c *Cell, p Point) (workload.Spec, *rand.Rand) {
 // makespan.
 func (e *Expansion) runDynamicPoint(c *Cell, p Point, sc *Scratch) PointResult {
 	defer sc.Release()
-	spec, r := pointWorkload(c, p)
-	arrivals := workload.GenerateInto(spec, r, sc.Core.Graphs(p.NPTGs))
-	timeline := e.TimelineFor(p)
+	arrivals := workload.GenerateInto(pointWorkload(c, p), sc.Core.Rand(p.Seed), sc.Core.Graphs(p.NPTGs))
+	timeline := e.timelineOn(sc.Core, p)
 	var policy online.Policy
 	if c.Policy != "" {
 		var err error
@@ -170,13 +170,14 @@ func (e *Expansion) runDynamicPoint(c *Cell, p Point, sc *Scratch) PointResult {
 		Makespan:   make([]float64, len(c.Config.Strategies)),
 	}
 	pf := e.Platforms[p.Platform]
+	flows := make([]float64, 0, len(arrivals))
 	for s, strat := range c.Config.Strategies {
 		res := online.ScheduleWith(sc.Online, pf, arrivals, online.Options{
 			Strategy: strat,
 			Timeline: timeline,
 			Policy:   policy,
 		})
-		flows := make([]float64, 0, len(res.Apps))
+		flows = flows[:0]
 		for i, app := range res.Apps {
 			if res.Cancelled != nil && res.Cancelled[i] {
 				continue
@@ -621,7 +622,7 @@ func (e *Expansion) findPointByName(key string) (Point, bool) {
 // in depth. The graphs are fresh instances owned by the caller; the cell
 // (strategies, labels, family) is e.Cells[p.Cell].
 func (e *Expansion) Materialize(p Point) (pf *platform.Platform, graphs []*dag.Graph, releases []float64) {
-	arrivals := workload.Generate(pointWorkload(e.Cells[p.Cell], p))
+	arrivals := workload.Generate(pointWorkload(e.Cells[p.Cell], p), rand.New(rand.NewSource(p.Seed)))
 	graphs = make([]*dag.Graph, len(arrivals))
 	releases = make([]float64, len(arrivals))
 	for i, a := range arrivals {

@@ -6,6 +6,7 @@ import (
 
 	"ptgsched/internal/core"
 	"ptgsched/internal/dag"
+	"ptgsched/internal/platform"
 	"ptgsched/internal/scenario"
 )
 
@@ -42,3 +43,6 @@ func (s *Service) RunOnWorkerScratch(ctx context.Context, fn func(*core.Scratch)
 	})
 	return err
 }
+
+// Preset is the shared preset requests on site name run on.
+func Preset(name string) *platform.Platform { return presets[name] }

@@ -276,6 +276,66 @@ func TestOnlineOnWorkerScratchMatchesFreshRun(t *testing.T) {
 	}
 }
 
+// Schedule and online requests share one read-only preset per site:
+// running concurrently on four workers — under -race in the race lane —
+// they leave every preset equal to a fresh platform.ByName, and each
+// response equals a fresh scheduler's on a fresh platform. Site names are
+// read case insensitively, as platform.ByName reads them.
+func TestSharedPresetsStayUnchanged(t *testing.T) {
+	sites := []string{"lille", "Nancy", "rennes", "SOPHIA"}
+	s := newService(t, service.Options{Workers: 4})
+	var scheds []service.ScheduleRequest
+	var onlines []service.OnlineRequest
+	for i, site := range sites {
+		for k := 0; k < 2; k++ {
+			scheds = append(scheds, service.ScheduleRequest{Platform: site, Family: "random", Count: 6,
+				Strategy: "WPS-work", Seed: int64(60 + 2*i + k), ComputeOwn: k == 0})
+			onlines = append(onlines, service.OnlineRequest{Platform: site, Family: "random", Count: 4,
+				Process: "poisson", Rate: 0.2, Strategy: "ES", Seed: int64(70 + 2*i + k)})
+		}
+	}
+	schedResps := make([]*service.ScheduleResponse, len(scheds))
+	onlineResps := make([]*service.OnlineResponse, len(onlines))
+	errs := make(chan error, len(scheds)+len(onlines))
+	var wg sync.WaitGroup
+	for i := range scheds {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			resp, err := s.Schedule(context.Background(), scheds[i])
+			schedResps[i] = resp
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			resp, err := s.Online(context.Background(), onlines[i])
+			onlineResps[i] = resp
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range scheds {
+		requireReference(t, fmt.Sprintf("schedule %d", i), scheds[i], schedResps[i])
+		requireOnlineReference(t, fmt.Sprintf("online %d", i), onlines[i], onlineResps[i])
+	}
+	for _, site := range sites {
+		fresh, err := platform.ByName(site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := service.Preset(strings.ToLower(site))
+		if shared == nil || shared == fresh || !reflect.DeepEqual(shared, fresh) {
+			t.Errorf("%s: the shared preset changed under requests or is missing", site)
+		}
+	}
+}
+
 // sharedIdleSpec is a job of 800 static points on two sites and two
 // families, far more than its two sweep slots finish while the requests
 // beside it run; it is canceled once they are answered.

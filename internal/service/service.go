@@ -10,10 +10,11 @@
 //
 // Concurrency: the Service is safe for use by any number of goroutines.
 // The safety argument mirrors how the rest of the module is built: a
-// platform.Platform and its sim.Links are immutable after construction, the
-// strategy/alloc/mapping pipeline keeps all mutable state in per-call
-// values, and the only caching mutable structure — dag.Graph's analysis
-// caches — is confined to graphs generated privately per request. Each
+// platform.Platform and its sim.Links are immutable after construction
+// (requests share one per site, presets), the strategy/alloc/mapping
+// pipeline keeps all mutable state in per-call values, and the only
+// caching mutable structure — dag.Graph's analysis caches — is confined
+// to graphs generated privately per request. Each
 // worker borrows a scenario.Scratch from scenario's idle set, as a sweep
 // slot does, and lends it to one request at a time (see worker). Requests
 // never contend on scheduling state, only on the queue and the stats
@@ -25,9 +26,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -435,11 +436,34 @@ func resolveCount(count int) (int, error) {
 	return count, nil
 }
 
-// resolve validates the request and resolves names; it runs on the caller's
-// goroutine so malformed requests fail fast without a queue slot.
+// presets are the four Grid'5000 sites by lower-case name, built once and
+// shared read-only by every request that names one (a Platform is
+// immutable and safe to share; see the platform package).
+var presets = func() map[string]*platform.Platform {
+	m := make(map[string]*platform.Platform)
+	for _, pf := range platform.Grid5000Sites() {
+		m[strings.ToLower(pf.Name)] = pf
+	}
+	return m
+}()
+
+// preset resolves a request's site name (default rennes, case
+// insensitive, as platform.ByName reads it) to its shared preset; any
+// other name gets platform.ByName's answer.
+func preset(name string) (*platform.Platform, error) {
+	name = orDefault(name, "rennes")
+	if pf, ok := presets[strings.ToLower(name)]; ok {
+		return pf, nil
+	}
+	return platform.ByName(name)
+}
+
+// resolve validates the request and resolves names against shared,
+// read-only registries (the site presets included); it runs on the
+// caller's goroutine so malformed requests fail fast without a queue slot.
 func (r ScheduleRequest) resolve() (scheduleScenario, error) {
 	var sc scheduleScenario
-	pf, err := platform.ByName(orDefault(r.Platform, "rennes"))
+	pf, err := preset(r.Platform)
 	if err != nil {
 		return sc, err
 	}
@@ -480,11 +504,12 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 }
 
 // run computes a schedule request on a worker's scratch: the batch is
-// generated into graphs from the scratch's pool, which the worker's
-// Release takes back once the response — built of values only — is out.
+// drawn from the scratch's seeded source into graphs from its pool, which
+// the worker's Release takes back once the response — built of values
+// only — is out.
 func (sc scheduleScenario) run(req ScheduleRequest, ws *core.Scratch) *ScheduleResponse {
 	started := time.Now()
-	r := rand.New(rand.NewSource(req.Seed))
+	r := ws.Rand(req.Seed)
 	graphs := ws.Graphs(sc.count)
 	for _, g := range graphs {
 		daggen.GenerateInto(g, sc.family, r)
@@ -566,8 +591,7 @@ func (s *Service) Online(ctx context.Context, req OnlineRequest) (*OnlineRespons
 	}
 	return submit[OnlineResponse](ctx, s, "online", func(_ context.Context, ws *scenario.Scratch) (any, error) {
 		started := time.Now()
-		r := rand.New(rand.NewSource(req.Seed))
-		arrivals := workload.GenerateInto(spec, r, ws.Core.Graphs(spec.Count))
+		arrivals := workload.GenerateInto(spec, ws.Core.Rand(req.Seed), ws.Core.Graphs(spec.Count))
 		res := online.ScheduleWith(ws.Online, pf, arrivals, online.Options{
 			Strategy:                strat,
 			NoRebalanceOnCompletion: req.NoRebalanceOnCompletion,
@@ -616,12 +640,13 @@ func resolveSpec(family string, count int, process string, rate float64) (worklo
 	return workload.Spec{Family: fam, Count: count, Process: proc, Rate: rate}, nil
 }
 
-// resolve validates an OnlineRequest.
+// resolve validates an OnlineRequest; its site is a shared preset, as a
+// ScheduleRequest's.
 func (r OnlineRequest) resolve() (spec workload.Spec, pf *platform.Platform, strat strategy.Strategy, err error) {
 	if spec, err = resolveSpec(r.Family, r.Count, r.Process, r.Rate); err != nil {
 		return
 	}
-	if pf, err = platform.ByName(orDefault(r.Platform, "rennes")); err != nil {
+	if pf, err = preset(r.Platform); err != nil {
 		return
 	}
 	strat, err = resolveStrategy(r.Strategy, r.Mu, spec.Family)
@@ -665,10 +690,9 @@ func (s *Service) Workload(ctx context.Context, req WorkloadRequest) (*WorkloadR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[WorkloadResponse](ctx, s, "workload", func(context.Context, *scenario.Scratch) (any, error) {
+	return submit[WorkloadResponse](ctx, s, "workload", func(_ context.Context, ws *scenario.Scratch) (any, error) {
 		started := time.Now()
-		r := rand.New(rand.NewSource(req.Seed))
-		arrivals := workload.Generate(spec, r)
+		arrivals := workload.Generate(spec, ws.Core.Rand(req.Seed))
 		out := &WorkloadResponse{Apps: make([]WorkloadApp, len(arrivals))}
 		for i, a := range arrivals {
 			st := a.Graph.ComputeStats()

@@ -15,7 +15,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"ptgsched/internal/dag"
@@ -132,7 +132,15 @@ func GenerateInto(spec Spec, r *rand.Rand, graphs []*dag.Graph) []online.Arrival
 		gen(graphs[i], r)
 		arrivals[i] = online.Arrival{Graph: graphs[i], At: t}
 	}
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
+	slices.SortStableFunc(arrivals, func(a, b online.Arrival) int {
+		if a.At < b.At {
+			return -1
+		}
+		if a.At > b.At {
+			return 1
+		}
+		return 0
+	})
 	return arrivals
 }
 
