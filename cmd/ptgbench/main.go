@@ -107,7 +107,7 @@ func run(argv []string, w io.Writer) error {
 		statsAddr    = fs.String("stats-addr", "", "coordinate: also serve the coordinator's /v1/stats on this address")
 		reps         = fs.Int("reps", 25, "random PTG combinations per point (paper: 25)")
 		seed         = fs.Int64("seed", 42, "base random seed")
-		workers      = fs.Int("workers", 0, "concurrent runs (default: GOMAXPROCS) of fig2-fig5, mu-calibration, -campaign sweeps and each -coordinate job; table1, fig1, ablation and dynamic are sequential")
+		workers      = fs.Int("workers", 0, "concurrent runs (default: GOMAXPROCS) of fig2-fig5, mu-calibration and -campaign sweeps; table1, fig1, ablation and dynamic are sequential")
 		csvPath      = fs.String("csv", "", "fig2-fig5: also write the aggregated results to this CSV file")
 		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile   = fs.String("memprofile", "", "write a pprof allocation profile (after a final GC) to this file on exit")
@@ -181,7 +181,7 @@ func run(argv []string, w io.Writer) error {
 		})
 	}
 	if *coordinate != "" {
-		return coordinateMode(w, *campaignPath, *coordinate, *fleetShards, *workers, *pollEvery, *stallAfter, *statsAddr, *cacheDir)
+		return coordinateMode(w, *campaignPath, *coordinate, *fleetShards, *pollEvery, *stallAfter, *statsAddr, *cacheDir)
 	}
 	if *campaignPath != "" {
 		return campaignMode(w, *campaignPath, *shard, *jsonl, *merge, *storeDir, *resume, *workers, *cacheDir)
@@ -220,7 +220,7 @@ var campaignModes = []struct {
 	reads []string
 }{
 	{"query", []string{"query", "campaign", "store", "family", "strategy", "from", "to", "format", "fullscan"}},
-	{"coordinate", []string{"coordinate", "campaign", "workers", "cache", "fleet-shards", "poll", "stall-timeout", "stats-addr"}},
+	{"coordinate", []string{"coordinate", "campaign", "cache", "fleet-shards", "poll", "stall-timeout", "stats-addr"}},
 	{"store", []string{"store", "campaign", "workers", "cache", "shard", "resume"}},
 	{"merge", []string{"merge", "campaign", "jsonl"}},
 	{"shard", []string{"shard", "campaign", "workers", "cache", "jsonl"}},
@@ -477,7 +477,7 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 // stdout carries exactly the tables an unsharded local run prints
 // (bit-identically); the fleet narrative (leases, deaths, reassignments)
 // and the final robustness counters go to stderr.
-func coordinateMode(w io.Writer, specPath, workerList string, shards, jobWorkers int, poll, stall time.Duration, statsAddr, cacheDir string) error {
+func coordinateMode(w io.Writer, specPath, workerList string, shards int, poll, stall time.Duration, statsAddr, cacheDir string) error {
 	data, err := os.ReadFile(specPath)
 	if err != nil {
 		return err
@@ -493,7 +493,6 @@ func coordinateMode(w io.Writer, specPath, workerList string, shards, jobWorkers
 	workers := splitList(workerList)
 	c, err := ptgsched.NewFleetCoordinator(data, workers, ptgsched.FleetOptions{
 		Shards:       shards,
-		JobWorkers:   jobWorkers,
 		PollInterval: poll,
 		StallTimeout: stall,
 		Cache:        ch,

@@ -314,8 +314,9 @@ func TestMergeRejectsStoreOfDifferentSpec(t *testing.T) {
 
 // TestFlagsOutsideTheirModeAreRefused: a flag the run's mode does not
 // read is an error naming it (cli.Scope), not a silent no-op — a campaign
-// takes its seed from the spec, a fleet writes no CSV, a query runs no
-// sweep and ablation runs sequentially.
+// takes its seed from the spec, a fleet writes no CSV and spreads over
+// cores by shard leases, a query runs no sweep and ablation runs
+// sequentially.
 func TestFlagsOutsideTheirModeAreRefused(t *testing.T) {
 	spec := "testdata/smoke-campaign.json"
 	for _, c := range []struct {
@@ -324,6 +325,7 @@ func TestFlagsOutsideTheirModeAreRefused(t *testing.T) {
 	}{
 		{[]string{"-campaign", spec, "-seed", "7"}, "-seed"},
 		{[]string{"-campaign", spec, "-coordinate", "127.0.0.1:1", "-csv", "x"}, "-csv"},
+		{[]string{"-campaign", spec, "-coordinate", "127.0.0.1:1", "-workers", "2"}, "-workers"},
 		{[]string{"-campaign", spec, "-store", t.TempDir(), "-query", "-workers", "2"}, "-workers"},
 		{[]string{"-experiment", "ablation", "-reps", "1", "-workers", "4"}, "-workers"},
 	} {

@@ -18,7 +18,7 @@
 //	POST /v1/online    {"platform":"sophia","count":8,"process":"poisson","rate":0.25,"seed":1}
 //	POST /v1/workload  {"family":"fft","count":10,"process":"uniform","rate":0.5}
 //	POST /v1/campaign  {"spec":{...declarative campaign spec...}}  → aggregated tables
-//	POST   /v1/jobs               {"spec":{...},"shard":"1/3","workers":2}  → 202 + job id (async)
+//	POST   /v1/jobs               {"spec":{...},"shard":"1/3"}  → 202 + job id (async)
 //	GET    /v1/jobs               all jobs' status
 //	GET    /v1/jobs/{id}          progress: state, completed/total points
 //	GET    /v1/jobs/{id}/results  completed results as JSONL; ?family=&strategy=&from=&to=

@@ -14,9 +14,9 @@ type (
 	// FleetCoordinator drives one campaign over a worker fleet; create
 	// with NewFleetCoordinator, run once with its Run method.
 	FleetCoordinator = coord.Coordinator
-	// FleetOptions shapes the coordination: shard count, job
-	// parallelism, poll cadence, stall timeout, logging, the shared cache
-	// and the per-worker client's test seams.
+	// FleetOptions shapes the coordination: shard count, poll cadence,
+	// stall timeout, logging, the shared cache and the per-worker
+	// client's test seams.
 	FleetOptions = coord.Options
 	// FleetClientOptions holds the hardened per-worker HTTP client's
 	// test seams (the fault-injection transport and the backoff sleep).

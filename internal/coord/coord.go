@@ -23,11 +23,9 @@ type Options struct {
 	// Shards is the number of leases the campaign is split into; default
 	// one per worker (clamped to the expansion cardinality). More shards
 	// than workers means finer-grained reassignment at the cost of more
-	// dispatches.
+	// dispatches. Each lease is one job, swept on one worker core, so
+	// more shards is also how a campaign uses more of the fleet's cores.
 	Shards int
-	// JobWorkers is the intra-job parallelism each worker is asked for
-	// (JobRequest.Workers); default 0 lets the worker default (1).
-	JobWorkers int
 	// PollInterval paces the progress polls; default 500ms.
 	PollInterval time.Duration
 	// StallTimeout declares a running lease stalled when its completed
@@ -323,9 +321,8 @@ func (c *Coordinator) dispatch(ctx context.Context) error {
 				continue
 			}
 			st, err := w.client.SubmitJob(ctx, service.JobRequest{
-				Spec:    c.specJSON,
-				Shard:   fmt.Sprintf("%d/%d", l.shard, len(c.leases)),
-				Workers: c.opts.JobWorkers,
+				Spec:  c.specJSON,
+				Shard: fmt.Sprintf("%d/%d", l.shard, len(c.leases)),
 			})
 			switch {
 			case err == nil:

@@ -418,8 +418,8 @@ func TestCoordinatorFig3Acceptance(t *testing.T) {
 	// Worker 0's host dies while it holds a lease.
 	workers := newFleet(t, 3)
 	c, got := runCoordinator(t, specJSON, workers, Options{
+		Shards:       6,
 		PollInterval: 50 * time.Millisecond,
-		JobWorkers:   2,
 		Client:       withFaults(t, map[string]faultinject.Plan{workers[0]: new(dieHoldingLease)}),
 	})
 	if !reflect.DeepEqual(got, want) {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -77,7 +76,7 @@ func FuzzAdmission(f *testing.F) {
 	for _, req := range invalidJobRequests {
 		add(req)
 	}
-	add(JobRequest{Spec: json.RawMessage(jobSpec), Shard: "1/3", Workers: 2})
+	add(JobRequest{Spec: json.RawMessage(jobSpec), Shard: "1/3"})
 
 	f.Fuzz(func(t *testing.T, job bool, body []byte) {
 		dec := json.NewDecoder(bytes.NewReader(body))
@@ -100,7 +99,7 @@ func FuzzAdmission(f *testing.F) {
 		if dec.Decode(&req) != nil {
 			return
 		}
-		e, set, workers, err := req.resolve()
+		e, set, err := req.resolve()
 		if err != nil {
 			return
 		}
@@ -109,9 +108,6 @@ func FuzzAdmission(f *testing.F) {
 		}
 		if set.Len() > e.NumPoints() || (set.Len() > 0 && (set.At(0) < 0 || set.At(set.Len()-1) >= e.NumPoints())) {
 			t.Fatalf("job set of %d points (%v) outside its expansion of %d", set.Len(), set, e.NumPoints())
-		}
-		if workers < 1 || workers > runtime.GOMAXPROCS(0) {
-			t.Fatalf("job runs on %d workers, want [1, GOMAXPROCS]", workers)
 		}
 	})
 }

@@ -39,10 +39,10 @@ const (
 	// memory one.
 	MaxCampaignPoints = 16_384
 	// MaxJobPoints bounds the expansion of one asynchronous job, sharded
-	// or not (the handle's per-point arrays are sized by the expansion).
-	// Job results spool to disk (13 bytes per point resident), so the
-	// budget is wall-clock and spool space; truly unbounded sweeps belong
-	// to ptgbench -campaign -store.
+	// or not (the job's store keeps a done bit per expansion point).
+	// Job results live in that store on disk (1 bit per point plus the
+	// segment's run index resident), so the budget is wall-clock and
+	// disk; truly unbounded sweeps belong to ptgbench -campaign -store.
 	MaxJobPoints = 1 << 20
 	// MaxJobBacklog bounds the total points across all live (queued or
 	// running) jobs.
@@ -102,8 +102,8 @@ func (r CampaignRequest) resolve() (*scenario.Expansion, error) {
 // the synchronous campaign endpoint and the job subsystem: structural caps,
 // the arithmetic cardinality check against maxPoints (before anything is
 // expanded), expansion, shard selection. The cap bounds the whole
-// expansion even for a shard: a job's spool index is addressed by global
-// point index.
+// expansion even for a shard: a job's store is addressed by global point
+// index.
 func resolveSweep(kind string, raw json.RawMessage, shard string, maxPoints int) (*scenario.Expansion, scenario.IndexSet, error) {
 	var none scenario.IndexSet
 	if len(raw) == 0 {

@@ -68,10 +68,9 @@ func TestCampaignEndToEnd(t *testing.T) {
 	}
 }
 
-// A campaign's per-point records come from jobs: two shard jobs, at one
-// and at four sweep workers, stream the records a scratch-less, memo-less
-// RunPoint computes, in point order, and together aggregate to the
-// synchronous campaign's tables.
+// A campaign's per-point records come from jobs: two shard jobs stream the
+// records a scratch-less, memo-less RunPoint computes, in point order, and
+// together aggregate to the synchronous campaign's tables.
 func TestCampaignShardsRecombineThroughService(t *testing.T) {
 	s := newService(t, service.Options{Workers: 2})
 	full, err := s.Campaign(context.Background(), service.CampaignRequest{
@@ -91,63 +90,60 @@ func TestCampaignShardsRecombineThroughService(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	for _, workers := range []int{1, 4} {
-		var merged []scenario.PointResult
-		for _, shard := range []string{"1/2", "0/2"} {
-			st, err := s.SubmitJob(service.JobRequest{
-				Spec:    json.RawMessage(smallCampaignSpec),
-				Shard:   shard,
-				Workers: workers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st, err = s.WaitJob(ctx, st.ID); err != nil || st.State != service.JobDone {
-				t.Fatalf("workers=%d shard %s: %+v, %v", workers, shard, st, err)
-			}
-			var buf bytes.Buffer
-			if err := s.JobResults(st.ID, query.Query{To: query.NoLimit}, &buf); err != nil {
-				t.Fatal(err)
-			}
-			results, err := scenario.ReadJSONL(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(results) != st.Points {
-				t.Fatalf("workers=%d shard %s: %d results, want %d", workers, shard, len(results), st.Points)
-			}
-			for k, r := range results {
-				if want := e.RunPoint(e.PointAt(r.Index)); !reflect.DeepEqual(r, want) {
-					t.Fatalf("workers=%d shard %s: result %d differs from RunPoint", workers, shard, r.Index)
-				}
-				if k > 0 && results[k-1].Index >= r.Index {
-					t.Fatalf("workers=%d shard %s: results out of point order", workers, shard)
-				}
-			}
-			merged = append(merged, results...)
-		}
-		tables, err := e.Aggregate(merged)
+	var merged []scenario.PointResult
+	for _, shard := range []string{"1/2", "0/2"} {
+		st, err := s.SubmitJob(service.JobRequest{
+			Spec:  json.RawMessage(smallCampaignSpec),
+			Shard: shard,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tables) != len(full.Tables) {
-			t.Fatalf("workers=%d: %d recombined tables, campaign has %d", workers, len(tables), len(full.Tables))
+		if st, err = s.WaitJob(ctx, st.ID); err != nil || st.State != service.JobDone {
+			t.Fatalf("shard %s: %+v, %v", shard, st, err)
 		}
-		for i, tb := range tables {
-			for j, pt := range tb.Result.Points {
-				row := full.Tables[i].Rows[j]
-				got := service.CampaignRow{
-					NPTGs:          pt.NPTGs,
-					Runs:           pt.Runs,
-					Unfairness:     pt.Unfairness,
-					AvgMakespan:    pt.AvgMakespan,
-					RelMakespan:    pt.RelMakespan,
-					UnfairnessStd:  pt.UnfairnessStd,
-					RelMakespanStd: pt.RelMakespanStd,
-				}
-				if !reflect.DeepEqual(got, row) {
-					t.Fatalf("workers=%d table %d row %d: recombined shards %+v, campaign %+v", workers, i, j, got, row)
-				}
+		var buf bytes.Buffer
+		if err := s.JobResults(st.ID, query.Query{To: query.NoLimit}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		results, err := scenario.ReadJSONL(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != st.Points {
+			t.Fatalf("shard %s: %d results, want %d", shard, len(results), st.Points)
+		}
+		for k, r := range results {
+			if want := e.RunPoint(e.PointAt(r.Index)); !reflect.DeepEqual(r, want) {
+				t.Fatalf("shard %s: result %d differs from RunPoint", shard, r.Index)
+			}
+			if k > 0 && results[k-1].Index >= r.Index {
+				t.Fatalf("shard %s: results out of point order", shard)
+			}
+		}
+		merged = append(merged, results...)
+	}
+	tables, err := e.Aggregate(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != len(full.Tables) {
+		t.Fatalf("%d recombined tables, campaign has %d", len(tables), len(full.Tables))
+	}
+	for i, tb := range tables {
+		for j, pt := range tb.Result.Points {
+			row := full.Tables[i].Rows[j]
+			got := service.CampaignRow{
+				NPTGs:          pt.NPTGs,
+				Runs:           pt.Runs,
+				Unfairness:     pt.Unfairness,
+				AvgMakespan:    pt.AvgMakespan,
+				RelMakespan:    pt.RelMakespan,
+				UnfairnessStd:  pt.UnfairnessStd,
+				RelMakespanStd: pt.RelMakespanStd,
+			}
+			if !reflect.DeepEqual(got, row) {
+				t.Fatalf("table %d row %d: recombined shards %+v, campaign %+v", i, j, got, row)
 			}
 		}
 	}
@@ -155,8 +151,9 @@ func TestCampaignShardsRecombineThroughService(t *testing.T) {
 
 // A point whose generator panics fails its own request, naming the point,
 // and the service keeps serving. The sweep runs inline on the request's
-// worker, so the first point is the one that fails; the sweep pool's
-// goroutines are covered by the job test of the same name.
+// worker, so the first point is the one that fails; jobs sweep the same
+// way (the job test of the same name), and the sweep pool's goroutines
+// are covered by internal/scenario's determinism tests.
 func TestCampaignPanickingPointFailsOnlyItsRequest(t *testing.T) {
 	s := newService(t, service.Options{Workers: 1})
 	req := service.CampaignRequest{Spec: json.RawMessage(smallCampaignSpec)}
@@ -229,8 +226,8 @@ func TestCampaignLimitsDefaultAndOverride(t *testing.T) {
 }
 
 // A campaign carries no shard selector or worker count and a job no
-// progress partition: on the wire those are unknown fields, refused as bad
-// requests before they reach the service.
+// progress partition or worker count: on the wire those are unknown
+// fields, refused as bad requests before they reach the service.
 func TestRemovedRequestKnobsAreBadRequests(t *testing.T) {
 	s := newService(t, service.Options{Workers: 1})
 	h := service.Handler(s)
@@ -238,6 +235,7 @@ func TestRemovedRequestKnobsAreBadRequests(t *testing.T) {
 		{"/v1/campaign", `{"spec": ` + smallCampaignSpec + `, "shard": "0/2"}`},
 		{"/v1/campaign", `{"spec": ` + smallCampaignSpec + `, "workers": 2}`},
 		{"/v1/jobs", `{"spec": ` + smallCampaignSpec + `, "shards": 2}`},
+		{"/v1/jobs", `{"spec": ` + smallCampaignSpec + `, "workers": 2}`},
 	} {
 		w := do(h, http.MethodPost, tc.path, tc.body)
 		if w.Code != http.StatusBadRequest {

@@ -6,13 +6,14 @@ package service
 // bounded worker pool every other request shares, and returns immediately
 // with a job id. The job's progress (completed/total points) is polled,
 // its completed per-point results are streamed as JSONL with simple query
-// filters while it runs, and a delete cancels it through its context. Results are never resident: each completed point is
-// appended to a per-job spool file (one JSONL line per point, the
-// campaign wire format), and the handle keeps only the line's offset and
-// length plus a ready bit — 13 bytes per point — so job size is bounded
-// by the admission caps and spool disk, not server memory. The durable,
-// resumable on-disk counterpart of this subsystem is internal/store,
-// which ptgbench drives for kill/resume workflows.
+// filters while it runs, and a delete cancels it through its context.
+// Results are never resident: a job sweeps its points inline on the one
+// pool worker it holds and appends each result to its own one-segment
+// internal/store in a private temp directory, which keeps one bit per
+// point plus the segment's run index. Job size is therefore bounded by
+// the admission caps and disk, not server memory. A campaign that should
+// use more cores is split into more shard jobs (ptgbench -coordinate
+// -fleet-shards).
 
 import (
 	"cmp"
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -30,6 +30,7 @@ import (
 
 	"ptgsched/internal/query"
 	"ptgsched/internal/scenario"
+	"ptgsched/internal/store"
 )
 
 // Job subsystem errors and caps.
@@ -66,9 +67,6 @@ type JobRequest struct {
 	// lease a fleet coordinator dispatches to one worker. Empty runs the
 	// whole expansion.
 	Shard string `json:"shard,omitempty"`
-	// Workers bounds the job's intra-run parallelism; default 1 (a job
-	// occupies one service worker). The server clamps it to GOMAXPROCS.
-	Workers int `json:"workers,omitempty"`
 }
 
 // JobStatus is a point-in-time snapshot of one job, the payload of
@@ -105,7 +103,6 @@ type jobHandle struct {
 	e        *scenario.Expansion
 	set      scenario.IndexSet // the points this job executes
 	shardSel string            // the request's shard selector, "" for all
-	worker   int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -119,84 +116,31 @@ type jobHandle struct {
 
 	completed atomic.Int64
 
-	// The result spool: completed points are appended as JSONL lines to a
-	// temp file instead of being held resident. offs/lens locate point
-	// i's line; ready[i] publishes it to concurrent readers (release: the
-	// line and its offsets are written before the ready bit is set).
-	spoolMu     sync.Mutex
-	spool       *os.File
-	spoolEnd    int64
-	spoolClosed bool
-	offs        []int64
-	lens        []int32
-	ready       []atomic.Bool
+	// st holds the job's results: a one-segment store in the private
+	// directory dir. The job's one-slot sweep appends in index order, so
+	// the segment's append order is point order.
+	st       *store.Store
+	dir      string
+	released atomic.Bool
 }
 
-// record spools one completed point result (worker side), encoding it
-// into the calling slot's reusable line buffer (AppendJSONL is
-// byte-identical to json.Marshal plus the newline). A record arriving
-// after release (a point in flight when the job was canceled and dropped)
-// is discarded silently.
-func (h *jobHandle) record(r scenario.PointResult, buf *[]byte) error {
-	line, err := scenario.AppendJSONL((*buf)[:0], r)
-	if err != nil {
-		return err
-	}
-	*buf = line
-	h.spoolMu.Lock()
-	if h.spoolClosed {
-		h.spoolMu.Unlock()
-		return nil
-	}
-	off := h.spoolEnd
-	if _, err := h.spool.Write(line); err != nil {
-		h.spoolMu.Unlock()
-		return fmt.Errorf("service: spooling job point %d: %w", r.Index, err)
-	}
-	h.spoolEnd = off + int64(len(line))
-	h.offs[r.Index] = off
-	h.lens[r.Index] = int32(len(line))
-	h.spoolMu.Unlock()
-
-	h.ready[r.Index].Store(true) // release: readers Load before ReadAt
-	h.completed.Add(1)
-	return nil
-}
-
-// release closes and deletes the spool file; the job's results are gone.
-// Called when the job leaves the registry (cancel, eviction, Close).
+// release closes the job's store and deletes its directory; the job's
+// results are gone. Called when the job leaves the registry (cancel,
+// eviction, Close). A point in flight when the job was canceled then
+// fails to append, which runJob reports as the cancel.
 func (h *jobHandle) release() {
-	h.spoolMu.Lock()
-	defer h.spoolMu.Unlock()
-	if h.spoolClosed {
+	if h.st == nil || h.released.Swap(true) {
 		return
 	}
-	h.spoolClosed = true
-	if h.spool != nil {
-		name := h.spool.Name()
-		h.spool.Close()
-		os.Remove(name)
-	}
+	h.st.Close()
+	os.RemoveAll(h.dir)
 }
 
-// readRecord fetches point i's spooled line. ok is false when the point
-// is not ready yet; a released spool (the job was canceled, evicted or
-// the service closed mid-stream) is an error, not a skip — a client must
-// never receive a silently truncated stream that looks complete.
-func (h *jobHandle) readRecord(i int) (line []byte, ok bool, err error) {
-	if !h.ready[i].Load() {
-		return nil, false, nil
-	}
-	h.spoolMu.Lock()
-	defer h.spoolMu.Unlock()
-	if h.spoolClosed {
-		return nil, false, fmt.Errorf("%w: %q (results released mid-stream)", ErrJobNotFound, h.id)
-	}
-	line = make([]byte, h.lens[i])
-	if _, err := h.spool.ReadAt(line, h.offs[i]); err != nil {
-		return nil, false, fmt.Errorf("service: reading spooled job point %d: %w", i, err)
-	}
-	return line, true, nil
+// releasedErr is what a reader of released results gets: an error, not a
+// skip — a client must never receive a silently truncated stream that
+// looks complete.
+func (h *jobHandle) releasedErr() error {
+	return fmt.Errorf("%w: %q (results released mid-stream)", ErrJobNotFound, h.id)
 }
 
 // status snapshots the handle.
@@ -265,7 +209,7 @@ type jobRegistry struct {
 }
 
 // add registers a handle under a fresh id, evicting the oldest terminal
-// job (and its spool) if the registry is full; a registry full of live
+// job (and its results) if the registry is full; a registry full of live
 // jobs, or one whose live jobs already hold MaxJobBacklog points, refuses.
 func (reg *jobRegistry) add(h *jobHandle) (string, error) {
 	reg.mu.Lock()
@@ -313,7 +257,7 @@ func (reg *jobRegistry) get(id string) (*jobHandle, error) {
 	return h, nil
 }
 
-// remove deletes a handle from the registry and releases its spool.
+// remove deletes a handle from the registry and releases its results.
 func (reg *jobRegistry) remove(id string) {
 	reg.mu.Lock()
 	h := reg.byID[id]
@@ -337,14 +281,9 @@ func (reg *jobRegistry) list() []*jobHandle {
 }
 
 // resolve validates a job request against the structural caps and
-// MaxJobPoints, and clamps its intra-run parallelism: default 1 (a job
-// occupies one service worker), at most GOMAXPROCS.
-func (r JobRequest) resolve() (*scenario.Expansion, scenario.IndexSet, int, error) {
-	e, set, err := resolveSweep("job", r.Spec, r.Shard, MaxJobPoints)
-	if err != nil {
-		return nil, set, 0, err
-	}
-	return e, set, min(max(r.Workers, 1), runtime.GOMAXPROCS(0)), nil
+// MaxJobPoints.
+func (r JobRequest) resolve() (*scenario.Expansion, scenario.IndexSet, error) {
+	return resolveSweep("job", r.Spec, r.Shard, MaxJobPoints)
 }
 
 // SubmitJob validates, expands and enqueues an asynchronous campaign job
@@ -354,13 +293,18 @@ func (r JobRequest) resolve() (*scenario.Expansion, scenario.IndexSet, int, erro
 // or a registry full of live jobs refuses the submission. Safe for
 // concurrent use.
 func (s *Service) SubmitJob(req JobRequest) (*JobStatus, error) {
-	e, set, workers, err := req.resolve()
+	e, set, err := req.resolve()
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	spool, err := os.CreateTemp("", "ptgsched-job-*.jsonl")
+	dir, err := os.MkdirTemp("", "ptgsched-job-*")
 	if err != nil {
-		return nil, fmt.Errorf("service: creating job result spool: %w", err)
+		return nil, fmt.Errorf("service: creating job result store: %w", err)
+	}
+	st, err := store.Create(dir, e, 1)
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, fmt.Errorf("service: creating job result store: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &jobHandle{
@@ -369,15 +313,12 @@ func (s *Service) SubmitJob(req JobRequest) (*JobStatus, error) {
 		e:        e,
 		set:      set,
 		shardSel: req.Shard,
-		worker:   workers,
 		ctx:      ctx,
 		cancel:   cancel,
 		done:     make(chan struct{}),
 		state:    JobQueued,
-		spool:    spool,
-		offs:     make([]int64, e.NumPoints()),
-		lens:     make([]int32, e.NumPoints()),
-		ready:    make([]atomic.Bool, e.NumPoints()),
+		st:       st,
+		dir:      dir,
 	}
 	if _, err := s.jobs.add(h); err != nil {
 		cancel()
@@ -388,7 +329,7 @@ func (s *Service) SubmitJob(req JobRequest) (*JobStatus, error) {
 		return nil, err
 	}
 	if err := s.enqueueJob(h); err != nil {
-		s.jobs.remove(h.id) // remove releases the spool
+		s.jobs.remove(h.id) // remove releases the results
 		cancel()
 		return nil, err
 	}
@@ -422,17 +363,20 @@ func (s *Service) enqueueJob(h *jobHandle) error {
 	return nil
 }
 
-// runJob executes the sweep on a pool worker, fanning points over the
-// job's intra-run workers and spooling each result as it completes.
-// A panicking point (which the sweep converts into an error, on whichever
-// pool goroutine ran it) or a failed spool append fails the job;
-// cancellation ends it with the context's error.
+// runJob sweeps the job's points inline on the pool worker it holds, as
+// a synchronous campaign does, appending each result to the job's store.
+// A panicking point (which the sweep converts into an error) or a failed
+// append fails the job; cancellation ends it with the context's error,
+// even when the cancel's release made the in-flight point's append fail.
 func (s *Service) runJob(h *jobHandle) error {
 	h.setState(JobRunning, nil)
-	o := scenario.SweepOptions{Workers: h.worker, Memo: s.memoFor(h.e), Context: h.ctx}
-	bufs := make([][]byte, o.Slots(h.set.Len()))
-	err := h.e.Sweep(h.set, o, func(slot int, r scenario.PointResult) error {
-		return h.record(r, &bufs[slot])
+	o := scenario.SweepOptions{Workers: 1, Memo: s.memoFor(h.e), Context: h.ctx}
+	err := h.e.Sweep(h.set, o, func(_ int, r scenario.PointResult) error {
+		if err := h.st.Append(r); err != nil {
+			return err
+		}
+		h.completed.Add(1)
+		return nil
 	})
 	if s.opts.Cache != nil {
 		// Seal the cache segment after each job so sibling workers
@@ -441,10 +385,10 @@ func (s *Service) runJob(h *jobHandle) error {
 		// failure costs durability of the seal, not the job.
 		_ = s.opts.Cache.Sync()
 	}
-	if err != nil {
-		return err
+	if ctxErr := h.ctx.Err(); ctxErr != nil {
+		return ctxErr
 	}
-	return h.ctx.Err()
+	return err
 }
 
 // JobStatusByID snapshots one job's progress.
@@ -504,15 +448,17 @@ func (s *Service) WaitJob(ctx context.Context, id string) (*JobStatus, error) {
 // JobResults streams the job's completed results as JSONL — one
 // scenario.PointResult per line, in global point order — applying the
 // query's filters (query.Query{To: query.NoLimit} selects them all). The
-// query compiles to a plan (internal/query) that resolves the
-// family/strategy/range predicate to the minimal contiguous index ranges,
-// so the walk visits only selected indices instead of every point of the
-// expansion. Lines are read back from the job's result spool file
-// (nothing is resident server-side); records needing no projection are
-// relayed byte-for-byte, and the strategy projection re-marshals through
-// the same bit-exact wire encoding, so a client can resume aggregation
-// later. It may be called while the job is still running: it streams
-// whatever has completed so far. Safe for concurrent use.
+// query compiles to a plan (internal/query) that the job's store answers
+// by reading only the byte runs whose points can match, in append order,
+// which is point order because the job is one inline sweep. Each record
+// is re-encoded through the same bit-exact wire encoding it was appended
+// with, so unprojected lines are byte-identical to the appended ones and
+// a client can resume aggregation later; a malformed record under a
+// strategy projection surfaces as query.ErrMalformedRecord. It may be
+// called while the job is still running: it streams whatever has
+// completed so far. Results released mid-stream (the job was canceled,
+// evicted or the service closed) are an ErrJobNotFound error. Safe for
+// concurrent use.
 func (s *Service) JobResults(id string, q query.Query, w io.Writer) error {
 	h, err := s.jobs.get(id)
 	if err != nil {
@@ -526,38 +472,24 @@ func (s *Service) JobResults(id string, q query.Query, w io.Writer) error {
 		// stream.
 		return s.invalid(err)
 	}
-	return p.EachRange(func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if !h.set.Contains(i) {
-				continue // not part of this job's shard
-			}
-			line, ok, err := h.readRecord(i)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if p.ProjectColumn(h.e.CellOf(i)) >= 0 {
-				// Parse converts only the projected column, and validates
-				// the record's cell and column count before slicing: a
-				// malformed spool record (torn, foreign, or short)
-				// surfaces as query.ErrMalformedRecord instead of
-				// panicking mid-stream.
-				r, err := p.Parse(line)
-				if err != nil {
-					return err
-				}
-				if line, err = scenario.AppendJSONL(line[:0], r); err != nil {
-					return err
-				}
-			}
-			if _, err := w.Write(line); err != nil {
-				return err
-			}
+	var line []byte
+	_, err = h.st.Query(p, func(r scenario.PointResult) error {
+		if h.released.Load() {
+			return h.releasedErr()
 		}
-		return nil
+		var err error
+		if line, err = scenario.AppendJSONL(line[:0], r); err != nil {
+			return err
+		}
+		_, err = w.Write(line)
+		return err
 	})
+	if h.released.Load() {
+		// Also the error of a store whose segment was removed before the
+		// query opened it.
+		return h.releasedErr()
+	}
+	return err
 }
 
 // resolveSpecCaps parses the spec and applies the structural caps (NPTGs,

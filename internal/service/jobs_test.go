@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -28,9 +30,9 @@ const jobSpec = `{
 	"families": [{"family": "strassen"}]
 }`
 
-func submitSmokeJob(t *testing.T, s *Service, workers int) *JobStatus {
+func submitSmokeJob(t *testing.T, s *Service) *JobStatus {
 	t.Helper()
-	st, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(jobSpec), Workers: workers})
+	st, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(jobSpec)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +40,10 @@ func submitSmokeJob(t *testing.T, s *Service, workers int) *JobStatus {
 }
 
 func TestJobRoundTrip(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		testJobRoundTrip(t, workers)
-	}
-}
-
-func testJobRoundTrip(t *testing.T, workers int) {
 	s := New(Options{Workers: 2})
 	defer s.Close()
 
-	st := submitSmokeJob(t, s, workers)
+	st := submitSmokeJob(t, s)
 	if st.ID == "" || st.Points != 8 {
 		t.Fatalf("initial status %+v", st)
 	}
@@ -66,7 +62,7 @@ func testJobRoundTrip(t *testing.T, workers int) {
 	if err := s.JobResults(st.ID, query.Query{To: query.NoLimit}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	spooled := append([]byte(nil), buf.Bytes()...)
+	streamed := append([]byte(nil), buf.Bytes()...)
 	results, err := scenario.ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +72,8 @@ func testJobRoundTrip(t *testing.T, workers int) {
 	}
 	spec, _ := scenario.ParseSpec([]byte(jobSpec))
 	e, _ := scenario.Expand(spec)
-	// The spooled lines are relayed byte for byte, in point order: each
-	// must be json.Marshal of what a scratch-less, memo-less RunPoint
-	// computes, however many sweep workers filled the spool.
+	// The stored lines come back byte for byte, in point order: each must
+	// be json.Marshal of what a scratch-less, memo-less RunPoint computes.
 	var wantLines bytes.Buffer
 	for i := 0; i < e.NumPoints(); i++ {
 		line, err := json.Marshal(e.RunPoint(e.PointAt(i)))
@@ -88,8 +83,8 @@ func testJobRoundTrip(t *testing.T, workers int) {
 		wantLines.Write(line)
 		wantLines.WriteByte('\n')
 	}
-	if !bytes.Equal(spooled, wantLines.Bytes()) {
-		t.Fatalf("workers=%d: spooled lines differ from json.Marshal(RunPoint)", workers)
+	if !bytes.Equal(streamed, wantLines.Bytes()) {
+		t.Fatal("streamed lines differ from json.Marshal(RunPoint)")
 	}
 	direct, err := e.Run(e.All(), scenario.SweepOptions{})
 	if err != nil {
@@ -117,52 +112,47 @@ func testJobRoundTrip(t *testing.T, workers int) {
 	}
 }
 
-// A point whose generator panics fails its job, naming the point — inline
-// or on the sweep pool's goroutines — and the service keeps serving.
+// A point whose generator panics fails its job, naming the point, and the
+// service keeps serving.
 func TestJobPanickingPointFailsOnlyItsJob(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		s := New(Options{Workers: 1})
-		// Hold the only service worker so the job sits queued while its
-		// expansion is given a generator no JSON spec can ask for.
-		release := make(chan struct{})
-		held := make(chan error, 1)
-		go func() { held <- s.SubmitTestJob(context.Background(), release) }()
-		for s.Stats().InFlight == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		st := submitSmokeJob(t, s, workers)
-		h, err := s.jobs.get(st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.e.Cells[0].Config.Gen = func(*dag.Graph, *rand.Rand) { panic("degenerate scenario") }
-		close(release)
-		if err := <-held; err != nil {
-			t.Fatal(err)
-		}
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	// Hold the only service worker so the job sits queued while its
+	// expansion is given a generator no JSON spec can ask for.
+	release := make(chan struct{})
+	held := make(chan error, 1)
+	go func() { held <- s.SubmitTestJob(context.Background(), release) }()
+	for s.Stats().InFlight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	st := submitSmokeJob(t, s)
+	h, err := s.jobs.get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.e.Cells[0].Config.Gen = func(*dag.Graph, *rand.Rand) { panic("degenerate scenario") }
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
 
-		final, err := s.WaitJob(context.Background(), st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if final.State != JobFailed || !strings.Contains(final.Error, "panicked") {
-			t.Fatalf("workers=%d: final status %+v, want a failed job with a panic conversion", workers, final)
-		}
-		if workers == 1 && !strings.Contains(final.Error, "point 0 panicked") {
-			t.Fatalf("inline job error %q does not name point 0", final.Error)
-		}
-		again := submitSmokeJob(t, s, 0)
-		if final, err := s.WaitJob(context.Background(), again.ID); err != nil || final.State != JobDone {
-			t.Fatalf("workers=%d: job after the panic: %+v, %v", workers, final, err)
-		}
-		s.Close()
+	final, err := s.WaitJob(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != JobFailed || !strings.Contains(final.Error, "point 0 panicked") {
+		t.Fatalf("final status %+v, want a failed job naming the panic of point 0", final)
+	}
+	again := submitSmokeJob(t, s)
+	if final, err := s.WaitJob(context.Background(), again.ID); err != nil || final.State != JobDone {
+		t.Fatalf("job after the panic: %+v, %v", final, err)
 	}
 }
 
 func TestJobResultFilters(t *testing.T) {
 	s := New(Options{Workers: 2})
 	defer s.Close()
-	st := submitSmokeJob(t, s, 0)
+	st := submitSmokeJob(t, s)
 	if _, err := s.WaitJob(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +216,8 @@ func TestJobCancelWhileQueued(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
 
-	j1 := submitSmokeJob(t, s, 0)
-	j2 := submitSmokeJob(t, s, 0)
+	j1 := submitSmokeJob(t, s)
+	j2 := submitSmokeJob(t, s)
 
 	st, err := s.CancelJob(j2.ID)
 	if err != nil {
@@ -281,7 +271,7 @@ func TestJobHTTPRoundTrip(t *testing.T) {
 	defer srv.Close()
 
 	// Submit.
-	body := `{"spec": ` + jobSpec + `, "workers": 2}`
+	body := `{"spec": ` + jobSpec + `}`
 	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +374,7 @@ func TestJobQueueFullRefusesSubmission(t *testing.T) {
 	defer s.Close()
 
 	// One running, one queued: the queue is now full.
-	submitSmokeJob(t, s, 0)
+	submitSmokeJob(t, s)
 	waitForQueueFull := func() bool {
 		for i := 0; i < 100; i++ {
 			if _, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(jobSpec)}); err == nil {
@@ -406,7 +396,7 @@ func TestJobQueueFullRefusesSubmission(t *testing.T) {
 func TestJobStatsKind(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
-	st := submitSmokeJob(t, s, 0)
+	st := submitSmokeJob(t, s)
 	if _, err := s.WaitJob(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -469,6 +459,183 @@ func TestJobRegistryOrdersPastAMillionJobs(t *testing.T) {
 	for i, h := range hs {
 		if want := ids[3+i]; h.id != want {
 			t.Fatalf("list()[%d] = %s, want %s (admission order)", i, h.id, want)
+		}
+	}
+}
+
+// A queued job holds its store's done bitmap — one bit per point — and no
+// per-point table: a 2²⁰-point job waiting behind a held worker adds well
+// under 1 MB of heap.
+func TestQueuedJobHeapIsOneBitPerPoint(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	release := make(chan struct{})
+	held := make(chan error, 1)
+	go func() { held <- s.SubmitTestJob(context.Background(), release) }()
+	for s.Stats().InFlight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	defer func() {
+		close(release)
+		if err := <-held; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	spec := `{"seed":1,"reps":262144,"nptgs":[2,3,4,5],"platforms":["lille"],"families":[{"family":"strassen"}]}`
+	st, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if st.Points != 1<<20 || st.State != JobQueued {
+		t.Fatalf("status %+v, want a queued job of 2^20 points", st)
+	}
+	mb := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 1e6
+	t.Logf("a queued 2^20-point job holds %.2f MB of heap", mb)
+	if mb >= 1 {
+		t.Fatalf("a queued 2^20-point job holds %.2f MB of heap, want < 1 MB", mb)
+	}
+	if _, err := s.CancelJob(st.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A job canceled mid-sweep ends canceled and counts as expired, not
+// failed, although its in-flight point may fail to append into the store
+// the cancel already released.
+func TestJobCanceledMidSweepIsExpired(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	spec := `{"name":"long","seed":1,"reps":2000,"nptgs":[2],"platforms":["lille"],"families":[{"family":"strassen"}]}`
+	st, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.jobs.get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for h.completed.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the job completed no point")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	before := s.Stats()
+	if _, err := s.CancelJob(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-h.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the canceled job did not settle")
+	}
+	final := h.status()
+	if final.State != JobCanceled || final.Completed == final.Points {
+		t.Fatalf("final status %+v, want canceled mid-sweep", final)
+	}
+	if after := s.Stats(); after.Expired != before.Expired+1 || after.Failed != before.Failed {
+		t.Fatalf("accounting %+v after %+v, want one more expired and no failure", after, before)
+	}
+}
+
+// A job's results live in a ptgsched-job-* directory under the temp
+// directory; canceling the job or closing the service removes it, also
+// when the drain runs out of grace.
+func TestJobStoreDirectoriesAreRemoved(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	left := func() []string {
+		t.Helper()
+		dirs, err := filepath.Glob(filepath.Join(tmp, "ptgsched-job-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dirs
+	}
+	s := New(Options{Workers: 1})
+	done := submitSmokeJob(t, s)
+	if _, err := s.WaitJob(context.Background(), done.ID); err != nil {
+		t.Fatal(err)
+	}
+	if dirs := left(); len(dirs) != 1 {
+		t.Fatalf("job directories %v, want the finished job's one", dirs)
+	}
+	if _, err := s.CancelJob(done.ID); err != nil {
+		t.Fatal(err)
+	}
+	if dirs := left(); len(dirs) != 0 {
+		t.Fatalf("CancelJob left %v", dirs)
+	}
+
+	submitSmokeJob(t, s)
+	submitSmokeJob(t, s)
+	s.Close()
+	if dirs := left(); len(dirs) != 0 {
+		t.Fatalf("Close left %v", dirs)
+	}
+
+	// A worker stuck past the grace leaves the queued job's results
+	// released all the same.
+	s = New(Options{Workers: 1})
+	release := make(chan struct{})
+	held := make(chan error, 1)
+	go func() { held <- s.SubmitTestJob(context.Background(), release) }()
+	for s.Stats().InFlight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	submitSmokeJob(t, s)
+	if stuck := s.CloseGrace(10 * time.Millisecond); stuck == 0 {
+		t.Fatal("CloseGrace reported a clean drain with a held worker")
+	}
+	if dirs := left(); len(dirs) != 0 {
+		t.Fatalf("CloseGrace past its grace left %v", dirs)
+	}
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// Results released while a reader streams them, or before it opens the
+// store's segment, are an ErrJobNotFound error, never a stream that
+// silently stops short.
+func TestJobResultsAfterReleaseAreNotFound(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	st := submitSmokeJob(t, s)
+	if _, err := s.WaitJob(context.Background(), st.ID); err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.jobs.get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	releaseAfterFirst := writerFunc(func(p []byte) (int, error) {
+		lines++
+		h.release()
+		return len(p), nil
+	})
+	for _, phase := range []string{"mid-stream", "before the segment is opened"} {
+		err := s.JobResults(st.ID, query.Query{To: query.NoLimit}, releaseAfterFirst)
+		if !errors.Is(err, ErrJobNotFound) || !strings.Contains(err.Error(), "released mid-stream") {
+			t.Fatalf("released %s: err = %v, want ErrJobNotFound (results released mid-stream)", phase, err)
+		}
+		if lines != 1 {
+			t.Fatalf("released %s: %d lines streamed, want the one before the release", phase, lines)
 		}
 	}
 }

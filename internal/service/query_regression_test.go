@@ -1,7 +1,7 @@
 package service
 
 // Regression coverage for the result-query path hardening:
-//   - a malformed spool record (fewer strategy columns than its cell
+//   - a malformed stored record (fewer strategy columns than its cell
 //     declares) must classify, not panic the projection slice;
 //   - an explicit `to=0` is the empty range, not the whole campaign, and
 //     `from ≥ NumPoints` is a 400, not an empty 200;
@@ -26,22 +26,26 @@ import (
 )
 
 // TestJobResultsMalformedSpoolRecordClassifies plants a short-column
-// record in a finished job's spool — the footprint of a torn or foreign
+// record in a finished job's store — the footprint of a torn or foreign
 // writer — and asks for a strategy projection. The pre-fix code sliced
 // r.Unfairness[k:k+1] unchecked and panicked; it must instead surface
 // query.ErrMalformedRecord.
 func TestJobResultsMalformedSpoolRecordClassifies(t *testing.T) {
 	s := New(Options{Workers: 2})
 	defer s.Close()
-	st := submitSmokeJob(t, s, 0)
+	// Shard 0/2 runs the even points, so the store has room for point 3.
+	st, err := s.SubmitJob(JobRequest{Spec: json.RawMessage(jobSpec), Shard: "0/2"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := s.WaitJob(ctx, st.ID); err != nil {
 		t.Fatal(err)
 	}
 
-	// Overwrite point 3's spool entry with a record carrying a single
-	// strategy column; the strassen cells declare six.
+	// Append a record for point 3 carrying a single strategy column; the
+	// strassen cells declare six.
 	h, err := s.jobs.get(st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +54,7 @@ func TestJobResultsMalformedSpoolRecordClassifies(t *testing.T) {
 		Index: 3, Cell: h.e.CellOf(3), Name: h.e.PointAt(3).Name,
 		Unfairness: []float64{1}, Makespan: []float64{2}, Rel: []float64{3},
 	}
-	if err := h.record(bad, new([]byte)); err != nil {
+	if err := h.st.Append(bad); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,7 +66,7 @@ func TestJobResultsMalformedSpoolRecordClassifies(t *testing.T) {
 	if !errors.Is(err, query.ErrMalformedRecord) {
 		t.Fatalf("err = %v, want query.ErrMalformedRecord", err)
 	}
-	// Unprojected streaming relays raw lines and is unaffected.
+	// Unprojected streaming re-encodes whole records and is unaffected.
 	buf.Reset()
 	if err := s.JobResults(st.ID, query.Query{To: query.NoLimit}, &buf); err != nil {
 		t.Fatalf("unprojected JobResults: %v", err)
@@ -77,7 +81,7 @@ func TestJobResultsExplicitEmptyRangeAndFromBeyondEnd(t *testing.T) {
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
 
-	st := submitSmokeJob(t, s, 0)
+	st := submitSmokeJob(t, s)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := s.WaitJob(ctx, st.ID); err != nil {

@@ -337,13 +337,13 @@ func TestSharedPresetsStayUnchanged(t *testing.T) {
 }
 
 // sharedIdleSpec is a job of 800 static points on two sites and two
-// families, far more than its two sweep slots finish while the requests
-// beside it run; it is canceled once they are answered.
+// families, far more than its sweep finishes while the requests beside it
+// run; it is canceled once they are answered.
 const sharedIdleSpec = `{"name":"shared-idle","seed":17,"reps":100,"nptgs":[3,6],"platforms":["lille","rennes"],
 	"families":[{"family":"random"},{"family":"strassen"}]}`
 
 // Requests and sweeps borrow from, and park into, one idle set: in each of
-// two rounds, a two-worker service runs a two-slot job on one worker while
+// two rounds, a two-worker service runs a job's sweep on one worker while
 // schedule and online requests run on the other, and closing the service
 // parks its workers' scratches beside the ones the sweep parked, for the
 // next round's workers and slots to borrow. Every response equals a fresh
@@ -372,7 +372,7 @@ func TestRequestsAndSweepsShareTheIdleSet(t *testing.T) {
 // every record the job has streamed by then; then it cancels the job.
 func requestsBesideAJob(t *testing.T, s *service.Service, e *scenario.Expansion) {
 	t.Helper()
-	st, err := s.SubmitJob(service.JobRequest{Spec: json.RawMessage(sharedIdleSpec), Workers: 2})
+	st, err := s.SubmitJob(service.JobRequest{Spec: json.RawMessage(sharedIdleSpec)})
 	if err != nil {
 		t.Fatal(err)
 	}

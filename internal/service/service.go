@@ -181,10 +181,10 @@ func (s *Service) Close() {
 // request whose client gave up), and waits at most grace for the workers
 // to finish — grace ≤ 0 waits without bound, exactly Close. It returns
 // the number of requests still executing when the deadline passed; 0
-// means the drain was clean and every spool was released. A nonzero
-// return means some worker is still burning CPU on an uncancellable
-// request — the caller is expected to be exiting the process, which is
-// the only way to reclaim it. Idempotent: later calls (including a
+// means the drain was clean. Every job's results are released either
+// way. A nonzero return means some worker is still burning CPU on an
+// uncancellable request — the caller is expected to be exiting the
+// process, which is the only way to reclaim it. Idempotent: later calls (including a
 // bounded call after an unbounded one already returned) re-wait on the
 // same drained state and return 0.
 func (s *Service) CloseGrace(grace time.Duration) int {
@@ -209,23 +209,22 @@ func (s *Service) CloseGrace(grace time.Duration) int {
 	if grace > 0 {
 		timeout = time.After(grace)
 	}
+	stuck := 0
 	select {
 	case <-drained:
 	case <-timeout:
 		select {
 		case <-drained: // drained at the wire: fall through, clean
 		default:
-			// Workers still running: report how many, leave their spools
-			// alone (a worker may hold the spool mutex mid-append; the
-			// process is exiting anyway).
-			return max(1, int(s.stats.inFlight.Load()))
+			stuck = max(1, int(s.stats.inFlight.Load()))
 		}
 	}
-	// Jobs are not queryable after Close; drop every result spool.
+	// Jobs are not queryable after Close; drop every job's results. A job
+	// still sweeping fails its next append and ends as canceled.
 	for _, h := range s.jobs.list() {
 		h.release()
 	}
-	return 0
+	return stuck
 }
 
 // worker executes queued jobs until the queue closes, on a scratch it
