@@ -29,9 +29,6 @@ type (
 	// FleetStats bundles counters and progress — the payload of the
 	// coordinator's own /v1/stats endpoint.
 	FleetStats = coord.FleetStats
-	// WorkerClient is the hardened client to one ptgserve worker, usable
-	// on its own for scripted job control.
-	WorkerClient = coord.Client
 	// WorkerStatusError is a non-2xx worker response the retry loop did
 	// not (or could not) retry away.
 	WorkerStatusError = coord.StatusError
@@ -42,9 +39,4 @@ type (
 // full URLs).
 func NewFleetCoordinator(specJSON []byte, workers []string, opts FleetOptions) (*FleetCoordinator, error) {
 	return coord.New(specJSON, workers, opts)
-}
-
-// NewWorkerClient returns a hardened HTTP client for one worker address.
-func NewWorkerClient(base string, opts FleetClientOptions) (*WorkerClient, error) {
-	return coord.NewClient(base, opts)
 }

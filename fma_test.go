@@ -2,14 +2,11 @@ package ptgsched_test
 
 import (
 	"go/ast"
-	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,48 +27,25 @@ var resultPackages = []string{
 // architectures. Go may fuse x*y + z into one FMA instruction (arm64,
 // ppc64le, s390x, riscv64 do), whose single rounding differs from amd64's
 // two in the last bit; an explicit float64(x*y) conversion forbids the
-// fusion. The scan type-checks every non-test file of resultPackages and
-// fails on a float addition or subtraction (compound assignments
-// included) with an operand that is an unconverted float product, or a
-// variable some assignment gives one — the spec's "t = x*y; r = t + z".
+// fusion. The scan reads every non-test file of resultPackages from the
+// package's one typed pass (scan_test.go) and fails on a float addition or
+// subtraction (compound assignments included) with an operand that is an
+// unconverted float product, or a variable some assignment gives one —
+// the spec's "t = x*y; r = t + z".
 func TestNoFusableMultiplyAdd(t *testing.T) {
-	// The source importer type-checks the standard library through
-	// build.Default. Without cgo, net (which service reaches through
-	// net/http) type-checks from its pure-Go files, which declare the same
-	// API; with it, a GOARCH=386 run on an amd64 host needs a 32-bit C
-	// toolchain.
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	for _, dir := range resultPackages {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
+	tree := loadSource(t)
+	scanned := 0
+	for _, sp := range tree.pkgs {
+		if !slices.Contains(resultPackages, sp.dir) {
+			continue
 		}
-		var files []*ast.File
-		for _, ent := range ents {
-			name := ent.Name()
-			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
+		scanned++
+		for _, pos := range fusable(sp.files, sp.info) {
+			t.Errorf("%s: float multiply-add may fuse; write float64(x*y)", tree.fset.Position(pos))
 		}
-		info := &types.Info{
-			Types: make(map[ast.Expr]types.TypeAndValue),
-			Defs:  make(map[*ast.Ident]types.Object),
-			Uses:  make(map[*ast.Ident]types.Object),
-		}
-		conf := types.Config{Importer: imp}
-		if _, err := conf.Check("ptgsched/"+dir, fset, files, info); err != nil {
-			t.Fatalf("type-checking %s: %v", dir, err)
-		}
-		for _, pos := range fusable(files, info) {
-			t.Errorf("%s: float multiply-add may fuse; write float64(x*y)", fset.Position(pos))
-		}
+	}
+	if scanned != len(resultPackages) {
+		t.Fatalf("scanned %d of the %d result packages", scanned, len(resultPackages))
 	}
 }
 

@@ -218,3 +218,19 @@ func TestClientJobResultsRetry(t *testing.T) {
 		})
 	}
 }
+
+// TestStatusErrorText: a worker's answer reads with its envelope when the
+// worker sent one, and as the bare status otherwise.
+func TestStatusErrorText(t *testing.T) {
+	for _, tc := range []struct {
+		err  *StatusError
+		want string
+	}{
+		{&StatusError{Status: 400, Code: "bad_request", Message: "unknown field"}, "coord: worker answered 400 (bad_request): unknown field"},
+		{&StatusError{Status: 502}, "coord: worker answered 502"},
+	} {
+		if got := tc.err.Error(); got != tc.want {
+			t.Errorf("got %q, want %q", got, tc.want)
+		}
+	}
+}

@@ -243,8 +243,15 @@ func (c *Coordinator) logf(format string, args ...any) {
 // bit-identical to an unsharded local run. It returns an error when the
 // context dies, when a shard exhausts maxShardAttempts, or when every
 // worker is unreachable and a probe round revives none — never by
-// hanging. Call it once per Coordinator.
+// hanging. Call it once per Coordinator. However the context's death is
+// noticed — between polls, or inside a dispatch or a poll — every running
+// lease's job is canceled on its worker before Run returns.
 func (c *Coordinator) Run(ctx context.Context) ([]scenario.Table, error) {
+	defer func() {
+		if ctx.Err() != nil {
+			c.cancelRunning()
+		}
+	}()
 	c.agg = c.e.NewAggregator()
 	if err := c.seedFromCache(); err != nil {
 		return nil, err
@@ -258,7 +265,6 @@ func (c *Coordinator) Run(ctx context.Context) ([]scenario.Table, error) {
 		}
 		select {
 		case <-ctx.Done():
-			c.cancelRunning()
 			return nil, ctx.Err()
 		case <-time.After(c.opts.PollInterval):
 		}
@@ -594,8 +600,8 @@ func (c *Coordinator) allDeadError() error {
 		len(c.workers), addrs, pending, len(c.leases))
 }
 
-// cancelRunning best-effort cancels every running lease's job (used when
-// the caller's context dies).
+// cancelRunning best-effort cancels every running lease's job (Run calls
+// it when the caller's context dies).
 func (c *Coordinator) cancelRunning() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()

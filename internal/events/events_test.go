@@ -184,3 +184,23 @@ func TestGenerateScriptedAndWorkloadEvents(t *testing.T) {
 		t.Fatalf("generated timeline:\n  got  %v\n  want %v", tl, want)
 	}
 }
+
+// TestKindAndEventStrings pins the text a timeline prints: every kind's
+// name, an unknown kind, and each of Event.String's three shapes.
+func TestKindAndEventStrings(t *testing.T) {
+	for _, tc := range []struct{ got, want string }{
+		{events.ClusterDown.String(), "cluster-down"},
+		{events.ClusterUp.String(), "cluster-up"},
+		{events.SpeedChange.String(), "speed-change"},
+		{events.Cancel.String(), "cancel"},
+		{events.Resubmit.String(), "resubmit"},
+		{events.Kind(99).String(), "Kind(99)"},
+		{events.Event{At: 1.5, Kind: events.ClusterDown, Cluster: 2}.String(), "t=1.5 cluster-down cluster 2"},
+		{events.Event{At: 3, Kind: events.SpeedChange, Cluster: 1, Factor: 0.5}.String(), "t=3 speed-change cluster 1 ×0.5"},
+		{events.Event{At: 4, Kind: events.Cancel, App: 7}.String(), "t=4 cancel app 7"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("got %q, want %q", tc.got, tc.want)
+		}
+	}
+}

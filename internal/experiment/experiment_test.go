@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -116,5 +117,14 @@ func TestDefaultsFillPaperProtocol(t *testing.T) {
 	}
 	if cfg.Reps*len(cfg.Platforms) != 100 {
 		t.Error("runs per point != 100")
+	}
+}
+
+func TestResultString(t *testing.T) {
+	cfg := Config{Family: daggen.FamilyFFT, Reps: 3, Platforms: platform.Grid5000Sites()}.Defaults()
+	r := &Result{Config: cfg, Points: make([]Point, 5)}
+	want := fmt.Sprintf("experiment(fft, %d strategies, 5 points, 12 runs/point)", len(cfg.Strategies))
+	if got := r.String(); got != want {
+		t.Fatalf("got %q, want %q", got, want)
 	}
 }

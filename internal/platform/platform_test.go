@@ -175,3 +175,10 @@ func TestReferenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestClusterString(t *testing.T) {
+	c := &Cluster{Name: "chti", Procs: 20, Speed: 4.311}
+	if got, want := c.String(), "chti(20 procs @ 4.311 GFlop/s)"; got != want {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+}

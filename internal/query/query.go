@@ -279,24 +279,6 @@ func (p *Plan) Project(r scenario.PointResult) (scenario.PointResult, error) {
 	}, nil
 }
 
-// Parse reads one record line as scenario.ParseJSONL followed by Project
-// does — the same record, or the same error — converting only the column
-// the projection keeps (scenario.RecordHead.Keep), and falling back to
-// exactly that pair for any line the projected direct path refuses.
-func (p *Plan) Parse(line []byte) (scenario.PointResult, error) {
-	h := scenario.ParseHead(line)
-	if p.stratCol == nil || (h.Cell >= 0 && h.Cell < len(p.stratCol)) {
-		if r, ok := h.Keep(p.ProjectColumn(h.Cell)); ok {
-			return r, nil
-		}
-	}
-	r, err := scenario.ParseJSONL(line)
-	if err != nil {
-		return r, err
-	}
-	return p.Project(r)
-}
-
 // CompileCached is Compile.
 //
 // Deprecated: plans are compiled per call; use Compile.

@@ -2,7 +2,8 @@ package scenario_test
 
 // The projected direct path (ParseHead + RecordHead.Keep) against the
 // pair it stands in for, ParseJSONL followed by query.Plan.Project. It is
-// an external test so that it can compile real plans.
+// an external test so that it can compile real plans and read a column
+// the way Store.Query does, through Plan.ProjectColumn.
 
 import (
 	"math"
@@ -111,12 +112,11 @@ func projectedSeeds(tb testing.TB, e *scenario.Expansion) [][]byte {
 }
 
 // FuzzProjectedParseMatchesParseJSONL: for any bytes and any column
-// choice — none, each column, past the end, or a compiled plan's
-// projection — the projected direct path accepts only lines ParseJSONL
-// accepts, keeps exactly what Project would cut from ParseJSONL's record,
-// and is taken wherever the full direct path is and the column exists.
-// Through query.Plan.Parse, the fallback included, the record or error
-// text equals ParseJSONL then Project on every input.
+// choice — none, each column, past the end, or the column a compiled
+// plan's projection picks for the line's cell, as Store.Query picks it —
+// the projected direct path accepts only lines ParseJSONL accepts, keeps
+// exactly what Project would cut from ParseJSONL's record, and is taken
+// wherever the full direct path is and the column exists.
 func FuzzProjectedParseMatchesParseJSONL(f *testing.F) {
 	e, plans := projectedFixture(f)
 	for _, line := range projectedSeeds(f, e) {
@@ -126,21 +126,21 @@ func FuzzProjectedParseMatchesParseJSONL(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line []byte, choice uint8) {
 		c := int(choice) % (maxColumn + 2 + len(plans))
-		if c > maxColumn+1 {
-			requirePlanParse(t, plans[c-maxColumn-2], line)
-			return
+		switch {
+		case c == 0:
+			requireKeep(t, line, scenario.NoColumn)
+		case c <= maxColumn+1:
+			requireKeep(t, line, c-1)
+		default:
+			requireKeep(t, line, plans[c-maxColumn-2].ProjectColumn(scenario.ParseHead(line).Cell))
 		}
-		requireKeep(t, line, c-1) // c == 0: no column
 	})
 }
 
-// requireKeep checks Keep(col) for col in [-1, maxColumn], -1 standing
-// for NoColumn, against ParseJSONL and the full direct path.
+// requireKeep checks Keep(col) for col NoColumn, AllColumns or in
+// [0, maxColumn] against ParseJSONL and the full direct path.
 func requireKeep(t *testing.T, line []byte, col int) {
 	t.Helper()
-	if col < 0 {
-		col = scenario.NoColumn
-	}
 	h := scenario.ParseHead(line)
 	got, ok := h.Keep(col)
 	full := scenario.ParseHead(line)
@@ -149,7 +149,7 @@ func requireKeep(t *testing.T, line []byte, col int) {
 	if fullOK && (err != nil || !reflect.DeepEqual(fullRec, want) || !sameBits(fullRec, want)) {
 		t.Fatalf("%q: the full direct path reads %#v, ParseJSONL %#v, %v", line, fullRec, want, err)
 	}
-	has := fullOK && (col == scenario.NoColumn ||
+	has := fullOK && (col < 0 ||
 		col < len(want.Unfairness) && col < len(want.Makespan) && col < len(want.Rel))
 	if ok != has {
 		t.Fatalf("%q, column %d: direct path %v, want %v (full direct path %v)", line, col, ok, has, fullOK)
@@ -160,32 +160,21 @@ func requireKeep(t *testing.T, line []byte, col int) {
 	if got.Index != want.Index || got.Cell != want.Cell {
 		t.Fatalf("%q: head %d/%d, ParseJSONL %d/%d", line, got.Index, got.Cell, want.Index, want.Cell)
 	}
-	if col == scenario.NoColumn {
+	var cut scenario.PointResult
+	switch col {
+	case scenario.NoColumn:
 		if got.Name != "" || got.Unfairness != nil || got.Makespan != nil || got.Rel != nil {
 			t.Fatalf("%q: no column kept %#v", line, got)
 		}
 		return
+	case scenario.AllColumns:
+		cut = want
+	default:
+		cut = scenario.PointResult{Index: want.Index, Cell: want.Cell, Name: want.Name,
+			Unfairness: want.Unfairness[col : col+1], Makespan: want.Makespan[col : col+1], Rel: want.Rel[col : col+1]}
 	}
-	cut := scenario.PointResult{Index: want.Index, Cell: want.Cell, Name: want.Name,
-		Unfairness: want.Unfairness[col : col+1], Makespan: want.Makespan[col : col+1], Rel: want.Rel[col : col+1]}
 	if !reflect.DeepEqual(got, cut) || !sameBits(got, cut) {
 		t.Fatalf("%q, column %d:\n got %#v\nwant %#v", line, col, got, cut)
-	}
-}
-
-// requirePlanParse checks Plan.Parse against ParseJSONL then Project.
-func requirePlanParse(t *testing.T, p *query.Plan, line []byte) {
-	t.Helper()
-	got, gerr := p.Parse(line)
-	want, werr := scenario.ParseJSONL(line)
-	if werr == nil {
-		want, werr = p.Project(want)
-	}
-	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
-		t.Fatalf("%q, plan %q: error %v, ParseJSONL+Project says %v", line, p.Query().Strategy, gerr, werr)
-	}
-	if !reflect.DeepEqual(got, want) || !sameBits(got, want) {
-		t.Fatalf("%q, plan %q:\n got %#v\nwant %#v", line, p.Query().Strategy, got, want)
 	}
 }
 
@@ -205,15 +194,17 @@ func sameBits(a, b scenario.PointResult) bool {
 }
 
 // TestProjectedParseSeeds runs the fuzzer's property over every seed and
-// every column choice, so the plain test run covers them all.
+// every column a reader can ask for — NoColumn, AllColumns (what a plan
+// without a projection picks) and [0, maxColumn] — so the plain test run
+// covers them all.
 func TestProjectedParseSeeds(t *testing.T) {
-	e, plans := projectedFixture(t)
+	e, _ := projectedFixture(t)
 	for _, line := range projectedSeeds(t, e) {
-		for col := -1; col <= maxColumn; col++ {
+		for _, col := range []int{scenario.NoColumn, scenario.AllColumns} {
 			requireKeep(t, line, col)
 		}
-		for _, p := range plans {
-			requirePlanParse(t, p, line)
+		for col := 0; col <= maxColumn; col++ {
+			requireKeep(t, line, col)
 		}
 	}
 }

@@ -225,9 +225,11 @@ func TestCampaignLimitsDefaultAndOverride(t *testing.T) {
 	}
 }
 
-// A campaign carries no shard selector or worker count and a job no
-// progress partition or worker count: on the wire those are unknown
-// fields, refused as bad requests before they reach the service.
+// A campaign carries no shard selector or worker count, a job no
+// progress partition or worker count, and a schedule request no mapping
+// ordering or packing switch (it always runs the paper's mapper): on the
+// wire those are unknown fields, refused as bad requests before they reach
+// the service.
 func TestRemovedRequestKnobsAreBadRequests(t *testing.T) {
 	s := newService(t, service.Options{Workers: 1})
 	h := service.Handler(s)
@@ -236,6 +238,8 @@ func TestRemovedRequestKnobsAreBadRequests(t *testing.T) {
 		{"/v1/campaign", `{"spec": ` + smallCampaignSpec + `, "workers": 2}`},
 		{"/v1/jobs", `{"spec": ` + smallCampaignSpec + `, "shards": 2}`},
 		{"/v1/jobs", `{"spec": ` + smallCampaignSpec + `, "workers": 2}`},
+		{"/v1/schedule", `{"count": 2, "ordering": "global"}`},
+		{"/v1/schedule", `{"count": 2, "no_packing": true}`},
 	} {
 		w := do(h, http.MethodPost, tc.path, tc.body)
 		if w.Code != http.StatusBadRequest {

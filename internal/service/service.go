@@ -36,7 +36,6 @@ import (
 	"ptgsched/internal/cache"
 	"ptgsched/internal/core"
 	"ptgsched/internal/daggen"
-	"ptgsched/internal/mapping"
 	"ptgsched/internal/metrics"
 	"ptgsched/internal/online"
 	"ptgsched/internal/platform"
@@ -345,9 +344,11 @@ func submit[T any](ctx context.Context, s *Service, kind string, run func(contex
 }
 
 // ScheduleRequest describes one offline batch-scheduling request: generate
-// Count PTGs of Family with Seed, schedule them on Platform under Strategy,
-// and simulate the execution. All fields are JSON-friendly so the request
-// can travel over the ptgserve wire format unchanged.
+// Count PTGs of Family with Seed, schedule them on Platform under Strategy
+// with the paper's pipeline (core.New: SCRAP-MAX allocation, §4, then the
+// ready-task mapper with packing, §5), and simulate the execution. All
+// fields are JSON-friendly so the request can travel over the ptgserve
+// wire format unchanged; the wire refuses any other field.
 type ScheduleRequest struct {
 	// Platform names a Grid'5000 preset: lille, nancy, rennes (default) or
 	// sophia.
@@ -364,11 +365,6 @@ type ScheduleRequest struct {
 	Mu *float64 `json:"mu,omitempty"`
 	// Seed makes the generated scenario deterministic.
 	Seed int64 `json:"seed,omitempty"`
-	// Ordering selects the mapping ordering: "" or "ready" (the paper's),
-	// or "global" (the Fig. 1 counterexample).
-	Ordering string `json:"ordering,omitempty"`
-	// NoPacking disables allocation packing.
-	NoPacking bool `json:"no_packing,omitempty"`
 	// ComputeOwn additionally schedules each PTG alone to report slowdowns
 	// and unfairness (Eq. 3–5); it costs Count extra pipeline runs.
 	ComputeOwn bool `json:"compute_own,omitempty"`
@@ -402,7 +398,6 @@ type scheduleScenario struct {
 	family daggen.Family
 	strat  strategy.Strategy
 	count  int
-	opts   mapping.Options
 }
 
 // orDefault returns name, or def for the empty string.
@@ -478,16 +473,7 @@ func (r ScheduleRequest) resolve() (scheduleScenario, error) {
 	if err != nil {
 		return sc, err
 	}
-	var opts mapping.Options
-	switch r.Ordering {
-	case "", "ready":
-	case "global":
-		opts.Ordering = mapping.Global
-	default:
-		return sc, fmt.Errorf("service: unknown ordering %q (want ready or global)", r.Ordering)
-	}
-	opts.NoPacking = r.NoPacking
-	return scheduleScenario{pf: pf, family: fam, strat: strat, count: count, opts: opts}, nil
+	return scheduleScenario{pf: pf, family: fam, strat: strat, count: count}, nil
 }
 
 // Schedule runs one offline batch-scheduling request through the worker
@@ -514,7 +500,6 @@ func (sc scheduleScenario) run(req ScheduleRequest, ws *core.Scratch) *ScheduleR
 		daggen.GenerateInto(g, sc.family, r)
 	}
 	sched := core.New(sc.pf)
-	sched.MapOptions = sc.opts
 
 	var own []float64
 	if req.ComputeOwn {

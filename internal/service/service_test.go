@@ -259,7 +259,6 @@ func TestValidationErrors(t *testing.T) {
 		{Strategy: "FIFO"},
 		{Count: -1},
 		{Count: 1000},
-		{Ordering: "alphabetical"},
 	}
 	for _, req := range cases {
 		_, err := s.Schedule(context.Background(), req)

@@ -28,9 +28,10 @@ import (
 // interleaved appends, which would otherwise degenerate to one run per
 // record, are bounded by compaction: past maxRunsPerSegment, adjacent
 // runs merge pairwise into coarser spans that still prune by index
-// range. The index can therefore cost at most ~1.5 MB of memory per
-// segment no matter the append order, preserving the store's
-// memory-flat promise.
+// range. The index therefore holds at most maxRunsPerSegment runs of 40 B
+// each on 64-bit — 2.6 MB per segment before slice slack — no matter the
+// append order, preserving the store's memory-flat promise
+// (TestCompactionKeepsQueriesExact).
 
 // ErrReadOnly rejects mutations on a store opened with OpenRead.
 var ErrReadOnly = errors.New("store: opened read-only")

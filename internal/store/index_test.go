@@ -407,3 +407,81 @@ func TestAggregateWhereMatchesManualReduction(t *testing.T) {
 		t.Fatalf("match-all rows %d, filtered rows %d", len(all), len(rows))
 	}
 }
+
+// compactSpec has two cells of 33,000 points: appended alternating cells,
+// every record opens a run of its own, so the 65,537th record compacts.
+const compactSpec = `{
+	"name": "compact-test",
+	"seed": 3,
+	"reps": 33000,
+	"nptgs": [2],
+	"platforms": ["lille"],
+	"families": [{"family": "strassen"}, {"family": "fft", "k": [2]}]
+}`
+
+// TestCompactionKeepsQueriesExact: records appended through Store.Append
+// that switch cells every record — possible through Append, never
+// through a sweep — grow one run per record until the index compacts at
+// maxRunsPerSegment. After each compaction, and after the last append,
+// the run count is within the bound and the pushdown Query equals
+// QueryFullScan byte for byte for every family and every strategy
+// predicate over the merged runs (one strategy predicate under -short).
+func TestCompactionKeepsQueriesExact(t *testing.T) {
+	e := expand(t, compactSpec)
+	if len(e.Cells) != 2 || e.NumPoints() <= maxRunsPerSegment {
+		t.Fatalf("%d cells, %d points: the test needs two cells past %d records", len(e.Cells), e.NumPoints(), maxRunsPerSegment)
+	}
+	preds := []query.Query{{}, {Family: "strassen"}, {Family: "fft"}}
+	labels := e.Cells[0].Config.Labels
+	if testing.Short() {
+		labels = labels[:1] // the race lane: one projection, not every one
+	}
+	for _, l := range labels {
+		preds = append(preds, query.Query{Strategy: l})
+	}
+	s, err := Create(t.TempDir(), e, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ix := &s.segs[0].idx
+	check := func(when string) {
+		t.Helper()
+		if len(ix.runs) > maxRunsPerSegment {
+			t.Fatalf("%s: %d runs, bound %d", when, len(ix.runs), maxRunsPerSegment)
+		}
+		for _, q := range preds {
+			q.To = query.NoLimit
+			p := compile(t, e, q)
+			var indexed, scanned []scenario.PointResult
+			if _, err := s.Query(p, func(r scenario.PointResult) error { indexed = append(indexed, r); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.QueryFullScan(p, func(r scenario.PointResult) error { scanned = append(scanned, r); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(indexed, scanned) {
+				t.Fatalf("%s, q=%s: the indexed query emits %d records, the full scan %d, or they differ",
+					when, q, len(indexed), len(scanned))
+			}
+		}
+	}
+	lo1, _ := e.CellRange(1)
+	compactions := 0
+	for i := 0; i < lo1; i++ {
+		for _, idx := range []int{i, lo1 + i} {
+			before := len(ix.runs)
+			if err := s.Append(synth(e, idx)); err != nil {
+				t.Fatalf("Append(%d): %v", idx, err)
+			}
+			if len(ix.runs) < before {
+				compactions++
+				check(fmt.Sprintf("compaction %d (record %d)", compactions, 2*i+idx/lo1+1))
+			}
+		}
+	}
+	if compactions == 0 {
+		t.Fatalf("%d alternating records never compacted the index", 2*lo1)
+	}
+	check("after the last append")
+}
