@@ -59,8 +59,9 @@ func TestCoordinatorCancelMidRunCancelsRunningJobs(t *testing.T) {
 		_, err := c.Run(ctx)
 		done <- err
 	}()
-	// Dispatches counts leases whose submit answer the coordinator read:
-	// a job whose answer the cancel cuts off is unknown to it.
+	// Dispatches counts leases whose submit answer the coordinator read,
+	// so the cancel lands on a running lease's job on every worker (a job
+	// whose answer the cancel cuts off is the next test's case).
 	waitUntil(t, "a running lease on every worker", func() bool {
 		if c.Counters().Dispatches != int64(len(svcs)) {
 			return false
@@ -92,6 +93,67 @@ func TestCoordinatorCancelMidRunCancelsRunningJobs(t *testing.T) {
 		svcs[i].Close()
 	}
 	waitUntil(t, "the run's goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// cancelDuringSubmit forwards every request to the worker and cancels the
+// run while a job submission's answer is on its way back: the worker has
+// accepted the job, and the answer reaches the coordinator only if the
+// cancel did not cut the submit's request off.
+type cancelDuringSubmit struct{ cancel context.CancelFunc }
+
+func (c cancelDuringSubmit) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.Method != http.MethodPost || req.URL.Path != "/v1/jobs" {
+		return resp, err
+	}
+	c.cancel()
+	if err := req.Context().Err(); err != nil {
+		resp.Body.Close()
+		return nil, err
+	}
+	return resp, nil
+}
+
+// TestCoordinatorCancelDuringSubmitLeavesNoJob: a cancel that lands on a
+// job submission is the caller's, not the worker's — no death is counted —
+// and the submit still reads its answer, so the job the worker accepted has
+// a lease and Run's exit cancels it. A job of the same spec that another
+// client submitted to the same worker is not the run's and survives.
+func TestCoordinatorCancelDuringSubmitLeavesNoJob(t *testing.T) {
+	s := service.New(service.Options{Workers: 1})
+	ts := httptest.NewServer(service.Handler(s))
+	defer func() { ts.Close(); s.Close() }()
+	other, err := s.SubmitJob(service.JobRequest{Spec: []byte(slowSpec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	co := fastClient
+	co.Transport = cancelDuringSubmit{cancel}
+	c, err := New([]byte(slowSpec), []string{ts.URL}, Options{PollInterval: 10 * time.Millisecond, Client: co})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(ctx); err != context.Canceled {
+		t.Fatalf("Run: %v, want context.Canceled", err)
+	}
+	if cs := c.Counters(); cs.WorkerDeaths != 0 || cs.Dispatches != 1 {
+		t.Fatalf("counters %+v, want no death and one dispatch", cs)
+	}
+	survived := false
+	for _, j := range s.Jobs() {
+		if j.ID == other.ID {
+			survived = j.State == service.JobQueued || j.State == service.JobRunning
+			continue
+		}
+		if j.State == service.JobQueued || j.State == service.JobRunning {
+			t.Fatalf("job %s of the canceled campaign is still %s on the worker", j.ID, j.State)
+		}
+	}
+	if !survived {
+		t.Fatalf("the other client's job %s of the same spec did not survive the run's cancel", other.ID)
+	}
 }
 
 // TestStatsHandlerServesCountersAndProgress: GET /v1/stats on the

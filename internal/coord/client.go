@@ -191,13 +191,22 @@ func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 // a non-retryable status, or a failure try reports as final ends the
 // loop; only transport errors and retryable statuses continue. verb and
 // path name the request in the exhausted-budget error.
+//
+// A POST creates a job, and only its answer tells the caller the job's
+// id, so the parent's cancel never cuts a POST attempt off: the attempt
+// runs to its answer (within attemptTimeout) and the cancel stops the
+// tries after it.
 func (c *Client) retry(ctx context.Context, verb, path string, attempts int, try func(ctx context.Context) (final bool, err error)) error {
+	base := ctx
+	if verb == http.MethodPost {
+		base = context.WithoutCancel(ctx)
+	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			c.retries()
 		}
-		actx, cancel := context.WithTimeout(ctx, attemptTimeout)
+		actx, cancel := context.WithTimeout(base, attemptTimeout)
 		final, err := try(actx)
 		cancel()
 		if err == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -338,7 +339,7 @@ func (c *Coordinator) dispatch(ctx context.Context) error {
 				c.counters.dispatches.Add(1)
 				c.logf("coord: shard %d/%d leased to %s as %s", l.shard, len(c.leases), w.addr, st.ID)
 				break assign
-			case isThrottle(err):
+			case hasStatus(err, http.StatusTooManyRequests):
 				// The worker is full, not broken: leave the lease pending
 				// and try again next round (the backoff already honored
 				// its Retry-After).
@@ -349,6 +350,10 @@ func (c *Coordinator) dispatch(ctx context.Context) error {
 				// validation failure): no other worker will answer
 				// differently, so fail the campaign with the reason.
 				return fmt.Errorf("coord: worker %s rejected shard %d/%d: %w", w.addr, l.shard, len(c.leases), err)
+			case ctx.Err() != nil:
+				// The caller's cancel stopped the submit's retries; the
+				// worker is not at fault.
+				return ctx.Err()
 			default:
 				c.markDead(w, err)
 			}
@@ -373,59 +378,45 @@ func (c *Coordinator) poll(ctx context.Context) error {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			var se *StatusError
-			if isStatus(err, &se) && se.Status == 404 {
+			switch {
+			case hasStatus(err, http.StatusNotFound):
 				// A live worker that lost the job (restart, eviction):
 				// the shard must rerun somewhere.
-				c.requeue(l, "job %s vanished from %s", l.jobID, w.addr)
-				l.attempts++
-				if err := c.checkAttempts(l, fmt.Errorf("job vanished repeatedly")); err != nil {
+				if err := c.retryShard(l, fmt.Errorf("job %s vanished", l.jobID)); err != nil {
 					return err
 				}
-				continue
-			}
-			if isPermanent(err) {
+			case isPermanent(err):
 				return fmt.Errorf("coord: polling shard %d on %s: %w", l.shard, w.addr, err)
+			default:
+				c.markDead(w, err)
 			}
-			c.markDead(w, err)
 			continue
 		}
+		var fault error
 		switch st.State {
 		case service.JobDone:
 			if err := c.merge(ctx, l, st); err != nil {
 				return err
 			}
 		case service.JobFailed:
-			l.attempts++
-			shardErr := fmt.Errorf("worker %s: %s", w.addr, st.Error)
-			if err := c.checkAttempts(l, shardErr); err != nil {
-				return err
-			}
-			c.requeue(l, "shard %d failed on %s (attempt %d/%d): %s",
-				l.shard, w.addr, l.attempts, maxShardAttempts, st.Error)
+			fault = fmt.Errorf("worker %s: %s", w.addr, st.Error)
 		case service.JobCanceled:
-			l.attempts++
-			if err := c.checkAttempts(l, fmt.Errorf("job canceled externally")); err != nil {
-				return err
-			}
-			c.requeue(l, "shard %d canceled on %s, requeueing", l.shard, w.addr)
+			fault = fmt.Errorf("job canceled externally")
 		default: // queued or running: stall detection
 			if st.Completed != l.lastCompleted {
 				l.lastCompleted, l.lastChange = st.Completed, time.Now()
-				break
-			}
-			if time.Since(l.lastChange) > c.opts.StallTimeout {
-				l.attempts++
-				if err := c.checkAttempts(l, fmt.Errorf("stalled at %d/%d points", st.Completed, st.Points)); err != nil {
-					return err
-				}
+			} else if time.Since(l.lastChange) > c.opts.StallTimeout {
 				// Best-effort cancel; the dedup bitmap protects against
 				// the stalled job finishing anyway.
 				cancelCtx, cancel := context.WithTimeout(ctx, c.opts.PollInterval)
 				_ = w.client.CancelJob(cancelCtx, l.jobID)
 				cancel()
-				c.requeue(l, "shard %d stalled on %s at %d/%d points, reassigning",
-					l.shard, w.addr, st.Completed, st.Points)
+				fault = fmt.Errorf("stalled at %d/%d points", st.Completed, st.Points)
+			}
+		}
+		if fault != nil {
+			if err := c.retryShard(l, fault); err != nil {
+				return err
 			}
 		}
 	}
@@ -440,7 +431,8 @@ func (c *Coordinator) merge(ctx context.Context, l *lease, st *service.JobStatus
 	var addErr error
 	err := l.worker.client.JobResults(ctx, l.jobID, func(r scenario.PointResult) error {
 		if r.Index < 0 || r.Index >= c.e.NumPoints() {
-			return fmt.Errorf("coord: result index %d outside expansion", r.Index)
+			addErr = fmt.Errorf("coord: result index %d outside expansion", r.Index)
+			return addErr
 		}
 		if c.agg.Seen(r.Index) {
 			c.counters.duplicates.Add(1)
@@ -464,11 +456,8 @@ func (c *Coordinator) merge(ctx context.Context, l *lease, st *service.JobStatus
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		var se *StatusError
-		if isStatus(err, &se) && se.Status == 404 {
-			c.requeue(l, "results of job %s vanished from %s", l.jobID, l.worker.addr)
-			l.attempts++
-			return c.checkAttempts(l, fmt.Errorf("results vanished"))
+		if hasStatus(err, http.StatusNotFound) {
+			return c.retryShard(l, fmt.Errorf("results of job %s vanished", l.jobID))
 		}
 		if isPermanent(err) {
 			return fmt.Errorf("coord: fetching shard %d results from %s: %w", l.shard, l.worker.addr, err)
@@ -487,13 +476,7 @@ func (c *Coordinator) merge(ctx context.Context, l *lease, st *service.JobStatus
 	if missing > 0 {
 		// A done job must have streamed its whole shard; treat the gap
 		// like a failure so a truncating worker cannot wedge the run.
-		l.attempts++
-		if err := c.checkAttempts(l, fmt.Errorf("done job streamed %d points short", missing)); err != nil {
-			return err
-		}
-		c.requeue(l, "shard %d done on %s but %d points missing, re-running",
-			l.shard, l.worker.addr, missing)
-		return nil
+		return c.retryShard(l, fmt.Errorf("done job streamed %d points short", missing))
 	}
 	l.state = LeaseMerged
 	l.worker.active--
@@ -504,12 +487,16 @@ func (c *Coordinator) merge(ctx context.Context, l *lease, st *service.JobStatus
 	return nil
 }
 
-// checkAttempts fails the campaign once a shard burned its attempts.
-func (c *Coordinator) checkAttempts(l *lease, cause error) error {
+// retryShard counts fault against l's shard and requeues the lease, or
+// fails the campaign with it once the shard has burned its attempts.
+func (c *Coordinator) retryShard(l *lease, fault error) error {
+	l.attempts++
 	if l.attempts >= maxShardAttempts {
 		return fmt.Errorf("coord: shard %d/%d failed %d times, giving up: %w",
-			l.shard, len(c.leases), l.attempts, cause)
+			l.shard, len(c.leases), l.attempts, fault)
 	}
+	c.requeue(l, "shard %d on %s: %v (attempt %d/%d), reassigning",
+		l.shard, l.worker.addr, fault, l.attempts, maxShardAttempts)
 	return nil
 }
 
@@ -601,7 +588,9 @@ func (c *Coordinator) allDeadError() error {
 }
 
 // cancelRunning best-effort cancels every running lease's job (Run calls
-// it when the caller's context dies).
+// it when the caller's context dies). A submit the cancel lands on still
+// reads its answer (see Client.retry), so every job the run started has a
+// running lease.
 func (c *Coordinator) cancelRunning() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -612,25 +601,17 @@ func (c *Coordinator) cancelRunning() {
 	}
 }
 
-// isStatus extracts a *StatusError (possibly wrapped).
-func isStatus(err error, out **StatusError) bool {
+// hasStatus reports whether err is (or wraps) a worker's answer with
+// status: a 404 for a job or results the worker lost, a 429 for a full
+// queue or job registry.
+func hasStatus(err error, status int) bool {
 	var se *StatusError
-	if errors.As(err, &se) {
-		*out = se
-		return true
-	}
-	return false
-}
-
-// isThrottle reports a 429 — a full queue or job registry.
-func isThrottle(err error) bool {
-	var se *StatusError
-	return isStatus(err, &se) && se.Status == 429
+	return errors.As(err, &se) && se.Status == status
 }
 
 // isPermanent reports an error retrying cannot fix: a non-retryable,
 // non-throttle HTTP status (validation failures, 404s on submit).
 func isPermanent(err error) bool {
 	var se *StatusError
-	return isStatus(err, &se) && !retryableStatus(se.Status)
+	return errors.As(err, &se) && !retryableStatus(se.Status)
 }

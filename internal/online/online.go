@@ -33,7 +33,7 @@
 // and a Scratch, and mutates the arrival graphs' analysis caches;
 // concurrent calls are safe on disjoint arrival sets and distinct scratches
 // (the service layer generates a private workload per request and runs it on
-// the worker's scratch).
+// a scratch the request borrows).
 package online
 
 import (

@@ -65,9 +65,9 @@ func sameRecords(t *testing.T, what string, got, want []PointResult) {
 }
 
 // A sweep parks the scratches its slots used, so a second sweep over the
-// same expansion builds none while the idle set can hold one per slot (it
-// keeps GOMAXPROCS), and its records are bit-identical to computing every
-// point on a new scratch.
+// same expansion builds none at any worker count, more slots than
+// GOMAXPROCS included, and its records are bit-identical to computing
+// every point on a new scratch.
 func TestSweepParksItsScratches(t *testing.T) {
 	for _, src := range idleSpecs {
 		e := mustExpand(t, mustParse(t, src))
@@ -81,28 +81,32 @@ func TestSweepParksItsScratches(t *testing.T) {
 			before := scratchesBuilt()
 			sameRecords(t, e.Spec.Name+" second sweep", sweepResults(t, e, workers), cold)
 			built := scratchesBuilt() - before
-			if want := max(0, workers-runtime.GOMAXPROCS(0)); built != want {
-				t.Errorf("%s, %d workers: the second sweep built %d scratches, want %d (GOMAXPROCS %d)",
-					e.Spec.Name, workers, built, want, runtime.GOMAXPROCS(0))
+			if built != 0 {
+				t.Errorf("%s, %d workers: the second sweep built %d scratches, want 0 (GOMAXPROCS %d)",
+					e.Spec.Name, workers, built, runtime.GOMAXPROCS(0))
 			}
 		}
 	}
 }
 
-// Sweeps running at once borrow from and park into the one idle set; under
-// -race this checks that a scratch parked by one sweep's goroutines is
-// handed safely to another's.
+// Sweeps running at once borrow from and park into the one idle set, which
+// never holds more scratches than were out at once: from an empty set, two
+// sweeps of two slots each leave at most four. Under -race this checks
+// that a scratch parked by one sweep's goroutines is handed safely to
+// another's.
 func TestSweepsShareTheIdleSet(t *testing.T) {
 	e := mustExpand(t, mustParse(t, idleSpecs[1]))
 	cold := coldResults(e)
+	drainIdle()
+	const sweeps, slots = 2, 2
 	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
+	for g := 0; g < sweeps; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				out := make([]PointResult, e.NumPoints())
-				if err := e.Each(e.All(), SweepOptions{Workers: 2}, func(r PointResult) error {
+				if err := e.Each(e.All(), SweepOptions{Workers: slots}, func(r PointResult) error {
 					out[r.Index] = r
 					return nil
 				}); err != nil {
@@ -122,7 +126,7 @@ func TestSweepsShareTheIdleSet(t *testing.T) {
 	idle.Lock()
 	parked := len(idle.scratches)
 	idle.Unlock()
-	if parked > runtime.GOMAXPROCS(0) {
-		t.Errorf("%d scratches parked, more than GOMAXPROCS (%d)", parked, runtime.GOMAXPROCS(0))
+	if parked > sweeps*slots {
+		t.Errorf("%d scratches parked, more than the %d slots that ran at once", parked, sweeps*slots)
 	}
 }

@@ -44,12 +44,12 @@ type PointResult struct {
 // online requests — run on: the offline pipeline's (Core), which also
 // holds the pool a static point's or a schedule request's graphs are
 // generated into and the mapper's buffers, and the online engine's
-// (Online). Its one owner is the idle set: Borrow lends it to one
-// goroutine — a sweep slot for the sweep, a service worker until its
-// service closes — each unit of work on it ends with Release, which takes
-// the pooled graphs back and drops everything else the unit left, and
-// Park gives it back. A unit that panics never reaches Park, so its scratch is
-// dropped. The PointResults computed through it are never scratch-owned.
+// (Online). Its one owner is the idle set: Borrow lends it to one unit of
+// work — a sweep slot, one schedule, online or workload request — and Park
+// releases it and takes it back once the unit's results hold only copies.
+// Release takes the pooled graphs back and drops all else a point left. A
+// unit that panics never reaches Park, so its scratch is dropped. The
+// PointResults computed through it are never scratch-owned.
 type Scratch struct {
 	Core   *core.Scratch
 	Online *online.Scratch
@@ -68,12 +68,12 @@ func (sc *Scratch) Release() {
 	sc.Online.Release()
 }
 
-// idle holds the parked scratches, so sweeps and service workers start
-// with graph pools, engine arenas and trace storage grown. It keeps at
-// most GOMAXPROCS — as many as can run at once — and drops the surplus, so
-// what a sweep allocates does not depend on how many sweeps ran before it
-// (a sync.Pool, emptied across garbage collections, would make it depend
-// on when the collector ran). built counts the scratches Borrow made.
+// idle holds the parked scratches, so sweeps and requests start with
+// graph pools, engine arenas and trace storage grown. Park keeps every
+// scratch and Borrow builds one only when idle is empty, so it never holds
+// more than were out at once: its size follows the process's peak
+// concurrency, not when the collector ran, as it would behind a sync.Pool.
+// built counts the scratches Borrow made.
 var idle struct {
 	sync.Mutex
 	scratches []*Scratch
@@ -94,15 +94,13 @@ func Borrow() *Scratch {
 	return NewScratch()
 }
 
-// Park releases sc and keeps it in the idle set while the set holds fewer
-// than GOMAXPROCS scratches; the caller must not use it again.
+// Park releases sc and keeps it in the idle set; the caller must not use
+// it again.
 func (sc *Scratch) Park() {
 	sc.Release()
 	idle.Lock()
 	defer idle.Unlock()
-	if len(idle.scratches) < runtime.GOMAXPROCS(0) {
-		idle.scratches = append(idle.scratches, sc)
-	}
+	idle.scratches = append(idle.scratches, sc)
 }
 
 // RunPoint executes one scenario point on the calling goroutine.

@@ -150,7 +150,7 @@ func (s *Service) Campaign(ctx context.Context, req CampaignRequest) (*CampaignR
 }
 
 func (s *Service) campaign(ctx context.Context, e *scenario.Expansion) (*CampaignResponse, error) {
-	return submit[CampaignResponse](ctx, s, "campaign", func(ctx context.Context, _ *scenario.Scratch) (any, error) {
+	return submit[CampaignResponse](ctx, s, "campaign", func(ctx context.Context) (any, error) {
 		started := time.Now()
 		// The sweep runs inline on this worker's goroutine. It turns a
 		// panicking point into the request's error, and the request

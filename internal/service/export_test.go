@@ -26,19 +26,22 @@ func (s *Service) CampaignWithPanickingCell0(ctx context.Context, req CampaignRe
 // tests saturate the worker pool and queue deterministically, without
 // depending on how fast the real pipeline runs.
 func (s *Service) SubmitTestJob(ctx context.Context, release <-chan struct{}) error {
-	_, err := submit[ScheduleResponse](ctx, s, "schedule", func(context.Context, *scenario.Scratch) (any, error) {
+	_, err := submit[ScheduleResponse](ctx, s, "schedule", func(context.Context) (any, error) {
 		<-release
 		return &ScheduleResponse{}, nil
 	})
 	return err
 }
 
-// RunOnWorkerScratch queues fn as a schedule-kind job and runs it on the
-// worker's own scratch, under the same panic recovery and Release as a real
-// request. It lets tests leave a worker's scratch in any state they like.
-func (s *Service) RunOnWorkerScratch(ctx context.Context, fn func(*core.Scratch)) error {
-	_, err := submit[ScheduleResponse](ctx, s, "schedule", func(_ context.Context, sc *scenario.Scratch) (any, error) {
+// RunOnBorrowedScratch queues fn as a schedule-kind job that borrows a
+// scratch from the idle set, runs fn on it and parks it, as a real request
+// does, under the same panic recovery. It lets tests leave a request's
+// scratch in any state they like.
+func (s *Service) RunOnBorrowedScratch(ctx context.Context, fn func(*core.Scratch)) error {
+	_, err := submit[ScheduleResponse](ctx, s, "schedule", func(context.Context) (any, error) {
+		sc := scenario.Borrow()
 		fn(sc.Core)
+		sc.Park()
 		return &ScheduleResponse{}, nil
 	})
 	return err

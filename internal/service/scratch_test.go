@@ -1,11 +1,11 @@
 package service_test
 
-// Tests of the worker's scratch: each worker borrows one scenario.Scratch
-// from the idle set that sweep slots also borrow from, and its core and
-// online state serve every schedule and online request that worker runs,
-// so responses must own their slices, a request must leave nothing behind
-// for the next, and the results must stay those of a scheduler that starts
-// from nothing.
+// Tests of a request's scratch: each schedule and online request borrows a
+// scenario.Scratch from the idle set that sweep slots also borrow from and
+// parks it when it is answered, so the next request runs on the core and
+// online state this one left: responses must own their slices, a request
+// must leave nothing behind for the next, and the results must stay those
+// of a scheduler that starts from nothing.
 
 import (
 	"bytes"
@@ -113,8 +113,8 @@ func TestScheduleOnWorkerScratchMatchesFreshScheduler(t *testing.T) {
 	}
 }
 
-// A response's slices are its own: the worker's next request, which reuses
-// the scratch the first one ran on, must not show through them.
+// A response's slices are its own: the next request, which borrows the
+// scratch the first one ran on and parked, must not show through them.
 func TestScheduleResponsesDoNotAliasTheScratch(t *testing.T) {
 	s := newService(t, service.Options{Workers: 1})
 	first, err := s.Schedule(context.Background(), service.ScheduleRequest{
@@ -138,10 +138,11 @@ func TestScheduleResponsesDoNotAliasTheScratch(t *testing.T) {
 	}
 }
 
-// A schedule response's β vector is copied out of the worker's scratch,
+// A schedule response's β vector is copied out of the request's scratch,
 // where the scheduler computes it: under every strategy, the next request
 // on the worker — the same batch size under another strategy, which
-// computes its β into the same storage — leaves it as it was.
+// borrows the same scratch and computes its β into the same storage —
+// leaves it as it was.
 func TestScheduleResponseBetasSurviveTheNextRequest(t *testing.T) {
 	s := newService(t, service.Options{Workers: 1})
 	names := strategy.Names()
@@ -164,17 +165,17 @@ func TestScheduleResponseBetasSurviveTheNextRequest(t *testing.T) {
 	}
 }
 
-// A request that panics half way — after scheduling on the worker's
-// scratch, inside a second scheduling call — fails alone, and the worker
-// drops that scratch for another borrowed one, as a sweep drops the
-// scratch of a slot that panicked: the next requests equal the reference,
-// and no later request or borrow straight from the idle set sees that
+// A request that panics half way — after scheduling on its scratch,
+// inside a second scheduling call — fails alone and never reaches its
+// Park, so that scratch is dropped, as a sweep drops the scratch of a slot
+// that panicked: the next requests equal the reference, and neither a
+// later request nor the next borrows straight from the idle set see that
 // scratch again.
 func TestPanickingRequestDropsItsScratch(t *testing.T) {
 	s := newService(t, service.Options{Workers: 1})
 	req := seededRequest(3)
 	var panicked *core.Scratch
-	err := s.RunOnWorkerScratch(context.Background(), func(sc *core.Scratch) {
+	err := s.RunOnBorrowedScratch(context.Background(), func(sc *core.Scratch) {
 		panicked = sc
 		pf, graphs, strat := materialize(t, req)
 		sched := core.New(pf)
@@ -194,7 +195,7 @@ func TestPanickingRequestDropsItsScratch(t *testing.T) {
 	}
 	var later []*core.Scratch
 	for i := 0; i < 2; i++ {
-		if err := s.RunOnWorkerScratch(context.Background(), func(sc *core.Scratch) {
+		if err := s.RunOnBorrowedScratch(context.Background(), func(sc *core.Scratch) {
 			later = append(later, sc)
 		}); err != nil {
 			t.Fatal(err)
@@ -242,7 +243,7 @@ func requireOnlineReference(t *testing.T, what string, req service.OnlineRequest
 		rand.New(rand.NewSource(req.Seed)))
 	want := online.Schedule(pf, arrivals, online.Options{Strategy: strat, NoRebalanceOnCompletion: req.NoRebalanceOnCompletion})
 	if resp.Makespan != want.Makespan || resp.Rebalances != want.Rebalances {
-		t.Fatalf("%s: makespan %g after %d rebalances on the worker's scratch, %g after %d on a new one",
+		t.Fatalf("%s: makespan %g after %d rebalances on a borrowed scratch, %g after %d on a new one",
 			what, resp.Makespan, resp.Rebalances, want.Makespan, want.Rebalances)
 	}
 	for a, app := range want.Apps {
@@ -261,10 +262,10 @@ var onlineRequests = []service.OnlineRequest{
 	{Platform: "rennes", Family: "random", Count: 4, Process: "poisson", Rate: 0.2, Strategy: "ES", Seed: 5},
 }
 
-// /v1/online runs on the worker's online scratch, whose allocation traces
-// are released with the request: consecutive requests on one worker —
-// repeated, on other seeds, strategies and platforms — each equal a run on
-// a scratch of its own.
+// /v1/online runs on a borrowed scratch's online state, whose allocation
+// traces are released when the request parks it: consecutive requests on
+// one worker — repeated, on other seeds, strategies and platforms — each
+// equal a run on a scratch of its own.
 func TestOnlineOnWorkerScratchMatchesFreshRun(t *testing.T) {
 	s := newService(t, service.Options{Workers: 1})
 	for i, req := range onlineRequests {
@@ -344,9 +345,9 @@ const sharedIdleSpec = `{"name":"shared-idle","seed":17,"reps":100,"nptgs":[3,6]
 
 // Requests and sweeps borrow from, and park into, one idle set: in each of
 // two rounds, a two-worker service runs a job's sweep on one worker while
-// schedule and online requests run on the other, and closing the service
-// parks its workers' scratches beside the ones the sweep parked, for the
-// next round's workers and slots to borrow. Every response equals a fresh
+// schedule and online requests run on the other, each parking its scratch
+// beside the ones the sweep parks, for the next request, the next round's
+// requests and slots to borrow. Every response equals a fresh
 // scheduler's and every job record equals RunPoint's; under -race this
 // also checks that a scratch parked on one goroutine is handed safely to
 // another.

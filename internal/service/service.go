@@ -14,11 +14,11 @@
 // (requests share one per site, presets), the strategy/alloc/mapping
 // pipeline keeps all mutable state in per-call values, and the only
 // caching mutable structure — dag.Graph's analysis caches — is confined
-// to graphs generated privately per request. Each
-// worker borrows a scenario.Scratch from scenario's idle set, as a sweep
-// slot does, and lends it to one request at a time (see worker). Requests
-// never contend on scheduling state, only on the queue and the stats
-// counters.
+// to graphs generated privately per request. Each request borrows the
+// scenario.Scratch it runs on from scenario's idle set and parks it when
+// its response holds only copies, as a sweep slot does; a worker owns no
+// scratch. Requests never contend on scheduling state, only on the queue,
+// the idle set's lock and the stats counters.
 package service
 
 import (
@@ -131,9 +131,8 @@ type job struct {
 	ctx      context.Context
 	kind     string
 	enqueued time.Time
-	// run executes the request under ctx on the worker's scratch, which
-	// is the request's alone until run returns.
-	run  func(ctx context.Context, sc *scenario.Scratch) (any, error)
+	// run executes the request under ctx, on a scratch it borrows itself.
+	run  func(ctx context.Context) (any, error)
 	done chan outcome
 	// settled arbitrates the accounting between the worker and the
 	// submitter: whoever swaps it first counts the job's fate, so
@@ -226,12 +225,10 @@ func (s *Service) CloseGrace(grace time.Duration) int {
 	return stuck
 }
 
-// worker executes queued jobs until the queue closes, on a scratch it
-// borrows from scenario's idle set and parks then; a job that panicked
-// left the scratch mid-request, so it is dropped for another.
+// worker executes queued jobs until the queue closes. It owns no scratch:
+// each job borrows what it runs on.
 func (s *Service) worker() {
 	defer s.wg.Done()
-	sc := scenario.Borrow()
 	for j := range s.queue {
 		if err := j.ctx.Err(); err != nil {
 			// The client gave up while the job was queued; don't burn a
@@ -244,11 +241,7 @@ func (s *Service) worker() {
 		}
 		s.stats.inFlight.Add(1)
 		started := time.Now()
-		resp, err := runSafely(j, sc)
-		if errors.Is(err, errPanicked) {
-			sc = scenario.Borrow()
-		}
-		sc.Release()
+		resp, err := runSafely(j)
 		elapsed := time.Since(started)
 		s.stats.inFlight.Add(-1)
 		s.stats.busyNanos.Add(elapsed.Nanoseconds())
@@ -269,22 +262,21 @@ func (s *Service) worker() {
 		}
 		j.done <- outcome{value: resp, err: err}
 	}
-	sc.Park()
 }
-
-var errPanicked = errors.New("service: request panicked")
 
 // runSafely runs the job under its own context — the request deadline of
 // a synchronous request, the job's context for an async job — and
 // converts a panic in the pipeline (e.g. a degenerate generated scenario)
-// into an errPanicked error, so one bad request cannot take down a worker.
-func runSafely(j *job, sc *scenario.Scratch) (resp any, err error) {
+// into an error, so one bad request cannot take down a worker. A job that
+// panics never reaches its Park, so the scratch it left mid-request is
+// dropped.
+func runSafely(j *job) (resp any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %v", errPanicked, r)
+			err = fmt.Errorf("service: request panicked: %v", r)
 		}
 	}()
-	return j.run(j.ctx, sc)
+	return j.run(j.ctx)
 }
 
 // admit is the one door onto the queue: it refuses a closed service or a
@@ -310,7 +302,7 @@ func (s *Service) admit(j *job) error {
 // the response back — for a validated request whose run returns a *T. It
 // waits for the outcome or the context. Requests abandoned at a timeout
 // keep their queue slot until a worker pops and discards them.
-func submit[T any](ctx context.Context, s *Service, kind string, run func(context.Context, *scenario.Scratch) (any, error)) (*T, error) {
+func submit[T any](ctx context.Context, s *Service, kind string, run func(context.Context) (any, error)) (*T, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
 	defer cancel()
 	j := &job{ctx: ctx, kind: kind, enqueued: time.Now(), run: run, done: make(chan outcome, 1)}
@@ -483,15 +475,17 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[ScheduleResponse](ctx, s, "schedule", func(_ context.Context, ws *scenario.Scratch) (any, error) {
-		return sc.run(req, ws.Core), nil
+	return submit[ScheduleResponse](ctx, s, "schedule", func(context.Context) (any, error) {
+		ws := scenario.Borrow()
+		out := sc.run(req, ws.Core)
+		ws.Park()
+		return out, nil
 	})
 }
 
-// run computes a schedule request on a worker's scratch: the batch is
+// run computes a schedule request on a borrowed scratch: the batch is
 // drawn from the scratch's seeded source into graphs from its pool, which
-// the worker's Release takes back once the response — built of values
-// only — is out.
+// Park takes back once the response — built of values only — is out.
 func (sc scheduleScenario) run(req ScheduleRequest, ws *core.Scratch) *ScheduleResponse {
 	started := time.Now()
 	r := ws.Rand(req.Seed)
@@ -573,8 +567,9 @@ func (s *Service) Online(ctx context.Context, req OnlineRequest) (*OnlineRespons
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[OnlineResponse](ctx, s, "online", func(_ context.Context, ws *scenario.Scratch) (any, error) {
+	return submit[OnlineResponse](ctx, s, "online", func(context.Context) (any, error) {
 		started := time.Now()
+		ws := scenario.Borrow()
 		arrivals := workload.GenerateInto(spec, ws.Core.Rand(req.Seed), ws.Core.Graphs(spec.Count))
 		res := online.ScheduleWith(ws.Online, pf, arrivals, online.Options{
 			Strategy:                strat,
@@ -594,6 +589,7 @@ func (s *Service) Online(ctx context.Context, req OnlineRequest) (*OnlineRespons
 		if len(res.Apps) > 0 {
 			out.MeanFlowTime = metrics.Mean(out.FlowTimes)
 		}
+		ws.Park()
 		out.ElapsedMS = float64(time.Since(started).Microseconds()) / 1e3
 		return out, nil
 	})
@@ -674,9 +670,11 @@ func (s *Service) Workload(ctx context.Context, req WorkloadRequest) (*WorkloadR
 	if err != nil {
 		return nil, s.invalid(err)
 	}
-	return submit[WorkloadResponse](ctx, s, "workload", func(_ context.Context, ws *scenario.Scratch) (any, error) {
+	return submit[WorkloadResponse](ctx, s, "workload", func(context.Context) (any, error) {
 		started := time.Now()
+		ws := scenario.Borrow()
 		arrivals := workload.Generate(spec, ws.Core.Rand(req.Seed))
+		ws.Park() // the arrivals' graphs are new, not the scratch's
 		out := &WorkloadResponse{Apps: make([]WorkloadApp, len(arrivals))}
 		for i, a := range arrivals {
 			st := a.Graph.ComputeStats()

@@ -9,8 +9,8 @@ import (
 	"ptgsched/internal/scenario"
 )
 
-// A worker's steady state: a 64-PTG ES schedule request run on a warm
-// worker scratch and released, as the worker runs it. The batch's graphs,
+// A request's steady state: a 64-PTG ES schedule request run on a warm
+// scratch and released, as Park releases it. The batch's graphs,
 // its mapped schedule and its seeded source live on the scratch, and its
 // graph names come from daggen's table, so what a request still allocates
 // is its response, plus what adjacency lists and traces grow when a batch
@@ -47,20 +47,19 @@ func TestScheduleRequestAllocsOnWarmScratch(t *testing.T) {
 	const ceiling = 40
 	t.Logf("%.0f allocations per request", allocs)
 	if allocs > ceiling {
-		t.Errorf("a request on a warm worker scratch allocates %.0f objects, ceiling %d", allocs, ceiling)
+		t.Errorf("a request on a warm scratch allocates %.0f objects, ceiling %d", allocs, ceiling)
 	}
 }
 
 // The same steady state through the public API, at one and two workers:
-// Service.Schedule on a warm service, whose workers keep the scratch they
-// borrowed across requests. On top of the run above, a request allocates
+// Service.Schedule on a warm service, whose requests borrow the scratches
+// earlier requests parked. On top of the run above, a request allocates
 // its job, its closure, its outcome channel and its deadline context, and
-// its site is a shared preset: 24–29 objects per request (≈ 310 before
+// its site is a shared preset: 19–29 objects per request (≈ 310 before
 // graph names, sources and presets were made once). The ceiling is twice
-// that. A worker that built or borrowed a cold scratch per request would
-// read ≈ 16k objects.
-// Every worker runs every request once before the count, so no worker's
-// first request, on a scratch that may be new, is counted.
+// that. A request that built a cold scratch would read ≈ 16k objects.
+// Every worker runs every request once before the count, so no request
+// on a scratch that may be new is counted.
 func TestScheduleAllocsThroughWarmService(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not comparable")
@@ -91,15 +90,14 @@ func TestScheduleAllocsThroughWarmService(t *testing.T) {
 	}
 }
 
-// Concurrent requests on more workers than GOMAXPROCS, the most scratches
-// the idle set keeps, run as warm as sequential ones: each worker keeps
-// the scratch it borrowed across requests, so no burst of requests drops
-// scratches into a full idle set for the next burst to build cold (≈ 16k
-// objects for each). Every burst holds each worker in one schedule
+// Concurrent requests on more workers than GOMAXPROCS run as warm as
+// sequential ones: the idle set keeps every scratch a burst parks, however
+// many there are, so the next burst borrows them all and builds none cold
+// (≈ 16k objects for each). Every burst holds each worker in one schedule
 // request at once, so all of them are in flight together; the first burst
-// warms every worker's scratch. It reads 34–44 objects per request at
-// GOMAXPROCS 1–8 (285–304 before graph names, sources and presets were made
-// once); the ceiling is twice that.
+// warms as many scratches as there are workers. It reads 32–41 objects per
+// request at GOMAXPROCS 1–8 (285–304 before graph names, sources and
+// presets were made once); the ceiling is twice that.
 func TestConcurrentRequestsOnMoreWorkersThanGOMAXPROCSStayWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not comparable")
@@ -126,7 +124,8 @@ func TestConcurrentRequestsOnMoreWorkersThanGOMAXPROCSStayWarm(t *testing.T) {
 }
 
 // onEveryWorker runs req once on each of s's workers, holding all of them
-// in it at once, as a schedule request runs on a worker.
+// in it, each on a scratch it borrowed, at once, as a schedule request
+// runs.
 func onEveryWorker(t *testing.T, s *Service, workers int, req ScheduleRequest) {
 	t.Helper()
 	sc, err := req.resolve()
@@ -139,10 +138,13 @@ func onEveryWorker(t *testing.T, s *Service, workers int, req ScheduleRequest) {
 		done.Add(1)
 		go func() {
 			defer done.Done()
-			_, err := submit[ScheduleResponse](context.Background(), s, "schedule", func(_ context.Context, ws *scenario.Scratch) (any, error) {
+			_, err := submit[ScheduleResponse](context.Background(), s, "schedule", func(context.Context) (any, error) {
+				ws := scenario.Borrow()
 				inside.Done()
 				inside.Wait()
-				return sc.run(req, ws.Core), nil
+				out := sc.run(req, ws.Core)
+				ws.Park()
+				return out, nil
 			})
 			if err != nil {
 				t.Error(err)

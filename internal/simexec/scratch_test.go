@@ -1,7 +1,8 @@
 package simexec
 
-// Lifetime tests for a long-lived Scratch — the way a service worker keeps
-// one: what it registers, what it pins, and what a panic leaves behind.
+// Lifetime tests for a long-lived Scratch — the way the idle set keeps one
+// across the units of work it lends it to: what it registers, what it
+// pins, and what a panic leaves behind.
 // In the package, to see the scratch's own fields.
 
 import (
